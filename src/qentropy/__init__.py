@@ -41,7 +41,6 @@ from .estimators import (
     estimate_shannon,
     estimate_support_coverage,
     estimate_support_size,
-    exact_expectation,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "estimate_shannon",
     "estimate_support_coverage",
     "estimate_support_size",
-    "exact_expectation",
     "from_counts",
     "from_json_dict",
     "grid_value",

@@ -18,8 +18,8 @@ hardware.  An M-query invocation is charged M quantum queries.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +32,19 @@ _GRID_TOLERANCE = 1e-14
 # table is renormalized.
 _NORMALIZATION_TOLERANCE = 1e-9
 
+# Outcome tables are cached by (a, M) up to this many bytes of arrays, least
+# recently used out first.  A table at M = 2^17 holds about 2 MB.
+_TABLE_CACHE_BYTES = 64 << 20
+
 
 def is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def grid_value(l: int, M: int) -> float:
-    """The l-th representable estimate sin^2(l*pi/M), 0 <= l <= M/2."""
-    return math.sin(math.pi * l / M) ** 2
+def grid_value(l, M: int):
+    """The representable estimate sin^2(l*pi/M), 0 <= l <= M/2, for an index
+    or an array of indices."""
+    return np.sin(np.pi * l / M) ** 2
 
 
 def estamp_prime_floor(M: int) -> float:
@@ -47,16 +52,13 @@ def estamp_prime_floor(M: int) -> float:
     return math.sin(math.pi / (2 * M)) ** 2
 
 
-def _fejer(delta: float, M: int) -> float:
-    if delta < _GRID_TOLERANCE:
-        return 1.0
-    s = math.sin(math.pi * delta)
-    return (math.sin(M * math.pi * delta) / (M * s)) ** 2
-
-
-def _circular_distance(x: float) -> float:
-    d = x - math.floor(x)
-    return min(d, 1.0 - d)
+def _fejer(x: np.ndarray, M: int) -> np.ndarray:
+    """Kernel f at the circular distance of each phase offset x from 0."""
+    d = x - np.floor(x)
+    d = np.minimum(d, 1.0 - d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (np.sin(M * np.pi * d) / (M * np.sin(np.pi * d))) ** 2
+    return np.where(d < _GRID_TOLERANCE, 1.0, f)
 
 
 def measurement_probabilities(a: float, M: int) -> np.ndarray:
@@ -75,12 +77,8 @@ def measurement_probabilities(a: float, M: int) -> np.ndarray:
         probs[j % M] += 0.5
         probs[(M - j) % M] += 0.5
         return probs
-    probs = np.empty(M)
-    for y in range(M):
-        d_plus = _circular_distance(omega - y / M)
-        d_minus = _circular_distance(omega + y / M)
-        probs[y] = 0.5 * (_fejer(d_plus, M) + _fejer(d_minus, M))
-    return probs
+    shift = np.arange(M) / M
+    return 0.5 * (_fejer(omega - shift, M) + _fejer(omega + shift, M))
 
 
 @dataclass(frozen=True)
@@ -90,19 +88,28 @@ class EstAmpDistribution:
     M: int
     a: float
     omega: float
-    values: np.ndarray        # grid values sin^2(l*pi/M), l = 0..M/2, ascending
+    grid: np.ndarray          # indices l of the outcomes with mass, ascending
     probabilities: np.ndarray
     raw_total: float          # mass before renormalization; should be ~1.0
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        self.grid.setflags(write=False)
         self.probabilities.setflags(write=False)
         object.__setattr__(self, "_cumulative", np.cumsum(self.probabilities))
+
+    @property
+    def values(self) -> np.ndarray:
+        """Grid values sin^2(l*pi/M) of the outcomes, ascending."""
+        return grid_value(self.grid, self.M)
+
+    @property
+    def nbytes(self) -> int:
+        return self.grid.nbytes + self.probabilities.nbytes + self._cumulative.nbytes
 
     def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(count)
         idx = np.searchsorted(self._cumulative, u, side="right")
-        return self.values[np.minimum(idx, len(self.values) - 1)]
+        return grid_value(self.grid[np.minimum(idx, len(self.grid) - 1)], self.M)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.sample_many(1, rng)[0])
@@ -120,28 +127,57 @@ class EstAmpDistribution:
         )
 
 
-@lru_cache(maxsize=65536)
+class _TableCache:
+    """Least-recently-used outcome tables, bounded by the bytes they hold."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bytes = 0
+        self._tables: OrderedDict = OrderedDict()
+
+    def get(self, key) -> EstAmpDistribution | None:
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+        return table
+
+    def put(self, key, table: EstAmpDistribution) -> None:
+        if table.nbytes > self.budget:
+            return
+        self._tables[key] = table
+        self.bytes += table.nbytes
+        while self.bytes > self.budget:
+            _, evicted = self._tables.popitem(last=False)
+            self.bytes -= evicted.nbytes
+
+
+_TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
+
+
 def estamp_distribution(a: float, M: int) -> EstAmpDistribution:
     """Exact merged outcome distribution for amplitude a and budget M."""
+    table = _TABLE_CACHE.get((a, M))
+    if table is None:
+        table = _build_table(a, M)
+        _TABLE_CACHE.put((a, M), table)
+    return table
+
+
+def _build_table(a: float, M: int) -> EstAmpDistribution:
     raw = measurement_probabilities(a, M)
     half = M // 2
-    merged = np.empty(half + 1)
-    merged[0] = raw[0]
-    merged[half] = raw[half]
-    for l in range(1, half):
-        merged[l] = raw[l] + raw[M - l]
-    values = np.array([grid_value(l, M) for l in range(half + 1)])
+    merged = raw[:half + 1].copy()
+    merged[1:half] += raw[:half:-1]  # y <-> M - y
     raw_total = float(merged.sum())
     if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
         raise ArithmeticError(
             "outcome law lost mass: sums to %.17g for a=%r M=%d" % (raw_total, a, M)
         )
-    keep = merged > 0.0  # exact zeros only appear for on-grid phases
-    values, merged = values[keep], merged[keep]
+    grid = np.flatnonzero(merged)  # exact zeros only appear for on-grid phases
     omega = math.asin(math.sqrt(a)) / math.pi
     return EstAmpDistribution(
-        M=M, a=a, omega=omega, values=values,
-        probabilities=merged / raw_total, raw_total=raw_total,
+        M=M, a=a, omega=omega, grid=grid,
+        probabilities=merged[grid] / raw_total, raw_total=raw_total,
     )
 
 

@@ -25,11 +25,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .amplitude import estamp_distribution, estamp_prime_floor, sample_estamp_multiplicative
+from .amplitude import (
+    estamp_distribution,
+    estamp_prime_floor,
+    grid_value,
+    sample_estamp_multiplicative,
+)
 from .constants import DEFAULT_CONSTANTS, CostConstants
 from .distinctness import COST_MODELS, count_k_collisions, find_k_collision, get_cost_model
 from .distributions import (
-    RationalDistribution,
     kl_divergence,
     power_sum,
     shannon_entropy,
@@ -130,39 +134,59 @@ def _finish(algo, estimate, truth, error_mode, tolerance, oracle, cfg,
 # payoff subroutines over the amplitude-estimation outcome law
 
 
-def _outcome_table(a: float, M: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    dist = estamp_distribution(a, M)
-    values = dist.values
+def _reported_values(grid: np.ndarray, M: int, variant: str) -> np.ndarray:
+    """Estimates reported at grid indices l; estamp-prime lifts l = 0 to its floor."""
+    values = grid_value(grid, M)
     if variant == "estamp-prime":
-        values = np.where(values == 0.0, estamp_prime_floor(M), values)
+        values = np.where(grid == 0, estamp_prime_floor(M), values)
     elif variant != "estamp":
         raise ValueError("variant must be 'estamp' or 'estamp-prime'")
-    return values, dist.probabilities
+    return values
+
+
+def _grid_law(weights: dict[int, int], denominator: int, M: int,
+              variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Law of the reported estimate for a symbol drawn from count classes.
+
+    weights maps each count c to the total count of the symbols having it;
+    the result is the mixture of the outcome tables law(c/denominator, M),
+    each weighted by its class's share, on the grid l = 0..M/2 with the
+    massless points dropped.  Returns (estimates, probabilities).
+    """
+    total = sum(weights.values())
+    mixture = np.zeros(M // 2 + 1)
+    for c, w in sorted(weights.items()):
+        table = estamp_distribution(c / denominator, M)
+        mixture[table.grid] += table.probabilities * (w / total)
+    grid = np.flatnonzero(mixture)
+    return _reported_values(grid, M, variant), mixture[grid]
+
+
+def _count_classes(counts) -> dict[int, int]:
+    weights: dict[int, int] = {}
+    for c in counts:
+        if c > 0:
+            weights[c] = weights.get(c, 0) + c
+    return weights
 
 
 class MasterSubroutine(CategoricalSubroutine):
     """Sample a symbol from p, amplitude-estimate its probability, apply a payoff.
 
-    Symbols sharing a bin count share an outcome table, so the whole payoff
-    variable flattens to one categorical over (count value, grid outcome)
-    atoms; batch moments then cost O(#atoms) via the multinomial fast path.
+    The payoff sees only the grid point of the outcome, so the subroutine
+    is one finite law over l = 0..M/2: the mixture sum_c w_c * law(c/S, M)
+    over the distinct nonzero counts c, where w_c is the probability of
+    drawing a symbol with count c.  The payoff is evaluated once per grid
+    point with mass.
     """
 
     def __init__(self, oracle: DistributionOracle, M: int,
                  payoff: Callable[[float], float], variant: str = "estamp",
                  phase: str = "estamp"):
         src = oracle.source
-        weights: dict[int, int] = {}
-        for c in src.counts:
-            if c > 0:
-                weights[c] = weights.get(c, 0) + c
-        atom_probs = []
-        atom_values = []
-        for c, w in sorted(weights.items()):
-            values, probs = _outcome_table(c / src.denominator, M, variant)
-            atom_probs.append(probs * (w / src.denominator))
-            atom_values.append(np.array([payoff(v) for v in values]))
-        super().__init__(np.concatenate(atom_values), np.concatenate(atom_probs),
+        values, probabilities = _grid_law(_count_classes(src.counts), src.denominator,
+                                          M, variant)
+        super().__init__(np.array([payoff(v) for v in values]), probabilities,
                          charges=((oracle.ledger, phase, M),))
         self.oracle = oracle
         self.M = M
@@ -172,7 +196,13 @@ class MasterSubroutine(CategoricalSubroutine):
 
 
 class _RatioSubroutine(Subroutine):
-    """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~."""
+    """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
+
+    Symbols are grouped by their q count.  Within a group q~ follows one
+    outcome table and p~, independent of it, the group's grid law on the
+    M_p grid.  Grouping by the q side keeps one copy of each q table, the
+    larger ones since M_q >= M_p.
+    """
 
     def __init__(self, oracle_p: DistributionOracle, oracle_q: DistributionOracle,
                  M_p: int, M_q: int):
@@ -181,17 +211,21 @@ class _RatioSubroutine(Subroutine):
             (oracle_q.ledger, "estamp", M_q),
         )
         p, q = oracle_p.source, oracle_q.source
-        weights: dict[tuple[int, int], int] = {}
+        p_counts_by_q_count: dict[int, list[int]] = {}
         for cp, cq in zip(p.counts, q.counts):
             if cp > 0:
-                weights[(cp, cq)] = weights.get((cp, cq), 0) + cp
+                p_counts_by_q_count.setdefault(cq, []).append(cp)
+        groups = [(cq, _count_classes(cps))
+                  for cq, cps in sorted(p_counts_by_q_count.items())]
         self._group_weights = np.array(
-            [w / p.denominator for _, w in sorted(weights.items())])
+            [sum(weights.values()) / p.denominator for _, weights in groups])
         self._group_cum = np.cumsum(self._group_weights)
         self._tables = []
-        for (cp, cq), _ in sorted(weights.items()):
-            vp, pp = _outcome_table(cp / p.denominator, M_p, "estamp-prime")
-            vq, pq = _outcome_table(cq / q.denominator, M_q, "estamp-prime")
+        for cq, weights in groups:
+            vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
+            table = estamp_distribution(cq / q.denominator, M_q)
+            vq = _reported_values(table.grid, M_q, "estamp-prime")
+            pq = table.probabilities
             self._tables.append((np.cumsum(pp), pp, np.log(vp),
                                  np.cumsum(pq), pq, np.log(vq)))
 
@@ -220,27 +254,6 @@ class _RatioSubroutine(Subroutine):
             mean += w * (ep - eq)
             second += w * (ep2 - 2 * ep * eq + eq2)
         return mean, second - mean * mean
-
-
-def exact_expectation(dist: RationalDistribution, M: int,
-                      payoff: Callable[[float], float],
-                      variant: str = "estamp") -> tuple[float, float]:
-    """Exact mean and variance of one master-subroutine execution.
-
-    Enumerates sum_i p_i * sum_outcomes Pr[outcome | p_i] * payoff(outcome)
-    over the closed-form outcome law; no randomness involved.
-    """
-    mean = 0.0
-    second = 0.0
-    for c in dist.counts:
-        if c == 0:
-            continue
-        w = c / dist.denominator
-        values, probs = _outcome_table(c / dist.denominator, M, variant)
-        f = np.array([payoff(v) for v in values])
-        mean += w * float(probs @ f)
-        second += w * float(probs @ f ** 2)
-    return mean, second - mean * mean
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +464,8 @@ def estimate_power_sum_high(oracle: DistributionOracle, alpha: float,
         raise ValueError("this estimator handles non-integer alpha > 1")
     if cfg.mode == "exact-expectation":
         M = annealed_budget_high(oracle.n, cfg.epsilon)
-        mean, var = exact_expectation(oracle.source, M, lambda x: x ** (alpha - 1.0), "estamp")
+        mean, var = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0),
+                                     "estamp").exact_mean_var()
         return _power_sum_report("renyi-high", oracle, alpha, cfg, mean,
                                  {"M": M, "exact_subroutine_variance": var})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
@@ -465,7 +479,8 @@ def estimate_power_sum_low(oracle: DistributionOracle, alpha: float,
         raise ValueError("this estimator handles 0 < alpha < 1")
     if cfg.mode == "exact-expectation":
         M = annealed_budget_low(oracle.n, alpha, cfg.epsilon)
-        mean, var = exact_expectation(oracle.source, M, lambda x: x ** (alpha - 1.0), "estamp-prime")
+        mean, var = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0),
+                                     "estamp-prime").exact_mean_var()
         return _power_sum_report("renyi-low", oracle, alpha, cfg, mean,
                                  {"M": M, "exact_subroutine_variance": var})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)

@@ -155,6 +155,18 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
 # ---------------------------------------------------------------------------
 # experiment cells
 
+_CELL_KEYS = frozenset({
+    "algo", "dist", "dist_q", "dist_seed", "alpha", "eps", "delta", "f", "m",
+    "n_samples", "measure", "mode", "distinctness_cost", "trials",
+})
+
+
+def _check_cell_keys(cell: dict) -> None:
+    """Reject keys no cell reads, so a typo fails instead of running defaults."""
+    unknown = set(cell) - _CELL_KEYS
+    if unknown:
+        raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -180,6 +192,8 @@ class ExperimentConfig:
         cells = raw["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
             raise ValueError("'cells' must be a list of objects")
+        for cell in cells:
+            _check_cell_keys(cell)
         return cls(cells=tuple(cells), trials=int(raw.get("trials", 1)),
                    master_seed=raw.get("master_seed"),
                    record_timing=bool(raw.get("record_timing", False)))
@@ -191,8 +205,10 @@ def run_cell_trial(cell: dict, seed: Optional[int],
 
     Cell keys: algo (shannon|kl|renyi|minentropy|coverage|support|plugin),
     dist, and per-algorithm parameters (alpha, eps, delta, dist_q, f, m,
-    n_samples, measure, mode, distinctness_cost, dist_seed).
+    n_samples, measure, mode, distinctness_cost, dist_seed); any other key
+    raises ValueError.
     """
+    _check_cell_keys(cell)
     algo = cell.get("algo")
     if algo is None or "dist" not in cell:
         raise ValueError("cell needs at least 'algo' and 'dist'")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qentropy import amplitude
 from qentropy.amplitude import (
     estamp_distribution,
     estamp_prime_floor,
@@ -29,6 +32,45 @@ REF_A03_M8_PROBS = [
     0.065044635416684059,
     0.0221952,
 ]
+
+
+# Scalar reference for measurement_probabilities: the closed form evaluated
+# outcome by outcome, with the same on-grid branch.
+def _reference_fejer(delta, M):
+    if delta < 1e-14:
+        return 1.0
+    s = math.sin(math.pi * delta)
+    return (math.sin(M * math.pi * delta) / (M * s)) ** 2
+
+
+def _reference_circular_distance(x):
+    d = x - math.floor(x)
+    return min(d, 1.0 - d)
+
+
+def _reference_probabilities(a, M):
+    omega = math.asin(math.sqrt(a)) / math.pi
+    j = round(omega * M)
+    probs = np.zeros(M)
+    if abs(omega * M - j) < 1e-14 * M:
+        probs[j % M] += 0.5
+        probs[(M - j) % M] += 0.5
+        return probs
+    for y in range(M):
+        d_plus = _reference_circular_distance(omega - y / M)
+        d_minus = _reference_circular_distance(omega + y / M)
+        probs[y] = 0.5 * (_reference_fejer(d_plus, M) + _reference_fejer(d_minus, M))
+    return probs
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 1.0), log_m=st.integers(1, 12))
+def test_law_matches_scalar_reference(a, log_m):
+    M = 1 << log_m
+    probs = measurement_probabilities(a, M)
+    assert np.max(np.abs(probs - _reference_probabilities(a, M))) <= 1e-12
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(probs[1:] - probs[:0:-1]), initial=0.0) <= 1e-12
 
 
 def test_frozen_table_a03_m8():
@@ -171,3 +213,26 @@ def test_tables_are_cached():
     a = estamp_distribution(0.3, 8)
     b = estamp_distribution(0.3, 8)
     assert a is b
+
+
+def test_table_grid_indexes_the_values():
+    dist = estamp_distribution(0.3, 64)
+    assert dist.grid.tolist() == list(range(33))
+    assert dist.values.tolist() == [grid_value(l, 64) for l in range(33)]
+    on_grid = estamp_distribution(grid_value(3, 16), 16)
+    assert on_grid.grid.tolist() == [3]
+
+
+def test_table_cache_is_bounded_in_bytes(monkeypatch):
+    budget = amplitude._TABLE_CACHE_BYTES
+    cache = amplitude._TableCache(budget)
+    monkeypatch.setattr(amplitude, "_TABLE_CACHE", cache)
+    M = 1 << 17
+    first = estamp_distribution(0.1, M)
+    count = budget // first.nbytes + 3
+    for i in range(1, count):
+        last = estamp_distribution(0.1 + 0.8 * i / count, M)
+        assert cache.bytes <= budget
+    assert cache.bytes == sum(t.nbytes for t in cache._tables.values())
+    assert estamp_distribution(0.1 + 0.8 * (count - 1) / count, M) is last
+    assert estamp_distribution(0.1, M) is not first  # evicted, rebuilt

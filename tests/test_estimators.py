@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qentropy.amplitude import estamp_distribution
 from qentropy.distributions import (
     from_counts,
     kl_divergence,
     power_sum,
+    ratio_bound,
     shannon_entropy,
 )
 from qentropy.estimators import (
     EstimatorConfig,
+    MasterSubroutine,
     annealing_schedule,
     coverage_budget,
     estimate_kl,
@@ -24,7 +29,6 @@ from qentropy.estimators import (
     estimate_shannon,
     estimate_support_coverage,
     estimate_support_size,
-    exact_expectation,
     shannon_budget,
 )
 from qentropy.instances import point_mass, uniform, zipf
@@ -91,12 +95,10 @@ def test_annealing_schedule_validation():
 
 def test_exact_expectation_matches_direct_table_sum():
     # independent recomputation from the law's public pieces
-    from qentropy.amplitude import estamp_distribution
-
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    mean, var = exact_expectation(dist, M, payoff)
+    mean, var = MasterSubroutine(build_oracle(dist), M, payoff).exact_mean_var()
     direct_mean = 0.0
     direct_sq = 0.0
     for count, p_sym in zip(dist.counts, dist.probabilities()):
@@ -106,6 +108,108 @@ def test_exact_expectation_matches_direct_table_sum():
         direct_sq += p_sym * float(table.probabilities @ (vals * vals))
     assert mean == pytest.approx(direct_mean, rel=1e-13)
     assert var == pytest.approx(direct_sq - direct_mean**2, rel=1e-10)
+
+
+def _per_symbol_moments(dist, M, payoff, variant):
+    """Mean and variance of the payoff, enumerated symbol by symbol."""
+    floor = math.sin(math.pi / (2 * M)) ** 2
+    outcomes = []
+    for count in dist.counts:
+        if count == 0:
+            continue
+        table = estamp_distribution(count / dist.denominator, M)
+        for value, prob in zip(table.values, table.probabilities):
+            if variant == "estamp-prime" and value == 0.0:
+                value = floor
+            outcomes.append((count / dist.denominator * prob, payoff(value)))
+    mean = math.fsum(w * f for w, f in outcomes)
+    return mean, math.fsum(w * (f - mean) ** 2 for w, f in outcomes)
+
+
+_PAYOFFS = {
+    "power": (lambda x: x ** 1.5, "estamp"),
+    "log": (lambda x: -math.log(x), "estamp-prime"),
+    "negative-power": (lambda x: x ** -0.5, "estamp-prime"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=24)
+       .filter(lambda c: sum(c) > 0),
+       log_m=st.integers(1, 10), payoff=st.sampled_from(sorted(_PAYOFFS)))
+def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
+    dist = from_counts(counts)
+    M = 1 << log_m
+    fn, variant = _PAYOFFS[payoff]
+    sub = MasterSubroutine(build_oracle(dist), M, fn, variant=variant)
+    assert sub.values.size <= M // 2 + 1
+    mean, var = sub.exact_mean_var()
+    ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)
+    assert mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
+    assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                      min_size=2, max_size=10).filter(lambda ps: sum(p for p, _ in ps) > 0))
+def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
+    p = from_counts([cp for cp, _ in pairs])
+    q = from_counts([cq for _, cq in pairs])
+    f = float(ratio_bound(p, q)) * (1 + 1e-12)  # rounded up, so the promise holds
+    rep = estimate_kl(build_oracle(p), build_oracle(q), f, cfg(eps=0.5, mode="exact-expectation"))
+    M_p, M_q = rep.extras["M_p"], rep.extras["M_q"]
+
+    def log_estimates(count, dist, M):
+        table = estamp_distribution(count / dist.denominator, M)
+        floor = math.sin(math.pi / (2 * M)) ** 2
+        return [(prob, math.log(floor if v == 0.0 else v))
+                for v, prob in zip(table.values, table.probabilities)]
+
+    outcomes = []
+    for cp, cq in zip(p.counts, q.counts):
+        if cp == 0:
+            continue
+        for wp, lp in log_estimates(cp, p, M_p):
+            for wq, lq in log_estimates(cq, q, M_q):
+                outcomes.append((cp / p.denominator * wp * wq, lp - lq))
+    mean = math.fsum(w * x for w, x in outcomes)
+    var = math.fsum(w * (x - mean) ** 2 for w, x in outcomes)
+    assert rep.estimate == pytest.approx(mean, rel=1e-12, abs=1e-12)
+    assert rep.extras["exact_subroutine_variance"] == pytest.approx(var, rel=1e-10, abs=1e-12)
+
+
+# Quantum phase ledgers on zipf(1.5, 256) at eps 0.25, delta 0.1, seed 7.
+# They depend on budgets and theorem counts only, never on the sampled path,
+# so no change in how a law is built or sampled may move them.
+FROZEN_ZIPF256_PHASES = {
+    "renyi 0.5": {"estamp": 46252077056},
+    "renyi 2.5": {"estamp": 2567553024},
+    "shannon": {"estamp": 132736},
+    "coverage": {"estamp": 1152},
+}
+
+
+def test_contract_ledgers_are_frozen():
+    c = cfg(seed=7)
+    runs = {
+        "renyi 0.5": lambda o: estimate_renyi(o, 0.5, c),
+        "renyi 2.5": lambda o: estimate_renyi(o, 2.5, c),
+        "shannon": lambda o: estimate_shannon(o, c),
+        "coverage": lambda o: estimate_support_coverage(o, 256, c),
+    }
+    for name, run in runs.items():
+        rep = run(build_oracle(zipf(1.5, 256)))
+        assert rep.ledger["phases"] == FROZEN_ZIPF256_PHASES[name], name
+        assert rep.ledger["quantum_total"] == sum(FROZEN_ZIPF256_PHASES[name].values())
+
+
+def test_single_class_stream_is_frozen():
+    # One count class: the merged law is the outcome table itself, so the
+    # seeded sample path (estimate and classical draws) is the one it was.
+    rep = estimate_renyi(build_oracle(uniform(16)), 2.5, cfg(seed=7))
+    assert rep.estimate == pytest.approx(0.018723928703849757, rel=1e-12)
+    assert rep.ledger["phases"] == {"estamp": 59589120}
+    assert rep.classical_executions == 461855596
 
 
 def test_shannon_exact_expectation_frozen_value():

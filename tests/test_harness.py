@@ -113,6 +113,21 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({})
 
 
+def test_unknown_cell_keys_are_rejected():
+    # "epsilon" is not a cell key; it used to run silently at the default eps
+    typo = {"algo": "shannon", "dist": "uniform:16", "epsilon": 0.05}
+    with pytest.raises(ValueError, match="epsilon"):
+        run_cell_trial(typo, 0)
+    with pytest.raises(ValueError, match="epsilon"):
+        ExperimentConfig.from_dict({"cells": [typo]})
+    every_key = {"algo": "shannon", "dist": "uniform:16", "dist_q": "uniform:16",
+                 "dist_seed": 1, "alpha": 1, "eps": 0.5, "delta": 0.1, "f": 1,
+                 "m": 16, "n_samples": 16, "measure": "shannon", "mode": "contract",
+                 "distinctness_cost": "belovs", "trials": 1}
+    assert ExperimentConfig.from_dict({"cells": [every_key]}).cells == (every_key,)
+    assert run_cell_trial(every_key, 0).epsilon == 0.5
+
+
 def test_experiment_csv_schema_and_determinism(tmp_path):
     config = ExperimentConfig.from_dict(SMALL_CONFIG)
     out_a = tmp_path / "a.csv"
