@@ -45,7 +45,7 @@ def count_k_collisions(seq: Sequence[int] | np.ndarray, k: int) -> int:
     if arr.size == 0:
         return 0
     _, counts = np.unique(arr, return_counts=True)
-    return int(sum(math.comb(int(m), k) for m in counts))
+    return sum(math.comb(m, k) for m in counts[counts >= k].tolist())
 
 
 def _belovs(k: int, length: int, fail_prob: float, scale: float) -> int:

@@ -317,17 +317,20 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
 
 
 def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
-                ratio_bound: float, cfg: EstimatorConfig) -> EstimateReport:
+                ratio_bound: float | Fraction, cfg: EstimatorConfig) -> EstimateReport:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
 
-    Requires p_i <= ratio_bound * q_i for every bin (checked exactly); q's
-    budget carries the extra ratio_bound factor, so the q-ledger charge
-    exceeds the p-ledger charge by roughly that ratio.
+    Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
+    ratio_bound as given (pass the exact Fraction from
+    distributions.ratio_bound: its float can round below it); budgets use
+    its float.  q's budget carries the extra ratio_bound factor, so the
+    q-ledger charge exceeds the p-ledger charge by roughly that ratio.
     """
     p, q = oracle_p.source, oracle_q.source
     if p.n != q.n:
         raise ValueError("p and q must share an alphabet")
     f = Fraction(ratio_bound)
+    ratio_bound = float(ratio_bound)
     for i, (cp, cq) in enumerate(zip(p.counts, q.counts), start=1):
         if cp > 0 and Fraction(cp * q.denominator, p.denominator) > f * cq:
             raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i" % (i, ratio_bound))

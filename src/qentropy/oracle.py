@@ -1,11 +1,17 @@
-"""Table oracles for discrete distributions, with query accounting.
+"""Oracles for discrete distributions, with query accounting.
 
-An oracle for p encodes the distribution as a table of S symbol labels: bin i
-appears counts[i-1] times, so drawing a uniformly random table position and
-reading the entry samples from p.  Quantum algorithms are charged against the
-ledger attached to the oracle; the ledger separates charged quantum queries
-(keyed by phase label) from the classical executions the simulation actually
-performed.
+An oracle for p is the map [S] -> [n] of the sorted layout: position s reads
+the symbol i with cum[i-1] <= s < cum[i], where cum holds the running sums of
+the counts, so bin i owns counts[i-1] positions and a uniformly random
+position samples from p.  No S-entry table is stored.  A guide table of at
+most 4n buckets, each 2^shift positions wide, holds the symbol at the start of
+every bucket that no symbol boundary cuts; a position in a cut bucket is
+looked up in cum by binary search.  When S <= 4n the buckets are single
+positions and the guide is the sorted table itself.
+
+Quantum algorithms are charged against the ledger attached to the oracle; the
+ledger separates charged quantum queries (keyed by phase label) from the
+classical executions the simulation actually performed.
 """
 
 from __future__ import annotations
@@ -61,10 +67,17 @@ class QueryLedger:
 
 @dataclass
 class DistributionOracle:
-    """Oracle table plus its ledger; build with build_oracle()."""
+    """Sorted-layout oracle [S] -> [n] plus its ledger; build with build_oracle().
+
+    guide[b] is the symbol at position b << shift, or 0 when a symbol boundary
+    falls inside bucket b.  cum[i] is counts[0] + ... + counts[i]; it is None
+    when shift is 0, since single-position buckets are never cut.
+    """
 
     source: RationalDistribution
-    table: np.ndarray
+    cum: np.ndarray | None
+    guide: np.ndarray
+    shift: int
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
     @property
@@ -73,23 +86,37 @@ class DistributionOracle:
 
     @property
     def size(self) -> int:
-        return int(self.table.shape[0])
+        return self.source.denominator
+
+    def symbols(self, positions: np.ndarray) -> np.ndarray:
+        """Symbols at an array of positions in [0, S)."""
+        if not self.shift:
+            return self.guide[positions]
+        out = self.guide[positions >> self.shift]
+        cut = np.flatnonzero(out == 0)
+        if cut.size:
+            out[cut] = np.searchsorted(self.cum, positions[cut], side="right") + 1
+        return out
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Evaluate the table at a uniform position; charges 1 quantum query."""
+        """Evaluate the oracle at a uniform position; charges 1 quantum query."""
         self.ledger.charge("sample", 1)
-        return int(self.table[rng.integers(self.size)])
+        position = rng.integers(self.size)
+        symbol = int(self.guide[position >> self.shift])
+        if not symbol:
+            symbol = int(np.searchsorted(self.cum, position, side="right")) + 1
+        return symbol
 
     def sample_classical(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Classical draws (plug-in baselines); recorded as classical work only."""
         self.ledger.charge_classical(count)
-        return self.table[rng.integers(self.size, size=count)]
+        return self.symbols(rng.integers(self.size, size=count))
 
     def draws_for_simulation(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # Simulation-internal sampling: quantum algorithms that touch these
         # positions only inside a charged subroutine pay via that subroutine's
         # explicit charge, not per draw.
-        return self.table[rng.integers(self.size, size=count)]
+        return self.symbols(rng.integers(self.size, size=count))
 
     def preimage_fraction(self, symbol: int) -> Fraction:
         """Exact p_i for the 1-based symbol; an inspection, never charged."""
@@ -97,34 +124,30 @@ class DistributionOracle:
 
 
 def build_oracle(
-    dist: RationalDistribution,
-    shuffle_seed: int | None = None,
-    ledger: QueryLedger | None = None,
+    dist: RationalDistribution, ledger: QueryLedger | None = None
 ) -> DistributionOracle:
-    """Lay out the canonical table [1]*m_1 + [2]*m_2 + ... and optionally shuffle.
+    """Guide table and cumulative counts of the layout [1]*m_1 + [2]*m_2 + ...
 
-    The table is deterministic given (dist, shuffle_seed); shuffle_seed=None
-    keeps the sorted layout.
+    The bucket width 2^shift is the smallest power of two that leaves at most
+    4n buckets, so memory is O(n) whatever S is; when S <= 4n the guide is the
+    layout itself.  S must be below 2**63: positions are drawn as int64.
     """
-    table = np.repeat(
-        np.arange(1, dist.n + 1, dtype=np.int64),
-        np.asarray(dist.counts, dtype=np.int64),
-    )
-    if shuffle_seed is not None:
-        table = np.random.default_rng(shuffle_seed).permutation(table)
-    return DistributionOracle(source=dist, table=table, ledger=ledger or QueryLedger())
-
-
-def replicate(oracle: DistributionOracle, copies: int) -> DistributionOracle:
-    """Concatenate `copies` copies of the table: entry s + S*l maps to entry s.
-
-    The replicated oracle realizes the same distribution and shares the
-    original's ledger (queries to a copy are queries to p).
-    """
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    return DistributionOracle(
-        source=oracle.source,
-        table=np.tile(oracle.table, copies),
-        ledger=oracle.ledger,
-    )
+    S = dist.denominator
+    if S >= 1 << 63:
+        raise ValueError("denominator S = %d is too large: positions are drawn as "
+                         "int64, so S must be below 2**63" % S)
+    counts = np.asarray(dist.counts, dtype=np.int64)
+    symbols = np.arange(1, dist.n + 1, dtype=np.int64)
+    shift = (-(-S // (4 * dist.n)) - 1).bit_length()
+    if not shift:
+        cum = None
+        guide = np.repeat(symbols, counts)
+    else:
+        cum = np.cumsum(counts)
+        # Symbol i owns the buckets whose first position it holds: bucket
+        # ceil(cum[i-2] / w) up to, but not including, ceil(cum[i-1] / w).
+        guide = np.repeat(symbols, np.diff(-((-cum) >> shift), prepend=0))
+        inner = cum[cum < S]
+        guide[inner[(inner & ((1 << shift) - 1)) != 0] >> shift] = 0
+    return DistributionOracle(source=dist, cum=cum, guide=guide, shift=shift,
+                              ledger=ledger or QueryLedger())

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qentropy.distinctness import (
     COST_MODELS,
@@ -31,6 +33,14 @@ def test_count_matches_brute_force_on_small_inputs():
         seq = rng.integers(1, 5, size=length)
         for k in (2, 3, 4):
             assert count_k_collisions(seq, k) == brute_force_collisions(seq, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.lists(st.integers(-2, 4), max_size=12), k=st.integers(1, 5))
+def test_count_matches_brute_force_property(seq, k):
+    count = count_k_collisions(seq, k)
+    assert type(count) is int
+    assert count == brute_force_collisions(seq, k)
 
 
 def test_count_closed_forms():

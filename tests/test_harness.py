@@ -1,16 +1,22 @@
 """Experiment harness: cells, CSV output, baselines, verify suites, CLI."""
 
 import csv
+import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qentropy import harness
 from qentropy.cli import main
 from qentropy.distributions import shannon_entropy
 from qentropy.harness import (
     CSV_COLUMNS,
+    _collision_counts_rows,
     ExperimentConfig,
     classical_plugin_baseline,
     derive_seed,
@@ -106,6 +112,26 @@ def test_run_cell_trial_requires_algo_keys():
         run_cell_trial({"algo": "kl", "dist": "uniform:8"}, 0)
 
 
+# The exact ratio bound of this pair is 4/3; its float rounds below it and
+# used to fail the promise for a valid pair.
+_KL_EXACT_BOUND_CELL = {"algo": "kl", "dist": "counts:0,1", "dist_q": "counts:1,3"}
+
+
+def test_kl_cell_without_f_checks_the_exact_ratio_bound():
+    rep = run_cell_trial(_KL_EXACT_BOUND_CELL, 3)
+    assert rep.extras["ratio_bound"] == 4 / 3
+    assert isinstance(rep.extras["ratio_bound"], float)
+    assert math.isfinite(rep.estimate)
+
+
+def test_cli_kl_without_f_checks_the_exact_ratio_bound(capsys):
+    assert main(["estimate", "--algo", "kl", "--dist", "counts:0,1",
+                 "--dist-q", "counts:1,3", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["algo"] == "kl"
+    assert payload["extras"]["ratio_bound"] == 4 / 3
+
+
 def test_experiment_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"cells": [], "bogus": 1})
@@ -189,6 +215,21 @@ def test_verify_suites_pass():
         results = run_suite(name)
         assert results, name
         assert suite_passed(results), [r.name for r in results if not r.passed]
+
+
+def _brute_force_collisions(row, k):
+    return sum(1 for combo in itertools.combinations(row, k) if len(set(combo)) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(1, 7), k=st.integers(1, 4), chunk=st.integers(1, 4),
+       data=st.data())
+def test_collision_rows_match_brute_force(length, k, chunk, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=length,
+                                       max_size=length), min_size=1, max_size=9))
+    with mock.patch.object(harness, "_ROW_CHUNK", chunk):
+        counts = _collision_counts_rows(np.array(rows, dtype=np.int64), k)
+    assert counts.tolist() == [_brute_force_collisions(row, k) for row in rows]
 
 
 def test_poisson_suite_has_annotated_defects_only():

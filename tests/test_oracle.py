@@ -1,30 +1,74 @@
-"""Table oracles and the query ledger."""
+"""Oracles (sorted layout read through a guide table) and the query ledger."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qentropy.distributions import from_counts
+from qentropy.distributions import RationalDistribution, from_counts
+from qentropy.harness import resolve_distribution
 from qentropy.instances import uniform, zipf
-from qentropy.oracle import QueryLedger, build_oracle, replicate
+from qentropy.oracle import QueryLedger, build_oracle
 
 
 def test_table_layout_matches_counts():
     dist = from_counts([2, 0, 3])
     orc = build_oracle(dist)
-    assert orc.table.tolist() == [1, 1, 3, 3, 3]
+    assert orc.symbols(np.arange(5)).tolist() == [1, 1, 3, 3, 3]
     assert orc.size == 5
-    # preimage sizes are the counts, no matter the shuffle
-    shuffled = build_oracle(dist, shuffle_seed=9)
-    assert sorted(shuffled.table.tolist()) == [1, 1, 3, 3, 3]
 
 
-def test_shuffle_is_deterministic():
-    dist = zipf(1.5, 16)
-    a = build_oracle(dist, shuffle_seed=4)
-    b = build_oracle(dist, shuffle_seed=4)
-    c = build_oracle(dist, shuffle_seed=5)
-    assert np.array_equal(a.table, b.table)
-    assert not np.array_equal(a.table, c.table)
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=40)
+       .filter(lambda c: sum(c) > 0))
+def test_every_position_reads_the_sorted_layout(counts):
+    dist = from_counts(counts)
+    orc = build_oracle(dist)
+    layout = np.repeat(np.arange(1, dist.n + 1), counts)
+    assert np.array_equal(orc.symbols(np.arange(dist.denominator)), layout)
+    assert orc.guide.size < 8 * dist.n
+    for seed in range(3):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert orc.sample(rng) == layout[replay.integers(dist.denominator)]
+
+
+def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
+    S = 2 ** 40
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"S": S, "counts": [S - 1, 1]}))
+    orc = build_oracle(resolve_distribution(str(path)))
+    assert orc.guide.nbytes + orc.cum.nbytes <= 8 * 2 * 8
+    assert orc.symbols(np.array([0, S - 2, S - 1])).tolist() == [1, 1, 2]
+    draws = orc.draws_for_simulation(np.random.default_rng(3), 1000)
+    assert set(draws.tolist()) <= {1, 2}
+    assert orc.sample(np.random.default_rng(4)) in (1, 2)
+
+
+def test_denominator_beyond_int64_positions_is_rejected():
+    S = 2 ** 63
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        build_oracle(RationalDistribution(S, (S - 1, 1)))
+    orc = build_oracle(RationalDistribution(S - 1, (S - 2, 1)))
+    assert orc.symbols(np.array([0, S - 3, S - 2])).tolist() == [1, 1, 2]
+    assert orc.sample(np.random.default_rng(0)) in (1, 2)
+
+
+def test_seeded_draw_stream_is_frozen():
+    # Streams of the S-entry sorted table; one layout per bucket width.
+    orc = build_oracle(zipf(1.5, 16))
+    assert orc.shift == 0
+    assert orc.draws_for_simulation(np.random.default_rng(2026), 12).tolist() == [
+        6, 1, 1, 2, 1, 1, 1, 1, 2, 1, 5, 4]
+    rng = np.random.default_rng(5)
+    assert [orc.sample(rng) for _ in range(6)] == [3, 5, 1, 5, 1, 2]
+    orc = build_oracle(from_counts([40, 0, 25, 3, 0, 70, 11, 0]))
+    assert orc.shift == 3
+    assert orc.draws_for_simulation(np.random.default_rng(2026), 24).tolist() == [
+        6, 1, 1, 6, 3, 6, 1, 3, 6, 3, 6, 6, 6, 6, 6, 1, 6, 6, 1, 3, 1, 7, 6, 6]
+    rng = np.random.default_rng(5)
+    assert [orc.sample(rng) for _ in range(10)] == [6, 6, 1, 6, 6, 6, 6, 3, 7, 1]
 
 
 def test_sample_charges_one_quantum_query():
@@ -72,15 +116,6 @@ def test_ledger_phase_totals_add_up():
     assert ledger.events == [("estamp", 16), ("estamp", 16), ("distinctness", 5)]
 
 
-def test_replicate_shares_the_ledger():
-    orc = build_oracle(uniform(2))
-    twin = replicate(orc, 3)
-    assert twin.ledger is orc.ledger
-    rng = np.random.default_rng(2)
-    twin.sample(rng)
-    assert orc.ledger.quantum_total == 1
-
-
 def test_preimage_fraction_is_exact_and_free():
     dist = from_counts([1, 3])
     orc = build_oracle(dist)
@@ -90,7 +125,7 @@ def test_preimage_fraction_is_exact_and_free():
 
 def test_empirical_frequencies_follow_the_table():
     dist = from_counts([1, 3, 4])
-    orc = build_oracle(dist, shuffle_seed=7)
+    orc = build_oracle(dist)
     rng = np.random.default_rng(42)
     draws = orc.draws_for_simulation(rng, 200_000)
     freq = np.bincount(draws, minlength=4)[1:] / 200_000
