@@ -190,18 +190,6 @@ def sample_estamp(
     return estamp_distribution(a, M).sample(rng)
 
 
-def sample_estamp_prime(
-    oracle: DistributionOracle, symbol: int, M: int, rng: np.random.Generator
-) -> float:
-    """Zero-adjusted variant: an outcome of 0 is reported as sin^2(pi/(2M)).
-
-    Guarantees a positive estimate, at least 1/M^2, so logarithmic and
-    negative-power payoffs stay finite.
-    """
-    out = sample_estamp(oracle, symbol, M, rng)
-    return estamp_prime_floor(M) if out == 0.0 else out
-
-
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     """Smallest power-of-two M whose first confidence window gives relative
     error epsilon for any amplitude at least p_floor."""

@@ -44,8 +44,8 @@ from .mean_estimation import (
     MeanEstimate,
     Subroutine,
     median_amplify,
+    multiplicative_runs,
     qmean_additive,
-    qmean_multiplicative,
 )
 from .oracle import DistributionOracle
 
@@ -394,7 +394,8 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
     supplies the next level's mean bounds.  The bounds are computed once per
     level and shared by that level's repetitions (re-deriving them inside
     every repetition would multiply the recursion out exponentially, which
-    the target cost rules out).
+    the target cost rules out).  A level's repetitions run as one batch of
+    multiplicative_runs over the level's payoff law.
     """
     n = oracle.n
     ln_n = math.log(n)
@@ -428,10 +429,11 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
         sub = MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
         exact_mean, exact_var = sub.exact_mean_var()
 
-        def one_run(rng_):
-            return qmean_multiplicative(sub, sigma, a, b, eps_level, rng_, cfg.constants).value
+        def level_runs(rng_, repetitions):
+            return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_,
+                                       cfg.constants).value
 
-        value, runs = median_amplify(one_run, delta_level, rng, cfg.constants)
+        value, runs = median_amplify(level_runs, delta_level, rng, cfg.constants)
         # Power sums of a distribution on n symbols live in a known range;
         # clamping a wild level estimate keeps the next level's bounds legal.
         lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))

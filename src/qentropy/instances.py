@@ -79,11 +79,6 @@ def bumped(n: int, l: int) -> RationalDistribution:
     return RationalDistribution(denominator=n, counts=(2,) * l + (1,) * (n - 2 * l) + (0,) * l)
 
 
-def collision_pairs_instance(n: int, l: int) -> RationalDistribution:
-    """A function table on [n] with exactly l colliding pairs, injective elsewhere."""
-    return bumped(n, l)
-
-
 @dataclass(frozen=True)
 class HardPair:
     p_uniform: RationalDistribution
@@ -167,7 +162,7 @@ def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
     elif family == "two-valued":
         dist = two_valued(int(args[0]), int(args[1]), int(args[2]), int(args[3]))
     elif family == "lpairs":
-        dist = collision_pairs_instance(int(args[0]), int(args[1]))
+        dist = bumped(int(args[0]), int(args[1]))
     else:
         maker = hard_pair_shannon if family == "hard-shannon" else hard_pair_coverage
         pair = maker(int(args[0]), float(args[1]))

@@ -15,7 +15,15 @@ The multiplicative estimator follows the textbook decomposition: scale by
 1/(sigma*b), subtract a single-run anchor m~, split the residual into its
 negative and positive parts, estimate each part's small mean with the
 bounded-l2 contract at error eps*a/(48*sigma*b), and reassemble as
-sigma*b*(m~ - 6*mu_- + 6*mu_+).
+sigma*b*(m~ - 6*mu_- + 6*mu_+).  It needs a finite law.
+
+Median amplification asks for all of its runs at once.  multiplicative_runs
+does k runs over one law in a few array draws: all k anchors, then the minus
+part's k pilots and k main samples, then the plus part's.  Rows are drawn in
+chunks of at most _ROW_CHUNK row x atom counts; since every pilot of a part
+precedes its mains, the draws do not depend on the chunking.  A
+qmean_multiplicative call is the k = 1 case, and bounded_l2_estimate is the
+one-row case of the same pilot-then-main step.
 
 Charged executions are c_quantum * ceil(r * ln(r)^1.5 * ln(ln(r))) at the
 contract's ratio r, floored at one execution.  Out-of-contract parameters
@@ -39,6 +47,8 @@ from .oracle import QueryLedger
 
 # Largest batch materialized at once; bigger requests stream in chunks.
 _CHUNK = 1 << 20
+# Row x atom elements the batched contracts draw and hold at once.
+_ROW_CHUNK = 1 << 15
 
 
 class Subroutine:
@@ -133,40 +143,6 @@ class SyntheticSubroutine(CategoricalSubroutine):
         super().__init__(values, probabilities, charges)
 
 
-class _ResidualPart(Subroutine):
-    """max(sign*(X/scale - anchor), 0) / 6 for the multiplicative split.
-
-    Shares the base subroutine's ledgers for classical recording; never call
-    charge_quantum on a part, the caller's own theorem count covers it.
-    """
-
-    def __init__(self, base: Subroutine, scale: float, anchor: float, sign: float):
-        self.base = base
-        self.scale = scale
-        self.anchor = anchor
-        self.sign = sign
-        self.charges = base.charges
-        if isinstance(base, CategoricalSubroutine):
-            self._atom_values = self._transform(base.values)
-            self._atom_pvals = base._pvals
-        else:
-            self._atom_values = None
-            self._atom_pvals = None
-
-    def _transform(self, x):
-        return np.maximum(self.sign * (x / self.scale - self.anchor), 0.0) / 6.0
-
-    def draw(self, count, rng):
-        return self._transform(self.base.draw(count, rng))
-
-    def moment_sums(self, count, rng):
-        if self._atom_values is None:
-            return super().moment_sums(count, rng)
-        counts = rng.multinomial(count, self._atom_pvals)
-        self._record_classical(count)
-        return float(counts @ self._atom_values), float(counts @ self._atom_values ** 2)
-
-
 @dataclass
 class MeanEstimate:
     value: float
@@ -224,8 +200,66 @@ def qmean_additive(
     )
 
 
+def _main_samples(m2_hat, epsilon: float, constants: CostConstants):
+    """Chebyshev main-sample count for pilot second moment(s) m2_hat, as float(s).
+
+    The pilot value is widened by pilot_safety both ways: the lower value
+    sets the error target (capped at 4*epsilon), the upper one bounds the
+    variance.  m2_hat = 0 gives 0.  Takes a scalar or an array.
+    """
+    m2_low = m2_hat / constants.pilot_safety
+    m2_up = m2_hat * constants.pilot_safety
+    tau = epsilon * np.minimum(4.0, (np.sqrt(m2_low) + 1.0) ** 2)
+    return np.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
+
+
+def _bounded_l2_rows(sub: CategoricalSubroutine, row_values, rows: int, epsilon: float,
+                     rng: np.random.Generator,
+                     constants: CostConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounded-l2 pilot and main step for `rows` independent runs over sub's law.
+
+    row_values(index) gives the atom values of the runs that index selects
+    (a slice of rows, or 0 for a lone run), one row per run; the step
+    estimates each row's mean over sub's atom probabilities.  Every row's
+    pilot is drawn before any row's main sample, so the draws do not depend
+    on the chunking.  Records the classical draws on sub's ledgers; returns
+    per-row means, second-moment pilots and main sample counts.
+
+    A lone run is indexed by 0 rather than a slice, so its values are one
+    vector and its moments numpy scalars: the same arithmetic and draws,
+    without the fixed cost of array calls, which would dominate the
+    single-call contracts.
+    """
+    pvals = sub._pvals
+    step = max(1, _ROW_CHUNK // pvals.size)
+    if rows == 1:
+        whole, chunks = 0, [(0, None)]
+    else:
+        whole = slice(None)
+        chunks = [(slice(lo, lo + step), min(step, rows - lo)) for lo in range(0, rows, step)]
+    pilot = constants.pilot_runs
+    m2_hat = np.empty(rows)
+    for index, size in chunks:
+        values = row_values(index)
+        counts = rng.multinomial(pilot, pvals, size=size)
+        # vecdot sums each row as the one-row product counts @ values does
+        m2_hat[index] = np.vecdot(counts, values ** 2) / pilot
+
+    samples = np.empty(rows, dtype=np.int64)
+    samples[whole] = _main_samples(m2_hat[whole], epsilon, constants)
+    means = np.empty(rows)
+    for index, _ in chunks:
+        if len(chunks) > 1:  # a single chunk keeps its values from the pilot pass
+            values = row_values(index)
+        n = samples[index]
+        counts = rng.multinomial(n, pvals)
+        means[index] = np.vecdot(counts, values) / np.maximum(n, 1)
+    sub._record_classical(rows * pilot + int(samples.sum()))
+    return means, m2_hat, samples
+
+
 def bounded_l2_estimate(
-    sub: Subroutine,
+    sub: CategoricalSubroutine,
     epsilon: float,
     rng: np.random.Generator,
     constants: CostConstants = DEFAULT_CONSTANTS,
@@ -246,37 +280,102 @@ def bounded_l2_estimate(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     out_of_contract = not (epsilon < 0.5)
-    classical = constants.pilot_runs
-    _, pilot_sq = sub.moment_sums(constants.pilot_runs, rng)
-    m2_hat = pilot_sq / constants.pilot_runs
-
-    if m2_hat == 0.0:
-        value = 0.0
-        samples = 0
-    else:
-        m2_low = m2_hat / constants.pilot_safety
-        m2_up = m2_hat * constants.pilot_safety
-        tau = epsilon * min(4.0, (math.sqrt(m2_low) + 1.0) ** 2)
-        samples = math.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
-        total, _ = sub.moment_sums(samples, rng)
-        value = total / samples
-        classical += samples
+    means, m2_hat, samples = _bounded_l2_rows(sub, lambda index: sub.values, 1, epsilon,
+                                              rng, constants)
 
     charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum) if charge else 0
     if charge:
         sub.charge_quantum(charged)
     return MeanEstimate(
-        value=value,
+        value=float(means[0]),
         charged_executions=charged,
-        classical_executions=classical,
+        classical_executions=constants.pilot_runs + int(samples[0]),
         mode="bounded-l2",
         out_of_contract=out_of_contract,
-        details={"second_moment_pilot": m2_hat, "samples": samples},
+        details={"second_moment_pilot": float(m2_hat[0]), "samples": int(samples[0])},
+    )
+
+
+@dataclass
+class MultiplicativeRuns:
+    """Independent runs of the multiplicative contract, one array entry per run.
+
+    Each run satisfies value = scale*(m_tilde - 6*mu_minus + 6*mu_plus);
+    charged_executions is the theorem count of one run.
+    """
+
+    value: np.ndarray
+    m_tilde: np.ndarray
+    mu_minus: np.ndarray
+    mu_plus: np.ndarray
+    classical_executions: np.ndarray
+    scale: float
+    charged_executions: int
+    out_of_contract: bool
+
+
+def multiplicative_runs(
+    sub: CategoricalSubroutine,
+    sigma: float,
+    a: float,
+    b: float,
+    epsilon: float,
+    repetitions: int,
+    rng: np.random.Generator,
+    constants: CostConstants = DEFAULT_CONSTANTS,
+) -> MultiplicativeRuns:
+    """`repetitions` independent runs of the multiplicative contract over sub's law.
+
+    Requires var[X] <= sigma^2 * E[X]^2 and E[X] in [a, b] with a > 0; the
+    theorem's range is 0 < epsilon < 24*sigma.  Each run scales X by
+    1/(sigma*b), draws its anchor m~ from X, and estimates the means of
+    max(-(X/scale - m~), 0)/6 and max(X/scale - m~, 0)/6 with the bounded-l2
+    step.  Draw order: all anchors, then every minus-part pilot, every
+    minus-part main sample, every plus-part pilot and every plus-part main
+    sample.  The ledgers are charged repetitions times the theorem count.
+    """
+    if not isinstance(sub, CategoricalSubroutine):
+        raise TypeError("the multiplicative contract needs a finite law")
+    if not 0.0 < a <= b:
+        raise ValueError("need mean bounds 0 < a <= b")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    out_of_contract = not (epsilon < 24.0 * sigma)
+
+    scale = sigma * b
+    m_tilde = sub.batch(repetitions, rng) / scale
+    eps_inner = epsilon * a / (48.0 * sigma * b)
+    scaled = sub.values / scale
+
+    def minus(index):
+        return np.maximum(m_tilde[index, None] - scaled, 0.0) / 6.0
+
+    def plus(index):
+        return np.maximum(scaled - m_tilde[index, None], 0.0) / 6.0
+
+    mu_minus, _, n_minus = _bounded_l2_rows(sub, minus, repetitions, eps_inner, rng, constants)
+    mu_plus, _, n_plus = _bounded_l2_rows(sub, plus, repetitions, eps_inner, rng, constants)
+
+    charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
+    sub.charge_quantum(repetitions * charged)
+    return MultiplicativeRuns(
+        value=scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus),
+        m_tilde=m_tilde,
+        mu_minus=mu_minus,
+        mu_plus=mu_plus,
+        classical_executions=(n_minus + n_plus) + (1 + 2 * constants.pilot_runs),
+        scale=scale,
+        charged_executions=charged,
+        out_of_contract=out_of_contract,
     )
 
 
 def qmean_multiplicative(
-    sub: Subroutine,
+    sub: CategoricalSubroutine,
     sigma: float,
     a: float,
     b: float,
@@ -286,42 +385,22 @@ def qmean_multiplicative(
 ) -> MeanEstimate:
     """Relative-error mean estimate: |est - E[X]| <= epsilon*E[X] w.p. >= 9/10.
 
-    Requires var[X] <= sigma^2 * E[X]^2 and E[X] in [a, b] with a > 0; the
-    theorem's range is 0 < epsilon < 24*sigma.  The output satisfies the
-    exact identity value = sigma*b*(m~ - 6*mu_- + 6*mu_+), whose pieces are
-    reported in details.
+    One run of multiplicative_runs; the output satisfies the exact identity
+    value = sigma*b*(m~ - 6*mu_- + 6*mu_+), whose pieces are reported in
+    details.
     """
-    if not 0.0 < a <= b:
-        raise ValueError("need mean bounds 0 < a <= b")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    out_of_contract = not (epsilon < 24.0 * sigma)
-
-    scale = sigma * b
-    m_tilde = float(sub.batch(1, rng)[0]) / scale
-    eps_inner = epsilon * a / (48.0 * sigma * b)
-
-    part_minus = _ResidualPart(sub, scale, m_tilde, sign=-1.0)
-    part_plus = _ResidualPart(sub, scale, m_tilde, sign=+1.0)
-    est_minus = bounded_l2_estimate(part_minus, eps_inner, rng, constants, charge=False)
-    est_plus = bounded_l2_estimate(part_plus, eps_inner, rng, constants, charge=False)
-
-    value = scale * (m_tilde - 6.0 * est_minus.value + 6.0 * est_plus.value)
-    charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
-    sub.charge_quantum(charged)
+    runs = multiplicative_runs(sub, sigma, a, b, epsilon, 1, rng, constants)
     return MeanEstimate(
-        value=value,
-        charged_executions=charged,
-        classical_executions=1 + est_minus.classical_executions + est_plus.classical_executions,
+        value=float(runs.value[0]),
+        charged_executions=runs.charged_executions,
+        classical_executions=int(runs.classical_executions[0]),
         mode="multiplicative",
-        out_of_contract=out_of_contract,
+        out_of_contract=runs.out_of_contract,
         details={
-            "m_tilde": m_tilde,
-            "mu_minus": est_minus.value,
-            "mu_plus": est_plus.value,
-            "scale": scale,
+            "m_tilde": float(runs.m_tilde[0]),
+            "mu_minus": float(runs.mu_minus[0]),
+            "mu_plus": float(runs.mu_plus[0]),
+            "scale": runs.scale,
         },
     )
 
@@ -330,10 +409,11 @@ def median_amplify(run, delta: float, rng: np.random.Generator,
                    constants: CostConstants = DEFAULT_CONSTANTS) -> tuple[float, list[float]]:
     """Median of ceil(median_constant * ln(1/delta)) runs of a >= 2/3 estimator.
 
-    Boosts success probability to >= 1 - delta; returns (median, all runs).
+    run(rng, repetitions) returns all the runs' outcomes at once.  Boosts
+    success probability to >= 1 - delta; returns (median, all runs).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    repetitions = math.ceil(constants.median_constant * math.log(1.0 / delta))
-    outcomes = [float(run(rng)) for _ in range(max(1, repetitions))]
+    repetitions = max(1, math.ceil(constants.median_constant * math.log(1.0 / delta)))
+    outcomes = [float(x) for x in run(rng, repetitions)]
     return float(np.median(outcomes)), outcomes

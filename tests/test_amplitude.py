@@ -16,9 +16,10 @@ from qentropy.amplitude import (
     multiplicative_budget,
     sample_estamp,
     sample_estamp_multiplicative,
-    sample_estamp_prime,
 )
-from qentropy.instances import point_mass, uniform
+from qentropy.distributions import from_counts
+from qentropy.estimators import MasterSubroutine
+from qentropy.instances import uniform
 from qentropy.oracle import build_oracle
 
 # Reference table for a=0.3, M=8, computed independently with 50-digit
@@ -172,12 +173,15 @@ def test_sampling_is_seeded_and_charged():
 def test_estamp_prime_never_returns_zero():
     floor = estamp_prime_floor(8)
     assert floor == pytest.approx(math.sin(math.pi / 16) ** 2, rel=1e-14)
-    orc = build_oracle(point_mass(4))  # symbol 2 has amplitude 0
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        assert sample_estamp_prime(orc, 2, 8, rng) == floor
-    # and samples for positive amplitudes are simply the law's output
-    assert sample_estamp_prime(orc, 1, 8, rng) > 0.0
+    # the estamp-prime law reports outcome 0 as the floor and every other
+    # outcome as it is, with the same probabilities
+    orc = build_oracle(from_counts([1, 7]))  # amplitudes 1/8 and 7/8
+    plain = MasterSubroutine(orc, 8, payoff=lambda x: x, variant="estamp")
+    prime = MasterSubroutine(orc, 8, payoff=lambda x: x, variant="estamp-prime")
+    assert plain.values[0] == 0.0
+    assert np.array_equal(prime.probabilities, plain.probabilities)
+    assert np.array_equal(prime.values, np.where(plain.values == 0.0, floor, plain.values))
+    assert prime.values.min() == floor > 0.0
 
 
 def test_multiplicative_budget_bounds():

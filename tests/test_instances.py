@@ -9,7 +9,6 @@ from qentropy.distributions import shannon_entropy, support_coverage
 from qentropy.instances import (
     INSTANCE_FAMILIES,
     bumped,
-    collision_pairs_instance,
     hard_pair_coverage,
     hard_pair_shannon,
     parse_instance,
@@ -58,7 +57,8 @@ def test_bumped_structure():
 
 
 def test_collision_pairs_instance():
-    d = collision_pairs_instance(16, 4)
+    # lpairs: a function table on [n] with exactly l colliding pairs
+    d = parse_instance("lpairs:16:4")
     assert d.n == 16
     assert sorted(d.counts, reverse=True)[:4] == [2, 2, 2, 2]
     assert d.denominator == 16
@@ -100,7 +100,7 @@ def test_parse_instance_families():
     assert parse_instance("point:5") == point_mass(5)
     assert parse_instance("zipf:1.5:8") == zipf(1.5, 8)
     assert parse_instance("two-valued:4:2:1:8") == two_valued(4, 2, 1, 8)
-    assert parse_instance("lpairs:16:4") == collision_pairs_instance(16, 4)
+    assert parse_instance("lpairs:16:4") == bumped(16, 4)
     assert parse_instance("counts:1,2,3") .counts == (1, 2, 3)
     assert parse_instance("counts:1,2,3:6").denominator == 6
     pair = hard_pair_shannon(16, 0.25)

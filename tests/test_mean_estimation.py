@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from qentropy import mean_estimation
 from qentropy.mean_estimation import (
     CategoricalSubroutine,
     Subroutine,
     SyntheticSubroutine,
     bounded_l2_estimate,
     median_amplify,
+    multiplicative_runs,
     qmean_additive,
     qmean_multiplicative,
     theorem_execution_count,
@@ -187,7 +189,96 @@ def test_multiplicative_out_of_contract_flag():
 
 def test_median_amplify_count_and_value():
     rng = np.random.default_rng(7)
-    value, outcomes = median_amplify(lambda r: float(r.normal(2.0, 0.1)), 0.1, rng)
+    value, outcomes = median_amplify(lambda r, k: r.normal(2.0, 0.1, size=k), 0.1, rng)
     assert len(outcomes) == math.ceil(48 * math.log(10))
     assert value == np.median(outcomes)
     assert value == pytest.approx(2.0, abs=0.1)
+
+
+def _zipf_master():
+    from qentropy.estimators import MasterSubroutine
+    from qentropy.instances import zipf
+    from qentropy.oracle import build_oracle
+
+    oracle = build_oracle(zipf(1.5, 64))
+    return MasterSubroutine(oracle, 256, payoff=lambda x: x ** 1.5), oracle.ledger
+
+
+def test_single_multiplicative_call_stream_is_frozen():
+    # One call draws the anchor, then the minus part's pilot and main, then
+    # the plus part's: value, classical draws and the generator state after
+    # the call are pinned, for a two-point law and a zipf payoff law.
+    rng = np.random.default_rng(11)
+    est = qmean_multiplicative(two_point(1.3, 0.25), 0.5, 1.0, 2.0, 0.25, rng)
+    assert est.value == pytest.approx(1.2974104407726617, rel=1e-12)
+    assert est.classical_executions == 63132
+    assert rng.random() == 0.5113900218032627
+
+    sub, ledger = _zipf_master()
+    mean = sub.mean()
+    rng = np.random.default_rng(12)
+    est = qmean_multiplicative(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, rng)
+    assert est.value == pytest.approx(0.12991784289439962, rel=1e-12)
+    assert est.classical_executions == ledger.classical_executions == 640183
+    assert ledger.phases == {"estamp": 65792}
+    assert rng.random() == 0.3245120824046628
+
+
+def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
+    # all pilots of a part come before all of its mains, so chunking the rows
+    # cannot reorder the draws
+    sub, _ = _zipf_master()
+    mean = sub.mean()
+    args = (sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 50)
+    rng = np.random.default_rng(5)
+    whole = multiplicative_runs(*args, rng)
+    after = rng.random()
+    for elements in (1, 3 * sub.values.size):
+        monkeypatch.setattr(mean_estimation, "_ROW_CHUNK", elements)
+        rng = np.random.default_rng(5)
+        chunked = multiplicative_runs(*args, rng)
+        assert np.array_equal(chunked.value, whole.value)
+        assert np.array_equal(chunked.classical_executions, whole.classical_executions)
+        assert rng.random() == after
+
+
+def test_every_batched_run_satisfies_the_identity():
+    for sub, sigma in ((two_point(1.3, 0.25), 0.5), (_zipf_master()[0], 2.0)):
+        mean = sub.mean()
+        runs = multiplicative_runs(sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 200,
+                                   np.random.default_rng(8))
+        rebuilt = runs.scale * (runs.m_tilde - 6 * runs.mu_minus + 6 * runs.mu_plus)
+        np.testing.assert_allclose(runs.value, rebuilt, rtol=1e-12, atol=0)
+        assert runs.value.shape == (200,)
+
+
+def test_batched_and_sequential_runs_agree_in_law():
+    sub = two_point(1.3, 0.25)
+    trials = 2000
+    rng = np.random.default_rng(31)
+    sequential = np.array([qmean_multiplicative(sub, 0.5, 1.0, 2.0, 0.25, rng).value
+                           for _ in range(trials)])
+    batched = multiplicative_runs(sub, 0.5, 1.0, 2.0, 0.25, trials,
+                                  np.random.default_rng(32)).value
+    se = math.sqrt((sequential.var() + batched.var()) / trials)
+    assert abs(sequential.mean() - batched.mean()) <= 6 * se
+    fail_seq = np.mean(np.abs(sequential - 1.3) > 0.25 * 1.3)
+    fail_batch = np.mean(np.abs(batched - 1.3) > 0.25 * 1.3)
+    pooled = (fail_seq + fail_batch) / 2
+    assert abs(fail_seq - fail_batch) <= 6 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    assert fail_batch <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
+
+
+def test_batched_runs_charge_every_repetition():
+    sub, ledger = _zipf_master()
+    mean = sub.mean()
+    runs = multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 7,
+                               np.random.default_rng(3))
+    assert ledger.phases == {"estamp": 7 * 256 * runs.charged_executions}
+    assert ledger.classical_executions == int(runs.classical_executions.sum())
+
+
+def test_multiplicative_contract_needs_a_finite_law():
+    with pytest.raises(TypeError):
+        qmean_multiplicative(StreamingTwoPoint(1.3, 0.25), 0.5, 1.0, 2.0, 0.25,
+                             np.random.default_rng(0))
