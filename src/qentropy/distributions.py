@@ -171,20 +171,3 @@ def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
         worst = max(worst, Fraction(cp * q.denominator, cq * p.denominator))
     return worst
 
-
-def power_sum_error_for_entropy_error(alpha: float, entropy_eps: float) -> float:
-    """Multiplicative power-sum error that guarantees additive entropy error.
-
-    A relative error of expm1(|1 - alpha| * eps) on P_alpha translates to an
-    additive error of at most eps on ln(P_alpha) / (1 - alpha); the inverse
-    direction is log1p.
-    """
-    if alpha == 1:
-        raise ValueError("alpha = 1 has no power-sum form")
-    return math.expm1(abs(1.0 - alpha) * entropy_eps)
-
-
-def entropy_error_for_power_sum_error(alpha: float, power_eps: float) -> float:
-    if alpha == 1:
-        raise ValueError("alpha = 1 has no power-sum form")
-    return math.log1p(power_eps) / abs(1.0 - alpha)

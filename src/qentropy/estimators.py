@@ -40,9 +40,7 @@ from .distributions import (
     support_coverage,
 )
 from .mean_estimation import (
-    CategoricalSubroutine,
-    MeanEstimate,
-    Subroutine,
+    FiniteLaw,
     median_amplify,
     multiplicative_runs,
     qmean_additive,
@@ -170,7 +168,7 @@ def _count_classes(counts) -> dict[int, int]:
     return weights
 
 
-class MasterSubroutine(CategoricalSubroutine):
+class MasterSubroutine(FiniteLaw):
     """Sample a symbol from p, amplitude-estimate its probability, apply a payoff.
 
     The payoff sees only the grid point of the outcome, so the subroutine
@@ -188,28 +186,23 @@ class MasterSubroutine(CategoricalSubroutine):
                                           M, variant)
         super().__init__(np.array([payoff(v) for v in values]), probabilities,
                          charges=((oracle.ledger, phase, M),))
-        self.oracle = oracle
-        self.M = M
-
-    def exact_mean_var(self) -> tuple[float, float]:
-        return self.mean(), self.variance()
 
 
-class _RatioSubroutine(Subroutine):
+class _RatioSubroutine:
     """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
 
-    Symbols are grouped by their q count.  Within a group q~ follows one
-    outcome table and p~, independent of it, the group's grid law on the
-    M_p grid.  Grouping by the q side keeps one copy of each q table, the
-    larger ones since M_q >= M_p.
+    Symbols are grouped by their q count.  Within a group ln q~ follows one
+    outcome table and ln p~, independent of it, the group's grid law on the
+    M_p grid, so a group is a pair of finite laws, each charging its own
+    oracle's ledger, and X is their difference.  Grouping by the q side
+    keeps one copy of each q table, the larger ones since M_q >= M_p.  The
+    joint law of X is never tabulated: sums and moments come from the pairs.
     """
 
     def __init__(self, oracle_p: DistributionOracle, oracle_q: DistributionOracle,
                  M_p: int, M_q: int):
-        self.charges = (
-            (oracle_p.ledger, "estamp", M_p),
-            (oracle_q.ledger, "estamp", M_q),
-        )
+        charges_p = ((oracle_p.ledger, "estamp", M_p),)
+        charges_q = ((oracle_q.ledger, "estamp", M_q),)
         p, q = oracle_p.source, oracle_q.source
         p_counts_by_q_count: dict[int, list[int]] = {}
         for cp, cq in zip(p.counts, q.counts):
@@ -217,43 +210,43 @@ class _RatioSubroutine(Subroutine):
                 p_counts_by_q_count.setdefault(cq, []).append(cp)
         groups = [(cq, _count_classes(cps))
                   for cq, cps in sorted(p_counts_by_q_count.items())]
-        self._group_weights = np.array(
+        self._weights = np.array(
             [sum(weights.values()) / p.denominator for _, weights in groups])
-        self._group_cum = np.cumsum(self._group_weights)
-        self._tables = []
+        self._pvals = self._weights / self._weights.sum()
+        self._pairs = []
         for cq, weights in groups:
             vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
             table = estamp_distribution(cq / q.denominator, M_q)
             vq = _reported_values(table.grid, M_q, "estamp-prime")
-            pq = table.probabilities
-            self._tables.append((np.cumsum(pp), pp, np.log(vp),
-                                 np.cumsum(pq), pq, np.log(vq)))
+            self._pairs.append((FiniteLaw(np.log(vp), pp, charges_p),
+                                FiniteLaw(np.log(vq), table.probabilities, charges_q)))
 
-    def draw(self, count, rng):
-        groups = np.searchsorted(self._group_cum, rng.random(count), side="right")
-        groups = np.minimum(groups, len(self._tables) - 1)
-        u_p = rng.random(count)
-        u_q = rng.random(count)
-        out = np.empty(count)
-        for g in range(len(self._tables)):
-            mask = groups == g
-            if not mask.any():
-                continue
-            cum_p, _, ln_p, cum_q, _, ln_q = self._tables[g]
-            ip = np.minimum(np.searchsorted(cum_p, u_p[mask], side="right"), len(ln_p) - 1)
-            iq = np.minimum(np.searchsorted(cum_q, u_q[mask], side="right"), len(ln_q) - 1)
-            out[mask] = ln_p[ip] - ln_q[iq]
-        return out
+    def sample_sum(self, count: int, rng: np.random.Generator) -> float:
+        """Sum of `count` independent draws: a multinomial split over the
+        groups, then each side's own sum over its group's share."""
+        total = 0.0
+        for n, (law_p, law_q) in zip(rng.multinomial(count, self._pvals), self._pairs):
+            if n:
+                total += law_p.sample_sum(n, rng) - law_q.sample_sum(n, rng)
+        return total
 
-    def exact_mean_var(self) -> tuple[float, float]:
+    def mean(self) -> float:
         mean = 0.0
+        for w, (law_p, law_q) in zip(self._weights, self._pairs):
+            mean += w * (law_p.mean() - law_q.mean())
+        return mean
+
+    def variance(self) -> float:
         second = 0.0
-        for w, (_, pp, ln_p, _, pq, ln_q) in zip(self._group_weights, self._tables):
-            ep, eq = float(pp @ ln_p), float(pq @ ln_q)
-            ep2, eq2 = float(pp @ ln_p ** 2), float(pq @ ln_q ** 2)
-            mean += w * (ep - eq)
-            second += w * (ep2 - 2 * ep * eq + eq2)
-        return mean, second - mean * mean
+        for w, (law_p, law_q) in zip(self._weights, self._pairs):
+            gap = law_p.mean() - law_q.mean()
+            second += w * (law_p.variance() + law_q.variance() + gap * gap)
+        mean = self.mean()
+        return second - mean * mean
+
+    def charge_quantum(self, executions: int) -> None:
+        for law in self._pairs[0]:  # every group carries the same two charges
+            law.charge_quantum(executions)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +292,7 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
     M = shannon_budget(n, eps, cfg.constants.shannon_m_shift)
     sub = MasterSubroutine(oracle, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
-    exact_mean, exact_var = sub.exact_mean_var()
+    exact_mean, exact_var = sub.mean(), sub.variance()
     truth = shannon_entropy(oracle.source)
     extras = {
         "M": M, "sigma": sigma,
@@ -340,7 +333,7 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     M_q = _pow2_at_least(math.sqrt(n) * ratio_bound / eps, shift)
     sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
-    exact_mean, exact_var = sub.exact_mean_var()
+    exact_mean, exact_var = sub.mean(), sub.variance()
     truth = kl_divergence(p, q)
     extras = {
         "M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound,
@@ -427,7 +420,7 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
         exponent = level - 1.0
         variant = "estamp" if high else "estamp-prime"
         sub = MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
-        exact_mean, exact_var = sub.exact_mean_var()
+        exact_mean, exact_var = sub.mean(), sub.variance()
 
         def level_runs(rng_, repetitions):
             return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_,
@@ -469,8 +462,8 @@ def estimate_power_sum_high(oracle: DistributionOracle, alpha: float,
         raise ValueError("this estimator handles non-integer alpha > 1")
     if cfg.mode == "exact-expectation":
         M = annealed_budget_high(oracle.n, cfg.epsilon)
-        mean, var = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0),
-                                     "estamp").exact_mean_var()
+        sub = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0), "estamp")
+        mean, var = sub.mean(), sub.variance()
         return _power_sum_report("renyi-high", oracle, alpha, cfg, mean,
                                  {"M": M, "exact_subroutine_variance": var})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
@@ -484,8 +477,8 @@ def estimate_power_sum_low(oracle: DistributionOracle, alpha: float,
         raise ValueError("this estimator handles 0 < alpha < 1")
     if cfg.mode == "exact-expectation":
         M = annealed_budget_low(oracle.n, alpha, cfg.epsilon)
-        mean, var = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0),
-                                     "estamp-prime").exact_mean_var()
+        sub = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0), "estamp-prime")
+        mean, var = sub.mean(), sub.variance()
         return _power_sum_report("renyi-low", oracle, alpha, cfg, mean,
                                  {"M": M, "exact_subroutine_variance": var})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
@@ -623,7 +616,7 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
     M = coverage_budget(t, eps, cfg.constants.coverage_m_shift)
     sub = MasterSubroutine(oracle, M, payoff=_coverage_payoff(t), variant="estamp")
     sigma = float(t)
-    exact_mean, exact_var = sub.exact_mean_var()
+    exact_mean, exact_var = sub.mean(), sub.variance()
     truth_abs = support_coverage(oracle.source, t)
     extras = {
         "M": M, "n_samples": t,

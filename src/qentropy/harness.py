@@ -44,7 +44,7 @@ from .estimators import (
     estimate_support_size,
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
-from .mean_estimation import SyntheticSubroutine, qmean_additive, qmean_multiplicative
+from .mean_estimation import FiniteLaw, qmean_additive, qmean_multiplicative
 from .oracle import DistributionOracle, build_oracle
 
 SEED_ENV_VAR = "QENTROPY_SEED"
@@ -524,11 +524,11 @@ def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckR
 
 
 def meanest_suite(seed: int = 20260815, trials: int = 400) -> list[CheckResult]:
-    """Mean-estimation contracts on synthetic finite-support subroutines."""
+    """Mean-estimation contracts on synthetic finite laws."""
     rng = np.random.default_rng(seed)
     checks = []
 
-    const = SyntheticSubroutine([0.5], [1.0])
+    const = FiniteLaw([0.5], [1.0])
     me = qmean_additive(const, 1.0, 0.1, rng)
     checks.append(CheckResult(
         "meanest", "additive on constant subroutine is exact",
@@ -539,7 +539,7 @@ def meanest_suite(seed: int = 20260815, trials: int = 400) -> list[CheckResult]:
     for rel_var in (0.04, 0.25):
         c = math.sqrt(rel_var)
         mean = 1.3
-        sub = SyntheticSubroutine([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
+        sub = FiniteLaw([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
         sigma = math.sqrt(rel_var)
         failures = 0
         worst_identity = 0.0
@@ -562,7 +562,7 @@ def meanest_suite(seed: int = 20260815, trials: int = 400) -> list[CheckResult]:
             "worst |rebuilt - value| = %.2e" % worst_identity))
 
     sigma = 1.0
-    sub = SyntheticSubroutine([0.0, 2.0], [0.5, 0.5])  # mean 1, variance 1
+    sub = FiniteLaw([0.0, 2.0], [0.5, 0.5])  # mean 1, variance 1
     failures = 0
     for _ in range(trials):
         est = qmean_additive(sub, sigma, 0.25, rng)

@@ -29,10 +29,14 @@ Charged executions are c_quantum * ceil(r * ln(r)^1.5 * ln(ln(r))) at the
 contract's ratio r, floored at one execution.  Out-of-contract parameters
 (eps too large for the theorem's range) still run but are flagged.
 
-Subroutines with finite support expose their outcome atoms; sample means
-over such a subroutine are computed by drawing the multinomial vector of
-outcome counts, which costs O(#atoms) regardless of the sample size.  The
-classical-execution ledger still records the full notional sample count.
+Every subroutine the estimators hand to a contract has finite support, so
+the contracts are simulated from its law, never from sample paths: X is a
+FiniteLaw of values, probabilities and charges.  A sample sum is one
+multinomial draw of how often each value occurs, which costs O(#values)
+whatever the sample size; the classical-execution ledger still records the
+full notional sample count.  The additive contract reads only sample sums,
+so it also takes KL's ratio law, a difference of two independent finite laws
+per group that is never tabulated jointly.
 """
 
 from __future__ import annotations
@@ -45,60 +49,17 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, CostConstants
 from .oracle import QueryLedger
 
-# Largest batch materialized at once; bigger requests stream in chunks.
-_CHUNK = 1 << 20
 # Row x atom elements the batched contracts draw and hold at once.
 _ROW_CHUNK = 1 << 15
 
 
-class Subroutine:
-    """A randomized subroutine X whose mean is being estimated.
+class FiniteLaw:
+    """A random variable X with finitely many values: what a contract estimates.
 
-    Implementations provide vectorized draws via batch(); draws represent
-    classical simulation work and are recorded as such on the attached
-    ledgers.  `charges` lists (ledger, phase, per_execution_queries) triples;
-    the mean estimators multiply the per-execution query costs by the
-    theorem's execution count and charge them wholesale.
-    """
-
-    charges: tuple[tuple[QueryLedger, str, int], ...] = ()
-
-    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def _record_classical(self, count: int) -> None:
-        for ledger, _, _ in self.charges:
-            ledger.charge_classical(count)
-
-    def batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = self.draw(count, rng)
-        self._record_classical(count)
-        return out
-
-    def moment_sums(self, count: int, rng: np.random.Generator) -> tuple[float, float]:
-        """Sum and sum of squares over `count` draws, recorded as classical work."""
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < count:
-            step = min(_CHUNK, count - done)
-            x = self.draw(step, rng)
-            total += float(x.sum())
-            total_sq += float(x @ x)
-            done += step
-        self._record_classical(count)
-        return total, total_sq
-
-    def charge_quantum(self, executions: int) -> None:
-        for ledger, phase, per_execution in self.charges:
-            ledger.charge(phase, per_execution * executions)
-
-
-class CategoricalSubroutine(Subroutine):
-    """Subroutine over finitely many outcome atoms with known probabilities.
-
-    Sample moments come from one multinomial draw over the atoms, so huge
-    Chebyshev sample sizes cost O(#atoms) work instead of O(#samples).
+    `charges` lists (ledger, phase, per_execution_queries) triples; the
+    contracts multiply the per-execution query costs by the theorem's
+    execution count and charge them wholesale.  Draws are the simulator's
+    classical work and are recorded on every charged ledger.
     """
 
     def __init__(self, values, probabilities,
@@ -117,14 +78,25 @@ class CategoricalSubroutine(Subroutine):
         self._cum = np.cumsum(self._pvals)
         self.charges = tuple(charges)
 
-    def draw(self, count, rng):
+    def _record_classical(self, count: int) -> None:
+        for ledger, _, _ in self.charges:
+            ledger.charge_classical(count)
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """`count` independent draws of X, recorded as classical work."""
         idx = np.searchsorted(self._cum, rng.random(count), side="right")
+        self._record_classical(count)
         return self.values[np.minimum(idx, len(self.values) - 1)]
 
-    def moment_sums(self, count, rng):
+    def sample_sum(self, count: int, rng: np.random.Generator) -> float:
+        """Sum of `count` independent draws of X, recorded as classical work.
+
+        One multinomial over the values gives how often each occurs, so the
+        cost is O(#values) whatever the count.
+        """
         counts = rng.multinomial(count, self._pvals)
         self._record_classical(count)
-        return float(counts @ self.values), float(counts @ self.values ** 2)
+        return float(counts @ self.values)
 
     def mean(self) -> float:
         return float(self.values @ self.probabilities)
@@ -133,14 +105,9 @@ class CategoricalSubroutine(Subroutine):
         m = self.mean()
         return float((self.values - m) ** 2 @ self.probabilities)
 
-
-class SyntheticSubroutine(CategoricalSubroutine):
-    """Finite-support test subroutine with known mean and variance."""
-
-    def __init__(self, values, probabilities, ledger: QueryLedger | None = None,
-                 phase: str = "mean-estimation", per_execution: int = 1):
-        charges = ((ledger, phase, per_execution),) if ledger is not None else ()
-        super().__init__(values, probabilities, charges)
+    def charge_quantum(self, executions: int) -> None:
+        for ledger, phase, per_execution in self.charges:
+            ledger.charge(phase, per_execution * executions)
 
 
 @dataclass
@@ -163,7 +130,7 @@ def theorem_execution_count(ratio: float, c_quantum: int = 1) -> int:
 
 
 def qmean_additive(
-    sub: Subroutine,
+    sub,
     sigma: float,
     epsilon: float,
     rng: np.random.Generator,
@@ -173,7 +140,8 @@ def qmean_additive(
 
     Requires var[X] <= sigma^2 and, for the charged cost to be meaningful,
     0 < epsilon < 4*sigma.  Classically runs a median of group means sized by
-    Chebyshev; the ledger is charged the near-linear theorem cost.
+    Chebyshev; the ledger is charged the near-linear theorem cost.  sub needs
+    only sample_sum(count, rng) and charge_quantum(executions).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -184,10 +152,7 @@ def qmean_additive(
 
     groups = constants.additive_groups
     group_size = max(1, math.ceil(constants.c_classical * (sigma / epsilon) ** 2))
-    means = []
-    for _ in range(groups):
-        total, _ = sub.moment_sums(group_size, rng)
-        means.append(total / group_size)
+    means = [sub.sample_sum(group_size, rng) / group_size for _ in range(groups)]
     value = float(np.median(means))
 
     sub.charge_quantum(charged)
@@ -213,7 +178,7 @@ def _main_samples(m2_hat, epsilon: float, constants: CostConstants):
     return np.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
 
 
-def _bounded_l2_rows(sub: CategoricalSubroutine, row_values, rows: int, epsilon: float,
+def _bounded_l2_rows(sub: FiniteLaw, row_values, rows: int, epsilon: float,
                      rng: np.random.Generator,
                      constants: CostConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounded-l2 pilot and main step for `rows` independent runs over sub's law.
@@ -259,7 +224,7 @@ def _bounded_l2_rows(sub: CategoricalSubroutine, row_values, rows: int, epsilon:
 
 
 def bounded_l2_estimate(
-    sub: CategoricalSubroutine,
+    sub: FiniteLaw,
     epsilon: float,
     rng: np.random.Generator,
     constants: CostConstants = DEFAULT_CONSTANTS,
@@ -315,7 +280,7 @@ class MultiplicativeRuns:
 
 
 def multiplicative_runs(
-    sub: CategoricalSubroutine,
+    sub: FiniteLaw,
     sigma: float,
     a: float,
     b: float,
@@ -334,7 +299,7 @@ def multiplicative_runs(
     minus-part main sample, every plus-part pilot and every plus-part main
     sample.  The ledgers are charged repetitions times the theorem count.
     """
-    if not isinstance(sub, CategoricalSubroutine):
+    if not isinstance(sub, FiniteLaw):
         raise TypeError("the multiplicative contract needs a finite law")
     if not 0.0 < a <= b:
         raise ValueError("need mean bounds 0 < a <= b")
@@ -347,7 +312,7 @@ def multiplicative_runs(
     out_of_contract = not (epsilon < 24.0 * sigma)
 
     scale = sigma * b
-    m_tilde = sub.batch(repetitions, rng) / scale
+    m_tilde = sub.draw(repetitions, rng) / scale
     eps_inner = epsilon * a / (48.0 * sigma * b)
     scaled = sub.values / scale
 
@@ -375,7 +340,7 @@ def multiplicative_runs(
 
 
 def qmean_multiplicative(
-    sub: CategoricalSubroutine,
+    sub: FiniteLaw,
     sigma: float,
     a: float,
     b: float,

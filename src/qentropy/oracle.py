@@ -36,7 +36,6 @@ class QueryLedger:
 
     def __init__(self):
         self.phases: dict[str, int] = {}
-        self.events: list[tuple[str, int]] = []
         self.classical_executions: int = 0
 
     def charge(self, phase: str, amount: int) -> None:
@@ -46,7 +45,6 @@ class QueryLedger:
         if amount == 0:
             return
         self.phases[phase] = self.phases.get(phase, 0) + amount
-        self.events.append((phase, amount))
 
     def charge_classical(self, count: int = 1) -> None:
         if count < 0:

@@ -35,7 +35,7 @@ from qentropy.harness import (
     sandwich_suite,
 )
 from qentropy.instances import hard_pair_shannon, uniform, zipf
-from qentropy.mean_estimation import SyntheticSubroutine, qmean_multiplicative
+from qentropy.mean_estimation import FiniteLaw, qmean_multiplicative
 from qentropy.distinctness import count_k_collisions
 from qentropy.oracle import build_oracle
 
@@ -126,7 +126,7 @@ def test_criterion_04_multiplicative_mean_contract():
     rates = {}
     for rel_var in (0.04, 0.25):
         c = math.sqrt(rel_var)
-        sub = SyntheticSubroutine([mu * (1 - c), mu * (1 + c)], [0.5, 0.5])
+        sub = FiniteLaw([mu * (1 - c), mu * (1 + c)], [0.5, 0.5])
         sigma = math.sqrt(sub.variance())
         fails = 0
         for _ in range(1000):

@@ -9,14 +9,12 @@ import pytest
 
 from qentropy.distributions import (
     RationalDistribution,
-    entropy_error_for_power_sum_error,
     from_counts,
     from_json_dict,
     kl_divergence,
     load_distribution,
     min_entropy,
     power_sum,
-    power_sum_error_for_entropy_error,
     ratio_bound,
     renyi_entropy,
     shannon_entropy,
@@ -130,16 +128,6 @@ def test_ratio_bound_exact():
     p = from_counts([3, 1])
     q = from_counts([1, 1])
     assert ratio_bound(p, q) == Fraction(3, 2)
-
-
-def test_error_conversion_roundtrip():
-    for alpha in (0.3, 2.0, 4.5):
-        for eps in (0.01, 0.25, 1.0):
-            through = entropy_error_for_power_sum_error(
-                alpha, power_sum_error_for_entropy_error(alpha, eps))
-            assert through == pytest.approx(eps, rel=1e-12)
-    with pytest.raises(ValueError):
-        power_sum_error_for_entropy_error(1.0, 0.1)
 
 
 def test_random_distributions_measure_sanity():

@@ -98,7 +98,8 @@ def test_exact_expectation_matches_direct_table_sum():
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    mean, var = MasterSubroutine(build_oracle(dist), M, payoff).exact_mean_var()
+    sub = MasterSubroutine(build_oracle(dist), M, payoff)
+    mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
     for count, p_sym in zip(dist.counts, dist.probabilities()):
@@ -143,7 +144,7 @@ def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
     fn, variant = _PAYOFFS[payoff]
     sub = MasterSubroutine(build_oracle(dist), M, fn, variant=variant)
     assert sub.values.size <= M // 2 + 1
-    mean, var = sub.exact_mean_var()
+    mean, var = sub.mean(), sub.variance()
     ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)
     assert mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12)
     assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-12)
@@ -178,6 +179,55 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
     assert rep.extras["exact_subroutine_variance"] == pytest.approx(var, rel=1e-10, abs=1e-12)
 
 
+def _kl_draws_one_by_one(p, q, M_p, M_q, shape, rng):
+    """ln p~ - ln q~ drawn per sample: a symbol from p, then its two outcomes."""
+    def log_table(count, dist, M):
+        table = estamp_distribution(count / dist.denominator, M)
+        values = np.where(table.values == 0.0, math.sin(math.pi / (2 * M)) ** 2, table.values)
+        return np.cumsum(table.probabilities), np.log(values)
+
+    symbols = rng.choice(p.n, size=shape, p=p.probabilities())
+    out = np.empty(shape)
+    for i in np.unique(symbols):
+        mask = symbols == i
+        draws = []
+        for count, dist, M in ((p.counts[i], p, M_p), (q.counts[i], q, M_q)):
+            cum, logs = log_table(count, dist, M)
+            idx = np.searchsorted(cum, rng.random(int(mask.sum())), side="right")
+            draws.append(logs[np.minimum(idx, logs.size - 1)])
+        out[mask] = draws[0] - draws[1]
+    return out
+
+
+def test_kl_sample_sums_agree_in_law_with_draws_one_by_one():
+    # counts:1,1 against counts:1,3 has two q-count groups; the multinomial
+    # sum over the group pairs must match summing the draws one at a time
+    from qentropy.estimators import _RatioSubroutine
+
+    p, q = from_counts([1, 1]), from_counts([1, 3])
+    oracle_p, oracle_q = build_oracle(p), build_oracle(q)
+    M_p, M_q, count, calls = 16, 32, 6, 4000
+    sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
+    assert len(sub._pairs) == 2
+    rng = np.random.default_rng(17)
+    sums = np.array([sub.sample_sum(count, rng) for _ in range(calls)])
+    assert oracle_p.ledger.classical_executions == count * calls
+    assert oracle_q.ledger.classical_executions == count * calls
+    assert oracle_p.ledger.quantum_total == oracle_q.ledger.quantum_total == 0
+    reference = _kl_draws_one_by_one(p, q, M_p, M_q, (calls, count),
+                                     np.random.default_rng(18)).sum(axis=1)
+
+    def var_se(x):
+        centred = x - x.mean()
+        return math.sqrt((np.mean(centred ** 4) - x.var() ** 2) / x.size)
+
+    se_mean = math.sqrt((sums.var() + reference.var()) / calls)
+    assert abs(sums.mean() - reference.mean()) <= 6 * se_mean
+    assert abs(sums.mean() - count * sub.mean()) <= 6 * math.sqrt(sums.var() / calls)
+    se_var = math.hypot(var_se(sums), var_se(reference))
+    assert abs(sums.var() - reference.var()) <= 6 * se_var
+
+
 # Quantum phase ledgers on zipf(1.5, 256) at eps 0.25, delta 0.1, seed 7.
 # They depend on budgets and theorem counts only, never on the sampled path,
 # so no change in how a law is built or sampled may move them.
@@ -201,6 +251,17 @@ def test_contract_ledgers_are_frozen():
         rep = run(build_oracle(zipf(1.5, 256)))
         assert rep.ledger["phases"] == FROZEN_ZIPF256_PHASES[name], name
         assert rep.ledger["quantum_total"] == sum(FROZEN_ZIPF256_PHASES[name].values())
+
+
+def test_kl_contract_ledgers_are_frozen():
+    # Budgets and theorem counts fix both ledgers and the classical draws;
+    # how the payoff law is sampled may not move them.
+    p, q = zipf(1.5, 256), uniform(256)
+    rep = estimate_kl(build_oracle(p), build_oracle(q), ratio_bound(p, q), cfg(seed=7))
+    assert rep.ledger["phases"] == {"estamp": 154752}
+    assert rep.ledger_q["phases"] == {"estamp": 19808256}
+    assert rep.classical_executions == 111024
+    assert rep.ledger_q["classical_executions"] == 111024
 
 
 def test_single_class_stream_is_frozen():

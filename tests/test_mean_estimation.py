@@ -7,9 +7,7 @@ import pytest
 
 from qentropy import mean_estimation
 from qentropy.mean_estimation import (
-    CategoricalSubroutine,
-    Subroutine,
-    SyntheticSubroutine,
+    FiniteLaw,
     bounded_l2_estimate,
     median_amplify,
     multiplicative_runs,
@@ -22,53 +20,46 @@ from qentropy.oracle import QueryLedger
 
 def two_point(mean, rel_var):
     c = math.sqrt(rel_var)
-    return SyntheticSubroutine([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
-
-
-class StreamingTwoPoint(Subroutine):
-    """Same two-point law but through the generic draw() path."""
-
-    def __init__(self, mean, rel_var):
-        self.lo = mean * (1 - math.sqrt(rel_var))
-        self.hi = mean * (1 + math.sqrt(rel_var))
-
-    def draw(self, count, rng):
-        return np.where(rng.random(count) < 0.5, self.lo, self.hi)
+    return FiniteLaw([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
 
 
 def test_synthetic_moments_are_exact():
-    sub = SyntheticSubroutine([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
+    sub = FiniteLaw([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
     assert sub.mean() == pytest.approx(1.0)
     assert sub.variance() == pytest.approx(0.25 + 2.25 - 1.0)
 
 
 def test_categorical_validation():
     with pytest.raises(ValueError):
-        CategoricalSubroutine([1.0, 2.0], [0.7, 0.7])
+        FiniteLaw([1.0, 2.0], [0.7, 0.7])
     with pytest.raises(ValueError):
-        CategoricalSubroutine([1.0], [0.5, 0.5])
+        FiniteLaw([1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        CategoricalSubroutine([1.0, 2.0], [1.2, -0.2])
+        FiniteLaw([1.0, 2.0], [1.2, -0.2])
 
 
-def test_multinomial_moments_match_streaming():
-    # the multinomial fast path and the generic chunked path agree in law
-    fast = two_point(1.3, 0.25)
-    slow = StreamingTwoPoint(1.3, 0.25)
-    n = 200_000
-    fs, fss = fast.moment_sums(n, np.random.default_rng(21))
-    ss, sss = slow.moment_sums(n, np.random.default_rng(22))
-    se_mean = math.sqrt(fast.variance() / n)
-    assert fs / n == pytest.approx(ss / n, abs=6 * se_mean)
-    assert fs / n == pytest.approx(1.3, abs=6 * se_mean)
-    assert fss / n == pytest.approx(sss / n, rel=0.05)
+def test_sample_sums_follow_the_exact_moments():
+    # a sum of n draws has mean n*E[X] and variance n*var[X]
+    ledger = QueryLedger()
+    sub = FiniteLaw([0.0, 1.0, 3.0], [0.5, 0.25, 0.25], ((ledger, "estamp", 1),))
+    n, calls = 40, 4000
+    rng = np.random.default_rng(21)
+    sums = np.array([sub.sample_sum(n, rng) for _ in range(calls)])
+    assert ledger.classical_executions == n * calls
+    se_mean = math.sqrt(n * sub.variance() / calls)
+    assert sums.mean() == pytest.approx(n * sub.mean(), abs=6 * se_mean)
+    centred = sums - sums.mean()
+    se_var = math.sqrt((np.mean(centred ** 4) - sums.var() ** 2) / calls)
+    assert sums.var() == pytest.approx(n * sub.variance(), abs=6 * se_var)
 
 
 def test_draws_follow_the_table():
-    sub = SyntheticSubroutine([2.0, 5.0], [0.75, 0.25])
-    xs = sub.batch(50_000, np.random.default_rng(4))
+    ledger = QueryLedger()
+    sub = FiniteLaw([2.0, 5.0], [0.75, 0.25], ((ledger, "estamp", 1),))
+    xs = sub.draw(50_000, np.random.default_rng(4))
     assert set(np.unique(xs)) == {2.0, 5.0}
     assert (xs == 5.0).mean() == pytest.approx(0.25, abs=0.01)
+    assert ledger.classical_executions == 50_000
 
 
 def test_theorem_execution_count_values():
@@ -80,7 +71,7 @@ def test_theorem_execution_count_values():
 
 
 def test_additive_constant_subroutine_is_exact():
-    sub = SyntheticSubroutine([1.3], [1.0])
+    sub = FiniteLaw([1.3], [1.0])
     est = qmean_additive(sub, 0.5, 0.25, np.random.default_rng(0))
     assert est.value == 1.3
     assert est.mode == "additive"
@@ -105,22 +96,21 @@ def test_additive_failure_rate_within_contract():
 
 
 def test_additive_flags_out_of_contract():
-    sub = SyntheticSubroutine([1.0], [1.0])
+    sub = FiniteLaw([1.0], [1.0])
     est = qmean_additive(sub, 0.1, 0.5, np.random.default_rng(0))
     assert est.out_of_contract  # eps >= 4 sigma voids the contract
 
 
 def test_additive_charges_quantum_wholesale():
     ledger = QueryLedger()
-    sub = SyntheticSubroutine([0.2, 0.6], [0.5, 0.5], ledger=ledger, phase="estamp",
-                              per_execution=16)
+    sub = FiniteLaw([0.2, 0.6], [0.5, 0.5], ((ledger, "estamp", 16),))
     est = qmean_additive(sub, 0.2, 0.05, np.random.default_rng(1))
     assert ledger.phases["estamp"] == 16 * est.charged_executions
     assert ledger.classical_executions == est.classical_executions
 
 
 def test_bounded_l2_zero_subroutine():
-    est = bounded_l2_estimate(SyntheticSubroutine([0.0], [1.0]), 0.25,
+    est = bounded_l2_estimate(FiniteLaw([0.0], [1.0]), 0.25,
                               np.random.default_rng(0))
     assert est.value == 0.0
     assert est.details["samples"] == 0
@@ -143,8 +133,7 @@ def test_bounded_l2_tracks_the_mean():
 
 def test_bounded_l2_charge_flag():
     ledger = QueryLedger()
-    sub = SyntheticSubroutine([0.5, 1.5], [0.5, 0.5], ledger=ledger, phase="estamp",
-                              per_execution=8)
+    sub = FiniteLaw([0.5, 1.5], [0.5, 0.5], ((ledger, "estamp", 8),))
     bounded_l2_estimate(sub, 0.25, np.random.default_rng(2), charge=False)
     assert "estamp" not in ledger.phases
     assert ledger.classical_executions > 0
@@ -279,6 +268,11 @@ def test_batched_runs_charge_every_repetition():
 
 
 def test_multiplicative_contract_needs_a_finite_law():
+    from qentropy.distributions import from_counts
+    from qentropy.estimators import _RatioSubroutine
+    from qentropy.oracle import build_oracle
+
+    ratio = _RatioSubroutine(build_oracle(from_counts([1, 1])),
+                             build_oracle(from_counts([1, 3])), 16, 32)
     with pytest.raises(TypeError):
-        qmean_multiplicative(StreamingTwoPoint(1.3, 0.25), 0.5, 1.0, 2.0, 0.25,
-                             np.random.default_rng(0))
+        qmean_multiplicative(ratio, 0.5, 1.0, 2.0, 0.25, np.random.default_rng(0))
