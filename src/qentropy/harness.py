@@ -161,11 +161,29 @@ _CELL_KEYS = frozenset({
 })
 
 
-def _check_cell_keys(cell: dict) -> None:
-    """Reject keys no cell reads, so a typo fails instead of running defaults."""
+_NUMERIC_CELL_KEYS = ("alpha", "eps", "delta", "f", "m", "n_samples", "dist_seed")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_trials(trials, where: str) -> None:
+    if not _is_int(trials) or trials < 1:
+        raise ValueError("%s 'trials' must be a positive integer, got %r" % (where, trials))
+
+
+def _check_cell(cell: dict) -> None:
+    """Reject keys no cell reads, so a typo fails instead of running defaults,
+    and values of the wrong type, which would otherwise be coerced or fail late."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
+    for key in _NUMERIC_CELL_KEYS:
+        if key in cell and not (_is_int(cell[key]) or isinstance(cell[key], float)):
+            raise ValueError("cell %r must be a number, got %r" % (key, cell[key]))
+    if "trials" in cell:
+        _check_trials(cell["trials"], "cell")
 
 
 @dataclass(frozen=True)
@@ -174,6 +192,17 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: Optional[int] = None
     record_timing: bool = False
+
+    def __post_init__(self):
+        for cell in self.cells:
+            _check_cell(cell)
+        _check_trials(self.trials, "config")
+        if self.master_seed is not None and not _is_int(self.master_seed):
+            raise ValueError("'master_seed' must be an integer or null, got %r"
+                             % (self.master_seed,))
+        if not isinstance(self.record_timing, bool):
+            raise ValueError("'record_timing' must be true or false, got %r"
+                             % (self.record_timing,))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -192,11 +221,9 @@ class ExperimentConfig:
         cells = raw["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
             raise ValueError("'cells' must be a list of objects")
-        for cell in cells:
-            _check_cell_keys(cell)
-        return cls(cells=tuple(cells), trials=int(raw.get("trials", 1)),
+        return cls(cells=tuple(cells), trials=raw.get("trials", 1),
                    master_seed=raw.get("master_seed"),
-                   record_timing=bool(raw.get("record_timing", False)))
+                   record_timing=raw.get("record_timing", False))
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],
@@ -208,7 +235,7 @@ def run_cell_trial(cell: dict, seed: Optional[int],
     n_samples, measure, mode, distinctness_cost, dist_seed); any other key
     raises ValueError.
     """
-    _check_cell_keys(cell)
+    _check_cell(cell)
     algo = cell.get("algo")
     if algo is None or "dist" not in cell:
         raise ValueError("cell needs at least 'algo' and 'dist'")
@@ -310,8 +337,7 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
         master = int(os.environ.get(SEED_ENV_VAR, "0"))
     rows = []
     for cell_index, cell in enumerate(config.cells):
-        trials = int(cell.get("trials", config.trials))
-        for trial_index in range(trials):
+        for trial_index in range(cell.get("trials", config.trials)):
             seed = derive_seed(master, cell_index, trial_index)
             report = run_cell_trial(cell, seed, config.record_timing)
             rows.append(report_to_row(report))
@@ -479,6 +505,12 @@ def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _all_sequences(n: int, length: int) -> np.ndarray:
+    """Every sequence of `length` symbols from range(n), one per row, in
+    lexicographic order (the order of itertools.product)."""
+    return np.indices((n,) * length).reshape(length, -1).T
+
+
 def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckResult]:
     """Collision-count statistics: E[C] = C(l, k) * P_k(p).
 
@@ -487,8 +519,6 @@ def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckR
     Monte-Carlo: the sample mean over mc_rows sequences must sit within
     5 standard errors of the exact expectation.
     """
-    from itertools import product
-
     from .instances import zipf
 
     rng = np.random.default_rng(seed)
@@ -498,7 +528,7 @@ def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckR
         counts = np.array(dist.counts, dtype=np.int64)
         denominator = dist.denominator
 
-        seqs = np.array(list(product(range(n), repeat=length)), dtype=np.int64)
+        seqs = _all_sequences(n, length)
         weights = counts[seqs].prod(axis=1)
         collisions = _collision_counts_rows(seqs, k)
         lhs = int((weights * collisions).sum())

@@ -19,11 +19,17 @@ sigma*b*(m~ - 6*mu_- + 6*mu_+).  It needs a finite law.
 
 Median amplification asks for all of its runs at once.  multiplicative_runs
 does k runs over one law in a few array draws: all k anchors, then the minus
-part's k pilots and k main samples, then the plus part's.  Rows are drawn in
-chunks of at most _ROW_CHUNK row x atom counts; since every pilot of a part
-precedes its mains, the draws do not depend on the chunking.  A
-qmean_multiplicative call is the k = 1 case, and bounded_l2_estimate is the
-one-row case of the same pilot-then-main step.
+part's k pilots and k main samples, then the plus part's.  It sorts the law's
+atoms by value once per call, so a run's minus part is nonzero on a prefix
+of them and its plus part on a suffix: its side.  A pilot is pilot_runs index
+draws from the law, and a main sample is one multinomial over the side plus
+one lumped atom that holds the rest of the mass.  That is the full
+multinomial with its zero-valued atoms aggregated, so the sample mean has the
+same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
+of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
+its mains, the draws do not depend on the chunking.  A qmean_multiplicative
+call is the k = 1 case, and bounded_l2_estimate the one-run case whose side
+is the whole law, with no lumped atom.
 
 Charged executions are c_quantum * ceil(r * ln(r)^1.5 * ln(ln(r))) at the
 contract's ratio r, floored at one execution.  Out-of-contract parameters
@@ -49,7 +55,8 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, CostConstants
 from .oracle import QueryLedger
 
-# Row x atom elements the batched contracts draw and hold at once.
+# Elements (runs x pilot draws, or runs x side atoms) the batched contracts
+# draw and hold at once.
 _ROW_CHUNK = 1 << 15
 
 
@@ -84,9 +91,10 @@ class FiniteLaw:
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """`count` independent draws of X, recorded as classical work."""
-        idx = np.searchsorted(self._cum, rng.random(count), side="right")
+        idx = self._cum.searchsorted(rng.random(count), side="right")
         self._record_classical(count)
-        return self.values[np.minimum(idx, len(self.values) - 1)]
+        # a draw above a rounded-down last _cum finds index size: clip it
+        return self.values.take(idx, mode="clip")
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws of X, recorded as classical work.
@@ -178,47 +186,74 @@ def _main_samples(m2_hat, epsilon: float, constants: CostConstants):
     return np.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
 
 
-def _bounded_l2_rows(sub: FiniteLaw, row_values, rows: int, epsilon: float,
-                     rng: np.random.Generator,
-                     constants: CostConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bounded-l2 pilot and main step for `rows` independent runs over sub's law.
+def _beyond(values, anchors, sign: float):
+    """sign * (values - anchors), without a pass to negate either."""
+    return values - anchors if sign > 0 else anchors - values
 
-    row_values(index) gives the atom values of the runs that index selects
-    (a slice of rows, or 0 for a lone run), one row per run; the step
-    estimates each row's mean over sub's atom probabilities.  Every row's
-    pilot is drawn before any row's main sample, so the draws do not depend
-    on the chunking.  Records the classical draws on sub's ledgers; returns
-    per-row means, second-moment pilots and main sample counts.
 
-    A lone run is indexed by 0 rather than a slice, so its values are one
-    vector and its moments numpy scalars: the same arithmetic and draws,
-    without the fixed cost of array calls, which would dominate the
-    single-call contracts.
+def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
+                widths: np.ndarray, anchors, sign: float, epsilon: float,
+                rng: np.random.Generator,
+                constants: CostConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounded-l2 pilot and main step, one run per anchor, over sub's law.
+
+    atoms holds the estimated variable at each of the law's atoms, and run r
+    estimates the mean of its part max(sign*(atoms - anchors[r]), 0).
+    ranked and ps are the atoms' values and probabilities sorted so that run
+    r's part is positive exactly on the first widths[r] of them: its side.  A
+    pilot is pilot_runs index draws from the law.  A main sample is one
+    multinomial over the side plus one lumped atom, the next in order, to
+    which numpy's multinomial gives the rest of the mass: the full multinomial
+    with the zero-valued atoms aggregated, so the sample mean has the same
+    law.  With anchors None there is one run, of atoms itself, over the whole
+    law (ranked = atoms, width = size) with no lumped atom.
+
+    Every pilot precedes every main sample, and runs go in chunks of at most
+    _ROW_CHUNK drawn elements, so the draws do not depend on the chunking.
+    Records the classical draws on sub's ledgers; returns per-run means,
+    second-moment pilots and main sample counts.
     """
-    pvals = sub._pvals
-    step = max(1, _ROW_CHUNK // pvals.size)
-    if rows == 1:
-        whole, chunks = 0, [(0, None)]
-    else:
-        whole = slice(None)
-        chunks = [(slice(lo, lo + step), min(step, rows - lo)) for lo in range(0, rows, step)]
     pilot = constants.pilot_runs
-    m2_hat = np.empty(rows)
-    for index, size in chunks:
-        values = row_values(index)
-        counts = rng.multinomial(pilot, pvals, size=size)
-        # vecdot sums each row as the one-row product counts @ values does
-        m2_hat[index] = np.vecdot(counts, values ** 2) / pilot
+    rows = widths.size
+    if rows == 1:  # a lone run in scalars: array calls would dominate its cost
+        width = widths.item()
+        x = atoms.take(sub._cum.searchsorted(rng.random(pilot), side="right"), mode="clip")
+        part = ranked
+        if anchors is not None:
+            anchor = anchors.item()
+            x = np.maximum(_beyond(x, anchor, sign), 0.0)
+            part = _beyond(ranked[:width], anchor, sign)
+        m2_hat = x.dot(x) / pilot
+        n = int(_main_samples(m2_hat, epsilon, constants))
+        counts = rng.multinomial(n, ps[:width + 1])
+        mean = counts[:width].dot(part) / max(n, 1)
+        sub._record_classical(pilot + n)
+        return np.array([mean]), np.array([m2_hat]), np.array([n])
 
-    samples = np.empty(rows, dtype=np.int64)
-    samples[whole] = _main_samples(m2_hat[whole], epsilon, constants)
+    m2_hat = np.empty(rows)
+    step = max(1, _ROW_CHUNK // pilot)
+    for lo in range(0, rows, step):
+        chunk = anchors[lo:lo + step, None]
+        drawn = sub._cum.searchsorted(rng.random((chunk.size, pilot)), side="right")
+        x = np.maximum(_beyond(atoms.take(drawn, mode="clip"), chunk, sign), 0.0)
+        # vecdot sums each row on its own, whatever the chunk's shape
+        m2_hat[lo:lo + step] = np.vecdot(x, x) / pilot
+
+    samples = _main_samples(m2_hat, epsilon, constants).astype(np.int64)
+    width = int(widths.max())
+    pvals = ps[:width + 1]
+    columns = np.arange(pvals.size)
+    step = max(1, _ROW_CHUNK // pvals.size)
     means = np.empty(rows)
-    for index, _ in chunks:
-        if len(chunks) > 1:  # a single chunk keeps its values from the pilot pass
-            values = row_values(index)
-        n = samples[index]
-        counts = rng.multinomial(n, pvals)
-        means[index] = np.vecdot(counts, values) / np.maximum(n, 1)
+    for lo in range(0, rows, step):
+        rows_ = slice(lo, lo + step)
+        n = samples[rows_]
+        # A run narrower than the widest gets zeros up to the lumped column:
+        # they draw nothing, so its counts are those of its own multinomial.
+        on_side = columns < widths[rows_, None]
+        counts = rng.multinomial(n, np.where(on_side, pvals, 0.0))
+        part = np.maximum(_beyond(ranked[:width], anchors[rows_, None], sign), 0.0)
+        means[rows_] = np.vecdot(counts[:, :width], part) / np.maximum(n, 1)
     sub._record_classical(rows * pilot + int(samples.sum()))
     return means, m2_hat, samples
 
@@ -245,8 +280,9 @@ def bounded_l2_estimate(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     out_of_contract = not (epsilon < 0.5)
-    means, m2_hat, samples = _bounded_l2_rows(sub, lambda index: sub.values, 1, epsilon,
-                                              rng, constants)
+    means, m2_hat, samples = _part_means(sub, sub.values, sub.values, sub._pvals,
+                                         np.array([sub.values.size]), None, 1.0, epsilon,
+                                         rng, constants)
 
     charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum) if charge else 0
     if charge:
@@ -259,6 +295,24 @@ def bounded_l2_estimate(
         out_of_contract=out_of_contract,
         details={"second_moment_pilot": float(m2_hat[0]), "samples": int(samples[0])},
     )
+
+
+def _residual_parts(sub: FiniteLaw, scale: float, drawn: np.ndarray) -> tuple[tuple, tuple]:
+    """The minus and plus parts of runs anchored at the drawn values, for _part_means.
+
+    Each is (atoms, ranked, ps, widths, anchors, sign) in units of
+    6*scale, where an anchor is itself an atom's value and so lies on neither
+    side.  One stable sort by value serves both parts: the minus part
+    (sign -1) is positive on the atoms below the anchor, a prefix of the
+    sorted atoms, and the plus part (sign +1) on those above it, a suffix.
+    """
+    atoms = sub.values / (6.0 * scale)
+    anchors = drawn / (6.0 * scale)
+    order = sub.values.argsort(kind="stable")
+    low, ps = atoms[order], sub._pvals[order]
+    below = low.searchsorted(anchors, side="left")
+    above = low.size - low.searchsorted(anchors, side="right")
+    return (atoms, low, ps, below, anchors, -1.0), (atoms, low[::-1], ps[::-1], above, anchors, 1.0)
 
 
 @dataclass
@@ -295,9 +349,11 @@ def multiplicative_runs(
     theorem's range is 0 < epsilon < 24*sigma.  Each run scales X by
     1/(sigma*b), draws its anchor m~ from X, and estimates the means of
     max(-(X/scale - m~), 0)/6 and max(X/scale - m~, 0)/6 with the bounded-l2
-    step.  Draw order: all anchors, then every minus-part pilot, every
-    minus-part main sample, every plus-part pilot and every plus-part main
-    sample.  The ledgers are charged repetitions times the theorem count.
+    step.  The law's atoms are sorted by value once, so the minus part is
+    positive on a prefix of them and the plus part on a suffix.  Draw order:
+    all anchors, then every minus-part pilot, every minus-part main sample,
+    every plus-part pilot and every plus-part main sample.  The ledgers are
+    charged repetitions times the theorem count.
     """
     if not isinstance(sub, FiniteLaw):
         raise TypeError("the multiplicative contract needs a finite law")
@@ -312,18 +368,12 @@ def multiplicative_runs(
     out_of_contract = not (epsilon < 24.0 * sigma)
 
     scale = sigma * b
-    m_tilde = sub.draw(repetitions, rng) / scale
+    drawn = sub.draw(repetitions, rng)
+    m_tilde = drawn / scale
     eps_inner = epsilon * a / (48.0 * sigma * b)
-    scaled = sub.values / scale
-
-    def minus(index):
-        return np.maximum(m_tilde[index, None] - scaled, 0.0) / 6.0
-
-    def plus(index):
-        return np.maximum(scaled - m_tilde[index, None], 0.0) / 6.0
-
-    mu_minus, _, n_minus = _bounded_l2_rows(sub, minus, repetitions, eps_inner, rng, constants)
-    mu_plus, _, n_plus = _bounded_l2_rows(sub, plus, repetitions, eps_inner, rng, constants)
+    minus, plus = _residual_parts(sub, scale, drawn)
+    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
+    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
 
     charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
     sub.charge_quantum(repetitions * charged)

@@ -267,11 +267,12 @@ def test_kl_contract_ledgers_are_frozen():
 def test_single_class_stream_is_frozen():
     # One count class: the merged law is the outcome table itself.  The
     # seeded sample path (estimate and classical draws) is pinned as drawn
-    # with each annealing level's repetitions batched.
+    # with each annealing level's repetitions batched, index-draw pilots and
+    # main samples over each part's side.
     rep = estimate_renyi(build_oracle(uniform(16)), 2.5, cfg(seed=7))
-    assert rep.estimate == pytest.approx(0.018712481744101922, rel=1e-12)
+    assert rep.estimate == pytest.approx(0.018721832354423942, rel=1e-12)
     assert rep.ledger["phases"] == {"estamp": 59589120}
-    assert rep.classical_executions == 355327163
+    assert rep.classical_executions == 181054609
 
 
 def test_shannon_exact_expectation_frozen_value():

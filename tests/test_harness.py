@@ -154,6 +154,47 @@ def test_unknown_cell_keys_are_rejected():
     assert run_cell_trial(every_key, 0).epsilon == 0.5
 
 
+SHANNON_CELL = {"algo": "shannon", "dist": "uniform:16"}
+
+
+def test_record_timing_must_be_a_json_bool():
+    # bool("false") is True: the string used to turn timing on
+    with pytest.raises(ValueError, match="record_timing"):
+        ExperimentConfig.from_dict({"cells": [SHANNON_CELL], "record_timing": "false"})
+
+
+def test_master_seed_must_be_an_integer_or_null(tmp_path, capsys):
+    for seed in ("x", True, 1.5):
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig.from_dict({"cells": [SHANNON_CELL], "master_seed": seed})
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"cells": [SHANNON_CELL], "master_seed": "x"}))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_trials_must_be_a_positive_integer():
+    for trials in (-3, 0, 2.7, True, "2"):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig.from_dict({"cells": [SHANNON_CELL], "trials": trials})
+
+
+def test_cell_trials_must_be_a_positive_integer():
+    for trials in (2.7, 0, -1, None):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig.from_dict({"cells": [dict(SHANNON_CELL, trials=trials)]})
+
+
+@pytest.mark.parametrize("key", ["alpha", "eps", "delta", "f", "m", "n_samples", "dist_seed"])
+def test_numeric_cell_fields_must_be_numbers(key):
+    for value in (None, "2", True):
+        cell = dict(SHANNON_CELL, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({"cells": [cell]})
+        with pytest.raises(ValueError, match=key):
+            run_cell_trial(cell, 0)
+
+
 def test_experiment_csv_schema_and_determinism(tmp_path):
     config = ExperimentConfig.from_dict(SMALL_CONFIG)
     out_a = tmp_path / "a.csv"
@@ -230,6 +271,14 @@ def test_collision_rows_match_brute_force(length, k, chunk, data):
     with mock.patch.object(harness, "_ROW_CHUNK", chunk):
         counts = _collision_counts_rows(np.array(rows, dtype=np.int64), k)
     assert counts.tolist() == [_brute_force_collisions(row, k) for row in rows]
+
+
+@pytest.mark.parametrize("n, length, k", harness._COLLISION_GRID)
+def test_enumerated_sequences_match_itertools_product(n, length, k):
+    expected = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
+    sequences = harness._all_sequences(n, length)
+    assert sequences.dtype == np.int64
+    assert np.array_equal(sequences, expected)
 
 
 def test_poisson_suite_has_annotated_defects_only():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qentropy import mean_estimation
 from qentropy.mean_estimation import (
@@ -199,18 +201,18 @@ def test_single_multiplicative_call_stream_is_frozen():
     # the call are pinned, for a two-point law and a zipf payoff law.
     rng = np.random.default_rng(11)
     est = qmean_multiplicative(two_point(1.3, 0.25), 0.5, 1.0, 2.0, 0.25, rng)
-    assert est.value == pytest.approx(1.2974104407726617, rel=1e-12)
-    assert est.classical_executions == 63132
-    assert rng.random() == 0.5113900218032627
+    assert est.value == pytest.approx(1.2975037165510406, rel=1e-12)
+    assert est.classical_executions == 48561
+    assert rng.random() == 0.11566037371975635
 
     sub, ledger = _zipf_master()
     mean = sub.mean()
     rng = np.random.default_rng(12)
     est = qmean_multiplicative(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, rng)
-    assert est.value == pytest.approx(0.12991784289439962, rel=1e-12)
-    assert est.classical_executions == ledger.classical_executions == 640183
+    assert est.value == pytest.approx(0.12952192855476594, rel=1e-12)
+    assert est.classical_executions == ledger.classical_executions == 617320
     assert ledger.phases == {"estamp": 65792}
-    assert rng.random() == 0.3245120824046628
+    assert rng.random() == 0.19043718645394003
 
 
 def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -276,3 +278,82 @@ def test_multiplicative_contract_needs_a_finite_law():
                              build_oracle(from_counts([1, 3])), 16, 32)
     with pytest.raises(TypeError):
         qmean_multiplicative(ratio, 0.5, 1.0, 2.0, 0.25, np.random.default_rng(0))
+
+
+def _full_law_runs(sub, sigma, a, b, epsilon, repetitions, rng,
+                   constants=mean_estimation.DEFAULT_CONSTANTS):
+    # The sampler the side-aware one replaced, kept as the reference: every
+    # pilot and every main sample is a multinomial over all of the law's atoms.
+    scale = sigma * b
+    m_tilde = sub.draw(repetitions, rng) / scale
+    eps_inner = epsilon * a / (48.0 * sigma * b)
+    scaled = sub.values / scale
+    pilot = constants.pilot_runs
+    value = m_tilde.copy()
+    executions = np.full(repetitions, 1 + 2 * pilot)
+    for sign in (-1.0, 1.0):
+        parts = np.maximum(sign * (scaled - m_tilde[:, None]), 0.0) / 6.0
+        counts = rng.multinomial(pilot, sub._pvals, size=repetitions)
+        m2_hat = np.vecdot(counts, parts ** 2) / pilot
+        n = mean_estimation._main_samples(m2_hat, eps_inner, constants).astype(np.int64)
+        counts = rng.multinomial(n, sub._pvals)
+        value += 6.0 * sign * np.vecdot(counts, parts) / np.maximum(n, 1)
+        executions += n
+    return scale * value, executions
+
+
+def _shuffled_law_with_ties():
+    values = np.array([0.0, 0.4, 0.4, 1.0, 1.3, 1.3, 1.3, 2.2, 3.5, 0.4])
+    probabilities = np.array([1, 3, 2, 5, 4, 1, 2, 3, 1, 2], dtype=float)
+    perm = np.random.default_rng(17).permutation(values.size)
+    return FiniteLaw(values[perm], probabilities[perm] / probabilities.sum())
+
+
+@pytest.mark.parametrize("law", ["zipf", "shuffled"])
+def test_side_sampler_agrees_in_law_with_the_full_law_sampler(law):
+    sub = _zipf_master()[0] if law == "zipf" else _shuffled_law_with_ties()
+    mean = sub.mean()
+    sigma = math.sqrt(sub.variance()) / mean
+    args = (sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 2000)
+    reference, ref_executions = _full_law_runs(*args, np.random.default_rng(41))
+    runs = multiplicative_runs(*args, np.random.default_rng(42))
+    trials = runs.value.size
+    for new, old in ((runs.value, reference),
+                     (runs.classical_executions.astype(float), ref_executions.astype(float))):
+        se = math.sqrt((new.var() + old.var()) / trials)
+        assert abs(new.mean() - old.mean()) <= 6 * se
+    # the contract's band, and a tighter one at which both samplers fail often
+    # enough to compare
+    for band in (0.25, 0.01):
+        fail_new = np.mean(np.abs(runs.value - mean) > band * mean)
+        fail_old = np.mean(np.abs(reference - mean) > band * mean)
+        pooled = (fail_new + fail_old) / 2
+        assert abs(fail_new - fail_old) <= 6 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 9)), min_size=1, max_size=12),
+       st.floats(0.1, 10.0), st.floats(0.25, 4.0), st.integers(0, 2 ** 32 - 1))
+def test_each_side_holds_exactly_the_atoms_where_its_part_is_positive(atoms, unit, scale, seed):
+    # unsorted values with ties and zeros; anchors drawn from the law
+    values = np.array([v for v, _ in atoms]) * unit
+    weights = np.array([w for _, w in atoms], dtype=float)
+    sub = FiniteLaw(values, weights / weights.sum())
+    drawn = sub.draw(5, np.random.default_rng(seed))
+    m_tilde = drawn / scale
+    minus, plus = mean_estimation._residual_parts(sub, scale, drawn)
+    for contract_sign, part in ((-1, minus), (1, plus)):
+        part_atoms, ranked, ps, widths, anchors, sign = part
+        assert sign == contract_sign
+        gap = sign * (ranked - anchors[:, None])  # the part, before clipping, in side order
+        assert np.all(np.diff(gap, axis=1) <= 0)
+        for r, width in enumerate(widths):
+            positive = np.maximum(sign * (values / scale - m_tilde[r]), 0.0) / 6.0 > 0
+            assert width == positive.sum()
+            assert np.all(gap[r, :width] > 0) and np.all(gap[r, width:] <= 0)
+            # the side is the positive atoms, value for value and mass for mass
+            np.testing.assert_array_equal(np.sort(ranked[:width]),
+                                          np.sort(part_atoms[positive]))
+            side_mass, lumped_mass = ps[:width].sum(), ps[width:].sum()
+            assert side_mass == pytest.approx(sub._pvals[positive].sum(), abs=1e-12)
+            assert side_mass + lumped_mass == pytest.approx(1.0, abs=1e-12)
