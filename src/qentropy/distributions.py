@@ -36,7 +36,10 @@ class RationalDistribution:
             raise ValueError("denominator must be a positive integer")
         if len(self.counts) < 1:
             raise ValueError("need at least one bin")
-        if any((not isinstance(c, int)) or c < 0 for c in self.counts):
+        # Checks the distinct types, then the least count, so that the loops
+        # over the counts run in C.
+        if not all(issubclass(t, int) for t in set(map(type, self.counts))) \
+                or min(self.counts) < 0:
             raise ValueError("counts must be non-negative integers")
         if sum(self.counts) != self.denominator:
             raise ValueError(
@@ -76,10 +79,13 @@ def from_json_dict(payload: dict) -> RationalDistribution:
     """Parse the on-disk distribution format {"S": int, "counts": [int, ...]}."""
     if not isinstance(payload, dict) or "S" not in payload or "counts" not in payload:
         raise ValueError('distribution file must be an object {"S": ..., "counts": [...]}')
-    counts = payload["counts"]
-    if not isinstance(counts, list):
+    S, counts = payload["S"], payload["counts"]
+    # JSON true/false load as bool, an int subclass: only exact ints count.
+    if type(S) is not int:
+        raise ValueError("S must be an integer, got %r" % (S,))
+    if not isinstance(counts, list) or any(type(c) is not int for c in counts):
         raise ValueError("counts must be a list of integers")
-    return RationalDistribution(denominator=int(payload["S"]), counts=tuple(int(c) for c in counts))
+    return RationalDistribution(denominator=S, counts=tuple(counts))
 
 
 def load_distribution(path: str) -> RationalDistribution:

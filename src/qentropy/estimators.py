@@ -32,7 +32,7 @@ from .amplitude import (
     sample_estamp_multiplicative,
 )
 from .constants import DEFAULT_CONSTANTS, CostConstants
-from .distinctness import COST_MODELS, count_k_collisions, find_k_collision, get_cost_model
+from .distinctness import COST_MODELS, count_row_collisions, find_k_collision, get_cost_model
 from .distributions import (
     kl_divergence,
     power_sum,
@@ -489,6 +489,12 @@ def estimate_power_sum_low(oracle: DistributionOracle, alpha: float,
 # integer power sums via collision counting
 
 
+# Positions held at once by the collision-count phase of
+# estimate_power_sum_integer: its rounds are drawn, mapped and counted in
+# chunks of this many elements (at least one round per chunk).
+_COUNT_CHUNK = 1 << 16
+
+
 def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
                                cfg: EstimatorConfig) -> EstimateReport:
     """Relative-error power sum for integer alpha >= 2, success >= 2/3.
@@ -497,7 +503,9 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
     pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
     their exact collision counts averaged.  Each count has expectation
-    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Quantum
+    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Each
+    counting round is one draw call, and rounds are mapped to symbols and
+    counted a chunk of at most _COUNT_CHUNK positions at a time.  Quantum
     charges go through the distinctness cost model only; the sequence draws
     themselves are classical bookkeeping.
     """
@@ -523,12 +531,20 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     rounds = math.ceil(cfg.constants.collision_rounds_constant / eps ** 2)
     fail_count = min(0.5, eps ** 2 / length)
     denominator = math.comb(length, alpha)
+    round_charge = model.charge(alpha, length, fail_count, scale)
+    chunk_rows = max(1, _COUNT_CHUNK // length)
+    positions = np.empty((min(rounds, chunk_rows), length), dtype=np.int64)
     total = 0
-    for _ in range(rounds):
-        seq = oracle.draws_for_simulation(rng, length)
-        oracle.ledger.charge_classical(length)
-        oracle.ledger.charge("distinctness", model.charge(alpha, length, fail_count, scale))
-        total += count_k_collisions(seq, alpha)
+    for done in range(0, rounds, chunk_rows):
+        rows = positions[:min(chunk_rows, rounds - done)]
+        # One draw call per round: a single call for the whole chunk would
+        # consume the generator differently once a bounded draw is rejected.
+        for row in rows:
+            row[:] = rng.integers(oracle.size, size=length)
+        symbols = oracle.symbols(rows.reshape(-1)).reshape(rows.shape)
+        total += count_row_collisions(symbols, alpha)
+        oracle.ledger.charge_classical(len(rows) * length)
+        oracle.ledger.charge("distinctness", len(rows) * round_charge)
     estimate = total / (rounds * denominator)
     extras = {
         "fixed_length": length, "rounds": rounds, "collision_total": total,

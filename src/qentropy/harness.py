@@ -21,7 +21,7 @@ from scipy.stats import poisson
 
 from .amplitude import estamp_distribution
 from .constants import DEFAULT_CONSTANTS
-from .distinctness import count_k_collisions
+from .distinctness import row_runs
 from .distributions import (
     RationalDistribution,
     kl_divergence,
@@ -494,14 +494,10 @@ def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
     comb_table = np.array([math.comb(m, k) for m in range(length + 1)], dtype=np.int64)
     out = np.empty(rows, dtype=np.int64)
     for lo in range(0, rows, _ROW_CHUNK):
-        ordered = np.sort(samples[lo:lo + _ROW_CHUNK], axis=1)
-        boundaries = np.ones(ordered.shape, dtype=bool)
-        boundaries[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        # Every row opens with a boundary, so no run crosses into the next row.
-        starts = np.flatnonzero(boundaries)
-        runs = np.diff(starts, append=boundaries.size)
+        chunk = samples[lo:lo + _ROW_CHUNK]
+        starts, runs = row_runs(chunk)
         row_heads = np.flatnonzero(starts % length == 0)
-        out[lo:lo + len(ordered)] = np.add.reduceat(comb_table[runs], row_heads)
+        out[lo:lo + len(chunk)] = np.add.reduceat(comb_table[runs], row_heads)
     return out
 
 

@@ -39,15 +39,17 @@ def zipf(s: float, n: int) -> RationalDistribution:
     """
     if s <= 0 or n < 1:
         raise ValueError("need s > 0 and n >= 1")
+    # Python's ** calls libm pow; numpy's power can differ in the last bit.
     weights = [i ** -s for i in range(1, n + 1)]
     z = sum(weights)
     S = n * math.ceil(z)
-    shares = [w / z * S for w in weights]
-    counts = [math.floor(x) for x in shares]
-    remainders = sorted(range(n), key=lambda i: shares[i] - counts[i], reverse=True)
-    for i in remainders[: S - sum(counts)]:
-        counts[i] += 1
-    return RationalDistribution(denominator=S, counts=tuple(counts))
+    shares = np.array(weights) / z * S
+    floors = np.floor(shares)
+    # Largest remainders first, ties in bin order.
+    order = np.argsort(floors - shares, kind="stable")
+    counts = floors.astype(np.int64)
+    counts[order[: S - int(counts.sum())]] += 1
+    return RationalDistribution(denominator=S, counts=tuple(counts.tolist()))
 
 
 def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:

@@ -4,10 +4,14 @@ An oracle for p is the map [S] -> [n] of the sorted layout: position s reads
 the symbol i with cum[i-1] <= s < cum[i], where cum holds the running sums of
 the counts, so bin i owns counts[i-1] positions and a uniformly random
 position samples from p.  No S-entry table is stored.  A guide table of at
-most 4n buckets, each 2^shift positions wide, holds the symbol at the start of
-every bucket that no symbol boundary cuts; a position in a cut bucket is
-looked up in cum by binary search.  When S <= 4n the buckets are single
-positions and the guide is the sorted table itself.
+most 4n buckets, each 2^shift positions wide, holds the symbol at the first
+position of every bucket (Chen and Asau's guide-table method).  A position
+past that symbol's end lies in a bucket that a boundary cuts: one compare
+against cum moves it on to the next symbol, which resolves every bucket cut
+by a single boundary, and only the positions still past their symbol's end
+(buckets cut twice or more, or zero-count bins) are looked up in cum by
+binary search.  When S <= 4n the buckets are single positions and the guide
+is the sorted table itself.
 
 Quantum algorithms are charged against the ledger attached to the oracle; the
 ledger separates charged quantum queries (keyed by phase label) from the
@@ -67,9 +71,10 @@ class QueryLedger:
 class DistributionOracle:
     """Sorted-layout oracle [S] -> [n] plus its ledger; build with build_oracle().
 
-    guide[b] is the symbol at position b << shift, or 0 when a symbol boundary
-    falls inside bucket b.  cum[i] is counts[0] + ... + counts[i]; it is None
-    when shift is 0, since single-position buckets are never cut.
+    guide[b] is the symbol at position b << shift, the first position of
+    bucket b.  cum[i] is counts[0] + ... + counts[i], the end of the
+    positions of symbol i+1; it is None when shift is 0, since
+    single-position buckets are never cut.
     """
 
     source: RationalDistribution
@@ -87,23 +92,22 @@ class DistributionOracle:
         return self.source.denominator
 
     def symbols(self, positions: np.ndarray) -> np.ndarray:
-        """Symbols at an array of positions in [0, S)."""
+        """Symbols at a 1-D array of positions in [0, S)."""
         if not self.shift:
             return self.guide[positions]
         out = self.guide[positions >> self.shift]
-        cut = np.flatnonzero(out == 0)
-        if cut.size:
-            out[cut] = np.searchsorted(self.cum, positions[cut], side="right") + 1
+        past = positions >= self.cum[out - 1]
+        out += past
+        moved = np.flatnonzero(past)
+        far = moved[positions[moved] >= self.cum[out[moved] - 1]]
+        if far.size:
+            out[far] = np.searchsorted(self.cum, positions[far], side="right") + 1
         return out
 
     def sample(self, rng: np.random.Generator) -> int:
         """Evaluate the oracle at a uniform position; charges 1 quantum query."""
         self.ledger.charge("sample", 1)
-        position = rng.integers(self.size)
-        symbol = int(self.guide[position >> self.shift])
-        if not symbol:
-            symbol = int(np.searchsorted(self.cum, position, side="right")) + 1
-        return symbol
+        return int(self.symbols(np.array([rng.integers(self.size)]))[0])
 
     def sample_classical(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Classical draws (plug-in baselines); recorded as classical work only."""
@@ -145,7 +149,5 @@ def build_oracle(
         # Symbol i owns the buckets whose first position it holds: bucket
         # ceil(cum[i-2] / w) up to, but not including, ceil(cum[i-1] / w).
         guide = np.repeat(symbols, np.diff(-((-cum) >> shift), prepend=0))
-        inner = cum[cum < S]
-        guide[inner[(inner & ((1 << shift) - 1)) != 0] >> shift] = 0
     return DistributionOracle(source=dist, cum=cum, guide=guide, shift=shift,
                               ledger=ledger or QueryLedger())

@@ -12,6 +12,7 @@ from qentropy.distinctness import (
     COST_MODELS,
     collision_exponent,
     count_k_collisions,
+    count_row_collisions,
     find_k_collision,
     get_cost_model,
 )
@@ -48,6 +49,25 @@ def test_count_closed_forms():
     assert count_k_collisions([1, 2, 3], 2) == 0
     assert count_k_collisions([5] * 6, 3) == math.comb(6, 3)
     assert count_k_collisions([], 2) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda length: st.lists(
+           st.lists(st.integers(-2, 4), min_size=length, max_size=length),
+           min_size=1, max_size=8)),
+       k=st.integers(1, 5))
+def test_row_total_is_the_sum_of_per_row_counts(rows, k):
+    # Equal symbols in different rows never collide.
+    total = count_row_collisions(np.array(rows), k)
+    assert type(total) is int
+    assert total == sum(count_k_collisions(row, k) for row in rows)
+
+
+def test_row_count_is_exact_beyond_int64():
+    expected = math.comb(1 << 16, 10)
+    assert expected >= 1 << 63
+    assert count_row_collisions(np.full((1, 1 << 16), 7), 10) == expected
+    assert count_k_collisions([7] * (1 << 16), 10) == expected
 
 
 def test_collision_exponent_values():

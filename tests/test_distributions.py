@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qentropy.cli import main
 from qentropy.distributions import (
     RationalDistribution,
     from_counts,
@@ -57,6 +58,25 @@ def test_from_json_dict_rejects_bad_shapes():
         from_json_dict({"S": 4})
     with pytest.raises(ValueError):
         from_json_dict({"S": 4, "counts": [1, 1], "extra": 0})
+
+
+@pytest.mark.parametrize("payload", [
+    {"S": 2.9, "counts": [1.5, 1.5]},
+    {"S": 2.0, "counts": [1, 1]},
+    {"S": 2, "counts": [1.0, 1.0]},
+    {"S": 2, "counts": [True, True]},
+    {"S": True, "counts": [1]},
+    {"S": "3", "counts": ["1", "2"]},
+    {"S": 3, "counts": [1, "2"]},
+], ids=["floats", "float-S", "float-counts", "bool-counts", "bool-S", "strings",
+        "string-count"])
+def test_from_json_dict_rejects_values_that_are_not_integers(payload, tmp_path, capsys):
+    with pytest.raises(ValueError, match="must be"):
+        from_json_dict(payload)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(payload))
+    assert main(["exact", "--dist", str(path), "--measure", "shannon"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_shannon_uniform_is_log_n():

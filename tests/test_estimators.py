@@ -15,6 +15,7 @@ from qentropy.distributions import (
     ratio_bound,
     shannon_entropy,
 )
+from qentropy import estimators
 from qentropy.estimators import (
     EstimatorConfig,
     MasterSubroutine,
@@ -31,8 +32,8 @@ from qentropy.estimators import (
     estimate_support_size,
     shannon_budget,
 )
-from qentropy.instances import point_mass, uniform, zipf
-from qentropy.oracle import build_oracle
+from qentropy.instances import point_mass, two_valued, uniform, zipf
+from qentropy.oracle import DistributionOracle, build_oracle
 
 # Exact expected payoff of the Shannon subroutine on uniform(16) at M=32,
 # computed independently with 50-digit arithmetic from the output law.
@@ -470,6 +471,90 @@ def test_power_sum_integer_cost_model_override():
     assert rep.extras["cost_model"] == "ambainis"
     default = estimate_power_sum_integer(build_oracle(uniform(16)), 2, cfg(seed=3))
     assert default.extras["cost_model"] == "belovs"
+
+
+# Collision-large trials at eps 0.25, delta 0.1, as first drawn one round
+# per draw call and one count per round: (seed, estimate, collision total,
+# fixed length, phases, classical draws).  Chunking the count rounds may not
+# move any of them.
+TWO_VALUED = two_valued(4096, 64, 1, 16777216)
+FROZEN_COLLISION_TRIALS = {
+    "two-valued alpha 2": (TWO_VALUED, 2, [
+        (1, 0.00025951956200787404, 270, 128, {"distinctness": 401889}, 16639),
+        (2, 0.00027901785714285713, 72, 64, {"distinctness": 230438}, 8319),
+        (3, 0.00024606299212598425, 256, 128, {"distinctness": 401889}, 16639),
+    ]),
+    "zipf alpha 3": (zipf(1.5, 4096), 3, [
+        (1, 0.06000279017857143, 4301, 16, {"distinctness": 2676217}, 2079),
+        (2, 0.064453125, 462, 8, {"distinctness": 1429084}, 1039),
+        (3, 0.05678013392857143, 407, 8, {"distinctness": 1429084}, 1039),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_COLLISION_TRIALS))
+def test_integer_power_sum_trials_are_frozen(name):
+    dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
+    for seed, estimate, total, length, phases, classical in frozen:
+        rep = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+        assert rep.estimate == estimate
+        assert rep.extras["collision_total"] == total
+        assert rep.extras["fixed_length"] == length
+        assert rep.extras["rounds"] == 128
+        assert rep.ledger["phases"] == phases
+        assert rep.classical_executions == classical
+
+
+@pytest.mark.parametrize("name", list(FROZEN_COLLISION_TRIALS))
+@pytest.mark.parametrize("rows", [1, 3])
+def test_count_chunks_leave_the_report_unchanged(name, rows, monkeypatch):
+    # Three rows make 42 full chunks of the 128 rounds and a last one of two.
+    dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
+    for seed, _, _, length, _, _ in frozen:
+        rep = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_COUNT_CHUNK", rows * length)
+            again = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+        assert again.to_dict() == rep.to_dict()
+
+
+def test_min_entropy_trials_are_frozen():
+    batches = {
+        1: [2131, 2340, 2539, 3017, 3210, 3736, 4099, 4626, 5153, 5794],
+        2: [2096, 2417, 2723, 2948, 3280, 3794, 4105, 4563, 5234, 5901],
+        3: [2053, 2371, 2570, 3093, 3291, 3730, 4021, 4661, 5183, 5864],
+    }
+    phases = {1: {"distinctness": 4670, "estamp": 2048},
+              2: {"distinctness": 4710, "estamp": 2048},
+              3: {"distinctness": 4686, "estamp": 2048}}
+    classical = {1: 36645, 2: 37061, 3: 36837}
+    for seed in (1, 2, 3):
+        rep = estimate_min_entropy(build_oracle(zipf(1.5, 4096)), cfg(seed=seed))
+        assert rep.estimate == 0.38745804432010356
+        assert [r["batch"] for r in rep.extras["rounds"]] == batches[seed]
+        assert rep.extras["captured_symbol"] == 1
+        assert rep.ledger["phases"] == phases[seed]
+        assert rep.classical_executions == classical[seed]
+
+
+def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
+    # eps 0.05 gives 3200 rounds of 128 draws: seven chunks, never more than
+    # one of them in memory.
+    sizes = []
+    symbols = DistributionOracle.symbols
+
+    def recording(self, positions):
+        sizes.append(positions.size)
+        return symbols(self, positions)
+
+    monkeypatch.setattr(DistributionOracle, "symbols", recording)
+    rep = estimate_power_sum_integer(build_oracle(TWO_VALUED), 2, cfg(eps=0.05, seed=1))
+    length = rep.extras["fixed_length"]
+    assert rep.extras["rounds"] == 3200 and length == 128
+    assert max(sizes) <= estimators._COUNT_CHUNK
+    counted = sizes[-7:]
+    assert sum(counted) == 3200 * length
+    assert counted[:-1] == [estimators._COUNT_CHUNK] * 6
 
 
 def test_min_entropy_point_mass():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qentropy.distributions import shannon_entropy, support_coverage
 from qentropy.instances import (
@@ -35,6 +37,30 @@ def test_zipf_shape():
     assert all(a >= b for a, b in zip(z.counts, z.counts[1:]))
     assert z.counts[0] > z.counts[-1]
     assert sum(z.counts) == z.denominator
+
+
+def zipf_reference(s, n):
+    """The list-based build: floors, then +1 in order of the stably sorted
+    remainders, largest first."""
+    weights = [i ** -s for i in range(1, n + 1)]
+    z = sum(weights)
+    S = n * math.ceil(z)
+    shares = [w / z * S for w in weights]
+    counts = [math.floor(x) for x in shares]
+    remainders = sorted(range(n), key=lambda i: shares[i] - counts[i], reverse=True)
+    for i in remainders[: S - sum(counts)]:
+        counts[i] += 1
+    return S, tuple(counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(0.1, 4.0), n=st.integers(1, 5000))
+@example(s=1.5, n=4096)
+@example(s=0.5, n=5000)
+def test_zipf_matches_the_list_based_build(s, n):
+    dist = zipf(s, n)
+    assert (dist.denominator, dist.counts) == zipf_reference(s, n)
+    assert all(type(c) is int for c in dist.counts)
 
 
 def test_two_valued_exact():

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qentropy.distributions import RationalDistribution, from_counts
@@ -23,6 +23,8 @@ def test_table_layout_matches_counts():
 @settings(max_examples=200, deadline=None)
 @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=40)
        .filter(lambda c: sum(c) > 0))
+@example(counts=[1] * 50 + [10 ** 6])  # fifty boundaries in the first bucket
+@example(counts=[0, 3, 0, 0, 5, 1000])  # zero-count bins at bucket edges
 def test_every_position_reads_the_sorted_layout(counts):
     dist = from_counts(counts)
     orc = build_oracle(dist)
