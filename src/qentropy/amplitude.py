@@ -53,11 +53,14 @@ def estamp_prime_floor(M: int) -> float:
 
 
 def _fejer(x: np.ndarray, M: int) -> np.ndarray:
-    """Kernel f at the circular distance of each phase offset x from 0."""
+    """Kernel f at the circular distance of each phase offset x from 0.
+
+    A grid hit divides 0 by 0, and its NaN is replaced by f(0) = 1, so the
+    caller evaluates this under np.errstate(divide="ignore", invalid="ignore").
+    """
     d = x - np.floor(x)
     d = np.minimum(d, 1.0 - d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (np.sin(M * np.pi * d) / (M * np.sin(np.pi * d))) ** 2
+    f = (np.sin(M * np.pi * d) / (M * np.sin(np.pi * d))) ** 2
     return np.where(d < _GRID_TOLERANCE, 1.0, f)
 
 
@@ -78,7 +81,11 @@ def measurement_probabilities(a: float, M: int) -> np.ndarray:
         probs[(M - j) % M] += 0.5
         return probs
     shift = np.arange(M) / M
-    return 0.5 * (_fejer(omega - shift, M) + _fejer(omega + shift, M))
+    # Both offset sets in one kernel call: ufuncs work element by element, so
+    # each value is the one a call per set would give.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _fejer(np.concatenate((omega - shift, omega + shift)), M)
+    return 0.5 * (f[:M] + f[M:])
 
 
 @dataclass(frozen=True)

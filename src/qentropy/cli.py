@@ -88,6 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an invariant suite")
     ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    ver.add_argument("--json", action="store_true",
+                     help="print one JSON object per check (margins as repr floats) "
+                          "instead of the text report")
 
     exa = sub.add_parser("exact", help="closed-form measure of a distribution")
     exa.add_argument("--dist", required=True)
@@ -130,6 +133,14 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
+    if args.json:
+        # json writes a float as its repr, which reads back to the same bits
+        for check in results:
+            print(json.dumps({
+                "suite": check.suite, "name": check.name, "passed": bool(check.passed),
+                "known_defect": bool(check.known_defect), "margin": float(check.margin),
+                "detail": check.detail}))
+        return 0 if suite_passed(results) else 1
     for check in results:
         if check.passed:
             status = "pass"

@@ -34,32 +34,23 @@ def collision_exponent(k: int) -> float:
     return 1.0 - 2.0 ** (k - 2) / (2.0 ** k - 1.0)
 
 
-def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of equal entries in each row of a 2-D array, row by row.
-
-    Sorts every row and returns (starts, runs): the offset of each run in the
-    flattened sorted array and its length.  Every row opens a run, so no run
-    crosses into the next row and the runs of row r start at offsets in
-    [r*L, (r+1)*L).
-    """
-    ordered = np.sort(rows, axis=1)
-    boundaries = np.ones(ordered.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=boundaries[:, 1:])
-    starts = np.flatnonzero(boundaries)
-    return starts, np.diff(starts, append=boundaries.size)
-
-
 def count_row_collisions(rows: np.ndarray, k: int) -> int:
     """Number of size-k index subsets with all entries equal, summed over rows.
 
     Each row counts as its own sequence: the total is sum over rows and
-    symbols of C(multiplicity, k).  One sort and run-length pass covers every
-    row, and the sum is an exact Python int taken over a histogram of the
-    run lengths, since C(L, k) can exceed int64.
+    symbols of C(multiplicity, k).  One sort of every row and one run-length
+    pass cover them all: every row opens a run, so no run crosses into the
+    next row.  The sum is an exact Python int taken over a histogram of the
+    run lengths, since C(L, k) can exceed int64.  The verify suite's
+    collision check counts by an independent method (the hockey-stick
+    identity, without sorting), so the two cross-check each other.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    _, runs = row_runs(rows)
+    ordered = np.sort(rows, axis=1)
+    boundaries = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=boundaries[:, 1:])
+    runs = np.diff(np.flatnonzero(boundaries), append=boundaries.size)
     hist = np.bincount(runs[runs >= k])
     lengths = np.flatnonzero(hist)
     return sum(math.comb(m, k) * c for m, c in zip(lengths.tolist(), hist[lengths].tolist()))

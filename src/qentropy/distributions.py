@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,20 +26,22 @@ class RationalDistribution:
     """Probability vector p_i = counts[i-1] / denominator.
 
     Symbols are the 1-based labels 1..n.  counts may contain zeros (empty
-    bins); the counts must be non-negative and sum exactly to denominator.
+    bins); the counts must be non-negative Python ints (not bools) and sum
+    exactly to denominator, which may also be a numpy integer.
     """
 
     denominator: int
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "denominator", _as_int(self.denominator, "denominator"))
         if self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
         if len(self.counts) < 1:
             raise ValueError("need at least one bin")
         # Checks the distinct types, then the least count, so that the loops
-        # over the counts run in C.
-        if not all(issubclass(t, int) for t in set(map(type, self.counts))) \
+        # over the counts run in C.  bool is an int subclass, so it is named.
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, self.counts))) \
                 or min(self.counts) < 0:
             raise ValueError("counts must be non-negative integers")
         if sum(self.counts) != self.denominator:
@@ -68,8 +71,34 @@ class RationalDistribution:
         return json.dumps({"S": self.denominator, "counts": list(self.counts)})
 
 
+def _as_int(value, what: str) -> int:
+    """value as a Python int if it is a Python or numpy integer; a bool, a
+    float or any other non-integral value raises ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, value)) from None
+
+
 def from_counts(counts: Iterable[int], denominator: int | None = None) -> RationalDistribution:
-    counts = tuple(int(c) for c in counts)
+    """Distribution with the given bin counts over denominator (default: their sum).
+
+    Python and numpy integers are accepted and stored as Python ints; a bool,
+    a float or any other non-integral count raises ValueError rather than
+    being rounded.
+    """
+    counts = tuple(counts)
+    # The conversion and the type check loop in C.  bool is an int subclass
+    # that operator.index takes, so it is named.
+    try:
+        ints = tuple(map(operator.index, counts))
+    except TypeError:
+        ints = None
+    if ints is None or bool in set(map(type, counts)):
+        raise ValueError("counts must be Python or numpy integers")
+    counts = ints
     if denominator is None:
         denominator = sum(counts)
     return RationalDistribution(denominator=denominator, counts=counts)
@@ -80,10 +109,9 @@ def from_json_dict(payload: dict) -> RationalDistribution:
     if not isinstance(payload, dict) or "S" not in payload or "counts" not in payload:
         raise ValueError('distribution file must be an object {"S": ..., "counts": [...]}')
     S, counts = payload["S"], payload["counts"]
-    # JSON true/false load as bool, an int subclass: only exact ints count.
-    if type(S) is not int:
-        raise ValueError("S must be an integer, got %r" % (S,))
-    if not isinstance(counts, list) or any(type(c) is not int for c in counts):
+    # The constructor rejects values that are not integers, JSON's true and
+    # false (bools) among them.
+    if not isinstance(counts, list):
         raise ValueError("counts must be a list of integers")
     return RationalDistribution(denominator=S, counts=tuple(counts))
 

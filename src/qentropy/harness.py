@@ -21,7 +21,6 @@ from scipy.stats import poisson
 
 from .amplitude import estamp_distribution
 from .constants import DEFAULT_CONSTANTS
-from .distinctness import row_runs
 from .distributions import (
     RationalDistribution,
     kl_divergence,
@@ -486,18 +485,33 @@ _ROW_CHUNK = 1 << 14
 
 
 def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
-    """Exact k-collision count per row of a (rows, l) symbol matrix.
+    """Exact k-collision count per row of a (rows, l) symbol matrix, without sorting.
 
+    By the hockey-stick identity C(m, k) = sum_{t<m} C(t, k-1), a symbol seen
+    m times adds C(t, k-1) at its occurrence with t equal entries before it.
+    So each position j counts the earlier positions of its row that hold the
+    same symbol, column against column, and looks that count up in a table.
+    This is independent of the estimator's sort-based count_row_collisions,
+    and cheap for the short rows the suite uses (O(l^2) compares per row).
     Rows go through in chunks of _ROW_CHUNK so the temporaries stay small.
     """
     rows, length = samples.shape
-    comb_table = np.array([math.comb(m, k) for m in range(length + 1)], dtype=np.int64)
+    comb_table = np.array([math.comb(t, k - 1) for t in range(length)], dtype=np.int64)
     out = np.empty(rows, dtype=np.int64)
     for lo in range(0, rows, _ROW_CHUNK):
-        chunk = samples[lo:lo + _ROW_CHUNK]
-        starts, runs = row_runs(chunk)
-        row_heads = np.flatnonzero(starts % length == 0)
-        out[lo:lo + len(chunk)] = np.add.reduceat(comb_table[runs], row_heads)
+        columns = samples[lo:lo + _ROW_CHUNK].T
+        size = columns.shape[1]
+        total = np.full(size, comb_table[0])
+        earlier = np.empty(size, dtype=np.min_scalar_type(length))
+        equal = np.empty(size, dtype=bool)
+        for j in range(1, length):
+            np.equal(columns[0], columns[j], out=equal)
+            earlier[:] = equal
+            for i in range(1, j):
+                np.equal(columns[i], columns[j], out=equal)
+                earlier += equal
+            total += comb_table.take(earlier)
+        out[lo:lo + size] = total
     return out
 
 
@@ -525,7 +539,10 @@ def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckR
         denominator = dist.denominator
 
         seqs = _all_sequences(n, length)
-        weights = counts[seqs].prod(axis=1)
+        columns = seqs.T
+        weights = counts.take(columns[0])
+        for column in columns[1:]:
+            weights *= counts.take(column)
         collisions = _collision_counts_rows(seqs, k)
         lhs = int((weights * collisions).sum())
         p_sum_num = int((counts.astype(object) ** k).sum())

@@ -160,8 +160,11 @@ def qmean_additive(
 
     groups = constants.additive_groups
     group_size = max(1, math.ceil(constants.c_classical * (sigma / epsilon) ** 2))
-    means = [sub.sample_sum(group_size, rng) / group_size for _ in range(groups)]
-    value = float(np.median(means))
+    means = sorted(sub.sample_sum(group_size, rng) / group_size for _ in range(groups))
+    # np.median's value without its array overhead: the middle mean, or the
+    # average of the middle two for an even group count.
+    mid = groups // 2
+    value = means[mid] if groups % 2 else (means[mid - 1] + means[mid]) / 2.0
 
     sub.charge_quantum(charged)
     return MeanEstimate(
@@ -173,12 +176,12 @@ def qmean_additive(
     )
 
 
-def _main_samples(m2_hat, epsilon: float, constants: CostConstants):
-    """Chebyshev main-sample count for pilot second moment(s) m2_hat, as float(s).
+def _main_samples(m2_hat: np.ndarray, epsilon: float, constants: CostConstants) -> np.ndarray:
+    """Chebyshev main-sample counts for an array of pilot second moments, as floats.
 
     The pilot value is widened by pilot_safety both ways: the lower value
     sets the error target (capped at 4*epsilon), the upper one bounds the
-    variance.  m2_hat = 0 gives 0.  Takes a scalar or an array.
+    variance.  m2_hat = 0 gives 0.  _part_mean does the same in scalars.
     """
     m2_low = m2_hat / constants.pilot_safety
     m2_up = m2_hat * constants.pilot_safety
@@ -189,6 +192,36 @@ def _main_samples(m2_hat, epsilon: float, constants: CostConstants):
 def _beyond(values, anchors, sign: float):
     """sign * (values - anchors), without a pass to negate either."""
     return values - anchors if sign > 0 else anchors - values
+
+
+def _part_mean(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
+               width: int, anchor, sign: float, epsilon: float, rng: np.random.Generator,
+               constants: CostConstants) -> tuple[float, float, int]:
+    """The bounded-l2 pilot and main step of one run, in scalars.
+
+    The lone-run case of _part_means, where array calls would dominate the
+    cost: anchor is a float (or None for a run of atoms itself over the whole
+    law, ranked = atoms, width = size, with no lumped atom) and width an int.
+    Its squares are Python float powers, which call libm's pow as numpy
+    float64 scalars do; numpy squares arrays by multiplication, which can
+    round differently, so a lone run is not the same stream as a one-row batch.
+    Records the classical draws on sub's ledgers; returns the run's mean,
+    second-moment pilot and main sample count.
+    """
+    pilot = constants.pilot_runs
+    x = atoms.take(sub._cum.searchsorted(rng.random(pilot), side="right"), mode="clip")
+    part = ranked
+    if anchor is not None:
+        x = np.maximum(_beyond(x, anchor, sign), 0.0)
+        part = _beyond(ranked[:width], anchor, sign)
+    m2_hat = float(x.dot(x)) / pilot
+    m2_low = m2_hat / constants.pilot_safety
+    m2_up = m2_hat * constants.pilot_safety
+    tau = epsilon * min(4.0, (math.sqrt(m2_low) + 1.0) ** 2)
+    n = math.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
+    counts = rng.multinomial(n, ps[:width + 1])
+    sub._record_classical(pilot + n)
+    return float(counts[:width].dot(part)) / max(n, 1), m2_hat, n
 
 
 def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
@@ -205,8 +238,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     multinomial over the side plus one lumped atom, the next in order, to
     which numpy's multinomial gives the rest of the mass: the full multinomial
     with the zero-valued atoms aggregated, so the sample mean has the same
-    law.  With anchors None there is one run, of atoms itself, over the whole
-    law (ranked = atoms, width = size) with no lumped atom.
+    law.  _part_mean runs the one-run case.
 
     Every pilot precedes every main sample, and runs go in chunks of at most
     _ROW_CHUNK drawn elements, so the draws do not depend on the chunking.
@@ -215,21 +247,6 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     """
     pilot = constants.pilot_runs
     rows = widths.size
-    if rows == 1:  # a lone run in scalars: array calls would dominate its cost
-        width = widths.item()
-        x = atoms.take(sub._cum.searchsorted(rng.random(pilot), side="right"), mode="clip")
-        part = ranked
-        if anchors is not None:
-            anchor = anchors.item()
-            x = np.maximum(_beyond(x, anchor, sign), 0.0)
-            part = _beyond(ranked[:width], anchor, sign)
-        m2_hat = x.dot(x) / pilot
-        n = int(_main_samples(m2_hat, epsilon, constants))
-        counts = rng.multinomial(n, ps[:width + 1])
-        mean = counts[:width].dot(part) / max(n, 1)
-        sub._record_classical(pilot + n)
-        return np.array([mean]), np.array([m2_hat]), np.array([n])
-
     m2_hat = np.empty(rows)
     step = max(1, _ROW_CHUNK // pilot)
     for lo in range(0, rows, step):
@@ -280,25 +297,25 @@ def bounded_l2_estimate(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     out_of_contract = not (epsilon < 0.5)
-    means, m2_hat, samples = _part_means(sub, sub.values, sub.values, sub._pvals,
-                                         np.array([sub.values.size]), None, 1.0, epsilon,
-                                         rng, constants)
+    mean, m2_hat, samples = _part_mean(sub, sub.values, sub.values, sub._pvals,
+                                       sub.values.size, None, 1.0, epsilon, rng, constants)
 
     charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum) if charge else 0
     if charge:
         sub.charge_quantum(charged)
     return MeanEstimate(
-        value=float(means[0]),
+        value=mean,
         charged_executions=charged,
-        classical_executions=constants.pilot_runs + int(samples[0]),
+        classical_executions=constants.pilot_runs + samples,
         mode="bounded-l2",
         out_of_contract=out_of_contract,
-        details={"second_moment_pilot": float(m2_hat[0]), "samples": int(samples[0])},
+        details={"second_moment_pilot": m2_hat, "samples": samples},
     )
 
 
-def _residual_parts(sub: FiniteLaw, scale: float, drawn: np.ndarray) -> tuple[tuple, tuple]:
-    """The minus and plus parts of runs anchored at the drawn values, for _part_means.
+def _residual_parts(sub: FiniteLaw, scale: float, drawn) -> tuple[tuple, tuple]:
+    """The minus and plus parts of runs anchored at the drawn values, for _part_means,
+    or of one run anchored at a drawn float, for _part_mean.
 
     Each is (atoms, ranked, ps, widths, anchors, sign) in units of
     6*scale, where an anchor is itself an atom's value and so lies on neither
@@ -369,20 +386,33 @@ def multiplicative_runs(
 
     scale = sigma * b
     drawn = sub.draw(repetitions, rng)
-    m_tilde = drawn / scale
     eps_inner = epsilon * a / (48.0 * sigma * b)
-    minus, plus = _residual_parts(sub, scale, drawn)
-    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
-    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
+    fixed_draws = 1 + 2 * constants.pilot_runs
+    if repetitions == 1:  # a lone run in scalars: array calls would dominate its cost
+        anchor = drawn.item()
+        minus, plus = _residual_parts(sub, scale, anchor)
+        mu_minus, _, n_minus = _part_mean(sub, *minus, eps_inner, rng, constants)
+        mu_plus, _, n_plus = _part_mean(sub, *plus, eps_inner, rng, constants)
+        m_tilde = anchor / scale
+        value, m_tilde, mu_minus, mu_plus = np.array(
+            [[scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)], [m_tilde], [mu_minus], [mu_plus]])
+        executions = np.array([n_minus + n_plus + fixed_draws])
+    else:
+        m_tilde = drawn / scale
+        minus, plus = _residual_parts(sub, scale, drawn)
+        mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
+        mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
+        value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
+        executions = (n_minus + n_plus) + fixed_draws
 
     charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
     sub.charge_quantum(repetitions * charged)
     return MultiplicativeRuns(
-        value=scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus),
+        value=value,
         m_tilde=m_tilde,
         mu_minus=mu_minus,
         mu_plus=mu_plus,
-        classical_executions=(n_minus + n_plus) + (1 + 2 * constants.pilot_runs),
+        classical_executions=executions,
         scale=scale,
         charged_executions=charged,
         out_of_contract=out_of_contract,

@@ -36,6 +36,35 @@ def test_counts_must_be_non_negative_integers():
         RationalDistribution(0, ())
 
 
+def test_from_counts_rejects_counts_that_are_not_integers():
+    # int() would round these down to (1, 2) over S = 3
+    with pytest.raises(ValueError, match="must be Python or numpy integers"):
+        from_counts([1.9, 2.1])
+    with pytest.raises(ValueError, match="must be an integer"):
+        from_counts([1, 1], denominator=2.0)
+
+
+def test_constructor_rejects_bool_counts():
+    with pytest.raises(ValueError, match="must be non-negative integers"):
+        RationalDistribution(2, (True, True))
+
+
+def test_constructor_rejects_a_bool_denominator():
+    with pytest.raises(ValueError, match="must be an integer"):
+        RationalDistribution(True, (1,))
+
+
+def test_numpy_integers_are_accepted_as_python_ints():
+    dist = from_counts(np.array([1, 2, 3], dtype=np.uint8), denominator=np.int64(6))
+    assert dist == RationalDistribution(6, (1, 2, 3))
+    assert {type(c) for c in dist.counts} == {int}
+    assert type(RationalDistribution(np.int32(3), (1, 2)).denominator) is int
+    assert json.loads(RationalDistribution(np.int64(3), (1, 2)).to_json())["S"] == 3
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="must be Python or numpy integers"):
+            from_counts([1, flag])
+
+
 def test_fraction_is_exact():
     dist = from_counts([1, 3])
     assert dist.fraction(1) == Fraction(1, 4)

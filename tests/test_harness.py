@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from qentropy import harness
 from qentropy.cli import main
+from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import shannon_entropy
 from qentropy.harness import (
     CSV_COLUMNS,
@@ -273,6 +275,20 @@ def test_collision_rows_match_brute_force(length, k, chunk, data):
     assert counts.tolist() == [_brute_force_collisions(row, k) for row in rows]
 
 
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(1, 7), k=st.integers(1, 5), chunk=st.integers(1, 4),
+       data=st.data())
+def test_collision_rows_match_the_sort_based_counter(length, k, chunk, data):
+    # The suite's hockey-stick count against the estimator's sort and
+    # run-length count, row by row: each method checks the other.
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(-2, 3), min_size=length,
+                                                max_size=length), min_size=1, max_size=9)),
+                    dtype=np.int64)
+    with mock.patch.object(harness, "_ROW_CHUNK", chunk):
+        counts = _collision_counts_rows(rows, k)
+    assert counts.tolist() == [count_row_collisions(rows[r:r + 1], k) for r in range(len(rows))]
+
+
 @pytest.mark.parametrize("n, length, k", harness._COLLISION_GRID)
 def test_enumerated_sequences_match_itertools_product(n, length, k):
     expected = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
@@ -318,6 +334,32 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "sum(counts) != S" in capsys.readouterr().err
     assert main(["estimate", "--algo", "kl", "--dist", "uniform:4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _verify_json_rows(capsys, suite):
+    assert main(["verify", suite, "--json"]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_verify_checks_match_the_pinned_rows(capsys):
+    # Every check of every suite, margins to the last bit: any change to an
+    # RNG stream, a grid or a float path under `verify` fails here.
+    pinned = json.loads(Path(__file__).with_name("verify_pin.json").read_text())
+    rows = [[r["suite"], r["name"], r["passed"], r["known_defect"], repr(r["margin"]),
+             r["detail"]] for r in _verify_json_rows(capsys, "all")]
+    assert rows == pinned
+
+
+def test_cli_verify_json_carries_the_text_report(capsys):
+    assert main(["verify", "poisson"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    rows = _verify_json_rows(capsys, "poisson")
+    assert len(text) == len(rows) + 1  # the text report ends with a summary
+    for line, row in zip(text, rows):
+        status = "pass" if row["passed"] else "KNOWN-DEFECT" if row["known_defect"] else "FAIL"
+        assert line == "[%s] %s/%s  margin=%+.3e  (%s)" % (
+            status, row["suite"], row["name"], row["margin"], row["detail"])
+    assert type(rows[0]["margin"]) is float
 
 
 def test_cli_verify_exit_codes(capsys):
