@@ -34,9 +34,8 @@ from .estimators import (
     annealing_schedule,
     estimate_kl,
     estimate_min_entropy,
-    estimate_power_sum_high,
+    estimate_power_sum_annealed,
     estimate_power_sum_integer,
-    estimate_power_sum_low,
     estimate_renyi,
     estimate_shannon,
     estimate_support_coverage,
@@ -60,9 +59,8 @@ __all__ = [
     "estamp_prime_floor",
     "estimate_kl",
     "estimate_min_entropy",
-    "estimate_power_sum_high",
+    "estimate_power_sum_annealed",
     "estimate_power_sum_integer",
-    "estimate_power_sum_low",
     "estimate_renyi",
     "estimate_shannon",
     "estimate_support_coverage",

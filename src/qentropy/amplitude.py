@@ -33,7 +33,7 @@ _GRID_TOLERANCE = 1e-14
 _NORMALIZATION_TOLERANCE = 1e-9
 
 # Outcome tables are cached by (a, M) up to this many bytes of arrays, least
-# recently used out first.  A table at M = 2^17 holds about 2 MB.
+# recently used out first.  A table at M = 2^17 holds about 1 MB.
 _TABLE_CACHE_BYTES = 64 << 20
 
 
@@ -94,7 +94,6 @@ class EstAmpDistribution:
 
     M: int
     a: float
-    omega: float
     grid: np.ndarray          # indices l of the outcomes with mass, ascending
     probabilities: np.ndarray
     raw_total: float          # mass before renormalization; should be ~1.0
@@ -102,7 +101,6 @@ class EstAmpDistribution:
     def __post_init__(self):
         self.grid.setflags(write=False)
         self.probabilities.setflags(write=False)
-        object.__setattr__(self, "_cumulative", np.cumsum(self.probabilities))
 
     @property
     def values(self) -> np.ndarray:
@@ -111,15 +109,7 @@ class EstAmpDistribution:
 
     @property
     def nbytes(self) -> int:
-        return self.grid.nbytes + self.probabilities.nbytes + self._cumulative.nbytes
-
-    def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(count)
-        idx = np.searchsorted(self._cumulative, u, side="right")
-        return grid_value(self.grid[np.minimum(idx, len(self.grid) - 1)], self.M)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_many(1, rng)[0])
+        return self.grid.nbytes + self.probabilities.nbytes
 
     def mass_within(self, center: float, radius: float) -> float:
         """Total probability of outcomes v with |v - center| <= radius."""
@@ -181,20 +171,10 @@ def _build_table(a: float, M: int) -> EstAmpDistribution:
             "outcome law lost mass: sums to %.17g for a=%r M=%d" % (raw_total, a, M)
         )
     grid = np.flatnonzero(merged)  # exact zeros only appear for on-grid phases
-    omega = math.asin(math.sqrt(a)) / math.pi
     return EstAmpDistribution(
-        M=M, a=a, omega=omega, grid=grid,
+        M=M, a=a, grid=grid,
         probabilities=merged[grid] / raw_total, raw_total=raw_total,
     )
-
-
-def sample_estamp(
-    oracle: DistributionOracle, symbol: int, M: int, rng: np.random.Generator
-) -> float:
-    """One M-query amplitude estimate of p_symbol; charges M under "estamp"."""
-    a = float(oracle.preimage_fraction(symbol))
-    oracle.ledger.charge("estamp", M)
-    return estamp_distribution(a, M).sample(rng)
 
 
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
@@ -222,7 +202,13 @@ def sample_estamp_multiplicative(
     """Relative-error amplitude estimate assuming p_symbol >= p_floor.
 
     Returns (estimate, M); with probability at least 8/pi^2 the estimate is
-    within relative epsilon whenever the floor assumption holds.
+    within relative epsilon whenever the floor assumption holds.  The one
+    M-query invocation is charged M under "estamp" and drawn from the
+    outcome table with one uniform.
     """
     M = multiplicative_budget(epsilon, p_floor)
-    return sample_estamp(oracle, symbol, M, rng), M
+    a = float(oracle.preimage_fraction(symbol))
+    oracle.ledger.charge("estamp", M)
+    table = estamp_distribution(a, M)
+    idx = np.cumsum(table.probabilities).searchsorted(rng.random(1), side="right")
+    return float(grid_value(table.grid[np.minimum(idx, table.grid.size - 1)], M)[0]), M

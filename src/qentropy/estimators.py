@@ -19,7 +19,7 @@ modeled routines only touch the oracle inside the search subroutine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -262,22 +262,31 @@ def shannon_budget(n: int, epsilon: float, shift: int = 0) -> int:
     return _pow2_at_least(math.sqrt(n) / epsilon, shift)
 
 
-def annealed_budget_high(n: int, epsilon: float, shift: int = 1) -> int:
-    x = math.sqrt(n) / epsilon
-    return _pow2_at_least(x * max(math.log(x), 1.0), shift)
-
-
-def annealed_budget_low(n: int, alpha: float, epsilon: float, shift: int = 1) -> int:
-    x = n ** (1.0 / (2.0 * alpha)) / epsilon
-    return _pow2_at_least(x * max(math.log(x), 1.0), shift)
-
-
 def coverage_budget(n_samples: int, epsilon: float, shift: int = 0) -> int:
     return _pow2_at_least(math.sqrt(n_samples / epsilon), shift)
 
 
 # ---------------------------------------------------------------------------
-# Shannon entropy and KL divergence
+# additive estimators: Shannon entropy, KL divergence, support coverage
+
+
+def _additive_mean(sub, sigma: float, target: float, extras: dict,
+                   cfg: EstimatorConfig) -> float:
+    """Shared tail of the additive estimators.
+
+    Records the payoff law's exact moments in extras, then returns its exact
+    mean (exact-expectation mode) or a qmean_additive estimate at the target
+    error, recording that contract's charge and flag.
+    """
+    exact_mean, exact_var = sub.mean(), sub.variance()
+    extras.update(exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
+                  variance_bound_exceeded=bool(exact_var > sigma ** 2))
+    if cfg.mode == "exact-expectation":
+        return exact_mean
+    me = qmean_additive(sub, sigma, target, cfg.rng(), cfg.constants)
+    extras.update(charged_executions=me.charged_executions,
+                  out_of_contract=me.out_of_contract)
+    return me.value
 
 
 def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
@@ -292,21 +301,10 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
     M = shannon_budget(n, eps, cfg.constants.shannon_m_shift)
     sub = MasterSubroutine(oracle, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
-    exact_mean, exact_var = sub.mean(), sub.variance()
-    truth = shannon_entropy(oracle.source)
-    extras = {
-        "M": M, "sigma": sigma,
-        "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
-        "variance_bound_exceeded": bool(exact_var > sigma ** 2),
-    }
-    if cfg.mode == "exact-expectation":
-        return _finish("shannon", exact_mean, truth, "additive", eps, oracle, cfg,
-                       alpha=1.0, extras=extras)
-    me = qmean_additive(sub, sigma, eps / 2.0, cfg.rng(), cfg.constants)
-    extras["charged_executions"] = me.charged_executions
-    extras["out_of_contract"] = me.out_of_contract
-    return _finish("shannon", me.value, truth, "additive", eps, oracle, cfg,
-                   alpha=1.0, extras=extras)
+    extras = {"M": M, "sigma": sigma}
+    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg)
+    return _finish("shannon", value, shannon_entropy(oracle.source), "additive", eps,
+                   oracle, cfg, alpha=1.0, extras=extras)
 
 
 def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
@@ -329,24 +327,13 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
             raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i" % (i, ratio_bound))
     n, eps = p.n, cfg.epsilon
     shift = cfg.constants.kl_m_shift
-    M_p = _pow2_at_least(math.sqrt(n) / eps, shift)
+    M_p = shannon_budget(n, eps, shift)
     M_q = _pow2_at_least(math.sqrt(n) * ratio_bound / eps, shift)
     sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
-    exact_mean, exact_var = sub.mean(), sub.variance()
-    truth = kl_divergence(p, q)
-    extras = {
-        "M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound,
-        "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
-        "variance_bound_exceeded": bool(exact_var > sigma ** 2),
-    }
-    if cfg.mode == "exact-expectation":
-        return _finish("kl", exact_mean, truth, "additive", eps, oracle_p, cfg,
-                       ledger_q=oracle_q.ledger, extras=extras)
-    me = qmean_additive(sub, sigma, eps / 2.0, cfg.rng(), cfg.constants)
-    extras["charged_executions"] = me.charged_executions
-    extras["out_of_contract"] = me.out_of_contract
-    return _finish("kl", me.value, truth, "additive", eps, oracle_p, cfg,
+    extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
+    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg)
+    return _finish("kl", value, kl_divergence(p, q), "additive", eps, oracle_p, cfg,
                    ledger_q=oracle_q.ledger, extras=extras)
 
 
@@ -363,8 +350,8 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     """
     if n < 3:
         raise ValueError("need n >= 3 so the annealing ratio is meaningful")
-    if alpha <= 0 or alpha == 1:
-        raise ValueError("alpha must be positive and != 1")
+    if not 0 < alpha < math.inf or alpha == 1:
+        raise ValueError("alpha must be positive, finite and != 1")
     ln_n = math.log(n)
     chain = [float(alpha)]
     if alpha > 1:
@@ -376,6 +363,24 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
         while chain[-1] <= low:
             chain.append(chain[-1] / low)
     return chain
+
+
+def _level_law(oracle: DistributionOracle, level: float, eps: float,
+               high: bool) -> tuple[int, MasterSubroutine]:
+    """Budget M and payoff law x^(level-1) of one annealed level.
+
+    M is the power of two one doubling above x*max(ln x, 1), where x is
+    sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
+    below 1 use the zero-adjusted estimate, which keeps the negative power
+    finite.
+    """
+    if high:
+        x, variant = math.sqrt(oracle.n) / eps, "estamp"
+    else:
+        x, variant = oracle.n ** (1.0 / (2.0 * level)) / eps, "estamp-prime"
+    M = _pow2_at_least(x * max(math.log(x), 1.0), 1)
+    exponent = level - 1.0
+    return M, MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
 
 
 def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
@@ -415,11 +420,7 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
             b = math.e * (2.0 * estimate) ** step
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M = annealed_budget_high(n, eps_level) if high \
-            else annealed_budget_low(n, level, eps_level)
-        exponent = level - 1.0
-        variant = "estamp" if high else "estamp-prime"
-        sub = MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
+        M, sub = _level_law(oracle, level, eps_level, high)
         exact_mean, exact_var = sub.mean(), sub.variance()
 
         def level_runs(rng_, repetitions):
@@ -447,7 +448,6 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
 
 def _power_sum_report(algo: str, oracle, alpha, cfg, estimate, extras) -> EstimateReport:
     truth = power_sum(oracle.source, alpha)
-    extras = dict(extras)
     extras["entropy_estimate_nats"] = (
         math.log(estimate) / (1.0 - alpha) if estimate > 0 else None)
     extras["entropy_truth_nats"] = math.log(truth) / (1.0 - alpha)
@@ -455,34 +455,22 @@ def _power_sum_report(algo: str, oracle, alpha, cfg, estimate, extras) -> Estima
                    oracle, cfg, alpha=alpha, extras=extras)
 
 
-def estimate_power_sum_high(oracle: DistributionOracle, alpha: float,
-                            cfg: EstimatorConfig) -> EstimateReport:
-    """Relative-error power sum for non-integer alpha > 1, success >= 1 - delta."""
-    if not alpha > 1 or float(alpha).is_integer():
-        raise ValueError("this estimator handles non-integer alpha > 1")
-    if cfg.mode == "exact-expectation":
-        M = annealed_budget_high(oracle.n, cfg.epsilon)
-        sub = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0), "estamp")
-        mean, var = sub.mean(), sub.variance()
-        return _power_sum_report("renyi-high", oracle, alpha, cfg, mean,
-                                 {"M": M, "exact_subroutine_variance": var})
-    estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
-    return _power_sum_report("renyi-high", oracle, alpha, cfg, estimate, {"schedule": trace})
+def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
+                                cfg: EstimatorConfig) -> EstimateReport:
+    """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
 
-
-def estimate_power_sum_low(oracle: DistributionOracle, alpha: float,
-                           cfg: EstimatorConfig) -> EstimateReport:
-    """Relative-error power sum for 0 < alpha < 1, success >= 1 - delta."""
-    if not 0 < alpha < 1:
-        raise ValueError("this estimator handles 0 < alpha < 1")
+    Reported as renyi-high for alpha > 1 and renyi-low for alpha < 1.
+    Exact-expectation mode reports the exact mean of the final level's law.
+    """
+    if not 0 < alpha < math.inf or float(alpha).is_integer():
+        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
+    algo = "renyi-high" if alpha > 1 else "renyi-low"
     if cfg.mode == "exact-expectation":
-        M = annealed_budget_low(oracle.n, alpha, cfg.epsilon)
-        sub = MasterSubroutine(oracle, M, lambda x: x ** (alpha - 1.0), "estamp-prime")
-        mean, var = sub.mean(), sub.variance()
-        return _power_sum_report("renyi-low", oracle, alpha, cfg, mean,
-                                 {"M": M, "exact_subroutine_variance": var})
+        M, sub = _level_law(oracle, alpha, cfg.epsilon, alpha > 1)
+        return _power_sum_report(algo, oracle, alpha, cfg, sub.mean(),
+                                 {"M": M, "exact_subroutine_variance": sub.variance()})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
-    return _power_sum_report("renyi-low", oracle, alpha, cfg, estimate, {"schedule": trace})
+    return _power_sum_report(algo, oracle, alpha, cfg, estimate, {"schedule": trace})
 
 
 # ---------------------------------------------------------------------------
@@ -631,24 +619,11 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
     t, eps = n_samples, cfg.epsilon
     M = coverage_budget(t, eps, cfg.constants.coverage_m_shift)
     sub = MasterSubroutine(oracle, M, payoff=_coverage_payoff(t), variant="estamp")
-    sigma = float(t)
-    exact_mean, exact_var = sub.mean(), sub.variance()
+    extras = {"M": M, "n_samples": t}
+    value = _additive_mean(sub, float(t), eps * t / 2.0, extras, cfg)
     truth_abs = support_coverage(oracle.source, t)
-    extras = {
-        "M": M, "n_samples": t,
-        "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
-        "variance_bound_exceeded": bool(exact_var > sigma ** 2),
-        "estimate_absolute": None, "truth_absolute": truth_abs,
-    }
-    if cfg.mode == "exact-expectation":
-        extras["estimate_absolute"] = exact_mean
-        return _finish("coverage", exact_mean / t, truth_abs / t, "additive", eps,
-                       oracle, cfg, extras=extras)
-    me = qmean_additive(sub, sigma, eps * t / 2.0, cfg.rng(), cfg.constants)
-    extras["estimate_absolute"] = me.value
-    extras["charged_executions"] = me.charged_executions
-    extras["out_of_contract"] = me.out_of_contract
-    return _finish("coverage", me.value / t, truth_abs / t, "additive", eps,
+    extras.update(estimate_absolute=value, truth_absolute=truth_abs)
+    return _finish("coverage", value / t, truth_abs / t, "additive", eps,
                    oracle, cfg, extras=extras)
 
 
@@ -672,10 +647,7 @@ def estimate_support_size(oracle: DistributionOracle, m: int,
             raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % i)
     t = math.ceil(m * math.log(2.0 / eps))
     eps_cov = eps / (2.0 * math.log(2.0 / eps))
-    inner_cfg = EstimatorConfig(
-        epsilon=eps_cov, delta=cfg.delta, seed=cfg.seed, mode=cfg.mode,
-        constants=cfg.constants, distinctness_cost=cfg.distinctness_cost)
-    inner = estimate_support_coverage(oracle, t, inner_cfg)
+    inner = estimate_support_coverage(oracle, t, replace(cfg, epsilon=eps_cov))
     absolute = inner.extras["estimate_absolute"]
     size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
     truth = src.support_size()
@@ -711,6 +683,4 @@ def estimate_renyi(oracle: DistributionOracle, alpha: float,
         return estimate_min_entropy(oracle, cfg)
     if float(alpha).is_integer():
         return estimate_power_sum_integer(oracle, int(alpha), cfg)
-    if alpha > 1:
-        return estimate_power_sum_high(oracle, alpha, cfg)
-    return estimate_power_sum_low(oracle, alpha, cfg)
+    return estimate_power_sum_annealed(oracle, alpha, cfg)

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.stats import poisson
 
 from .amplitude import estamp_distribution
-from .constants import DEFAULT_CONSTANTS
 from .distributions import (
     RationalDistribution,
     kl_divergence,
@@ -119,7 +118,7 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
         raise ValueError("n_samples must be positive")
     draws = oracle.sample_classical(rng, n_samples)
     counts = np.bincount(draws, minlength=oracle.n + 1)[1:]
-    empirical = RationalDistribution(n_samples, tuple(int(c) for c in counts))
+    empirical = RationalDistribution(n_samples, tuple(counts.tolist()))
     source = oracle.source
     undefined = False
     if measure.partition(":")[0] == "kl":
@@ -127,7 +126,7 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
             raise ValueError("KL plug-in needs oracle_q")
         draws_q = oracle_q.sample_classical(rng, n_samples)
         counts_q = np.bincount(draws_q, minlength=oracle_q.n + 1)[1:]
-        empirical_q = RationalDistribution(n_samples, tuple(int(c) for c in counts_q))
+        empirical_q = RationalDistribution(n_samples, tuple(counts_q.tolist()))
         truth = kl_divergence(source, oracle_q.source)
         if np.any((counts > 0) & (counts_q == 0)):
             undefined = True
@@ -225,6 +224,53 @@ class ExperimentConfig:
                    record_timing=raw.get("record_timing", False))
 
 
+def _config(cell: dict, seed: Optional[int]) -> EstimatorConfig:
+    return EstimatorConfig(
+        epsilon=float(cell.get("eps", 0.25)), delta=float(cell.get("delta", 0.1)),
+        seed=seed, mode=cell.get("mode", "contract"),
+        distinctness_cost=cell.get("distinctness_cost"))
+
+
+def _oracle(cell: dict, key: str = "dist") -> DistributionOracle:
+    seed = cell.get("dist_seed") if key == "dist" else None
+    return build_oracle(resolve_distribution(cell[key], seed))
+
+
+def _kl_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
+    oracle, oracle_q = _oracle(cell), _oracle(cell, "dist_q")
+    f = float(cell["f"]) if "f" in cell else ratio_bound(oracle.source, oracle_q.source)
+    return estimate_kl(oracle, oracle_q, f, _config(cell, seed))
+
+
+def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
+    oracle_q = None
+    if cell["measure"].partition(":")[0] == "kl":
+        if "dist_q" not in cell:
+            raise ValueError("KL plugin cells need 'dist_q'")
+        oracle_q = _oracle(cell, "dist_q")
+    report = classical_plugin_baseline(
+        _oracle(cell), cell["measure"], int(cell["n_samples"]),
+        np.random.default_rng(seed), oracle_q, epsilon=float(cell.get("eps", math.inf)))
+    report.seed = seed
+    return report
+
+
+# algo -> (keys its cells need besides 'algo' and 'dist', trial(cell, seed))
+_TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "shannon": ((), lambda cell, seed: estimate_shannon(_oracle(cell), _config(cell, seed))),
+    "kl": (("dist_q",), _kl_trial),
+    "renyi": (("alpha",), lambda cell, seed: estimate_renyi(
+        _oracle(cell), float(cell["alpha"]), _config(cell, seed))),
+    "minentropy": ((), lambda cell, seed: estimate_min_entropy(
+        _oracle(cell), _config(cell, seed))),
+    "coverage": (("n_samples",), lambda cell, seed: estimate_support_coverage(
+        _oracle(cell), int(cell["n_samples"]), _config(cell, seed))),
+    "support": (("m",), lambda cell, seed: estimate_support_size(
+        _oracle(cell), int(cell["m"]), _config(cell, seed))),
+    "plugin": (("measure", "n_samples"), _plugin_trial),
+}
+
+
 def run_cell_trial(cell: dict, seed: Optional[int],
                    record_timing: bool = False) -> EstimateReport:
     """Run one estimator trial described by a cell dict.
@@ -232,62 +278,20 @@ def run_cell_trial(cell: dict, seed: Optional[int],
     Cell keys: algo (shannon|kl|renyi|minentropy|coverage|support|plugin),
     dist, and per-algorithm parameters (alpha, eps, delta, dist_q, f, m,
     n_samples, measure, mode, distinctness_cost, dist_seed); any other key
-    raises ValueError.
+    raises ValueError, and so do an unknown algo and a missing key, before
+    any distribution is resolved.
     """
     _check_cell(cell)
     algo = cell.get("algo")
     if algo is None or "dist" not in cell:
         raise ValueError("cell needs at least 'algo' and 'dist'")
-    dist = resolve_distribution(cell["dist"], cell.get("dist_seed"))
+    if not isinstance(algo, str) or algo not in _TRIALS:
+        raise ValueError("unknown algo %r" % (algo,))
+    required, trial = _TRIALS[algo]
+    if any(key not in cell for key in required):
+        raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
     started = time.perf_counter()
-    if algo == "plugin":
-        if "measure" not in cell or "n_samples" not in cell:
-            raise ValueError("plugin cells need 'measure' and 'n_samples'")
-        rng = np.random.default_rng(seed)
-        oracle_q = None
-        if cell["measure"].partition(":")[0] == "kl":
-            if "dist_q" not in cell:
-                raise ValueError("KL plugin cells need 'dist_q'")
-            oracle_q = build_oracle(resolve_distribution(cell["dist_q"]))
-        report = classical_plugin_baseline(
-            build_oracle(dist), cell["measure"], int(cell["n_samples"]), rng,
-            oracle_q, epsilon=float(cell.get("eps", math.inf)))
-        report.seed = seed
-    else:
-        cfg = EstimatorConfig(
-            epsilon=float(cell.get("eps", 0.25)),
-            delta=float(cell.get("delta", 0.1)),
-            seed=seed,
-            mode=cell.get("mode", "contract"),
-            constants=DEFAULT_CONSTANTS,
-            distinctness_cost=cell.get("distinctness_cost"),
-        )
-        oracle = build_oracle(dist)
-        if algo == "shannon":
-            report = estimate_shannon(oracle, cfg)
-        elif algo == "kl":
-            if "dist_q" not in cell:
-                raise ValueError("kl cells need 'dist_q'")
-            dist_q = resolve_distribution(cell["dist_q"])
-            oracle_q = build_oracle(dist_q)
-            f = float(cell["f"]) if "f" in cell else ratio_bound(dist, dist_q)
-            report = estimate_kl(oracle, oracle_q, f, cfg)
-        elif algo == "renyi":
-            if "alpha" not in cell:
-                raise ValueError("renyi cells need 'alpha'")
-            report = estimate_renyi(oracle, float(cell["alpha"]), cfg)
-        elif algo == "minentropy":
-            report = estimate_min_entropy(oracle, cfg)
-        elif algo == "coverage":
-            if "n_samples" not in cell:
-                raise ValueError("coverage cells need 'n_samples'")
-            report = estimate_support_coverage(oracle, int(cell["n_samples"]), cfg)
-        elif algo == "support":
-            if "m" not in cell:
-                raise ValueError("support cells need 'm'")
-            report = estimate_support_size(oracle, int(cell["m"]), cfg)
-        else:
-            raise ValueError("unknown algo %r" % algo)
+    report = trial(cell, seed)
     if record_timing:
         report.wall_ms = int((time.perf_counter() - started) * 1000)
     return report
@@ -408,7 +412,7 @@ def sandwich_suite(seed: int = 20260815, trials: int = 1000) -> list[CheckResult
         counts = rng.integers(0, 20, size=n)
         if counts.sum() == 0:
             counts[0] = 1
-        dist = RationalDistribution(int(counts.sum()), tuple(int(c) for c in counts))
+        dist = RationalDistribution(int(counts.sum()), tuple(counts.tolist()))
         a1, a2 = sorted(float(x) for x in rng.uniform(0.2, 5.0, size=2))
         if a2 - a1 < 1e-9:
             a2 += 1e-3

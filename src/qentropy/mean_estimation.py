@@ -280,7 +280,6 @@ def bounded_l2_estimate(
     epsilon: float,
     rng: np.random.Generator,
     constants: CostConstants = DEFAULT_CONSTANTS,
-    charge: bool = True,
 ) -> MeanEstimate:
     """Mean estimate with error epsilon*(sqrt(E[X^2])+1)^2 w.p. >= 49/50.
 
@@ -290,9 +289,6 @@ def bounded_l2_estimate(
     least epsilon since (sqrt(.)+1)^2 >= 1), the upper value bounds the
     variance for the Chebyshev sample size.  The target is also capped at
     4*epsilon, the regime the multiplicative estimator relies on.
-
-    charge=False skips the ledger charge for callers whose own theorem count
-    already covers these executions.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -300,9 +296,8 @@ def bounded_l2_estimate(
     mean, m2_hat, samples = _part_mean(sub, sub.values, sub.values, sub._pvals,
                                        sub.values.size, None, 1.0, epsilon, rng, constants)
 
-    charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum) if charge else 0
-    if charge:
-        sub.charge_quantum(charged)
+    charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum)
+    sub.charge_quantum(charged)
     return MeanEstimate(
         value=mean,
         charged_executions=charged,

@@ -32,7 +32,7 @@ class QueryLedger:
     """Per-oracle cost record.
 
     Quantum charges are grouped under free-form phase labels such as
-    "sample", "estamp" or "distinctness"; counters never decrease and the
+    "estamp" or "distinctness"; counters never decrease and the
     quantum total is, by construction, the sum of the per-phase records.
     Classical executions (work the simulator really did) are tracked
     separately and never mix with the quantum counters.
@@ -103,11 +103,6 @@ class DistributionOracle:
         if far.size:
             out[far] = np.searchsorted(self.cum, positions[far], side="right") + 1
         return out
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Evaluate the oracle at a uniform position; charges 1 quantum query."""
-        self.ledger.charge("sample", 1)
-        return int(self.symbols(np.array([rng.integers(self.size)]))[0])
 
     def sample_classical(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Classical draws (plug-in baselines); recorded as classical work only."""

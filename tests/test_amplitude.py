@@ -14,7 +14,6 @@ from qentropy.amplitude import (
     grid_value,
     measurement_probabilities,
     multiplicative_budget,
-    sample_estamp,
     sample_estamp_multiplicative,
 )
 from qentropy.distributions import from_counts
@@ -162,12 +161,14 @@ def test_sampling_is_seeded_and_charged():
     orc = build_oracle(uniform(4))
     rng_a = np.random.default_rng(12)
     rng_b = np.random.default_rng(12)
-    xs = [sample_estamp(orc, 1, 32, rng_a) for _ in range(20)]
-    ys = [sample_estamp(orc, 1, 32, rng_b) for _ in range(20)]
+    xs = [sample_estamp_multiplicative(orc, 1, 0.5, 0.25, rng_a) for _ in range(20)]
+    ys = [sample_estamp_multiplicative(orc, 1, 0.5, 0.25, rng_b) for _ in range(20)]
     assert xs == ys
-    assert orc.ledger.phases["estamp"] == 2 * 20 * 32
-    grid = {grid_value(l, 32) for l in range(17)}
-    assert set(xs) <= grid
+    M = multiplicative_budget(0.5, 0.25)
+    assert {used for _, used in xs} == {M}
+    assert orc.ledger.phases["estamp"] == 2 * 20 * M
+    grid = {grid_value(l, M) for l in range(M // 2 + 1)}
+    assert {est for est, _ in xs} <= grid
 
 
 def test_estamp_prime_never_returns_zero():

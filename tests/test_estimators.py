@@ -23,9 +23,8 @@ from qentropy.estimators import (
     coverage_budget,
     estimate_kl,
     estimate_min_entropy,
-    estimate_power_sum_high,
+    estimate_power_sum_annealed,
     estimate_power_sum_integer,
-    estimate_power_sum_low,
     estimate_renyi,
     estimate_shannon,
     estimate_support_coverage,
@@ -90,8 +89,9 @@ def test_annealing_schedule_validation():
         annealing_schedule(1.0, 16)
     with pytest.raises(ValueError):
         annealing_schedule(0.5, 2)
-    with pytest.raises(ValueError):
-        annealing_schedule(-0.5, 16)
+    for alpha in (-0.5, math.inf, math.nan):  # an infinite order never reaches 1
+        with pytest.raises(ValueError):
+            annealing_schedule(alpha, 16)
 
 
 def test_exact_expectation_matches_direct_table_sum():
@@ -404,16 +404,14 @@ def test_renyi_dispatch_routes_by_order():
 
 def test_power_sum_high_rejects_bad_orders():
     orc = build_oracle(uniform(16))
-    with pytest.raises(ValueError):
-        estimate_power_sum_high(orc, 0.75, cfg())
-    with pytest.raises(ValueError):
-        estimate_power_sum_high(orc, 2.0, cfg())
-    with pytest.raises(ValueError):
-        estimate_power_sum_low(orc, 1.5, cfg())
+    for alpha in (2.0, 1.0, 0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            estimate_power_sum_annealed(orc, alpha, cfg())
 
 
 def test_power_sum_high_trace_shape():
-    rep = estimate_power_sum_high(build_oracle(uniform(16)), 2.5, cfg(seed=3))
+    rep = estimate_power_sum_annealed(build_oracle(uniform(16)), 2.5, cfg(seed=3))
+    assert rep.algo == "renyi-high"
     sched = rep.extras["schedule"]
     assert [lvl["alpha"] for lvl in sched] == pytest.approx(
         list(reversed(annealing_schedule(2.5, 16))))
@@ -431,10 +429,10 @@ def test_power_sum_high_trace_shape():
 
 
 def test_power_sum_exact_expectation_mode():
-    rep = estimate_power_sum_high(
+    rep = estimate_power_sum_annealed(
         build_oracle(uniform(16)), 2.5, cfg(mode="exact-expectation"))
     # deterministic: the exact subroutine mean at the target order, no sampling
-    again = estimate_power_sum_high(
+    again = estimate_power_sum_annealed(
         build_oracle(uniform(16)), 2.5, cfg(seed=99, mode="exact-expectation"))
     assert rep.estimate == again.estimate
     assert rep.extras["M"] & (rep.extras["M"] - 1) == 0
@@ -444,7 +442,8 @@ def test_power_sum_exact_expectation_mode():
 
 
 def test_power_sum_low_contract():
-    rep = estimate_power_sum_low(build_oracle(uniform(16)), 0.75, cfg(eps=0.5, seed=5))
+    rep = estimate_renyi(build_oracle(uniform(16)), 0.75, cfg(eps=0.5, seed=5))
+    assert rep.algo == "renyi-low"
     assert rep.error_mode == "multiplicative"
     assert rep.truth == pytest.approx(16 ** (1 - 0.75), rel=1e-12)
     assert rep.success

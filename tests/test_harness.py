@@ -112,6 +112,20 @@ def test_run_cell_trial_requires_algo_keys():
         run_cell_trial({"dist": "uniform:8"}, 0)
     with pytest.raises(ValueError):
         run_cell_trial({"algo": "kl", "dist": "uniform:8"}, 0)
+    # The algo and its keys are checked before any distribution is resolved.
+    bad = "no-such-family:8"
+    with pytest.raises(ValueError, match="unknown algo 'entropy'"):
+        run_cell_trial({"algo": "entropy", "dist": bad}, 0)
+    with pytest.raises(ValueError, match="unknown algo"):
+        run_cell_trial({"algo": ["shannon"], "dist": bad}, 0)
+    with pytest.raises(ValueError, match="plugin cells need 'measure' and 'n_samples'"):
+        run_cell_trial({"algo": "plugin", "dist": bad, "measure": "shannon"}, 0)
+    with pytest.raises(ValueError, match="KL plugin cells need 'dist_q'"):
+        run_cell_trial({"algo": "plugin", "dist": bad, "measure": "kl", "n_samples": 8}, 0)
+    for algo, key in (("kl", "dist_q"), ("renyi", "alpha"), ("coverage", "n_samples"),
+                      ("support", "m")):
+        with pytest.raises(ValueError, match="%s cells need '%s'" % (algo, key)):
+            run_cell_trial({"algo": algo, "dist": bad}, 0)
 
 
 # The exact ratio bound of this pair is 4/3; its float rounds below it and
@@ -348,6 +362,43 @@ def test_verify_checks_match_the_pinned_rows(capsys):
     rows = [[r["suite"], r["name"], r["passed"], r["known_defect"], repr(r["margin"]),
              r["detail"]] for r in _verify_json_rows(capsys, "all")]
     assert rows == pinned
+
+
+# One `qentropy estimate` call per algorithm and path, each run in both modes.
+ESTIMATE_CASES = {
+    "shannon": ["--algo", "shannon", "--dist", "zipf:1.5:16"],
+    "kl-f": ["--algo", "kl", "--dist", "zipf:1.5:8", "--dist-q", "uniform:8", "--f-n", "4"],
+    "kl": ["--algo", "kl", "--dist", "zipf:1.5:8", "--dist-q", "uniform:8"],
+    "renyi-0.75": ["--algo", "renyi", "--dist", "zipf:1.5:16", "--alpha", "0.75",
+                   "--eps", "0.5"],
+    "renyi-2": ["--algo", "renyi", "--dist", "zipf:1.5:16", "--alpha", "2"],
+    "renyi-2.5": ["--algo", "renyi", "--dist", "zipf:1.5:16", "--alpha", "2.5"],
+    "renyi-inf": ["--algo", "renyi", "--dist", "zipf:1.5:16", "--alpha", "inf",
+                  "--eps", "0.5"],
+    "coverage": ["--algo", "coverage", "--dist", "zipf:1.5:8", "--n-samples", "16"],
+    "support": ["--algo", "support", "--dist", "zipf:1.5:8", "--m", "16"],
+    "plugin": ["--algo", "plugin", "--dist", "zipf:1.5:16", "--measure", "shannon",
+               "--n-samples", "512"],
+    "plugin-kl": ["--algo", "plugin", "--dist", "zipf:1.5:8", "--dist-q", "uniform:8",
+                  "--measure", "kl", "--n-samples", "512"],
+}
+
+
+def _estimate_json(capsys, case, mode):
+    argv = ["estimate", *ESTIMATE_CASES[case], "--mode", mode, "--seed", "7"]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("mode", ["contract", "exact-expectation"])
+@pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
+    # The whole report, extras and ledgers included, to the last bit of every
+    # float (json writes a float as its repr).
+    pinned = json.loads(Path(__file__).with_name("estimate_pin.json").read_text())
+    report = _estimate_json(capsys, case, mode)
+    assert json.dumps(report, sort_keys=True) == \
+        json.dumps(pinned["%s/%s" % (case, mode)], sort_keys=True)
 
 
 def test_cli_verify_json_carries_the_text_report(capsys):

@@ -136,11 +136,8 @@ def test_bounded_l2_tracks_the_mean():
 def test_bounded_l2_charge_flag():
     ledger = QueryLedger()
     sub = FiniteLaw([0.5, 1.5], [0.5, 0.5], ((ledger, "estamp", 8),))
-    bounded_l2_estimate(sub, 0.25, np.random.default_rng(2), charge=False)
-    assert "estamp" not in ledger.phases
-    assert ledger.classical_executions > 0
-    bounded_l2_estimate(sub, 0.25, np.random.default_rng(2), charge=True)
-    assert ledger.phases["estamp"] > 0
+    est = bounded_l2_estimate(sub, 0.25, np.random.default_rng(2))
+    assert ledger.phases["estamp"] == 8 * est.charged_executions > 0
 
 
 def test_multiplicative_identity_and_contract():

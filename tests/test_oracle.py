@@ -33,7 +33,7 @@ def test_every_position_reads_the_sorted_layout(counts):
     assert orc.guide.size < 8 * dist.n
     for seed in range(3):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert orc.sample(rng) == layout[replay.integers(dist.denominator)]
+        assert orc.draws_for_simulation(rng, 1)[0] == layout[replay.integers(dist.denominator)]
 
 
 def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
@@ -45,7 +45,7 @@ def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
     assert orc.symbols(np.array([0, S - 2, S - 1])).tolist() == [1, 1, 2]
     draws = orc.draws_for_simulation(np.random.default_rng(3), 1000)
     assert set(draws.tolist()) <= {1, 2}
-    assert orc.sample(np.random.default_rng(4)) in (1, 2)
+    assert orc.draws_for_simulation(np.random.default_rng(4), 1)[0] in (1, 2)
 
 
 def test_denominator_beyond_int64_positions_is_rejected():
@@ -54,7 +54,7 @@ def test_denominator_beyond_int64_positions_is_rejected():
         build_oracle(RationalDistribution(S, (S - 1, 1)))
     orc = build_oracle(RationalDistribution(S - 1, (S - 2, 1)))
     assert orc.symbols(np.array([0, S - 3, S - 2])).tolist() == [1, 1, 2]
-    assert orc.sample(np.random.default_rng(0)) in (1, 2)
+    assert orc.draws_for_simulation(np.random.default_rng(0), 1)[0] in (1, 2)
 
 
 def test_seeded_draw_stream_is_frozen():
@@ -64,25 +64,14 @@ def test_seeded_draw_stream_is_frozen():
     assert orc.draws_for_simulation(np.random.default_rng(2026), 12).tolist() == [
         6, 1, 1, 2, 1, 1, 1, 1, 2, 1, 5, 4]
     rng = np.random.default_rng(5)
-    assert [orc.sample(rng) for _ in range(6)] == [3, 5, 1, 5, 1, 2]
+    assert [orc.draws_for_simulation(rng, 1)[0] for _ in range(6)] == [3, 5, 1, 5, 1, 2]
     orc = build_oracle(from_counts([40, 0, 25, 3, 0, 70, 11, 0]))
     assert orc.shift == 3
     assert orc.draws_for_simulation(np.random.default_rng(2026), 24).tolist() == [
         6, 1, 1, 6, 3, 6, 1, 3, 6, 3, 6, 6, 6, 6, 6, 1, 6, 6, 1, 3, 1, 7, 6, 6]
     rng = np.random.default_rng(5)
-    assert [orc.sample(rng) for _ in range(10)] == [6, 6, 1, 6, 6, 6, 6, 3, 7, 1]
-
-
-def test_sample_charges_one_quantum_query():
-    orc = build_oracle(uniform(4))
-    rng = np.random.default_rng(0)
-    for _ in range(7):
-        s = orc.sample(rng)
-        assert 1 <= s <= 4
-    snap = orc.ledger.snapshot()
-    assert snap["phases"] == {"sample": 7}
-    assert snap["quantum_total"] == 7
-    assert snap["classical_executions"] == 0
+    assert [orc.draws_for_simulation(rng, 1)[0] for _ in range(10)] == [
+        6, 6, 1, 6, 6, 6, 6, 3, 7, 1]
 
 
 def test_classical_draws_never_touch_quantum_counters():
