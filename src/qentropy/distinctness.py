@@ -132,11 +132,20 @@ def find_k_collision(
     false positive and are always answered truthfully.  Charges the cost
     model under phase "distinctness".
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     arr = np.asarray(seq)
     if ledger is not None:
         ledger.charge("distinctness", model.charge(k, int(arr.size), fail_prob, scale))
-    values, counts = (np.array([]), np.array([])) if arr.size == 0 else np.unique(arr, return_counts=True)
-    candidates = values[counts >= k]
+    # In sorted order a symbol occurs at least k times exactly when it fills
+    # a window of k entries.  The first full window of each run leaves the
+    # candidates ascending and distinct, as np.unique would list them.
+    ordered = np.sort(arr, axis=None)
+    starts = ordered[:max(ordered.size - k + 1, 0)]
+    full = starts[starts == ordered[k - 1:]]
+    first = np.ones(full.shape, dtype=bool)
+    np.not_equal(full[1:], full[:-1], out=first[1:])
+    candidates = full[first]
 
     lie = arr.size >= k and float(rng.random()) < fail_prob
     if lie:

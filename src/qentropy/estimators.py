@@ -491,9 +491,9 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
     pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
     their exact collision counts averaged.  Each count has expectation
-    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Each
-    counting round is one draw call, and rounds are mapped to symbols and
-    counted a chunk of at most _COUNT_CHUNK positions at a time.  Quantum
+    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
+    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
+    positions at a time, with one draw call per chunk.  Quantum
     charges go through the distinctness cost model only; the sequence draws
     themselves are classical bookkeeping.
     """
@@ -521,18 +521,17 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     denominator = math.comb(length, alpha)
     round_charge = model.charge(alpha, length, fail_count, scale)
     chunk_rows = max(1, _COUNT_CHUNK // length)
-    positions = np.empty((min(rounds, chunk_rows), length), dtype=np.int64)
     total = 0
     for done in range(0, rounds, chunk_rows):
-        rows = positions[:min(chunk_rows, rounds - done)]
-        # One draw call per round: a single call for the whole chunk would
-        # consume the generator differently once a bounded draw is rejected.
-        for row in rows:
-            row[:] = rng.integers(oracle.size, size=length)
-        symbols = oracle.symbols(rows.reshape(-1)).reshape(rows.shape)
+        rows = min(chunk_rows, rounds - done)
+        # One call for the chunk gives the same positions, and leaves the same
+        # generator state, as one call per round: bounded draws take their
+        # bits from the bit generator value by value, rejections included.
+        positions = rng.integers(oracle.size, size=(rows, length))
+        symbols = oracle.symbols(positions.reshape(-1)).reshape(rows, length)
         total += count_row_collisions(symbols, alpha)
-        oracle.ledger.charge_classical(len(rows) * length)
-        oracle.ledger.charge("distinctness", len(rows) * round_charge)
+        oracle.ledger.charge_classical(rows * length)
+        oracle.ledger.charge("distinctness", rows * round_charge)
     estimate = total / (rounds * denominator)
     extras = {
         "fixed_length": length, "rounds": rounds, "collision_total": total,

@@ -43,7 +43,7 @@ def zipf(s: float, n: int) -> RationalDistribution:
     weights = [i ** -s for i in range(1, n + 1)]
     z = sum(weights)
     S = n * math.ceil(z)
-    shares = np.array(weights) / z * S
+    shares = np.fromiter(weights, np.float64, n) / z * S
     floors = np.floor(shares)
     # Largest remainders first, ties in bin order.
     order = np.argsort(floors - shares, kind="stable")

@@ -155,3 +155,39 @@ def test_short_sequences_cannot_collide():
     model = COST_MODELS["flat34"]
     assert find_k_collision([7], 2, 0.0, model, rng) is None
     assert find_k_collision([], 2, 0.0, model, rng) is None
+
+
+def unique_reference(seq, k, fail_prob, rng):
+    """find_k_collision's verdict from np.unique's candidate list."""
+    arr = np.asarray(seq)
+    values, counts = (np.array([]), np.array([])) if arr.size == 0 else np.unique(arr, return_counts=True)
+    candidates = values[counts >= k]
+    lie = arr.size >= k and float(rng.random()) < fail_prob
+    if lie:
+        if candidates.size > 0:
+            return None
+        return int(arr[int(rng.integers(arr.size))])
+    if candidates.size > 0:
+        return int(candidates[int(rng.integers(candidates.size))])
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                    max_size=30),
+       k=st.integers(1, 6), fail_prob=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32))
+def test_sorted_window_search_matches_unique(seq, k, fail_prob, seed):
+    # Same symbol and same generator state as a search over np.unique's
+    # (symbol, count) table, so replacing it moved no stream.
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    found = find_k_collision(np.array(seq, dtype=np.int64), k, fail_prob,
+                             COST_MODELS["flat34"], ours)
+    assert found == unique_reference(np.array(seq, dtype=np.int64), k, fail_prob, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_find_collision_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        find_k_collision([1, 1, 2], k, 0.0, COST_MODELS["flat34"], np.random.default_rng(0))

@@ -517,6 +517,23 @@ def test_count_chunks_leave_the_report_unchanged(name, rows, monkeypatch):
         assert again.to_dict() == rep.to_dict()
 
 
+@pytest.mark.parametrize("size", [1, 16, 1 << 24, 12288, 3 << 30, (1 << 32) - 1, 1 << 32,
+                                  (1 << 32) + 1, 3 << 61])
+def test_one_bounded_draw_per_chunk_is_one_per_round(size):
+    # The count phase draws a chunk of rounds with one call.  That keeps the
+    # stream of one call per round only while the generator hands out bounded
+    # draws value by value, rejections (a quarter of them at 3 * 2^30) and
+    # the spare 32-bit half of an odd-length call included; a numpy that
+    # changes this must fail here, not move every collision trial.
+    for seed in range(12):
+        for rows, length in ((1, 1), (5, 3), (7, 17), (3, 65)):
+            whole, split = np.random.default_rng(seed), np.random.default_rng(seed)
+            chunk = whole.integers(size, size=(rows, length))
+            per_round = [split.integers(size, size=length) for _ in range(rows)]
+            assert np.array_equal(chunk, per_round)
+            assert whole.bit_generator.state == split.bit_generator.state
+
+
 def test_min_entropy_trials_are_frozen():
     batches = {
         1: [2131, 2340, 2539, 3017, 3210, 3736, 4099, 4626, 5153, 5794],

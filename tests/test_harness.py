@@ -311,6 +311,27 @@ def test_enumerated_sequences_match_itertools_product(n, length, k):
     assert np.array_equal(sequences, expected)
 
 
+@pytest.mark.parametrize("n, length, k", harness._COLLISION_GRID)
+def test_categorical_draws_are_the_draws_of_choice(n, length, k):
+    # The collision suite's Monte-Carlo draws against rng.choice on the same
+    # seed: the same symbols, and the generator left in the same state.
+    dist = zipf(1.5, n)
+    probs = np.array(dist.counts, dtype=np.int64) / dist.denominator
+    for seed in (0, 20260815):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = harness._categorical_draws(probs, (20_000, length), ours)
+        assert np.array_equal(draws, theirs.choice(n, size=(20_000, length), p=probs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_categorical_draws_skip_zero_probability_symbols():
+    probs = np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0])
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    draws = harness._categorical_draws(probs, (4000, 3), ours)
+    assert np.array_equal(draws, theirs.choice(6, size=(4000, 3), p=probs))
+    assert set(np.unique(draws).tolist()) == {1, 3, 4}
+
+
 def test_poisson_suite_has_annotated_defects_only():
     results = run_suite("poisson")
     hard_failures = [r for r in results if not r.passed and not r.known_defect]
@@ -381,6 +402,14 @@ ESTIMATE_CASES = {
                "--n-samples", "512"],
     "plugin-kl": ["--algo", "plugin", "--dist", "zipf:1.5:8", "--dist-q", "uniform:8",
                   "--measure", "kl", "--n-samples", "512"],
+    # The benchmark's collision cells, and a denominator where a quarter of
+    # the bounded position draws are rejected.
+    "renyi-2-two-valued": ["--algo", "renyi", "--dist", "two-valued:4096:64:1:16777216",
+                           "--alpha", "2"],
+    "renyi-3-zipf-4096": ["--algo", "renyi", "--dist", "zipf:1.5:4096", "--alpha", "3"],
+    "minentropy-zipf-4096": ["--algo", "minentropy", "--dist", "zipf:1.5:4096"],
+    "renyi-2-wide-counts": ["--algo", "renyi", "--dist", "counts:1073741824,2147483648",
+                            "--alpha", "2"],
 }
 
 
