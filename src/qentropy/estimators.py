@@ -60,8 +60,8 @@ class EstimatorConfig:
     distinctness_cost: Optional[str] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in ("contract", "exact-expectation"):

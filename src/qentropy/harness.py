@@ -42,7 +42,7 @@ from .estimators import (
     estimate_support_size,
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
-from .mean_estimation import FiniteLaw, qmean_additive, qmean_multiplicative
+from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
 from .oracle import DistributionOracle, build_oracle
 
 SEED_ENV_VAR = "QENTROPY_SEED"
@@ -159,7 +159,11 @@ _CELL_KEYS = frozenset({
 })
 
 
-_NUMERIC_CELL_KEYS = ("alpha", "eps", "delta", "f", "m", "n_samples", "dist_seed")
+# numeric cell key -> the name its error uses
+_NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f", "m": "m",
+                      "n_samples": "n_samples", "dist_seed": "dist_seed"}
+# infinity means min-entropy as alpha, and no error target as the plug-in's eps
+_INFINITE_CELL_KEYS = ("alpha", "eps")
 
 
 def _is_int(value) -> bool:
@@ -173,13 +177,17 @@ def _check_trials(trials, where: str) -> None:
 
 def _check_cell(cell: dict) -> None:
     """Reject keys no cell reads, so a typo fails instead of running defaults,
-    and values of the wrong type, which would otherwise be coerced or fail late."""
+    and values of the wrong type, NaN or a meaningless infinity, which would
+    otherwise be coerced or fail late."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
-    for key in _NUMERIC_CELL_KEYS:
-        if key in cell and not (_is_int(cell[key]) or isinstance(cell[key], float)):
-            raise ValueError("cell %r must be a number, got %r" % (key, cell[key]))
+    for key, name in _NUMERIC_CELL_KEYS.items():
+        value = cell.get(key, 0)  # an absent key passes
+        # json parses NaN and Infinity; NaN passes every range check
+        number = _is_int(value) or (isinstance(value, float) and not math.isnan(value))
+        if not number or (math.isinf(value) and key not in _INFINITE_CELL_KEYS):
+            raise ValueError("%s must be a real number, got %r (cell key %r)" % (name, value, key))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
 
@@ -604,16 +612,10 @@ def meanest_suite(seed: int = 20260815, trials: int = 400) -> list[CheckResult]:
         c = math.sqrt(rel_var)
         mean = 1.3
         sub = FiniteLaw([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
-        sigma = math.sqrt(rel_var)
-        failures = 0
-        worst_identity = 0.0
-        for _ in range(trials):
-            est = qmean_multiplicative(sub, sigma, a, b, eps, rng)
-            if abs(est.value - mean) > eps * mean:
-                failures += 1
-            d = est.details
-            rebuilt = d["scale"] * (d["m_tilde"] - 6.0 * d["mu_minus"] + 6.0 * d["mu_plus"])
-            worst_identity = max(worst_identity, abs(rebuilt - est.value))
+        runs = multiplicative_runs(sub, math.sqrt(rel_var), a, b, eps, trials, rng)
+        failures = int(np.count_nonzero(np.abs(runs.value - mean) > eps * mean))
+        rebuilt = runs.scale * (runs.m_tilde - 6.0 * runs.mu_minus + 6.0 * runs.mu_plus)
+        worst_identity = float(np.abs(rebuilt - runs.value).max())
         rate = failures / trials
         limit = 0.1 + 3.0 * math.sqrt(0.1 * 0.9 / trials)
         checks.append(CheckResult(

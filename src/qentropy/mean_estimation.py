@@ -7,15 +7,15 @@ contract's statistical guarantee with classical sampling while the ledger is
 charged the quantum execution count:
 
   * additive:        |est - E[X]| <= eps   w.p. >= 4/5,  var[X] <= sigma^2
-  * bounded-l2:      |est - E[X]| <= eps*(sqrt(E[X^2])+1)^2  w.p. >= 49/50
   * multiplicative:  |est - E[X]| <= eps*E[X]  w.p. >= 9/10,
                      var[X] <= sigma^2*E[X]^2, E[X] in [a, b]
 
 The multiplicative estimator follows the textbook decomposition: scale by
 1/(sigma*b), subtract a single-run anchor m~, split the residual into its
-negative and positive parts, estimate each part's small mean with the
-bounded-l2 contract at error eps*a/(48*sigma*b), and reassemble as
-sigma*b*(m~ - 6*mu_- + 6*mu_+).  It needs a finite law.
+negative and positive parts, estimate each part's small mean with a
+bounded-l2 pilot-and-main step at error eps*a/(48*sigma*b), and reassemble
+as sigma*b*(m~ - 6*mu_- + 6*mu_+).  The step meets the bounded-l2 contract
+|est - E[Y]| <= eps*(sqrt(E[Y^2])+1)^2 w.p. >= 49/50.  It needs a finite law.
 
 Median amplification asks for all of its runs at once.  multiplicative_runs
 does k runs over one law in a few array draws: all k anchors, then the minus
@@ -28,8 +28,7 @@ multinomial with its zero-valued atoms aggregated, so the sample mean has the
 same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A qmean_multiplicative
-call is the k = 1 case, and bounded_l2_estimate the one-run case whose side
-is the whole law, with no lumped atom.
+call is the k = 1 case.
 
 Charged executions are c_quantum * ceil(r * ln(r)^1.5 * ln(ln(r))) at the
 contract's ratio r, floored at one execution.  Out-of-contract parameters
@@ -151,10 +150,10 @@ def qmean_additive(
     Chebyshev; the ledger is charged the near-linear theorem cost.  sub needs
     only sample_sum(count, rng) and charge_quantum(executions).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
     out_of_contract = not (epsilon < 4.0 * sigma)
     charged = theorem_execution_count(sigma / epsilon, constants.c_quantum)
 
@@ -181,7 +180,7 @@ def _main_samples(m2_hat: np.ndarray, epsilon: float, constants: CostConstants) 
 
     The pilot value is widened by pilot_safety both ways: the lower value
     sets the error target (capped at 4*epsilon), the upper one bounds the
-    variance.  m2_hat = 0 gives 0.  _part_mean does the same in scalars.
+    variance.  m2_hat = 0 gives 0.
     """
     m2_low = m2_hat / constants.pilot_safety
     m2_up = m2_hat * constants.pilot_safety
@@ -192,36 +191,6 @@ def _main_samples(m2_hat: np.ndarray, epsilon: float, constants: CostConstants) 
 def _beyond(values, anchors, sign: float):
     """sign * (values - anchors), without a pass to negate either."""
     return values - anchors if sign > 0 else anchors - values
-
-
-def _part_mean(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
-               width: int, anchor, sign: float, epsilon: float, rng: np.random.Generator,
-               constants: CostConstants) -> tuple[float, float, int]:
-    """The bounded-l2 pilot and main step of one run, in scalars.
-
-    The lone-run case of _part_means, where array calls would dominate the
-    cost: anchor is a float (or None for a run of atoms itself over the whole
-    law, ranked = atoms, width = size, with no lumped atom) and width an int.
-    Its squares are Python float powers, which call libm's pow as numpy
-    float64 scalars do; numpy squares arrays by multiplication, which can
-    round differently, so a lone run is not the same stream as a one-row batch.
-    Records the classical draws on sub's ledgers; returns the run's mean,
-    second-moment pilot and main sample count.
-    """
-    pilot = constants.pilot_runs
-    x = atoms.take(sub._cum.searchsorted(rng.random(pilot), side="right"), mode="clip")
-    part = ranked
-    if anchor is not None:
-        x = np.maximum(_beyond(x, anchor, sign), 0.0)
-        part = _beyond(ranked[:width], anchor, sign)
-    m2_hat = float(x.dot(x)) / pilot
-    m2_low = m2_hat / constants.pilot_safety
-    m2_up = m2_hat * constants.pilot_safety
-    tau = epsilon * min(4.0, (math.sqrt(m2_low) + 1.0) ** 2)
-    n = math.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
-    counts = rng.multinomial(n, ps[:width + 1])
-    sub._record_classical(pilot + n)
-    return float(counts[:width].dot(part)) / max(n, 1), m2_hat, n
 
 
 def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
@@ -238,7 +207,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     multinomial over the side plus one lumped atom, the next in order, to
     which numpy's multinomial gives the rest of the mass: the full multinomial
     with the zero-valued atoms aggregated, so the sample mean has the same
-    law.  _part_mean runs the one-run case.
+    law.
 
     Every pilot precedes every main sample, and runs go in chunks of at most
     _ROW_CHUNK drawn elements, so the draws do not depend on the chunking.
@@ -275,42 +244,8 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     return means, m2_hat, samples
 
 
-def bounded_l2_estimate(
-    sub: FiniteLaw,
-    epsilon: float,
-    rng: np.random.Generator,
-    constants: CostConstants = DEFAULT_CONSTANTS,
-) -> MeanEstimate:
-    """Mean estimate with error epsilon*(sqrt(E[X^2])+1)^2 w.p. >= 49/50.
-
-    The unknown second moment is estimated on a pilot run and widened by
-    pilot_safety in both directions: the lower value sets the error target
-    actually enforced (never above the contract's allowance, which is at
-    least epsilon since (sqrt(.)+1)^2 >= 1), the upper value bounds the
-    variance for the Chebyshev sample size.  The target is also capped at
-    4*epsilon, the regime the multiplicative estimator relies on.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    out_of_contract = not (epsilon < 0.5)
-    mean, m2_hat, samples = _part_mean(sub, sub.values, sub.values, sub._pvals,
-                                       sub.values.size, None, 1.0, epsilon, rng, constants)
-
-    charged = theorem_execution_count(1.0 / epsilon, constants.c_quantum)
-    sub.charge_quantum(charged)
-    return MeanEstimate(
-        value=mean,
-        charged_executions=charged,
-        classical_executions=constants.pilot_runs + samples,
-        mode="bounded-l2",
-        out_of_contract=out_of_contract,
-        details={"second_moment_pilot": m2_hat, "samples": samples},
-    )
-
-
 def _residual_parts(sub: FiniteLaw, scale: float, drawn) -> tuple[tuple, tuple]:
-    """The minus and plus parts of runs anchored at the drawn values, for _part_means,
-    or of one run anchored at a drawn float, for _part_mean.
+    """The minus and plus parts of runs anchored at the drawn values, for _part_means.
 
     Each is (atoms, ranked, ps, widths, anchors, sign) in units of
     6*scale, where an anchor is itself an atom's value and so lies on neither
@@ -371,10 +306,10 @@ def multiplicative_runs(
         raise TypeError("the multiplicative contract needs a finite law")
     if not 0.0 < a <= b:
         raise ValueError("need mean bounds 0 < a <= b")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     out_of_contract = not (epsilon < 24.0 * sigma)
@@ -382,23 +317,11 @@ def multiplicative_runs(
     scale = sigma * b
     drawn = sub.draw(repetitions, rng)
     eps_inner = epsilon * a / (48.0 * sigma * b)
-    fixed_draws = 1 + 2 * constants.pilot_runs
-    if repetitions == 1:  # a lone run in scalars: array calls would dominate its cost
-        anchor = drawn.item()
-        minus, plus = _residual_parts(sub, scale, anchor)
-        mu_minus, _, n_minus = _part_mean(sub, *minus, eps_inner, rng, constants)
-        mu_plus, _, n_plus = _part_mean(sub, *plus, eps_inner, rng, constants)
-        m_tilde = anchor / scale
-        value, m_tilde, mu_minus, mu_plus = np.array(
-            [[scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)], [m_tilde], [mu_minus], [mu_plus]])
-        executions = np.array([n_minus + n_plus + fixed_draws])
-    else:
-        m_tilde = drawn / scale
-        minus, plus = _residual_parts(sub, scale, drawn)
-        mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
-        mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
-        value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
-        executions = (n_minus + n_plus) + fixed_draws
+    m_tilde = drawn / scale
+    minus, plus = _residual_parts(sub, scale, drawn)
+    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
+    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
+    value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
 
     charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
     sub.charge_quantum(repetitions * charged)
@@ -407,7 +330,7 @@ def multiplicative_runs(
         m_tilde=m_tilde,
         mu_minus=mu_minus,
         mu_plus=mu_plus,
-        classical_executions=executions,
+        classical_executions=(n_minus + n_plus) + (1 + 2 * constants.pilot_runs),
         scale=scale,
         charged_executions=charged,
         out_of_contract=out_of_contract,

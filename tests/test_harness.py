@@ -16,6 +16,7 @@ from qentropy import harness
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import shannon_entropy
+from qentropy.estimators import EstimatorConfig
 from qentropy.harness import (
     CSV_COLUMNS,
     _collision_counts_rows,
@@ -30,6 +31,7 @@ from qentropy.harness import (
     suite_passed,
 )
 from qentropy.instances import uniform, zipf
+from qentropy.mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
 from qentropy.oracle import build_oracle
 
 SMALL_CONFIG = {
@@ -203,12 +205,41 @@ def test_cell_trials_must_be_a_positive_integer():
 
 @pytest.mark.parametrize("key", ["alpha", "eps", "delta", "f", "m", "n_samples", "dist_seed"])
 def test_numeric_cell_fields_must_be_numbers(key):
-    for value in (None, "2", True):
+    # infinity is min-entropy's alpha and the plug-in's default eps
+    infinite = () if key in ("alpha", "eps") else (math.inf,)
+    for value in (None, "2", True, math.nan, *infinite):
         cell = dict(SHANNON_CELL, **{key: value})
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict({"cells": [cell]})
         with pytest.raises(ValueError, match=key):
             run_cell_trial(cell, 0)
+
+
+_LAW = FiniteLaw([1.0, 2.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, entry", [
+    ("epsilon", lambda v, rng: EstimatorConfig(epsilon=v)),
+    ("epsilon", lambda v, rng: qmean_additive(_LAW, 0.5, v, rng)),
+    ("sigma", lambda v, rng: qmean_additive(_LAW, v, 0.25, rng)),
+    ("epsilon", lambda v, rng: multiplicative_runs(_LAW, 0.5, 1.0, 2.0, v, 3, rng)),
+    ("sigma", lambda v, rng: multiplicative_runs(_LAW, v, 1.0, 2.0, 0.25, 3, rng)),
+], ids=["config-epsilon", "additive-epsilon", "additive-sigma", "multiplicative-epsilon",
+        "multiplicative-sigma"])
+def test_non_finite_numbers_are_rejected_where_they_enter(name, entry, value):
+    # rejected before any draw; each used to be accepted and fail late, if at all
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=name):
+        entry(value, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_cli_rejects_a_non_finite_epsilon(capsys):
+    for eps in ("nan", "inf"):
+        assert main(["estimate", "--algo", "shannon", "--dist", "uniform:4", "--eps", eps]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon ")
 
 
 def test_experiment_csv_schema_and_determinism(tmp_path):
@@ -428,6 +459,20 @@ def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
     report = _estimate_json(capsys, case, mode)
     assert json.dumps(report, sort_keys=True) == \
         json.dumps(pinned["%s/%s" % (case, mode)], sort_keys=True)
+
+
+def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
+    # delta = 0.99 gives the final annealing level ceil(48 ln(1/0.99)) = 1
+    # repetition: a one-run contract batch inside an estimator.
+    assert main(["estimate", "--algo", "renyi", "--alpha", "0.5", "--dist", "zipf:1.5:64",
+                 "--eps", "0.5", "--delta", "0.99", "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    final = report["extras"]["schedule"][-1]
+    assert final["repetitions"] == 1
+    assert final["runs"] == [4.353881856486745]
+    assert report["estimate"] == 4.353881856486745
+    assert report["ledger"] == {"classical_executions": 39541197, "phases": {"estamp": 77590272},
+                                "quantum_total": 77590272}
 
 
 def test_cli_verify_json_carries_the_text_report(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qentropy import mean_estimation
 from qentropy.mean_estimation import (
     FiniteLaw,
-    bounded_l2_estimate,
     median_amplify,
     multiplicative_runs,
     qmean_additive,
@@ -111,12 +110,21 @@ def test_additive_charges_quantum_wholesale():
     assert ledger.classical_executions == est.classical_executions
 
 
+def _whole_law_step(sub, epsilon, rng):
+    # The bounded-l2 step as one run over the whole law: anchor 0 and sign +1,
+    # so the side is every atom and nothing is lumped (values are >= 0).
+    means, m2_hat, samples = mean_estimation._part_means(
+        sub, sub.values, sub.values, sub._pvals, np.array([sub.values.size]), np.zeros(1),
+        1.0, epsilon, rng, mean_estimation.DEFAULT_CONSTANTS)
+    return means[0], m2_hat[0], samples[0]
+
+
 def test_bounded_l2_zero_subroutine():
-    est = bounded_l2_estimate(FiniteLaw([0.0], [1.0]), 0.25,
-                              np.random.default_rng(0))
-    assert est.value == 0.0
-    assert est.details["samples"] == 0
-    assert est.details["second_moment_pilot"] == 0.0
+    value, second_moment_pilot, samples = _whole_law_step(
+        FiniteLaw([0.0], [1.0]), 0.25, np.random.default_rng(0))
+    assert value == 0.0
+    assert samples == 0
+    assert second_moment_pilot == 0.0
 
 
 def test_bounded_l2_tracks_the_mean():
@@ -126,18 +134,11 @@ def test_bounded_l2_tracks_the_mean():
     eps = 0.25
     fails = 0
     for _ in range(trials):
-        est = bounded_l2_estimate(sub, eps, rng)
-        if abs(est.value - 0.8) > eps * (math.sqrt(sub.variance() + 0.64) + 1) ** 2:
+        value, _, _ = _whole_law_step(sub, eps, rng)
+        if abs(value - 0.8) > eps * (math.sqrt(sub.variance() + 0.64) + 1) ** 2:
             fails += 1
     # failure probability is at most 1/50 per run; allow 3 sigmas
     assert fails / trials <= 0.02 + 3 * math.sqrt(0.02 * 0.98 / trials)
-
-
-def test_bounded_l2_charge_flag():
-    ledger = QueryLedger()
-    sub = FiniteLaw([0.5, 1.5], [0.5, 0.5], ((ledger, "estamp", 8),))
-    est = bounded_l2_estimate(sub, 0.25, np.random.default_rng(2))
-    assert ledger.phases["estamp"] == 8 * est.charged_executions > 0
 
 
 def test_multiplicative_identity_and_contract():
@@ -210,6 +211,19 @@ def test_single_multiplicative_call_stream_is_frozen():
     assert est.classical_executions == ledger.classical_executions == 617320
     assert ledger.phases == {"estamp": 65792}
     assert rng.random() == 0.19043718645394003
+
+
+def test_single_call_on_a_law_with_ties_is_frozen():
+    # Unsorted atoms with tied values, so both sides are proper subsets of
+    # the law and each main sample has a lumped atom.
+    sub = _shuffled_law_with_ties()
+    mean = sub.mean()
+    rng = np.random.default_rng(19)
+    est = qmean_multiplicative(sub, math.sqrt(sub.variance()) / mean, 0.5 * mean, 2.0 * mean,
+                               0.25, rng)
+    assert est.value == pytest.approx(1.1229409445929461, rel=1e-12)
+    assert est.classical_executions == 344177
+    assert rng.random() == 0.5015981818087427
 
 
 def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
