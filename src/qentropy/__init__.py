@@ -7,7 +7,6 @@ success probability, and query scaling can be measured or enumerated
 without any quantum hardware.
 """
 
-from .constants import DEFAULT_CONSTANTS, CostConstants
 from .distributions import (
     RationalDistribution,
     from_counts,
@@ -45,8 +44,6 @@ from .estimators import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostConstants",
-    "DEFAULT_CONSTANTS",
     "DistributionOracle",
     "EstAmpDistribution",
     "EstimateReport",

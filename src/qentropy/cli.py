@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -41,12 +40,6 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
-def _parse_alpha(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _default_seed() -> int | None:
     raw = os.environ.get(SEED_ENV_VAR)
     return int(raw) if raw else None
@@ -67,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--dist-q", help="second distribution (kl)")
     est.add_argument("--f-n", type=float, dest="f_n",
                      help="ratio bound for kl (default: exact bound of the pair)")
-    est.add_argument("--alpha", type=_parse_alpha, help="order for renyi (or 'inf')")
+    est.add_argument("--alpha", type=float, help="order for renyi (or 'inf')")
     est.add_argument("--eps", type=float, default=0.25)
     est.add_argument("--delta", type=float, default=0.1)
     est.add_argument("--seed", type=int, default=_default_seed())

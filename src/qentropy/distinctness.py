@@ -6,14 +6,15 @@ classically and exactly; the ledger is charged according to a pluggable cost
 model, and the search can be told to return a wrong verdict with a given
 probability to model the quantum routine's failure rate.
 
-Cost model presets (charge for one invocation on a length-L sequence):
+Cost model presets (charge for one invocation on a length-L sequence, with
+the constant of the modeled O(.) taken as 1):
 
-    belovs    ceil(c * 2^(k^2) * L^nu(k) * ln(1/fail)),
+    belovs    ceil(2^(k^2) * L^nu(k) * ln(1/fail)),
               nu(k) = 1 - 2^(k-2)/(2^k - 1)   (so nu(2) = 2/3)
-    ambainis  ceil(c * k^2 * L^(k/(k+1)))
-    flat34    ceil(c * L^(3/4))
+    ambainis  ceil(k^2 * L^(k/(k+1)))
+    flat34    ceil(L^(3/4))
 
-All presets are monotone in L.  The scale c comes from CostConstants.
+All presets are monotone in L.
 """
 
 from __future__ import annotations
@@ -56,45 +57,37 @@ def count_row_collisions(rows: np.ndarray, k: int) -> int:
     return sum(math.comb(m, k) * c for m, c in zip(lengths.tolist(), hist[lengths].tolist()))
 
 
-def count_k_collisions(seq: Sequence[int] | np.ndarray, k: int) -> int:
-    """Number of size-k index subsets whose entries are all equal.
-
-    Equals sum over symbols of C(multiplicity, k); exact and deterministic.
-    """
-    return count_row_collisions(np.asarray(seq).reshape(1, -1), k)
-
-
-def _belovs(k: int, length: int, fail_prob: float, scale: float) -> int:
+def _belovs(k: int, length: int, fail_prob: float) -> int:
     if length <= 0:
         return 0
     boost = math.log(1.0 / fail_prob)
     if k * k < 900:
-        return math.ceil(scale * 2.0 ** (k * k) * length ** collision_exponent(k) * boost)
+        return math.ceil(2.0 ** (k * k) * length ** collision_exponent(k) * boost)
     # 2^(k^2) overflows a float; keep the power exact in integer arithmetic.
-    return (1 << (k * k)) * math.ceil(scale * length ** collision_exponent(k) * boost)
+    return (1 << (k * k)) * math.ceil(length ** collision_exponent(k) * boost)
 
 
-def _ambainis(k: int, length: int, fail_prob: float, scale: float) -> int:
+def _ambainis(k: int, length: int, fail_prob: float) -> int:
     if length <= 0:
         return 0
-    return math.ceil(scale * k * k * length ** (k / (k + 1.0)))
+    return math.ceil(k * k * length ** (k / (k + 1.0)))
 
 
-def _flat34(k: int, length: int, fail_prob: float, scale: float) -> int:
+def _flat34(k: int, length: int, fail_prob: float) -> int:
     if length <= 0:
         return 0
-    return math.ceil(scale * length ** 0.75)
+    return math.ceil(length ** 0.75)
 
 
 @dataclass(frozen=True)
 class DistinctnessCostModel:
     name: str
-    charge_fn: Callable[[int, int, float, float], int]
+    charge_fn: Callable[[int, int, float], int]
 
-    def charge(self, k: int, length: int, fail_prob: float, scale: float = 1.0) -> int:
+    def charge(self, k: int, length: int, fail_prob: float) -> int:
         if not 0.0 < fail_prob < 1.0:
             raise ValueError("fail_prob must lie in (0, 1)")
-        return int(self.charge_fn(k, length, fail_prob, scale))
+        return int(self.charge_fn(k, length, fail_prob))
 
 
 COST_MODELS = {
@@ -121,7 +114,6 @@ def find_k_collision(
     model: DistinctnessCostModel,
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
-    scale: float = 1.0,
 ) -> Optional[int]:
     """Search the sequence for a symbol occurring at least k times.
 
@@ -136,7 +128,7 @@ def find_k_collision(
         raise ValueError("k must be positive")
     arr = np.asarray(seq)
     if ledger is not None:
-        ledger.charge("distinctness", model.charge(k, int(arr.size), fail_prob, scale))
+        ledger.charge("distinctness", model.charge(k, int(arr.size), fail_prob))
     # In sorted order a symbol occurs at least k times exactly when it fills
     # a window of k entries.  The first full window of each run leaves the
     # candidates ascending and distinct, as np.unique would list them.

@@ -11,9 +11,10 @@ enumeration of its mean and variance ("exact-expectation" mode).
 Charging policy: one subroutine execution is charged M queries under phase
 "estamp" (per amplitude-estimation invocation; the single sampling query it
 also performs is absorbed into the constants, keeping totals at M times the
-execution count).  Collision-based estimators draw their sequences for free
-and pay through the distinctness cost model instead, mirroring how the
-modeled routines only touch the oracle inside the search subroutine.
+execution count).  Collision-based estimators record their sequence draws as
+classical work and pay quantum queries through the distinctness cost model
+instead, mirroring how the modeled routines only touch the oracle inside the
+search subroutine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .amplitude import (
     grid_value,
     sample_estamp_multiplicative,
 )
-from .constants import DEFAULT_CONSTANTS, CostConstants
 from .distinctness import COST_MODELS, count_row_collisions, find_k_collision, get_cost_model
 from .distributions import (
     kl_divergence,
@@ -54,7 +54,6 @@ class EstimatorConfig:
     delta: float = 0.1
     seed: Optional[int] = None
     mode: str = "contract"  # "contract" or "exact-expectation"
-    constants: CostConstants = DEFAULT_CONSTANTS
     # None lets each estimator use its preset (belovs for integer-order
     # power sums, flat34 for min-entropy).
     distinctness_cost: Optional[str] = None
@@ -253,17 +252,21 @@ class _RatioSubroutine:
 # power-of-two budgets
 
 
-def _pow2_at_least(x: float, extra_doublings: int = 0) -> int:
-    exponent = max(1, math.ceil(math.log2(max(x, 2.0))))
-    return 1 << (exponent + max(0, extra_doublings))
+def _pow2_budget(x: float) -> int:
+    """The power of two one doubling above the least one >= max(x, 2).
+
+    The extra doubling was fixed so the exact estimator bias meets its
+    budget on the acceptance grids.
+    """
+    return 2 << math.ceil(math.log2(max(x, 2.0)))
 
 
-def shannon_budget(n: int, epsilon: float, shift: int = 0) -> int:
-    return _pow2_at_least(math.sqrt(n) / epsilon, shift)
+def shannon_budget(n: int, epsilon: float) -> int:
+    return _pow2_budget(math.sqrt(n) / epsilon)
 
 
-def coverage_budget(n_samples: int, epsilon: float, shift: int = 0) -> int:
-    return _pow2_at_least(math.sqrt(n_samples / epsilon), shift)
+def coverage_budget(n_samples: int, epsilon: float) -> int:
+    return _pow2_budget(math.sqrt(n_samples / epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,7 @@ def _additive_mean(sub, sigma: float, target: float, extras: dict,
                   variance_bound_exceeded=bool(exact_var > sigma ** 2))
     if cfg.mode == "exact-expectation":
         return exact_mean
-    me = qmean_additive(sub, sigma, target, cfg.rng(), cfg.constants)
+    me = qmean_additive(sub, sigma, target, cfg.rng())
     extras.update(charged_executions=me.charged_executions,
                   out_of_contract=me.out_of_contract)
     return me.value
@@ -298,7 +301,7 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
     is the bias budget of the payoff's expectation).
     """
     n, eps = oracle.n, cfg.epsilon
-    M = shannon_budget(n, eps, cfg.constants.shannon_m_shift)
+    M = shannon_budget(n, eps)
     sub = MasterSubroutine(oracle, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
     extras = {"M": M, "sigma": sigma}
@@ -326,9 +329,8 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
         if cp > 0 and Fraction(cp * q.denominator, p.denominator) > f * cq:
             raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i" % (i, ratio_bound))
     n, eps = p.n, cfg.epsilon
-    shift = cfg.constants.kl_m_shift
-    M_p = shannon_budget(n, eps, shift)
-    M_q = _pow2_at_least(math.sqrt(n) * ratio_bound / eps, shift)
+    M_p = shannon_budget(n, eps)
+    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
     sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
@@ -378,7 +380,7 @@ def _level_law(oracle: DistributionOracle, level: float, eps: float,
         x, variant = math.sqrt(oracle.n) / eps, "estamp"
     else:
         x, variant = oracle.n ** (1.0 / (2.0 * level)) / eps, "estamp-prime"
-    M = _pow2_at_least(x * max(math.log(x), 1.0), 1)
+    M = _pow2_budget(x * max(math.log(x), 1.0))
     exponent = level - 1.0
     return M, MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
 
@@ -424,10 +426,9 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
         exact_mean, exact_var = sub.mean(), sub.variance()
 
         def level_runs(rng_, repetitions):
-            return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_,
-                                       cfg.constants).value
+            return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_).value
 
-        value, runs = median_amplify(level_runs, delta_level, rng, cfg.constants)
+        value, runs = median_amplify(level_runs, delta_level, rng)
         # Power sums of a distribution on n symbols live in a known range;
         # clamping a wild level estimate keeps the next level's bounds legal.
         lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
@@ -482,6 +483,9 @@ def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
 # chunks of this many elements (at least one round per chunk).
 _COUNT_CHUNK = 1 << 16
 
+# K in the integer-order power-sum estimator's round count ceil(K/eps^2).
+_COLLISION_ROUNDS = 8.0
+
 
 def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
                                cfg: EstimatorConfig) -> EstimateReport:
@@ -503,23 +507,21 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     n, eps = oracle.n, cfg.epsilon
     rng = cfg.rng()
     model = get_cost_model(cfg.distinctness_cost or "belovs")
-    scale = cfg.constants.distinctness_scale
 
     i_max = math.ceil(math.log2(alpha * n))
     fail_search = 1.0 / (10.0 * i_max)
     length = 1 << i_max
     for i in range(i_max + 1):
-        seq = oracle.draws_for_simulation(rng, 1 << i)
-        oracle.ledger.charge_classical(1 << i)
-        hit = find_k_collision(seq, alpha, fail_search, model, rng, oracle.ledger, scale)
+        seq = oracle.sample_classical(rng, 1 << i)
+        hit = find_k_collision(seq, alpha, fail_search, model, rng, oracle.ledger)
         if hit is not None:
             length = 1 << i
             break
 
-    rounds = math.ceil(cfg.constants.collision_rounds_constant / eps ** 2)
+    rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     fail_count = min(0.5, eps ** 2 / length)
     denominator = math.comb(length, alpha)
-    round_charge = model.charge(alpha, length, fail_count, scale)
+    round_charge = model.charge(alpha, length, fail_count)
     chunk_rows = max(1, _COUNT_CHUNK // length)
     total = 0
     for done in range(0, rounds, chunk_rows):
@@ -527,10 +529,7 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
         # One call for the chunk gives the same positions, and leaves the same
         # generator state, as one call per round: bounded draws take their
         # bits from the bit generator value by value, rejections included.
-        positions = rng.integers(oracle.size, size=(rows, length))
-        symbols = oracle.symbols(positions.reshape(-1)).reshape(rows, length)
-        total += count_row_collisions(symbols, alpha)
-        oracle.ledger.charge_classical(rows * length)
+        total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
         oracle.ledger.charge("distinctness", rows * round_charge)
     estimate = total / (rounds * denominator)
     extras = {
@@ -560,7 +559,6 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         raise ValueError("need n >= 2")
     rng = cfg.rng()
     model = get_cost_model(cfg.distinctness_cost or "flat34")
-    scale = cfg.constants.distinctness_scale
 
     k = math.ceil(16.0 * ln_n / eps ** 2)
     fail_round = min(0.5, eps / (2.0 * ln_n))
@@ -570,9 +568,8 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     while lam <= n:
         intensity = 16.0 * lam * ln_n / eps ** 2
         batch = int(rng.poisson(intensity))
-        seq = oracle.draws_for_simulation(rng, batch)
-        oracle.ledger.charge_classical(batch)
-        hit = find_k_collision(seq, k, fail_round, model, rng, oracle.ledger, scale)
+        seq = oracle.sample_classical(rng, batch)
+        hit = find_k_collision(seq, k, fail_round, model, rng, oracle.ledger)
         rounds.append({"lambda": lam, "batch": batch, "hit": None if hit is None else int(hit)})
         if hit is not None:
             found = int(hit)
@@ -616,7 +613,7 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     t, eps = n_samples, cfg.epsilon
-    M = coverage_budget(t, eps, cfg.constants.coverage_m_shift)
+    M = coverage_budget(t, eps)
     sub = MasterSubroutine(oracle, M, payoff=_coverage_payoff(t), variant="estamp")
     extras = {"M": M, "n_samples": t}
     value = _additive_mean(sub, float(t), eps * t / 2.0, extras, cfg)

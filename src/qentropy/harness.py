@@ -160,10 +160,11 @@ _CELL_KEYS = frozenset({
 
 
 # numeric cell key -> the name its error uses
-_NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f", "m": "m",
-                      "n_samples": "n_samples", "dist_seed": "dist_seed"}
+_NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f"}
 # infinity means min-entropy as alpha, and no error target as the plug-in's eps
 _INFINITE_CELL_KEYS = ("alpha", "eps")
+# cell keys that count or seed something
+_INTEGER_CELL_KEYS = ("m", "n_samples", "dist_seed")
 
 
 def _is_int(value) -> bool:
@@ -188,6 +189,9 @@ def _check_cell(cell: dict) -> None:
         number = _is_int(value) or (isinstance(value, float) and not math.isnan(value))
         if not number or (math.isinf(value) and key not in _INFINITE_CELL_KEYS):
             raise ValueError("%s must be a real number, got %r (cell key %r)" % (name, value, key))
+    for key in _INTEGER_CELL_KEYS:
+        if key in cell and not _is_int(cell[key]):
+            raise ValueError("%s must be an integer, got %r" % (key, cell[key]))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
 
@@ -257,7 +261,7 @@ def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
             raise ValueError("KL plugin cells need 'dist_q'")
         oracle_q = _oracle(cell, "dist_q")
     report = classical_plugin_baseline(
-        _oracle(cell), cell["measure"], int(cell["n_samples"]),
+        _oracle(cell), cell["measure"], cell["n_samples"],
         np.random.default_rng(seed), oracle_q, epsilon=float(cell.get("eps", math.inf)))
     report.seed = seed
     return report
@@ -272,9 +276,9 @@ _TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "minentropy": ((), lambda cell, seed: estimate_min_entropy(
         _oracle(cell), _config(cell, seed))),
     "coverage": (("n_samples",), lambda cell, seed: estimate_support_coverage(
-        _oracle(cell), int(cell["n_samples"]), _config(cell, seed))),
+        _oracle(cell), cell["n_samples"], _config(cell, seed))),
     "support": (("m",), lambda cell, seed: estimate_support_size(
-        _oracle(cell), int(cell["m"]), _config(cell, seed))),
+        _oracle(cell), cell["m"], _config(cell, seed))),
     "plugin": (("measure", "n_samples"), _plugin_trial),
 }
 

@@ -21,8 +21,8 @@ Median amplification asks for all of its runs at once.  multiplicative_runs
 does k runs over one law in a few array draws: all k anchors, then the minus
 part's k pilots and k main samples, then the plus part's.  It sorts the law's
 atoms by value once per call, so a run's minus part is nonzero on a prefix
-of them and its plus part on a suffix: its side.  A pilot is pilot_runs index
-draws from the law, and a main sample is one multinomial over the side plus
+of them and its plus part on a suffix: its side.  A pilot is 64 index draws
+from the law, and a main sample is one multinomial over the side plus
 one lumped atom that holds the rest of the mass.  That is the full
 multinomial with its zero-valued atoms aggregated, so the sample mean has the
 same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
@@ -30,9 +30,10 @@ of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A qmean_multiplicative
 call is the k = 1 case.
 
-Charged executions are c_quantum * ceil(r * ln(r)^1.5 * ln(ln(r))) at the
-contract's ratio r, floored at one execution.  Out-of-contract parameters
-(eps too large for the theorem's range) still run but are flagged.
+Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
+ratio r, floored at one execution: the theorems' O(.) constant is taken as
+1.  Out-of-contract parameters (eps too large for the theorem's range) still
+run but are flagged.
 
 Every subroutine the estimators hand to a contract has finite support, so
 the contracts are simulated from its law, never from sample paths: X is a
@@ -51,12 +52,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, CostConstants
 from .oracle import QueryLedger
 
 # Elements (runs x pilot draws, or runs x side atoms) the batched contracts
 # draw and hold at once.
 _ROW_CHUNK = 1 << 15
+
+# Classical realization of the additive mean estimator: median of
+# _ADDITIVE_GROUPS groups, each of ceil(_C_CLASSICAL * (sigma/eps)^2) runs.
+# _C_CLASSICAL = 5 makes each group fail with probability <= 1/5 by
+# Chebyshev; the median of three pushes the total below 1/5.
+_C_CLASSICAL = 5.0
+_ADDITIVE_GROUPS = 3
+
+# Classical realization of the bounded-second-moment estimator: one
+# Chebyshev group sized for failure <= 1/50, second moment taken from a
+# pilot run with a two-sided safety factor.
+_LEMMA_CHEBYSHEV = 50.0
+_PILOT_RUNS = 64
+_PILOT_SAFETY = 2.0
+
+# Repetition count ceil(_MEDIAN_CONSTANT * ln(1/delta)) for median
+# amplification of a >= 2/3 success estimator to 1 - delta.
+_MEDIAN_CONSTANT = 48
 
 
 class FiniteLaw:
@@ -127,13 +145,13 @@ class MeanEstimate:
     details: dict = field(default_factory=dict)
 
 
-def theorem_execution_count(ratio: float, c_quantum: int = 1) -> int:
-    """c_quantum * ceil(r * ln(r)^{3/2} * ln(ln(r))), floored at one execution."""
+def theorem_execution_count(ratio: float) -> int:
+    """ceil(r * ln(r)^{3/2} * ln(ln(r))), floored at one execution."""
     if ratio > math.e:
         core = ratio * math.log(ratio) ** 1.5 * math.log(math.log(ratio))
     else:
         core = 0.0
-    return c_quantum * max(1, math.ceil(core))
+    return max(1, math.ceil(core))
 
 
 def qmean_additive(
@@ -141,7 +159,6 @@ def qmean_additive(
     sigma: float,
     epsilon: float,
     rng: np.random.Generator,
-    constants: CostConstants = DEFAULT_CONSTANTS,
 ) -> MeanEstimate:
     """Additive-error mean estimate: |est - E[X]| <= epsilon w.p. >= 4/5.
 
@@ -155,37 +172,35 @@ def qmean_additive(
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be non-negative and finite")
     out_of_contract = not (epsilon < 4.0 * sigma)
-    charged = theorem_execution_count(sigma / epsilon, constants.c_quantum)
+    charged = theorem_execution_count(sigma / epsilon)
 
-    groups = constants.additive_groups
-    group_size = max(1, math.ceil(constants.c_classical * (sigma / epsilon) ** 2))
-    means = sorted(sub.sample_sum(group_size, rng) / group_size for _ in range(groups))
-    # np.median's value without its array overhead: the middle mean, or the
-    # average of the middle two for an even group count.
-    mid = groups // 2
-    value = means[mid] if groups % 2 else (means[mid - 1] + means[mid]) / 2.0
+    group_size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
+    means = sorted(sub.sample_sum(group_size, rng) / group_size
+                   for _ in range(_ADDITIVE_GROUPS))
+    # np.median's value without its array overhead: the group count is odd
+    value = means[_ADDITIVE_GROUPS // 2]
 
     sub.charge_quantum(charged)
     return MeanEstimate(
         value=value,
         charged_executions=charged,
-        classical_executions=groups * group_size,
+        classical_executions=_ADDITIVE_GROUPS * group_size,
         mode="additive",
         out_of_contract=out_of_contract,
     )
 
 
-def _main_samples(m2_hat: np.ndarray, epsilon: float, constants: CostConstants) -> np.ndarray:
+def _main_samples(m2_hat: np.ndarray, epsilon: float) -> np.ndarray:
     """Chebyshev main-sample counts for an array of pilot second moments, as floats.
 
-    The pilot value is widened by pilot_safety both ways: the lower value
+    The pilot value is widened by _PILOT_SAFETY both ways: the lower value
     sets the error target (capped at 4*epsilon), the upper one bounds the
     variance.  m2_hat = 0 gives 0.
     """
-    m2_low = m2_hat / constants.pilot_safety
-    m2_up = m2_hat * constants.pilot_safety
+    m2_low = m2_hat / _PILOT_SAFETY
+    m2_up = m2_hat * _PILOT_SAFETY
     tau = epsilon * np.minimum(4.0, (np.sqrt(m2_low) + 1.0) ** 2)
-    return np.ceil(constants.lemma_chebyshev * m2_up / tau ** 2)
+    return np.ceil(_LEMMA_CHEBYSHEV * m2_up / tau ** 2)
 
 
 def _beyond(values, anchors, sign: float):
@@ -195,15 +210,14 @@ def _beyond(values, anchors, sign: float):
 
 def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
                 widths: np.ndarray, anchors, sign: float, epsilon: float,
-                rng: np.random.Generator,
-                constants: CostConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounded-l2 pilot and main step, one run per anchor, over sub's law.
 
     atoms holds the estimated variable at each of the law's atoms, and run r
     estimates the mean of its part max(sign*(atoms - anchors[r]), 0).
     ranked and ps are the atoms' values and probabilities sorted so that run
     r's part is positive exactly on the first widths[r] of them: its side.  A
-    pilot is pilot_runs index draws from the law.  A main sample is one
+    pilot is _PILOT_RUNS index draws from the law.  A main sample is one
     multinomial over the side plus one lumped atom, the next in order, to
     which numpy's multinomial gives the rest of the mass: the full multinomial
     with the zero-valued atoms aggregated, so the sample mean has the same
@@ -214,7 +228,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     Records the classical draws on sub's ledgers; returns per-run means,
     second-moment pilots and main sample counts.
     """
-    pilot = constants.pilot_runs
+    pilot = _PILOT_RUNS
     rows = widths.size
     m2_hat = np.empty(rows)
     step = max(1, _ROW_CHUNK // pilot)
@@ -225,7 +239,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         # vecdot sums each row on its own, whatever the chunk's shape
         m2_hat[lo:lo + step] = np.vecdot(x, x) / pilot
 
-    samples = _main_samples(m2_hat, epsilon, constants).astype(np.int64)
+    samples = _main_samples(m2_hat, epsilon).astype(np.int64)
     width = int(widths.max())
     pvals = ps[:width + 1]
     columns = np.arange(pvals.size)
@@ -288,7 +302,6 @@ def multiplicative_runs(
     epsilon: float,
     repetitions: int,
     rng: np.random.Generator,
-    constants: CostConstants = DEFAULT_CONSTANTS,
 ) -> MultiplicativeRuns:
     """`repetitions` independent runs of the multiplicative contract over sub's law.
 
@@ -319,18 +332,18 @@ def multiplicative_runs(
     eps_inner = epsilon * a / (48.0 * sigma * b)
     m_tilde = drawn / scale
     minus, plus = _residual_parts(sub, scale, drawn)
-    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng, constants)
-    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng, constants)
+    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng)
+    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng)
     value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
 
-    charged = theorem_execution_count(sigma * b / (epsilon * a), constants.c_quantum)
+    charged = theorem_execution_count(sigma * b / (epsilon * a))
     sub.charge_quantum(repetitions * charged)
     return MultiplicativeRuns(
         value=value,
         m_tilde=m_tilde,
         mu_minus=mu_minus,
         mu_plus=mu_plus,
-        classical_executions=(n_minus + n_plus) + (1 + 2 * constants.pilot_runs),
+        classical_executions=(n_minus + n_plus) + (1 + 2 * _PILOT_RUNS),
         scale=scale,
         charged_executions=charged,
         out_of_contract=out_of_contract,
@@ -344,7 +357,6 @@ def qmean_multiplicative(
     b: float,
     epsilon: float,
     rng: np.random.Generator,
-    constants: CostConstants = DEFAULT_CONSTANTS,
 ) -> MeanEstimate:
     """Relative-error mean estimate: |est - E[X]| <= epsilon*E[X] w.p. >= 9/10.
 
@@ -352,7 +364,7 @@ def qmean_multiplicative(
     value = sigma*b*(m~ - 6*mu_- + 6*mu_+), whose pieces are reported in
     details.
     """
-    runs = multiplicative_runs(sub, sigma, a, b, epsilon, 1, rng, constants)
+    runs = multiplicative_runs(sub, sigma, a, b, epsilon, 1, rng)
     return MeanEstimate(
         value=float(runs.value[0]),
         charged_executions=runs.charged_executions,
@@ -368,15 +380,14 @@ def qmean_multiplicative(
     )
 
 
-def median_amplify(run, delta: float, rng: np.random.Generator,
-                   constants: CostConstants = DEFAULT_CONSTANTS) -> tuple[float, list[float]]:
-    """Median of ceil(median_constant * ln(1/delta)) runs of a >= 2/3 estimator.
+def median_amplify(run, delta: float, rng: np.random.Generator) -> tuple[float, list[float]]:
+    """Median of ceil(_MEDIAN_CONSTANT * ln(1/delta)) runs of a >= 2/3 estimator.
 
     run(rng, repetitions) returns all the runs' outcomes at once.  Boosts
     success probability to >= 1 - delta; returns (median, all runs).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    repetitions = max(1, math.ceil(constants.median_constant * math.log(1.0 / delta)))
+    repetitions = max(1, math.ceil(_MEDIAN_CONSTANT * math.log(1.0 / delta)))
     outcomes = [float(x) for x in run(rng, repetitions)]
     return float(np.median(outcomes)), outcomes

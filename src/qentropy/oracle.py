@@ -104,16 +104,16 @@ class DistributionOracle:
             out[far] = np.searchsorted(self.cum, positions[far], side="right") + 1
         return out
 
-    def sample_classical(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """Classical draws (plug-in baselines); recorded as classical work only."""
-        self.ledger.charge_classical(count)
-        return self.symbols(rng.integers(self.size, size=count))
+    def sample_classical(self, rng: np.random.Generator,
+                         shape: int | tuple[int, ...]) -> np.ndarray:
+        """Symbols at rng.integers(S, size=shape) positions, in that shape.
 
-    def draws_for_simulation(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # Simulation-internal sampling: quantum algorithms that touch these
-        # positions only inside a charged subroutine pay via that subroutine's
-        # explicit charge, not per draw.
-        return self.symbols(rng.integers(self.size, size=count))
+        Recorded as classical work only: a quantum algorithm that touches
+        these positions pays through the charge of its own subroutine.
+        """
+        positions = rng.integers(self.size, size=shape)
+        self.ledger.charge_classical(positions.size)
+        return self.symbols(positions.reshape(-1)).reshape(positions.shape)
 
     def preimage_fraction(self, symbol: int) -> Fraction:
         """Exact p_i for the 1-based symbol; an inspection, never charged."""

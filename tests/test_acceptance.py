@@ -36,7 +36,7 @@ from qentropy.harness import (
 )
 from qentropy.instances import hard_pair_shannon, uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, qmean_multiplicative
-from qentropy.distinctness import count_k_collisions
+from qentropy.distinctness import count_row_collisions
 from qentropy.oracle import build_oracle
 
 TRIALS_E2E = 200
@@ -155,7 +155,7 @@ def test_criterion_05_collision_statistics():
         for k in (2, 3):
             brute = sum(
                 1 for combo in itertools.combinations(seq, k) if len(set(combo)) == 1)
-            assert count_k_collisions(seq, k) == brute
+            assert count_row_collisions(np.array([seq]), k) == brute
             checked += 1
     _line(5, "collision-count statistics", True,
           "%d suite checks, %d brute-force comparisons" % (len(results), checked))

@@ -55,12 +55,12 @@ def test_config_validation():
 
 
 def test_budgets_are_powers_of_two():
-    assert shannon_budget(64, 0.25, 1) == 64
-    assert shannon_budget(16, 0.25, 1) == 32
-    assert coverage_budget(32, 0.2, 1) == 32
+    assert shannon_budget(64, 0.25) == 64
+    assert shannon_budget(16, 0.25) == 32
+    assert coverage_budget(32, 0.2) == 32
     for n in (2, 16, 1000):
         for eps in (0.5, 0.1):
-            M = shannon_budget(n, eps, 1)
+            M = shannon_budget(n, eps)
             assert M & (M - 1) == 0
             assert M >= math.sqrt(n) / eps
 

@@ -215,6 +215,20 @@ def test_numeric_cell_fields_must_be_numbers(key):
             run_cell_trial(cell, 0)
 
 
+@pytest.mark.parametrize("value", [99.9, 16.0])
+@pytest.mark.parametrize("key", ["m", "n_samples", "dist_seed"])
+def test_integer_cell_keys_must_be_integers(key, value, tmp_path, capsys):
+    # a fractional n_samples used to be truncated to fewer draws, and a
+    # fractional dist_seed to end in a TypeError traceback from SeedSequence
+    cell = dict(SHANNON_CELL, **{key: value})
+    with pytest.raises(ValueError, match="%s must be an integer" % key):
+        run_cell_trial(cell, 0)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"cells": [cell]}))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: %s must be an integer" % key)
+
+
 _LAW = FiniteLaw([1.0, 2.0], [0.5, 0.5])
 
 

@@ -115,7 +115,7 @@ def _whole_law_step(sub, epsilon, rng):
     # so the side is every atom and nothing is lumped (values are >= 0).
     means, m2_hat, samples = mean_estimation._part_means(
         sub, sub.values, sub.values, sub._pvals, np.array([sub.values.size]), np.zeros(1),
-        1.0, epsilon, rng, mean_estimation.DEFAULT_CONSTANTS)
+        1.0, epsilon, rng)
     return means[0], m2_hat[0], samples[0]
 
 
@@ -291,22 +291,21 @@ def test_multiplicative_contract_needs_a_finite_law():
         qmean_multiplicative(ratio, 0.5, 1.0, 2.0, 0.25, np.random.default_rng(0))
 
 
-def _full_law_runs(sub, sigma, a, b, epsilon, repetitions, rng,
-                   constants=mean_estimation.DEFAULT_CONSTANTS):
+def _full_law_runs(sub, sigma, a, b, epsilon, repetitions, rng):
     # The sampler the side-aware one replaced, kept as the reference: every
     # pilot and every main sample is a multinomial over all of the law's atoms.
     scale = sigma * b
     m_tilde = sub.draw(repetitions, rng) / scale
     eps_inner = epsilon * a / (48.0 * sigma * b)
     scaled = sub.values / scale
-    pilot = constants.pilot_runs
+    pilot = mean_estimation._PILOT_RUNS
     value = m_tilde.copy()
     executions = np.full(repetitions, 1 + 2 * pilot)
     for sign in (-1.0, 1.0):
         parts = np.maximum(sign * (scaled - m_tilde[:, None]), 0.0) / 6.0
         counts = rng.multinomial(pilot, sub._pvals, size=repetitions)
         m2_hat = np.vecdot(counts, parts ** 2) / pilot
-        n = mean_estimation._main_samples(m2_hat, eps_inner, constants).astype(np.int64)
+        n = mean_estimation._main_samples(m2_hat, eps_inner).astype(np.int64)
         counts = rng.multinomial(n, sub._pvals)
         value += 6.0 * sign * np.vecdot(counts, parts) / np.maximum(n, 1)
         executions += n

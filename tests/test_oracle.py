@@ -33,7 +33,7 @@ def test_every_position_reads_the_sorted_layout(counts):
     assert orc.guide.size < 8 * dist.n
     for seed in range(3):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert orc.draws_for_simulation(rng, 1)[0] == layout[replay.integers(dist.denominator)]
+        assert orc.sample_classical(rng, 1)[0] == layout[replay.integers(dist.denominator)]
 
 
 def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
@@ -43,9 +43,9 @@ def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
     orc = build_oracle(resolve_distribution(str(path)))
     assert orc.guide.nbytes + orc.cum.nbytes <= 8 * 2 * 8
     assert orc.symbols(np.array([0, S - 2, S - 1])).tolist() == [1, 1, 2]
-    draws = orc.draws_for_simulation(np.random.default_rng(3), 1000)
+    draws = orc.sample_classical(np.random.default_rng(3), 1000)
     assert set(draws.tolist()) <= {1, 2}
-    assert orc.draws_for_simulation(np.random.default_rng(4), 1)[0] in (1, 2)
+    assert orc.sample_classical(np.random.default_rng(4), 1)[0] in (1, 2)
 
 
 def test_denominator_beyond_int64_positions_is_rejected():
@@ -54,23 +54,23 @@ def test_denominator_beyond_int64_positions_is_rejected():
         build_oracle(RationalDistribution(S, (S - 1, 1)))
     orc = build_oracle(RationalDistribution(S - 1, (S - 2, 1)))
     assert orc.symbols(np.array([0, S - 3, S - 2])).tolist() == [1, 1, 2]
-    assert orc.draws_for_simulation(np.random.default_rng(0), 1)[0] in (1, 2)
+    assert orc.sample_classical(np.random.default_rng(0), 1)[0] in (1, 2)
 
 
 def test_seeded_draw_stream_is_frozen():
     # Streams of the S-entry sorted table; one layout per bucket width.
     orc = build_oracle(zipf(1.5, 16))
     assert orc.shift == 0
-    assert orc.draws_for_simulation(np.random.default_rng(2026), 12).tolist() == [
+    assert orc.sample_classical(np.random.default_rng(2026), 12).tolist() == [
         6, 1, 1, 2, 1, 1, 1, 1, 2, 1, 5, 4]
     rng = np.random.default_rng(5)
-    assert [orc.draws_for_simulation(rng, 1)[0] for _ in range(6)] == [3, 5, 1, 5, 1, 2]
+    assert [orc.sample_classical(rng, 1)[0] for _ in range(6)] == [3, 5, 1, 5, 1, 2]
     orc = build_oracle(from_counts([40, 0, 25, 3, 0, 70, 11, 0]))
     assert orc.shift == 3
-    assert orc.draws_for_simulation(np.random.default_rng(2026), 24).tolist() == [
+    assert orc.sample_classical(np.random.default_rng(2026), 24).tolist() == [
         6, 1, 1, 6, 3, 6, 1, 3, 6, 3, 6, 6, 6, 6, 6, 1, 6, 6, 1, 3, 1, 7, 6, 6]
     rng = np.random.default_rng(5)
-    assert [orc.draws_for_simulation(rng, 1)[0] for _ in range(10)] == [
+    assert [orc.sample_classical(rng, 1)[0] for _ in range(10)] == [
         6, 6, 1, 6, 6, 6, 6, 3, 7, 1]
 
 
@@ -81,9 +81,13 @@ def test_classical_draws_never_touch_quantum_counters():
     assert out.shape == (100,)
     assert orc.ledger.quantum_total == 0
     assert orc.ledger.classical_executions == 100
-    # simulation-internal draws are entirely off the books
-    orc.draws_for_simulation(rng, 50)
-    assert orc.ledger.classical_executions == 100
+    # a shaped draw reads the positions of one flat draw, and records them all
+    orc = build_oracle(from_counts([40, 0, 25, 3, 0, 70, 11, 0]))
+    rows = orc.sample_classical(np.random.default_rng(7), (3, 50))
+    assert rows.shape == (3, 50)
+    assert np.array_equal(rows.reshape(-1), orc.sample_classical(np.random.default_rng(7), 150))
+    assert orc.ledger.quantum_total == 0
+    assert orc.ledger.classical_executions == 300
 
 
 def test_ledger_rejects_negative_charges():
@@ -117,7 +121,7 @@ def test_empirical_frequencies_follow_the_table():
     dist = from_counts([1, 3, 4])
     orc = build_oracle(dist)
     rng = np.random.default_rng(42)
-    draws = orc.draws_for_simulation(rng, 200_000)
+    draws = orc.sample_classical(rng, 200_000)
     freq = np.bincount(draws, minlength=4)[1:] / 200_000
     probs = dist.probabilities()
     # 5 sigma on each bin
