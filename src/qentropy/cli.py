@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n-samples", type=int, dest="n_samples",
                      help="sample count for coverage / plugin")
     est.add_argument("--measure", help="measure for plugin (e.g. shannon, renyi:2)")
-    est.add_argument("--distinctness-cost", choices=["belovs", "ambainis", "flat34"],
-                     dest="distinctness_cost")
     est.add_argument("--timing", action="store_true",
                      help="fill wall_ms (breaks byte-identical reruns)")
 
@@ -109,8 +107,6 @@ def _cmd_estimate(args) -> int:
         cell["n_samples"] = args.n_samples
     if args.measure is not None:
         cell["measure"] = args.measure
-    if args.distinctness_cost is not None:
-        cell["distinctness_cost"] = args.distinctness_cost
     report = run_cell_trial(cell, args.seed, record_timing=args.timing)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2,
                      default=_json_default))

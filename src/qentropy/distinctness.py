@@ -2,30 +2,27 @@
 
 The quantum routines being modeled find (or count) k-wise equal entries in a
 length-L sequence with sublinear query cost.  Here the combinatorics run
-classically and exactly; the ledger is charged according to a pluggable cost
-model, and the search can be told to return a wrong verdict with a given
-probability to model the quantum routine's failure rate.
+classically and exactly, and the search can be told to return a wrong
+verdict with a given probability to model the quantum routine's failure
+rate.  The search charges nothing; each estimator books one of two fixed
+charges for it under phase "distinctness" (one invocation on a length-L
+sequence, with the constant of the modeled O(.) taken as 1):
 
-Cost model presets (charge for one invocation on a length-L sequence, with
-the constant of the modeled O(.) taken as 1):
+    belovs_charge  ceil(2^(k^2) * L^nu(k) * ln(1/fail)),
+                   nu(k) = 1 - 2^(k-2)/(2^k - 1)   (so nu(2) = 2/3);
+                   the integer-order power sums' searches and counts
+    flat34_charge  ceil(L^(3/4)); min-entropy, whose k = ceil(16 ln n/eps^2)
+                   makes 2^(k^2) meaningless
 
-    belovs    ceil(2^(k^2) * L^nu(k) * ln(1/fail)),
-              nu(k) = 1 - 2^(k-2)/(2^k - 1)   (so nu(2) = 2/3)
-    ambainis  ceil(k^2 * L^(k/(k+1)))
-    flat34    ceil(L^(3/4))
-
-All presets are monotone in L.
+Both are monotone in L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from .oracle import QueryLedger
 
 
 def collision_exponent(k: int) -> float:
@@ -57,9 +54,10 @@ def count_row_collisions(rows: np.ndarray, k: int) -> int:
     return sum(math.comb(m, k) * c for m, c in zip(lengths.tolist(), hist[lengths].tolist()))
 
 
-def _belovs(k: int, length: int, fail_prob: float) -> int:
-    if length <= 0:
-        return 0
+def belovs_charge(k: int, length: int, fail_prob: float) -> int:
+    """Belovs's learning-graph bound for one k-distinctness search."""
+    if not 0.0 < fail_prob < 1.0:
+        raise ValueError("fail_prob must lie in (0, 1)")
     boost = math.log(1.0 / fail_prob)
     if k * k < 900:
         return math.ceil(2.0 ** (k * k) * length ** collision_exponent(k) * boost)
@@ -67,53 +65,16 @@ def _belovs(k: int, length: int, fail_prob: float) -> int:
     return (1 << (k * k)) * math.ceil(length ** collision_exponent(k) * boost)
 
 
-def _ambainis(k: int, length: int, fail_prob: float) -> int:
-    if length <= 0:
-        return 0
-    return math.ceil(k * k * length ** (k / (k + 1.0)))
-
-
-def _flat34(k: int, length: int, fail_prob: float) -> int:
-    if length <= 0:
-        return 0
+def flat34_charge(length: int) -> int:
+    """The flat L^(3/4) charge of one min-entropy search."""
     return math.ceil(length ** 0.75)
-
-
-@dataclass(frozen=True)
-class DistinctnessCostModel:
-    name: str
-    charge_fn: Callable[[int, int, float], int]
-
-    def charge(self, k: int, length: int, fail_prob: float) -> int:
-        if not 0.0 < fail_prob < 1.0:
-            raise ValueError("fail_prob must lie in (0, 1)")
-        return int(self.charge_fn(k, length, fail_prob))
-
-
-COST_MODELS = {
-    "belovs": DistinctnessCostModel("belovs", _belovs),
-    "ambainis": DistinctnessCostModel("ambainis", _ambainis),
-    "flat34": DistinctnessCostModel("flat34", _flat34),
-}
-
-
-def get_cost_model(name: str) -> DistinctnessCostModel:
-    try:
-        return COST_MODELS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown distinctness cost model %r (choose from %s)"
-            % (name, ", ".join(sorted(COST_MODELS)))
-        ) from None
 
 
 def find_k_collision(
     seq: Sequence[int] | np.ndarray,
     k: int,
     fail_prob: float,
-    model: DistinctnessCostModel,
     rng: np.random.Generator,
-    ledger: Optional[QueryLedger] = None,
 ) -> Optional[int]:
     """Search the sequence for a symbol occurring at least k times.
 
@@ -121,14 +82,12 @@ def find_k_collision(
     (chosen uniformly among candidates) or None.  With probability fail_prob
     the verdict is inverted: an existing collision is missed, or an arbitrary
     entry is reported as collided.  Sequences shorter than k cannot support a
-    false positive and are always answered truthfully.  Charges the cost
-    model under phase "distinctness".
+    false positive and are always answered truthfully.  Charges nothing: the
+    caller books the search's cost.
     """
     if k < 1:
         raise ValueError("k must be positive")
     arr = np.asarray(seq)
-    if ledger is not None:
-        ledger.charge("distinctness", model.charge(k, int(arr.size), fail_prob))
     # In sorted order a symbol occurs at least k times exactly when it fills
     # a window of k entries.  The first full window of each run leaves the
     # candidates ascending and distinct, as np.unique would list them.

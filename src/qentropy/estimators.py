@@ -12,14 +12,16 @@ Charging policy: one subroutine execution is charged M queries under phase
 "estamp" (per amplitude-estimation invocation; the single sampling query it
 also performs is absorbed into the constants, keeping totals at M times the
 execution count).  Collision-based estimators record their sequence draws as
-classical work and pay quantum queries through the distinctness cost model
-instead, mirroring how the modeled routines only touch the oracle inside the
-search subroutine.
+classical work and instead book a fixed charge per collision search under
+phase "distinctness" (Belovs's bound for integer orders, a flat L^(3/4) for
+min-entropy), mirroring how the modeled routines only touch the oracle
+inside the search subroutine.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -32,7 +34,7 @@ from .amplitude import (
     grid_value,
     sample_estamp_multiplicative,
 )
-from .distinctness import COST_MODELS, count_row_collisions, find_k_collision, get_cost_model
+from .distinctness import belovs_charge, count_row_collisions, find_k_collision, flat34_charge
 from .distributions import (
     kl_divergence,
     power_sum,
@@ -54,9 +56,6 @@ class EstimatorConfig:
     delta: float = 0.1
     seed: Optional[int] = None
     mode: str = "contract"  # "contract" or "exact-expectation"
-    # None lets each estimator use its preset (belovs for integer-order
-    # power sums, flat34 for min-entropy).
-    distinctness_cost: Optional[str] = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -65,8 +64,6 @@ class EstimatorConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in ("contract", "exact-expectation"):
             raise ValueError("mode must be 'contract' or 'exact-expectation'")
-        if self.distinctness_cost is not None and self.distinctness_cost not in COST_MODELS:
-            raise ValueError("unknown distinctness cost model %r" % self.distinctness_cost)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -497,31 +494,41 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     their exact collision counts averaged.  Each count has expectation
     C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
     are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
-    positions at a time, with one draw call per chunk.  Quantum
-    charges go through the distinctness cost model only; the sequence draws
-    themselves are classical bookkeeping.
+    positions at a time, with one draw call per chunk.  Every search and
+    count round books Belovs's bound as its quantum charge; the sequence draws
+    themselves are classical bookkeeping.  An order whose charges could sum
+    past the digits Python will print raises ValueError before any draw.
     """
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
     alpha = int(alpha)
     n, eps = oracle.n, cfg.epsilon
     rng = cfg.rng()
-    model = get_cost_model(cfg.distinctness_cost or "belovs")
 
     i_max = math.ceil(math.log2(alpha * n))
     fail_search = 1.0 / (10.0 * i_max)
+    rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     length = 1 << i_max
+    # The ledger books at most i_max + 1 + rounds charges, none above this
+    # one: the charge grows with the length and shrinks with the failure rate.
+    bound = (i_max + 1 + rounds) * belovs_charge(
+        alpha, length, min(fail_search, 0.5, eps ** 2 / length))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
+    # Fewer than 3*limit bits means fewer than limit digits, as 8 < 10.
+    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
+        raise ValueError("alpha=%d: its query charges can exceed %d decimal digits, "
+                         "the most Python converts to a string" % (alpha, limit))
     for i in range(i_max + 1):
         seq = oracle.sample_classical(rng, 1 << i)
-        hit = find_k_collision(seq, alpha, fail_search, model, rng, oracle.ledger)
+        oracle.ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
+        hit = find_k_collision(seq, alpha, fail_search, rng)
         if hit is not None:
             length = 1 << i
             break
 
-    rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     fail_count = min(0.5, eps ** 2 / length)
     denominator = math.comb(length, alpha)
-    round_charge = model.charge(alpha, length, fail_count)
+    round_charge = belovs_charge(alpha, length, fail_count)
     chunk_rows = max(1, _COUNT_CHUNK // length)
     total = 0
     for done in range(0, rounds, chunk_rows):
@@ -534,7 +541,7 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     estimate = total / (rounds * denominator)
     extras = {
         "fixed_length": length, "rounds": rounds, "collision_total": total,
-        "cost_model": model.name, "search_fail_prob": fail_search,
+        "cost_model": "belovs", "search_fail_prob": fail_search,
         "count_fail_prob": fail_count,
     }
     return _power_sum_report("renyi-integer", oracle, alpha, cfg, estimate, extras)
@@ -558,7 +565,6 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     if n < 2:
         raise ValueError("need n >= 2")
     rng = cfg.rng()
-    model = get_cost_model(cfg.distinctness_cost or "flat34")
 
     k = math.ceil(16.0 * ln_n / eps ** 2)
     fail_round = min(0.5, eps / (2.0 * ln_n))
@@ -569,14 +575,15 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         intensity = 16.0 * lam * ln_n / eps ** 2
         batch = int(rng.poisson(intensity))
         seq = oracle.sample_classical(rng, batch)
-        hit = find_k_collision(seq, k, fail_round, model, rng, oracle.ledger)
+        oracle.ledger.charge("distinctness", flat34_charge(batch))
+        hit = find_k_collision(seq, k, fail_round, rng)
         rounds.append({"lambda": lam, "batch": batch, "hit": None if hit is None else int(hit)})
         if hit is not None:
             found = int(hit)
             break
         lam *= math.sqrt(1.0 + eps)
 
-    extras = {"k": k, "rounds": rounds, "cost_model": model.name, "fail_round": fail_round}
+    extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
     if found is None:
         estimate = 1.0 / n
         extras["fallback"] = True

@@ -155,7 +155,7 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
 
 _CELL_KEYS = frozenset({
     "algo", "dist", "dist_q", "dist_seed", "alpha", "eps", "delta", "f", "m",
-    "n_samples", "measure", "mode", "distinctness_cost", "trials",
+    "n_samples", "measure", "mode", "trials",
 })
 
 
@@ -239,8 +239,7 @@ class ExperimentConfig:
 def _config(cell: dict, seed: Optional[int]) -> EstimatorConfig:
     return EstimatorConfig(
         epsilon=float(cell.get("eps", 0.25)), delta=float(cell.get("delta", 0.1)),
-        seed=seed, mode=cell.get("mode", "contract"),
-        distinctness_cost=cell.get("distinctness_cost"))
+        seed=seed, mode=cell.get("mode", "contract"))
 
 
 def _oracle(cell: dict, key: str = "dist") -> DistributionOracle:
@@ -289,9 +288,10 @@ def run_cell_trial(cell: dict, seed: Optional[int],
 
     Cell keys: algo (shannon|kl|renyi|minentropy|coverage|support|plugin),
     dist, and per-algorithm parameters (alpha, eps, delta, dist_q, f, m,
-    n_samples, measure, mode, distinctness_cost, dist_seed); any other key
-    raises ValueError, and so do an unknown algo and a missing key, before
-    any distribution is resolved.
+    n_samples, measure, mode, dist_seed); any other key raises ValueError,
+    and so do an unknown algo and a missing key, before any distribution is
+    resolved.  Every search of the collision estimators books a fixed charge:
+    Belovs's bound for integer orders, L^(3/4) for min-entropy.
     """
     _check_cell(cell)
     algo = cell.get("algo")

@@ -1,4 +1,5 @@
-"""Collision finding and its charged cost models."""
+"""Collision counting and search, and the two fixed charges the collision
+estimators book for a search."""
 
 import itertools
 import math
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qentropy.distinctness import (
-    COST_MODELS,
+    belovs_charge,
     collision_exponent,
     count_row_collisions,
     find_k_collision,
-    get_cost_model,
+    flat34_charge,
 )
-from qentropy.oracle import QueryLedger
 
 
 def brute_force_collisions(seq, k):
@@ -77,31 +77,31 @@ def test_collision_exponent_values():
 
 
 def test_cost_model_charges():
-    assert COST_MODELS["belovs"].charge(2, 100, 0.1) == math.ceil(
-        2**4 * 100 ** (2 / 3) * math.log(10))
-    assert COST_MODELS["ambainis"].charge(2, 100, 0.1) == math.ceil(4 * 100 ** (2 / 3))
-    assert COST_MODELS["flat34"].charge(2, 100, 0.1) == math.ceil(100**0.75)
+    assert belovs_charge(2, 100, 0.1) == math.ceil(2**4 * 100 ** (2 / 3) * math.log(10))
+    assert flat34_charge(100) == math.ceil(100**0.75)
+    assert flat34_charge(0) == 0
+    # from k = 30 on, 2^(k^2) is kept exact instead of overflowing a float
+    assert belovs_charge(30, 4, 0.5) == (1 << 900) * math.ceil(
+        4 ** collision_exponent(30) * math.log(2))
+    for fail_prob in (0.0, 1.0):
+        with pytest.raises(ValueError, match="fail_prob"):
+            belovs_charge(2, 100, fail_prob)
 
 
 def test_cost_models_monotone_in_length():
-    for name, model in COST_MODELS.items():
-        costs = [model.charge(2, L, 0.1) for L in (10, 100, 1000, 10_000)]
-        assert all(b > a for a, b in zip(costs, costs[1:])), name
-
-
-def test_get_cost_model():
-    assert get_cost_model("belovs").name == "belovs"
-    with pytest.raises(ValueError):
-        get_cost_model("nope")
+    lengths = (10, 100, 1000, 10_000)
+    for costs in ([belovs_charge(2, L, 0.1) for L in lengths],
+                  [belovs_charge(5, L, 0.01) for L in lengths],
+                  [flat34_charge(L) for L in lengths]):
+        assert all(b > a for a, b in zip(costs, costs[1:])), costs
 
 
 def test_find_collision_truthful_when_reliable():
     rng = np.random.default_rng(3)
-    model = COST_MODELS["flat34"]
     for _ in range(100):
         length = int(rng.integers(2, 30))
         seq = rng.integers(1, 8, size=length)
-        found = find_k_collision(seq, 2, 0.0, model, rng)
+        found = find_k_collision(seq, 2, 0.0, rng)
         exists = count_row_collisions(np.array([seq]), 2) > 0
         if exists:
             assert found is not None
@@ -110,22 +110,13 @@ def test_find_collision_truthful_when_reliable():
             assert found is None
 
 
-def test_find_collision_charges_the_ledger():
-    ledger = QueryLedger()
-    rng = np.random.default_rng(0)
-    model = COST_MODELS["belovs"]
-    find_k_collision([1, 1, 2], 2, 0.1, model, rng, ledger=ledger)
-    assert ledger.phases["distinctness"] == model.charge(2, 3, 0.1)
-
-
 def test_find_collision_lies_at_the_declared_rate():
     # with fail_prob = q the answer is wrong with probability exactly q
     rng = np.random.default_rng(44)
-    model = COST_MODELS["flat34"]
     seq = [1, 1, 2, 3]  # has a pair
     trials = 2000
     wrong = sum(
-        find_k_collision(seq, 2, 0.25, model, rng) is None for _ in range(trials)
+        find_k_collision(seq, 2, 0.25, rng) is None for _ in range(trials)
     )
     rate = wrong / trials
     assert rate == pytest.approx(0.25, abs=3 * math.sqrt(0.25 * 0.75 / trials))
@@ -135,21 +126,19 @@ def test_find_collision_error_is_two_sided():
     # a lie on collision-free input fabricates a false positive from the
     # sequence; a lie on colliding input suppresses the answer
     rng = np.random.default_rng(5)
-    model = COST_MODELS["flat34"]
     free = [1, 2, 3, 4]
-    fabricated = [find_k_collision(free, 2, 1.0, model, rng) for _ in range(50)]
+    fabricated = [find_k_collision(free, 2, 1.0, rng) for _ in range(50)]
     assert all(f in free for f in fabricated)
     colliding = [1, 1, 2]
     assert all(
-        find_k_collision(colliding, 2, 1.0, model, rng) is None for _ in range(50)
+        find_k_collision(colliding, 2, 1.0, rng) is None for _ in range(50)
     )
 
 
 def test_short_sequences_cannot_collide():
     rng = np.random.default_rng(1)
-    model = COST_MODELS["flat34"]
-    assert find_k_collision([7], 2, 0.0, model, rng) is None
-    assert find_k_collision([], 2, 0.0, model, rng) is None
+    assert find_k_collision([7], 2, 0.0, rng) is None
+    assert find_k_collision([], 2, 0.0, rng) is None
 
 
 def unique_reference(seq, k, fail_prob, rng):
@@ -176,8 +165,7 @@ def test_sorted_window_search_matches_unique(seq, k, fail_prob, seed):
     # Same symbol and same generator state as a search over np.unique's
     # (symbol, count) table, so replacing it moved no stream.
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    found = find_k_collision(np.array(seq, dtype=np.int64), k, fail_prob,
-                             COST_MODELS["flat34"], ours)
+    found = find_k_collision(np.array(seq, dtype=np.int64), k, fail_prob, ours)
     assert found == unique_reference(np.array(seq, dtype=np.int64), k, fail_prob, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -185,4 +173,4 @@ def test_sorted_window_search_matches_unique(seq, k, fail_prob, seed):
 @pytest.mark.parametrize("k", [0, -1])
 def test_find_collision_rejects_k_below_one(k):
     with pytest.raises(ValueError, match="k must be positive"):
-        find_k_collision([1, 1, 2], k, 0.0, COST_MODELS["flat34"], np.random.default_rng(0))
+        find_k_collision([1, 1, 2], k, 0.0, np.random.default_rng(0))

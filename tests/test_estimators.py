@@ -50,8 +50,8 @@ def test_config_validation():
         EstimatorConfig(epsilon=0.1, delta=1.0, seed=0)
     with pytest.raises(ValueError):
         EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, mode="magic")
-    with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, distinctness_cost="nope")
+    with pytest.raises(TypeError):  # the search charges are fixed per estimator
+        EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, distinctness_cost="belovs")
 
 
 def test_budgets_are_powers_of_two():
@@ -464,12 +464,20 @@ def test_power_sum_integer_requires_alpha_at_least_two():
         estimate_power_sum_integer(orc, 1, cfg())
 
 
-def test_power_sum_integer_cost_model_override():
-    rep = estimate_power_sum_integer(
-        build_oracle(uniform(16)), 2, cfg(seed=3, distinctness_cost="ambainis"))
-    assert rep.extras["cost_model"] == "ambainis"
-    default = estimate_power_sum_integer(build_oracle(uniform(16)), 2, cfg(seed=3))
-    assert default.extras["cost_model"] == "belovs"
+def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits):
+    # At alpha = 120 the bound on the charges has 4,341 digits, past the
+    # default limit of 4,300; at alpha = 119 it has 4,269.
+    int_max_str_digits(4300)
+    orc = build_oracle(uniform(4))
+    with pytest.raises(ValueError, match=r"alpha=120.*4300 decimal digits"):
+        estimate_power_sum_integer(orc, 120, cfg())
+    assert orc.ledger.snapshot() == build_oracle(uniform(4)).ledger.snapshot()
+    rep = estimate_power_sum_integer(orc, 119, cfg())
+    assert rep.extras["cost_model"] == "belovs"
+    assert 4000 < len(str(rep.ledger["quantum_total"])) <= 4300
+    int_max_str_digits(0)  # no limit
+    rep = estimate_power_sum_integer(build_oracle(uniform(4)), 120, cfg())
+    assert len(str(rep.ledger["quantum_total"])) > 4300
 
 
 # Collision-large trials at eps 0.25, delta 0.1, as first drawn one round

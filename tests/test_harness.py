@@ -1,9 +1,11 @@
 """Experiment harness: cells, CSV output, baselines, verify suites, CLI."""
 
 import csv
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -158,16 +160,22 @@ def test_experiment_config_rejects_unknown_keys():
 
 
 def test_unknown_cell_keys_are_rejected():
-    # "epsilon" is not a cell key; it used to run silently at the default eps
-    typo = {"algo": "shannon", "dist": "uniform:16", "epsilon": 0.05}
-    with pytest.raises(ValueError, match="epsilon"):
-        run_cell_trial(typo, 0)
-    with pytest.raises(ValueError, match="epsilon"):
-        ExperimentConfig.from_dict({"cells": [typo]})
+    # "epsilon" is not a cell key; it used to run silently at the default eps.
+    # "distinctness_cost" chose a search charge before each estimator had one.
+    for key, value in (("epsilon", 0.05), ("distinctness_cost", "belovs")):
+        typo = {"algo": "shannon", "dist": "uniform:16", key: value}
+        with pytest.raises(ValueError, match=key):
+            run_cell_trial(typo, 0)
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({"cells": [typo]})
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--algo", "minentropy", "--dist", "uniform:4",
+              "--distinctness-cost", "belovs"])
+    assert exc.value.code == 2
     every_key = {"algo": "shannon", "dist": "uniform:16", "dist_q": "uniform:16",
                  "dist_seed": 1, "alpha": 1, "eps": 0.5, "delta": 0.1, "f": 1,
                  "m": 16, "n_samples": 16, "measure": "shannon", "mode": "contract",
-                 "distinctness_cost": "belovs", "trials": 1}
+                 "trials": 1}
     assert ExperimentConfig.from_dict({"cells": [every_key]}).cells == (every_key,)
     assert run_cell_trial(every_key, 0).epsilon == 0.5
 
@@ -319,6 +327,23 @@ def test_verify_suites_pass():
         assert suite_passed(results), [r.name for r in results if not r.passed]
 
 
+def test_benchmark_workloads_call_what_the_harness_offers():
+    # The benchmark's calls are plain data in perfbench/workloads.py; running
+    # each estimator cell once, and looking up each suite, makes a removed
+    # cell key, algo or suite name fail here as well as in the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # for @dataclass
+        spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for call in workload.calls:
+            if workload.verify:
+                assert call in harness.SUITES, (workload.name, call)
+            else:
+                assert run_cell_trial(call, 1).algo, (workload.name, call)
+
+
 def _brute_force_collisions(row, k):
     return sum(1 for combo in itertools.combinations(row, k) if len(set(combo)) == 1)
 
@@ -414,6 +439,15 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "sum(counts) != S" in capsys.readouterr().err
     assert main(["estimate", "--algo", "kl", "--dist", "uniform:4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_order_whose_charges_cannot_be_printed(capsys, int_max_str_digits):
+    # It used to run the whole estimate, then fail to print the ledger.
+    int_max_str_digits(4300)
+    assert main(["estimate", "--algo", "renyi", "--alpha", "120", "--dist", "uniform:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: alpha=120" in captured.err
 
 
 def _verify_json_rows(capsys, suite):
