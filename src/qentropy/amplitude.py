@@ -36,6 +36,13 @@ _NORMALIZATION_TOLERANCE = 1e-9
 # recently used out first.  A table at M = 2^17 holds about 1 MB.
 _TABLE_CACHE_BYTES = 64 << 20
 
+# The largest budget M.  A table holds about 8*M bytes (an index and a
+# probability per grid point), so the largest one fills an eighth of the
+# cache, and building it holds ~90 MB of kernel temporaries for a moment.
+# Each doubling doubles both; a budget of 2^28 (Shannon at eps = 1e-7 on
+# 64 symbols) would need gigabytes before it could fail.
+_MAX_BUDGET = _TABLE_CACHE_BYTES // 64
+
 
 def is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
@@ -68,6 +75,9 @@ def measurement_probabilities(a: float, M: int) -> np.ndarray:
     """Raw outcome law over y = 0..M-1, before merging; symmetric in y <-> M-y."""
     if not is_power_of_two(M) or M < 2:
         raise ValueError("M must be a power of two, at least 2")
+    if M > _MAX_BUDGET:
+        raise ValueError("budget M=%d is above the largest outcome table built, M=%d (2^%d)"
+                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
     if not 0.0 <= a <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
     omega = math.asin(math.sqrt(a)) / math.pi

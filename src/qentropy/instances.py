@@ -13,6 +13,7 @@ known in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ def zipf(s: float, n: int) -> RationalDistribution:
     """
     if s <= 0 or n < 1:
         raise ValueError("need s > 0 and n >= 1")
-    # Python's ** calls libm pow; numpy's power can differ in the last bit.
-    weights = [i ** -s for i in range(1, n + 1)]
+    # math.pow calls libm pow, as i ** -s does; numpy's power can differ in
+    # the last bit.  Mapping it over a float list skips the per-bin bytecode.
+    weights = list(map(math.pow, np.arange(1.0, n + 1).tolist(), itertools.repeat(-s)))
     z = sum(weights)
     S = n * math.ceil(z)
     shares = np.fromiter(weights, np.float64, n) / z * S

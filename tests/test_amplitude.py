@@ -157,6 +157,14 @@ def test_budget_must_be_a_power_of_two():
         estamp_distribution(1.2, 8)
 
 
+def test_budget_has_a_ceiling_above_every_budget_in_use():
+    # The tests reach M = 2^17; the benchmark cells stop at 2^14.
+    assert amplitude._MAX_BUDGET >= 1 << 17
+    with pytest.raises(ValueError, match=r"M=%d is above .* M=%d "
+                       % (2 * amplitude._MAX_BUDGET, amplitude._MAX_BUDGET)):
+        estamp_distribution(0.3, 2 * amplitude._MAX_BUDGET)
+
+
 def test_sampling_is_seeded_and_charged():
     orc = build_oracle(uniform(4))
     rng_a = np.random.default_rng(12)

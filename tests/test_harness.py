@@ -5,6 +5,8 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -411,6 +413,36 @@ def test_poisson_suite_has_annotated_defects_only():
     assert suite_passed(results)
 
 
+def test_poisson_tail_is_the_tail_scipy_stats_gives(monkeypatch):
+    from scipy.stats import poisson
+
+    points = []
+    tail = harness._poisson_upper_tail
+
+    def recording(mu, threshold):
+        points.append((mu, threshold))
+        return tail(mu, threshold)
+
+    monkeypatch.setattr(harness, "_poisson_upper_tail", recording)
+    harness.poisson_suite()
+    assert len(points) == 24
+    for mu, threshold in points:
+        # bit for bit: the same ufunc, not merely a close value
+        assert tail(mu, threshold) == float(poisson.sf(math.ceil(threshold) - 1, mu))
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    # scipy.stats takes most of a second and ~45 MB to import; a fresh
+    # interpreter shows what importing the CLI pulls in.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, qentropy.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_cli_estimate_and_exact(capsys):
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:16",
                  "--eps", "0.25", "--seed", "4"]) == 0
@@ -448,6 +480,38 @@ def test_cli_rejects_an_order_whose_charges_cannot_be_printed(capsys, int_max_st
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: alpha=120" in captured.err
+
+
+def test_cli_rejects_a_budget_above_the_ceiling(capsys):
+    # eps = 1e-7 asks for M = 2^28; it used to die allocating 2 GiB.
+    assert main(["estimate", "--algo", "shannon", "--dist", "uniform:64",
+                 "--eps", "1e-7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget M=268435456 is above")
+    assert "Traceback" not in captured.err
+
+
+def test_experiment_keeps_the_rows_written_before_a_failing_cell(
+        tmp_path, capsys, int_max_str_digits):
+    int_max_str_digits(4300)
+    config = {"master_seed": 3, "trials": 2, "cells": [
+        {"algo": "shannon", "dist": "uniform:4"},
+        {"algo": "renyi", "dist": "uniform:4", "alpha": 120}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert "error: alpha=120" in capsys.readouterr().err
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["shannon", "shannon"]
+    # the kept rows are the rows a run of the shannon cell alone writes
+    alone = tmp_path / "alone.csv"
+    run_experiment(ExperimentConfig.from_dict(dict(config, cells=config["cells"][:1])),
+                   str(alone))
+    assert out_path.read_bytes() == alone.read_bytes()
 
 
 def _verify_json_rows(capsys, suite):

@@ -63,6 +63,15 @@ def test_zipf_matches_the_list_based_build(s, n):
     assert all(type(c) is int for c in dist.counts)
 
 
+@pytest.mark.parametrize("n", [1, 64, 256, 4096])
+@pytest.mark.parametrize("s", [0.5, 1.1, 1.5, 2.0])
+def test_zipf_counts_match_the_comprehension_build(s, n):
+    # The weights come from math.pow mapped over a float list; the
+    # comprehension's i ** -s calls the same libm pow, so no count moves.
+    dist = zipf(s, n)
+    assert (dist.denominator, dist.counts) == zipf_reference(s, n)
+
+
 def test_two_valued_exact():
     d = two_valued(4, 2, 1, 8)
     # heavy bins at base + (n-c)d/c = 3, light at base - d = 1
