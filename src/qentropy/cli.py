@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
+from .estimators import MODES
 from .harness import (
-    SEED_ENV_VAR,
     SUITES,
+    TRIALS,
     ExperimentConfig,
     evaluate_measure,
     resolve_distribution,
     run_cell_trial,
     run_experiment,
     run_suite,
+    seed_from_env,
     suite_passed,
 )
 
@@ -40,11 +41,6 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
-def _default_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qentropy",
@@ -52,20 +48,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="run one estimator trial, print a JSON report")
-    est.add_argument("--algo", required=True,
-                     choices=["shannon", "kl", "renyi", "minentropy",
-                              "coverage", "support", "plugin"])
+    est.add_argument("--algo", required=True, choices=list(TRIALS))
     est.add_argument("--dist", required=True,
                      help="instance spec (uniform:64, zipf:1.5:256, ...) or JSON file")
     est.add_argument("--dist-q", help="second distribution (kl)")
-    est.add_argument("--f-n", type=float, dest="f_n",
+    est.add_argument("--f-n", type=float, dest="f",
                      help="ratio bound for kl (default: exact bound of the pair)")
     est.add_argument("--alpha", type=float, help="order for renyi (or 'inf')")
     est.add_argument("--eps", type=float, default=0.25)
     est.add_argument("--delta", type=float, default=0.1)
-    est.add_argument("--seed", type=int, default=_default_seed())
-    est.add_argument("--mode", choices=["contract", "exact-expectation"],
-                     default="contract")
+    est.add_argument("--seed", type=int, help="default: $QENTROPY_SEED, else fresh entropy")
+    est.add_argument("--mode", choices=MODES, default="contract")
     est.add_argument("--m", type=int, help="promise parameter for support")
     est.add_argument("--n-samples", type=int, dest="n_samples",
                      help="sample count for coverage / plugin")
@@ -93,21 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_estimate(args) -> int:
+    # each option's dest is the cell key it sets
     cell = {"algo": args.algo, "dist": args.dist, "eps": args.eps,
             "delta": args.delta, "mode": args.mode}
-    if args.dist_q is not None:
-        cell["dist_q"] = args.dist_q
-    if args.f_n is not None:
-        cell["f"] = args.f_n
-    if args.alpha is not None:
-        cell["alpha"] = args.alpha
-    if args.m is not None:
-        cell["m"] = args.m
-    if args.n_samples is not None:
-        cell["n_samples"] = args.n_samples
-    if args.measure is not None:
-        cell["measure"] = args.measure
-    report = run_cell_trial(cell, args.seed, record_timing=args.timing)
+    for key in ("dist_q", "f", "alpha", "m", "n_samples", "measure"):
+        if getattr(args, key) is not None:
+            cell[key] = getattr(args, key)
+    seed = args.seed if args.seed is not None else seed_from_env()
+    report = run_cell_trial(cell, seed, record_timing=args.timing)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2,
                      default=_json_default))
     return 0

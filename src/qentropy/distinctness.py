@@ -26,10 +26,11 @@ import numpy as np
 
 
 def collision_exponent(k: int) -> float:
-    """nu(k) = 1 - 2^(k-2) / (2^k - 1); strictly below 3/4, equals 2/3 at k=2."""
+    """nu(k) = 1 - 2^(k-2) / (2^k - 1); below 3/4, equals 2/3 at k=2."""
     if k < 2:
         raise ValueError("collisions need k >= 2")
-    return 1.0 - 2.0 ** (k - 2) / (2.0 ** k - 1.0)
+    # 2^(k-2) / (2^k - 1) divided through by 2^k: no float overflows, and nu -> 3/4
+    return 1.0 - 0.25 / (1.0 - 2.0 ** -k)
 
 
 def count_row_collisions(rows: np.ndarray, k: int) -> int:

@@ -6,7 +6,9 @@ result through a payoff function), then hand the payoff random variable to a
 mean-estimation contract.  Because the amplitude-estimation outcome law is
 known in closed form, the payoff variable's distribution is also known
 exactly, which enables both fast vectorized simulation and exact
-enumeration of its mean and variance ("exact-expectation" mode).
+enumeration of its mean and variance ("exact-expectation" mode).  The
+collision-based estimators (integer orders, min-entropy) have no such law
+and refuse that mode.
 
 Charging policy: one subroutine execution is charged M queries under phase
 "estamp" (per amplitude-estimation invocation; the single sampling query it
@@ -50,20 +52,24 @@ from .mean_estimation import (
 from .oracle import DistributionOracle
 
 
+# sampled payoffs through a mean-estimation contract, or the payoff law's exact mean
+MODES = ("contract", "exact-expectation")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     epsilon: float = 0.25
     delta: float = 0.1
     seed: Optional[int] = None
-    mode: str = "contract"  # "contract" or "exact-expectation"
+    mode: str = "contract"  # one of MODES
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.mode not in ("contract", "exact-expectation"):
-            raise ValueError("mode must be 'contract' or 'exact-expectation'")
+        if self.mode not in MODES:
+            raise ValueError("mode must be one of %s" % ", ".join("'%s'" % m for m in MODES))
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -175,13 +181,12 @@ class MasterSubroutine(FiniteLaw):
     """
 
     def __init__(self, oracle: DistributionOracle, M: int,
-                 payoff: Callable[[float], float], variant: str = "estamp",
-                 phase: str = "estamp"):
+                 payoff: Callable[[float], float], variant: str = "estamp"):
         src = oracle.source
         values, probabilities = _grid_law(_count_classes(src.counts), src.denominator,
                                           M, variant)
         super().__init__(np.array([payoff(v) for v in values]), probabilities,
-                         charges=((oracle.ledger, phase, M),))
+                         charges=((oracle.ledger, "estamp", M),))
 
 
 class _RatioSubroutine:
@@ -453,6 +458,12 @@ def _power_sum_report(algo: str, oracle, alpha, cfg, estimate, extras) -> Estima
                    oracle, cfg, alpha=alpha, extras=extras)
 
 
+def _refuse_exact_expectation(cfg: EstimatorConfig, estimator: str) -> None:
+    if cfg.mode == "exact-expectation":
+        raise ValueError("%s has no payoff law to integrate: it runs only in contract "
+                         "mode, not exact-expectation" % estimator)
+
+
 def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
                                 cfg: EstimatorConfig) -> EstimateReport:
     """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
@@ -497,8 +508,10 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     positions at a time, with one draw call per chunk.  Every search and
     count round books Belovs's bound as its quantum charge; the sequence draws
     themselves are classical bookkeeping.  An order whose charges could sum
-    past the digits Python will print raises ValueError before any draw.
+    past the digits Python will print raises ValueError before any draw, and
+    so does exact-expectation mode.
     """
+    _refuse_exact_expectation(cfg, "the integer-order collision estimator")
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
     alpha = int(alpha)
@@ -509,13 +522,18 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     fail_search = 1.0 / (10.0 * i_max)
     rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     length = 1 << i_max
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
     # The ledger books at most i_max + 1 + rounds charges, none above this
     # one: the charge grows with the length and shrinks with the failure rate.
-    bound = (i_max + 1 + rounds) * belovs_charge(
-        alpha, length, min(fail_search, 0.5, eps ** 2 / length))
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
-    # Fewer than 3*limit bits means fewer than limit digits, as 8 < 10.
-    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
+    # The bound is at least 2^(alpha^2), past limit digits once 3*alpha^2 >
+    # 10*limit as 2^(10/3) > 10, so such an order is rejected before a bound
+    # of alpha^2 bits is built.  Under 3*limit bits it has under limit digits.
+    too_long = limit and 3 * alpha * alpha > 10 * limit
+    if limit and not too_long:
+        bound = (i_max + 1 + rounds) * belovs_charge(
+            alpha, length, min(fail_search, 0.5, eps ** 2 / length))
+        too_long = bound.bit_length() > 3 * limit and bound >= 10 ** limit
+    if too_long:
         raise ValueError("alpha=%d: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
     for i in range(i_max + 1):
@@ -559,7 +577,9 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
     to relative error eps with the 1/n floor budget.  If no round fires
     before the intensity passes n, the estimate falls back to 1/n.
+    Exact-expectation mode raises ValueError before any draw.
     """
+    _refuse_exact_expectation(cfg, "the min-entropy estimator")
     n, eps = oracle.n, cfg.epsilon
     ln_n = math.log(n)
     if n < 2:

@@ -65,6 +65,15 @@ def resolve_distribution(spec: str, seed: Optional[int] = None) -> RationalDistr
     return load_distribution(spec)
 
 
+def seed_from_env() -> Optional[int]:
+    """The integer in QENTROPY_SEED, or None when it is unset or empty."""
+    raw = os.environ.get(SEED_ENV_VAR, "")
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (SEED_ENV_VAR, raw)) from None
+
+
 def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed from (master, cell, trial)."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial_index))
@@ -254,6 +263,9 @@ def _kl_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
 
 
 def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
+    if cell.get("mode", "contract") != "contract":
+        raise ValueError("plugin cells have no payoff law to integrate: they run only "
+                         "in contract mode, got mode %r" % (cell["mode"],))
     oracle_q = None
     if cell["measure"].partition(":")[0] == "kl":
         if "dist_q" not in cell:
@@ -267,7 +279,7 @@ def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
 
 
 # algo -> (keys its cells need besides 'algo' and 'dist', trial(cell, seed))
-_TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
+TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "shannon": ((), lambda cell, seed: estimate_shannon(_oracle(cell), _config(cell, seed))),
     "kl": (("dist_q",), _kl_trial),
     "renyi": (("alpha",), lambda cell, seed: estimate_renyi(
@@ -290,16 +302,18 @@ def run_cell_trial(cell: dict, seed: Optional[int],
     dist, and per-algorithm parameters (alpha, eps, delta, dist_q, f, m,
     n_samples, measure, mode, dist_seed); any other key raises ValueError,
     and so do an unknown algo and a missing key, before any distribution is
-    resolved.  Every search of the collision estimators books a fixed charge:
+    resolved.  Exact-expectation mode needs a payoff law: plugin cells,
+    integer orders and min-entropy raise ValueError on it before any
+    draw.  Every search of the collision estimators books a fixed charge:
     Belovs's bound for integer orders, L^(3/4) for min-entropy.
     """
     _check_cell(cell)
     algo = cell.get("algo")
     if algo is None or "dist" not in cell:
         raise ValueError("cell needs at least 'algo' and 'dist'")
-    if not isinstance(algo, str) or algo not in _TRIALS:
+    if not isinstance(algo, str) or algo not in TRIALS:
         raise ValueError("unknown algo %r" % (algo,))
-    required, trial = _TRIALS[algo]
+    required, trial = TRIALS[algo]
     if any(key not in cell for key in required):
         raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
     started = time.perf_counter()
@@ -350,7 +364,7 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
     """
     master = config.master_seed
     if master is None:
-        master = int(os.environ.get(SEED_ENV_VAR, "0"))
+        master = seed_from_env() or 0
     rows = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -382,11 +396,19 @@ class CheckResult:
 
 _K1_CONFIDENCE = 8.0 / math.pi ** 2
 
+# The seed of every suite that draws, so each run checks the same cases, and
+# the suites' sample sizes.
+_SUITE_SEED = 20260815
+_ESTAMP_DRAWS = 200  # random amplitudes, at every budget
+_SANDWICH_TRIALS = 1000  # random distributions
+_COLLISION_MC_ROWS = 100_000  # Monte-Carlo sequences per grid cell
+_MEANEST_TRIALS = 400  # contract runs per law
 
-def estamp_suite(seed: int = 20260815, draws: int = 200) -> list[CheckResult]:
+
+def estamp_suite() -> list[CheckResult]:
     """Closed-form outcome law: normalization and the k=1 deviation window."""
-    rng = np.random.default_rng(seed)
-    amplitudes = rng.random(draws)
+    rng = np.random.default_rng(_SUITE_SEED)
+    amplitudes = rng.random(_ESTAMP_DRAWS)
     checks = []
     for m_exp in range(1, 9):
         M = 1 << m_exp
@@ -411,16 +433,16 @@ def estamp_suite(seed: int = 20260815, draws: int = 200) -> list[CheckResult]:
     return checks
 
 
-def sandwich_suite(seed: int = 20260815, trials: int = 1000) -> list[CheckResult]:
+def sandwich_suite() -> list[CheckResult]:
     """Power-sum interpolation bounds on random rational distributions.
 
     For 0 < a1 < a2: P_{a2}^{a1/a2} <= P_{a1} <= n^{1-a1/a2} * P_{a2}^{a1/a2},
     each side allowed 1e-12 relative slack.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SUITE_SEED)
     worst_lower = math.inf
     worst_upper = math.inf
-    for _ in range(trials):
+    for _ in range(_SANDWICH_TRIALS):
         n = int(rng.integers(2, 65))
         counts = rng.integers(0, 20, size=n)
         if counts.sum() == 0:
@@ -437,9 +459,9 @@ def sandwich_suite(seed: int = 20260815, trials: int = 1000) -> list[CheckResult
         worst_lower = min(worst_lower, (p1 - lower) / lower)
         worst_upper = min(worst_upper, (upper - p1) / upper)
     checks = [
-        CheckResult("sandwich", "lower bound x%d" % trials, worst_lower >= -1e-12,
+        CheckResult("sandwich", "lower bound x%d" % _SANDWICH_TRIALS, worst_lower >= -1e-12,
                     worst_lower + 1e-12, "worst relative slack %.3e" % worst_lower),
-        CheckResult("sandwich", "upper bound x%d" % trials, worst_upper >= -1e-12,
+        CheckResult("sandwich", "upper bound x%d" % _SANDWICH_TRIALS, worst_upper >= -1e-12,
                     worst_upper + 1e-12, "worst relative slack %.3e" % worst_upper),
     ]
     return checks
@@ -557,17 +579,18 @@ def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator
     return draws
 
 
-def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckResult]:
+def collision_suite() -> list[CheckResult]:
     """Collision-count statistics: E[C] = C(l, k) * P_k(p).
 
     Exact: integer-arithmetic enumeration of all n^l sequences must satisfy
     sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
-    Monte-Carlo: the sample mean over mc_rows sequences must sit within
-    5 standard errors of the exact expectation.
+    Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
+    within 5 standard errors of the exact expectation.
     """
     from .instances import zipf
 
-    rng = np.random.default_rng(seed)
+    mc_rows = _COLLISION_MC_ROWS
+    rng = np.random.default_rng(_SUITE_SEED)
     checks = []
     for n, length, k in _COLLISION_GRID:
         dist = zipf(1.5, n)
@@ -602,9 +625,10 @@ def collision_suite(seed: int = 20260815, mc_rows: int = 100_000) -> list[CheckR
     return checks
 
 
-def meanest_suite(seed: int = 20260815, trials: int = 400) -> list[CheckResult]:
+def meanest_suite() -> list[CheckResult]:
     """Mean-estimation contracts on synthetic finite laws."""
-    rng = np.random.default_rng(seed)
+    trials = _MEANEST_TRIALS
+    rng = np.random.default_rng(_SUITE_SEED)
     checks = []
 
     const = FiniteLaw([0.5], [1.0])

@@ -13,6 +13,7 @@ known in closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,10 +130,27 @@ def permuted(dist: RationalDistribution, seed: int | None) -> RationalDistributi
     )
 
 
-INSTANCE_FAMILIES = frozenset({
-    "uniform", "point", "zipf", "two-valued", "lpairs",
-    "hard-shannon", "hard-coverage", "counts",
-})
+def _pair_member(maker, n: str, epsilon: str, member: str) -> RationalDistribution:
+    pair = maker(int(n), float(epsilon))
+    if member not in ("1", "2"):
+        raise ValueError("pair member must be 1 or 2")
+    return pair.p_uniform if member == "1" else pair.p_bumped
+
+
+# family -> (argument counts it takes, builder from the argument strings)
+_FAMILIES = {
+    "uniform": ((1,), lambda n: uniform(int(n))),
+    "point": ((1,), lambda n: point_mass(int(n))),
+    "zipf": ((2,), lambda s, n: zipf(float(s), int(n))),
+    "two-valued": ((4,), lambda n, c, d, S: two_valued(int(n), int(c), int(d), int(S))),
+    "lpairs": ((2,), lambda n, l: bumped(int(n), int(l))),
+    "hard-shannon": ((3,), functools.partial(_pair_member, hard_pair_shannon)),
+    "hard-coverage": ((3,), functools.partial(_pair_member, hard_pair_coverage)),
+    "counts": ((1, 2), lambda c, S=None: from_counts(
+        [int(x) for x in c.split(",")], denominator=None if S is None else int(S))),
+}
+
+INSTANCE_FAMILIES = frozenset(_FAMILIES)
 
 
 def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
@@ -144,33 +162,11 @@ def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
     The trailing member index selects the uniform (1) or bumped (2) half of a
     separation pair.  A seed relabels the bins deterministically.
     """
-    parts = text.split(":")
-    family, args = parts[0], parts[1:]
-    arity = {"uniform": 1, "point": 1, "zipf": 2, "two-valued": 4, "lpairs": 2,
-             "hard-shannon": 3, "hard-coverage": 3, "counts": (1, 2)}
-    if family not in arity:
+    family, *args = text.split(":")
+    if family not in _FAMILIES:
         raise ValueError("unknown instance family %r" % family)
-    allowed = arity[family] if isinstance(arity[family], tuple) else (arity[family],)
+    allowed, build = _FAMILIES[family]
     if len(args) not in allowed:
         raise ValueError("instance spec %r takes %s arguments" % (
             family, " or ".join(str(k) for k in allowed)))
-    if family == "counts":
-        values = [int(c) for c in args[0].split(",")]
-        dist = from_counts(values, denominator=int(args[1]) if len(args) == 2 else None)
-    elif family == "uniform":
-        dist = uniform(int(args[0]))
-    elif family == "point":
-        dist = point_mass(int(args[0]))
-    elif family == "zipf":
-        dist = zipf(float(args[0]), int(args[1]))
-    elif family == "two-valued":
-        dist = two_valued(int(args[0]), int(args[1]), int(args[2]), int(args[3]))
-    elif family == "lpairs":
-        dist = bumped(int(args[0]), int(args[1]))
-    else:
-        maker = hard_pair_shannon if family == "hard-shannon" else hard_pair_coverage
-        pair = maker(int(args[0]), float(args[1]))
-        if args[2] not in ("1", "2"):
-            raise ValueError("pair member must be 1 or 2")
-        dist = pair.p_uniform if args[2] == "1" else pair.p_bumped
-    return permuted(dist, seed)
+    return permuted(build(*args), seed)

@@ -27,8 +27,8 @@ one lumped atom that holds the rest of the mass.  That is the full
 multinomial with its zero-valued atoms aggregated, so the sample mean has the
 same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
-its mains, the draws do not depend on the chunking.  A qmean_multiplicative
-call is the k = 1 case.
+its mains, the draws do not depend on the chunking.  A lone contract run
+is the k = 1 case; it has no entry point of its own.
 
 Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
 ratio r, floored at one execution: the theorems' O(.) constant is taken as
@@ -48,7 +48,7 @@ per group that is never tabulated jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,9 +140,7 @@ class MeanEstimate:
     value: float
     charged_executions: int
     classical_executions: int
-    mode: str
     out_of_contract: bool = False
-    details: dict = field(default_factory=dict)
 
 
 def theorem_execution_count(ratio: float) -> int:
@@ -185,7 +183,6 @@ def qmean_additive(
         value=value,
         charged_executions=charged,
         classical_executions=_ADDITIVE_GROUPS * group_size,
-        mode="additive",
         out_of_contract=out_of_contract,
     )
 
@@ -347,36 +344,6 @@ def multiplicative_runs(
         scale=scale,
         charged_executions=charged,
         out_of_contract=out_of_contract,
-    )
-
-
-def qmean_multiplicative(
-    sub: FiniteLaw,
-    sigma: float,
-    a: float,
-    b: float,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> MeanEstimate:
-    """Relative-error mean estimate: |est - E[X]| <= epsilon*E[X] w.p. >= 9/10.
-
-    One run of multiplicative_runs; the output satisfies the exact identity
-    value = sigma*b*(m~ - 6*mu_- + 6*mu_+), whose pieces are reported in
-    details.
-    """
-    runs = multiplicative_runs(sub, sigma, a, b, epsilon, 1, rng)
-    return MeanEstimate(
-        value=float(runs.value[0]),
-        charged_executions=runs.charged_executions,
-        classical_executions=int(runs.classical_executions[0]),
-        mode="multiplicative",
-        out_of_contract=runs.out_of_contract,
-        details={
-            "m_tilde": float(runs.m_tilde[0]),
-            "mu_minus": float(runs.mu_minus[0]),
-            "mu_plus": float(runs.mu_plus[0]),
-            "scale": runs.scale,
-        },
     )
 
 

@@ -120,9 +120,7 @@ class DistributionOracle:
         return self.source.fraction(symbol)
 
 
-def build_oracle(
-    dist: RationalDistribution, ledger: QueryLedger | None = None
-) -> DistributionOracle:
+def build_oracle(dist: RationalDistribution) -> DistributionOracle:
     """Guide table and cumulative counts of the layout [1]*m_1 + [2]*m_2 + ...
 
     The bucket width 2^shift is the smallest power of two that leaves at most
@@ -144,5 +142,4 @@ def build_oracle(
         # Symbol i owns the buckets whose first position it holds: bucket
         # ceil(cum[i-2] / w) up to, but not including, ceil(cum[i-1] / w).
         guide = np.repeat(symbols, np.diff(-((-cum) >> shift), prepend=0))
-    return DistributionOracle(source=dist, cum=cum, guide=guide, shift=shift,
-                              ledger=ledger or QueryLedger())
+    return DistributionOracle(source=dist, cum=cum, guide=guide, shift=shift)

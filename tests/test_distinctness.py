@@ -76,6 +76,20 @@ def test_collision_exponent_values():
     assert collision_exponent(10) == pytest.approx(1 - 2**8 / (2**10 - 1))
 
 
+def test_collision_exponent_is_the_old_formula_without_its_overflow():
+    # The formula as first written, whose powers of two overflow a float
+    # from k = 1024 on.
+    def first_formula(k):
+        return 1.0 - 2.0 ** (k - 2) / (2.0 ** k - 1.0)
+
+    for k in range(2, 1024):
+        assert collision_exponent(k) == first_formula(k), k
+    with pytest.raises(OverflowError):
+        first_formula(1024)
+    for k in (1024, 3000, 10 ** 6, 10 ** 200):
+        assert collision_exponent(k) == 0.75
+
+
 def test_cost_model_charges():
     assert belovs_charge(2, 100, 0.1) == math.ceil(2**4 * 100 ** (2 / 3) * math.log(10))
     assert flat34_charge(100) == math.ceil(100**0.75)

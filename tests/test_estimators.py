@@ -32,7 +32,7 @@ from qentropy.estimators import (
     shannon_budget,
 )
 from qentropy.instances import point_mass, two_valued, uniform, zipf
-from qentropy.oracle import DistributionOracle, build_oracle
+from qentropy.oracle import DistributionOracle, QueryLedger, build_oracle
 
 # Exact expected payoff of the Shannon subroutine on uniform(16) at M=32,
 # computed independently with 50-digit arithmetic from the output law.
@@ -464,6 +464,21 @@ def test_power_sum_integer_requires_alpha_at_least_two():
         estimate_power_sum_integer(orc, 1, cfg())
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda orc, c: estimate_power_sum_integer(orc, 2, c),
+    lambda orc, c: estimate_min_entropy(orc, c),
+    lambda orc, c: estimate_renyi(orc, 3.0, c),
+    lambda orc, c: estimate_renyi(orc, math.inf, c),
+], ids=["integer", "minentropy", "renyi-3", "renyi-inf"])
+def test_collision_estimators_refuse_exact_expectation_before_any_draw(estimate):
+    # They have no payoff law to integrate; they used to run the sampled
+    # estimate, charge the whole ledger and label it exact-expectation.
+    orc = build_oracle(uniform(16))
+    with pytest.raises(ValueError, match="no payoff law.*exact-expectation"):
+        estimate(orc, cfg(seed=7, mode="exact-expectation"))
+    assert orc.ledger.snapshot() == QueryLedger().snapshot()
+
+
 def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits):
     # At alpha = 120 the bound on the charges has 4,341 digits, past the
     # default limit of 4,300; at alpha = 119 it has 4,269.
@@ -478,6 +493,19 @@ def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits)
     int_max_str_digits(0)  # no limit
     rep = estimate_power_sum_integer(build_oracle(uniform(4)), 120, cfg())
     assert len(str(rep.ledger["quantum_total"])) > 4300
+
+
+@pytest.mark.parametrize("alpha", [3000, 10 ** 5, 10 ** 6, 10 ** 200])
+def test_huge_orders_are_rejected_without_building_their_bound(alpha, int_max_str_digits,
+                                                               monkeypatch):
+    # 2^(alpha^2) alone is past the limit, so the guard rejects the order
+    # before belovs_charge builds a bound of alpha^2 bits (1.25 GB at 10^5).
+    int_max_str_digits(4300)
+    monkeypatch.setattr(estimators, "belovs_charge", None)  # any call fails
+    orc = build_oracle(uniform(4))
+    with pytest.raises(ValueError, match=r"alpha=%d.*4300 decimal digits" % alpha):
+        estimate_power_sum_integer(orc, alpha, cfg())
+    assert orc.ledger.snapshot() == QueryLedger().snapshot()
 
 
 # Collision-large trials at eps 0.25, delta 0.1, as first drawn one round

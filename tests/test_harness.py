@@ -1,5 +1,6 @@
 """Experiment harness: cells, CSV output, baselines, verify suites, CLI."""
 
+import argparse
 import csv
 import importlib.util
 import itertools
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import harness
+from qentropy import cli, harness
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import shannon_entropy
-from qentropy.estimators import EstimatorConfig
+from qentropy.estimators import MODES, EstimatorConfig
 from qentropy.harness import (
     CSV_COLUMNS,
     _collision_counts_rows,
@@ -36,7 +37,7 @@ from qentropy.harness import (
 )
 from qentropy.instances import uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
-from qentropy.oracle import build_oracle
+from qentropy.oracle import QueryLedger, build_oracle
 
 SMALL_CONFIG = {
     "master_seed": 11,
@@ -132,6 +133,37 @@ def test_run_cell_trial_requires_algo_keys():
                       ("support", "m")):
         with pytest.raises(ValueError, match="%s cells need '%s'" % (algo, key)):
             run_cell_trial({"algo": algo, "dist": bad}, 0)
+
+
+@pytest.mark.parametrize("cell", [
+    {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": 2},
+    {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": math.inf},
+    {"algo": "minentropy", "dist": "zipf:1.5:16"},
+    {"algo": "plugin", "dist": "zipf:1.5:16", "measure": "shannon", "n_samples": 64},
+    {"algo": "plugin", "dist": "zipf:1.5:8", "dist_q": "uniform:8", "measure": "kl",
+     "n_samples": 64},
+], ids=["renyi-2", "renyi-inf", "minentropy", "plugin", "plugin-kl"])
+def test_cells_without_a_payoff_law_refuse_exact_expectation_before_any_draw(
+        cell, monkeypatch):
+    built = []
+
+    def recording_build_oracle(dist):
+        built.append(build_oracle(dist))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_oracle", recording_build_oracle)
+    with pytest.raises(ValueError, match="no payoff law"):
+        run_cell_trial(dict(cell, mode="exact-expectation"), 7)
+    assert all(o.ledger.snapshot() == QueryLedger().snapshot() for o in built)
+    # the same cell in contract mode runs and draws through the recorded oracles
+    assert run_cell_trial(cell, 7).classical_executions > 0
+    assert any(o.ledger.classical_executions for o in built)
+
+
+def test_plugin_cells_run_only_in_contract_mode():
+    with pytest.raises(ValueError, match="got mode 'bogus'"):
+        run_cell_trial({"algo": "plugin", "dist": "uniform:8", "measure": "shannon",
+                        "n_samples": 8, "mode": "bogus"}, 0)
 
 
 # The exact ratio bound of this pair is 4/3; its float rounds below it and
@@ -482,6 +514,18 @@ def test_cli_rejects_an_order_whose_charges_cannot_be_printed(capsys, int_max_st
     assert "error: alpha=120" in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["3000", "1000000"])
+def test_cli_rejects_a_huge_order_before_it_overflows(capsys, int_max_str_digits, alpha):
+    # 3000 used to overflow a float in the collision exponent; 10^6 to build
+    # a bound of 10^12 bits inside the digit guard.
+    int_max_str_digits(4300)
+    assert main(["estimate", "--algo", "renyi", "--alpha", alpha, "--dist", "uniform:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha=%s" % alpha)
+    assert "Traceback" not in captured.err
+
+
 def test_cli_rejects_a_budget_above_the_ceiling(capsys):
     # eps = 1e-7 asks for M = 2^28; it used to die allocating 2 GiB.
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:64",
@@ -529,6 +573,8 @@ def test_verify_checks_match_the_pinned_rows(capsys):
 
 
 # One `qentropy estimate` call per algorithm and path, each run in both modes.
+# The cases in REFUSE_EXACT have no payoff law, so their exact-expectation
+# run exits 2 before any draw.
 ESTIMATE_CASES = {
     "shannon": ["--algo", "shannon", "--dist", "zipf:1.5:16"],
     "kl-f": ["--algo", "kl", "--dist", "zipf:1.5:8", "--dist-q", "uniform:8", "--f-n", "4"],
@@ -556,21 +602,28 @@ ESTIMATE_CASES = {
 }
 
 
-def _estimate_json(capsys, case, mode):
-    argv = ["estimate", *ESTIMATE_CASES[case], "--mode", mode, "--seed", "7"]
-    assert main(argv) == 0
-    return json.loads(capsys.readouterr().out)
+REFUSE_EXACT = {"renyi-2", "renyi-2-two-valued", "renyi-2-wide-counts", "renyi-3-zipf-4096",
+                "renyi-inf", "minentropy-zipf-4096", "plugin", "plugin-kl"}
 
 
-@pytest.mark.parametrize("mode", ["contract", "exact-expectation"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
 def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
     # The whole report, extras and ledgers included, to the last bit of every
     # float (json writes a float as its repr).
     pinned = json.loads(Path(__file__).with_name("estimate_pin.json").read_text())
-    report = _estimate_json(capsys, case, mode)
-    assert json.dumps(report, sort_keys=True) == \
-        json.dumps(pinned["%s/%s" % (case, mode)], sort_keys=True)
+    key = "%s/%s" % (case, mode)
+    argv = ["estimate", *ESTIMATE_CASES[case], "--mode", mode, "--seed", "7"]
+    if mode == "exact-expectation" and case in REFUSE_EXACT:
+        assert key not in pinned
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exact-expectation" in captured.err
+        return
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert json.dumps(report, sort_keys=True) == json.dumps(pinned[key], sort_keys=True)
 
 
 def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
@@ -585,6 +638,53 @@ def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
     assert report["estimate"] == 4.353881856486745
     assert report["ledger"] == {"classical_executions": 39541197, "phases": {"estamp": 77590272},
                                 "quantum_total": 77590272}
+
+
+@pytest.mark.parametrize("raw", ["abc", " ", "1.5"])
+def test_a_malformed_seed_variable_fails_only_where_it_is_read(
+        raw, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QENTROPY_SEED", raw)
+    # verify and exact never read it
+    assert main(["verify", "poisson"]) == 0
+    assert main(["exact", "--dist", "uniform:4", "--measure", "shannon"]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--algo", "shannon", "--dist", "uniform:4", "--seed", "1"]) == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"cells": [{"algo": "shannon", "dist": "uniform:4"}]}))
+    for argv in (["estimate", "--algo", "shannon", "--dist", "uniform:4"],
+                 ["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QENTROPY_SEED must be an integer, got %r\n" % raw
+
+
+def test_an_empty_seed_variable_is_unset_everywhere(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "exp.json"
+    cell = {"algo": "shannon", "dist": "uniform:4"}
+    cfg_path.write_text(json.dumps({"cells": [cell]}))
+    monkeypatch.setenv("QENTROPY_SEED", "")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["estimate", "--algo", "shannon", "--dist", "uniform:4"]) == 0
+    capsys.readouterr()
+    # an experiment without a master seed then uses 0, as with the variable unset
+    run_experiment(ExperimentConfig.from_dict({"master_seed": 0, "cells": [cell]}),
+                   str(tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    monkeypatch.setenv("QENTROPY_SEED", "5")
+    assert main(["estimate", "--algo", "shannon", "--dist", "uniform:4"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+def test_cli_choices_are_the_harness_tables():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {name: {a.dest: a.choices for a in sub._actions if a.choices}
+               for name, sub in commands.choices.items()}
+    assert list(choices["estimate"]["algo"]) == list(harness.TRIALS)
+    assert tuple(choices["estimate"]["mode"]) == MODES
+    assert list(choices["verify"]["suite"]) == sorted(harness.SUITES) + ["all"]
 
 
 def test_cli_verify_json_carries_the_text_report(capsys):

@@ -13,7 +13,6 @@ from qentropy.mean_estimation import (
     median_amplify,
     multiplicative_runs,
     qmean_additive,
-    qmean_multiplicative,
     theorem_execution_count,
 )
 from qentropy.oracle import QueryLedger
@@ -22,6 +21,12 @@ from qentropy.oracle import QueryLedger
 def two_point(mean, rel_var):
     c = math.sqrt(rel_var)
     return FiniteLaw([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
+
+
+def lone_run(sub, sigma, a, b, epsilon, rng):
+    """One run of the multiplicative contract: its value and its classical draws."""
+    runs = multiplicative_runs(sub, sigma, a, b, epsilon, 1, rng)
+    return float(runs.value[0]), int(runs.classical_executions[0])
 
 
 def test_synthetic_moments_are_exact():
@@ -75,7 +80,6 @@ def test_additive_constant_subroutine_is_exact():
     sub = FiniteLaw([1.3], [1.0])
     est = qmean_additive(sub, 0.5, 0.25, np.random.default_rng(0))
     assert est.value == 1.3
-    assert est.mode == "additive"
     assert est.charged_executions == theorem_execution_count(2.0)
     assert est.classical_executions == 3 * math.ceil(5 * (0.5 / 0.25) ** 2)
     assert not est.out_of_contract
@@ -147,12 +151,10 @@ def test_multiplicative_identity_and_contract():
     for rel_var in (0.04, 0.25):
         sub = two_point(1.3, rel_var)
         sigma = math.sqrt(sub.variance())
-        est = qmean_multiplicative(sub, sigma, 1.0, 2.0, 0.25, rng)
-        d = est.details
-        rebuilt = d["scale"] * (d["m_tilde"] - 6 * d["mu_minus"] + 6 * d["mu_plus"])
-        assert est.value == pytest.approx(rebuilt, abs=1e-12)
-        assert est.mode == "multiplicative"
-        assert not est.out_of_contract
+        runs = multiplicative_runs(sub, sigma, 1.0, 2.0, 0.25, 1, rng)
+        rebuilt = runs.scale * (runs.m_tilde[0] - 6 * runs.mu_minus[0] + 6 * runs.mu_plus[0])
+        assert runs.value[0] == pytest.approx(rebuilt, abs=1e-12)
+        assert not runs.out_of_contract
 
 
 def test_multiplicative_failure_rate():
@@ -161,7 +163,7 @@ def test_multiplicative_failure_rate():
     rng = np.random.default_rng(29)
     trials = 400
     fails = sum(
-        abs(qmean_multiplicative(sub, sigma, 1.0, 2.0, 0.25, rng).value - 1.3) > 0.25 * 1.3
+        abs(lone_run(sub, sigma, 1.0, 2.0, 0.25, rng)[0] - 1.3) > 0.25 * 1.3
         for _ in range(trials)
     )
     # contract: failure <= 1/10; allow 3 binomial sigmas
@@ -171,9 +173,9 @@ def test_multiplicative_failure_rate():
 def test_multiplicative_out_of_contract_flag():
     sub = two_point(1.3, 0.04)
     sigma = math.sqrt(sub.variance())
-    est = qmean_multiplicative(sub, sigma, 1.0, 2.0, 24 * sigma / 1.0 + 1.0,
+    runs = multiplicative_runs(sub, sigma, 1.0, 2.0, 24 * sigma / 1.0 + 1.0, 1,
                                np.random.default_rng(0))
-    assert est.out_of_contract
+    assert runs.out_of_contract
 
 
 def test_median_amplify_count_and_value():
@@ -198,17 +200,17 @@ def test_single_multiplicative_call_stream_is_frozen():
     # the plus part's: value, classical draws and the generator state after
     # the call are pinned, for a two-point law and a zipf payoff law.
     rng = np.random.default_rng(11)
-    est = qmean_multiplicative(two_point(1.3, 0.25), 0.5, 1.0, 2.0, 0.25, rng)
-    assert est.value == pytest.approx(1.2975037165510406, rel=1e-12)
-    assert est.classical_executions == 48561
+    value, classical = lone_run(two_point(1.3, 0.25), 0.5, 1.0, 2.0, 0.25, rng)
+    assert value == pytest.approx(1.2975037165510406, rel=1e-12)
+    assert classical == 48561
     assert rng.random() == 0.11566037371975635
 
     sub, ledger = _zipf_master()
     mean = sub.mean()
     rng = np.random.default_rng(12)
-    est = qmean_multiplicative(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, rng)
-    assert est.value == pytest.approx(0.12952192855476594, rel=1e-12)
-    assert est.classical_executions == ledger.classical_executions == 617320
+    value, classical = lone_run(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, rng)
+    assert value == pytest.approx(0.12952192855476594, rel=1e-12)
+    assert classical == ledger.classical_executions == 617320
     assert ledger.phases == {"estamp": 65792}
     assert rng.random() == 0.19043718645394003
 
@@ -219,10 +221,10 @@ def test_single_call_on_a_law_with_ties_is_frozen():
     sub = _shuffled_law_with_ties()
     mean = sub.mean()
     rng = np.random.default_rng(19)
-    est = qmean_multiplicative(sub, math.sqrt(sub.variance()) / mean, 0.5 * mean, 2.0 * mean,
-                               0.25, rng)
-    assert est.value == pytest.approx(1.1229409445929461, rel=1e-12)
-    assert est.classical_executions == 344177
+    value, classical = lone_run(sub, math.sqrt(sub.variance()) / mean, 0.5 * mean,
+                                2.0 * mean, 0.25, rng)
+    assert value == pytest.approx(1.1229409445929461, rel=1e-12)
+    assert classical == 344177
     assert rng.random() == 0.5015981818087427
 
 
@@ -258,7 +260,7 @@ def test_batched_and_sequential_runs_agree_in_law():
     sub = two_point(1.3, 0.25)
     trials = 2000
     rng = np.random.default_rng(31)
-    sequential = np.array([qmean_multiplicative(sub, 0.5, 1.0, 2.0, 0.25, rng).value
+    sequential = np.array([lone_run(sub, 0.5, 1.0, 2.0, 0.25, rng)[0]
                            for _ in range(trials)])
     batched = multiplicative_runs(sub, 0.5, 1.0, 2.0, 0.25, trials,
                                   np.random.default_rng(32)).value
@@ -288,7 +290,7 @@ def test_multiplicative_contract_needs_a_finite_law():
     ratio = _RatioSubroutine(build_oracle(from_counts([1, 1])),
                              build_oracle(from_counts([1, 3])), 16, 32)
     with pytest.raises(TypeError):
-        qmean_multiplicative(ratio, 0.5, 1.0, 2.0, 0.25, np.random.default_rng(0))
+        multiplicative_runs(ratio, 0.5, 1.0, 2.0, 0.25, 1, np.random.default_rng(0))
 
 
 def _full_law_runs(sub, sigma, a, b, epsilon, repetitions, rng):
