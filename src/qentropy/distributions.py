@@ -11,6 +11,7 @@ reported in nats.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -26,8 +27,12 @@ class RationalDistribution:
     """Probability vector p_i = counts[i-1] / denominator.
 
     Symbols are the 1-based labels 1..n.  counts may contain zeros (empty
-    bins); the counts must be non-negative Python ints (not bools) and sum
-    exactly to denominator, which may also be a numpy integer.
+    bins) and must sum exactly to denominator, which may also be a numpy
+    integer.  counts is either a tuple of non-negative Python ints (not
+    bools) or a 1-D numpy integer array, which numpy checks without a pass
+    per bin; either way it is stored as a tuple of Python ints, so equality,
+    hashing and to_json do not depend on which was given.  An array's int64
+    copy is kept as count_array.
     """
 
     denominator: int
@@ -37,6 +42,9 @@ class RationalDistribution:
         object.__setattr__(self, "denominator", _as_int(self.denominator, "denominator"))
         if self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
+        if isinstance(self.counts, np.ndarray):
+            self._take_array(self.counts)
+            return
         if len(self.counts) < 1:
             raise ValueError("need at least one bin")
         # Checks the distinct types, then the least count, so that the loops
@@ -44,11 +52,51 @@ class RationalDistribution:
         if not all(issubclass(t, int) and t is not bool for t in set(map(type, self.counts))) \
                 or min(self.counts) < 0:
             raise ValueError("counts must be non-negative integers")
-        if sum(self.counts) != self.denominator:
+        self._check_sum(sum(self.counts))
+
+    def _take_array(self, counts: np.ndarray) -> None:
+        """Check an array of counts with numpy, store it as the counts tuple
+        and keep its int64 copy."""
+        if counts.dtype.kind not in "iu":  # bool is kind "b"
+            raise ValueError("counts must be non-negative integers, got an array of %s"
+                             % counts.dtype)
+        if counts.ndim != 1:
+            raise ValueError("counts must be a 1-D array, got %d dimensions" % counts.ndim)
+        if counts.size < 1:
+            raise ValueError("need at least one bin")
+        array = counts.astype(np.int64)
+        # A negative count, or an unsigned one past int64, reads as 2**63 or
+        # more through an unsigned view of the int64 copy.
+        top = int(np.maximum.reduce(array.view(np.uint64)))
+        if top >> 63:
+            raise ValueError("counts must be non-negative integers below 2**63")
+        values = array.tolist()
+        # numpy sums in int64, which cannot wrap below this bound
+        self._check_sum(int(np.add.reduce(array)) if top * array.size < 1 << 63
+                        else sum(values))
+        object.__setattr__(self, "counts", tuple(values))
+        if self.denominator < 1 << 63:  # so every running sum fits
+            self.__dict__["count_array"] = _read_only(array)
+
+    def _check_sum(self, total: int) -> None:
+        if total != self.denominator:
             raise ValueError(
                 "sum(counts) != S: counts sum to %d, denominator is %d"
-                % (sum(self.counts), self.denominator)
+                % (total, self.denominator)
             )
+
+    @functools.cached_property
+    def count_array(self) -> np.ndarray:
+        """The counts as a read-only int64 array, index 0 holding symbol 1.
+
+        It is the copy kept from an array the distribution was built from,
+        or is made from the counts tuple on first use.  S must be below
+        2**63, so that every count and every running sum fits.
+        """
+        if self.denominator >= 1 << 63:
+            raise ValueError("denominator S = %d is too large for int64 counts: "
+                             "S must be below 2**63" % self.denominator)
+        return _read_only(np.array(self.counts, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -82,12 +130,19 @@ def _as_int(value, what: str) -> int:
         raise ValueError("%s must be an integer, got %r" % (what, value)) from None
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def from_counts(counts: Iterable[int], denominator: int | None = None) -> RationalDistribution:
     """Distribution with the given bin counts over denominator (default: their sum).
 
-    Python and numpy integers are accepted and stored as Python ints; a bool,
-    a float or any other non-integral count raises ValueError rather than
-    being rounded.
+    counts may be any iterable of Python or numpy integers, a numpy integer
+    array among them; they are stored as a tuple of Python ints.  A bool, a
+    float or any other non-integral count raises ValueError rather than
+    being rounded.  The constructor itself takes a 1-D integer array with
+    its denominator and checks it without a pass per bin.
     """
     counts = tuple(counts)
     # The conversion and the type check loop in C.  bool is an int subclass

@@ -45,6 +45,7 @@ from .distributions import (
 )
 from .mean_estimation import (
     FiniteLaw,
+    SampleCountOverflow,
     median_amplify,
     multiplicative_runs,
     qmean_additive,
@@ -426,11 +427,16 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
         M, sub = _level_law(oracle, level, eps_level, high)
         exact_mean, exact_var = sub.mean(), sub.variance()
+        exceeded = bool(exact_var > (sigma * exact_mean) ** 2)
 
         def level_runs(rng_, repetitions):
             return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_).value
 
-        value, runs = median_amplify(level_runs, delta_level, rng)
+        try:
+            value, runs = median_amplify(level_runs, delta_level, rng)
+        except SampleCountOverflow as exc:
+            raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
+                             % (level, exc, exceeded)) from None
         # Power sums of a distribution on n symbols live in a known range;
         # clamping a wild level estimate keeps the next level's bounds legal.
         lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
@@ -442,7 +448,7 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
             "clamp_applied": clamped != value,
             "exact_subroutine_mean": exact_mean,
             "exact_subroutine_variance": exact_var,
-            "variance_bound_exceeded": bool(exact_var > (sigma * exact_mean) ** 2),
+            "variance_bound_exceeded": exceeded,
             "runs": runs if final else None,
         })
         estimate = clamped
@@ -458,10 +464,20 @@ def _power_sum_report(algo: str, oracle, alpha, cfg, estimate, extras) -> Estima
                    oracle, cfg, alpha=alpha, extras=extras)
 
 
-def _refuse_exact_expectation(cfg: EstimatorConfig, estimator: str) -> None:
-    if cfg.mode == "exact-expectation":
-        raise ValueError("%s has no payoff law to integrate: it runs only in contract "
-                         "mode, not exact-expectation" % estimator)
+def refuse_exact_expectation(mode: str, alpha: float) -> None:
+    """Raise ValueError for exact-expectation mode at an order that the
+    collision searches estimate: infinity (min-entropy) and the integers from
+    2 up.  They have no payoff law to integrate."""
+    if mode != "exact-expectation":
+        return
+    if alpha == math.inf:
+        estimator = "the min-entropy estimator"
+    elif alpha >= 2 and float(alpha).is_integer():
+        estimator = "the integer-order collision estimator"
+    else:
+        return
+    raise ValueError("%s has no payoff law to integrate: it runs only in contract "
+                     "mode, not exact-expectation" % estimator)
 
 
 def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
@@ -511,7 +527,7 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     past the digits Python will print raises ValueError before any draw, and
     so does exact-expectation mode.
     """
-    _refuse_exact_expectation(cfg, "the integer-order collision estimator")
+    refuse_exact_expectation(cfg.mode, alpha)
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
     alpha = int(alpha)
@@ -579,7 +595,7 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     before the intensity passes n, the estimate falls back to 1/n.
     Exact-expectation mode raises ValueError before any draw.
     """
-    _refuse_exact_expectation(cfg, "the min-entropy estimator")
+    refuse_exact_expectation(cfg.mode, math.inf)
     n, eps = oracle.n, cfg.epsilon
     ln_n = math.log(n)
     if n < 2:
@@ -612,7 +628,8 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         extras["fallback"] = False
         extras["captured_symbol"] = found
         extras["M"] = M
-    truth = max(oracle.source.counts) / oracle.source.denominator
+    # a Python int, so the truth is a float, not an np.float64
+    truth = int(oracle.source.count_array.max()) / oracle.source.denominator
     extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
     extras["min_entropy_truth_nats"] = -math.log(truth)
     return _finish("minentropy", estimate, truth, "multiplicative", cfg.epsilon,

@@ -32,6 +32,7 @@ from .distributions import (
     support_coverage,
 )
 from .estimators import (
+    MODES,
     EstimateReport,
     EstimatorConfig,
     estimate_kl,
@@ -40,6 +41,7 @@ from .estimators import (
     estimate_shannon,
     estimate_support_coverage,
     estimate_support_size,
+    refuse_exact_expectation,
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
 from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
@@ -90,27 +92,40 @@ def evaluate_measure(dist: RationalDistribution, measure: str,
     support | power-sum:<a> | coverage:<t> | kl (needs dist_q).
 
     Coverage is reported normalized by the sample count t, matching the
-    estimator's output scale.
+    estimator's output scale.  An order that is NaN or not a number, or a
+    t that is not an integer, raises ValueError quoting the measure.
     """
     name, _, arg = measure.partition(":")
     if name == "shannon":
         return shannon_entropy(dist)
     if name == "renyi":
-        return renyi_entropy(dist, float(arg))
+        return renyi_entropy(dist, _measure_arg(measure, float, "a numeric order, not NaN,"))
     if name == "minentropy":
         return min_entropy(dist)
     if name == "support":
         return float(dist.support_size())
     if name == "power-sum":
-        return power_sum(dist, float(arg))
+        return power_sum(dist, _measure_arg(measure, float, "a numeric order, not NaN,"))
     if name == "coverage":
-        t = int(arg)
+        t = _measure_arg(measure, int, "an integer sample count")
         return support_coverage(dist, t) / t
     if name == "kl":
         if dist_q is None:
             raise ValueError("measure 'kl' needs a second distribution")
         return kl_divergence(dist, dist_q)
     raise ValueError("unknown measure %r" % measure)
+
+
+def _measure_arg(measure: str, kind, what: str):
+    """The argument after the colon of a measure, converted by kind."""
+    arg = measure.partition(":")[2]
+    try:
+        value = kind(arg)
+    except ValueError:
+        value = math.nan
+    if value != value:  # NaN, or an argument kind could not convert
+        raise ValueError("measure %r needs %s after the colon, got %r" % (measure, what, arg))
+    return value
 
 
 def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
@@ -187,8 +202,8 @@ def _check_trials(trials, where: str) -> None:
 
 def _check_cell(cell: dict) -> None:
     """Reject keys no cell reads, so a typo fails instead of running defaults,
-    and values of the wrong type, NaN or a meaningless infinity, which would
-    otherwise be coerced or fail late."""
+    values of the wrong type, NaN or a meaningless infinity, which would
+    otherwise be coerced or fail late, and a mode the cell's algo cannot run."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
@@ -203,6 +218,17 @@ def _check_cell(cell: dict) -> None:
             raise ValueError("%s must be an integer, got %r" % (key, cell[key]))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
+    mode, algo = cell.get("mode", "contract"), cell.get("algo")
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s, got mode %r"
+                         % (", ".join("'%s'" % m for m in MODES), mode))
+    if algo == "plugin" and mode != "contract":
+        raise ValueError("plugin cells have no payoff law to integrate: they run only "
+                         "in contract mode, not %s" % mode)
+    if algo == "minentropy":
+        refuse_exact_expectation(mode, math.inf)
+    elif algo == "renyi" and "alpha" in cell:
+        refuse_exact_expectation(mode, cell["alpha"])
 
 
 @dataclass(frozen=True)
@@ -213,8 +239,11 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        for cell in self.cells:
-            _check_cell(cell)
+        for index, cell in enumerate(self.cells):
+            try:
+                _check_cell(cell)
+            except ValueError as exc:
+                raise ValueError("%s (cell %d)" % (exc, index)) from None
         _check_trials(self.trials, "config")
         if self.master_seed is not None and not _is_int(self.master_seed):
             raise ValueError("'master_seed' must be an integer or null, got %r"
@@ -263,9 +292,6 @@ def _kl_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
 
 
 def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
-    if cell.get("mode", "contract") != "contract":
-        raise ValueError("plugin cells have no payoff law to integrate: they run only "
-                         "in contract mode, got mode %r" % (cell["mode"],))
     oracle_q = None
     if cell["measure"].partition(":")[0] == "kl":
         if "dist_q" not in cell:
@@ -594,7 +620,7 @@ def collision_suite() -> list[CheckResult]:
     checks = []
     for n, length, k in _COLLISION_GRID:
         dist = zipf(1.5, n)
-        counts = np.array(dist.counts, dtype=np.int64)
+        counts = dist.count_array
         denominator = dist.denominator
 
         seqs = _all_sequences(n, length)

@@ -24,12 +24,18 @@ from .distributions import RationalDistribution, from_counts
 
 
 def uniform(n: int) -> RationalDistribution:
-    return from_counts([1] * n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return RationalDistribution(denominator=n, counts=np.full(n, 1, dtype=np.int64))
 
 
 def point_mass(n: int) -> RationalDistribution:
     """All mass on symbol 1, over an alphabet of n bins, with S = n."""
-    return from_counts([n] + [0] * (n - 1), denominator=n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    counts = np.zeros(n, dtype=np.int64)
+    counts[0] = n
+    return RationalDistribution(denominator=n, counts=counts)
 
 
 def zipf(s: float, n: int) -> RationalDistribution:
@@ -52,14 +58,14 @@ def zipf(s: float, n: int) -> RationalDistribution:
     order = np.argsort(floors - shares, kind="stable")
     counts = floors.astype(np.int64)
     counts[order[: S - int(counts.sum())]] += 1
-    return RationalDistribution(denominator=S, counts=tuple(counts.tolist()))
+    return RationalDistribution(denominator=S, counts=counts)
 
 
 def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
     """c heavy bins at 1/n + (n-c)d/(cS) and n-c light bins at 1/n - d/S.
 
     Integrality requires n | S and c | (n-c)*d; the light count must stay
-    non-negative.
+    non-negative, and S below 2**63 so that the counts are int64.
     """
     if not 1 <= c <= n:
         raise ValueError("need 1 <= c <= n")
@@ -67,6 +73,8 @@ def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
         raise ValueError("need d >= 0")
     if S % n != 0:
         raise ValueError("S must be divisible by n")
+    if S >= 1 << 63:
+        raise ValueError("S must be below 2**63")
     if ((n - c) * d) % c != 0:
         raise ValueError("c must divide (n-c)*d")
     base = S // n
@@ -74,14 +82,17 @@ def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
     light = base - d
     if light < 0:
         raise ValueError("d too large: light bins would go negative")
-    return RationalDistribution(denominator=S, counts=(heavy,) * c + (light,) * (n - c))
+    counts = np.full(n, light, dtype=np.int64)
+    counts[:c] = heavy
+    return RationalDistribution(denominator=S, counts=counts)
 
 
 def bumped(n: int, l: int) -> RationalDistribution:
     """l bins doubled, l bins emptied, the rest uniform; S = n."""
     if not 0 <= 2 * l <= n:
         raise ValueError("need 2*l <= n")
-    return RationalDistribution(denominator=n, counts=(2,) * l + (1,) * (n - 2 * l) + (0,) * l)
+    counts = np.repeat(np.array([2, 1, 0], dtype=np.int64), [l, n - 2 * l, l])
+    return RationalDistribution(denominator=n, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -124,30 +135,52 @@ def permuted(dist: RationalDistribution, seed: int | None) -> RationalDistributi
     if seed is None:
         return dist
     order = np.random.default_rng(seed).permutation(dist.n)
-    return RationalDistribution(
-        denominator=dist.denominator,
-        counts=tuple(dist.counts[i] for i in order),
-    )
+    return RationalDistribution(denominator=dist.denominator, counts=dist.count_array[order])
 
 
-def _pair_member(maker, n: str, epsilon: str, member: str) -> RationalDistribution:
-    pair = maker(int(n), float(epsilon))
+def _pair_member(maker, n: int, epsilon: float, member: str) -> RationalDistribution:
+    pair = maker(n, epsilon)
     if member not in ("1", "2"):
         raise ValueError("pair member must be 1 or 2")
     return pair.p_uniform if member == "1" else pair.p_bumped
 
 
-# family -> (argument counts it takes, builder from the argument strings)
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%r is not an integer" % text) from None
+
+
+def _real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("%r is not a finite number" % text)
+    return value
+
+
+def _integers(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError("%r is not a comma-separated list of integers" % text) from None
+
+
+# family -> (format, argument counts it takes, parser of each argument, builder)
 _FAMILIES = {
-    "uniform": ((1,), lambda n: uniform(int(n))),
-    "point": ((1,), lambda n: point_mass(int(n))),
-    "zipf": ((2,), lambda s, n: zipf(float(s), int(n))),
-    "two-valued": ((4,), lambda n, c, d, S: two_valued(int(n), int(c), int(d), int(S))),
-    "lpairs": ((2,), lambda n, l: bumped(int(n), int(l))),
-    "hard-shannon": ((3,), functools.partial(_pair_member, hard_pair_shannon)),
-    "hard-coverage": ((3,), functools.partial(_pair_member, hard_pair_coverage)),
-    "counts": ((1, 2), lambda c, S=None: from_counts(
-        [int(x) for x in c.split(",")], denominator=None if S is None else int(S))),
+    "uniform": ("uniform:N", (1,), (_integer,), uniform),
+    "point": ("point:N", (1,), (_integer,), point_mass),
+    "zipf": ("zipf:S:N", (2,), (_real, _integer), zipf),
+    "two-valued": ("two-valued:N:C:D:S", (4,), (_integer,) * 4, two_valued),
+    "lpairs": ("lpairs:N:L", (2,), (_integer, _integer), bumped),
+    "hard-shannon": ("hard-shannon:N:EPS:{1|2}", (3,), (_integer, _real, str),
+                     functools.partial(_pair_member, hard_pair_shannon)),
+    "hard-coverage": ("hard-coverage:N:EPS:{1|2}", (3,), (_integer, _real, str),
+                      functools.partial(_pair_member, hard_pair_coverage)),
+    "counts": ("counts:C1,C2,...[:S]", (1, 2), (_integers, _integer), from_counts),
 }
 
 INSTANCE_FAMILIES = frozenset(_FAMILIES)
@@ -160,13 +193,18 @@ def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
     lpairs:N:L | hard-shannon:N:EPS:{1|2} | hard-coverage:N:EPS:{1|2} |
     counts:C1,C2,...[:S].
     The trailing member index selects the uniform (1) or bumped (2) half of a
-    separation pair.  A seed relabels the bins deterministically.
+    separation pair.  A seed relabels the bins deterministically.  Every
+    error from parsing or building an argument quotes the spec and gives the
+    family's format.
     """
     family, *args = text.split(":")
     if family not in _FAMILIES:
-        raise ValueError("unknown instance family %r" % family)
-    allowed, build = _FAMILIES[family]
+        raise ValueError("unknown instance family %r in spec %r" % (family, text))
+    form, allowed, parsers, build = _FAMILIES[family]
     if len(args) not in allowed:
-        raise ValueError("instance spec %r takes %s arguments" % (
-            family, " or ".join(str(k) for k in allowed)))
-    return permuted(build(*args), seed)
+        raise ValueError("instance spec %r has %d arguments; %s takes %s" % (
+            text, len(args), form, " or ".join(str(k) for k in allowed)))
+    try:
+        return permuted(build(*(parse(arg) for parse, arg in zip(parsers, args))), seed)
+    except ValueError as exc:
+        raise ValueError("instance spec %r (format %s): %s" % (text, form, exc)) from None

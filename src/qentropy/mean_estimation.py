@@ -135,6 +135,10 @@ class FiniteLaw:
             ledger.charge(phase, per_execution * executions)
 
 
+class SampleCountOverflow(ValueError):
+    """A bounded-l2 step asked for more main-sample draws than int64 holds."""
+
+
 @dataclass
 class MeanEstimate:
     value: float
@@ -236,7 +240,14 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         # vecdot sums each row on its own, whatever the chunk's shape
         m2_hat[lo:lo + step] = np.vecdot(x, x) / pilot
 
-    samples = _main_samples(m2_hat, epsilon).astype(np.int64)
+    samples = _main_samples(m2_hat, epsilon)
+    # The largest count, and the total that the ledger records, must fit
+    # int64: a cast would turn them negative with only a RuntimeWarning.
+    if samples.sum() >= 2.0 ** 63:
+        raise SampleCountOverflow(
+            "the bounded-l2 step asks for %d main-sample draws in one run (%d in all), "
+            "more than int64 holds" % (samples.max(), samples.sum()))
+    samples = samples.astype(np.int64)
     width = int(widths.max())
     pvals = ps[:width + 1]
     columns = np.arange(pvals.size)

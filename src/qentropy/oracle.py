@@ -131,7 +131,7 @@ def build_oracle(dist: RationalDistribution) -> DistributionOracle:
     if S >= 1 << 63:
         raise ValueError("denominator S = %d is too large: positions are drawn as "
                          "int64, so S must be below 2**63" % S)
-    counts = np.asarray(dist.counts, dtype=np.int64)
+    counts = dist.count_array
     symbols = np.arange(1, dist.n + 1, dtype=np.int64)
     shift = (-(-S // (4 * dist.n)) - 1).bit_length()
     if not shift:

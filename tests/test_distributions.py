@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qentropy.cli import main
 from qentropy.distributions import (
@@ -22,6 +24,7 @@ from qentropy.distributions import (
     support_coverage,
 )
 from qentropy.instances import point_mass, uniform, zipf
+from qentropy.oracle import build_oracle
 
 
 def test_counts_must_sum_to_denominator():
@@ -63,6 +66,79 @@ def test_numpy_integers_are_accepted_as_python_ints():
     for flag in (True, np.bool_(True)):
         with pytest.raises(ValueError, match="must be Python or numpy integers"):
             from_counts([1, flag])
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5000), high=st.sampled_from([1, 3, 1000, 1 << 40, None]),
+       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4096, high=None, zeros=0.0, seed=0)
+@example(n=1, high=1, zeros=0.9, seed=1)
+def test_array_and_tuple_counts_build_the_same_distribution(n, high, zeros, seed):
+    # high None draws counts up to what keeps S below 2**63
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, (high or ((1 << 62) // n)) + 1, size=n, dtype=np.int64)
+    counts[rng.random(n) < zeros] = 0
+    if not counts.any():
+        counts[0] = 1
+    S = int(counts.sum())
+    built = RationalDistribution(S, counts)
+    reference = RationalDistribution(S, tuple(int(c) for c in counts))
+    counts[:] = 7  # the distribution keeps its own copy
+    assert built == reference
+    assert hash(built) == hash(reference)
+    assert built.to_json() == reference.to_json()
+    assert {type(c) for c in built.counts} == {int}
+    assert built.count_array.dtype == np.int64
+    assert not built.count_array.flags.writeable
+    assert np.array_equal(built.count_array, reference.count_array)
+    fast, slow = build_oracle(built), build_oracle(reference)
+    assert fast.shift == slow.shift
+    assert np.array_equal(fast.guide, slow.guide)
+    assert (fast.cum is None and slow.cum is None) or np.array_equal(fast.cum, slow.cum)
+    other = uniform(n)
+    for measure in (shannon_entropy, min_entropy, lambda d: power_sum(d, 0.5),
+                    lambda d: power_sum(d, 3.0), lambda d: renyi_entropy(d, 2.0),
+                    lambda d: support_coverage(d, 7), lambda d: kl_divergence(d, other)):
+        assert _bits(measure(built)) == _bits(measure(reference))
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.array([1.0, 2.0]), "non-negative integers"),
+    (np.array([True, True]), "non-negative integers"),
+    (np.array([3, -1], dtype=np.int64), "non-negative integers"),
+    (np.array([[1, 1], [1, 1]], dtype=np.int64), "1-D"),
+    (np.array([], dtype=np.int64), "at least one bin"),
+    (np.array([1, 1, 1], dtype=np.int64), r"sum\(counts\) != S"),
+    (np.array([1 << 62] * 4 + [2], dtype=np.int64), r"sum\(counts\) != S"),
+    (np.array([1 << 63, 2], dtype=np.uint64), r"non-negative integers below 2\*\*63"),
+], ids=["float", "bool", "negative", "2-D", "empty", "sum", "sum-past-int64",
+        "count-past-int64"])
+def test_constructor_rejects_bad_count_arrays(counts, message):
+    with pytest.raises(ValueError, match=message):
+        RationalDistribution(2, counts)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+def test_every_integer_array_dtype_is_accepted(dtype):
+    dist = RationalDistribution(6, np.array([1, 0, 5], dtype=dtype))
+    assert dist == RationalDistribution(6, (1, 0, 5))
+    assert dist.count_array.dtype == np.int64
+
+
+def test_count_array_of_a_tuple_built_distribution():
+    dist = RationalDistribution(6, (1, 0, 5))
+    assert dist.count_array.tolist() == [1, 0, 5]
+    assert dist.count_array is dist.count_array
+    with pytest.raises(ValueError, match="read-only"):
+        dist.count_array[0] = 2
+    # a tuple may hold what int64 cannot; only its array is refused
+    huge = RationalDistribution(1 << 64, (1 << 63, 1 << 63))
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        huge.count_array
 
 
 def test_fraction_is_exact():

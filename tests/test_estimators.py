@@ -31,7 +31,7 @@ from qentropy.estimators import (
     estimate_support_size,
     shannon_budget,
 )
-from qentropy.instances import point_mass, two_valued, uniform, zipf
+from qentropy.instances import permuted, point_mass, two_valued, uniform, zipf
 from qentropy.oracle import DistributionOracle, QueryLedger, build_oracle
 
 # Exact expected payoff of the Shannon subroutine on uniform(16) at M=32,
@@ -617,6 +617,14 @@ def test_min_entropy_point_mass():
     assert rep.extras["captured_symbol"] == 1
     assert not rep.extras["fallback"]
     assert rep.success
+
+
+def test_min_entropy_truth_is_the_exact_largest_count_over_s():
+    dist = permuted(zipf(1.5, 4096), 5)
+    rep = estimate_min_entropy(build_oracle(dist), cfg(seed=1))
+    assert rep.truth == max(dist.counts) / dist.denominator
+    assert type(rep.truth) is float
+    assert type(rep.extras["min_entropy_truth_nats"]) is float
 
 
 def test_min_entropy_fallback_reports_floor():

@@ -7,8 +7,10 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -84,6 +86,20 @@ def test_evaluate_measure_dispatch():
         evaluate_measure(d, "kl")
     with pytest.raises(ValueError):
         evaluate_measure(d, "weird")
+
+
+@pytest.mark.parametrize("measure, what", [
+    ("renyi:nan", "a numeric order"), ("power-sum:nan", "a numeric order"),
+    ("renyi:abc", "a numeric order"), ("coverage:abc", "an integer sample count"),
+])
+def test_measure_orders_must_be_numbers(measure, what, capsys):
+    # renyi:nan used to print "value": NaN, which is not JSON
+    with pytest.raises(ValueError, match="measure %r needs %s" % (measure, what)):
+        evaluate_measure(uniform(4), measure)
+    assert main(["exact", "--dist", "uniform:16", "--measure", measure]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: measure %r" % measure)
 
 
 def test_plugin_baseline_converges():
@@ -556,6 +572,49 @@ def test_experiment_keeps_the_rows_written_before_a_failing_cell(
     run_experiment(ExperimentConfig.from_dict(dict(config, cells=config["cells"][:1])),
                    str(alone))
     assert out_path.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [
+    {"algo": "renyi", "alpha": 2, "dist": "uniform:16", "mode": "exact-expectation"},
+    {"algo": "minentropy", "dist": "uniform:16", "mode": "exact-expectation"},
+    {"algo": "plugin", "dist": "uniform:16", "measure": "shannon", "n_samples": 8,
+     "mode": "exact-expectation"},
+    {"algo": "shannon", "dist": "uniform:16", "mode": "exact"},
+], ids=["renyi-2", "minentropy", "plugin", "unknown-mode"])
+def test_experiment_rejects_a_mode_its_cell_cannot_run_before_any_row(bad, tmp_path, capsys):
+    # such a config used to write the first cell's rows, then exit 2
+    config = {"master_seed": 3, "cells": [{"algo": "shannon", "dist": "uniform:4"}, bad]}
+    with pytest.raises(ValueError, match=r"\(cell 1\)$"):
+        ExperimentConfig.from_dict(config)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert "no payoff law" in err or "got mode 'exact'" in err
+    assert not out_path.exists()
+
+
+def test_exact_expectation_cells_with_a_payoff_law_still_load():
+    cells = [{"algo": "renyi", "alpha": 2.5, "dist": "uniform:16", "mode": "exact-expectation"},
+             {"algo": "shannon", "dist": "uniform:16", "mode": "exact-expectation"}]
+    assert len(ExperimentConfig.from_dict({"cells": cells}).cells) == 2
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_an_overflowing_main_sample_is_an_error_not_a_cast(seed, capsys):
+    # The counts pass 2**63; the int64 cast used to turn them negative with a
+    # hidden RuntimeWarning, and multinomial then failed with "n < 0".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--algo", "renyi", "--alpha", "20.5", "--dist", "uniform:16",
+                     "--seed", seed])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: annealed level alpha=[0-9.]+: the bounded-l2 step asks for "
+                    r"[0-9]+ main-sample draws .* variance_bound_exceeded=True$",
+                    captured.err.strip())
 
 
 def _verify_json_rows(capsys, suite):

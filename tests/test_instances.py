@@ -1,13 +1,15 @@
 """Named instance families and separation pairs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qentropy.distributions import shannon_entropy, support_coverage
+from qentropy.cli import main
+from qentropy.distributions import RationalDistribution, shannon_entropy, support_coverage
 from qentropy.instances import (
     INSTANCE_FAMILIES,
     bumped,
@@ -121,6 +123,33 @@ def test_hard_pair_coverage_separates():
         hard_pair_coverage(256, 0.1)
 
 
+N = 4096
+
+
+@pytest.mark.parametrize("build, S, reference", [
+    (lambda: uniform(N), N, (1,) * N),
+    (lambda: point_mass(N), N, (N,) + (0,) * (N - 1)),
+    (lambda: zipf(1.5, N), zipf_reference(1.5, N)[0], zipf_reference(1.5, N)[1]),
+    (lambda: two_valued(N, 64, 1, 16777216), 16777216, (4159,) * 64 + (4095,) * (N - 64)),
+    (lambda: bumped(N, 100), N, (2,) * 100 + (1,) * (N - 200) + (0,) * 100),
+], ids=["uniform", "point", "zipf", "two-valued", "bumped"])
+def test_builders_hand_over_arrays_equal_to_the_tuple_build(build, S, reference):
+    dist = build()
+    assert dist == RationalDistribution(S, reference)
+    assert {type(c) for c in dist.counts} == {int}
+    assert dist.count_array.tolist() == list(reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+def test_permuted_is_the_comprehension_over_the_same_draw(seed):
+    dist = zipf(1.5, 300)
+    order = np.random.default_rng(seed).permutation(dist.n)
+    reference = RationalDistribution(dist.denominator, tuple(dist.counts[i] for i in order))
+    shuffled = permuted(dist, seed)
+    assert shuffled == reference
+    assert {type(c) for c in shuffled.counts} == {int}
+
+
 def test_permuted_preserves_the_multiset():
     d = zipf(2.0, 12)
     shuffled = permuted(d, 3)
@@ -161,6 +190,29 @@ def test_parse_instance_errors():
         parse_instance("hard-shannon:16:0.25:3")
     with pytest.raises(ValueError):
         parse_instance("counts:1,2,3:7")  # S mismatch
+
+
+@pytest.mark.parametrize("spec, form, cause", [
+    ("uniform:1e3", "uniform:N", "'1e3' is not an integer"),
+    ("zipf:abc:16", "zipf:S:N", "'abc' is not a finite number"),
+    ("zipf:nan:16", "zipf:S:N", "'nan' is not a finite number"),
+    ("two-valued:4:5:1:8", "two-valued:N:C:D:S", "need 1 <= c <= n"),
+    ("two-valued:4:2:1:%d" % (1 << 64), "two-valued:N:C:D:S", "below 2\\*\\*63"),
+    ("hard-shannon:16:inf:1", "hard-shannon:N:EPS:{1|2}", "'inf' is not a finite number"),
+    ("counts:1,x", "counts:C1,C2,...[:S]", "'1,x' is not a comma-separated list"),
+    ("uniform:0", "uniform:N", "need n >= 1"),
+    ("point:-3", "point:N", "need n >= 1"),
+])
+def test_spec_errors_quote_the_spec_and_the_format(spec, form, cause, capsys):
+    with pytest.raises(ValueError) as err:
+        parse_instance(spec)
+    message = str(err.value)
+    assert message.startswith("instance spec %r (format %s): " % (spec, form))
+    assert re.search(cause, message)
+    assert main(["exact", "--dist", spec, "--measure", "shannon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 def test_family_registry_is_complete():
