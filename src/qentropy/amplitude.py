@@ -12,7 +12,7 @@ where d(.,.) is circular distance on the unit interval (the two mirrored
 phase components contribute equally, so P(y) = P(M-y)).  Outcomes y and M-y
 produce the same estimate sin^2(y*pi/M) and are merged onto the grid.  The
 law is exact, so estimator statistics can be enumerated instead of run on
-hardware.  An M-query invocation is charged M quantum queries.
+hardware.  An M-query invocation costs M quantum queries; its caller books them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-from .oracle import DistributionOracle
 
 # Circular distances below this are treated as an exact grid hit.
 _GRID_TOLERANCE = 1e-14
@@ -44,8 +42,14 @@ _TABLE_CACHE_BYTES = 64 << 20
 _MAX_BUDGET = _TABLE_CACHE_BYTES // 64
 
 
-def is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def check_budget(M: int) -> None:
+    """Raise ValueError unless M is a power of two from 2 up to _MAX_BUDGET;
+    run it before anything of size M is allocated."""
+    if M < 2 or M & (M - 1):
+        raise ValueError("M must be a power of two, at least 2")
+    if M > _MAX_BUDGET:
+        raise ValueError("budget M=%d is above the largest outcome table built, M=%d (2^%d)"
+                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
 
 
 def grid_value(l, M: int):
@@ -73,11 +77,7 @@ def _fejer(x: np.ndarray, M: int) -> np.ndarray:
 
 def measurement_probabilities(a: float, M: int) -> np.ndarray:
     """Raw outcome law over y = 0..M-1, before merging; symmetric in y <-> M-y."""
-    if not is_power_of_two(M) or M < 2:
-        raise ValueError("M must be a power of two, at least 2")
-    if M > _MAX_BUDGET:
-        raise ValueError("budget M=%d is above the largest outcome table built, M=%d (2^%d)"
-                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
+    check_budget(M)
     if not 0.0 <= a <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
     omega = math.asin(math.sqrt(a)) / math.pi
@@ -189,7 +189,7 @@ def _build_table(a: float, M: int) -> EstAmpDistribution:
 
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     """Smallest power-of-two M whose first confidence window gives relative
-    error epsilon for any amplitude at least p_floor."""
+    error epsilon for any amplitude at least p_floor; check_budget bounds it."""
     if not 0.0 < p_floor <= 1.0:
         raise ValueError("p_floor must lie in (0, 1]")
     if epsilon <= 0.0:
@@ -197,28 +197,24 @@ def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     M = 2
     while 2.0 * math.pi * math.sqrt(p_floor) / M + (math.pi / M) ** 2 > epsilon * p_floor:
         M *= 2
-        if M > 1 << 62:
-            raise ValueError("budget overflow; epsilon * p_floor too small")
+        check_budget(M)
     return M
 
 
 def sample_estamp_multiplicative(
-    oracle: DistributionOracle,
-    symbol: int,
+    a: float,
     epsilon: float,
     p_floor: float,
     rng: np.random.Generator,
 ) -> tuple[float, int]:
-    """Relative-error amplitude estimate assuming p_symbol >= p_floor.
+    """Relative-error estimate of the amplitude a, assuming a >= p_floor.
 
     Returns (estimate, M); with probability at least 8/pi^2 the estimate is
     within relative epsilon whenever the floor assumption holds.  The one
-    M-query invocation is charged M under "estamp" and drawn from the
-    outcome table with one uniform.
+    M-query invocation is drawn from the outcome table with one uniform; its
+    caller books the M queries.
     """
     M = multiplicative_budget(epsilon, p_floor)
-    a = float(oracle.preimage_fraction(symbol))
-    oracle.ledger.charge("estamp", M)
     table = estamp_distribution(a, M)
     idx = np.cumsum(table.probabilities).searchsorted(rng.random(1), side="right")
     return float(grid_value(table.grid[np.minimum(idx, table.grid.size - 1)], M)[0]), M

@@ -10,14 +10,14 @@ enumeration of its mean and variance ("exact-expectation" mode).  The
 collision-based estimators (integer orders, min-entropy) have no such law
 and refuse that mode.
 
-Charging policy: one subroutine execution is charged M queries under phase
-"estamp" (per amplitude-estimation invocation; the single sampling query it
-also performs is absorbed into the constants, keeping totals at M times the
-execution count).  Collision-based estimators record their sequence draws as
-classical work and instead book a fixed charge per collision search under
-phase "distinctness" (Belovs's bound for integer orders, a flat L^(3/4) for
-min-entropy), mirroring how the modeled routines only touch the oracle
-inside the search subroutine.
+Charging policy: only the estimators book a ledger; payoff laws and contracts
+are pure functions of their inputs and an rng.  A contract returns its
+execution count and classical draws; the estimator books M queries per
+execution under phase "estamp" (each execution's one sampling query is
+absorbed into the constants), and the draws, on the ledger of each oracle the
+law reads.  Collision-based estimators book their sequence draws as classical
+work and a fixed charge per collision search under phase "distinctness"
+(Belovs's bound for integer orders, a flat L^(3/4) for min-entropy).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .amplitude import (
+    check_budget,
     estamp_distribution,
     estamp_prime_floor,
     grid_value,
@@ -38,6 +39,7 @@ from .amplitude import (
 )
 from .distinctness import belovs_charge, count_row_collisions, find_k_collision, flat34_charge
 from .distributions import (
+    RationalDistribution,
     kl_divergence,
     power_sum,
     shannon_entropy,
@@ -56,6 +58,9 @@ from .oracle import DistributionOracle
 # sampled payoffs through a mean-estimation contract, or the payoff law's exact mean
 MODES = ("contract", "exact-expectation")
 
+# The largest epsilon: every budget and group size reads its square.
+MAX_EPSILON = 1e150
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -65,8 +70,9 @@ class EstimatorConfig:
     mode: str = "contract"  # one of MODES
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.epsilon <= MAX_EPSILON:
+            raise ValueError("epsilon must be positive and at most %g, got %r"
+                             % (MAX_EPSILON, self.epsilon))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in MODES:
@@ -99,7 +105,7 @@ class EstimateReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "algo": self.algo, "estimate": self.estimate, "truth": self.truth,
             "error_mode": self.error_mode, "tolerance": self.tolerance,
             "success": self.success, "error": self.error, "n": self.n,
@@ -109,7 +115,6 @@ class EstimateReport:
             "classical_executions": self.classical_executions,
             "wall_ms": self.wall_ms, "extras": self.extras,
         }
-        return out
 
 
 def _finish(algo, estimate, truth, error_mode, tolerance, oracle, cfg,
@@ -154,6 +159,7 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
     each weighted by its class's share, on the grid l = 0..M/2 with the
     massless points dropped.  Returns (estimates, probabilities).
     """
+    check_budget(M)  # before the mixture is allocated
     total = sum(weights.values())
     mixture = np.zeros(M // 2 + 1)
     for c, w in sorted(weights.items()):
@@ -181,13 +187,11 @@ class MasterSubroutine(FiniteLaw):
     point with mass.
     """
 
-    def __init__(self, oracle: DistributionOracle, M: int,
+    def __init__(self, dist: RationalDistribution, M: int,
                  payoff: Callable[[float], float], variant: str = "estamp"):
-        src = oracle.source
-        values, probabilities = _grid_law(_count_classes(src.counts), src.denominator,
+        values, probabilities = _grid_law(_count_classes(dist.counts), dist.denominator,
                                           M, variant)
-        super().__init__(np.array([payoff(v) for v in values]), probabilities,
-                         charges=((oracle.ledger, "estamp", M),))
+        super().__init__(np.array([payoff(v) for v in values]), probabilities)
 
 
 class _RatioSubroutine:
@@ -195,17 +199,14 @@ class _RatioSubroutine:
 
     Symbols are grouped by their q count.  Within a group ln q~ follows one
     outcome table and ln p~, independent of it, the group's grid law on the
-    M_p grid, so a group is a pair of finite laws, each charging its own
-    oracle's ledger, and X is their difference.  Grouping by the q side
+    M_p grid, so a group is a pair of finite laws and X is their
+    difference.  Grouping by the q side
     keeps one copy of each q table, the larger ones since M_q >= M_p.  The
     joint law of X is never tabulated: sums and moments come from the pairs.
     """
 
-    def __init__(self, oracle_p: DistributionOracle, oracle_q: DistributionOracle,
+    def __init__(self, p: RationalDistribution, q: RationalDistribution,
                  M_p: int, M_q: int):
-        charges_p = ((oracle_p.ledger, "estamp", M_p),)
-        charges_q = ((oracle_q.ledger, "estamp", M_q),)
-        p, q = oracle_p.source, oracle_q.source
         p_counts_by_q_count: dict[int, list[int]] = {}
         for cp, cq in zip(p.counts, q.counts):
             if cp > 0:
@@ -220,8 +221,8 @@ class _RatioSubroutine:
             vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
             table = estamp_distribution(cq / q.denominator, M_q)
             vq = _reported_values(table.grid, M_q, "estamp-prime")
-            self._pairs.append((FiniteLaw(np.log(vp), pp, charges_p),
-                                FiniteLaw(np.log(vq), table.probabilities, charges_q)))
+            self._pairs.append((FiniteLaw(np.log(vp), pp),
+                                FiniteLaw(np.log(vq), table.probabilities)))
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws: a multinomial split over the
@@ -245,10 +246,6 @@ class _RatioSubroutine:
             second += w * (law_p.variance() + law_q.variance() + gap * gap)
         mean = self.mean()
         return second - mean * mean
-
-    def charge_quantum(self, executions: int) -> None:
-        for law in self._pairs[0]:  # every group carries the same two charges
-            law.charge_quantum(executions)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +274,13 @@ def coverage_budget(n_samples: int, epsilon: float) -> int:
 
 
 def _additive_mean(sub, sigma: float, target: float, extras: dict,
-                   cfg: EstimatorConfig) -> float:
+                   cfg: EstimatorConfig, charges: tuple) -> float:
     """Shared tail of the additive estimators.
 
     Records the payoff law's exact moments in extras, then returns its exact
     mean (exact-expectation mode) or a qmean_additive estimate at the target
-    error, recording that contract's charge and flag.
+    error, recording that contract's charge and flag and booking it, with its
+    classical draws, on each (ledger, M) pair of charges.
     """
     exact_mean, exact_var = sub.mean(), sub.variance()
     extras.update(exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
@@ -290,6 +288,9 @@ def _additive_mean(sub, sigma: float, target: float, extras: dict,
     if cfg.mode == "exact-expectation":
         return exact_mean
     me = qmean_additive(sub, sigma, target, cfg.rng())
+    for ledger, M in charges:
+        ledger.charge("estamp", M * me.charged_executions)
+        ledger.charge_classical(me.classical_executions)
     extras.update(charged_executions=me.charged_executions,
                   out_of_contract=me.out_of_contract)
     return me.value
@@ -305,10 +306,10 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
     """
     n, eps = oracle.n, cfg.epsilon
     M = shannon_budget(n, eps)
-    sub = MasterSubroutine(oracle, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
+    sub = MasterSubroutine(oracle.source, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
     extras = {"M": M, "sigma": sigma}
-    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg)
+    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg, ((oracle.ledger, M),))
     return _finish("shannon", value, shannon_entropy(oracle.source), "additive", eps,
                    oracle, cfg, alpha=1.0, extras=extras)
 
@@ -334,10 +335,11 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     n, eps = p.n, cfg.epsilon
     M_p = shannon_budget(n, eps)
     M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
-    sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
+    sub = _RatioSubroutine(p, q, M_p, M_q)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
-    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg)
+    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg,
+                           ((oracle_p.ledger, M_p), (oracle_q.ledger, M_q)))
     return _finish("kl", value, kl_divergence(p, q), "additive", eps, oracle_p, cfg,
                    ledger_q=oracle_q.ledger, extras=extras)
 
@@ -370,7 +372,7 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     return chain
 
 
-def _level_law(oracle: DistributionOracle, level: float, eps: float,
+def _level_law(dist: RationalDistribution, level: float, eps: float,
                high: bool) -> tuple[int, MasterSubroutine]:
     """Budget M and payoff law x^(level-1) of one annealed level.
 
@@ -380,12 +382,12 @@ def _level_law(oracle: DistributionOracle, level: float, eps: float,
     finite.
     """
     if high:
-        x, variant = math.sqrt(oracle.n) / eps, "estamp"
+        x, variant = math.sqrt(dist.n) / eps, "estamp"
     else:
-        x, variant = oracle.n ** (1.0 / (2.0 * level)) / eps, "estamp-prime"
+        x, variant = dist.n ** (1.0 / (2.0 * level)) / eps, "estamp-prime"
     M = _pow2_budget(x * max(math.log(x), 1.0))
     exponent = level - 1.0
-    return M, MasterSubroutine(oracle, M, payoff=lambda x: x ** exponent, variant=variant)
+    return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent, variant=variant)
 
 
 def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
@@ -398,7 +400,8 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
     level and shared by that level's repetitions (re-deriving them inside
     every repetition would multiply the recursion out exponentially, which
     the target cost rules out).  A level's repetitions run as one batch of
-    multiplicative_runs over the level's payoff law.
+    multiplicative_runs over the level's payoff law, booked on the oracle's
+    ledger as the batch returns.
     """
     n = oracle.n
     ln_n = math.log(n)
@@ -425,12 +428,15 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
             b = math.e * (2.0 * estimate) ** step
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M, sub = _level_law(oracle, level, eps_level, high)
+        M, sub = _level_law(oracle.source, level, eps_level, high)
         exact_mean, exact_var = sub.mean(), sub.variance()
         exceeded = bool(exact_var > (sigma * exact_mean) ** 2)
 
         def level_runs(rng_, repetitions):
-            return multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_).value
+            runs = multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_)
+            oracle.ledger.charge("estamp", M * repetitions * runs.charged_executions)
+            oracle.ledger.charge_classical(int(runs.classical_executions.sum()))
+            return runs.value
 
         try:
             value, runs = median_amplify(level_runs, delta_level, rng)
@@ -491,7 +497,7 @@ def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     algo = "renyi-high" if alpha > 1 else "renyi-low"
     if cfg.mode == "exact-expectation":
-        M, sub = _level_law(oracle, alpha, cfg.epsilon, alpha > 1)
+        M, sub = _level_law(oracle.source, alpha, cfg.epsilon, alpha > 1)
         return _power_sum_report(algo, oracle, alpha, cfg, sub.mean(),
                                  {"M": M, "exact_subroutine_variance": sub.variance()})
     estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
@@ -624,7 +630,9 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         estimate = 1.0 / n
         extras["fallback"] = True
     else:
-        estimate, M = sample_estamp_multiplicative(oracle, found, eps, 1.0 / n, rng)
+        a = float(oracle.source.fraction(found))
+        estimate, M = sample_estamp_multiplicative(a, eps, 1.0 / n, rng)
+        oracle.ledger.charge("estamp", M)
         extras["fallback"] = False
         extras["captured_symbol"] = found
         extras["M"] = M
@@ -658,9 +666,9 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
         raise ValueError("n_samples must be positive")
     t, eps = n_samples, cfg.epsilon
     M = coverage_budget(t, eps)
-    sub = MasterSubroutine(oracle, M, payoff=_coverage_payoff(t), variant="estamp")
+    sub = MasterSubroutine(oracle.source, M, payoff=_coverage_payoff(t), variant="estamp")
     extras = {"M": M, "n_samples": t}
-    value = _additive_mean(sub, float(t), eps * t / 2.0, extras, cfg)
+    value = _additive_mean(sub, float(t), eps * t / 2.0, extras, cfg, ((oracle.ledger, M),))
     truth_abs = support_coverage(oracle.source, t)
     extras.update(estimate_absolute=value, truth_absolute=truth_abs)
     return _finish("coverage", value / t, truth_abs / t, "additive", eps,

@@ -86,46 +86,54 @@ def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
 # measures shared by `exact`, the plug-in baseline, and truth columns
 
 
+_ORDER = (float, "a numeric order, not NaN,")
+# name -> ((kind, description) of the argument after the colon, or None; value)
+_MEASURES = {
+    "shannon": (None, lambda dist, _: shannon_entropy(dist)),
+    "renyi": (_ORDER, renyi_entropy),
+    "minentropy": (None, lambda dist, _: min_entropy(dist)),
+    "support": (None, lambda dist, _: float(dist.support_size())),
+    "power-sum": (_ORDER, power_sum),
+    "coverage": ((int, "an integer sample count"), lambda dist, t: support_coverage(dist, t) / t),
+    "kl": (None, None),
+}
+
+
 def evaluate_measure(dist: RationalDistribution, measure: str,
                      dist_q: Optional[RationalDistribution] = None) -> float:
     """Exact value of a named measure: shannon | renyi:<a> | minentropy |
     support | power-sum:<a> | coverage:<t> | kl (needs dist_q).
 
     Coverage is reported normalized by the sample count t, matching the
-    estimator's output scale.  An order that is NaN or not a number, or a
-    t that is not an integer, raises ValueError quoting the measure.
+    estimator's output scale.  The measure is read by parse_measure.
+    """
+    name, arg = parse_measure(measure)
+    if name != "kl":
+        return _MEASURES[name][1](dist, arg)
+    if dist_q is None:
+        raise ValueError("measure 'kl' needs a second distribution")
+    return kl_divergence(dist, dist_q)
+
+
+def parse_measure(measure: str) -> tuple[str, float | int | None]:
+    """The name of a measure and its argument, converted; None if it takes none.
+
+    An unknown name, an order that is NaN or not a number, or a t that is
+    not an integer raises ValueError quoting the measure.
     """
     name, _, arg = measure.partition(":")
-    if name == "shannon":
-        return shannon_entropy(dist)
-    if name == "renyi":
-        return renyi_entropy(dist, _measure_arg(measure, float, "a numeric order, not NaN,"))
-    if name == "minentropy":
-        return min_entropy(dist)
-    if name == "support":
-        return float(dist.support_size())
-    if name == "power-sum":
-        return power_sum(dist, _measure_arg(measure, float, "a numeric order, not NaN,"))
-    if name == "coverage":
-        t = _measure_arg(measure, int, "an integer sample count")
-        return support_coverage(dist, t) / t
-    if name == "kl":
-        if dist_q is None:
-            raise ValueError("measure 'kl' needs a second distribution")
-        return kl_divergence(dist, dist_q)
-    raise ValueError("unknown measure %r" % measure)
-
-
-def _measure_arg(measure: str, kind, what: str):
-    """The argument after the colon of a measure, converted by kind."""
-    arg = measure.partition(":")[2]
+    if name not in _MEASURES:
+        raise ValueError("unknown measure %r" % measure)
+    if _MEASURES[name][0] is None:
+        return name, None
+    kind, what = _MEASURES[name][0]
     try:
         value = kind(arg)
     except ValueError:
         value = math.nan
     if value != value:  # NaN, or an argument kind could not convert
         raise ValueError("measure %r needs %s after the colon, got %r" % (measure, what, arg))
-    return value
+    return name, value
 
 
 def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
@@ -145,7 +153,7 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
     empirical = RationalDistribution(n_samples, tuple(counts.tolist()))
     source = oracle.source
     undefined = False
-    if measure.partition(":")[0] == "kl":
+    if parse_measure(measure)[0] == "kl":
         if oracle_q is None:
             raise ValueError("KL plug-in needs oracle_q")
         draws_q = oracle_q.sample_classical(rng, n_samples)
@@ -225,6 +233,11 @@ def _check_cell(cell: dict) -> None:
     if algo == "plugin" and mode != "contract":
         raise ValueError("plugin cells have no payoff law to integrate: they run only "
                          "in contract mode, not %s" % mode)
+    if algo == "plugin" and "measure" in cell:
+        if not isinstance(cell["measure"], str):
+            raise ValueError("measure must be a string, got %r" % (cell["measure"],))
+        if parse_measure(cell["measure"])[0] == "kl" and "dist_q" not in cell:
+            raise ValueError("KL plugin cells need 'dist_q'")
     if algo == "minentropy":
         refuse_exact_expectation(mode, math.inf)
     elif algo == "renyi" and "alpha" in cell:
@@ -292,11 +305,7 @@ def _kl_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
 
 
 def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
-    oracle_q = None
-    if cell["measure"].partition(":")[0] == "kl":
-        if "dist_q" not in cell:
-            raise ValueError("KL plugin cells need 'dist_q'")
-        oracle_q = _oracle(cell, "dist_q")
+    oracle_q = _oracle(cell, "dist_q") if parse_measure(cell["measure"])[0] == "kl" else None
     report = classical_plugin_baseline(
         _oracle(cell), cell["measure"], cell["n_samples"],
         np.random.default_rng(seed), oracle_q, epsilon=float(cell.get("eps", math.inf)))

@@ -22,6 +22,9 @@ import numpy as np
 
 from .distributions import RationalDistribution, from_counts
 
+# The most symbols N a spec may ask for: a distribution holds arrays of N entries.
+MAX_SYMBOLS = 1 << 24
+
 
 def uniform(n: int) -> RationalDistribution:
     if n < 1:
@@ -152,6 +155,13 @@ def _integer(text: str) -> int:
         raise ValueError("%r is not an integer" % text) from None
 
 
+def _symbols(text: str) -> int:
+    n = _integer(text)
+    if n > MAX_SYMBOLS:
+        raise ValueError("N = %d symbols is above the ceiling of 2^24 = %d" % (n, MAX_SYMBOLS))
+    return n
+
+
 def _real(text: str) -> float:
     try:
         value = float(text)
@@ -171,14 +181,14 @@ def _integers(text: str) -> list[int]:
 
 # family -> (format, argument counts it takes, parser of each argument, builder)
 _FAMILIES = {
-    "uniform": ("uniform:N", (1,), (_integer,), uniform),
-    "point": ("point:N", (1,), (_integer,), point_mass),
-    "zipf": ("zipf:S:N", (2,), (_real, _integer), zipf),
-    "two-valued": ("two-valued:N:C:D:S", (4,), (_integer,) * 4, two_valued),
-    "lpairs": ("lpairs:N:L", (2,), (_integer, _integer), bumped),
-    "hard-shannon": ("hard-shannon:N:EPS:{1|2}", (3,), (_integer, _real, str),
+    "uniform": ("uniform:N", (1,), (_symbols,), uniform),
+    "point": ("point:N", (1,), (_symbols,), point_mass),
+    "zipf": ("zipf:S:N", (2,), (_real, _symbols), zipf),
+    "two-valued": ("two-valued:N:C:D:S", (4,), (_symbols,) + (_integer,) * 3, two_valued),
+    "lpairs": ("lpairs:N:L", (2,), (_symbols, _integer), bumped),
+    "hard-shannon": ("hard-shannon:N:EPS:{1|2}", (3,), (_symbols, _real, str),
                      functools.partial(_pair_member, hard_pair_shannon)),
-    "hard-coverage": ("hard-coverage:N:EPS:{1|2}", (3,), (_integer, _real, str),
+    "hard-coverage": ("hard-coverage:N:EPS:{1|2}", (3,), (_symbols, _real, str),
                       functools.partial(_pair_member, hard_pair_coverage)),
     "counts": ("counts:C1,C2,...[:S]", (1, 2), (_integers, _integer), from_counts),
 }
@@ -193,9 +203,9 @@ def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
     lpairs:N:L | hard-shannon:N:EPS:{1|2} | hard-coverage:N:EPS:{1|2} |
     counts:C1,C2,...[:S].
     The trailing member index selects the uniform (1) or bumped (2) half of a
-    separation pair.  A seed relabels the bins deterministically.  Every
-    error from parsing or building an argument quotes the spec and gives the
-    family's format.
+    separation pair.  A seed relabels the bins deterministically.  N may
+    be at most MAX_SYMBOLS.  Every error from parsing or building an
+    argument quotes the spec and gives the family's format.
     """
     family, *args = text.split(":")
     if family not in _FAMILIES:

@@ -3,8 +3,8 @@
 The quantum results being modeled promise a mean estimate of a subroutine's
 output from L executions, where L scales near-linearly in sigma/epsilon
 rather than the classical (sigma/epsilon)^2.  This module realizes each
-contract's statistical guarantee with classical sampling while the ledger is
-charged the quantum execution count:
+contract's statistical guarantee with classical sampling and reports the
+quantum execution count alongside the classical draws it really made:
 
   * additive:        |est - E[X]| <= eps   w.p. >= 4/5,  var[X] <= sigma^2
   * multiplicative:  |est - E[X]| <= eps*E[X]  w.p. >= 9/10,
@@ -33,16 +33,18 @@ is the k = 1 case; it has no entry point of its own.
 Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
 ratio r, floored at one execution: the theorems' O(.) constant is taken as
 1.  Out-of-contract parameters (eps too large for the theorem's range) still
-run but are flagged.
+run but are flagged.  The contracts book nothing: each returns its charged
+execution count and its classical draws, and the estimator that called it
+books them on its oracles' ledgers at its own per-execution query cost.
 
 Every subroutine the estimators hand to a contract has finite support, so
 the contracts are simulated from its law, never from sample paths: X is a
-FiniteLaw of values, probabilities and charges.  A sample sum is one
-multinomial draw of how often each value occurs, which costs O(#values)
-whatever the sample size; the classical-execution ledger still records the
-full notional sample count.  The additive contract reads only sample sums,
-so it also takes KL's ratio law, a difference of two independent finite laws
-per group that is never tabulated jointly.
+FiniteLaw of values and probabilities.  A sample sum is one multinomial draw
+of how often each value occurs, which costs O(#values) whatever the sample
+size; the reported classical draws still count the full notional sample.
+The additive contract reads only sample sums, so it also takes KL's ratio
+law, a difference of two independent finite laws per group that is never
+tabulated jointly.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .oracle import QueryLedger
 
 # Elements (runs x pilot draws, or runs x side atoms) the batched contracts
 # draw and hold at once.
@@ -80,14 +80,10 @@ _MEDIAN_CONSTANT = 48
 class FiniteLaw:
     """A random variable X with finitely many values: what a contract estimates.
 
-    `charges` lists (ledger, phase, per_execution_queries) triples; the
-    contracts multiply the per-execution query costs by the theorem's
-    execution count and charge them wholesale.  Draws are the simulator's
-    classical work and are recorded on every charged ledger.
+    A law is a value: drawing from it reads the rng and nothing else.
     """
 
-    def __init__(self, values, probabilities,
-                 charges: tuple[tuple[QueryLedger, str, int], ...] = ()):
+    def __init__(self, values, probabilities):
         self.values = np.asarray(values, dtype=np.float64)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
         if self.values.shape != self.probabilities.shape:
@@ -100,27 +96,20 @@ class FiniteLaw:
         # exact-sum normalization keeps multinomial's validation happy
         self._pvals = self.probabilities / total
         self._cum = np.cumsum(self._pvals)
-        self.charges = tuple(charges)
-
-    def _record_classical(self, count: int) -> None:
-        for ledger, _, _ in self.charges:
-            ledger.charge_classical(count)
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """`count` independent draws of X, recorded as classical work."""
+        """`count` independent draws of X."""
         idx = self._cum.searchsorted(rng.random(count), side="right")
-        self._record_classical(count)
         # a draw above a rounded-down last _cum finds index size: clip it
         return self.values.take(idx, mode="clip")
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
-        """Sum of `count` independent draws of X, recorded as classical work.
+        """Sum of `count` independent draws of X.
 
         One multinomial over the values gives how often each occurs, so the
         cost is O(#values) whatever the count.
         """
         counts = rng.multinomial(count, self._pvals)
-        self._record_classical(count)
         return float(counts @ self.values)
 
     def mean(self) -> float:
@@ -129,10 +118,6 @@ class FiniteLaw:
     def variance(self) -> float:
         m = self.mean()
         return float((self.values - m) ** 2 @ self.probabilities)
-
-    def charge_quantum(self, executions: int) -> None:
-        for ledger, phase, per_execution in self.charges:
-            ledger.charge(phase, per_execution * executions)
 
 
 class SampleCountOverflow(ValueError):
@@ -166,8 +151,8 @@ def qmean_additive(
 
     Requires var[X] <= sigma^2 and, for the charged cost to be meaningful,
     0 < epsilon < 4*sigma.  Classically runs a median of group means sized by
-    Chebyshev; the ledger is charged the near-linear theorem cost.  sub needs
-    only sample_sum(count, rng) and charge_quantum(executions).
+    Chebyshev; charged_executions is the near-linear theorem cost.  sub needs
+    only sample_sum(count, rng).
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -181,8 +166,6 @@ def qmean_additive(
                    for _ in range(_ADDITIVE_GROUPS))
     # np.median's value without its array overhead: the group count is odd
     value = means[_ADDITIVE_GROUPS // 2]
-
-    sub.charge_quantum(charged)
     return MeanEstimate(
         value=value,
         charged_executions=charged,
@@ -226,8 +209,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
 
     Every pilot precedes every main sample, and runs go in chunks of at most
     _ROW_CHUNK drawn elements, so the draws do not depend on the chunking.
-    Records the classical draws on sub's ledgers; returns per-run means,
-    second-moment pilots and main sample counts.
+    Returns per-run means, second-moment pilots and main sample counts.
     """
     pilot = _PILOT_RUNS
     rows = widths.size
@@ -241,7 +223,7 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         m2_hat[lo:lo + step] = np.vecdot(x, x) / pilot
 
     samples = _main_samples(m2_hat, epsilon)
-    # The largest count, and the total that the ledger records, must fit
+    # The largest count, and the total that an estimator books, must fit
     # int64: a cast would turn them negative with only a RuntimeWarning.
     if samples.sum() >= 2.0 ** 63:
         raise SampleCountOverflow(
@@ -262,7 +244,6 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         counts = rng.multinomial(n, np.where(on_side, pvals, 0.0))
         part = np.maximum(_beyond(ranked[:width], anchors[rows_, None], sign), 0.0)
         means[rows_] = np.vecdot(counts[:, :width], part) / np.maximum(n, 1)
-    sub._record_classical(rows * pilot + int(samples.sum()))
     return means, m2_hat, samples
 
 
@@ -320,8 +301,8 @@ def multiplicative_runs(
     step.  The law's atoms are sorted by value once, so the minus part is
     positive on a prefix of them and the plus part on a suffix.  Draw order:
     all anchors, then every minus-part pilot, every minus-part main sample,
-    every plus-part pilot and every plus-part main sample.  The ledgers are
-    charged repetitions times the theorem count.
+    every plus-part pilot and every plus-part main sample.  A caller books
+    repetitions times charged_executions, and the runs' classical draws.
     """
     if not isinstance(sub, FiniteLaw):
         raise TypeError("the multiplicative contract needs a finite law")
@@ -344,8 +325,6 @@ def multiplicative_runs(
     mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng)
     value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
 
-    charged = theorem_execution_count(sigma * b / (epsilon * a))
-    sub.charge_quantum(repetitions * charged)
     return MultiplicativeRuns(
         value=value,
         m_tilde=m_tilde,
@@ -353,7 +332,7 @@ def multiplicative_runs(
         mu_plus=mu_plus,
         classical_executions=(n_minus + n_plus) + (1 + 2 * _PILOT_RUNS),
         scale=scale,
-        charged_executions=charged,
+        charged_executions=theorem_execution_count(sigma * b / (epsilon * a)),
         out_of_contract=out_of_contract,
     )
 

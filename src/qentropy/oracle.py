@@ -21,7 +21,6 @@ classical executions the simulation actually performed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -114,10 +113,6 @@ class DistributionOracle:
         positions = rng.integers(self.size, size=shape)
         self.ledger.charge_classical(positions.size)
         return self.symbols(positions.reshape(-1)).reshape(positions.shape)
-
-    def preimage_fraction(self, symbol: int) -> Fraction:
-        """Exact p_i for the 1-based symbol; an inspection, never charged."""
-        return self.source.fraction(symbol)
 
 
 def build_oracle(dist: RationalDistribution) -> DistributionOracle:

@@ -17,8 +17,8 @@ from qentropy.amplitude import (
     sample_estamp_multiplicative,
 )
 from qentropy.distributions import from_counts
-from qentropy.estimators import MasterSubroutine
-from qentropy.instances import uniform
+from qentropy.estimators import EstimatorConfig, MasterSubroutine, estimate_min_entropy
+from qentropy.instances import point_mass
 from qentropy.oracle import build_oracle
 
 # Reference table for a=0.3, M=8, computed independently with 50-digit
@@ -166,17 +166,21 @@ def test_budget_has_a_ceiling_above_every_budget_in_use():
 
 
 def test_sampling_is_seeded_and_charged():
-    orc = build_oracle(uniform(4))
     rng_a = np.random.default_rng(12)
     rng_b = np.random.default_rng(12)
-    xs = [sample_estamp_multiplicative(orc, 1, 0.5, 0.25, rng_a) for _ in range(20)]
-    ys = [sample_estamp_multiplicative(orc, 1, 0.5, 0.25, rng_b) for _ in range(20)]
+    xs = [sample_estamp_multiplicative(0.25, 0.5, 0.25, rng_a) for _ in range(20)]
+    ys = [sample_estamp_multiplicative(0.25, 0.5, 0.25, rng_b) for _ in range(20)]
     assert xs == ys
     M = multiplicative_budget(0.5, 0.25)
     assert {used for _, used in xs} == {M}
-    assert orc.ledger.phases["estamp"] == 2 * 20 * M
     grid = {grid_value(l, M) for l in range(M // 2 + 1)}
     assert {est for est, _ in xs} <= grid
+    # the sampler books nothing: the min-entropy estimator charges the M it returns
+    orc = build_oracle(point_mass(4))
+    rep = estimate_min_entropy(orc, EstimatorConfig(epsilon=0.5, seed=12))
+    assert not rep.extras["fallback"]
+    assert rep.extras["M"] == multiplicative_budget(0.5, 0.25)
+    assert orc.ledger.phases["estamp"] == rep.extras["M"]
 
 
 def test_estamp_prime_never_returns_zero():
@@ -184,9 +188,9 @@ def test_estamp_prime_never_returns_zero():
     assert floor == pytest.approx(math.sin(math.pi / 16) ** 2, rel=1e-14)
     # the estamp-prime law reports outcome 0 as the floor and every other
     # outcome as it is, with the same probabilities
-    orc = build_oracle(from_counts([1, 7]))  # amplitudes 1/8 and 7/8
-    plain = MasterSubroutine(orc, 8, payoff=lambda x: x, variant="estamp")
-    prime = MasterSubroutine(orc, 8, payoff=lambda x: x, variant="estamp-prime")
+    dist = from_counts([1, 7])  # amplitudes 1/8 and 7/8
+    plain = MasterSubroutine(dist, 8, payoff=lambda x: x, variant="estamp")
+    prime = MasterSubroutine(dist, 8, payoff=lambda x: x, variant="estamp-prime")
     assert plain.values[0] == 0.0
     assert np.array_equal(prime.probabilities, plain.probabilities)
     assert np.array_equal(prime.values, np.where(plain.values == 0.0, floor, plain.values))
@@ -208,12 +212,11 @@ def test_multiplicative_sampling_contract():
     # estimate within relative eps with prob >= 8/pi^2, exact law check
     eps, p_floor = 0.5, 1 / 4
     M = multiplicative_budget(eps, p_floor)
-    orc = build_oracle(uniform(4))
     rng = np.random.default_rng(8)
     hits = 0
     trials = 400
     for _ in range(trials):
-        est, used = sample_estamp_multiplicative(orc, 1, eps, p_floor, rng)
+        est, used = sample_estamp_multiplicative(0.25, eps, p_floor, rng)
         assert used == M
         if abs(est - 0.25) <= eps * 0.25:
             hits += 1

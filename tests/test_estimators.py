@@ -54,6 +54,22 @@ def test_config_validation():
         EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, distinctness_cost="belovs")
 
 
+def test_every_estimator_stays_finite_at_the_largest_epsilon():
+    c = cfg(eps=estimators.MAX_EPSILON, seed=1)
+    dist = zipf(1.5, 16)
+    reports = [
+        estimate_shannon(build_oracle(dist), c),
+        estimate_kl(build_oracle(dist), build_oracle(uniform(16)),
+                    ratio_bound(dist, uniform(16)), c),
+        estimate_support_coverage(build_oracle(dist), 10, c),
+        estimate_min_entropy(build_oracle(dist), c),
+    ] + [estimate_renyi(build_oracle(dist), alpha, c) for alpha in (0.5, 2.5, 3)]
+    for rep in reports:
+        assert math.isfinite(rep.estimate), rep.algo
+    with pytest.raises(ValueError, match="epsilon must be positive and at most 1e\\+150"):
+        cfg(eps=2 * estimators.MAX_EPSILON)
+
+
 def test_budgets_are_powers_of_two():
     assert shannon_budget(64, 0.25) == 64
     assert shannon_budget(16, 0.25) == 32
@@ -99,7 +115,7 @@ def test_exact_expectation_matches_direct_table_sum():
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    sub = MasterSubroutine(build_oracle(dist), M, payoff)
+    sub = MasterSubroutine(dist, M, payoff)
     mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
@@ -143,7 +159,7 @@ def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
     dist = from_counts(counts)
     M = 1 << log_m
     fn, variant = _PAYOFFS[payoff]
-    sub = MasterSubroutine(build_oracle(dist), M, fn, variant=variant)
+    sub = MasterSubroutine(dist, M, fn, variant=variant)
     assert sub.values.size <= M // 2 + 1
     mean, var = sub.mean(), sub.variance()
     ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)
@@ -206,15 +222,11 @@ def test_kl_sample_sums_agree_in_law_with_draws_one_by_one():
     from qentropy.estimators import _RatioSubroutine
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
-    oracle_p, oracle_q = build_oracle(p), build_oracle(q)
     M_p, M_q, count, calls = 16, 32, 6, 4000
-    sub = _RatioSubroutine(oracle_p, oracle_q, M_p, M_q)
+    sub = _RatioSubroutine(p, q, M_p, M_q)
     assert len(sub._pairs) == 2
     rng = np.random.default_rng(17)
     sums = np.array([sub.sample_sum(count, rng) for _ in range(calls)])
-    assert oracle_p.ledger.classical_executions == count * calls
-    assert oracle_q.ledger.classical_executions == count * calls
-    assert oracle_p.ledger.quantum_total == oracle_q.ledger.quantum_total == 0
     reference = _kl_draws_one_by_one(p, q, M_p, M_q, (calls, count),
                                      np.random.default_rng(18)).sum(axis=1)
 
@@ -263,6 +275,20 @@ def test_kl_contract_ledgers_are_frozen():
     assert rep.ledger_q["phases"] == {"estamp": 19808256}
     assert rep.classical_executions == 111024
     assert rep.ledger_q["classical_executions"] == 111024
+
+
+def test_kl_books_the_contract_counts_on_both_ledgers():
+    # The ratio law books nothing: the estimator charges each oracle its own
+    # budget times the contract's execution count, and the contract's
+    # classical draws on both, since every draw reads p and q once.
+    p, q = zipf(1.5, 64), uniform(64)
+    orc_p, orc_q = build_oracle(p), build_oracle(q)
+    rep = estimate_kl(orc_p, orc_q, ratio_bound(p, q), cfg(seed=3))
+    executions = rep.extras["charged_executions"]
+    draws = 3 * math.ceil(5 * (rep.extras["sigma"] / (rep.epsilon / 2)) ** 2)
+    assert rep.ledger["phases"] == {"estamp": rep.extras["M_p"] * executions}
+    assert rep.ledger_q["phases"] == {"estamp": rep.extras["M_q"] * executions}
+    assert rep.classical_executions == rep.ledger_q["classical_executions"] == draws
 
 
 def test_single_class_stream_is_frozen():

@@ -552,6 +552,67 @@ def test_cli_rejects_a_budget_above_the_ceiling(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["--algo", "shannon", "--eps", "1e-12"],
+    ["--algo", "support", "--m", "16", "--eps", "1e-30"],
+    ["--algo", "coverage", "--n-samples", "16", "--eps", "1e-20"],
+    ["--algo", "support", "--m", "16", "--eps", "1e-300"],
+], ids=["shannon", "support", "coverage", "support-1e-300"])
+def test_cli_checks_the_budget_before_the_mixture_is_allocated(args, capsys):
+    # The first three used to ask numpy for 32 TiB, 4 EiB and 512 GiB, the
+    # last for more dimensions than it allows: tracebacks, exit 1.
+    assert main(["estimate", "--dist", "uniform:16", "--seed", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: budget M=")
+    assert "is above the largest outcome table built" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["shannon", "minentropy"])
+def test_cli_rejects_an_epsilon_above_the_ceiling(algo, capsys):
+    # eps ** 2 used to overflow: an OverflowError traceback, exit 1
+    assert main(["estimate", "--algo", algo, "--dist", "uniform:16", "--eps", "1e300",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon must be positive and at most 1e+150, got 1e+300\n"
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform:1000000000000", "point:16777217", "zipf:1.5:16777217",
+    "two-valued:16777217:1:0:16777217", "lpairs:16777217:1",
+    "hard-shannon:16777217:0.1:1", "hard-coverage:16777217:0.01:2",
+])
+def test_cli_bounds_the_symbols_of_an_instance_spec(spec, capsys):
+    # uniform:10^12 used to end in a 7.28 TiB MemoryError traceback
+    assert main(["exact", "--dist", spec, "--measure", "shannon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: instance spec %r (format " % spec)
+    assert captured.err.endswith("is above the ceiling of 2^24 = 16777216\n")
+
+
+@pytest.mark.parametrize("measure, message", [
+    ("renyi:abc", "measure 'renyi:abc' needs a numeric order"),
+    ("entropy", "unknown measure 'entropy'"),
+    (3, "measure must be a string, got 3"),
+], ids=["bad-order", "unknown", "not-a-string"])
+def test_experiment_checks_a_plugin_measure_before_any_row(measure, message, tmp_path, capsys):
+    # renyi:abc used to write the shannon cell's row, then exit 2
+    config = {"master_seed": 3, "cells": [
+        {"algo": "shannon", "dist": "uniform:4"},
+        {"algo": "plugin", "dist": "uniform:4", "measure": measure, "n_samples": 8}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.endswith("(cell 1)\n")
+    assert not out_path.exists()
+
+
 def test_experiment_keeps_the_rows_written_before_a_failing_cell(
         tmp_path, capsys, int_max_str_digits):
     int_max_str_digits(4300)

@@ -15,7 +15,6 @@ from qentropy.mean_estimation import (
     qmean_additive,
     theorem_execution_count,
 )
-from qentropy.oracle import QueryLedger
 
 
 def two_point(mean, rel_var):
@@ -46,12 +45,10 @@ def test_categorical_validation():
 
 def test_sample_sums_follow_the_exact_moments():
     # a sum of n draws has mean n*E[X] and variance n*var[X]
-    ledger = QueryLedger()
-    sub = FiniteLaw([0.0, 1.0, 3.0], [0.5, 0.25, 0.25], ((ledger, "estamp", 1),))
+    sub = FiniteLaw([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
     n, calls = 40, 4000
     rng = np.random.default_rng(21)
     sums = np.array([sub.sample_sum(n, rng) for _ in range(calls)])
-    assert ledger.classical_executions == n * calls
     se_mean = math.sqrt(n * sub.variance() / calls)
     assert sums.mean() == pytest.approx(n * sub.mean(), abs=6 * se_mean)
     centred = sums - sums.mean()
@@ -60,12 +57,11 @@ def test_sample_sums_follow_the_exact_moments():
 
 
 def test_draws_follow_the_table():
-    ledger = QueryLedger()
-    sub = FiniteLaw([2.0, 5.0], [0.75, 0.25], ((ledger, "estamp", 1),))
+    sub = FiniteLaw([2.0, 5.0], [0.75, 0.25])
     xs = sub.draw(50_000, np.random.default_rng(4))
+    assert xs.shape == (50_000,)
     assert set(np.unique(xs)) == {2.0, 5.0}
     assert (xs == 5.0).mean() == pytest.approx(0.25, abs=0.01)
-    assert ledger.classical_executions == 50_000
 
 
 def test_theorem_execution_count_values():
@@ -107,11 +103,35 @@ def test_additive_flags_out_of_contract():
 
 
 def test_additive_charges_quantum_wholesale():
-    ledger = QueryLedger()
-    sub = FiniteLaw([0.2, 0.6], [0.5, 0.5], ((ledger, "estamp", 16),))
+    # The contract books nothing: it returns the theorem count, which its
+    # caller charges wholesale, and exactly the draws it took from the law.
+    sub = FiniteLaw([0.2, 0.6], [0.5, 0.5])
+    asked = []
+    sample_sum = sub.sample_sum
+    sub.sample_sum = lambda count, rng: asked.append(count) or sample_sum(count, rng)
     est = qmean_additive(sub, 0.2, 0.05, np.random.default_rng(1))
-    assert ledger.phases["estamp"] == 16 * est.charged_executions
-    assert ledger.classical_executions == est.classical_executions
+    assert est.charged_executions == theorem_execution_count(0.2 / 0.05)
+    assert est.classical_executions == sum(asked) == 3 * math.ceil(5 * (0.2 / 0.05) ** 2)
+
+
+def _law_state(sub):
+    return {key: np.array(value, copy=True) for key, value in vars(sub).items()}
+
+
+def test_one_law_serves_two_contract_calls_unchanged():
+    # A law is a value: two calls with equal seeds agree, and leave it as it was.
+    sub = _zipf_master()
+    before = _law_state(sub)
+    mean = sub.mean()
+    for call in (lambda rng: qmean_additive(sub, 0.2, 0.05, rng),
+                 lambda rng: multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 5, rng)):
+        first, second = call(np.random.default_rng(4)), call(np.random.default_rng(4))
+        for field in vars(first):
+            assert np.array_equal(getattr(first, field), getattr(second, field)), field
+    after = _law_state(sub)
+    assert after.keys() == before.keys()
+    for key in before:
+        assert np.array_equal(after[key], before[key]), key
 
 
 def _whole_law_step(sub, epsilon, rng):
@@ -189,10 +209,8 @@ def test_median_amplify_count_and_value():
 def _zipf_master():
     from qentropy.estimators import MasterSubroutine
     from qentropy.instances import zipf
-    from qentropy.oracle import build_oracle
 
-    oracle = build_oracle(zipf(1.5, 64))
-    return MasterSubroutine(oracle, 256, payoff=lambda x: x ** 1.5), oracle.ledger
+    return MasterSubroutine(zipf(1.5, 64), 256, payoff=lambda x: x ** 1.5)
 
 
 def test_single_multiplicative_call_stream_is_frozen():
@@ -205,13 +223,13 @@ def test_single_multiplicative_call_stream_is_frozen():
     assert classical == 48561
     assert rng.random() == 0.11566037371975635
 
-    sub, ledger = _zipf_master()
+    sub = _zipf_master()
     mean = sub.mean()
     rng = np.random.default_rng(12)
-    value, classical = lone_run(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, rng)
-    assert value == pytest.approx(0.12952192855476594, rel=1e-12)
-    assert classical == ledger.classical_executions == 617320
-    assert ledger.phases == {"estamp": 65792}
+    runs = multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 1, rng)
+    assert runs.value[0] == pytest.approx(0.12952192855476594, rel=1e-12)
+    assert runs.classical_executions.tolist() == [617320]
+    assert 256 * runs.charged_executions == 65792
     assert rng.random() == 0.19043718645394003
 
 
@@ -231,7 +249,7 @@ def test_single_call_on_a_law_with_ties_is_frozen():
 def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
     # all pilots of a part come before all of its mains, so chunking the rows
     # cannot reorder the draws
-    sub, _ = _zipf_master()
+    sub = _zipf_master()
     mean = sub.mean()
     args = (sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 50)
     rng = np.random.default_rng(5)
@@ -247,7 +265,7 @@ def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_every_batched_run_satisfies_the_identity():
-    for sub, sigma in ((two_point(1.3, 0.25), 0.5), (_zipf_master()[0], 2.0)):
+    for sub, sigma in ((two_point(1.3, 0.25), 0.5), (_zipf_master(), 2.0)):
         mean = sub.mean()
         runs = multiplicative_runs(sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 200,
                                    np.random.default_rng(8))
@@ -273,22 +291,48 @@ def test_batched_and_sequential_runs_agree_in_law():
     assert fail_batch <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
 
 
-def test_batched_runs_charge_every_repetition():
-    sub, ledger = _zipf_master()
+def test_batched_runs_charge_every_repetition(monkeypatch):
+    # A batch returns the theorem count of one run and each run's draws; an
+    # annealed level books M times the repetitions times that count, and the
+    # draws of all its runs.
+    from qentropy import estimators
+    from qentropy.instances import zipf
+    from qentropy.oracle import build_oracle
+
+    sub = _zipf_master()
     mean = sub.mean()
     runs = multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 7,
                                np.random.default_rng(3))
-    assert ledger.phases == {"estamp": 7 * 256 * runs.charged_executions}
-    assert ledger.classical_executions == int(runs.classical_executions.sum())
+    assert runs.charged_executions == theorem_execution_count(2.0 * (2.0 * mean)
+                                                              / (0.25 * (0.5 * mean)))
+    assert runs.classical_executions.shape == (7,)
+    assert np.all(runs.classical_executions >= 1 + 2 * 64)  # anchor and both pilots
+
+    batches = []
+
+    def recording(*args):
+        batch = multiplicative_runs(*args)
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(estimators, "multiplicative_runs", recording)
+    oracle = build_oracle(zipf(1.5, 64))
+    rep = estimators.estimate_renyi(oracle, 2.5, estimators.EstimatorConfig(seed=3))
+    levels = rep.extras["schedule"]
+    assert len(batches) == len(levels)
+    assert [batch.value.size for batch in batches] == [level["repetitions"] for level in levels]
+    assert oracle.ledger.phases == {"estamp": sum(
+        level["M"] * level["repetitions"] * batch.charged_executions
+        for level, batch in zip(levels, batches))}
+    assert oracle.ledger.classical_executions == sum(
+        int(batch.classical_executions.sum()) for batch in batches)
 
 
 def test_multiplicative_contract_needs_a_finite_law():
     from qentropy.distributions import from_counts
     from qentropy.estimators import _RatioSubroutine
-    from qentropy.oracle import build_oracle
 
-    ratio = _RatioSubroutine(build_oracle(from_counts([1, 1])),
-                             build_oracle(from_counts([1, 3])), 16, 32)
+    ratio = _RatioSubroutine(from_counts([1, 1]), from_counts([1, 3]), 16, 32)
     with pytest.raises(TypeError):
         multiplicative_runs(ratio, 0.5, 1.0, 2.0, 0.25, 1, np.random.default_rng(0))
 
@@ -323,7 +367,7 @@ def _shuffled_law_with_ties():
 
 @pytest.mark.parametrize("law", ["zipf", "shuffled"])
 def test_side_sampler_agrees_in_law_with_the_full_law_sampler(law):
-    sub = _zipf_master()[0] if law == "zipf" else _shuffled_law_with_ties()
+    sub = _zipf_master() if law == "zipf" else _shuffled_law_with_ties()
     mean = sub.mean()
     sigma = math.sqrt(sub.variance()) / mean
     args = (sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 2000)

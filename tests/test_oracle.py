@@ -110,13 +110,6 @@ def test_ledger_phase_totals_add_up():
     assert snap["quantum_total"] == 37
 
 
-def test_preimage_fraction_is_exact_and_free():
-    dist = from_counts([1, 3])
-    orc = build_oracle(dist)
-    assert orc.preimage_fraction(2) * 4 == 3
-    assert orc.ledger.quantum_total == 0
-
-
 def test_empirical_frequencies_follow_the_table():
     dist = from_counts([1, 3, 4])
     orc = build_oracle(dist)
