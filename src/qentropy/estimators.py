@@ -590,6 +590,10 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
 # ---------------------------------------------------------------------------
 # min-entropy
 
+# The largest intensity of the first round's Poisson batch: 2^40 positions
+# would take terabytes, so a smaller epsilon is refused before any draw.
+_MAX_FIRST_INTENSITY = 2.0 ** 40
+
 
 def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
     """Multiplicative estimate of max_i p_i; success probability is a
@@ -608,7 +612,12 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         raise ValueError("need n >= 2")
     rng = cfg.rng()
 
-    k = math.ceil(16.0 * ln_n / eps ** 2)
+    first = 16.0 * ln_n / eps ** 2  # the first round's intensity, at lam = 1
+    if first > _MAX_FIRST_INTENSITY:
+        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
+                         "round would draw ~%.3g positions, past the ceiling of 2^40"
+                         % (eps, n, first))
+    k = math.ceil(first)
     fail_round = min(0.5, eps / (2.0 * ln_n))
     lam = 1.0
     rounds = []

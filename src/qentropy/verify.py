@@ -1,0 +1,337 @@
+"""Invariant suites behind `qentropy verify`: the facts the estimators rest on.
+
+Five suites check the closed-form outcome law, the power-sum sandwich, the
+Poisson tails of the min-entropy search, collision-count statistics and the
+mean-estimation contracts.  This is the one module that imports scipy
+(`scipy.special.pdtrc`, for the Poisson tails), so the estimators, `exact`
+and `experiment` load only numpy; `harness` names SUITES, run_suite,
+suite_passed and CheckResult and imports this module on first use.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from scipy.special import pdtrc
+
+from .amplitude import estamp_distribution
+from .distributions import RationalDistribution, power_sum
+from .instances import zipf
+from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
+
+
+@dataclass
+class CheckResult:
+    suite: str
+    name: str
+    passed: bool
+    margin: float  # positive slack = comfortably inside the bound
+    detail: str = ""
+    # True marks a check that fails for a documented mathematical reason
+    # (see poisson_suite); such rows do not fail the suite.
+    known_defect: bool = False
+
+
+_K1_CONFIDENCE = 8.0 / math.pi ** 2
+
+# The seed of every suite that draws, so each run checks the same cases, and
+# the suites' sample sizes.
+_SUITE_SEED = 20260815
+_ESTAMP_DRAWS = 200  # random amplitudes, at every budget
+_SANDWICH_TRIALS = 1000  # random distributions
+_COLLISION_MC_ROWS = 100_000  # Monte-Carlo sequences per grid cell
+_MEANEST_TRIALS = 400  # contract runs per law
+
+
+def estamp_suite() -> list[CheckResult]:
+    """Closed-form outcome law: normalization and the k=1 deviation window."""
+    rng = np.random.default_rng(_SUITE_SEED)
+    amplitudes = rng.random(_ESTAMP_DRAWS)
+    checks = []
+    for m_exp in range(1, 9):
+        M = 1 << m_exp
+        worst_norm = 0.0
+        worst_mass = 1.0
+        for a in amplitudes:
+            table = estamp_distribution(float(a), M)
+            worst_norm = max(worst_norm, abs(table.raw_total - 1.0))
+            mass = table.mass_within(float(a), table.deviation_bound(1))
+            worst_mass = min(worst_mass, mass)
+        checks.append(CheckResult(
+            "estamp", "normalization M=%d" % M, worst_norm <= 1e-9,
+            1e-9 - worst_norm, "worst |sum-1| = %.3e" % worst_norm))
+        checks.append(CheckResult(
+            "estamp", "k=1 window mass M=%d" % M, worst_mass >= _K1_CONFIDENCE,
+            worst_mass - _K1_CONFIDENCE,
+            "worst in-window mass = %.7f (needs >= %.7f)" % (worst_mass, _K1_CONFIDENCE)))
+    zero = estamp_distribution(0.0, 64)
+    exact_zero = len(zero.values) == 1 and zero.values[0] == 0.0 and zero.probabilities[0] == 1.0
+    checks.append(CheckResult(
+        "estamp", "a=0 returns a point mass", exact_zero, 0.0 if exact_zero else -1.0))
+    return checks
+
+
+def sandwich_suite() -> list[CheckResult]:
+    """Power-sum interpolation bounds on random rational distributions.
+
+    For 0 < a1 < a2: P_{a2}^{a1/a2} <= P_{a1} <= n^{1-a1/a2} * P_{a2}^{a1/a2},
+    each side allowed 1e-12 relative slack.
+    """
+    rng = np.random.default_rng(_SUITE_SEED)
+    worst_lower = math.inf
+    worst_upper = math.inf
+    for _ in range(_SANDWICH_TRIALS):
+        n = int(rng.integers(2, 65))
+        counts = rng.integers(0, 20, size=n)
+        if counts.sum() == 0:
+            counts[0] = 1
+        dist = RationalDistribution(int(counts.sum()), tuple(counts.tolist()))
+        a1, a2 = sorted(float(x) for x in rng.uniform(0.2, 5.0, size=2))
+        if a2 - a1 < 1e-9:
+            a2 += 1e-3
+        r = a1 / a2
+        p1 = power_sum(dist, a1)
+        p2 = power_sum(dist, a2)
+        lower = p2 ** r
+        upper = n ** (1.0 - r) * p2 ** r
+        worst_lower = min(worst_lower, (p1 - lower) / lower)
+        worst_upper = min(worst_upper, (upper - p1) / upper)
+    checks = [
+        CheckResult("sandwich", "lower bound x%d" % _SANDWICH_TRIALS, worst_lower >= -1e-12,
+                    worst_lower + 1e-12, "worst relative slack %.3e" % worst_lower),
+        CheckResult("sandwich", "upper bound x%d" % _SANDWICH_TRIALS, worst_upper >= -1e-12,
+                    worst_upper + 1e-12, "worst relative slack %.3e" % worst_upper),
+    ]
+    return checks
+
+
+def _poisson_upper_tail(mu: float, threshold: float) -> float:
+    # P[X >= threshold] for integer-valued X ~ Poisson(mu): P[X >= m] is
+    # pdtrc(m - 1, mu), the ufunc scipy.stats' poisson.sf evaluates, without
+    # the import of scipy.stats.
+    return float(pdtrc(math.ceil(threshold) - 1, mu))
+
+
+def poisson_suite() -> list[CheckResult]:
+    """Tail facts behind the escalating min-entropy search.
+
+    Clause A (intensity at the detection threshold): mu = t = 16 ln(n)/eps^2
+    gives P[X >= t] > 0.15.  Holds with ~0.49 mass everywhere on the grid.
+
+    Clause B (intensity a sqrt(1+eps) factor below): the modeled claim is
+    P[X >= t] <= 2/n^2.  Exact evaluation shows this fails on the whole
+    grid: with mu = t/c, c = sqrt(1+eps), the true decay exponent is
+    16*(1/c - 1 + ln c)/eps^2 * ln n, which is below 2 ln n for every
+    eps > 0 and approaches it only as eps -> 0.  Those rows are emitted as
+    known defects; the suite instead enforces the corrected bound
+    P[X >= t] <= 2 * n^(-q) with q the exponent above.
+    """
+    checks = []
+    grid_n = (16, 32, 64, 128, 256, 512, 1024)
+    for eps in (0.5, 1.0):
+        for n in grid_n:
+            t = 16.0 * math.log(n) / eps ** 2
+            tail = _poisson_upper_tail(t, t)
+            checks.append(CheckResult(
+                "poisson", "upper tail n=%d eps=%s" % (n, eps), tail > 0.15,
+                tail - 0.15, "P[X>=t]=%.4f at mu=t=%.2f" % (tail, t)))
+    for eps in (0.5, 1.0):
+        c = math.sqrt(1.0 + eps)
+        q = 16.0 * (1.0 / c - 1.0 + math.log(c)) / eps ** 2
+        for n in grid_n:
+            if n < 64:
+                continue
+            t = 16.0 * math.log(n) / eps ** 2
+            tail = _poisson_upper_tail(t / c, t)
+            bound = 2.0 / n ** 2
+            corrected = 2.0 * n ** (-q)
+            checks.append(CheckResult(
+                "poisson", "lower tail (modeled) n=%d eps=%s" % (n, eps),
+                tail <= bound, bound - tail,
+                "P[X>=t]=%.3e vs 2/n^2=%.3e (ratio %.1f)" % (tail, bound, tail / bound),
+                known_defect=tail > bound))
+            checks.append(CheckResult(
+                "poisson", "lower tail (corrected exponent %.3f) n=%d eps=%s" % (q, n, eps),
+                tail <= corrected, corrected - tail,
+                "P[X>=t]=%.3e vs 2*n^-q=%.3e" % (tail, corrected)))
+    return checks
+
+
+_COLLISION_GRID = ((4, 3, 2), (8, 5, 2), (8, 6, 3))
+
+
+_ROW_CHUNK = 1 << 14
+
+
+def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
+    """Exact k-collision count per row of a (rows, l) symbol matrix, without sorting.
+
+    By the hockey-stick identity C(m, k) = sum_{t<m} C(t, k-1), a symbol seen
+    m times adds C(t, k-1) at its occurrence with t equal entries before it.
+    So each position j counts the earlier positions of its row that hold the
+    same symbol, column against column, and looks that count up in a table.
+    This is independent of the estimator's sort-based count_row_collisions,
+    and cheap for the short rows the suite uses (O(l^2) compares per row).
+    Rows go through in chunks of _ROW_CHUNK so the temporaries stay small.
+    """
+    rows, length = samples.shape
+    comb_table = np.array([math.comb(t, k - 1) for t in range(length)], dtype=np.int64)
+    out = np.empty(rows, dtype=np.int64)
+    for lo in range(0, rows, _ROW_CHUNK):
+        columns = samples[lo:lo + _ROW_CHUNK].T
+        size = columns.shape[1]
+        total = np.full(size, comb_table[0])
+        earlier = np.empty(size, dtype=np.min_scalar_type(length))
+        equal = np.empty(size, dtype=bool)
+        for j in range(1, length):
+            np.equal(columns[0], columns[j], out=equal)
+            earlier[:] = equal
+            for i in range(1, j):
+                np.equal(columns[i], columns[j], out=equal)
+                earlier += equal
+            total += comb_table.take(earlier)
+        out[lo:lo + size] = total
+    return out
+
+
+def _all_sequences(n: int, length: int) -> np.ndarray:
+    """Every sequence of `length` symbols from range(n), one per row, in
+    lexicographic order (the order of itertools.product)."""
+    return np.indices((n,) * length).reshape(length, -1).T
+
+
+def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """The draws of rng.choice(probs.size, size=shape, p=probs), as int8.
+
+    choice takes one uniform per draw and returns how many entries of its
+    normalised cdf lie at or below it (the last entry is 1 and never does).
+    Comparing against each entry of a short cdf gives the same symbols, from
+    the same uniforms, without a binary search per draw.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    uniform = rng.random(shape)
+    draws = np.zeros(shape, dtype=np.int8)
+    for edge in cdf[:-1]:
+        draws += uniform >= edge
+    return draws
+
+
+def collision_suite() -> list[CheckResult]:
+    """Collision-count statistics: E[C] = C(l, k) * P_k(p).
+
+    Exact: integer-arithmetic enumeration of all n^l sequences must satisfy
+    sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
+    Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
+    within 5 standard errors of the exact expectation.
+    """
+    mc_rows = _COLLISION_MC_ROWS
+    rng = np.random.default_rng(_SUITE_SEED)
+    checks = []
+    for n, length, k in _COLLISION_GRID:
+        dist = zipf(1.5, n)
+        counts = dist.count_array
+        denominator = dist.denominator
+
+        seqs = _all_sequences(n, length)
+        columns = seqs.T
+        weights = counts.take(columns[0])
+        for column in columns[1:]:
+            weights *= counts.take(column)
+        collisions = _collision_counts_rows(seqs, k)
+        lhs = int((weights * collisions).sum())
+        p_sum_num = int((counts.astype(object) ** k).sum())
+        rhs = math.comb(length, k) * p_sum_num * denominator ** (length - k)
+        exact_ok = lhs == rhs
+        checks.append(CheckResult(
+            "collision", "exact enumeration n=%d l=%d k=%d" % (n, length, k),
+            exact_ok, 0.0 if exact_ok else -1.0,
+            "integer identity %d == %d" % (lhs, rhs)))
+
+        expectation = math.comb(length, k) * power_sum(dist, k)
+        probs = counts / denominator
+        draws = _categorical_draws(probs, (mc_rows, length), rng)
+        sample = _collision_counts_rows(draws, k).astype(np.float64)
+        se = sample.std(ddof=1) / math.sqrt(mc_rows)
+        gap = abs(sample.mean() - expectation)
+        checks.append(CheckResult(
+            "collision", "monte carlo n=%d l=%d k=%d" % (n, length, k),
+            gap <= 5.0 * se, 5.0 * se - gap,
+            "mean %.6f vs %.6f (se %.6f)" % (sample.mean(), expectation, se)))
+    return checks
+
+
+def meanest_suite() -> list[CheckResult]:
+    """Mean-estimation contracts on synthetic finite laws."""
+    trials = _MEANEST_TRIALS
+    rng = np.random.default_rng(_SUITE_SEED)
+    checks = []
+
+    const = FiniteLaw([0.5], [1.0])
+    me = qmean_additive(const, 1.0, 0.1, rng)
+    checks.append(CheckResult(
+        "meanest", "additive on constant subroutine is exact",
+        me.value == 0.5, 0.0 if me.value == 0.5 else -abs(me.value - 0.5)))
+
+    eps = 0.25
+    a, b = 1.0, 2.0
+    for rel_var in (0.04, 0.25):
+        c = math.sqrt(rel_var)
+        mean = 1.3
+        sub = FiniteLaw([mean * (1 - c), mean * (1 + c)], [0.5, 0.5])
+        runs = multiplicative_runs(sub, math.sqrt(rel_var), a, b, eps, trials, rng)
+        failures = int(np.count_nonzero(np.abs(runs.value - mean) > eps * mean))
+        rebuilt = runs.scale * (runs.m_tilde - 6.0 * runs.mu_minus + 6.0 * runs.mu_plus)
+        worst_identity = float(np.abs(rebuilt - runs.value).max())
+        rate = failures / trials
+        limit = 0.1 + 3.0 * math.sqrt(0.1 * 0.9 / trials)
+        checks.append(CheckResult(
+            "meanest", "multiplicative failure rate, rel var %.2f" % rel_var,
+            rate <= limit, limit - rate,
+            "%d/%d failures (allowed %.3f)" % (failures, trials, limit)))
+        checks.append(CheckResult(
+            "meanest", "output identity, rel var %.2f" % rel_var,
+            worst_identity <= 1e-12, 1e-12 - worst_identity,
+            "worst |rebuilt - value| = %.2e" % worst_identity))
+
+    sigma = 1.0
+    sub = FiniteLaw([0.0, 2.0], [0.5, 0.5])  # mean 1, variance 1
+    failures = 0
+    for _ in range(trials):
+        est = qmean_additive(sub, sigma, 0.25, rng)
+        if abs(est.value - 1.0) > 0.25:
+            failures += 1
+    rate = failures / trials
+    limit = 0.2 + 3.0 * math.sqrt(0.2 * 0.8 / trials)
+    checks.append(CheckResult(
+        "meanest", "additive failure rate", rate <= limit, limit - rate,
+        "%d/%d failures (allowed %.3f)" % (failures, trials, limit)))
+    return checks
+
+
+SUITES: dict[str, Callable[[], list[CheckResult]]] = {
+    "estamp": estamp_suite,
+    "sandwich": sandwich_suite,
+    "poisson": poisson_suite,
+    "collision": collision_suite,
+    "meanest": meanest_suite,
+}
+
+
+def run_suite(name: str) -> list[CheckResult]:
+    if name == "all":
+        results = []
+        for suite_name in SUITES:
+            results.extend(SUITES[suite_name]())
+        return results
+    if name not in SUITES:
+        raise ValueError("unknown suite %r (choose from %s, all)" %
+                         (name, ", ".join(SUITES)))
+    return SUITES[name]()
+
+
+def suite_passed(results: list[CheckResult]) -> bool:
+    return all(c.passed or c.known_defect for c in results)

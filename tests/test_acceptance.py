@@ -26,18 +26,12 @@ from qentropy.estimators import (
     estimate_support_coverage,
     estimate_support_size,
 )
-from qentropy.harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    collision_suite,
-    estamp_suite,
-    run_experiment,
-    sandwich_suite,
-)
+from qentropy.harness import CSV_COLUMNS, ExperimentConfig, run_experiment
 from qentropy.instances import hard_pair_shannon, uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, multiplicative_runs
 from qentropy.distinctness import count_row_collisions
 from qentropy.oracle import build_oracle
+from qentropy.verify import collision_suite, estamp_suite, sandwich_suite
 
 TRIALS_E2E = 200
 # success thresholds: 2/3 - 3 binomial sigmas at 200 trials, and the

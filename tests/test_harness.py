@@ -1,6 +1,7 @@
 """Experiment harness: cells, CSV output, baselines, verify suites, CLI."""
 
 import argparse
+import ast
 import csv
 import importlib.util
 import itertools
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -19,14 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import cli, harness
+from qentropy import cli, harness, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import shannon_entropy
-from qentropy.estimators import MODES, EstimatorConfig
+from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy
 from qentropy.harness import (
     CSV_COLUMNS,
-    _collision_counts_rows,
     ExperimentConfig,
     classical_plugin_baseline,
     derive_seed,
@@ -34,12 +35,11 @@ from qentropy.harness import (
     resolve_distribution,
     run_cell_trial,
     run_experiment,
-    run_suite,
-    suite_passed,
 )
 from qentropy.instances import uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
 from qentropy.oracle import QueryLedger, build_oracle
+from qentropy.verify import _collision_counts_rows, run_suite, suite_passed
 
 SMALL_CONFIG = {
     "master_seed": 11,
@@ -404,7 +404,7 @@ def _brute_force_collisions(row, k):
 def test_collision_rows_match_brute_force(length, k, chunk, data):
     rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=length,
                                        max_size=length), min_size=1, max_size=9))
-    with mock.patch.object(harness, "_ROW_CHUNK", chunk):
+    with mock.patch.object(verify, "_ROW_CHUNK", chunk):
         counts = _collision_counts_rows(np.array(rows, dtype=np.int64), k)
     assert counts.tolist() == [_brute_force_collisions(row, k) for row in rows]
 
@@ -418,20 +418,20 @@ def test_collision_rows_match_the_sort_based_counter(length, k, chunk, data):
     rows = np.array(data.draw(st.lists(st.lists(st.integers(-2, 3), min_size=length,
                                                 max_size=length), min_size=1, max_size=9)),
                     dtype=np.int64)
-    with mock.patch.object(harness, "_ROW_CHUNK", chunk):
+    with mock.patch.object(verify, "_ROW_CHUNK", chunk):
         counts = _collision_counts_rows(rows, k)
     assert counts.tolist() == [count_row_collisions(rows[r:r + 1], k) for r in range(len(rows))]
 
 
-@pytest.mark.parametrize("n, length, k", harness._COLLISION_GRID)
+@pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
 def test_enumerated_sequences_match_itertools_product(n, length, k):
     expected = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
-    sequences = harness._all_sequences(n, length)
+    sequences = verify._all_sequences(n, length)
     assert sequences.dtype == np.int64
     assert np.array_equal(sequences, expected)
 
 
-@pytest.mark.parametrize("n, length, k", harness._COLLISION_GRID)
+@pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
 def test_categorical_draws_are_the_draws_of_choice(n, length, k):
     # The collision suite's Monte-Carlo draws against rng.choice on the same
     # seed: the same symbols, and the generator left in the same state.
@@ -439,7 +439,7 @@ def test_categorical_draws_are_the_draws_of_choice(n, length, k):
     probs = np.array(dist.counts, dtype=np.int64) / dist.denominator
     for seed in (0, 20260815):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = harness._categorical_draws(probs, (20_000, length), ours)
+        draws = verify._categorical_draws(probs, (20_000, length), ours)
         assert np.array_equal(draws, theirs.choice(n, size=(20_000, length), p=probs))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -447,7 +447,7 @@ def test_categorical_draws_are_the_draws_of_choice(n, length, k):
 def test_categorical_draws_skip_zero_probability_symbols():
     probs = np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0])
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-    draws = harness._categorical_draws(probs, (4000, 3), ours)
+    draws = verify._categorical_draws(probs, (4000, 3), ours)
     assert np.array_equal(draws, theirs.choice(6, size=(4000, 3), p=probs))
     assert set(np.unique(draws).tolist()) == {1, 3, 4}
 
@@ -465,30 +465,90 @@ def test_poisson_tail_is_the_tail_scipy_stats_gives(monkeypatch):
     from scipy.stats import poisson
 
     points = []
-    tail = harness._poisson_upper_tail
+    tail = verify._poisson_upper_tail
 
     def recording(mu, threshold):
         points.append((mu, threshold))
         return tail(mu, threshold)
 
-    monkeypatch.setattr(harness, "_poisson_upper_tail", recording)
-    harness.poisson_suite()
+    monkeypatch.setattr(verify, "_poisson_upper_tail", recording)
+    verify.poisson_suite()
     assert len(points) == 24
     for mu, threshold in points:
         # bit for bit: the same ufunc, not merely a close value
         assert tail(mu, threshold) == float(poisson.sf(math.ceil(threshold) - 1, mu))
 
 
-def test_the_cli_does_not_import_scipy_stats():
-    # scipy.stats takes most of a second and ~45 MB to import; a fresh
-    # interpreter shows what importing the CLI pulls in.
+def test_estimating_never_imports_scipy():
+    # scipy.special costs a quarter second and ~25 MB to import (scipy.stats
+    # most of a second), and only the verify suites read it: in a fresh
+    # interpreter, `estimate`, `exact` and `experiment` load no scipy module
+    # at all, and the first read of harness.SUITES loads it.
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, qentropy.cli; print('scipy.stats' in sys.modules)"
+    probe = textwrap.dedent("""
+        import contextlib, io, json, os, sys, tempfile
+        from qentropy import cli, harness
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            config = os.path.join(tmp, "exp.json")
+            with open(config, "w") as fh:
+                json.dump({"cells": [{"algo": "shannon", "dist": "uniform:4"}]}, fh)
+            codes = [
+                cli.main(["estimate", "--algo", "renyi", "--alpha", "2.5",
+                          "--dist", "uniform:16", "--seed", "1"]),
+                cli.main(["exact", "--dist", "uniform:16", "--measure", "shannon"]),
+                cli.main(["experiment", "--config", config,
+                          "--out", os.path.join(tmp, "rows.csv")]),
+            ]
+        before = loaded()
+        harness.SUITES
+        print(json.dumps([codes, before, "qentropy.verify" in sys.modules,
+                          "scipy.special" in sys.modules]))
+    """)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert json.loads(out) == [[0, 0, 0], [], True, True]
+
+
+@pytest.mark.parametrize("name", ["SUITES", "run_suite", "suite_passed", "CheckResult"])
+def test_harness_names_the_verify_objects_themselves(name):
+    # the benchmark's tracer patches harness.SUITES in place, and
+    # verify.run_suite reads that same dict
+    assert getattr(harness, name) is getattr(verify, name)
+
+
+def test_harness_has_no_other_lazy_name():
+    with pytest.raises(AttributeError, match="has no attribute 'poisson_suite'"):
+        harness.poisson_suite
+    assert getattr(harness, "_poisson_upper_tail", None) is None
+
+
+def test_suite_names_are_the_suites_in_order():
+    assert harness.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_only_verify_imports_scipy():
+    # A top-level scipy import anywhere else would put its quarter second of
+    # start-up back on every estimate.
+    offenders = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += ["%s:%d imports %s" % (path.name, node.lineno, module)
+                          for module in modules if module.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_cli_estimate_and_exact(capsys):
@@ -577,6 +637,55 @@ def test_cli_rejects_an_epsilon_above_the_ceiling(algo, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: epsilon must be positive and at most 1e+150, got 1e+300\n"
+
+
+@pytest.mark.parametrize("eps", ["1e-7", "1e-12"])
+def test_cli_refuses_a_min_entropy_epsilon_whose_first_batch_cannot_be_drawn(eps, capsys):
+    # 1e-7 used to end in a 31.5 PiB allocation traceback (exit 1), 1e-12 in
+    # numpy's "lam value too large"
+    assert main(["estimate", "--algo", "minentropy", "--dist", "uniform:16", "--eps", eps,
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: epsilon %r is too small for min-entropy" % float(eps))
+    assert captured.err.endswith("past the ceiling of 2^40\n")
+
+
+def test_min_entropy_refuses_a_tiny_epsilon_before_any_draw():
+    oracle = build_oracle(uniform(16))
+    with pytest.raises(ValueError, match="^epsilon 1e-07 is too small"):
+        estimate_min_entropy(oracle, EstimatorConfig(epsilon=1e-7, seed=1))
+    assert oracle.ledger.classical_executions == 0
+    assert oracle.ledger.snapshot()["quantum_total"] == 0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eps", 1e300, "epsilon must be positive and at most 1e+150, got 1e+300"),
+    ("eps", math.inf, "epsilon must be positive and at most 1e+150, got inf"),
+    ("eps", 0, "epsilon must be positive"),
+    ("delta", 2, "delta must lie in (0, 1)"),
+    ("delta", 0.0, "delta must lie in (0, 1)"),
+], ids=["eps-1e300", "eps-inf", "eps-0", "delta-2", "delta-0"])
+def test_experiment_checks_eps_and_delta_before_any_row(key, value, message, tmp_path, capsys):
+    # eps 1e300 and delta 2 used to write the first cell's row, then exit 2
+    config = {"master_seed": 3, "cells": [
+        {"algo": "shannon", "dist": "uniform:4"},
+        {"algo": "shannon", "dist": "uniform:4", key: value}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.endswith("(cell 1)\n")
+    assert not out_path.exists()
+
+
+def test_a_plugin_cell_keeps_an_infinite_eps():
+    # a plug-in cell has no EstimatorConfig: infinity means no error target
+    cell = {"algo": "plugin", "dist": "uniform:4", "measure": "shannon", "n_samples": 8,
+            "eps": math.inf}
+    assert len(ExperimentConfig.from_dict({"cells": [cell]}).cells) == 1
 
 
 @pytest.mark.parametrize("spec", [
