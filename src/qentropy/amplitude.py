@@ -35,21 +35,22 @@ _NORMALIZATION_TOLERANCE = 1e-9
 _TABLE_CACHE_BYTES = 64 << 20
 
 # The largest budget M.  A table holds about 8*M bytes (an index and a
-# probability per grid point), so the largest one fills an eighth of the
-# cache, and building it holds ~90 MB of kernel temporaries for a moment.
-# Each doubling doubles both; a budget of 2^28 (Shannon at eps = 1e-7 on
-# 64 symbols) would need gigabytes before it could fail.
-_MAX_BUDGET = _TABLE_CACHE_BYTES // 64
+# probability per grid point), so the largest one holds 8 MB, and building
+# it holds ~90 MB of kernel temporaries for a moment.  Each doubling doubles
+# both; a budget of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need
+# gigabytes before it could fail.
+_MAX_BUDGET = 1 << 20
 
 
-def check_budget(M: int) -> None:
+def check_budget(M: int | float) -> None:
     """Raise ValueError unless M is a power of two from 2 up to _MAX_BUDGET;
-    run it before anything of size M is allocated."""
+    run it before anything of size M is allocated.  M = inf stands for a
+    budget no power of two meets."""
+    if M > _MAX_BUDGET:
+        raise ValueError("budget M=%s is above the largest outcome table built, M=%d (2^%d)"
+                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
     if M < 2 or M & (M - 1):
         raise ValueError("M must be a power of two, at least 2")
-    if M > _MAX_BUDGET:
-        raise ValueError("budget M=%d is above the largest outcome table built, M=%d (2^%d)"
-                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
 
 
 def grid_value(l, M: int):

@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .estimators import MODES
 from .harness import (
     SUITE_NAMES,
@@ -25,18 +23,6 @@ from .harness import (
     run_experiment,
     seed_from_env,
 )
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError("not JSON serializable: %r" % type(obj))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,8 +78,7 @@ def _cmd_estimate(args) -> int:
             cell[key] = getattr(args, key)
     seed = args.seed if args.seed is not None else seed_from_env()
     report = run_cell_trial(cell, seed, record_timing=args.timing)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2,
-                     default=_json_default))
+    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 
 
@@ -141,8 +126,7 @@ def _cmd_exact(args) -> int:
     dist_q = resolve_distribution(args.dist_q) if args.dist_q else None
     value = evaluate_measure(dist, args.measure, dist_q)
     print(json.dumps({"measure": args.measure, "value": value,
-                      "n": dist.n, "S": dist.denominator},
-                     sort_keys=True, default=_json_default))
+                      "n": dist.n, "S": dist.denominator}, sort_keys=True))
     return 0
 
 

@@ -135,8 +135,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def from_counts(counts: Iterable[int], denominator: int | None = None) -> RationalDistribution:
-    """Distribution with the given bin counts over denominator (default: their sum).
+def from_counts(counts: Iterable[int]) -> RationalDistribution:
+    """Distribution with the given bin counts over their sum.
 
     counts may be any iterable of Python or numpy integers, a numpy integer
     array among them; they are stored as a tuple of Python ints.  A bool, a
@@ -153,10 +153,7 @@ def from_counts(counts: Iterable[int], denominator: int | None = None) -> Ration
         ints = None
     if ints is None or bool in set(map(type, counts)):
         raise ValueError("counts must be Python or numpy integers")
-    counts = ints
-    if denominator is None:
-        denominator = sum(counts)
-    return RationalDistribution(denominator=denominator, counts=counts)
+    return RationalDistribution(denominator=sum(ints), counts=ints)
 
 
 def from_json_dict(payload: dict) -> RationalDistribution:

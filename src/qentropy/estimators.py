@@ -58,8 +58,10 @@ from .oracle import DistributionOracle
 # sampled payoffs through a mean-estimation contract, or the payoff law's exact mean
 MODES = ("contract", "exact-expectation")
 
-# The largest epsilon: every budget and group size reads its square.
+# The largest and the smallest epsilon: every budget and group size reads
+# its square, which stays a normal float between them.
 MAX_EPSILON = 1e150
+MIN_EPSILON = 1e-150
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class EstimatorConfig:
         if not 0 < self.epsilon <= MAX_EPSILON:
             raise ValueError("epsilon must be positive and at most %g, got %r"
                              % (MAX_EPSILON, self.epsilon))
+        if self.epsilon < MIN_EPSILON:
+            raise ValueError("epsilon must be at least %g, got %r" % (MIN_EPSILON, self.epsilon))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in MODES:
@@ -256,8 +260,11 @@ def _pow2_budget(x: float) -> int:
     """The power of two one doubling above the least one >= max(x, 2).
 
     The extra doubling was fixed so the exact estimator bias meets its
-    budget on the acceptance grids.
+    budget on the acceptance grids.  No power of two is large enough for
+    an infinite x, which raises check_budget's ValueError.
     """
+    if not math.isfinite(x):
+        check_budget(math.inf)
     return 2 << math.ceil(math.log2(max(x, 2.0)))
 
 
@@ -516,6 +523,10 @@ _COUNT_CHUNK = 1 << 16
 # K in the integer-order power-sum estimator's round count ceil(K/eps^2).
 _COLLISION_ROUNDS = 8.0
 
+# The most count rounds: no feasible run draws 2^40 rounds, so an epsilon
+# that asks for more is refused before any draw.
+_MAX_ROUNDS = 1 << 40
+
 
 def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
                                cfg: EstimatorConfig) -> EstimateReport:
@@ -529,9 +540,10 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
     positions at a time, with one draw call per chunk.  Every search and
     count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are classical bookkeeping.  An order whose charges could sum
-    past the digits Python will print raises ValueError before any draw, and
-    so does exact-expectation mode.
+    themselves are classical bookkeeping.  An epsilon that asks for more than
+    _MAX_ROUNDS rounds, an order whose charges could sum past the digits
+    Python will print and exact-expectation mode raise ValueError before
+    any draw.
     """
     refuse_exact_expectation(cfg.mode, alpha)
     if alpha < 2 or not float(alpha).is_integer():
@@ -543,6 +555,10 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     i_max = math.ceil(math.log2(alpha * n))
     fail_search = 1.0 / (10.0 * i_max)
     rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
+    if rounds > _MAX_ROUNDS:
+        raise ValueError("epsilon %r is too small for integer order alpha=%d: the count "
+                         "phase would run ~%.3g rounds, past the ceiling of 2^40"
+                         % (eps, alpha, rounds))
     length = 1 << i_max
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
     # The ledger books at most i_max + 1 + rounds charges, none above this

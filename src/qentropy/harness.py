@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -57,11 +58,11 @@ CSV_COLUMNS = [
 ]
 
 
-def resolve_distribution(spec: str, seed: Optional[int] = None) -> RationalDistribution:
+def resolve_distribution(spec: str) -> RationalDistribution:
     """Instance spec (uniform:64, zipf:1.5:256, ...) or path to a JSON file."""
     family = spec.split(":", 1)[0]
     if family in INSTANCE_FAMILIES:
-        return parse_instance(spec, seed)
+        return parse_instance(spec)
     if not os.path.exists(spec):
         raise ValueError(
             "distribution %r is neither a known instance family nor a file" % spec)
@@ -95,7 +96,8 @@ _MEASURES = {
     "minentropy": (None, lambda dist, _: min_entropy(dist)),
     "support": (None, lambda dist, _: float(dist.support_size())),
     "power-sum": (_ORDER, power_sum),
-    "coverage": ((int, "an integer sample count"), lambda dist, t: support_coverage(dist, t) / t),
+    "coverage": ((int, "an integer sample count below 2^63"),
+                 lambda dist, t: support_coverage(dist, t) / t),
     "kl": (None, None),
 }
 
@@ -120,7 +122,7 @@ def parse_measure(measure: str) -> tuple[str, float | int | None]:
     """The name of a measure and its argument, converted; None if it takes none.
 
     An unknown name, an order that is NaN or not a number, or a t that is
-    not an integer raises ValueError quoting the measure.
+    not an integer below 2^63 raises ValueError quoting the measure.
     """
     name, _, arg = measure.partition(":")
     if name not in _MEASURES:
@@ -132,7 +134,8 @@ def parse_measure(measure: str) -> tuple[str, float | int | None]:
         value = kind(arg)
     except ValueError:
         value = math.nan
-    if value != value:  # NaN, or an argument kind could not convert
+    # NaN, or an argument kind could not convert; an integer must fit a float
+    if value != value or (kind is int and value >= 1 << 63):
         raise ValueError("measure %r needs %s after the colon, got %r" % (measure, what, arg))
     return name, value
 
@@ -187,8 +190,8 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
 # experiment cells
 
 _CELL_KEYS = frozenset({
-    "algo", "dist", "dist_q", "dist_seed", "alpha", "eps", "delta", "f", "m",
-    "n_samples", "measure", "mode", "trials",
+    "algo", "dist", "dist_q", "alpha", "eps", "delta", "f", "m", "n_samples",
+    "measure", "mode", "trials",
 })
 
 
@@ -196,8 +199,8 @@ _CELL_KEYS = frozenset({
 _NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f"}
 # infinity means min-entropy as alpha, and no error target as the plug-in's eps
 _INFINITE_CELL_KEYS = ("alpha", "eps")
-# cell keys that count or seed something
-_INTEGER_CELL_KEYS = ("m", "n_samples", "dist_seed")
+# cell keys that count something; below 2^63, so that each converts to a float
+_INTEGER_CELL_KEYS = ("m", "n_samples")
 
 
 def _is_int(value) -> bool:
@@ -209,43 +212,62 @@ def _check_trials(trials, where: str) -> None:
         raise ValueError("%s 'trials' must be a positive integer, got %r" % (where, trials))
 
 
-def _check_cell(cell: dict) -> None:
+def _check_cell(cell: dict) -> tuple[str, ...]:
     """Reject keys no cell reads, so a typo fails instead of running defaults,
-    values of the wrong type, NaN or a meaningless infinity, which would
-    otherwise be coerced or fail late, an eps or delta outside
-    EstimatorConfig's limits, and a mode the cell's algo cannot run."""
+    an unknown algo or a missing key, values of the wrong type, NaN or a
+    meaningless infinity, which would otherwise be coerced or fail late, an
+    eps or delta outside EstimatorConfig's limits, and a mode the cell's
+    algo cannot run.  Returns the keys of the distributions its trial reads,
+    unresolved."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
+    algo = cell.get("algo")
+    if algo is None or "dist" not in cell:
+        raise ValueError("cell needs at least 'algo' and 'dist'")
+    if not isinstance(algo, str) or algo not in TRIALS:
+        raise ValueError("unknown algo %r" % (algo,))
+    required = TRIALS[algo][0]
+    if any(key not in cell for key in required):
+        raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
+    for key in ("dist", "dist_q"):
+        if key in cell and not isinstance(cell[key], str):
+            raise ValueError("%s must be a string, got %r" % (key, cell[key]))
     for key, name in _NUMERIC_CELL_KEYS.items():
         value = cell.get(key, 0)  # an absent key passes
-        # json parses NaN and Infinity; NaN passes every range check
-        number = _is_int(value) or (isinstance(value, float) and not math.isnan(value))
+        # json parses NaN, Infinity and integers past the largest float; NaN
+        # passes every range check
+        number = (_is_int(value) and abs(value) <= sys.float_info.max) \
+            or (isinstance(value, float) and not math.isnan(value))
         if not number or (math.isinf(value) and key not in _INFINITE_CELL_KEYS):
             raise ValueError("%s must be a real number, got %r (cell key %r)" % (name, value, key))
     for key in _INTEGER_CELL_KEYS:
-        if key in cell and not _is_int(cell[key]):
-            raise ValueError("%s must be an integer, got %r" % (key, cell[key]))
+        if key in cell and not (_is_int(cell[key]) and cell[key] < 1 << 63):
+            raise ValueError("%s must be an integer below 2^63, got %r" % (key, cell[key]))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
-    mode, algo = cell.get("mode", "contract"), cell.get("algo")
+    mode = cell.get("mode", "contract")
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got mode %r"
                          % (", ".join("'%s'" % m for m in MODES), mode))
+    reads = ("dist", "dist_q") if algo == "kl" else ("dist",)
     if algo != "plugin":
         _config(cell, None)  # EstimatorConfig's own limits on eps and delta
-    if algo == "plugin" and mode != "contract":
-        raise ValueError("plugin cells have no payoff law to integrate: they run only "
-                         "in contract mode, not %s" % mode)
-    if algo == "plugin" and "measure" in cell:
+    else:
+        if mode != "contract":
+            raise ValueError("plugin cells have no payoff law to integrate: they run only "
+                             "in contract mode, not %s" % mode)
         if not isinstance(cell["measure"], str):
             raise ValueError("measure must be a string, got %r" % (cell["measure"],))
-        if parse_measure(cell["measure"])[0] == "kl" and "dist_q" not in cell:
-            raise ValueError("KL plugin cells need 'dist_q'")
+        if parse_measure(cell["measure"])[0] == "kl":
+            if "dist_q" not in cell:
+                raise ValueError("KL plugin cells need 'dist_q'")
+            reads = ("dist", "dist_q")
     if algo == "minentropy":
         refuse_exact_expectation(mode, math.inf)
-    elif algo == "renyi" and "alpha" in cell:
+    elif algo == "renyi":
         refuse_exact_expectation(mode, cell["alpha"])
+    return reads
 
 
 @dataclass(frozen=True)
@@ -256,10 +278,13 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        # Resolving each distribution once here fails a spec or file that
+        # cannot be read before the CSV is opened; each trial resolves its own.
         for index, cell in enumerate(self.cells):
             try:
-                _check_cell(cell)
-            except ValueError as exc:
+                for key in _check_cell(cell):
+                    resolve_distribution(cell[key])
+            except (ValueError, OSError) as exc:
                 raise ValueError("%s (cell %d)" % (exc, index)) from None
         _check_trials(self.trials, "config")
         if self.master_seed is not None and not _is_int(self.master_seed):
@@ -297,38 +322,33 @@ def _config(cell: dict, seed: Optional[int]) -> EstimatorConfig:
         seed=seed, mode=cell.get("mode", "contract"))
 
 
-def _oracle(cell: dict, key: str = "dist") -> DistributionOracle:
-    seed = cell.get("dist_seed") if key == "dist" else None
-    return build_oracle(resolve_distribution(cell[key], seed))
-
-
-def _kl_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
-    oracle, oracle_q = _oracle(cell), _oracle(cell, "dist_q")
+def _kl_trial(cell: dict, seed: Optional[int], oracle: DistributionOracle,
+              oracle_q: DistributionOracle) -> EstimateReport:
     f = float(cell["f"]) if "f" in cell else ratio_bound(oracle.source, oracle_q.source)
     return estimate_kl(oracle, oracle_q, f, _config(cell, seed))
 
 
-def _plugin_trial(cell: dict, seed: Optional[int]) -> EstimateReport:
-    oracle_q = _oracle(cell, "dist_q") if parse_measure(cell["measure"])[0] == "kl" else None
+def _plugin_trial(cell: dict, seed: Optional[int], oracle: DistributionOracle,
+                  oracle_q: Optional[DistributionOracle] = None) -> EstimateReport:
     report = classical_plugin_baseline(
-        _oracle(cell), cell["measure"], cell["n_samples"],
+        oracle, cell["measure"], cell["n_samples"],
         np.random.default_rng(seed), oracle_q, epsilon=float(cell.get("eps", math.inf)))
     report.seed = seed
     return report
 
 
-# algo -> (keys its cells need besides 'algo' and 'dist', trial(cell, seed))
+# algo -> (keys its cells need besides 'algo' and 'dist',
+#          trial(cell, seed, oracle of each distribution _check_cell names))
 TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "shannon": ((), lambda cell, seed: estimate_shannon(_oracle(cell), _config(cell, seed))),
+    "shannon": ((), lambda cell, seed, p: estimate_shannon(p, _config(cell, seed))),
     "kl": (("dist_q",), _kl_trial),
-    "renyi": (("alpha",), lambda cell, seed: estimate_renyi(
-        _oracle(cell), float(cell["alpha"]), _config(cell, seed))),
-    "minentropy": ((), lambda cell, seed: estimate_min_entropy(
-        _oracle(cell), _config(cell, seed))),
-    "coverage": (("n_samples",), lambda cell, seed: estimate_support_coverage(
-        _oracle(cell), cell["n_samples"], _config(cell, seed))),
-    "support": (("m",), lambda cell, seed: estimate_support_size(
-        _oracle(cell), cell["m"], _config(cell, seed))),
+    "renyi": (("alpha",), lambda cell, seed, p: estimate_renyi(
+        p, float(cell["alpha"]), _config(cell, seed))),
+    "minentropy": ((), lambda cell, seed, p: estimate_min_entropy(p, _config(cell, seed))),
+    "coverage": (("n_samples",), lambda cell, seed, p: estimate_support_coverage(
+        p, cell["n_samples"], _config(cell, seed))),
+    "support": (("m",), lambda cell, seed, p: estimate_support_size(
+        p, cell["m"], _config(cell, seed))),
     "plugin": (("measure", "n_samples"), _plugin_trial),
 }
 
@@ -337,26 +357,17 @@ def run_cell_trial(cell: dict, seed: Optional[int],
                    record_timing: bool = False) -> EstimateReport:
     """Run one estimator trial described by a cell dict.
 
-    Cell keys: algo (shannon|kl|renyi|minentropy|coverage|support|plugin),
-    dist, and per-algorithm parameters (alpha, eps, delta, dist_q, f, m,
-    n_samples, measure, mode, dist_seed); any other key raises ValueError,
-    and so do an unknown algo and a missing key, before any distribution is
-    resolved.  Exact-expectation mode needs a payoff law: plugin cells,
+    _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
+    algo or a missing key, before any distribution is resolved.
+    Exact-expectation mode needs a payoff law: plugin cells,
     integer orders and min-entropy raise ValueError on it before any
     draw.  Every search of the collision estimators books a fixed charge:
     Belovs's bound for integer orders, L^(3/4) for min-entropy.
     """
-    _check_cell(cell)
-    algo = cell.get("algo")
-    if algo is None or "dist" not in cell:
-        raise ValueError("cell needs at least 'algo' and 'dist'")
-    if not isinstance(algo, str) or algo not in TRIALS:
-        raise ValueError("unknown algo %r" % (algo,))
-    required, trial = TRIALS[algo]
-    if any(key not in cell for key in required):
-        raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
+    reads = _check_cell(cell)
     started = time.perf_counter()
-    report = trial(cell, seed)
+    oracles = [build_oracle(resolve_distribution(cell[key])) for key in reads]
+    report = TRIALS[cell["algo"]][1](cell, seed, *oracles)
     if record_timing:
         report.wall_ms = int((time.perf_counter() - started) * 1000)
     return report

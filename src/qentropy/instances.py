@@ -133,14 +133,6 @@ def hard_pair_coverage(n: int, epsilon: float) -> HardPair:
     return _pair(n, l)
 
 
-def permuted(dist: RationalDistribution, seed: int | None) -> RationalDistribution:
-    """Relabel bins with a seeded permutation; None keeps canonical order."""
-    if seed is None:
-        return dist
-    order = np.random.default_rng(seed).permutation(dist.n)
-    return RationalDistribution(denominator=dist.denominator, counts=dist.count_array[order])
-
-
 def _pair_member(maker, n: int, epsilon: float, member: str) -> RationalDistribution:
     pair = maker(n, epsilon)
     if member not in ("1", "2"):
@@ -179,42 +171,40 @@ def _integers(text: str) -> list[int]:
         raise ValueError("%r is not a comma-separated list of integers" % text) from None
 
 
-# family -> (format, argument counts it takes, parser of each argument, builder)
+# family -> (format, parser of each argument, builder)
 _FAMILIES = {
-    "uniform": ("uniform:N", (1,), (_symbols,), uniform),
-    "point": ("point:N", (1,), (_symbols,), point_mass),
-    "zipf": ("zipf:S:N", (2,), (_real, _symbols), zipf),
-    "two-valued": ("two-valued:N:C:D:S", (4,), (_symbols,) + (_integer,) * 3, two_valued),
-    "lpairs": ("lpairs:N:L", (2,), (_symbols, _integer), bumped),
-    "hard-shannon": ("hard-shannon:N:EPS:{1|2}", (3,), (_symbols, _real, str),
+    "uniform": ("uniform:N", (_symbols,), uniform),
+    "point": ("point:N", (_symbols,), point_mass),
+    "zipf": ("zipf:S:N", (_real, _symbols), zipf),
+    "two-valued": ("two-valued:N:C:D:S", (_symbols,) + (_integer,) * 3, two_valued),
+    "lpairs": ("lpairs:N:L", (_symbols, _integer), bumped),
+    "hard-shannon": ("hard-shannon:N:EPS:{1|2}", (_symbols, _real, str),
                      functools.partial(_pair_member, hard_pair_shannon)),
-    "hard-coverage": ("hard-coverage:N:EPS:{1|2}", (3,), (_symbols, _real, str),
+    "hard-coverage": ("hard-coverage:N:EPS:{1|2}", (_symbols, _real, str),
                       functools.partial(_pair_member, hard_pair_coverage)),
-    "counts": ("counts:C1,C2,...[:S]", (1, 2), (_integers, _integer), from_counts),
+    "counts": ("counts:C1,C2,...", (_integers,), from_counts),
 }
 
 INSTANCE_FAMILIES = frozenset(_FAMILIES)
 
 
-def parse_instance(text: str, seed: int | None = None) -> RationalDistribution:
+def parse_instance(text: str) -> RationalDistribution:
     """Build a distribution from a compact CLI spec.
 
-    Formats: uniform:N | point:N | zipf:S:N | two-valued:N:C:D:S |
-    lpairs:N:L | hard-shannon:N:EPS:{1|2} | hard-coverage:N:EPS:{1|2} |
-    counts:C1,C2,...[:S].
-    The trailing member index selects the uniform (1) or bumped (2) half of a
-    separation pair.  A seed relabels the bins deterministically.  N may
+    The formats are the first field of each _FAMILIES entry.  The trailing
+    member index of hard-* selects the uniform (1) or bumped (2) half of a
+    separation pair; counts:C1,C2,... has the counts' sum as its S.  N may
     be at most MAX_SYMBOLS.  Every error from parsing or building an
     argument quotes the spec and gives the family's format.
     """
     family, *args = text.split(":")
     if family not in _FAMILIES:
         raise ValueError("unknown instance family %r in spec %r" % (family, text))
-    form, allowed, parsers, build = _FAMILIES[family]
-    if len(args) not in allowed:
-        raise ValueError("instance spec %r has %d arguments; %s takes %s" % (
-            text, len(args), form, " or ".join(str(k) for k in allowed)))
+    form, parsers, build = _FAMILIES[family]
+    if len(args) != len(parsers):
+        raise ValueError("instance spec %r has %d arguments; %s takes %d" % (
+            text, len(args), form, len(parsers)))
     try:
-        return permuted(build(*(parse(arg) for parse, arg in zip(parsers, args))), seed)
+        return build(*(parse(arg) for parse, arg in zip(parsers, args)))
     except ValueError as exc:
         raise ValueError("instance spec %r (format %s): %s" % (text, form, exc)) from None

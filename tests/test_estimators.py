@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qentropy.amplitude import estamp_distribution
 from qentropy.distributions import (
+    RationalDistribution,
     from_counts,
     kl_divergence,
     power_sum,
@@ -31,7 +32,7 @@ from qentropy.estimators import (
     estimate_support_size,
     shannon_budget,
 )
-from qentropy.instances import permuted, point_mass, two_valued, uniform, zipf
+from qentropy.instances import point_mass, two_valued, uniform, zipf
 from qentropy.oracle import DistributionOracle, QueryLedger, build_oracle
 
 # Exact expected payoff of the Shannon subroutine on uniform(16) at M=32,
@@ -68,6 +69,31 @@ def test_every_estimator_stays_finite_at_the_largest_epsilon():
         assert math.isfinite(rep.estimate), rep.algo
     with pytest.raises(ValueError, match="epsilon must be positive and at most 1e\\+150"):
         cfg(eps=2 * estimators.MAX_EPSILON)
+
+
+def test_every_estimator_refuses_the_smallest_epsilon_with_an_error():
+    # Below MIN_EPSILON eps ** 2 is subnormal or 0; at it, every estimator
+    # refuses a budget, a round count or a first batch it cannot run.
+    c = cfg(eps=estimators.MIN_EPSILON, seed=1)
+    dist = zipf(1.5, 16)
+    runs = [
+        lambda: estimate_shannon(build_oracle(dist), c),
+        lambda: estimate_kl(build_oracle(dist), build_oracle(uniform(16)),
+                            ratio_bound(dist, uniform(16)), c),
+        lambda: estimate_support_coverage(build_oracle(dist), 10, c),
+        lambda: estimate_min_entropy(build_oracle(dist), c),
+    ] + [lambda alpha=alpha: estimate_renyi(build_oracle(dist), alpha, c)
+         for alpha in (0.5, 2.5, 3)]
+    for run in runs:
+        with pytest.raises(ValueError, match="^(budget M=|epsilon 1e-150 is too small)"):
+            run()
+    with pytest.raises(ValueError, match="^epsilon must be at least 1e-150, got 5e-324$"):
+        cfg(eps=5e-324)
+
+
+def test_an_infinite_budget_is_the_budget_error():
+    with pytest.raises(ValueError, match=r"^budget M=inf is above the largest outcome table"):
+        estimators._pow2_budget(math.inf)
 
 
 def test_budgets_are_powers_of_two():
@@ -646,7 +672,10 @@ def test_min_entropy_point_mass():
 
 
 def test_min_entropy_truth_is_the_exact_largest_count_over_s():
-    dist = permuted(zipf(1.5, 4096), 5)
+    # shuffled, so that the largest count is not the first
+    base = zipf(1.5, 4096)
+    order = np.random.default_rng(5).permutation(base.n)
+    dist = RationalDistribution(base.denominator, base.count_array[order])
     rep = estimate_min_entropy(build_oracle(dist), cfg(seed=1))
     assert rep.truth == max(dist.counts) / dist.denominator
     assert type(rep.truth) is float

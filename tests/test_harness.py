@@ -21,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import cli, harness, verify
+from qentropy import cli, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import shannon_entropy
-from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy
+from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy, estimate_renyi
 from qentropy.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -212,7 +212,8 @@ def test_experiment_config_rejects_unknown_keys():
 def test_unknown_cell_keys_are_rejected():
     # "epsilon" is not a cell key; it used to run silently at the default eps.
     # "distinctness_cost" chose a search charge before each estimator had one.
-    for key, value in (("epsilon", 0.05), ("distinctness_cost", "belovs")):
+    # "dist_seed" relabeled p's bins, and on KL changed the problem itself.
+    for key, value in (("epsilon", 0.05), ("distinctness_cost", "belovs"), ("dist_seed", 1)):
         typo = {"algo": "shannon", "dist": "uniform:16", key: value}
         with pytest.raises(ValueError, match=key):
             run_cell_trial(typo, 0)
@@ -223,9 +224,9 @@ def test_unknown_cell_keys_are_rejected():
               "--distinctness-cost", "belovs"])
     assert exc.value.code == 2
     every_key = {"algo": "shannon", "dist": "uniform:16", "dist_q": "uniform:16",
-                 "dist_seed": 1, "alpha": 1, "eps": 0.5, "delta": 0.1, "f": 1,
-                 "m": 16, "n_samples": 16, "measure": "shannon", "mode": "contract",
-                 "trials": 1}
+                 "alpha": 1, "eps": 0.5, "delta": 0.1, "f": 1, "m": 16, "n_samples": 16,
+                 "measure": "shannon", "mode": "contract", "trials": 1}
+    assert set(every_key) == harness._CELL_KEYS
     assert ExperimentConfig.from_dict({"cells": [every_key]}).cells == (every_key,)
     assert run_cell_trial(every_key, 0).epsilon == 0.5
 
@@ -261,11 +262,12 @@ def test_cell_trials_must_be_a_positive_integer():
             ExperimentConfig.from_dict({"cells": [dict(SHANNON_CELL, trials=trials)]})
 
 
-@pytest.mark.parametrize("key", ["alpha", "eps", "delta", "f", "m", "n_samples", "dist_seed"])
+@pytest.mark.parametrize("key", ["alpha", "eps", "delta", "f", "m", "n_samples"])
 def test_numeric_cell_fields_must_be_numbers(key):
-    # infinity is min-entropy's alpha and the plug-in's default eps
+    # infinity is min-entropy's alpha and the plug-in's default eps; an
+    # integer past the largest float used to end in an OverflowError traceback
     infinite = () if key in ("alpha", "eps") else (math.inf,)
-    for value in (None, "2", True, math.nan, *infinite):
+    for value in (None, "2", True, math.nan, 10 ** 400, *infinite):
         cell = dict(SHANNON_CELL, **{key: value})
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict({"cells": [cell]})
@@ -274,10 +276,9 @@ def test_numeric_cell_fields_must_be_numbers(key):
 
 
 @pytest.mark.parametrize("value", [99.9, 16.0])
-@pytest.mark.parametrize("key", ["m", "n_samples", "dist_seed"])
+@pytest.mark.parametrize("key", ["m", "n_samples"])
 def test_integer_cell_keys_must_be_integers(key, value, tmp_path, capsys):
-    # a fractional n_samples used to be truncated to fewer draws, and a
-    # fractional dist_seed to end in a TypeError traceback from SeedSequence
+    # a fractional n_samples used to be truncated to fewer draws
     cell = dict(SHANNON_CELL, **{key: value})
     with pytest.raises(ValueError, match="%s must be an integer" % key):
         run_cell_trial(cell, 0)
@@ -616,11 +617,9 @@ def test_cli_rejects_a_budget_above_the_ceiling(capsys):
     ["--algo", "shannon", "--eps", "1e-12"],
     ["--algo", "support", "--m", "16", "--eps", "1e-30"],
     ["--algo", "coverage", "--n-samples", "16", "--eps", "1e-20"],
-    ["--algo", "support", "--m", "16", "--eps", "1e-300"],
-], ids=["shannon", "support", "coverage", "support-1e-300"])
+], ids=["shannon", "support", "coverage"])
 def test_cli_checks_the_budget_before_the_mixture_is_allocated(args, capsys):
-    # The first three used to ask numpy for 32 TiB, 4 EiB and 512 GiB, the
-    # last for more dimensions than it allows: tracebacks, exit 1.
+    # These used to ask numpy for 32 TiB, 4 EiB and 512 GiB: tracebacks, exit 1.
     assert main(["estimate", "--dist", "uniform:16", "--seed", "1", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -637,6 +636,75 @@ def test_cli_rejects_an_epsilon_above_the_ceiling(algo, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: epsilon must be positive and at most 1e+150, got 1e+300\n"
+
+
+@pytest.mark.parametrize("args, eps", [
+    (["--algo", "renyi", "--alpha", "2"], "1e-300"),
+    (["--algo", "renyi", "--alpha", "3"], "1e-300"),
+    (["--algo", "minentropy"], "1e-300"),
+    (["--algo", "renyi", "--alpha", "2"], "1e-160"),
+    (["--algo", "support", "--m", "16"], "1e-300"),
+    (["--algo", "shannon"], "5e-324"),
+    (["--algo", "kl", "--dist-q", "uniform:16"], "5e-324"),
+    (["--algo", "renyi", "--alpha", "2.5"], "5e-324"),
+    (["--algo", "renyi", "--alpha", "0.75"], "5e-324"),
+    (["--algo", "coverage", "--n-samples", "16"], "5e-324"),
+    (["--algo", "support", "--m", "16"], "5e-324"),
+], ids=["renyi-2", "renyi-3", "minentropy", "renyi-2-1e-160", "support-1e-300",
+        "shannon-5e-324", "kl-5e-324", "renyi-2.5-5e-324", "renyi-0.75-5e-324",
+        "coverage-5e-324", "support-5e-324"])
+def test_cli_rejects_an_epsilon_below_the_floor(args, eps, capsys):
+    # eps ** 2 underflowed: ZeroDivisionError and OverflowError tracebacks
+    # (exit 1), and support at 1e-300 asked for more dimensions than numpy allows
+    assert main(["estimate", "--dist", "uniform:16", "--seed", "1", "--eps", eps, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon must be at least 1e-150, got %r\n" % float(eps)
+
+
+@pytest.mark.parametrize("alpha, eps", [(2, 1e-150), (3, 1e-6)])
+def test_integer_orders_refuse_more_count_rounds_than_the_ceiling_before_any_draw(
+        alpha, eps, capsys):
+    # 1e-150 asks for ~8e300 rounds: it used to run without end
+    oracle = build_oracle(uniform(16))
+    with pytest.raises(ValueError, match=r"^epsilon %r is too small for integer order "
+                       r"alpha=%d: .* past the ceiling of 2\^40$" % (eps, alpha)):
+        estimate_renyi(oracle, alpha, EstimatorConfig(epsilon=eps, seed=1))
+    assert oracle.ledger.classical_executions == 0
+    assert oracle.ledger.snapshot()["quantum_total"] == 0
+    assert main(["estimate", "--algo", "renyi", "--alpha", str(alpha), "--dist", "uniform:16",
+                 "--eps", repr(eps), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: epsilon %r is too small" % eps)
+
+
+def test_cli_rejects_a_ratio_bound_whose_budget_is_infinite(capsys):
+    # sqrt(n) * f / eps overflows to inf: an OverflowError traceback, exit 1
+    assert main(["estimate", "--algo", "kl", "--dist", "uniform:16", "--dist-q", "uniform:16",
+                 "--f-n", "1e308", "--eps", "0.01", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: budget M=inf is above the largest outcome table built, "
+                            "M=1048576 (2^20)\n")
+
+
+_HUGE = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--algo", "coverage", "--n-samples", _HUGE, "--dist", "uniform:16"],
+     "n_samples must be an integer below 2^63, got %s" % _HUGE),
+    (["estimate", "--algo", "support", "--m", _HUGE, "--dist", "uniform:16"],
+     "m must be an integer below 2^63, got %s" % _HUGE),
+    (["exact", "--measure", "coverage:" + _HUGE, "--dist", "uniform:16"],
+     "measure 'coverage:%s' needs an integer sample count below 2^63 after the colon, "
+     "got '%s'" % (_HUGE, _HUGE)),
+], ids=["coverage", "support", "exact-coverage"])
+def test_cli_rejects_a_count_too_large_for_a_float(argv, message, capsys):
+    # each used to end in "OverflowError: int too large to convert to float"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("eps", ["1e-7", "1e-12"])
@@ -671,6 +739,37 @@ def test_experiment_checks_eps_and_delta_before_any_row(key, value, message, tmp
     config = {"master_seed": 3, "cells": [
         {"algo": "shannon", "dist": "uniform:4"},
         {"algo": "shannon", "dist": "uniform:4", key: value}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.endswith("(cell 1)\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"algo": "entropy", "dist": "uniform:4"}, "unknown algo 'entropy'"),
+    ({"algo": "renyi", "dist": "uniform:4"}, "renyi cells need 'alpha'"),
+    ({"algo": "shannon", "dist": "no-such-family:8"},
+     "distribution 'no-such-family:8' is neither a known instance family nor a file"),
+    ({"algo": "shannon", "dist": "counts:1,2,3:6"},
+     "instance spec 'counts:1,2,3:6' has 2 arguments; counts:C1,C2,... takes 1"),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:0"},
+     "instance spec 'uniform:0' (format uniform:N): need n >= 1"),
+    ({"algo": "plugin", "dist": "uniform:4", "dist_q": "no-such-family:4", "measure": "kl",
+      "n_samples": 8}, "distribution 'no-such-family:4' is neither"),
+    ({"algo": "shannon", "dist": "uniform:4", "dist_seed": 1}, "unknown cell keys: dist_seed"),
+    ({"algo": "shannon", "dist": 4}, "dist must be a string, got 4"),
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 1 << 63},
+     "n_samples must be an integer below 2^63, got %d" % (1 << 63)),
+], ids=["unknown-algo", "renyi-without-alpha", "unresolvable-dist", "counts-with-s",
+        "kl-dist-q", "plugin-kl-dist-q", "dist-seed", "dist-not-a-string", "n-samples-2^63"])
+def test_experiment_checks_every_cell_before_any_row(bad, message, tmp_path, capsys):
+    # each used to write the first cell's row, then exit 2 without naming the
+    # cell (a dist that is not a string, with an AttributeError traceback)
+    config = {"master_seed": 3, "cells": [{"algo": "shannon", "dist": "uniform:4"}, bad]}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
     out_path = tmp_path / "rows.csv"
@@ -855,6 +954,38 @@ def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
     assert json.dumps(report, sort_keys=True) == json.dumps(pinned[key], sort_keys=True)
 
 
+# One cell per estimator path, every algo among them.
+_CELL_PER_PATH = [
+    {"algo": "shannon", "dist": "zipf:1.5:16"},
+    {"algo": "kl", "dist": "zipf:1.5:8", "dist_q": "uniform:8"},
+    {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": 2.5},
+    {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": 0.75, "eps": 0.5},
+    {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": 2},
+    {"algo": "minentropy", "dist": "zipf:1.5:16", "eps": 0.5},
+    {"algo": "coverage", "dist": "zipf:1.5:8", "n_samples": 16},
+    {"algo": "support", "dist": "zipf:1.5:8", "m": 16},
+    {"algo": "plugin", "dist": "zipf:1.5:16", "measure": "shannon", "n_samples": 512},
+    {"algo": "plugin", "dist": "zipf:1.5:8", "dist_q": "uniform:8", "measure": "kl",
+     "n_samples": 512},
+]
+
+
+def test_every_report_is_plain_json():
+    # The CLI prints reports with json.dumps and no default hook: every
+    # value in them is a Python bool, int, float, str, list, dict or None.
+    assert {cell["algo"] for cell in _CELL_PER_PATH} == set(harness.TRIALS)
+    runs = 0
+    for cell, mode in itertools.product(_CELL_PER_PATH, MODES):
+        try:
+            report = run_cell_trial(dict(cell, mode=mode), 7).to_dict()
+        except ValueError as exc:
+            assert mode == "exact-expectation" and "no payoff law" in str(exc)
+            continue
+        assert json.loads(json.dumps(report)) == report, (cell, mode)
+        runs += 1
+    assert runs == len(_CELL_PER_PATH) + 6  # exact-expectation runs the six with a law
+
+
 def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
     # delta = 0.99 gives the final annealing level ceil(48 ln(1/0.99)) = 1
     # repetition: a one-run contract batch inside an estimator.
@@ -935,3 +1066,16 @@ def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "poisson"]) == 0  # defects are annotated, not fatal
     out = capsys.readouterr().out
     assert "KNOWN-DEFECT" in out
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_every_cell_key():
+    listed = re.search(r"Per-cell keys:(.*?)\.\s", _README.read_text(), re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(harness._CELL_KEYS - {"algo", "dist"})
+
+
+def test_readme_lists_every_spec_family():
+    block = re.search(r"Spec families:\n\n```\n(.*?)```", _README.read_text(), re.S).group(1)
+    assert block.split() == [entry[0] for entry in instances._FAMILIES.values()]

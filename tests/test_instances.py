@@ -3,7 +3,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from qentropy.instances import (
     hard_pair_coverage,
     hard_pair_shannon,
     parse_instance,
-    permuted,
     point_mass,
     two_valued,
     uniform,
@@ -140,45 +138,18 @@ def test_builders_hand_over_arrays_equal_to_the_tuple_build(build, S, reference)
     assert dist.count_array.tolist() == list(reference)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
-def test_permuted_is_the_comprehension_over_the_same_draw(seed):
-    dist = zipf(1.5, 300)
-    order = np.random.default_rng(seed).permutation(dist.n)
-    reference = RationalDistribution(dist.denominator, tuple(dist.counts[i] for i in order))
-    shuffled = permuted(dist, seed)
-    assert shuffled == reference
-    assert {type(c) for c in shuffled.counts} == {int}
-
-
-def test_permuted_preserves_the_multiset():
-    d = zipf(2.0, 12)
-    shuffled = permuted(d, 3)
-    assert sorted(shuffled.counts) == sorted(d.counts)
-    assert shuffled.counts != d.counts
-    assert shannon_entropy(shuffled) == pytest.approx(shannon_entropy(d), rel=1e-14)
-    assert permuted(d, None) is d
-
-
 def test_parse_instance_families():
     assert parse_instance("uniform:8") == uniform(8)
     assert parse_instance("point:5") == point_mass(5)
     assert parse_instance("zipf:1.5:8") == zipf(1.5, 8)
     assert parse_instance("two-valued:4:2:1:8") == two_valued(4, 2, 1, 8)
     assert parse_instance("lpairs:16:4") == bumped(16, 4)
-    assert parse_instance("counts:1,2,3") .counts == (1, 2, 3)
-    assert parse_instance("counts:1,2,3:6").denominator == 6
+    assert parse_instance("counts:1,2,3").counts == (1, 2, 3)
+    assert parse_instance("counts:1,2,3").denominator == 6
     pair = hard_pair_shannon(16, 0.25)
     assert parse_instance("hard-shannon:16:0.25:1") == pair.p_uniform
     assert parse_instance("hard-shannon:16:0.25:2") == pair.p_bumped
     assert parse_instance("hard-coverage:16:0.05:2") == hard_pair_coverage(16, 0.05).p_bumped
-
-
-def test_parse_instance_seed_permutes():
-    a = parse_instance("zipf:1.5:8", seed=1)
-    b = parse_instance("zipf:1.5:8", seed=1)
-    c = parse_instance("zipf:1.5:8", seed=2)
-    assert a == b
-    assert sorted(a.counts) == sorted(c.counts)
 
 
 def test_parse_instance_errors():
@@ -188,8 +159,11 @@ def test_parse_instance_errors():
         parse_instance("uniform:8:9")
     with pytest.raises(ValueError, match="pair member"):
         parse_instance("hard-shannon:16:0.25:3")
-    with pytest.raises(ValueError):
-        parse_instance("counts:1,2,3:7")  # S mismatch
+    # S is the counts' sum: a second argument could only repeat it
+    for spec in ("counts:1,2,3:6", "counts:1,2,3:7"):
+        with pytest.raises(ValueError, match="^instance spec %r has 2 arguments; "
+                           "counts:C1,C2,... takes 1$" % spec):
+            parse_instance(spec)
 
 
 @pytest.mark.parametrize("spec, form, cause", [
@@ -199,7 +173,7 @@ def test_parse_instance_errors():
     ("two-valued:4:5:1:8", "two-valued:N:C:D:S", "need 1 <= c <= n"),
     ("two-valued:4:2:1:%d" % (1 << 64), "two-valued:N:C:D:S", "below 2\\*\\*63"),
     ("hard-shannon:16:inf:1", "hard-shannon:N:EPS:{1|2}", "'inf' is not a finite number"),
-    ("counts:1,x", "counts:C1,C2,...[:S]", "'1,x' is not a comma-separated list"),
+    ("counts:1,x", "counts:C1,C2,...", "'1,x' is not a comma-separated list"),
     ("uniform:0", "uniform:N", "need n >= 1"),
     ("point:-3", "point:N", "need n >= 1"),
 ])
