@@ -20,7 +20,7 @@ Both are monotone in L.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -99,11 +99,28 @@ def find_k_collision(
     np.not_equal(full[1:], full[:-1], out=first[1:])
     candidates = full[first]
 
-    lie = arr.size >= k and float(rng.random()) < fail_prob
+    return k_collision_verdict(candidates, arr.size, k, fail_prob, rng, lambda i: arr[i])
+
+
+def k_collision_verdict(
+    candidates: np.ndarray,
+    size: int,
+    k: int,
+    fail_prob: float,
+    rng: np.random.Generator,
+    entry: Callable[[int], int],
+) -> Optional[int]:
+    """find_k_collision's answer for a sequence of `size` entries whose
+    k-collided symbols are `candidates`, ascending; entry(i) reads entry i.
+
+    Draws the lie uniform, then one index: into the candidates, or, for a
+    false positive, into the sequence, whose entry there is reported.
+    """
+    lie = size >= k and float(rng.random()) < fail_prob
     if lie:
         if candidates.size > 0:
             return None
-        return int(arr[int(rng.integers(arr.size))])
+        return int(entry(int(rng.integers(size))))
     if candidates.size > 0:
         return int(candidates[int(rng.integers(candidates.size))])
     return None

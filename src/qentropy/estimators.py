@@ -37,7 +37,13 @@ from .amplitude import (
     grid_value,
     sample_estamp_multiplicative,
 )
-from .distinctness import belovs_charge, count_row_collisions, find_k_collision, flat34_charge
+from .distinctness import (
+    belovs_charge,
+    count_row_collisions,
+    find_k_collision,
+    flat34_charge,
+    k_collision_verdict,
+)
 from .distributions import (
     RationalDistribution,
     kl_divergence,
@@ -515,9 +521,10 @@ def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
 # integer power sums via collision counting
 
 
-# Positions held at once by the collision-count phase of
-# estimate_power_sum_integer: its rounds are drawn, mapped and counted in
-# chunks of this many elements (at least one round per chunk).
+# Positions held at once by the collision estimators: the count phase of
+# estimate_power_sum_integer draws, maps and counts its rounds in chunks of
+# this many elements (at least one round per chunk), and min-entropy streams
+# a larger batch through chunks of this many.
 _COUNT_CHUNK = 1 << 16
 
 # K in the integer-order power-sum estimator's round count ceil(K/eps^2).
@@ -606,9 +613,30 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
 # ---------------------------------------------------------------------------
 # min-entropy
 
-# The largest intensity of the first round's Poisson batch: 2^40 positions
-# would take terabytes, so a smaller epsilon is refused before any draw.
+# The largest intensity of the first round's Poisson batch: even streamed,
+# 2^40 positions would take hours, so a smaller epsilon is refused before
+# any draw.
 _MAX_FIRST_INTENSITY = 2.0 ** 40
+
+
+def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
+                        fail_prob: float, rng: np.random.Generator) -> Optional[int]:
+    """One round's k-collision search over batch fresh draws, booked as
+    classical work.
+
+    A batch of at most _COUNT_CHUNK positions is drawn whole and searched by
+    sorting (find_k_collision).  A larger one is drawn and counted a chunk
+    at a time, so memory is O(n + chunk): its candidates are the symbols
+    counted at least k times, ascending as the sort lists them, and a false
+    positive's entry is redrawn from the bit-generator state saved before
+    the batch.  Both give the same verdict and leave the same generator state.
+    """
+    if batch <= _COUNT_CHUNK:
+        return find_k_collision(oracle.sample_classical(rng, batch), k, fail_prob, rng)
+    state = rng.bit_generator.state
+    counts = oracle.sample_counts(rng, batch, _COUNT_CHUNK)
+    return k_collision_verdict(np.flatnonzero(counts >= k), batch, k, fail_prob, rng,
+                               lambda i: oracle.symbol_at(state, i, _COUNT_CHUNK))
 
 
 def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
@@ -641,9 +669,8 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     while lam <= n:
         intensity = 16.0 * lam * ln_n / eps ** 2
         batch = int(rng.poisson(intensity))
-        seq = oracle.sample_classical(rng, batch)
         oracle.ledger.charge("distinctness", flat34_charge(batch))
-        hit = find_k_collision(seq, k, fail_round, rng)
+        hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
         rounds.append({"lambda": lam, "batch": batch, "hit": None if hit is None else int(hit)})
         if hit is not None:
             found = int(hit)
@@ -700,6 +727,11 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
                    oracle, cfg, extras=extras)
 
 
+# The least epsilon whose coverage epsilon eps/(2 ln(2/eps)) is at least
+# MIN_EPSILON: below it the coverage run could not be configured.
+_SUPPORT_MIN_EPSILON = 6.791202259091746e-148
+
+
 def estimate_support_size(oracle: DistributionOracle, m: int,
                           cfg: EstimatorConfig) -> EstimateReport:
     """Estimate |support(p)| / m to additive eps, for p promising that every
@@ -714,6 +746,10 @@ def estimate_support_size(oracle: DistributionOracle, m: int,
     eps = cfg.epsilon
     if eps >= 2.0:
         raise ValueError("epsilon must be below 2 for the reduction to make sense")
+    if eps < _SUPPORT_MIN_EPSILON:
+        raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
+                         "epsilon eps/(2 ln(2/eps)) must be at least %g"
+                         % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
     src = oracle.source
     for i, c in enumerate(src.counts, start=1):
         if c > 0 and c * m < src.denominator:

@@ -35,6 +35,7 @@ from .distributions import (
     support_coverage,
 )
 from .estimators import (
+    _COUNT_CHUNK,
     MODES,
     EstimateReport,
     EstimatorConfig,
@@ -146,22 +147,22 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
                               epsilon: float = math.inf) -> EstimateReport:
     """Plug-in estimator: evaluate the measure on empirical frequencies.
 
-    Draws are charged as classical queries only.  A KL plug-in whose
-    empirical q lands zero mass where empirical p has support is reported as
-    undefined (NaN estimate, success False) rather than raising.
+    Draws are charged as classical queries only, and drawn and counted
+    _COUNT_CHUNK at a time, so memory is O(n) whatever n_samples is.  A KL
+    plug-in whose empirical q lands zero mass where empirical p has support
+    is reported as undefined (NaN estimate, success False) rather than
+    raising.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    draws = oracle.sample_classical(rng, n_samples)
-    counts = np.bincount(draws, minlength=oracle.n + 1)[1:]
+    counts = oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
     empirical = RationalDistribution(n_samples, tuple(counts.tolist()))
     source = oracle.source
     undefined = False
     if parse_measure(measure)[0] == "kl":
         if oracle_q is None:
             raise ValueError("KL plug-in needs oracle_q")
-        draws_q = oracle_q.sample_classical(rng, n_samples)
-        counts_q = np.bincount(draws_q, minlength=oracle_q.n + 1)[1:]
+        counts_q = oracle_q.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
         empirical_q = RationalDistribution(n_samples, tuple(counts_q.tolist()))
         truth = kl_divergence(source, oracle_q.source)
         if np.any((counts > 0) & (counts_q == 0)):

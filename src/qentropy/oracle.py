@@ -114,6 +114,34 @@ class DistributionOracle:
         self.ledger.charge_classical(positions.size)
         return self.symbols(positions.reshape(-1)).reshape(positions.shape)
 
+    def sample_counts(self, rng: np.random.Generator, size: int, chunk: int) -> np.ndarray:
+        """How often each symbol occurs in sample_classical(rng, size); index 0 is unused.
+
+        The draws are made and counted chunk positions at a time, so memory
+        is O(n + chunk) whatever size is.  Bounded draws take their bits from
+        the bit generator value by value, so the chunks give the same
+        positions, leave the same generator state and book the same classical
+        count as one call.
+        """
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for done in range(0, size, chunk):
+            counts += np.bincount(self.sample_classical(rng, min(chunk, size - done)),
+                                  minlength=self.n + 1)
+        return counts
+
+    def symbol_at(self, state: dict, index: int, chunk: int) -> int:
+        """The symbol of draw `index` of sample_classical calls made from the
+        bit-generator state `state`, redrawn chunk positions at a time.
+
+        Books nothing: the draw was booked when it was first made.
+        """
+        replay = np.random.Generator(getattr(np.random, state["bit_generator"])(0))
+        replay.bit_generator.state = state
+        for _ in range(index // chunk):
+            replay.integers(self.size, size=chunk)
+        positions = replay.integers(self.size, size=index % chunk + 1)
+        return int(self.symbols(positions[-1:])[0])
+
 
 def build_oracle(dist: RationalDistribution) -> DistributionOracle:
     """Guide table and cumulative counts of the layout [1]*m_1 + [2]*m_2 + ...

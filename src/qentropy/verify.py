@@ -10,6 +10,7 @@ suite_passed and CheckResult and imports this module on first use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -197,12 +198,6 @@ def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _all_sequences(n: int, length: int) -> np.ndarray:
-    """Every sequence of `length` symbols from range(n), one per row, in
-    lexicographic order (the order of itertools.product)."""
-    return np.indices((n,) * length).reshape(length, -1).T
-
-
 def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """The draws of rng.choice(probs.size, size=shape, p=probs), as int8.
 
@@ -220,13 +215,38 @@ def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator
     return draws
 
 
+def _exact_collision_sum(counts: np.ndarray, length: int, k: int) -> int:
+    """sum_s (prod_i c_{s_i}) * C(s) over every sequence s of `length`
+    symbols from range(n), C(s) its k-collision count, as an exact int.
+
+    The sequences go through a block at a time: the last `tail` symbols run
+    over one precomputed int8 block of n^tail <= _ROW_CHUNK rows, and the
+    leading ones are constant within a block, so memory is O(_ROW_CHUNK).
+    """
+    n = counts.size
+    tail = 1
+    while tail < length and n ** (tail + 1) <= _ROW_CHUNK:
+        tail += 1
+    rows = np.empty((n ** tail, length), dtype=np.int8)
+    rows[:, length - tail:] = np.indices((n,) * tail, dtype=np.int8).reshape(tail, -1).T
+    tail_weights = np.prod(counts.take(rows[:, length - tail:]), axis=1)
+    total = 0
+    for head in itertools.product(range(n), repeat=length - tail):
+        rows[:, :length - tail] = head
+        head_weight = math.prod(int(counts[s]) for s in head)
+        total += head_weight * int(tail_weights @ _collision_counts_rows(rows, k))
+    return total
+
+
 def collision_suite() -> list[CheckResult]:
     """Collision-count statistics: E[C] = C(l, k) * P_k(p).
 
     Exact: integer-arithmetic enumeration of all n^l sequences must satisfy
     sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
     Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
-    within 5 standard errors of the exact expectation.
+    within 5 standard errors of the exact expectation.  Both go through
+    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l
+    or with the row count.
     """
     mc_rows = _COLLISION_MC_ROWS
     rng = np.random.default_rng(_SUITE_SEED)
@@ -236,13 +256,7 @@ def collision_suite() -> list[CheckResult]:
         counts = dist.count_array
         denominator = dist.denominator
 
-        seqs = _all_sequences(n, length)
-        columns = seqs.T
-        weights = counts.take(columns[0])
-        for column in columns[1:]:
-            weights *= counts.take(column)
-        collisions = _collision_counts_rows(seqs, k)
-        lhs = int((weights * collisions).sum())
+        lhs = _exact_collision_sum(counts, length, k)
         p_sum_num = int((counts.astype(object) ** k).sum())
         rhs = math.comb(length, k) * p_sum_num * denominator ** (length - k)
         exact_ok = lhs == rhs
@@ -253,8 +267,12 @@ def collision_suite() -> list[CheckResult]:
 
         expectation = math.comb(length, k) * power_sum(dist, k)
         probs = counts / denominator
-        draws = _categorical_draws(probs, (mc_rows, length), rng)
-        sample = _collision_counts_rows(draws, k).astype(np.float64)
+        # Row chunks of rng.random give the doubles of one whole draw, in order.
+        sample = np.empty(mc_rows)
+        for lo in range(0, mc_rows, _ROW_CHUNK):
+            rows = min(_ROW_CHUNK, mc_rows - lo)
+            draws = _categorical_draws(probs, (rows, length), rng)
+            sample[lo:lo + rows] = _collision_counts_rows(draws, k)
         se = sample.std(ddof=1) / math.sqrt(mc_rows)
         gap = abs(sample.mean() - expectation)
         checks.append(CheckResult(

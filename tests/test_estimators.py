@@ -1,6 +1,7 @@
 """End-to-end entropy estimators and their annealing machinery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -659,6 +660,61 @@ def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
     counted = sizes[-7:]
     assert sum(counted) == 3200 * length
     assert counted[:-1] == [estimators._COUNT_CHUNK] * 6
+
+
+def sorted_min_entropy_round(oracle, batch, k, fail_prob, rng):
+    """One min-entropy round as the estimator ran it before streaming: the
+    whole batch drawn at once, candidates from np.unique, entry read by index."""
+    seq = oracle.sample_classical(rng, batch)
+    values, counts = np.unique(seq, return_counts=True)
+    candidates = values[counts >= k]
+    if batch >= k and float(rng.random()) < fail_prob:
+        if candidates.size > 0:
+            return None
+        return int(seq[int(rng.integers(batch))])
+    if candidates.size > 0:
+        return int(candidates[int(rng.integers(candidates.size))])
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), min_size=2, max_size=6).filter(any),
+       chunk=st.integers(1, 5), data=st.data(), k=st.integers(1, 6),
+       fail_prob=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 32))
+def test_streamed_min_entropy_round_matches_the_whole_batch(counts, chunk, data, k,
+                                                            fail_prob, seed):
+    # A batch of up to four chunks: counted chunk by chunk, with a false
+    # positive's entry redrawn, it gives the symbol, the classical count and
+    # the generator state of the whole batch searched by sorting.
+    batch = data.draw(st.integers(0, 4 * chunk))
+    dist = RationalDistribution(sum(counts), tuple(counts))
+    ours, theirs = build_oracle(dist), build_oracle(dist)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
+        found = estimators._min_entropy_search(ours, batch, k, fail_prob, rng)
+    expected = sorted_min_entropy_round(theirs, batch, k, fail_prob, ref)
+    assert found == expected
+    assert ours.ledger.snapshot() == theirs.ledger.snapshot()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_streamed_min_entropy_holds_one_chunk_and_keeps_the_report(seed):
+    # zipf:1.5:64 at eps 0.5 draws batches of 266 to ~700 positions: chunks
+    # of 64 stream every round, with lies in some, and move no report byte.
+    sizes = []
+    symbols = DistributionOracle.symbols
+
+    def recording(self, positions):
+        sizes.append(positions.size)
+        return symbols(self, positions)
+
+    rep = estimate_min_entropy(build_oracle(zipf(1.5, 64)), cfg(eps=0.5, seed=seed))
+    with mock.patch.object(estimators, "_COUNT_CHUNK", 64), \
+            mock.patch.object(DistributionOracle, "symbols", recording):
+        streamed = estimate_min_entropy(build_oracle(zipf(1.5, 64)), cfg(eps=0.5, seed=seed))
+    assert streamed.to_dict() == rep.to_dict()
+    assert max(sizes) <= 64 < min(r["batch"] for r in rep.extras["rounds"])
 
 
 def test_min_entropy_point_mass():

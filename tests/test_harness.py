@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy import cli, harness, instances, verify
+from qentropy import cli, estimators, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
-from qentropy.distributions import shannon_entropy
+from qentropy.distributions import RationalDistribution, shannon_entropy
 from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy, estimate_renyi
 from qentropy.harness import (
     CSV_COLUMNS,
@@ -111,6 +112,33 @@ def test_plugin_baseline_converges():
     assert rep.ledger["quantum_total"] == 0
     assert rep.classical_executions == 100_000
     assert rep.success
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any),
+       chunk=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
+    # One to four chunks into one running bincount: the counts, the ledger
+    # and the generator state of one whole draw, and so the same report.
+    n_samples = data.draw(st.integers(1, 4 * chunk))
+    dist = RationalDistribution(sum(counts), tuple(counts))
+    ours, theirs = build_oracle(dist), build_oracle(dist)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    chunked = ours.sample_counts(rng, n_samples, chunk)
+    whole = np.bincount(theirs.sample_classical(ref, n_samples), minlength=len(counts) + 1)
+    assert chunked.tolist() == whole.tolist()
+    assert ours.ledger.snapshot() == theirs.ledger.snapshot()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    q = uniform(len(counts))
+    for measure in ("shannon", "renyi:2", "kl"):
+        rep = classical_plugin_baseline(build_oracle(dist), measure, n_samples,
+                                        np.random.default_rng(seed), oracle_q=build_oracle(q))
+        with mock.patch.object(harness, "_COUNT_CHUNK", chunk):
+            again = classical_plugin_baseline(build_oracle(dist), measure, n_samples,
+                                              np.random.default_rng(seed),
+                                              oracle_q=build_oracle(q))
+        assert repr(again.to_dict()) == repr(rep.to_dict())
 
 
 def test_plugin_baseline_kl_undefined_is_flagged():
@@ -426,10 +454,29 @@ def test_collision_rows_match_the_sort_based_counter(length, k, chunk, data):
 
 @pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
 def test_enumerated_sequences_match_itertools_product(n, length, k):
-    expected = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
-    sequences = verify._all_sequences(n, length)
-    assert sequences.dtype == np.int64
-    assert np.array_equal(sequences, expected)
+    # The block enumeration's weighted collision sum against the sum over
+    # one array of every itertools.product sequence, in blocks of the
+    # suite's size and in n^2 blocks of n^(l-2) rows.
+    counts = zipf(1.5, n).count_array
+    sequences = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
+    weights = np.prod(counts.take(sequences), axis=1)
+    expected = int(weights @ _collision_counts_rows(sequences, k))
+    for chunk in (n ** (length - 2), verify._ROW_CHUNK):
+        with mock.patch.object(verify, "_ROW_CHUNK", chunk):
+            assert verify._exact_collision_sum(counts, length, k) == expected
+
+
+def test_collision_suite_memory_is_bounded_by_a_chunk():
+    # Enumerating all 8^6 sequences and drawing 100,000 x 6 uniforms at once
+    # peaked at 23 MB traced; blocks of _ROW_CHUNK rows keep it under 2 MB.
+    tracemalloc.start()
+    try:
+        checks = verify.collision_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite_passed(checks)
+    assert peak < 4_000_000, peak
 
 
 @pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
@@ -514,6 +561,39 @@ def test_estimating_never_imports_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[0, 0, 0], [], True, True]
+
+
+def test_streamed_draws_exceed_no_address_space_limit():
+    # Drawn whole, each batch needs ~1 GiB of int64 positions (134,217,728
+    # plug-in samples; a first min-entropy batch of 123,226,531 at eps 3e-4).
+    # Under this RLIMIT_AS, set in the child only, both died with a
+    # MemoryError traceback; streamed, each holds O(n + chunk) positions.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    capped = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from qentropy.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+    commands = [
+        ["--algo", "plugin", "--measure", "shannon", "--dist", "uniform:16",
+         "--n-samples", "134217728"],
+        ["--algo", "minentropy", "--dist", "point:2", "--eps", "3e-4"],
+    ]
+    children = [subprocess.Popen([sys.executable, "-c", capped, "estimate", "--seed", "1", *args],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True) for args in commands]
+    reports = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, "")
+        reports.append(json.loads(out))
+    plugin, minentropy = reports
+    assert plugin["classical_executions"] == 134217728
+    assert minentropy["extras"]["rounds"][0]["batch"] == 123226531
+    assert minentropy["extras"]["captured_symbol"] == 1
 
 
 @pytest.mark.parametrize("name", ["SUITES", "run_suite", "suite_passed", "CheckResult"])
@@ -660,6 +740,26 @@ def test_cli_rejects_an_epsilon_below_the_floor(args, eps, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: epsilon must be at least 1e-150, got %r\n" % float(eps)
+
+
+def test_cli_names_the_support_epsilon_floor(capsys):
+    # Support runs coverage at eps/(2 ln(2/eps)), 1.45e-152 here: the error
+    # used to quote that number, which the user never typed.
+    assert main(["estimate", "--algo", "support", "--dist", "uniform:16", "--m", "16",
+                 "--eps", "1e-149", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: epsilon must be at least 6.791202259091746e-148 for "
+                            "support size, got 1e-149: its coverage epsilon "
+                            "eps/(2 ln(2/eps)) must be at least 1e-150\n")
+    floor = estimators._SUPPORT_MIN_EPSILON
+    for eps in (floor, math.nextafter(floor, 0.0)):
+        coverage = eps / (2.0 * math.log(2.0 / eps))
+        assert (coverage >= estimators.MIN_EPSILON) == (eps == floor)
+    # at the floor the error is the coverage budget's, not the floor's
+    assert main(["estimate", "--algo", "support", "--dist", "uniform:16", "--m", "16",
+                 "--eps", repr(floor), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: budget M=")
 
 
 @pytest.mark.parametrize("alpha, eps", [(2, 1e-150), (3, 1e-6)])
