@@ -14,7 +14,6 @@ import sys
 
 from .estimators import MODES
 from .harness import (
-    SUITE_NAMES,
     TRIALS,
     ExperimentConfig,
     evaluate_measure,
@@ -23,6 +22,7 @@ from .harness import (
     run_experiment,
     seed_from_env,
 )
+from .verify import SUITES, run_suite, suite_passed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify", help="run an invariant suite")
-    ver.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
+    ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
     ver.add_argument("--json", action="store_true",
                      help="print one JSON object per check (margins as repr floats) "
                           "instead of the text report")
@@ -90,9 +90,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the suites import scipy, which no other command needs
-    from .verify import run_suite, suite_passed
-
     results = run_suite(args.suite)
     if args.json:
         # json writes a float as its repr, which reads back to the same bits

@@ -327,6 +327,18 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
                    oracle, cfg, alpha=1.0, extras=extras)
 
 
+def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
+                        ratio_bound: float | Fraction) -> None:
+    """estimate_kl's promise: one alphabet, and p_i <= ratio_bound * q_i exactly."""
+    if p.n != q.n:
+        raise ValueError("p and q must share an alphabet")
+    f = Fraction(ratio_bound)
+    for i, (cp, cq) in enumerate(zip(p.counts, q.counts), start=1):
+        if cp > 0 and Fraction(cp * q.denominator, p.denominator) > f * cq:
+            raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i"
+                             % (i, float(ratio_bound)))
+
+
 def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
                 ratio_bound: float | Fraction, cfg: EstimatorConfig) -> EstimateReport:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
@@ -338,13 +350,8 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     q-ledger charge exceeds the p-ledger charge by roughly that ratio.
     """
     p, q = oracle_p.source, oracle_q.source
-    if p.n != q.n:
-        raise ValueError("p and q must share an alphabet")
-    f = Fraction(ratio_bound)
+    check_ratio_promise(p, q, ratio_bound)
     ratio_bound = float(ratio_bound)
-    for i, (cp, cq) in enumerate(zip(p.counts, q.counts), start=1):
-        if cp > 0 and Fraction(cp * q.denominator, p.denominator) > f * cq:
-            raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i" % (i, ratio_bound))
     n, eps = p.n, cfg.epsilon
     M_p = shannon_budget(n, eps)
     M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
@@ -563,7 +570,7 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     fail_search = 1.0 / (10.0 * i_max)
     rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     if rounds > _MAX_ROUNDS:
-        raise ValueError("epsilon %r is too small for integer order alpha=%d: the count "
+        raise ValueError("epsilon %r is too small for integer order alpha=%.15g: the count "
                          "phase would run ~%.3g rounds, past the ceiling of 2^40"
                          % (eps, alpha, rounds))
     length = 1 << i_max
@@ -579,7 +586,7 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
             alpha, length, min(fail_search, 0.5, eps ** 2 / length))
         too_long = bound.bit_length() > 3 * limit and bound >= 10 ** limit
     if too_long:
-        raise ValueError("alpha=%d: its query charges can exceed %d decimal digits, "
+        raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
     for i in range(i_max + 1):
         seq = oracle.sample_classical(rng, 1 << i)
@@ -732,6 +739,21 @@ def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
 _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
+def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None:
+    """What estimate_support_size refuses before any draw: m, eps and the promise."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if eps >= 2.0:
+        raise ValueError("epsilon must be below 2 for the reduction to make sense")
+    if eps < _SUPPORT_MIN_EPSILON:
+        raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
+                         "epsilon eps/(2 ln(2/eps)) must be at least %g"
+                         % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
+    for i, c in enumerate(src.counts, start=1):
+        if c > 0 and c * m < src.denominator:
+            raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % i)
+
+
 def estimate_support_size(oracle: DistributionOracle, m: int,
                           cfg: EstimatorConfig) -> EstimateReport:
     """Estimate |support(p)| / m to additive eps, for p promising that every
@@ -741,19 +763,8 @@ def estimate_support_size(oracle: DistributionOracle, m: int,
     error budget: after t draws every promised symbol has been seen but an
     eps/2 sliver, so the rounded coverage tracks the support size.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    eps = cfg.epsilon
-    if eps >= 2.0:
-        raise ValueError("epsilon must be below 2 for the reduction to make sense")
-    if eps < _SUPPORT_MIN_EPSILON:
-        raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
-                         "epsilon eps/(2 ln(2/eps)) must be at least %g"
-                         % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
-    src = oracle.source
-    for i, c in enumerate(src.counts, start=1):
-        if c > 0 and c * m < src.denominator:
-            raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % i)
+    src, eps = oracle.source, cfg.epsilon
+    check_support_promise(src, m, eps)
     t = math.ceil(m * math.log(2.0 / eps))
     eps_cov = eps / (2.0 * math.log(2.0 / eps))
     inner = estimate_support_coverage(oracle, t, replace(cfg, epsilon=eps_cov))

@@ -1,13 +1,12 @@
-"""Experiment harness: batch trials to CSV, plug-in baseline, suite names.
+"""Experiment harness: batch trials to CSV, plug-in baseline, verify suites.
 
 The CSV schema is the external contract; reruns with the same master seed
 must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-The invariant suites live in `verify`, the one module that imports scipy.
-SUITES, run_suite, suite_passed and CheckResult are read here as well, and
-load `verify` on first access, so a run that estimates never imports scipy.
+The invariant suites live in `verify`; SUITES, run_suite, suite_passed and
+CheckResult are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from .estimators import (
     MODES,
     EstimateReport,
     EstimatorConfig,
+    check_ratio_promise,
+    check_support_promise,
     estimate_kl,
     estimate_min_entropy,
     estimate_renyi,
@@ -49,6 +50,7 @@ from .estimators import (
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
 from .oracle import DistributionOracle, build_oracle
+from .verify import SUITES, CheckResult, run_suite, suite_passed
 
 SEED_ENV_VAR = "QENTROPY_SEED"
 
@@ -271,6 +273,19 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     return reads
 
 
+def _check_sources(cell: dict, sources: list[RationalDistribution]) -> None:
+    """Raise the errors a trial of the cell would raise from its distributions
+    alone, before it draws: a pair on different alphabets, a ratio that is
+    unbounded or exceeds the cell's f, and a support promise or epsilon that
+    the reduction refuses.  Each is the check the trial itself makes."""
+    if cell["algo"] == "kl" and "f" in cell:
+        check_ratio_promise(*sources, float(cell["f"]))
+    elif len(sources) == 2:  # kl without f, and the kl plug-in
+        ratio_bound(*sources)
+    elif cell["algo"] == "support":
+        check_support_promise(sources[0], cell["m"], _config(cell, None).epsilon)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     cells: tuple[dict, ...]
@@ -280,11 +295,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Resolving each distribution once here fails a spec or file that
-        # cannot be read before the CSV is opened; each trial resolves its own.
+        # cannot be read, or a pair or promise no trial of the cell could run,
+        # before the CSV is opened; each trial resolves its own.
         for index, cell in enumerate(self.cells):
             try:
-                for key in _check_cell(cell):
-                    resolve_distribution(cell[key])
+                _check_sources(cell, [resolve_distribution(cell[key])
+                                      for key in _check_cell(cell)])
             except (ValueError, OSError) as exc:
                 raise ValueError("%s (cell %d)" % (exc, index)) from None
         _check_trials(self.trials, "config")
@@ -428,19 +444,3 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
                 rows += 1
     return rows
 
-
-# ---------------------------------------------------------------------------
-# verification suites, in `verify`
-
-# The names of verify.SUITES, in its order, for whoever needs them without
-# importing scipy (the CLI's choices).
-SUITE_NAMES = ("estamp", "sandwich", "poisson", "collision", "meanest")
-_VERIFY_NAMES = frozenset({"SUITES", "run_suite", "suite_passed", "CheckResult"})
-
-
-def __getattr__(name: str):
-    # PEP 562: called only for a name the module does not define.
-    if name in _VERIFY_NAMES:
-        from . import verify
-        return getattr(verify, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -2,10 +2,9 @@
 
 Five suites check the closed-form outcome law, the power-sum sandwich, the
 Poisson tails of the min-entropy search, collision-count statistics and the
-mean-estimation contracts.  This is the one module that imports scipy
-(`scipy.special.pdtrc`, for the Poisson tails), so the estimators, `exact`
-and `experiment` load only numpy; `harness` names SUITES, run_suite,
-suite_passed and CheckResult and imports this module on first use.
+mean-estimation contracts.  They need numpy and the standard library only:
+the Poisson tail is summed in integers and `decimal`, not taken from
+scipy.  `harness` re-exports SUITES, run_suite, suite_passed and CheckResult.
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from typing import Callable
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .amplitude import estamp_distribution
 from .distributions import RationalDistribution, power_sum
@@ -109,11 +108,45 @@ def sandwich_suite() -> list[CheckResult]:
     return checks
 
 
+# 40 digits for the Poisson mass e^-mu mu^j / j!, whose factors leave the
+# float range (e^-mu underflows past mu ~ 745, j! overflows past j = 170).
+_TAIL_CONTEXT = Context(prec=40)
+_TAIL_ONE = 1 << 64  # the fixed-point 1 of the tail's series
+
+
 def _poisson_upper_tail(mu: float, threshold: float) -> float:
-    # P[X >= threshold] for integer-valued X ~ Poisson(mu): P[X >= m] is
-    # pdtrc(m - 1, mu), the ufunc scipy.stats' poisson.sf evaluates, without
-    # the import of scipy.stats.
-    return float(pdtrc(math.ceil(threshold) - 1, mu))
+    """P[X >= threshold] for integer-valued X ~ Poisson(mu), mu > 0.
+
+    With m = ceil(threshold) and p_j = e^-mu mu^j / j!, the tail is
+    p_m * sum_k prod_{i=1..k} mu/(m+i) when m >= mu, and otherwise 1 minus
+    the head p_{m-1} * sum_k prod_{i=1..k} (m-i)/mu.  Either series starts
+    at 1 and falls from there, so it is summed in integers scaled by 2^64
+    until a term truncates to 0; p_j is a 40-digit `decimal`.  The one
+    rounding that matters is the last, to a float: the tail is within about
+    an ulp of the exact value.
+    """
+    m = math.ceil(threshold)
+    if m <= 0:
+        return 1.0
+    num, den = mu.as_integer_ratio()
+    total, term = 0, _TAIL_ONE
+    upper = m >= mu
+    if upper:
+        j = k = m
+        while term:
+            total += term
+            k += 1
+            term = term * num // (den * k)
+    else:
+        j = k = m - 1
+        while term:
+            total += term
+            term = term * k * den // num
+            k -= 1
+    ctx, x = _TAIL_CONTEXT, Decimal(mu)
+    mass = ctx.divide(ctx.multiply(ctx.exp(-x), ctx.power(x, j)), math.factorial(j))
+    part = ctx.divide(ctx.multiply(mass, total), _TAIL_ONE)
+    return float(part if upper else ctx.subtract(1, part))
 
 
 def poisson_suite() -> list[CheckResult]:

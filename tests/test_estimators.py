@@ -1,6 +1,7 @@
 """End-to-end entropy estimators and their annealing machinery."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -556,7 +557,8 @@ def test_huge_orders_are_rejected_without_building_their_bound(alpha, int_max_st
     int_max_str_digits(4300)
     monkeypatch.setattr(estimators, "belovs_charge", None)  # any call fails
     orc = build_oracle(uniform(4))
-    with pytest.raises(ValueError, match=r"alpha=%d.*4300 decimal digits" % alpha):
+    message = r"alpha=%s: .*4300 decimal digits" % re.escape("%.15g" % alpha)
+    with pytest.raises(ValueError, match=message):
         estimate_power_sum_integer(orc, alpha, cfg())
     assert orc.ledger.snapshot() == QueryLedger().snapshot()
 

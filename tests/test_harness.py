@@ -17,9 +17,10 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qentropy import cli, estimators, harness, instances, verify
@@ -509,9 +510,7 @@ def test_poisson_suite_has_annotated_defects_only():
     assert suite_passed(results)
 
 
-def test_poisson_tail_is_the_tail_scipy_stats_gives(monkeypatch):
-    from scipy.stats import poisson
-
+def _suite_tail_points(monkeypatch):
     points = []
     tail = verify._poisson_upper_tail
 
@@ -522,25 +521,57 @@ def test_poisson_tail_is_the_tail_scipy_stats_gives(monkeypatch):
     monkeypatch.setattr(verify, "_poisson_upper_tail", recording)
     verify.poisson_suite()
     assert len(points) == 24
-    for mu, threshold in points:
-        # bit for bit: the same ufunc, not merely a close value
-        assert tail(mu, threshold) == float(poisson.sf(math.ceil(threshold) - 1, mu))
+    return [(mu, math.ceil(threshold)) for mu, threshold in points]
+
+
+def _exact_tail(mu, m):
+    # P[X >= m] = P(m, mu), the regularized lower incomplete gamma function
+    if m <= 0:
+        return 1.0
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(m, 0, mpmath.mpf(mu), regularized=True))
+
+
+def test_poisson_tail_is_exact_at_the_suite_points(monkeypatch):
+    # scipy's pdtrc, which the suite used before, is off by up to 2.8e-15 here
+    for mu, m in _suite_tail_points(monkeypatch):
+        exact = _exact_tail(mu, m)
+        assert abs(verify._poisson_upper_tail(mu, m) - exact) <= 2e-15 * exact
+
+
+def test_poisson_tail_agrees_with_scipy_stats(monkeypatch):
+    from scipy.stats import poisson
+
+    for mu, m in _suite_tail_points(monkeypatch):
+        theirs = float(poisson.sf(m - 1, mu))
+        assert abs(verify._poisson_upper_tail(mu, m) - theirs) <= 1e-14 * theirs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=st.floats(1e-3, 1000.0), m=st.integers(-5, 3000))
+@example(mu=3.5, m=0)  # no mass below 0: the tail is 1
+@example(mu=1e-3, m=-5)
+@example(mu=1000.0, m=1)  # far below mu: the tail is 1 - e^-1000
+@example(mu=999.5, m=700)
+@example(mu=443.6, m=444)  # at mu, where the series is longest
+@example(mu=1000.0, m=1900)  # far above mu: about 1e-180
+@example(mu=1e-3, m=100)  # about 1e-458: underflows to 0
+def test_poisson_tail_is_exact_everywhere(mu, m):
+    exact = _exact_tail(mu, m)
+    # a tail below the normal range is compared to the nearest subnormal
+    assert abs(verify._poisson_upper_tail(mu, m) - exact) <= 2e-15 * exact + math.ulp(0.0)
 
 
 def test_estimating_never_imports_scipy():
-    # scipy.special costs a quarter second and ~25 MB to import (scipy.stats
-    # most of a second), and only the verify suites read it: in a fresh
-    # interpreter, `estimate`, `exact` and `experiment` load no scipy module
-    # at all, and the first read of harness.SUITES loads it.
+    # scipy.special costs a fifth of a second and ~17 MB to import (scipy.stats
+    # most of a second): in a fresh interpreter, `estimate`, `exact`,
+    # `experiment` and `verify all` load no scipy module at all.
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = textwrap.dedent("""
         import contextlib, io, json, os, sys, tempfile
-        from qentropy import cli, harness
-
-        def loaded():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        from qentropy import cli
 
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             config = os.path.join(tmp, "exp.json")
@@ -552,15 +583,14 @@ def test_estimating_never_imports_scipy():
                 cli.main(["exact", "--dist", "uniform:16", "--measure", "shannon"]),
                 cli.main(["experiment", "--config", config,
                           "--out", os.path.join(tmp, "rows.csv")]),
+                cli.main(["verify", "all"]),
             ]
-        before = loaded()
-        harness.SUITES
-        print(json.dumps([codes, before, "qentropy.verify" in sys.modules,
-                          "scipy.special" in sys.modules]))
+        print(json.dumps([codes, sorted(m for m in sys.modules
+                                        if m == "scipy" or m.startswith("scipy."))]))
     """)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == [[0, 0, 0], [], True, True]
+    assert json.loads(out) == [[0, 0, 0, 0], []]
 
 
 def test_streamed_draws_exceed_no_address_space_limit():
@@ -604,22 +634,17 @@ def test_harness_names_the_verify_objects_themselves(name):
 
 
 def test_harness_has_no_other_lazy_name():
+    for name in ("__getattr__", "_VERIFY_NAMES", "SUITE_NAMES", "_poisson_upper_tail"):
+        assert not hasattr(harness, name)
     with pytest.raises(AttributeError, match="has no attribute 'poisson_suite'"):
         harness.poisson_suite
-    assert getattr(harness, "_poisson_upper_tail", None) is None
 
 
-def test_suite_names_are_the_suites_in_order():
-    assert harness.SUITE_NAMES == tuple(verify.SUITES)
-
-
-def test_only_verify_imports_scipy():
-    # A top-level scipy import anywhere else would put its quarter second of
-    # start-up back on every estimate.
+def test_no_module_imports_scipy():
+    # A top-level scipy import would put its fifth of a second of start-up
+    # back on every command.
     offenders = []
     for path in sorted(Path(harness.__file__).parent.glob("*.py")):
-        if path.name == "verify.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -777,6 +802,17 @@ def test_integer_orders_refuse_more_count_rounds_than_the_ceiling_before_any_dra
     assert capsys.readouterr().err.startswith("error: epsilon %r is too small" % eps)
 
 
+def test_cli_error_line_of_a_huge_integer_order_is_short(capsys, int_max_str_digits):
+    # alpha 1e300 used to print its 301-digit integer in a 403-character line
+    int_max_str_digits(4300)
+    assert main(["estimate", "--algo", "renyi", "--alpha", "1e300", "--dist", "uniform:16",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: alpha=1e+300: ") and len(captured.err) < 200
+
+
 def test_cli_rejects_a_ratio_bound_whose_budget_is_infinite(capsys):
     # sqrt(n) * f / eps overflows to inf: an OverflowError traceback, exit 1
     assert main(["estimate", "--algo", "kl", "--dist", "uniform:16", "--dist-q", "uniform:16",
@@ -864,8 +900,19 @@ def test_experiment_checks_eps_and_delta_before_any_row(key, value, message, tmp
     ({"algo": "shannon", "dist": 4}, "dist must be a string, got 4"),
     ({"algo": "coverage", "dist": "uniform:4", "n_samples": 1 << 63},
      "n_samples must be an integer below 2^63, got %d" % (1 << 63)),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:8"},
+     "p and q must share an alphabet"),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "point:4"},
+     "ratio unbounded: p puts mass on a bin where q is zero"),
+    ({"algo": "kl", "dist": "point:4", "dist_q": "uniform:4", "f": 2},
+     "ratio promise violated at symbol 1: p_i > 2.0 * q_i"),
+    ({"algo": "plugin", "dist": "uniform:4", "dist_q": "point:4", "measure": "kl",
+      "n_samples": 8}, "ratio unbounded"),
+    ({"algo": "support", "dist": "uniform:4", "m": 4, "eps": 2},
+     "epsilon must be below 2 for the reduction to make sense"),
 ], ids=["unknown-algo", "renyi-without-alpha", "unresolvable-dist", "counts-with-s",
-        "kl-dist-q", "plugin-kl-dist-q", "dist-seed", "dist-not-a-string", "n-samples-2^63"])
+        "kl-dist-q", "plugin-kl-dist-q", "dist-seed", "dist-not-a-string", "n-samples-2^63",
+        "kl-alphabets", "kl-unbounded", "kl-above-f", "plugin-kl-unbounded", "support-eps-2"])
 def test_experiment_checks_every_cell_before_any_row(bad, message, tmp_path, capsys):
     # each used to write the first cell's row, then exit 2 without naming the
     # cell (a dist that is not a string, with an AttributeError traceback)
