@@ -1,9 +1,10 @@
 """Rational discrete distributions and their exact information measures.
 
-A distribution on the alphabet {1, ..., n} is stored as integer bin counts
-(m_1, ..., m_n) over a common denominator S, so every probability is the
-exact rational m_i / S.  All real-valued measures are computed in double
-precision; tests cross-check against an arbitrary-precision reference.
+A distribution on the alphabet {1, ..., n} is one int64 array of bin counts
+(m_1, ..., m_n) over a common denominator S below 2**63, so every
+probability is the exact rational m_i / S.  All real-valued measures are
+computed in double precision, adding over the bins in order; tests
+cross-check against an arbitrary-precision reference.
 
 Unless a docstring says otherwise, logarithms are natural and entropies are
 reported in nats.
@@ -11,112 +12,70 @@ reported in nats.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
+# The most counts the per-bin loops convert to Python ints at once.
+_BIN_CHUNK = 1 << 16
 
-@dataclass(frozen=True)
+_BAD_COUNTS = ("counts must be Python or numpy integers, not bools, and must be "
+               "non-negative integers below 2**63; got %s")
+
+
+@dataclass(frozen=True, eq=False)
 class RationalDistribution:
     """Probability vector p_i = counts[i-1] / denominator.
 
-    Symbols are the 1-based labels 1..n.  counts may contain zeros (empty
-    bins) and must sum exactly to denominator, which may also be a numpy
-    integer.  counts is either a tuple of non-negative Python ints (not
-    bools) or a 1-D numpy integer array, which numpy checks without a pass
-    per bin; either way it is stored as a tuple of Python ints, so equality,
-    hashing and to_json do not depend on which was given.  An array's int64
-    copy is kept as count_array.
+    Symbols are the 1-based labels 1..n.  counts, a 1-D numpy integer array
+    or a sequence of Python or numpy integers, is stored as a read-only
+    int64 copy.  It may contain zeros (empty bins) and must sum exactly to
+    denominator, an integer from 1 to 2**63 - 1, so every running sum fits.
     """
 
     denominator: int
-    counts: tuple[int, ...]
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "denominator", _as_int(self.denominator, "denominator"))
-        if self.denominator < 1:
-            raise ValueError("denominator must be a positive integer")
-        if isinstance(self.counts, np.ndarray):
-            self._take_array(self.counts)
-            return
-        if len(self.counts) < 1:
-            raise ValueError("need at least one bin")
-        # Checks the distinct types, then the least count, so that the loops
-        # over the counts run in C.  bool is an int subclass, so it is named.
-        if not all(issubclass(t, int) and t is not bool for t in set(map(type, self.counts))) \
-                or min(self.counts) < 0:
-            raise ValueError("counts must be non-negative integers")
-        self._check_sum(sum(self.counts))
+        S = _as_int(self.denominator, "denominator")
+        if not 0 < S < 1 << 63:
+            raise ValueError("denominator must be a positive integer below 2**63, got %d" % S)
+        counts, total = _checked_counts(self.counts)
+        if total != S:
+            raise ValueError("sum(counts) != S: counts sum to %d, denominator is %d"
+                             % (total, S))
+        counts.flags.writeable = False
+        object.__setattr__(self, "denominator", S)
+        object.__setattr__(self, "counts", counts)
 
-    def _take_array(self, counts: np.ndarray) -> None:
-        """Check an array of counts with numpy, store it as the counts tuple
-        and keep its int64 copy."""
-        if counts.dtype.kind not in "iu":  # bool is kind "b"
-            raise ValueError("counts must be non-negative integers, got an array of %s"
-                             % counts.dtype)
-        if counts.ndim != 1:
-            raise ValueError("counts must be a 1-D array, got %d dimensions" % counts.ndim)
-        if counts.size < 1:
-            raise ValueError("need at least one bin")
-        array = counts.astype(np.int64)
-        # A negative count, or an unsigned one past int64, reads as 2**63 or
-        # more through an unsigned view of the int64 copy.
-        top = int(np.maximum.reduce(array.view(np.uint64)))
-        if top >> 63:
-            raise ValueError("counts must be non-negative integers below 2**63")
-        values = array.tolist()
-        # numpy sums in int64, which cannot wrap below this bound
-        self._check_sum(int(np.add.reduce(array)) if top * array.size < 1 << 63
-                        else sum(values))
-        object.__setattr__(self, "counts", tuple(values))
-        if self.denominator < 1 << 63:  # so every running sum fits
-            self.__dict__["count_array"] = _read_only(array)
+    def __eq__(self, other):
+        return isinstance(other, RationalDistribution) and self.denominator == other.denominator \
+            and np.array_equal(self.counts, other.counts)
 
-    def _check_sum(self, total: int) -> None:
-        if total != self.denominator:
-            raise ValueError(
-                "sum(counts) != S: counts sum to %d, denominator is %d"
-                % (total, self.denominator)
-            )
-
-    @functools.cached_property
-    def count_array(self) -> np.ndarray:
-        """The counts as a read-only int64 array, index 0 holding symbol 1.
-
-        It is the copy kept from an array the distribution was built from,
-        or is made from the counts tuple on first use.  S must be below
-        2**63, so that every count and every running sum fits.
-        """
-        if self.denominator >= 1 << 63:
-            raise ValueError("denominator S = %d is too large for int64 counts: "
-                             "S must be below 2**63" % self.denominator)
-        return _read_only(np.array(self.counts, dtype=np.int64))
+    def __hash__(self):
+        return hash((self.denominator, self.counts.tobytes()))
 
     @property
     def n(self) -> int:
-        return len(self.counts)
+        return self.counts.size
 
     def fraction(self, symbol: int) -> Fraction:
         """Exact probability of a 1-based symbol."""
         if not 1 <= symbol <= self.n:
             raise ValueError("symbol out of range")
-        return Fraction(self.counts[symbol - 1], self.denominator)
-
-    def probabilities(self) -> np.ndarray:
-        """Probability vector as float64, index 0 holding symbol 1."""
-        return np.asarray(self.counts, dtype=np.float64) / self.denominator
+        return Fraction(int(self.counts[symbol - 1]), self.denominator)
 
     def support_size(self) -> int:
-        return sum(1 for c in self.counts if c > 0)
+        return int(np.count_nonzero(self.counts))
 
     def to_json(self) -> str:
-        return json.dumps({"S": self.denominator, "counts": list(self.counts)})
+        return json.dumps({"S": self.denominator, "counts": self.counts.tolist()})
 
 
 def _as_int(value, what: str) -> int:
@@ -130,30 +89,55 @@ def _as_int(value, what: str) -> int:
         raise ValueError("%s must be an integer, got %r" % (what, value)) from None
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _checked_counts(counts) -> tuple[np.ndarray, int]:
+    """counts as a new int64 array, and their exact sum; the checks run in
+    numpy, or over a sequence's distinct types, not in a pass per bin."""
+    if isinstance(counts, np.ndarray):
+        if counts.dtype.kind not in "iu":  # bool is kind "b"
+            raise ValueError(_BAD_COUNTS % ("an array of %s" % counts.dtype))
+        if counts.ndim != 1:
+            raise ValueError("counts must be a 1-D array, got %d dimensions" % counts.ndim)
+        array = counts.astype(np.int64)
+    else:
+        counts = list(counts)
+        odd = next((t for t in set(map(type, counts))
+                    if t is bool or not issubclass(t, (int, np.integer))), None)
+        if odd is not None:
+            raise ValueError(_BAD_COUNTS % ("a count of type %s" % odd.__name__))
+        try:
+            array = np.array(counts, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(_BAD_COUNTS % "a count outside [0, 2**63)") from None
+    if array.size < 1:
+        raise ValueError("need at least one bin")
+    # A negative count, or an unsigned one past int64, reads as 2**63 or
+    # more through an unsigned view of the int64 copy.
+    top = int(np.maximum.reduce(array.view(np.uint64)))
+    if top >> 63:
+        raise ValueError(_BAD_COUNTS % "a count outside [0, 2**63)")
+    # numpy sums in int64, which cannot wrap below this bound
+    total = int(np.add.reduce(array)) if top * array.size < 1 << 63 \
+        else sum(map(sum, _chunks(array)))
+    return array, total
+
+
+def _chunks(counts: np.ndarray) -> Iterator[list[int]]:
+    """counts as lists of Python ints, _BIN_CHUNK bins at a time, in bin order."""
+    for lo in range(0, counts.size, _BIN_CHUNK):
+        yield counts[lo:lo + _BIN_CHUNK].tolist()
+
+
+def nonzero_counts(counts: np.ndarray) -> Iterator[int]:
+    """The nonzero entries of counts as Python ints, in bin order."""
+    return itertools.chain.from_iterable(filter(None, chunk) for chunk in _chunks(counts))
 
 
 def from_counts(counts: Iterable[int]) -> RationalDistribution:
-    """Distribution with the given bin counts over their sum.
-
-    counts may be any iterable of Python or numpy integers, a numpy integer
-    array among them; they are stored as a tuple of Python ints.  A bool, a
-    float or any other non-integral count raises ValueError rather than
-    being rounded.  The constructor itself takes a 1-D integer array with
-    its denominator and checks it without a pass per bin.
-    """
-    counts = tuple(counts)
-    # The conversion and the type check loop in C.  bool is an int subclass
-    # that operator.index takes, so it is named.
-    try:
-        ints = tuple(map(operator.index, counts))
-    except TypeError:
-        ints = None
-    if ints is None or bool in set(map(type, counts)):
-        raise ValueError("counts must be Python or numpy integers")
-    return RationalDistribution(denominator=sum(ints), counts=ints)
+    """Distribution with the given bin counts over their sum: a numpy integer
+    array or any iterable of Python or numpy integers.  A bool, a float or any
+    other non-integral count raises ValueError rather than being rounded."""
+    array, total = _checked_counts(counts)
+    return RationalDistribution(denominator=total, counts=array)
 
 
 def from_json_dict(payload: dict) -> RationalDistribution:
@@ -165,7 +149,7 @@ def from_json_dict(payload: dict) -> RationalDistribution:
     # false (bools) among them.
     if not isinstance(counts, list):
         raise ValueError("counts must be a list of integers")
-    return RationalDistribution(denominator=S, counts=tuple(counts))
+    return RationalDistribution(denominator=S, counts=counts)
 
 
 def load_distribution(path: str) -> RationalDistribution:
@@ -177,10 +161,9 @@ def load_distribution(path: str) -> RationalDistribution:
 def shannon_entropy(dist: RationalDistribution) -> float:
     """H(p) = -sum p_i ln p_i in nats; empty bins contribute zero."""
     total = 0.0
-    for c in dist.counts:
-        if c > 0:
-            p = c / dist.denominator
-            total -= p * math.log(p)
+    for c in nonzero_counts(dist.counts):
+        p = c / dist.denominator
+        total -= p * math.log(p)
     return total
 
 
@@ -188,7 +171,10 @@ def power_sum(dist: RationalDistribution, alpha: float) -> float:
     """P_alpha(p) = sum over nonzero bins of p_i ** alpha; alpha > 0."""
     if alpha <= 0:
         raise ValueError("power sums are defined here for alpha > 0")
-    return float(sum((c / dist.denominator) ** alpha for c in dist.counts if c > 0))
+    total = 0.0
+    for c in nonzero_counts(dist.counts):
+        total += (c / dist.denominator) ** alpha
+    return float(total)
 
 
 def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
@@ -205,7 +191,7 @@ def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
     if alpha == 1:
         return shannon_entropy(dist)
     if math.isinf(alpha):
-        return -math.log(max(dist.counts) / dist.denominator)
+        return -math.log(int(dist.counts.max()) / dist.denominator)
     return math.log(power_sum(dist, alpha)) / (1.0 - alpha)
 
 
@@ -218,14 +204,15 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution) -> float:
     if p.n != q.n:
         raise ValueError("p and q must share an alphabet")
     total = 0.0
-    for cp, cq in zip(p.counts, q.counts):
-        if cp == 0:
-            continue
-        if cq == 0:
-            raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
-        pi = cp / p.denominator
-        qi = cq / q.denominator
-        total += pi * math.log(pi / qi)
+    for chunk_p, chunk_q in zip(_chunks(p.counts), _chunks(q.counts)):
+        for cp, cq in zip(chunk_p, chunk_q):
+            if cp == 0:
+                continue
+            if cq == 0:
+                raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
+            pi = cp / p.denominator
+            qi = cq / q.denominator
+            total += pi * math.log(pi / qi)
     return total
 
 
@@ -237,23 +224,37 @@ def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
     if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
     total = 0.0
-    for c in dist.counts:
-        if c > 0:
-            p = c / dist.denominator
-            total += -math.expm1(n_samples * math.log1p(-p)) if p < 1.0 else 1.0
+    for c in nonzero_counts(dist.counts):
+        p = c / dist.denominator
+        total += -math.expm1(n_samples * math.log1p(-p)) if p < 1.0 else 1.0
     return total
 
 
-def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
-    """Smallest f with p_i <= f * q_i for all i (exact); inf if none exists."""
+def count_pairs(p: RationalDistribution, q: RationalDistribution
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs (p_i, q_i) of counts with p_i > 0, found by one sort
+    of the bins: their p counts, q counts, numbers of bins and first bins
+    (0-based), ordered by q count, then p count."""
     if p.n != q.n:
         raise ValueError("p and q must share an alphabet")
-    worst = Fraction(0)
-    for cp, cq in zip(p.counts, q.counts):
-        if cp == 0:
-            continue
-        if cq == 0:
-            raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
-        worst = max(worst, Fraction(cp * q.denominator, cq * p.denominator))
-    return worst
+    order = np.lexsort((p.counts, q.counts))
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for column in (p.counts, q.counts):
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    cp = p.counts[first]
+    keep = cp > 0
+    return cp[keep], q.counts[first[keep]], np.diff(starts, append=order.size)[keep], \
+        first[keep]
 
+
+def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
+    """Smallest f with p_i <= f * q_i for all i (exact); ValueError if none exists."""
+    cp, cq, _, _ = count_pairs(p, q)
+    if not cq.all():
+        raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
+    return max(Fraction(a * q.denominator, b * p.denominator)
+               for a, b in zip(cp.tolist(), cq.tolist()))

@@ -22,6 +22,7 @@ work and a fixed charge per collision search under phase "distinctness"
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -46,7 +47,9 @@ from .distinctness import (
 )
 from .distributions import (
     RationalDistribution,
+    count_pairs,
     kl_divergence,
+    nonzero_counts,
     power_sum,
     shannon_entropy,
     support_coverage,
@@ -179,12 +182,9 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
     return _reported_values(grid, M, variant), mixture[grid]
 
 
-def _count_classes(counts) -> dict[int, int]:
-    weights: dict[int, int] = {}
-    for c in counts:
-        if c > 0:
-            weights[c] = weights.get(c, 0) + c
-    return weights
+def _count_classes(counts: np.ndarray) -> dict[int, int]:
+    """Each distinct nonzero count c mapped to c times its number of bins."""
+    return {c: c * k for c, k in collections.Counter(nonzero_counts(counts)).items()}
 
 
 class MasterSubroutine(FiniteLaw):
@@ -217,17 +217,15 @@ class _RatioSubroutine:
 
     def __init__(self, p: RationalDistribution, q: RationalDistribution,
                  M_p: int, M_q: int):
-        p_counts_by_q_count: dict[int, list[int]] = {}
-        for cp, cq in zip(p.counts, q.counts):
-            if cp > 0:
-                p_counts_by_q_count.setdefault(cq, []).append(cp)
-        groups = [(cq, _count_classes(cps))
-                  for cq, cps in sorted(p_counts_by_q_count.items())]
+        # count_pairs lists the pairs by q count, so the groups come out in order
+        groups: dict[int, dict[int, int]] = {}
+        for cp, cq, bins in zip(*(a.tolist() for a in count_pairs(p, q)[:3])):
+            groups.setdefault(cq, {})[cp] = cp * bins
         self._weights = np.array(
-            [sum(weights.values()) / p.denominator for _, weights in groups])
+            [sum(weights.values()) / p.denominator for weights in groups.values()])
         self._pvals = self._weights / self._weights.sum()
         self._pairs = []
-        for cq, weights in groups:
+        for cq, weights in groups.items():
             vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
             table = estamp_distribution(cq / q.denominator, M_q)
             vq = _reported_values(table.grid, M_q, "estamp-prime")
@@ -330,13 +328,23 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                         ratio_bound: float | Fraction) -> None:
     """estimate_kl's promise: one alphabet, and p_i <= ratio_bound * q_i exactly."""
-    if p.n != q.n:
-        raise ValueError("p and q must share an alphabet")
+    cps, cqs, _, firsts = count_pairs(p, q)
     f = Fraction(ratio_bound)
-    for i, (cp, cq) in enumerate(zip(p.counts, q.counts), start=1):
-        if cp > 0 and Fraction(cp * q.denominator, p.denominator) > f * cq:
-            raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i"
-                             % (i, float(ratio_bound)))
+    broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
+              if Fraction(cp * q.denominator, p.denominator) > f * cq]
+    if broken:
+        raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i"
+                         % (min(broken) + 1, float(ratio_bound)))
+
+
+def check_kl_budgets(n: int, ratio_bound: float, eps: float) -> tuple[int, int]:
+    """estimate_kl's budgets (M_p, M_q), each checked against the largest
+    outcome table: q's carries the extra ratio_bound factor."""
+    M_p = shannon_budget(n, eps)
+    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
+    check_budget(M_p)
+    check_budget(M_q)
+    return M_p, M_q
 
 
 def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
@@ -353,8 +361,7 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     check_ratio_promise(p, q, ratio_bound)
     ratio_bound = float(ratio_bound)
     n, eps = p.n, cfg.epsilon
-    M_p = shannon_budget(n, eps)
-    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
+    M_p, M_q = check_kl_budgets(n, ratio_bound, eps)
     sub = _RatioSubroutine(p, q, M_p, M_q)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
@@ -542,30 +549,14 @@ _COLLISION_ROUNDS = 8.0
 _MAX_ROUNDS = 1 << 40
 
 
-def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
-                               cfg: EstimatorConfig) -> EstimateReport:
-    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+def check_integer_order(alpha: int, n: int, eps: float) -> tuple[int, float, int]:
+    """estimate_power_sum_integer's search cap i_max, search failure rate and
+    count rounds for an integer order alpha >= 2 on n symbols.
 
-    A doubling loop finds a sequence length l that contains an alpha-wise
-    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
-    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
-    their exact collision counts averaged.  Each count has expectation
-    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
-    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
-    positions at a time, with one draw call per chunk.  Every search and
-    count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are classical bookkeeping.  An epsilon that asks for more than
-    _MAX_ROUNDS rounds, an order whose charges could sum past the digits
-    Python will print and exact-expectation mode raise ValueError before
-    any draw.
+    Raises ValueError for an epsilon that asks for more than _MAX_ROUNDS
+    rounds, and for an order whose charges could sum past the digits Python
+    will print.
     """
-    refuse_exact_expectation(cfg.mode, alpha)
-    if alpha < 2 or not float(alpha).is_integer():
-        raise ValueError("integer power sums need integer alpha >= 2")
-    alpha = int(alpha)
-    n, eps = oracle.n, cfg.epsilon
-    rng = cfg.rng()
-
     i_max = math.ceil(math.log2(alpha * n))
     fail_search = 1.0 / (10.0 * i_max)
     rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
@@ -588,6 +579,33 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     if too_long:
         raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
+    return i_max, fail_search, rounds
+
+
+def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
+                               cfg: EstimatorConfig) -> EstimateReport:
+    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+
+    A doubling loop finds a sequence length l that contains an alpha-wise
+    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
+    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
+    their exact collision counts averaged.  Each count has expectation
+    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
+    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
+    positions at a time, with one draw call per chunk.  Every search and
+    count round books Belovs's bound as its quantum charge; the sequence draws
+    themselves are classical bookkeeping.  What check_integer_order refuses
+    and exact-expectation mode raise ValueError before any draw.
+    """
+    refuse_exact_expectation(cfg.mode, alpha)
+    if alpha < 2 or not float(alpha).is_integer():
+        raise ValueError("integer power sums need integer alpha >= 2")
+    alpha = int(alpha)
+    n, eps = oracle.n, cfg.epsilon
+    i_max, fail_search, rounds = check_integer_order(alpha, n, eps)
+    rng = cfg.rng()
+
+    length = 1 << i_max
     for i in range(i_max + 1):
         seq = oracle.sample_classical(rng, 1 << i)
         oracle.ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
@@ -626,6 +644,18 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
 _MAX_FIRST_INTENSITY = 2.0 ** 40
 
 
+def check_min_entropy(n: int, eps: float) -> None:
+    """What estimate_min_entropy refuses from n and eps, before any draw: an
+    alphabet below 2 symbols, and a first round above _MAX_FIRST_INTENSITY."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    first = 16.0 * math.log(n) / eps ** 2  # the first round's intensity, at lam = 1
+    if first > _MAX_FIRST_INTENSITY:
+        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
+                         "round would draw ~%.3g positions, past the ceiling of 2^40"
+                         % (eps, n, first))
+
+
 def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                         fail_prob: float, rng: np.random.Generator) -> Optional[int]:
     """One round's k-collision search over batch fresh draws, booked as
@@ -654,21 +684,16 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
     to relative error eps with the 1/n floor budget.  If no round fires
     before the intensity passes n, the estimate falls back to 1/n.
-    Exact-expectation mode raises ValueError before any draw.
+    What check_min_entropy refuses and exact-expectation mode raise
+    ValueError before any draw.
     """
     refuse_exact_expectation(cfg.mode, math.inf)
     n, eps = oracle.n, cfg.epsilon
+    check_min_entropy(n, eps)
     ln_n = math.log(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     rng = cfg.rng()
 
-    first = 16.0 * ln_n / eps ** 2  # the first round's intensity, at lam = 1
-    if first > _MAX_FIRST_INTENSITY:
-        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
-                         "round would draw ~%.3g positions, past the ceiling of 2^40"
-                         % (eps, n, first))
-    k = math.ceil(first)
+    k = math.ceil(16.0 * ln_n / eps ** 2)  # the first round's intensity, rounded up
     fail_round = min(0.5, eps / (2.0 * ln_n))
     lam = 1.0
     rounds = []
@@ -696,7 +721,7 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
         extras["captured_symbol"] = found
         extras["M"] = M
     # a Python int, so the truth is a float, not an np.float64
-    truth = int(oracle.source.count_array.max()) / oracle.source.denominator
+    truth = int(oracle.source.counts.max()) / oracle.source.denominator
     extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
     extras["min_entropy_truth_nats"] = -math.log(truth)
     return _finish("minentropy", estimate, truth, "multiplicative", cfg.epsilon,
@@ -749,9 +774,10 @@ def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None
         raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
                          "epsilon eps/(2 ln(2/eps)) must be at least %g"
                          % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
-    for i, c in enumerate(src.counts, start=1):
-        if c > 0 and c * m < src.denominator:
-            raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % i)
+    # c * m < S exactly when c <= (S - 1) // m
+    short = (src.counts > 0) & (src.counts <= (src.denominator - 1) // m)
+    if short.any():
+        raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % (short.argmax() + 1))
 
 
 def estimate_support_size(oracle: DistributionOracle, m: int,
@@ -784,6 +810,27 @@ def estimate_support_size(oracle: DistributionOracle, m: int,
 # dispatch
 
 
+def _check_order(alpha: float) -> None:
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if alpha == 0:
+        raise ValueError("order 0 needs a support promise; use estimate_support_size")
+
+
+def check_renyi(n: int, alpha: float, cfg: EstimatorConfig) -> None:
+    """What estimate_renyi refuses from n, alpha and cfg alone, before any
+    draw: an order it does not estimate, and the checks of the estimator it
+    routes to (min-entropy's, an integer order's, or in contract mode the
+    annealing schedule's)."""
+    _check_order(alpha)
+    if math.isinf(alpha):
+        check_min_entropy(n, cfg.epsilon)
+    elif alpha >= 2 and float(alpha).is_integer():
+        check_integer_order(int(alpha), n, cfg.epsilon)
+    elif alpha != 1 and cfg.mode == "contract":
+        annealing_schedule(alpha, n)
+
+
 def estimate_renyi(oracle: DistributionOracle, alpha: float,
                    cfg: EstimatorConfig) -> EstimateReport:
     """Route an order-alpha entropy request to the appropriate estimator.
@@ -793,10 +840,7 @@ def estimate_renyi(oracle: DistributionOracle, alpha: float,
     positive alpha the annealed power sums.  alpha = 0 (support size) needs
     the 1/m promise and its own entry point, so it is rejected here.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if alpha == 0:
-        raise ValueError("order 0 needs a support promise; use estimate_support_size")
+    _check_order(alpha)
     if alpha == 1:
         return estimate_shannon(oracle, cfg)
     if math.isinf(alpha):

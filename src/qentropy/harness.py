@@ -38,7 +38,10 @@ from .estimators import (
     MODES,
     EstimateReport,
     EstimatorConfig,
+    check_kl_budgets,
+    check_min_entropy,
     check_ratio_promise,
+    check_renyi,
     check_support_promise,
     estimate_kl,
     estimate_min_entropy,
@@ -158,14 +161,14 @@ def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     counts = oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
-    empirical = RationalDistribution(n_samples, tuple(counts.tolist()))
+    empirical = RationalDistribution(n_samples, counts)
     source = oracle.source
     undefined = False
     if parse_measure(measure)[0] == "kl":
         if oracle_q is None:
             raise ValueError("KL plug-in needs oracle_q")
         counts_q = oracle_q.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
-        empirical_q = RationalDistribution(n_samples, tuple(counts_q.tolist()))
+        empirical_q = RationalDistribution(n_samples, counts_q)
         truth = kl_divergence(source, oracle_q.source)
         if np.any((counts > 0) & (counts_q == 0)):
             undefined = True
@@ -274,16 +277,28 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
 
 
 def _check_sources(cell: dict, sources: list[RationalDistribution]) -> None:
-    """Raise the errors a trial of the cell would raise from its distributions
-    alone, before it draws: a pair on different alphabets, a ratio that is
-    unbounded or exceeds the cell's f, and a support promise or epsilon that
-    the reduction refuses.  Each is the check the trial itself makes."""
-    if cell["algo"] == "kl" and "f" in cell:
-        check_ratio_promise(*sources, float(cell["f"]))
-    elif len(sources) == 2:  # kl without f, and the kl plug-in
+    """Raise the errors a trial of the cell would raise from its settings and
+    distributions alone, before it draws: a pair on different alphabets, a
+    ratio that is unbounded or exceeds the cell's f, a KL budget above the
+    largest table, a support promise or epsilon that the reduction refuses,
+    and what min-entropy and the Renyi orders refuse.  Each is the check the
+    trial itself makes."""
+    algo, n = cell["algo"], sources[0].n
+    if algo == "kl":
+        if "f" in cell:
+            f = float(cell["f"])
+            check_ratio_promise(*sources, f)
+        else:
+            f = float(ratio_bound(*sources))
+        check_kl_budgets(n, f, _config(cell, None).epsilon)
+    elif len(sources) == 2:  # the kl plug-in
         ratio_bound(*sources)
-    elif cell["algo"] == "support":
+    elif algo == "support":
         check_support_promise(sources[0], cell["m"], _config(cell, None).epsilon)
+    elif algo == "minentropy":
+        check_min_entropy(n, _config(cell, None).epsilon)
+    elif algo == "renyi":
+        check_renyi(n, float(cell["alpha"]), _config(cell, None))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RationalDistribution, from_counts
+from .distributions import _BIN_CHUNK, RationalDistribution, from_counts
 
 # The most symbols N a spec may ask for: a distribution holds arrays of N entries.
 MAX_SYMBOLS = 1 << 24
@@ -51,11 +51,18 @@ def zipf(s: float, n: int) -> RationalDistribution:
     if s <= 0 or n < 1:
         raise ValueError("need s > 0 and n >= 1")
     # math.pow calls libm pow, as i ** -s does; numpy's power can differ in
-    # the last bit.  Mapping it over a float list skips the per-bin bytecode.
-    weights = list(map(math.pow, np.arange(1.0, n + 1).tolist(), itertools.repeat(-s)))
-    z = sum(weights)
+    # the last bit.  It is mapped over one chunk of ranks at a time, and Z
+    # is summed left to right, the same order on every Python version.
+    weights = np.empty(n)
+    z = 0.0
+    for lo in range(0, n, _BIN_CHUNK):
+        chunk = list(map(math.pow, np.arange(lo + 1.0, min(lo + _BIN_CHUNK, n) + 1.0).tolist(),
+                         itertools.repeat(-s)))
+        weights[lo:lo + len(chunk)] = chunk
+        for w in chunk:
+            z += w
     S = n * math.ceil(z)
-    shares = np.fromiter(weights, np.float64, n) / z * S
+    shares = weights / z * S
     floors = np.floor(shares)
     # Largest remainders first, ties in bin order.
     order = np.argsort(floors - shares, kind="stable")
@@ -68,7 +75,7 @@ def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
     """c heavy bins at 1/n + (n-c)d/(cS) and n-c light bins at 1/n - d/S.
 
     Integrality requires n | S and c | (n-c)*d; the light count must stay
-    non-negative, and S below 2**63 so that the counts are int64.
+    non-negative.
     """
     if not 1 <= c <= n:
         raise ValueError("need 1 <= c <= n")
@@ -76,8 +83,6 @@ def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
         raise ValueError("need d >= 0")
     if S % n != 0:
         raise ValueError("S must be divisible by n")
-    if S >= 1 << 63:
-        raise ValueError("S must be below 2**63")
     if ((n - c) * d) % c != 0:
         raise ValueError("c must divide (n-c)*d")
     base = S // n
@@ -85,9 +90,8 @@ def two_valued(n: int, c: int, d: int, S: int) -> RationalDistribution:
     light = base - d
     if light < 0:
         raise ValueError("d too large: light bins would go negative")
-    counts = np.full(n, light, dtype=np.int64)
-    counts[:c] = heavy
-    return RationalDistribution(denominator=S, counts=counts)
+    # S bounds both counts: numpy makes them int64 for every S the constructor takes.
+    return RationalDistribution(denominator=S, counts=np.repeat([heavy, light], [c, n - c]))
 
 
 def bumped(n: int, l: int) -> RationalDistribution:

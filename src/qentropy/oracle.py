@@ -148,13 +148,9 @@ def build_oracle(dist: RationalDistribution) -> DistributionOracle:
 
     The bucket width 2^shift is the smallest power of two that leaves at most
     4n buckets, so memory is O(n) whatever S is; when S <= 4n the guide is the
-    layout itself.  S must be below 2**63: positions are drawn as int64.
+    layout itself.
     """
-    S = dist.denominator
-    if S >= 1 << 63:
-        raise ValueError("denominator S = %d is too large: positions are drawn as "
-                         "int64, so S must be below 2**63" % S)
-    counts = dist.count_array
+    S, counts = dist.denominator, dist.counts
     symbols = np.arange(1, dist.n + 1, dtype=np.int64)
     shift = (-(-S // (4 * dist.n)) - 1).bit_length()
     if not shift:

@@ -88,7 +88,7 @@ def sandwich_suite() -> list[CheckResult]:
         counts = rng.integers(0, 20, size=n)
         if counts.sum() == 0:
             counts[0] = 1
-        dist = RationalDistribution(int(counts.sum()), tuple(counts.tolist()))
+        dist = RationalDistribution(int(counts.sum()), counts)
         a1, a2 = sorted(float(x) for x in rng.uniform(0.2, 5.0, size=2))
         if a2 - a1 < 1e-9:
             a2 += 1e-3
@@ -286,7 +286,7 @@ def collision_suite() -> list[CheckResult]:
     checks = []
     for n, length, k in _COLLISION_GRID:
         dist = zipf(1.5, n)
-        counts = dist.count_array
+        counts = dist.counts
         denominator = dist.denominator
 
         lhs = _exact_collision_sum(counts, length, k)

@@ -2,13 +2,20 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qentropy
+from qentropy import distributions
 from qentropy.cli import main
 from qentropy.distributions import (
     RationalDistribution,
@@ -23,8 +30,8 @@ from qentropy.distributions import (
     shannon_entropy,
     support_coverage,
 )
+from qentropy.estimators import _count_classes, check_ratio_promise, check_support_promise
 from qentropy.instances import point_mass, uniform, zipf
-from qentropy.oracle import build_oracle
 
 
 def test_counts_must_sum_to_denominator():
@@ -60,7 +67,8 @@ def test_constructor_rejects_a_bool_denominator():
 def test_numpy_integers_are_accepted_as_python_ints():
     dist = from_counts(np.array([1, 2, 3], dtype=np.uint8))
     assert dist == RationalDistribution(6, (1, 2, 3))
-    assert {type(c) for c in dist.counts} == {int}
+    assert from_counts([np.int8(1), 2, np.uint64(3)]) == dist
+    assert dist.counts.dtype == np.int64
     assert type(dist.denominator) is int
     assert type(RationalDistribution(np.int32(3), (1, 2)).denominator) is int
     assert json.loads(RationalDistribution(np.int64(3), (1, 2)).to_json())["S"] == 3
@@ -73,38 +81,143 @@ def _bits(x: float) -> str:
     return float(x).hex()
 
 
+# The per-bin loops the measures ran over a tuple of Python ints, here over
+# counts.tolist(); each adds in bin order, as the chunked readers must.
+
+def _ref_shannon(counts, S):
+    total = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / S
+            total -= p * math.log(p)
+    return total
+
+
+def _ref_power_sum(counts, S, alpha):
+    total = 0.0
+    for c in counts:
+        if c > 0:
+            total += (c / S) ** alpha
+    return total
+
+
+def _ref_coverage(counts, S, t):
+    total = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / S
+            total += -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
+    return total
+
+
+def _ref_kl(p_counts, p_S, q_counts, q_S):
+    """None where the divergence is undefined."""
+    total = 0.0
+    for cp, cq in zip(p_counts, q_counts):
+        if cp == 0:
+            continue
+        if cq == 0:
+            return None
+        pi, qi = cp / p_S, cq / q_S
+        total += pi * math.log(pi / qi)
+    return total
+
+
+def _ref_ratio_bound(p_counts, p_S, q_counts, q_S):
+    """None where no bound exists."""
+    worst = Fraction(0)
+    for cp, cq in zip(p_counts, q_counts):
+        if cp == 0:
+            continue
+        if cq == 0:
+            return None
+        worst = max(worst, Fraction(cp * q_S, cq * p_S))
+    return worst
+
+
+def _ref_ratio_violation(p_counts, p_S, q_counts, q_S, f):
+    f = Fraction(f)
+    for i, (cp, cq) in enumerate(zip(p_counts, q_counts), start=1):
+        if cp > 0 and Fraction(cp * q_S, p_S) > f * cq:
+            return i
+    return None
+
+
+def _ref_support_violation(counts, S, m):
+    for i, c in enumerate(counts, start=1):
+        if c > 0 and c * m < S:
+            return i
+    return None
+
+
+def _ref_count_classes(counts):
+    weights = {}
+    for c in counts:
+        if c > 0:
+            weights[c] = weights.get(c, 0) + c
+    return weights
+
+
+def _or_none(measure, *args):
+    try:
+        return measure(*args)
+    except ValueError:
+        return None
+
+
+def _named_symbol(check, *args):
+    """The symbol a promise check names, or None if the promise holds."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return int(re.search(r"at symbol (\d+):", str(exc)).group(1))
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5000), high=st.sampled_from([1, 3, 1000, 1 << 40, None]),
-       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
-@example(n=4096, high=None, zeros=0.0, seed=0)
-@example(n=1, high=1, zeros=0.9, seed=1)
-def test_array_and_tuple_counts_build_the_same_distribution(n, high, zeros, seed):
+       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 300))
+@example(n=4096, high=None, zeros=0.0, seed=0, chunk=7)
+@example(n=1, high=1, zeros=0.9, seed=1, chunk=1)
+def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chunk):
     # high None draws counts up to what keeps S below 2**63
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, (high or ((1 << 62) // n)) + 1, size=n, dtype=np.int64)
-    counts[rng.random(n) < zeros] = 0
-    if not counts.any():
-        counts[0] = 1
-    S = int(counts.sum())
-    built = RationalDistribution(S, counts)
-    reference = RationalDistribution(S, tuple(int(c) for c in counts))
-    counts[:] = 7  # the distribution keeps its own copy
-    assert built == reference
-    assert hash(built) == hash(reference)
-    assert built.to_json() == reference.to_json()
-    assert {type(c) for c in built.counts} == {int}
-    assert built.count_array.dtype == np.int64
-    assert not built.count_array.flags.writeable
-    assert np.array_equal(built.count_array, reference.count_array)
-    fast, slow = build_oracle(built), build_oracle(reference)
-    assert fast.shift == slow.shift
-    assert np.array_equal(fast.guide, slow.guide)
-    assert (fast.cum is None and slow.cum is None) or np.array_equal(fast.cum, slow.cum)
-    other = uniform(n)
-    for measure in (shannon_entropy, min_entropy, lambda d: power_sum(d, 0.5),
-                    lambda d: power_sum(d, 3.0), lambda d: renyi_entropy(d, 2.0),
-                    lambda d: support_coverage(d, 7), lambda d: kl_divergence(d, other)):
-        assert _bits(measure(built)) == _bits(measure(reference))
+
+    def draw():
+        counts = rng.integers(0, high or ((1 << 63) - 1) // n, size=n, dtype=np.int64,
+                              endpoint=True)
+        counts[rng.random(n) < zeros] = 0
+        if not counts.any():
+            counts[0] = 1
+        return from_counts(counts)
+
+    p, q, u = draw(), draw(), uniform(n)
+    cp, cq, cu = p.counts.tolist(), q.counts.tolist(), u.counts.tolist()
+    S = p.denominator
+    nonzero = sorted(c for c in cp if c > 0)
+    m = S // nonzero[len(nonzero) // 2]
+    with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
+        assert _bits(shannon_entropy(p)) == _bits(_ref_shannon(cp, S))
+        for alpha in (0.5, 3.0):
+            assert _bits(power_sum(p, alpha)) == _bits(_ref_power_sum(cp, S, alpha))
+        assert _bits(renyi_entropy(p, 2.0)) == _bits(-math.log(_ref_power_sum(cp, S, 2.0)))
+        assert _bits(min_entropy(p)) == _bits(-math.log(max(cp) / S))
+        assert _bits(support_coverage(p, 7)) == _bits(_ref_coverage(cp, S, 7))
+        assert _bits(kl_divergence(p, u)) == _bits(_ref_kl(cp, S, cu, n))
+        assert _or_none(kl_divergence, p, q) == _ref_kl(cp, S, cq, q.denominator)
+        bound = ratio_bound(p, u)
+        assert bound == _ref_ratio_bound(cp, S, cu, n)
+        assert _or_none(ratio_bound, p, q) == _ref_ratio_bound(cp, S, cq, q.denominator)
+        assert p.support_size() == sum(1 for c in cp if c > 0)
+        assert _count_classes(p.counts) == _ref_count_classes(cp)
+        for f in (bound, bound / 2, float(bound / 3)):
+            assert _named_symbol(check_ratio_promise, p, u, f) \
+                == _ref_ratio_violation(cp, S, cu, n, f)
+        assert _named_symbol(check_ratio_promise, p, q, 1.5) \
+            == _ref_ratio_violation(cp, S, cq, q.denominator, 1.5)
+        for m_ in (m, m + 1, 2 * m + 1):
+            assert _named_symbol(check_support_promise, p, m_, 0.1) \
+                == _ref_support_violation(cp, S, m_)
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -123,30 +236,71 @@ def test_constructor_rejects_bad_count_arrays(counts, message):
         RationalDistribution(2, counts)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ([1.0, 1.0], "must be Python or numpy integers, .*got a count of type float"),
+    ([True, 1], "got a count of type bool"),
+    ([np.bool_(True), 1], "got a count of type bool"),
+    ([[1], [1]], "got a count of type list"),
+    ([3, -1], r"non-negative integers below 2\*\*63; got a count outside"),
+    ([1 << 63, 2], r"non-negative integers below 2\*\*63; got a count outside"),
+    ([np.uint64(1 << 63), 2], r"non-negative integers below 2\*\*63; got a count outside"),
+    ([], "at least one bin"),
+], ids=["float", "bool", "numpy-bool", "nested", "negative", "past-int64",
+        "numpy-past-int64", "empty"])
+def test_constructor_rejects_bad_count_sequences(counts, message):
+    with pytest.raises(ValueError, match=message):
+        RationalDistribution(2, counts)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
 def test_every_integer_array_dtype_is_accepted(dtype):
+    # equal to the build from a list of Python ints, hash and JSON bytes included
     dist = RationalDistribution(6, np.array([1, 0, 5], dtype=dtype))
-    assert dist == RationalDistribution(6, (1, 0, 5))
-    assert dist.count_array.dtype == np.int64
+    reference = RationalDistribution(6, [1, 0, 5])
+    assert dist == reference
+    assert hash(dist) == hash(reference)
+    assert dist.to_json() == reference.to_json() == '{"S": 6, "counts": [1, 0, 5]}'
+    assert dist.counts.dtype == np.int64
+    assert dist != RationalDistribution(6, [1, 5, 0])
+    assert dist != RationalDistribution(12, [2, 0, 10])
 
 
-def test_count_array_of_a_tuple_built_distribution():
-    dist = RationalDistribution(6, (1, 0, 5))
-    assert dist.count_array.tolist() == [1, 0, 5]
-    assert dist.count_array is dist.count_array
+def test_counts_are_a_read_only_int64_copy():
+    given = np.array([1, 0, 5], dtype=np.int32)
+    dist = RationalDistribution(6, given)
+    given[:] = 2  # the distribution keeps its own copy
+    assert dist.counts.tolist() == [1, 0, 5]
+    assert dist.counts.dtype == np.int64
     with pytest.raises(ValueError, match="read-only"):
-        dist.count_array[0] = 2
-    # a tuple may hold what int64 cannot; only its array is refused
-    huge = RationalDistribution(1 << 64, (1 << 63, 1 << 63))
-    with pytest.raises(ValueError, match="below 2\\*\\*63"):
-        huge.count_array
+        dist.counts[0] = 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RationalDistribution(1 << 64, (1 << 63, 1 << 63)),
+    lambda: RationalDistribution(1 << 63, (1 << 62, 1 << 62)),
+    lambda: from_counts([(1 << 62) + 1, 1 << 62]),
+    lambda: from_json_dict({"S": 1 << 63, "counts": [(1 << 63) - 1, 1]}),
+], ids=["tuple", "array-sized-counts", "from-counts", "json"])
+def test_a_denominator_of_2_63_or_more_is_refused_where_it_enters(build):
+    # S used to be accepted, and only its int64 array refused on first use
+    with pytest.raises(ValueError, match=r"positive integer below 2\*\*63"):
+        build()
+    top = from_counts([(1 << 63) - 2, 1])
+    assert top.denominator == (1 << 63) - 1
+
+
+def test_exact_refuses_a_count_of_2_63(capsys):
+    assert main(["exact", "--dist", "counts:9223372036854775808,1", "--measure",
+                 "shannon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below 2**63" in captured.err
 
 
 def test_fraction_is_exact():
     dist = from_counts([1, 3])
     assert dist.fraction(1) == Fraction(1, 4)
     assert dist.fraction(2) == Fraction(3, 4)
-    assert dist.probabilities().sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_json_roundtrip(tmp_path):
@@ -269,3 +423,28 @@ def test_random_distributions_measure_sanity():
         assert -1e-12 <= h <= math.log(dist.support_size()) + 1e-12
         assert min_entropy(dist) <= renyi_entropy(dist, 2.0) + 1e-12
         assert renyi_entropy(dist, 2.0) <= h + 1e-12
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("spec, bound_mb", [
+    ("zipf:1.5:4194304", 320),
+    ("uniform:4194304", 130),
+], ids=["zipf", "uniform"])
+def test_exact_on_a_large_alphabet_stays_under_its_memory_bound(spec, bound_mb):
+    # The counts were held twice, as a tuple of Python ints and as an int64
+    # array, and zipf held a list of n float weights: the peaks were 418 MB
+    # (zipf) and 158 MB (uniform).  One array: 228 and 94 MB.  The child
+    # reads its own VmHWM, the peak of the memory it maps after exec:
+    # ru_maxrss would carry over the peak of this test process.
+    script = ("import re, sys\n"
+              "from qentropy.cli import main\n"
+              "code = main(['exact', '--dist', sys.argv[1], '--measure', 'shannon'])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(code, re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n")
+    src = os.path.dirname(os.path.dirname(qentropy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script, spec], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, peak_kb = out.splitlines()[-1].split()
+    assert code == "0"
+    assert int(peak_kb) / 1024 < bound_mb, out

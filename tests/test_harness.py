@@ -458,7 +458,7 @@ def test_enumerated_sequences_match_itertools_product(n, length, k):
     # The block enumeration's weighted collision sum against the sum over
     # one array of every itertools.product sequence, in blocks of the
     # suite's size and in n^2 blocks of n^(l-2) rows.
-    counts = zipf(1.5, n).count_array
+    counts = zipf(1.5, n).counts
     sequences = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
     weights = np.prod(counts.take(sequences), axis=1)
     expected = int(weights @ _collision_counts_rows(sequences, k))
@@ -485,7 +485,7 @@ def test_categorical_draws_are_the_draws_of_choice(n, length, k):
     # The collision suite's Monte-Carlo draws against rng.choice on the same
     # seed: the same symbols, and the generator left in the same state.
     dist = zipf(1.5, n)
-    probs = np.array(dist.counts, dtype=np.int64) / dist.denominator
+    probs = dist.counts / dist.denominator
     for seed in (0, 20260815):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = verify._categorical_draws(probs, (20_000, length), ours)
@@ -968,17 +968,44 @@ def test_experiment_checks_a_plugin_measure_before_any_row(measure, message, tmp
     assert not out_path.exists()
 
 
-def test_experiment_keeps_the_rows_written_before_a_failing_cell(
-        tmp_path, capsys, int_max_str_digits):
+@pytest.mark.parametrize("bad, message", [
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": 1e308},
+     "budget M=inf is above the largest outcome table"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 3, "eps": 1e-6},
+     "epsilon 1e-06 is too small for integer order alpha=3"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 120},
+     "alpha=120: its query charges can exceed 4300 decimal digits"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 200},
+     "alpha=200: its query charges can exceed 4300 decimal digits"),
+    ({"algo": "renyi", "dist": "uniform:2", "alpha": 0.5}, "need n >= 3"),
+    ({"algo": "minentropy", "dist": "point:1"}, "need n >= 2"),
+], ids=["kl-budget", "renyi-rounds", "renyi-120-digits", "renyi-200-digits",
+        "renyi-annealed-n", "minentropy-n"])
+def test_experiment_refuses_a_cell_that_fails_before_any_draw(
+        bad, message, tmp_path, capsys, int_max_str_digits):
+    # each used to write the shannon cell's row, then exit 2 naming no cell
     int_max_str_digits(4300)
-    config = {"master_seed": 3, "trials": 2, "cells": [
-        {"algo": "shannon", "dist": "uniform:4"},
-        {"algo": "renyi", "dist": "uniform:4", "alpha": 120}]}
+    config = {"master_seed": 3, "cells": [{"algo": "shannon", "dist": "uniform:4"}, bad]}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
     out_path = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
-    assert "error: alpha=120" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.endswith("(cell 1)\n")
+    assert not out_path.exists()
+
+
+def test_experiment_keeps_the_rows_written_before_a_failing_cell(tmp_path, capsys):
+    # alpha 20.5 fails only in an annealed level's draws, after the load checks
+    config = {"master_seed": 3, "trials": 2, "cells": [
+        {"algo": "shannon", "dist": "uniform:4"},
+        {"algo": "renyi", "dist": "uniform:16", "alpha": 20.5}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert "error: annealed level alpha=" in capsys.readouterr().err
     with open(out_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS

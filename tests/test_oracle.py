@@ -116,7 +116,7 @@ def test_empirical_frequencies_follow_the_table():
     rng = np.random.default_rng(42)
     draws = orc.sample_classical(rng, 200_000)
     freq = np.bincount(draws, minlength=4)[1:] / 200_000
-    probs = dist.probabilities()
+    probs = dist.counts / dist.denominator
     # 5 sigma on each bin
     se = np.sqrt(probs * (1 - probs) / 200_000)
     assert np.all(np.abs(freq - probs) < 5 * se)
