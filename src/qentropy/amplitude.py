@@ -47,8 +47,9 @@ def check_budget(M: int | float) -> None:
     run it before anything of size M is allocated.  M = inf stands for a
     budget no power of two meets."""
     if M > _MAX_BUDGET:
+        shown = "2^%d" % (M.bit_length() - 1) if isinstance(M, int) and not M & (M - 1) else M
         raise ValueError("budget M=%s is above the largest outcome table built, M=%d (2^%d)"
-                         % (M, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
+                         % (shown, _MAX_BUDGET, _MAX_BUDGET.bit_length() - 1))
     if M < 2 or M & (M - 1):
         raise ValueError("M must be a power of two, at least 2")
 

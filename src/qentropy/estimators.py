@@ -22,7 +22,6 @@ work and a fixed charge per collision search under phase "distinctness"
 
 from __future__ import annotations
 
-import collections
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,7 @@ from .amplitude import (
     estamp_distribution,
     estamp_prime_floor,
     grid_value,
+    multiplicative_budget,
     sample_estamp_multiplicative,
 )
 from .distinctness import (
@@ -47,9 +47,9 @@ from .distinctness import (
 )
 from .distributions import (
     RationalDistribution,
+    _count_chunks,
     count_pairs,
     kl_divergence,
-    nonzero_counts,
     power_sum,
     shannon_entropy,
     support_coverage,
@@ -184,7 +184,15 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
 
 def _count_classes(counts: np.ndarray) -> dict[int, int]:
     """Each distinct nonzero count c mapped to c times its number of bins."""
-    return {c: c * k for c, k in collections.Counter(nonzero_counts(counts)).items()}
+    weights: dict[int, int] = {}
+    for values, index in _count_chunks(counts):
+        if index is None:
+            for c in values:
+                weights[c] = weights.get(c, 0) + c
+        else:
+            for c, k in zip(values, np.bincount(index).tolist()):
+                weights[c] = weights.get(c, 0) + c * k
+    return weights
 
 
 class MasterSubroutine(FiniteLaw):
@@ -399,22 +407,31 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     return chain
 
 
+def _annealed_levels(alpha: float, n: int, eps: float) -> list[tuple[float, float]]:
+    """The annealed levels in the order they run, base case first, each as
+    (order, epsilon): the target eps at alpha, constant ones below it."""
+    levels = annealing_schedule(alpha, n)[::-1]
+    inner = 0.25 if alpha > 1 else 0.5
+    return [(level, inner) for level in levels[:-1]] + [(levels[-1], eps)]
+
+
+def _level_budget(n: int, level: float, eps: float, high: bool) -> int:
+    """Budget M of one annealed level: the power of two one doubling above
+    x*max(ln x, 1), where x is sqrt(n)/eps for orders above 1 and
+    n^(1/(2*level))/eps below 1."""
+    x = math.sqrt(n) / eps if high else n ** (1.0 / (2.0 * level)) / eps
+    return _pow2_budget(x * max(math.log(x), 1.0))
+
+
 def _level_law(dist: RationalDistribution, level: float, eps: float,
                high: bool) -> tuple[int, MasterSubroutine]:
-    """Budget M and payoff law x^(level-1) of one annealed level.
-
-    M is the power of two one doubling above x*max(ln x, 1), where x is
-    sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
+    """Budget M and payoff law x^(level-1) of one annealed level.  Orders
     below 1 use the zero-adjusted estimate, which keeps the negative power
-    finite.
-    """
-    if high:
-        x, variant = math.sqrt(dist.n) / eps, "estamp"
-    else:
-        x, variant = dist.n ** (1.0 / (2.0 * level)) / eps, "estamp-prime"
-    M = _pow2_budget(x * max(math.log(x), 1.0))
+    finite."""
+    M = _level_budget(dist.n, level, eps, high)
     exponent = level - 1.0
-    return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent, variant=variant)
+    return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent,
+                               variant="estamp" if high else "estamp-prime")
 
 
 def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
@@ -434,16 +451,15 @@ def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
     ln_n = math.log(n)
     rng = cfg.rng()
     high = alpha > 1
-    levels = annealing_schedule(alpha, n)[::-1]
+    levels = _annealed_levels(alpha, n, cfg.epsilon)
     delta_inner = 1.0 / (12.0 * ln_n * abs(math.log(alpha)))
     delta_inner = min(max(delta_inner, 1e-12), 0.5)
     step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
 
     estimate = None
     trace = []
-    for idx, level in enumerate(levels):
+    for idx, (level, eps_level) in enumerate(levels):
         final = idx == len(levels) - 1
-        eps_level = cfg.epsilon if final else (0.25 if high else 0.5)
         delta_level = cfg.delta if final else delta_inner
         if idx == 0:
             a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
@@ -646,7 +662,9 @@ _MAX_FIRST_INTENSITY = 2.0 ** 40
 
 def check_min_entropy(n: int, eps: float) -> None:
     """What estimate_min_entropy refuses from n and eps, before any draw: an
-    alphabet below 2 symbols, and a first round above _MAX_FIRST_INTENSITY."""
+    alphabet below 2 symbols, a first round above _MAX_FIRST_INTENSITY, and
+    a budget of the final amplitude estimate (relative eps, floor 1/n) above
+    the largest outcome table."""
     if n < 2:
         raise ValueError("need n >= 2")
     first = 16.0 * math.log(n) / eps ** 2  # the first round's intensity, at lam = 1
@@ -654,6 +672,7 @@ def check_min_entropy(n: int, eps: float) -> None:
         raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
                          "round would draw ~%.3g positions, past the ceiling of 2^40"
                          % (eps, n, first))
+    multiplicative_budget(eps, 1.0 / n)
 
 
 def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
@@ -765,7 +784,8 @@ _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
 def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None:
-    """What estimate_support_size refuses before any draw: m, eps and the promise."""
+    """What estimate_support_size refuses before any draw: m, eps, the
+    promise and the budget of its coverage run."""
     if m < 1:
         raise ValueError("m must be positive")
     if eps >= 2.0:
@@ -778,6 +798,13 @@ def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None
     short = (src.counts > 0) & (src.counts <= (src.denominator - 1) // m)
     if short.any():
         raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % (short.argmax() + 1))
+    check_budget(coverage_budget(*_support_coverage_run(m, eps)))
+
+
+def _support_coverage_run(m: int, eps: float) -> tuple[int, float]:
+    """The draws t = ceil(m ln(2/eps)) and the epsilon eps/(2 ln(2/eps)) of
+    support size's coverage run."""
+    return math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
 
 
 def estimate_support_size(oracle: DistributionOracle, m: int,
@@ -791,8 +818,7 @@ def estimate_support_size(oracle: DistributionOracle, m: int,
     """
     src, eps = oracle.source, cfg.epsilon
     check_support_promise(src, m, eps)
-    t = math.ceil(m * math.log(2.0 / eps))
-    eps_cov = eps / (2.0 * math.log(2.0 / eps))
+    t, eps_cov = _support_coverage_run(m, eps)
     inner = estimate_support_coverage(oracle, t, replace(cfg, epsilon=eps_cov))
     absolute = inner.extras["estimate_absolute"]
     size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
@@ -820,15 +846,21 @@ def _check_order(alpha: float) -> None:
 def check_renyi(n: int, alpha: float, cfg: EstimatorConfig) -> None:
     """What estimate_renyi refuses from n, alpha and cfg alone, before any
     draw: an order it does not estimate, and the checks of the estimator it
-    routes to (min-entropy's, an integer order's, or in contract mode the
-    annealing schedule's)."""
+    routes to: Shannon's budget, min-entropy's, an integer order's, or each
+    annealed level's budget (in contract mode, after the schedule's own
+    checks; in exact-expectation mode, the one level at alpha)."""
     _check_order(alpha)
-    if math.isinf(alpha):
-        check_min_entropy(n, cfg.epsilon)
+    eps = cfg.epsilon
+    if alpha == 1:
+        check_budget(shannon_budget(n, eps))
+    elif math.isinf(alpha):
+        check_min_entropy(n, eps)
     elif alpha >= 2 and float(alpha).is_integer():
-        check_integer_order(int(alpha), n, cfg.epsilon)
-    elif alpha != 1 and cfg.mode == "contract":
-        annealing_schedule(alpha, n)
+        check_integer_order(int(alpha), n, eps)
+    else:
+        levels = _annealed_levels(alpha, n, eps) if cfg.mode == "contract" else [(alpha, eps)]
+        for level, eps_level in levels:
+            check_budget(_level_budget(n, level, eps_level, alpha > 1))
 
 
 def estimate_renyi(oracle: DistributionOracle, alpha: float,

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .amplitude import check_budget
 from .distributions import (
     RationalDistribution,
     kl_divergence,
@@ -43,6 +44,7 @@ from .estimators import (
     check_ratio_promise,
     check_renyi,
     check_support_promise,
+    coverage_budget,
     estimate_kl,
     estimate_min_entropy,
     estimate_renyi,
@@ -50,6 +52,7 @@ from .estimators import (
     estimate_support_coverage,
     estimate_support_size,
     refuse_exact_expectation,
+    shannon_budget,
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
 from .oracle import DistributionOracle, build_oracle
@@ -279,12 +282,16 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
 def _check_sources(cell: dict, sources: list[RationalDistribution]) -> None:
     """Raise the errors a trial of the cell would raise from its settings and
     distributions alone, before it draws: a pair on different alphabets, a
-    ratio that is unbounded or exceeds the cell's f, a KL budget above the
+    ratio that is unbounded or exceeds the cell's f, a budget above the
     largest table, a support promise or epsilon that the reduction refuses,
     and what min-entropy and the Renyi orders refuse.  Each is the check the
     trial itself makes."""
     algo, n = cell["algo"], sources[0].n
-    if algo == "kl":
+    if algo == "shannon":
+        check_budget(shannon_budget(n, _config(cell, None).epsilon))
+    elif algo == "coverage":
+        check_budget(coverage_budget(cell["n_samples"], _config(cell, None).epsilon))
+    elif algo == "kl":
         if "f" in cell:
             f = float(cell["f"])
             check_ratio_promise(*sources, f)

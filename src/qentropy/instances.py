@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _BIN_CHUNK, RationalDistribution, from_counts
+from .distributions import RationalDistribution, from_counts
 
 # The most symbols N a spec may ask for: a distribution holds arrays of N entries.
 MAX_SYMBOLS = 1 << 24
@@ -51,23 +51,25 @@ def zipf(s: float, n: int) -> RationalDistribution:
     if s <= 0 or n < 1:
         raise ValueError("need s > 0 and n >= 1")
     # math.pow calls libm pow, as i ** -s does; numpy's power can differ in
-    # the last bit.  It is mapped over one chunk of ranks at a time, and Z
-    # is summed left to right, the same order on every Python version.
-    weights = np.empty(n)
-    z = 0.0
-    for lo in range(0, n, _BIN_CHUNK):
-        chunk = list(map(math.pow, np.arange(lo + 1.0, min(lo + _BIN_CHUNK, n) + 1.0).tolist(),
-                         itertools.repeat(-s)))
-        weights[lo:lo + len(chunk)] = chunk
-        for w in chunk:
-            z += w
+    # the last bit.  The ranks count up as floats, exact below 2^53, which
+    # math.pow reads faster than ints.  Z is summed left to right, the same
+    # order on every Python version.
+    weights = np.fromiter(map(math.pow, itertools.count(1.0), itertools.repeat(-s)),
+                          dtype=np.float64, count=n)
+    z = float(np.add.accumulate(weights)[-1])
     S = n * math.ceil(z)
-    shares = weights / z * S
+    # In place, one buffer: the weights become the shares w / z * S, rounded
+    # twice as that expression is, and then floors - shares.
+    shares = np.multiply(np.divide(weights, z, out=weights), S, out=weights)
     floors = np.floor(shares)
+    remainders = np.subtract(floors, shares, out=shares)
     # Largest remainders first, ties in bin order.
-    order = np.argsort(floors - shares, kind="stable")
+    order = np.argsort(remainders, kind="stable")
+    del weights, shares, remainders
     counts = floors.astype(np.int64)
+    del floors
     counts[order[: S - int(counts.sum())]] += 1
+    del order
     return RationalDistribution(denominator=S, counts=counts)
 
 

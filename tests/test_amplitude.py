@@ -160,8 +160,9 @@ def test_budget_must_be_a_power_of_two():
 def test_budget_has_a_ceiling_above_every_budget_in_use():
     # The tests reach M = 2^17; the benchmark cells stop at 2^14.
     assert amplitude._MAX_BUDGET >= 1 << 17
-    with pytest.raises(ValueError, match=r"M=%d is above .* M=%d "
-                       % (2 * amplitude._MAX_BUDGET, amplitude._MAX_BUDGET)):
+    # a power of two above the ceiling is named by its exponent
+    with pytest.raises(ValueError, match=r"M=2\^%d is above .* M=%d "
+                       % (amplitude._MAX_BUDGET.bit_length(), amplitude._MAX_BUDGET)):
         estamp_distribution(0.3, 2 * amplitude._MAX_BUDGET)
 
 

@@ -174,18 +174,38 @@ def _named_symbol(check, *args):
     return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5000), high=st.sampled_from([1, 3, 1000, 1 << 40, None]),
-       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5000),
+       high=st.sampled_from([1, 3, 1000, 1 << 40, None, "distinct", "runs"]),
+       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.integers(1, 4 * distributions._MIN_DISTINCT_CHUNK))
 @example(n=4096, high=None, zeros=0.0, seed=0, chunk=7)
 @example(n=1, high=1, zeros=0.9, seed=1, chunk=1)
+@example(n=5000, high=3, zeros=0.0, seed=2, chunk=distributions._MIN_DISTINCT_CHUNK)
+@example(n=5000, high="distinct", zeros=0.0, seed=3, chunk=1000)
+@example(n=5000, high=1000, zeros=0.5, seed=4, chunk=1 << 16)
+@example(n=5000, high="runs", zeros=0.3, seed=5, chunk=1000)
 def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chunk):
-    # high None draws counts up to what keeps S below 2**63
+    # Chunks below and above _MIN_DISTINCT_CHUNK nonzero counts, with few
+    # distinct counts in runs (high "runs", and high 1 once zeros are
+    # dropped), few in no order (high 3) or only distinct ones, take both the
+    # per-bin loop and the per-distinct path, and cross between them.  high
+    # None draws counts up to what keeps S below 2**63.
     rng = np.random.default_rng(seed)
 
     def draw():
-        counts = rng.integers(0, high or ((1 << 63) - 1) // n, size=n, dtype=np.int64,
-                              endpoint=True)
+        if high == "distinct":
+            # a scale that keeps S = scale * n(n+1)/2 below 2**63
+            scale = int(rng.integers(1, ((1 << 63) - 1) // (n * (n + 1) // 2), endpoint=True))
+            counts = rng.permutation(np.arange(1, n + 1, dtype=np.int64)) * scale
+        elif high == "runs":
+            # 16 runs of equal counts, of at most 8 values in no order, so
+            # that p's and q's runs cross and S stays below 2**63
+            values = rng.integers(1, (1 << 60) // n, size=8, dtype=np.int64, endpoint=True)
+            counts = rng.choice(values, size=16)[np.sort(rng.integers(0, 16, size=n))]
+        else:
+            counts = rng.integers(0, high or ((1 << 63) - 1) // n, size=n, dtype=np.int64,
+                                  endpoint=True)
         counts[rng.random(n) < zeros] = 0
         if not counts.any():
             counts[0] = 1
@@ -426,24 +446,28 @@ def test_random_distributions_measure_sanity():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-@pytest.mark.parametrize("spec, bound_mb", [
-    ("zipf:1.5:4194304", 320),
-    ("uniform:4194304", 130),
-], ids=["zipf", "uniform"])
-def test_exact_on_a_large_alphabet_stays_under_its_memory_bound(spec, bound_mb):
+@pytest.mark.parametrize("spec, measure, bound_mb", [
+    ("zipf:1.5:4194304", "shannon", 160),
+    ("uniform:4194304", "shannon", 130),
+    ("uniform:4194304", "power-sum:2.5", 130),
+    ("uniform:4194304", "coverage:7", 130),
+], ids=["zipf", "uniform", "uniform-power-sum", "uniform-coverage"])
+def test_exact_on_a_large_alphabet_stays_under_its_memory_bound(spec, measure, bound_mb):
     # The counts were held twice, as a tuple of Python ints and as an int64
     # array, and zipf held a list of n float weights: the peaks were 418 MB
-    # (zipf) and 158 MB (uniform).  One array: 228 and 94 MB.  The child
-    # reads its own VmHWM, the peak of the memory it maps after exec:
-    # ru_maxrss would carry over the peak of this test process.
+    # (zipf) and 158 MB (uniform).  One array: 228 and 94 MB.  zipf's shares
+    # and remainders overwrite its weights in place: 130 MB.  The measures
+    # read a chunk of bins at a time, so each peaks at ~97 MB on uniform.
+    # The child reads its own VmHWM, the peak of the memory it maps after
+    # exec: ru_maxrss would carry over the peak of this test process.
     script = ("import re, sys\n"
               "from qentropy.cli import main\n"
-              "code = main(['exact', '--dist', sys.argv[1], '--measure', 'shannon'])\n"
+              "code = main(['exact', '--dist', sys.argv[1], '--measure', sys.argv[2]])\n"
               "with open('/proc/self/status') as fh:\n"
               "    print(code, re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n")
     src = os.path.dirname(os.path.dirname(qentropy.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script, spec], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script, spec, measure], env=env, check=True,
                          capture_output=True, text=True).stdout
     code, peak_kb = out.splitlines()[-1].split()
     assert code == "0"

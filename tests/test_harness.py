@@ -714,7 +714,7 @@ def test_cli_rejects_a_budget_above_the_ceiling(capsys):
                  "--eps", "1e-7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: budget M=268435456 is above")
+    assert captured.err.startswith("error: budget M=2^28 is above")
     assert "Traceback" not in captured.err
 
 
@@ -979,8 +979,24 @@ def test_experiment_checks_a_plugin_measure_before_any_row(measure, message, tmp
      "alpha=200: its query charges can exceed 4300 decimal digits"),
     ({"algo": "renyi", "dist": "uniform:2", "alpha": 0.5}, "need n >= 3"),
     ({"algo": "minentropy", "dist": "point:1"}, "need n >= 2"),
+    ({"algo": "shannon", "dist": "uniform:4", "eps": 1e-100},
+     "budget M=2^335 is above the largest outcome table"),
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 5, "eps": 1e-100},
+     "budget M=2^169 is above the largest outcome table"),
+    ({"algo": "support", "dist": "uniform:4", "m": 4, "eps": 1e-100},
+     "budget M=2^177 is above the largest outcome table"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 2.5, "eps": 1e-100},
+     "budget M=2^343 is above the largest outcome table"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 0.5, "eps": 1e-100,
+      "mode": "exact-expectation"}, "budget M=2^344 is above the largest outcome table"),
+    ({"algo": "renyi", "dist": "uniform:4", "alpha": 1, "eps": 1e-100},
+     "budget M=2^335 is above the largest outcome table"),
+    ({"algo": "minentropy", "dist": "uniform:1048576", "eps": 0.005},
+     "budget M=2^21 is above the largest outcome table"),
 ], ids=["kl-budget", "renyi-rounds", "renyi-120-digits", "renyi-200-digits",
-        "renyi-annealed-n", "minentropy-n"])
+        "renyi-annealed-n", "minentropy-n", "shannon-budget", "coverage-budget",
+        "support-coverage-budget", "renyi-annealed-budget", "renyi-exact-expectation-budget",
+        "renyi-1-budget", "minentropy-budget"])
 def test_experiment_refuses_a_cell_that_fails_before_any_draw(
         bad, message, tmp_path, capsys, int_max_str_digits):
     # each used to write the shannon cell's row, then exit 2 naming no cell
@@ -994,6 +1010,21 @@ def test_experiment_refuses_a_cell_that_fails_before_any_draw(
     assert err.startswith("error: " + message)
     assert err.endswith("(cell 1)\n")
     assert not out_path.exists()
+
+
+def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
+    # zipf:1.5:16777216 at eps 0.02 drew for 47 s before this budget failed;
+    # uniform:1048576 at eps 0.005 needs the same M = 2^21
+    with mock.patch.object(harness.DistributionOracle, "sample_classical",
+                           side_effect=AssertionError("drew")), \
+            mock.patch.object(harness.DistributionOracle, "sample_counts",
+                              side_effect=AssertionError("drew")):
+        assert main(["estimate", "--algo", "minentropy", "--dist", "uniform:1048576",
+                     "--eps", "0.005", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: budget M=2^21 is above the largest outcome table built, "
+                            "M=1048576 (2^20)\n")
 
 
 def test_experiment_keeps_the_rows_written_before_a_failing_cell(tmp_path, capsys):
