@@ -13,6 +13,11 @@ phase components contribute equally, so P(y) = P(M-y)).  Outcomes y and M-y
 produce the same estimate sin^2(y*pi/M) and are merged onto the grid.  The
 law is exact, so estimator statistics can be enumerated instead of run on
 hardware.  An M-query invocation costs M quantum queries; its caller books them.
+
+estamp_distribution builds one amplitude's table and caches it.
+outcome_laws builds the laws of many amplitudes at one budget as the rows
+of one array, with the same kernel run on at most _KERNEL_CHUNK elements
+at a time; each row is bit for bit the one-amplitude build.
 """
 
 from __future__ import annotations
@@ -34,9 +39,13 @@ _NORMALIZATION_TOLERANCE = 1e-9
 # recently used out first.  A table at M = 2^17 holds about 1 MB.
 _TABLE_CACHE_BYTES = 64 << 20
 
+# When it builds many outcome laws, the kernel evaluates at most this many
+# elements at a time (2M - 1 per row); a longer row is a chunk of its own.
+_KERNEL_CHUNK = 1 << 15
+
 # The largest budget M.  A table holds about 8*M bytes (an index and a
 # probability per grid point), so the largest one holds 8 MB, and building
-# it holds ~90 MB of kernel temporaries for a moment.  Each doubling doubles
+# it holds ~80 MB of kernel temporaries for a moment.  Each doubling doubles
 # both; a budget of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need
 # gigabytes before it could fail.
 _MAX_BUDGET = 1 << 20
@@ -72,32 +81,108 @@ def _fejer(x: np.ndarray, M: int) -> np.ndarray:
     caller evaluates this under np.errstate(divide="ignore", invalid="ignore").
     """
     d = x - np.floor(x)
-    d = np.minimum(d, 1.0 - d)
-    f = (np.sin(M * np.pi * d) / (M * np.sin(np.pi * d))) ** 2
-    return np.where(d < _GRID_TOLERANCE, 1.0, f)
+    np.minimum(d, 1.0 - d, out=d)
+    f = np.sin(M * np.pi * d)
+    f /= M * np.sin(np.pi * d)
+    np.square(f, out=f)
+    f[d < _GRID_TOLERANCE] = 1.0
+    return f
+
+
+def _off_grid_laws(omegas: list[float], M: int) -> np.ndarray:
+    """Raw laws over y for off-grid phases omega, one row each."""
+    # Both offset sets, omega - y/M and omega + y/M, in one kernel call over
+    # the shifts s/M, s = 1-M..M-1: IEEE division is symmetric in sign and
+    # subtraction is addition of the negation, so omega + (-y)/M is exactly
+    # omega - y/M, and y = 0 is evaluated once for both.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _fejer(np.add.outer(omegas, np.arange(1 - M, M) / M), M)
+    raw = f[:, M - 1::-1] + f[:, M - 1:]
+    raw *= 0.5
+    return raw
+
+
+def _raw_laws(amplitudes: list[float], M: int) -> np.ndarray:
+    """Raw outcome laws over y = 0..M-1, one row per amplitude.
+
+    Each row is what a call for its amplitude alone gives: ufuncs work
+    element by element, so a row's values do not depend on the others.
+    """
+    check_budget(M)
+    rows, omegas, hits = [], [], []
+    for row, a in enumerate(amplitudes):
+        if not 0.0 <= a <= 1.0:
+            raise ValueError("amplitude must lie in [0, 1]")
+        omega = math.asin(math.sqrt(a)) / math.pi
+        j = round(omega * M)
+        if abs(omega * M - j) < _GRID_TOLERANCE * M:
+            hits.append((row, j))
+        else:
+            rows.append(row)
+            omegas.append(omega)
+    if not hits:
+        return _off_grid_laws(omegas, M)
+    probs = np.zeros((len(amplitudes), M))
+    if rows:
+        probs[rows] = _off_grid_laws(omegas, M)
+    for row, j in hits:
+        # On-grid phase: every other outcome vanishes exactly (sin(pi*(j-y))
+        # is 0 for integers); evaluating the closed form in floats would
+        # instead leave ~1e-33 dust on the off outcomes.
+        probs[row, j % M] += 0.5
+        probs[row, (M - j) % M] += 0.5
+    return probs
 
 
 def measurement_probabilities(a: float, M: int) -> np.ndarray:
     """Raw outcome law over y = 0..M-1, before merging; symmetric in y <-> M-y."""
+    return _raw_laws([a], M)[0]
+
+
+def _fold(raw: np.ndarray, M: int) -> np.ndarray:
+    """Merge outcomes y and M-y onto l = 0..M/2 along the last axis."""
+    half = M // 2
+    merged = raw[..., :half + 1].copy()
+    merged[..., 1:half] += raw[..., :half:-1]
+    return merged
+
+
+def _check_mass(raw_total: float, a: float, M: int) -> None:
+    if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
+        raise ArithmeticError(
+            "outcome law lost mass: sums to %.17g for a=%r M=%d" % (raw_total, a, M)
+        )
+
+
+def outcome_laws(amplitudes, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merged, renormalised outcome laws over l = 0..M/2 for a 1-D sequence
+    of amplitudes, one row each, exact zeros kept, and each row's mass
+    before renormalisation (raw_total).
+
+    The kernel runs on at most _KERNEL_CHUNK elements at a time; a row's
+    entries are bit for bit those of estamp_distribution's table.
+    """
     check_budget(M)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
-    omega = math.asin(math.sqrt(a)) / math.pi
-    j = round(omega * M)
-    if abs(omega * M - j) < _GRID_TOLERANCE * M:
-        # On-grid phase: every other outcome vanishes exactly (sin(pi*(j-y))
-        # is 0 for integers); evaluating the closed form in floats would
-        # instead leave ~1e-33 dust on the off outcomes.
-        probs = np.zeros(M)
-        probs[j % M] += 0.5
-        probs[(M - j) % M] += 0.5
-        return probs
-    shift = np.arange(M) / M
-    # Both offset sets in one kernel call: ufuncs work element by element, so
-    # each value is the one a call per set would give.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = _fejer(np.concatenate((omega - shift, omega + shift)), M)
-    return 0.5 * (f[:M] + f[M:])
+    amplitudes = np.asarray(amplitudes, dtype=np.float64).tolist()
+    laws = np.empty((len(amplitudes), M // 2 + 1))
+    raw_totals = np.empty(len(amplitudes))
+    step = max(1, _KERNEL_CHUNK // (2 * M))
+    for start in range(0, len(amplitudes), step):
+        chunk = amplitudes[start:start + step]
+        merged = _fold(_raw_laws(chunk, M), M)
+        totals = merged.sum(axis=1)
+        for a, raw_total in zip(chunk, totals.tolist()):
+            _check_mass(raw_total, a, M)
+        np.divide(merged, totals[:, None], out=laws[start:start + len(chunk)])
+        raw_totals[start:start + len(chunk)] = totals
+    return laws, raw_totals
+
+
+def deviation_bound(a, M: int, k: int = 1):
+    """Radius of the k-th confidence window around the true amplitude a (a
+    float or an array): with probability at least 8/pi^2 for k = 1, and
+    1 - 1/(2(k-1)) for k > 1, the estimate lies within it."""
+    return 2.0 * math.pi * k * np.sqrt(a * (1.0 - a)) / M + (k * math.pi / M) ** 2
 
 
 @dataclass(frozen=True)
@@ -122,18 +207,6 @@ class EstAmpDistribution:
     @property
     def nbytes(self) -> int:
         return self.grid.nbytes + self.probabilities.nbytes
-
-    def mass_within(self, center: float, radius: float) -> float:
-        """Total probability of outcomes v with |v - center| <= radius."""
-        inside = np.abs(self.values - center) <= radius + 1e-12
-        return float(self.probabilities[inside].sum())
-
-    def deviation_bound(self, k: int = 1) -> float:
-        """Radius of the k-th confidence window around the true amplitude."""
-        return (
-            2.0 * math.pi * k * math.sqrt(self.a * (1.0 - self.a)) / self.M
-            + (k * math.pi / self.M) ** 2
-        )
 
 
 class _TableCache:
@@ -173,15 +246,9 @@ def estamp_distribution(a: float, M: int) -> EstAmpDistribution:
 
 
 def _build_table(a: float, M: int) -> EstAmpDistribution:
-    raw = measurement_probabilities(a, M)
-    half = M // 2
-    merged = raw[:half + 1].copy()
-    merged[1:half] += raw[:half:-1]  # y <-> M - y
+    merged = _fold(measurement_probabilities(a, M), M)
     raw_total = float(merged.sum())
-    if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
-        raise ArithmeticError(
-            "outcome law lost mass: sums to %.17g for a=%r M=%d" % (raw_total, a, M)
-        )
+    _check_mass(raw_total, a, M)
     grid = np.flatnonzero(merged)  # exact zeros only appear for on-grid phases
     return EstAmpDistribution(
         M=M, a=a, grid=grid,

@@ -209,7 +209,8 @@ class MasterSubroutine(FiniteLaw):
                  payoff: Callable[[float], float], variant: str = "estamp"):
         values, probabilities = _grid_law(_count_classes(dist.counts), dist.denominator,
                                           M, variant)
-        super().__init__(np.array([payoff(v) for v in values]), probabilities)
+        super().__init__(np.fromiter(map(payoff, values.tolist()), np.float64, values.size),
+                         probabilities)
 
 
 class _RatioSubroutine:
@@ -224,10 +225,11 @@ class _RatioSubroutine:
     """
 
     def __init__(self, p: RationalDistribution, q: RationalDistribution,
-                 M_p: int, M_q: int):
-        # count_pairs lists the pairs by q count, so the groups come out in order
+                 M_p: int, M_q: int, pairs: tuple):
+        # pairs is count_pairs(p, q), which lists the pairs by q count, so
+        # the groups come out in order
         groups: dict[int, dict[int, int]] = {}
-        for cp, cq, bins in zip(*(a.tolist() for a in count_pairs(p, q)[:3])):
+        for cp, cq, bins in zip(*(a.tolist() for a in pairs[:3])):
             groups.setdefault(cq, {})[cp] = cp * bins
         self._weights = np.array(
             [sum(weights.values()) / p.denominator for weights in groups.values()])
@@ -336,7 +338,13 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                         ratio_bound: float | Fraction) -> None:
     """estimate_kl's promise: one alphabet, and p_i <= ratio_bound * q_i exactly."""
-    cps, cqs, _, firsts = count_pairs(p, q)
+    _check_ratio_pairs(count_pairs(p, q), p, q, ratio_bound)
+
+
+def _check_ratio_pairs(pairs: tuple, p: RationalDistribution, q: RationalDistribution,
+                       ratio_bound: float | Fraction) -> None:
+    """check_ratio_promise on the pairs count_pairs(p, q) found."""
+    cps, cqs, _, firsts = pairs
     f = Fraction(ratio_bound)
     broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
               if Fraction(cp * q.denominator, p.denominator) > f * cq]
@@ -366,11 +374,12 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     q-ledger charge exceeds the p-ledger charge by roughly that ratio.
     """
     p, q = oracle_p.source, oracle_q.source
-    check_ratio_promise(p, q, ratio_bound)
+    pairs = count_pairs(p, q)  # one grouping serves the promise and the law
+    _check_ratio_pairs(pairs, p, q, ratio_bound)
     ratio_bound = float(ratio_bound)
     n, eps = p.n, cfg.epsilon
     M_p, M_q = check_kl_budgets(n, ratio_bound, eps)
-    sub = _RatioSubroutine(p, q, M_p, M_q)
+    sub = _RatioSubroutine(p, q, M_p, M_q, pairs)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
     value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg,

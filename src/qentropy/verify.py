@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitude import estamp_distribution
+from .amplitude import deviation_bound, grid_value, outcome_laws
 from .distributions import RationalDistribution, power_sum
 from .instances import zipf
 from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
@@ -46,20 +46,37 @@ _COLLISION_MC_ROWS = 100_000  # Monte-Carlo sequences per grid cell
 _MEANEST_TRIALS = 400  # contract runs per law
 
 
+def _window_masses(laws: np.ndarray, amplitudes: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Each row's mass on the grid values v with |v - a| <= radius + 1e-12,
+    for outcome_laws rows over l = 0..M/2.
+
+    The values ascend, so the window is one run [lo, hi) of the row, and
+    its sum adds the table's entries inside it in the same order.  Only an
+    on-grid phase leaves exact zeros, and its row is a point mass, whose
+    sum the zeros cannot change.
+    """
+    values = grid_value(np.arange(laws.shape[1]), 2 * (laws.shape[1] - 1))
+    inside = np.abs(values - amplitudes[:, None]) <= (radius + 1e-12)[:, None]
+    lo = inside.argmax(axis=1)
+    return np.array([row[start:stop].sum() for row, start, stop
+                     in zip(laws, lo.tolist(), (lo + inside.sum(axis=1)).tolist())])
+
+
 def estamp_suite() -> list[CheckResult]:
-    """Closed-form outcome law: normalization and the k=1 deviation window."""
+    """Closed-form outcome law: normalization and the k=1 deviation window.
+
+    Each budget's outcome laws for all the amplitudes come from one
+    outcome_laws call; the suite builds no cached table.
+    """
     rng = np.random.default_rng(_SUITE_SEED)
     amplitudes = rng.random(_ESTAMP_DRAWS)
     checks = []
     for m_exp in range(1, 9):
         M = 1 << m_exp
-        worst_norm = 0.0
-        worst_mass = 1.0
-        for a in amplitudes:
-            table = estamp_distribution(float(a), M)
-            worst_norm = max(worst_norm, abs(table.raw_total - 1.0))
-            mass = table.mass_within(float(a), table.deviation_bound(1))
-            worst_mass = min(worst_mass, mass)
+        laws, raw_totals = outcome_laws(amplitudes, M)
+        worst_norm = float(np.abs(raw_totals - 1.0).max())
+        masses = _window_masses(laws, amplitudes, deviation_bound(amplitudes, M))
+        worst_mass = min(1.0, float(masses.min()))
         checks.append(CheckResult(
             "estamp", "normalization M=%d" % M, worst_norm <= 1e-9,
             1e-9 - worst_norm, "worst |sum-1| = %.3e" % worst_norm))
@@ -67,8 +84,8 @@ def estamp_suite() -> list[CheckResult]:
             "estamp", "k=1 window mass M=%d" % M, worst_mass >= _K1_CONFIDENCE,
             worst_mass - _K1_CONFIDENCE,
             "worst in-window mass = %.7f (needs >= %.7f)" % (worst_mass, _K1_CONFIDENCE)))
-    zero = estamp_distribution(0.0, 64)
-    exact_zero = len(zero.values) == 1 and zero.values[0] == 0.0 and zero.probabilities[0] == 1.0
+    zero = outcome_laws([0.0], 64)[0][0]
+    exact_zero = np.flatnonzero(zero).tolist() == [0] and zero[0] == 1.0
     checks.append(CheckResult(
         "estamp", "a=0 returns a point mass", exact_zero, 0.0 if exact_zero else -1.0))
     return checks

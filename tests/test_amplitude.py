@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from qentropy import amplitude
 from qentropy.amplitude import (
+    deviation_bound,
     estamp_distribution,
     estamp_prime_floor,
     grid_value,
     measurement_probabilities,
     multiplicative_budget,
+    outcome_laws,
     sample_estamp_multiplicative,
 )
 from qentropy.distributions import from_counts
 from qentropy.estimators import EstimatorConfig, MasterSubroutine, estimate_min_entropy
 from qentropy.instances import point_mass
 from qentropy.oracle import build_oracle
+from qentropy.verify import _window_masses
 
 # Reference table for a=0.3, M=8, computed independently with 50-digit
 # arithmetic straight from the definition (phase omega = asin(sqrt a)/pi,
@@ -101,6 +104,38 @@ def test_law_normalizes_for_generic_amplitudes():
             assert np.all(np.diff(dist.values) > 0)
 
 
+@pytest.mark.parametrize("M", [2, 256, 4096, 1 << 15])
+def test_batched_laws_match_one_row_builds(M, monkeypatch):
+    # a batch over two kernel chunks and a part, with on-grid phases inside
+    # chunks and on their edges: every row, and its mass before
+    # renormalisation, is the one-row build's, byte for byte
+    per_chunk = max(1, amplitude._KERNEL_CHUNK // (2 * M))
+    amplitudes = np.random.default_rng(M).random(2 * per_chunk + 3)
+    on_grid = [0.0, 1.0, grid_value(1, M), grid_value(M // 4, M)]
+    amplitudes[[0, per_chunk - 1, per_chunk + 1, -1]] = on_grid
+    sizes = []
+    kernel = amplitude._fejer
+    monkeypatch.setattr(amplitude, "_fejer", lambda x, M: sizes.append(x.size) or kernel(x, M))
+    laws, raw_totals = outcome_laws(amplitudes, M)
+    monkeypatch.undo()
+    assert len(sizes) >= 2 and max(sizes) <= max(amplitude._KERNEL_CHUNK, 2 * M)
+    assert laws.shape == (amplitudes.size, M // 2 + 1)
+    for a, row, raw_total in zip(amplitudes.tolist(), laws, raw_totals.tolist()):
+        table = amplitude._build_table(a, M)
+        assert np.flatnonzero(row).tobytes() == table.grid.tobytes()
+        assert row[table.grid].tobytes() == table.probabilities.tobytes()
+        assert raw_total == table.raw_total
+        assert row.sum() == table.probabilities.sum()
+
+
+def test_every_row_keeps_the_lost_mass_check(monkeypatch):
+    monkeypatch.setattr(amplitude, "_NORMALIZATION_TOLERANCE", -1.0)
+    with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
+        outcome_laws([0.3, 0.5], 8)
+    with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
+        amplitude._build_table(0.3, 8)
+
+
 def test_raw_probabilities_are_symmetric():
     for a in (0.13, 0.5, 0.77):
         probs = measurement_probabilities(a, 16)
@@ -129,23 +164,35 @@ def test_deviation_window_masses():
     rng = np.random.default_rng(17)
     thresholds = {1: 8 / math.pi**2, 2: 0.5, 3: 0.75, 4: 1 - 1 / 6}
     for M in (8, 64, 256):
-        for a in rng.uniform(0.0, 1.0, size=30):
-            dist = estamp_distribution(float(a), M)
-            for k, floor in thresholds.items():
-                mass = dist.mass_within(float(a), dist.deviation_bound(k))
-                assert mass >= floor - 1e-12
+        amplitudes = np.append(rng.uniform(0.0, 1.0, size=30),
+                               [0.0, 1.0, grid_value(3, M), grid_value(M // 4, M)])
+        laws, _ = outcome_laws(amplitudes, M)
+        for k, floor in thresholds.items():
+            radius = deviation_bound(amplitudes, M, k)
+            masses = _window_masses(laws, amplitudes, radius)
+            assert masses.min() >= floor - 1e-12
+            # the masked sum over each cached table's entries, bit for bit
+            for a, r, mass in zip(amplitudes.tolist(), radius.tolist(), masses.tolist()):
+                table = estamp_distribution(a, M)
+                inside = np.abs(table.values - a) <= r + 1e-12
+                assert mass == float(table.probabilities[inside].sum())
 
 
 def test_deviation_bound_formula():
-    dist = estamp_distribution(0.3, 16)
     expected = (
         2 * math.pi * math.sqrt(0.3 * 0.7) / 16 + (math.pi / 16) ** 2
     )
-    assert dist.deviation_bound(1) == pytest.approx(expected, rel=1e-14)
-    assert dist.deviation_bound(3) == pytest.approx(
+    assert deviation_bound(0.3, 16) == pytest.approx(expected, rel=1e-14)
+    assert deviation_bound(0.3, 16, 3) == pytest.approx(
         3 * 2 * math.pi * math.sqrt(0.3 * 0.7) / 16 + (3 * math.pi / 16) ** 2,
         rel=1e-14,
     )
+    # IEEE sqrt is correctly rounded: an array gives math.sqrt's radii exactly
+    amplitudes = np.random.default_rng(4).random(1000)
+    for k in (1, 3):
+        assert deviation_bound(amplitudes, 64, k).tolist() == [
+            2.0 * math.pi * k * math.sqrt(a * (1.0 - a)) / 64 + (k * math.pi / 64) ** 2
+            for a in amplitudes.tolist()]
 
 
 def test_budget_must_be_a_power_of_two():
@@ -155,6 +202,10 @@ def test_budget_must_be_a_power_of_two():
         estamp_distribution(0.3, 0)
     with pytest.raises(ValueError):
         estamp_distribution(1.2, 8)
+    with pytest.raises(ValueError, match="power of two"):
+        outcome_laws([0.3], 12)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        outcome_laws([0.3, 1.2], 8)
 
 
 def test_budget_has_a_ceiling_above_every_budget_in_use():

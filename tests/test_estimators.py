@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qentropy.amplitude import estamp_distribution
 from qentropy.distributions import (
     RationalDistribution,
+    count_pairs,
     from_counts,
     kl_divergence,
     power_sum,
@@ -251,7 +252,7 @@ def test_kl_sample_sums_agree_in_law_with_draws_one_by_one():
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
     M_p, M_q, count, calls = 16, 32, 6, 4000
-    sub = _RatioSubroutine(p, q, M_p, M_q)
+    sub = _RatioSubroutine(p, q, M_p, M_q, count_pairs(p, q))
     assert len(sub._pairs) == 2
     rng = np.random.default_rng(17)
     sums = np.array([sub.sample_sum(count, rng) for _ in range(calls)])

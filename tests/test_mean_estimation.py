@@ -329,10 +329,11 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
 
 
 def test_multiplicative_contract_needs_a_finite_law():
-    from qentropy.distributions import from_counts
+    from qentropy.distributions import count_pairs, from_counts
     from qentropy.estimators import _RatioSubroutine
 
-    ratio = _RatioSubroutine(from_counts([1, 1]), from_counts([1, 3]), 16, 32)
+    p, q = from_counts([1, 1]), from_counts([1, 3])
+    ratio = _RatioSubroutine(p, q, 16, 32, count_pairs(p, q))
     with pytest.raises(TypeError):
         multiplicative_runs(ratio, 0.5, 1.0, 2.0, 0.25, 1, np.random.default_rng(0))
 
