@@ -20,13 +20,7 @@ from .distributions import (
     support_coverage,
 )
 from .oracle import DistributionOracle, QueryLedger, build_oracle
-from .amplitude import (
-    EstAmpDistribution,
-    estamp_distribution,
-    estamp_prime_floor,
-    grid_value,
-    measurement_probabilities,
-)
+from .amplitude import estamp_distribution, estamp_prime_floor, grid_value
 from .estimators import (
     EstimateReport,
     EstimatorConfig,
@@ -45,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DistributionOracle",
-    "EstAmpDistribution",
     "EstimateReport",
     "EstimatorConfig",
     "QueryLedger",
@@ -67,7 +60,6 @@ __all__ = [
     "grid_value",
     "kl_divergence",
     "load_distribution",
-    "measurement_probabilities",
     "min_entropy",
     "power_sum",
     "renyi_entropy",

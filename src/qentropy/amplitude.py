@@ -14,17 +14,16 @@ produce the same estimate sin^2(y*pi/M) and are merged onto the grid.  The
 law is exact, so estimator statistics can be enumerated instead of run on
 hardware.  An M-query invocation costs M quantum queries; its caller books them.
 
-estamp_distribution builds one amplitude's table and caches it.
 outcome_laws builds the laws of many amplitudes at one budget as the rows
-of one array, with the same kernel run on at most _KERNEL_CHUNK elements
-at a time; each row is bit for bit the one-amplitude build.
+of one array over l = 0..M/2, with the kernel run on at most _KERNEL_CHUNK
+elements at a time; a row does not depend on the others in its batch.
+estamp_distribution gives one amplitude's row, read-only, and caches it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +35,18 @@ _GRID_TOLERANCE = 1e-14
 _NORMALIZATION_TOLERANCE = 1e-9
 
 # Outcome tables are cached by (a, M) up to this many bytes of arrays, least
-# recently used out first.  A table at M = 2^17 holds about 1 MB.
+# recently used out first.  A table at M = 2^17 holds about 0.5 MB.
 _TABLE_CACHE_BYTES = 64 << 20
 
 # When it builds many outcome laws, the kernel evaluates at most this many
 # elements at a time (2M - 1 per row); a longer row is a chunk of its own.
 _KERNEL_CHUNK = 1 << 15
 
-# The largest budget M.  A table holds about 8*M bytes (an index and a
-# probability per grid point), so the largest one holds 8 MB, and building
-# it holds ~80 MB of kernel temporaries for a moment.  Each doubling doubles
-# both; a budget of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need
-# gigabytes before it could fail.
+# The largest budget M.  A table holds about 4*M bytes (a probability per
+# grid point), so the largest one holds 4 MB, and building it holds ~80 MB
+# of kernel temporaries for a moment.  Each doubling doubles both; a budget
+# of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need gigabytes before
+# it could fail.
 _MAX_BUDGET = 1 << 20
 
 
@@ -108,7 +107,6 @@ def _raw_laws(amplitudes: list[float], M: int) -> np.ndarray:
     Each row is what a call for its amplitude alone gives: ufuncs work
     element by element, so a row's values do not depend on the others.
     """
-    check_budget(M)
     rows, omegas, hits = [], [], []
     for row, a in enumerate(amplitudes):
         if not 0.0 <= a <= 1.0:
@@ -134,11 +132,6 @@ def _raw_laws(amplitudes: list[float], M: int) -> np.ndarray:
     return probs
 
 
-def measurement_probabilities(a: float, M: int) -> np.ndarray:
-    """Raw outcome law over y = 0..M-1, before merging; symmetric in y <-> M-y."""
-    return _raw_laws([a], M)[0]
-
-
 def _fold(raw: np.ndarray, M: int) -> np.ndarray:
     """Merge outcomes y and M-y onto l = 0..M/2 along the last axis."""
     half = M // 2
@@ -147,20 +140,11 @@ def _fold(raw: np.ndarray, M: int) -> np.ndarray:
     return merged
 
 
-def _check_mass(raw_total: float, a: float, M: int) -> None:
-    if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
-        raise ArithmeticError(
-            "outcome law lost mass: sums to %.17g for a=%r M=%d" % (raw_total, a, M)
-        )
-
-
 def outcome_laws(amplitudes, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Merged, renormalised outcome laws over l = 0..M/2 for a 1-D sequence
     of amplitudes, one row each, exact zeros kept, and each row's mass
-    before renormalisation (raw_total).
-
-    The kernel runs on at most _KERNEL_CHUNK elements at a time; a row's
-    entries are bit for bit those of estamp_distribution's table.
+    before renormalisation (raw_total).  The kernel runs on at most
+    _KERNEL_CHUNK elements at a time.
     """
     check_budget(M)
     amplitudes = np.asarray(amplitudes, dtype=np.float64).tolist()
@@ -172,7 +156,9 @@ def outcome_laws(amplitudes, M: int) -> tuple[np.ndarray, np.ndarray]:
         merged = _fold(_raw_laws(chunk, M), M)
         totals = merged.sum(axis=1)
         for a, raw_total in zip(chunk, totals.tolist()):
-            _check_mass(raw_total, a, M)
+            if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
+                raise ArithmeticError("outcome law lost mass: sums to %.17g for a=%r M=%d"
+                                      % (raw_total, a, M))
         np.divide(merged, totals[:, None], out=laws[start:start + len(chunk)])
         raw_totals[start:start + len(chunk)] = totals
     return laws, raw_totals
@@ -185,30 +171,6 @@ def deviation_bound(a, M: int, k: int = 1):
     return 2.0 * math.pi * k * np.sqrt(a * (1.0 - a)) / M + (k * math.pi / M) ** 2
 
 
-@dataclass(frozen=True)
-class EstAmpDistribution:
-    """Merged outcome table of one amplitude-estimation invocation."""
-
-    M: int
-    a: float
-    grid: np.ndarray          # indices l of the outcomes with mass, ascending
-    probabilities: np.ndarray
-    raw_total: float          # mass before renormalization; should be ~1.0
-
-    def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.probabilities.setflags(write=False)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Grid values sin^2(l*pi/M) of the outcomes, ascending."""
-        return grid_value(self.grid, self.M)
-
-    @property
-    def nbytes(self) -> int:
-        return self.grid.nbytes + self.probabilities.nbytes
-
-
 class _TableCache:
     """Least-recently-used outcome tables, bounded by the bytes they hold."""
 
@@ -217,13 +179,13 @@ class _TableCache:
         self.bytes = 0
         self._tables: OrderedDict = OrderedDict()
 
-    def get(self, key) -> EstAmpDistribution | None:
+    def get(self, key) -> np.ndarray | None:
         table = self._tables.get(key)
         if table is not None:
             self._tables.move_to_end(key)
         return table
 
-    def put(self, key, table: EstAmpDistribution) -> None:
+    def put(self, key, table: np.ndarray) -> None:
         if table.nbytes > self.budget:
             return
         self._tables[key] = table
@@ -236,24 +198,15 @@ class _TableCache:
 _TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
 
 
-def estamp_distribution(a: float, M: int) -> EstAmpDistribution:
-    """Exact merged outcome distribution for amplitude a and budget M."""
+def estamp_distribution(a: float, M: int) -> np.ndarray:
+    """Exact merged outcome law for amplitude a and budget M: the read-only
+    row outcome_laws([a], M) gives over l = 0..M/2, exact zeros kept."""
     table = _TABLE_CACHE.get((a, M))
     if table is None:
-        table = _build_table(a, M)
+        table = outcome_laws([a], M)[0][0]
+        table.flags.writeable = False
         _TABLE_CACHE.put((a, M), table)
     return table
-
-
-def _build_table(a: float, M: int) -> EstAmpDistribution:
-    merged = _fold(measurement_probabilities(a, M), M)
-    raw_total = float(merged.sum())
-    _check_mass(raw_total, a, M)
-    grid = np.flatnonzero(merged)  # exact zeros only appear for on-grid phases
-    return EstAmpDistribution(
-        M=M, a=a, grid=grid,
-        probabilities=merged[grid] / raw_total, raw_total=raw_total,
-    )
 
 
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
@@ -284,6 +237,7 @@ def sample_estamp_multiplicative(
     caller books the M queries.
     """
     M = multiplicative_budget(epsilon, p_floor)
-    table = estamp_distribution(a, M)
-    idx = np.cumsum(table.probabilities).searchsorted(rng.random(1), side="right")
-    return float(grid_value(table.grid[np.minimum(idx, table.grid.size - 1)], M)[0]), M
+    row = estamp_distribution(a, M)
+    grid = np.flatnonzero(row)
+    idx = np.cumsum(row[grid]).searchsorted(rng.random(1), side="right")
+    return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0]), M

@@ -376,7 +376,13 @@ def count_pairs(p: RationalDistribution, q: RationalDistribution
 
 def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
     """Smallest f with p_i <= f * q_i for all i (exact); ValueError if none exists."""
-    cp, cq, _, _ = count_pairs(p, q)
+    return pairs_ratio_bound(count_pairs(p, q), p, q)
+
+
+def pairs_ratio_bound(pairs: tuple, p: RationalDistribution, q: RationalDistribution
+                      ) -> Fraction:
+    """ratio_bound on the pairs count_pairs(p, q) found."""
+    cp, cq = pairs[:2]
     if not cq.all():
         raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
     return max(Fraction(a * q.denominator, b * p.denominator)

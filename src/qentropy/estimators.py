@@ -50,6 +50,7 @@ from .distributions import (
     _count_chunks,
     count_pairs,
     kl_divergence,
+    pairs_ratio_bound,
     power_sum,
     shannon_entropy,
     support_coverage,
@@ -176,8 +177,7 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
     total = sum(weights.values())
     mixture = np.zeros(M // 2 + 1)
     for c, w in sorted(weights.items()):
-        table = estamp_distribution(c / denominator, M)
-        mixture[table.grid] += table.probabilities * (w / total)
+        mixture += estamp_distribution(c / denominator, M) * (w / total)
     grid = np.flatnonzero(mixture)
     return _reported_values(grid, M, variant), mixture[grid]
 
@@ -237,10 +237,10 @@ class _RatioSubroutine:
         self._pairs = []
         for cq, weights in groups.items():
             vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
-            table = estamp_distribution(cq / q.denominator, M_q)
-            vq = _reported_values(table.grid, M_q, "estamp-prime")
-            self._pairs.append((FiniteLaw(np.log(vp), pp),
-                                FiniteLaw(np.log(vq), table.probabilities)))
+            row = estamp_distribution(cq / q.denominator, M_q)
+            grid = np.flatnonzero(row)
+            vq = _reported_values(grid, M_q, "estamp-prime")
+            self._pairs.append((FiniteLaw(np.log(vp), pp), FiniteLaw(np.log(vq), row[grid])))
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws: a multinomial split over the
@@ -364,17 +364,21 @@ def check_kl_budgets(n: int, ratio_bound: float, eps: float) -> tuple[int, int]:
 
 
 def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
-                ratio_bound: float | Fraction, cfg: EstimatorConfig) -> EstimateReport:
+                ratio_bound: float | Fraction | None,
+                cfg: EstimatorConfig) -> EstimateReport:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
 
     Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
     ratio_bound as given (pass the exact Fraction from
-    distributions.ratio_bound: its float can round below it); budgets use
-    its float.  q's budget carries the extra ratio_bound factor, so the
-    q-ledger charge exceeds the p-ledger charge by roughly that ratio.
+    distributions.ratio_bound: its float can round below it); None stands
+    for that exact bound.  Budgets use its float.  q's budget carries the
+    extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
+    charge by roughly that ratio.
     """
     p, q = oracle_p.source, oracle_q.source
-    pairs = count_pairs(p, q)  # one grouping serves the promise and the law
+    pairs = count_pairs(p, q)  # one grouping serves the bound, the promise and the law
+    if ratio_bound is None:
+        ratio_bound = pairs_ratio_bound(pairs, p, q)
     _check_ratio_pairs(pairs, p, q, ratio_bound)
     ratio_bound = float(ratio_bound)
     n, eps = p.n, cfg.epsilon

@@ -4,7 +4,8 @@ Five suites check the closed-form outcome law, the power-sum sandwich, the
 Poisson tails of the min-entropy search, collision-count statistics and the
 mean-estimation contracts.  They need numpy and the standard library only:
 the Poisson tail is summed in integers and `decimal`, not taken from
-scipy.  `harness` re-exports SUITES, run_suite, suite_passed and CheckResult.
+scipy.  `harness` re-exports SUITES, run_suite and suite_passed for the
+benchmark.
 """
 
 from __future__ import annotations

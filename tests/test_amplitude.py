@@ -13,7 +13,6 @@ from qentropy.amplitude import (
     estamp_distribution,
     estamp_prime_floor,
     grid_value,
-    measurement_probabilities,
     multiplicative_budget,
     outcome_laws,
     sample_estamp_multiplicative,
@@ -37,7 +36,7 @@ REF_A03_M8_PROBS = [
 ]
 
 
-# Scalar reference for measurement_probabilities: the closed form evaluated
+# Scalar reference for the raw law over y = 0..M-1: the closed form evaluated
 # outcome by outcome, with the same on-grid branch.
 def _reference_fejer(delta, M):
     if delta < 1e-14:
@@ -66,49 +65,58 @@ def _reference_probabilities(a, M):
     return probs
 
 
+def _reference_law(a, M):
+    """The scalar reference with y and M-y merged onto l = 0..M/2, renormalised."""
+    probs = _reference_probabilities(a, M)
+    merged = np.array([probs[0]] + [probs[l] + probs[M - l] for l in range(1, M // 2)]
+                      + [probs[M // 2]])
+    return merged / merged.sum()
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=st.floats(0.0, 1.0), log_m=st.integers(1, 12))
 def test_law_matches_scalar_reference(a, log_m):
     M = 1 << log_m
-    probs = measurement_probabilities(a, M)
-    assert np.max(np.abs(probs - _reference_probabilities(a, M))) <= 1e-12
-    assert abs(probs.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(probs[1:] - probs[:0:-1]), initial=0.0) <= 1e-12
+    laws, raw_totals = outcome_laws([a], M)
+    assert np.max(np.abs(laws[0] - _reference_law(a, M))) <= 1e-12
+    assert abs(raw_totals[0] - 1.0) <= 1e-12
+    raw = amplitude._raw_laws([a], M)[0]
+    assert np.max(np.abs(raw[1:] - raw[:0:-1]), initial=0.0) <= 1e-12
 
 
 def test_frozen_table_a03_m8():
-    dist = estamp_distribution(0.3, 8)
-    assert dist.values.tolist() == pytest.approx(REF_A03_M8_VALUES, abs=1e-15)
-    assert dist.probabilities.tolist() == pytest.approx(REF_A03_M8_PROBS, rel=1e-13)
+    row = estamp_distribution(0.3, 8)
+    assert grid_value(np.flatnonzero(row), 8).tolist() == pytest.approx(
+        REF_A03_M8_VALUES, abs=1e-15)
+    assert row.tolist() == pytest.approx(REF_A03_M8_PROBS, rel=1e-13)
 
 
 def test_frozen_spot_values_a07_m16():
     # same independent 50-digit computation, three spot checks
-    dist = estamp_distribution(0.7, 16)
-    lookup = dict(zip(dist.values.tolist(), dist.probabilities.tolist()))
+    row = estamp_distribution(0.7, 16)
+    lookup = dict(zip(grid_value(np.arange(9), 16).tolist(), row.tolist()))
     assert lookup[0.0] == pytest.approx(0.000125514743808, rel=1e-12)
     assert lookup[1.0] == pytest.approx(0.000292867735552, rel=1e-12)
     peak_value = grid_value(5, 16)
     assert peak_value == pytest.approx(0.69134171618254489, rel=1e-15)
     assert lookup[peak_value] == pytest.approx(0.99260151898042028, rel=1e-13)
-    assert max(dist.probabilities) == pytest.approx(lookup[peak_value])
+    assert max(row) == pytest.approx(lookup[peak_value])
 
 
 def test_law_normalizes_for_generic_amplitudes():
     rng = np.random.default_rng(5)
     for M in (2, 4, 8, 32, 128):
-        for a in rng.uniform(0.0, 1.0, size=40):
-            dist = estamp_distribution(float(a), M)
-            assert abs(dist.raw_total - 1.0) < 1e-9
-            assert np.all(dist.probabilities >= 0.0)
-            assert np.all(np.diff(dist.values) > 0)
+        laws, raw_totals = outcome_laws(rng.uniform(0.0, 1.0, size=40), M)
+        assert np.all(np.abs(raw_totals - 1.0) < 1e-9)
+        assert np.all(laws >= 0.0)
 
 
 @pytest.mark.parametrize("M", [2, 256, 4096, 1 << 15])
 def test_batched_laws_match_one_row_builds(M, monkeypatch):
     # a batch over two kernel chunks and a part, with on-grid phases inside
     # chunks and on their edges: every row, and its mass before
-    # renormalisation, is the one-row build's, byte for byte
+    # renormalisation, is a one-row call's, byte for byte; only the on-grid
+    # rows hold exact zeros
     per_chunk = max(1, amplitude._KERNEL_CHUNK // (2 * M))
     amplitudes = np.random.default_rng(M).random(2 * per_chunk + 3)
     on_grid = [0.0, 1.0, grid_value(1, M), grid_value(M // 4, M)]
@@ -121,34 +129,36 @@ def test_batched_laws_match_one_row_builds(M, monkeypatch):
     assert len(sizes) >= 2 and max(sizes) <= max(amplitude._KERNEL_CHUNK, 2 * M)
     assert laws.shape == (amplitudes.size, M // 2 + 1)
     for a, row, raw_total in zip(amplitudes.tolist(), laws, raw_totals.tolist()):
-        table = amplitude._build_table(a, M)
-        assert np.flatnonzero(row).tobytes() == table.grid.tobytes()
-        assert row[table.grid].tobytes() == table.probabilities.tobytes()
-        assert raw_total == table.raw_total
-        assert row.sum() == table.probabilities.sum()
+        one_row, one_total = outcome_laws([a], M)
+        assert row.tobytes() == one_row[0].tobytes()
+        assert raw_total == one_total[0]
+        assert np.count_nonzero(row) == (1 if a in on_grid else M // 2 + 1)
 
 
 def test_every_row_keeps_the_lost_mass_check(monkeypatch):
     monkeypatch.setattr(amplitude, "_NORMALIZATION_TOLERANCE", -1.0)
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
         outcome_laws([0.3, 0.5], 8)
+    monkeypatch.setattr(amplitude, "_TABLE_CACHE",
+                        amplitude._TableCache(amplitude._TABLE_CACHE_BYTES))
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
-        amplitude._build_table(0.3, 8)
+        estamp_distribution(0.3, 8)
 
 
 def test_raw_probabilities_are_symmetric():
     for a in (0.13, 0.5, 0.77):
-        probs = measurement_probabilities(a, 16)
+        probs = amplitude._raw_laws([a], 16)[0]
         for y in range(1, 16):
             assert probs[y] == pytest.approx(probs[16 - y], rel=1e-12)
 
 
 def test_on_grid_amplitudes_give_point_masses():
     for a, M in ((0.0, 8), (1.0, 8), (0.5, 4), (grid_value(3, 16), 16)):
-        dist = estamp_distribution(a, M)
-        assert len(dist.values) == 1
-        assert dist.values[0] == pytest.approx(a, abs=1e-15)
-        assert dist.probabilities[0] == 1.0
+        row = estamp_distribution(a, M)
+        grid = np.flatnonzero(row)
+        assert len(grid) == 1
+        assert grid_value(grid[0], M) == pytest.approx(a, abs=1e-15)
+        assert row[grid[0]] == 1.0
 
 
 def test_grid_values_bracket_the_unit_interval():
@@ -172,10 +182,10 @@ def test_deviation_window_masses():
             masses = _window_masses(laws, amplitudes, radius)
             assert masses.min() >= floor - 1e-12
             # the masked sum over each cached table's entries, bit for bit
+            values = grid_value(np.arange(M // 2 + 1), M)
             for a, r, mass in zip(amplitudes.tolist(), radius.tolist(), masses.tolist()):
-                table = estamp_distribution(a, M)
-                inside = np.abs(table.values - a) <= r + 1e-12
-                assert mass == float(table.probabilities[inside].sum())
+                inside = np.abs(values - a) <= r + 1e-12
+                assert mass == float(estamp_distribution(a, M)[inside].sum())
 
 
 def test_deviation_bound_formula():
@@ -281,14 +291,20 @@ def test_tables_are_cached():
     a = estamp_distribution(0.3, 8)
     b = estamp_distribution(0.3, 8)
     assert a is b
+    # a cached table is shared, so no caller may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0.0
+    assert b.tobytes() == outcome_laws([0.3], 8)[0][0].tobytes()
 
 
 def test_table_grid_indexes_the_values():
-    dist = estamp_distribution(0.3, 64)
-    assert dist.grid.tolist() == list(range(33))
-    assert dist.values.tolist() == [grid_value(l, 64) for l in range(33)]
+    # a table's entry l is the mass of sin^2(l*pi/M), l = 0..M/2; only an
+    # on-grid phase leaves exact zeros
+    row = estamp_distribution(0.3, 64)
+    assert row.shape == (33,)
+    assert np.flatnonzero(row).tolist() == list(range(33))
     on_grid = estamp_distribution(grid_value(3, 16), 16)
-    assert on_grid.grid.tolist() == [3]
+    assert np.flatnonzero(on_grid).tolist() == [3]
 
 
 def test_table_cache_is_bounded_in_bytes(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.amplitude import estamp_distribution
+from qentropy.amplitude import estamp_distribution, grid_value
 from qentropy.distributions import (
     RationalDistribution,
     count_pairs,
@@ -148,11 +148,11 @@ def test_exact_expectation_matches_direct_table_sum():
     mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
+    vals = np.array([payoff(v) for v in grid_value(np.arange(M // 2 + 1), M)])
     for count, p_sym in zip(dist.counts, dist.counts / dist.denominator):
-        table = estamp_distribution(count / dist.denominator, M)
-        vals = np.array([payoff(v) for v in table.values])
-        direct_mean += p_sym * float(table.probabilities @ vals)
-        direct_sq += p_sym * float(table.probabilities @ (vals * vals))
+        row = estamp_distribution(count / dist.denominator, M)
+        direct_mean += p_sym * float(row @ vals)
+        direct_sq += p_sym * float(row @ (vals * vals))
     assert mean == pytest.approx(direct_mean, rel=1e-13)
     assert var == pytest.approx(direct_sq - direct_mean**2, rel=1e-10)
 
@@ -164,8 +164,8 @@ def _per_symbol_moments(dist, M, payoff, variant):
     for count in dist.counts:
         if count == 0:
             continue
-        table = estamp_distribution(count / dist.denominator, M)
-        for value, prob in zip(table.values, table.probabilities):
+        row = estamp_distribution(count / dist.denominator, M)
+        for value, prob in zip(grid_value(np.arange(M // 2 + 1), M), row):
             if variant == "estamp-prime" and value == 0.0:
                 value = floor
             outcomes.append((count / dist.denominator * prob, payoff(value)))
@@ -207,10 +207,10 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
     M_p, M_q = rep.extras["M_p"], rep.extras["M_q"]
 
     def log_estimates(count, dist, M):
-        table = estamp_distribution(count / dist.denominator, M)
+        row = estamp_distribution(count / dist.denominator, M)
         floor = math.sin(math.pi / (2 * M)) ** 2
         return [(prob, math.log(floor if v == 0.0 else v))
-                for v, prob in zip(table.values, table.probabilities)]
+                for v, prob in zip(grid_value(np.arange(M // 2 + 1), M), row)]
 
     outcomes = []
     for cp, cq in zip(p.counts, q.counts):
@@ -228,9 +228,9 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
 def _kl_draws_one_by_one(p, q, M_p, M_q, shape, rng):
     """ln p~ - ln q~ drawn per sample: a symbol from p, then its two outcomes."""
     def log_table(count, dist, M):
-        table = estamp_distribution(count / dist.denominator, M)
-        values = np.where(table.values == 0.0, math.sin(math.pi / (2 * M)) ** 2, table.values)
-        return np.cumsum(table.probabilities), np.log(values)
+        values = grid_value(np.arange(M // 2 + 1), M)
+        values = np.where(values == 0.0, math.sin(math.pi / (2 * M)) ** 2, values)
+        return np.cumsum(estamp_distribution(count / dist.denominator, M)), np.log(values)
 
     symbols = rng.choice(p.n, size=shape, p=p.counts / p.denominator)
     out = np.empty(shape)
@@ -441,6 +441,20 @@ def test_kl_alphabet_mismatch():
     q = build_oracle(from_counts([1, 1, 2]))
     with pytest.raises(ValueError, match="share an alphabet"):
         estimate_kl(p, q, 2.0, cfg())
+    with pytest.raises(ValueError, match="share an alphabet"):
+        estimate_kl(p, q, None, cfg())
+
+
+def test_kl_without_a_bound_uses_the_exact_one():
+    # None stands for distributions.ratio_bound(p, q): the same report, and
+    # the same refusal when no bound exists
+    p, q = zipf(1.5, 64), uniform(64)
+    exact = estimate_kl(build_oracle(p), build_oracle(q), ratio_bound(p, q), cfg(seed=3))
+    found = estimate_kl(build_oracle(p), build_oracle(q), None, cfg(seed=3))
+    assert found.to_dict() == exact.to_dict()
+    with pytest.raises(ValueError, match="ratio unbounded"):
+        estimate_kl(build_oracle(from_counts([1, 1])), build_oracle(from_counts([0, 1])),
+                    None, cfg())
 
 
 def test_renyi_dispatch_routes_by_order():
