@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sample count for coverage / plugin")
     est.add_argument("--measure", help="measure for plugin (e.g. shannon, renyi:2)")
     est.add_argument("--timing", action="store_true",
-                     help="fill wall_ms (breaks byte-identical reruns)")
+                     help="fill wall_ms with the time to prepare the cell and run the "
+                          "trial (breaks byte-identical reruns)")
 
     exp = sub.add_parser("experiment", help="run a batch experiment to CSV")
     exp.add_argument("--config", required=True)
@@ -69,15 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_estimate(args) -> int:
+def _estimate_cell(args) -> dict:
+    """The experiment cell an `estimate` command line describes."""
     # each option's dest is the cell key it sets
     cell = {"algo": args.algo, "dist": args.dist, "eps": args.eps,
             "delta": args.delta, "mode": args.mode}
     for key in ("dist_q", "f", "alpha", "m", "n_samples", "measure"):
         if getattr(args, key) is not None:
             cell[key] = getattr(args, key)
+    return cell
+
+
+def _cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else seed_from_env()
-    report = run_cell_trial(cell, seed, record_timing=args.timing)
+    report = run_cell_trial(_estimate_cell(args), seed, record_timing=args.timing)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 

@@ -10,6 +10,14 @@ enumeration of its mean and variance ("exact-expectation" mode).  The
 collision-based estimators (integer orders, min-entropy) have no such law
 and refuse that mode.
 
+Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
+cfg) touches no rng: it makes every check that needs no draw, fixes the
+budgets, builds the payoff laws and computes the truth, so what it refuses is
+refused before any draw.  It returns the trial, trial(oracle, seed), which
+draws from np.random.default_rng(seed), books the oracle's ledger and returns
+a fresh report; a prepared estimator runs any number of trials.
+estimate_X(oracle, ..., cfg) is the one-shot form, one trial at cfg.seed.
+
 Charging policy: only the estimators book a ledger; payoff laws and contracts
 are pure functions of their inputs and an rng.  A contract returns its
 execution count and classical draws; the estimator books M queries per
@@ -68,6 +76,11 @@ from .oracle import DistributionOracle
 # sampled payoffs through a mean-estimation contract, or the payoff law's exact mean
 MODES = ("contract", "exact-expectation")
 
+# What the collision estimators (integer orders, min-entropy) refuse in
+# exact-expectation mode.
+_NO_PAYOFF_LAW = ("%s has no payoff law to integrate: it runs only in contract mode, "
+                  "not exact-expectation")
+
 # The largest and the smallest epsilon: every budget and group size reads
 # its square, which stays a normal float between them.
 MAX_EPSILON = 1e150
@@ -91,9 +104,6 @@ class EstimatorConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % ", ".join("'%s'" % m for m in MODES))
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass
@@ -131,18 +141,19 @@ class EstimateReport:
         }
 
 
-def _finish(algo, estimate, truth, error_mode, tolerance, oracle, cfg,
+def _finish(algo, estimate, truth, error_mode, oracle, cfg, seed,
             alpha=None, ledger_q=None, extras=None) -> EstimateReport:
+    """The report of one trial, judged against tolerance cfg.epsilon."""
     if error_mode == "multiplicative":
         err = abs(estimate - truth) / abs(truth) if truth != 0 else math.inf
     else:
         err = abs(estimate - truth)
     return EstimateReport(
         algo=algo, estimate=float(estimate), truth=float(truth),
-        error_mode=error_mode, tolerance=tolerance,
-        success=bool(err <= tolerance), error=float(err),
+        error_mode=error_mode, tolerance=cfg.epsilon,
+        success=bool(err <= cfg.epsilon), error=float(err),
         n=oracle.n, denominator=oracle.source.denominator,
-        epsilon=cfg.epsilon, delta=cfg.delta, seed=cfg.seed, mode=cfg.mode,
+        epsilon=cfg.epsilon, delta=cfg.delta, seed=seed, mode=cfg.mode,
         alpha=alpha, ledger=oracle.ledger.snapshot(),
         ledger_q=ledger_q.snapshot() if ledger_q is not None else None,
         classical_executions=oracle.ledger.classical_executions,
@@ -294,30 +305,32 @@ def coverage_budget(n_samples: int, epsilon: float) -> int:
 # additive estimators: Shannon entropy, KL divergence, support coverage
 
 
-def _additive_mean(sub, sigma: float, target: float, extras: dict,
-                   cfg: EstimatorConfig, charges: tuple) -> float:
-    """Shared tail of the additive estimators.
+def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str):
+    """Shared trial of the additive estimators, prepared once per law.
 
-    Records the payoff law's exact moments in extras, then returns its exact
-    mean (exact-expectation mode) or a qmean_additive estimate at the target
-    error, recording that contract's charge and flag and booking it, with its
-    classical draws, on each (ledger, M) pair of charges.
+    Records the payoff law's exact moments in extras.  The returned
+    run(seed, charges) gives (value, a fresh copy of extras): the law's exact
+    mean in exact-expectation mode, else a qmean_additive estimate at the
+    target error, its copy recording that contract's charge and flag, which
+    it books, with its classical draws, on each (ledger, M) pair of charges.
     """
     exact_mean, exact_var = sub.mean(), sub.variance()
-    extras.update(exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
+    extras = dict(extras, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
                   variance_bound_exceeded=bool(exact_var > sigma ** 2))
-    if cfg.mode == "exact-expectation":
-        return exact_mean
-    me = qmean_additive(sub, sigma, target, cfg.rng())
-    for ledger, M in charges:
-        ledger.charge("estamp", M * me.charged_executions)
-        ledger.charge_classical(me.classical_executions)
-    extras.update(charged_executions=me.charged_executions,
-                  out_of_contract=me.out_of_contract)
-    return me.value
+
+    def run(seed: Optional[int], charges: tuple) -> tuple[float, dict]:
+        if mode == "exact-expectation":
+            return exact_mean, dict(extras)
+        me = qmean_additive(sub, sigma, target, np.random.default_rng(seed))
+        for ledger, M in charges:
+            ledger.charge("estamp", M * me.charged_executions)
+            ledger.charge_classical(me.classical_executions)
+        return me.value, dict(extras, charged_executions=me.charged_executions,
+                              out_of_contract=me.out_of_contract)
+    return run
 
 
-def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
+def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
     """Additive-error Shannon entropy estimate (nats), success >= 2/3.
 
     Budget M ~ sqrt(n)/eps per execution; the zero-adjusted amplitude
@@ -325,26 +338,29 @@ def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> Estima
     variance for the additive mean contract at target eps/2 (the other eps/2
     is the bias budget of the payoff's expectation).
     """
-    n, eps = oracle.n, cfg.epsilon
+    n, eps = dist.n, cfg.epsilon
     M = shannon_budget(n, eps)
-    sub = MasterSubroutine(oracle.source, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
+    sub = MasterSubroutine(dist, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
-    extras = {"M": M, "sigma": sigma}
-    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg, ((oracle.ledger, M),))
-    return _finish("shannon", value, shannon_entropy(oracle.source), "additive", eps,
-                   oracle, cfg, alpha=1.0, extras=extras)
+    run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode)
+    truth = shannon_entropy(dist)
+
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        value, extras = run(seed, ((oracle.ledger, M),))
+        return _finish("shannon", value, truth, "additive", oracle, cfg, seed,
+                       alpha=1.0, extras=extras)
+    return trial
+
+
+def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_shannon(oracle.source, cfg)(oracle, cfg.seed)
 
 
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
-                        ratio_bound: float | Fraction) -> None:
-    """estimate_kl's promise: one alphabet, and p_i <= ratio_bound * q_i exactly."""
-    _check_ratio_pairs(count_pairs(p, q), p, q, ratio_bound)
-
-
-def _check_ratio_pairs(pairs: tuple, p: RationalDistribution, q: RationalDistribution,
-                       ratio_bound: float | Fraction) -> None:
-    """check_ratio_promise on the pairs count_pairs(p, q) found."""
-    cps, cqs, _, firsts = pairs
+                        ratio_bound: float | Fraction, pairs: Optional[tuple] = None) -> None:
+    """prepare_kl's promise: one alphabet, and p_i <= ratio_bound * q_i
+    exactly.  pairs is count_pairs(p, q), if the caller has found them."""
+    cps, cqs, _, firsts = count_pairs(p, q) if pairs is None else pairs
     f = Fraction(ratio_bound)
     broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
               if Fraction(cp * q.denominator, p.denominator) > f * cq]
@@ -353,19 +369,8 @@ def _check_ratio_pairs(pairs: tuple, p: RationalDistribution, q: RationalDistrib
                          % (min(broken) + 1, float(ratio_bound)))
 
 
-def check_kl_budgets(n: int, ratio_bound: float, eps: float) -> tuple[int, int]:
-    """estimate_kl's budgets (M_p, M_q), each checked against the largest
-    outcome table: q's carries the extra ratio_bound factor."""
-    M_p = shannon_budget(n, eps)
-    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
-    check_budget(M_p)
-    check_budget(M_q)
-    return M_p, M_q
-
-
-def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
-                ratio_bound: float | Fraction | None,
-                cfg: EstimatorConfig) -> EstimateReport:
+def prepare_kl(p: RationalDistribution, q: RationalDistribution,
+               ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
 
     Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
@@ -373,23 +378,38 @@ def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
     distributions.ratio_bound: its float can round below it); None stands
     for that exact bound.  Budgets use its float.  q's budget carries the
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
-    charge by roughly that ratio.
+    charge by roughly that ratio.  The trial is trial(oracle_p, oracle_q, seed).
     """
-    p, q = oracle_p.source, oracle_q.source
     pairs = count_pairs(p, q)  # one grouping serves the bound, the promise and the law
     if ratio_bound is None:
         ratio_bound = pairs_ratio_bound(pairs, p, q)
-    _check_ratio_pairs(pairs, p, q, ratio_bound)
+    check_ratio_promise(p, q, ratio_bound, pairs)
     ratio_bound = float(ratio_bound)
     n, eps = p.n, cfg.epsilon
-    M_p, M_q = check_kl_budgets(n, ratio_bound, eps)
+    M_p = shannon_budget(n, eps)
+    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
+    check_budget(M_p)  # both before either side's laws are built
+    check_budget(M_q)
     sub = _RatioSubroutine(p, q, M_p, M_q, pairs)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
-    extras = {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound}
-    value = _additive_mean(sub, sigma, eps / 2.0, extras, cfg,
-                           ((oracle_p.ledger, M_p), (oracle_q.ledger, M_q)))
-    return _finish("kl", value, kl_divergence(p, q), "additive", eps, oracle_p, cfg,
-                   ledger_q=oracle_q.ledger, extras=extras)
+    run = _additive_run(sub, sigma, eps / 2.0,
+                        {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound},
+                        cfg.mode)
+    truth = kl_divergence(p, q)
+
+    def trial(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
+              seed: Optional[int]) -> EstimateReport:
+        value, extras = run(seed, ((oracle_p.ledger, M_p), (oracle_q.ledger, M_q)))
+        return _finish("kl", value, truth, "additive", oracle_p, cfg, seed,
+                       ledger_q=oracle_q.ledger, extras=extras)
+    return trial
+
+
+def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
+                ratio_bound: float | Fraction | None,
+                cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_kl(oracle_p.source, oracle_q.source, ratio_bound, cfg)(
+        oracle_p, oracle_q, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -420,144 +440,124 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     return chain
 
 
-def _annealed_levels(alpha: float, n: int, eps: float) -> list[tuple[float, float]]:
-    """The annealed levels in the order they run, base case first, each as
-    (order, epsilon): the target eps at alpha, constant ones below it."""
-    levels = annealing_schedule(alpha, n)[::-1]
-    inner = 0.25 if alpha > 1 else 0.5
-    return [(level, inner) for level in levels[:-1]] + [(levels[-1], eps)]
-
-
-def _level_budget(n: int, level: float, eps: float, high: bool) -> int:
-    """Budget M of one annealed level: the power of two one doubling above
-    x*max(ln x, 1), where x is sqrt(n)/eps for orders above 1 and
-    n^(1/(2*level))/eps below 1."""
-    x = math.sqrt(n) / eps if high else n ** (1.0 / (2.0 * level)) / eps
-    return _pow2_budget(x * max(math.log(x), 1.0))
-
-
 def _level_law(dist: RationalDistribution, level: float, eps: float,
                high: bool) -> tuple[int, MasterSubroutine]:
-    """Budget M and payoff law x^(level-1) of one annealed level.  Orders
+    """Budget M and payoff law x^(level-1) of one annealed level.
+
+    M is the power of two one doubling above x*max(ln x, 1), where x is
+    sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
     below 1 use the zero-adjusted estimate, which keeps the negative power
-    finite."""
-    M = _level_budget(dist.n, level, eps, high)
+    finite.
+    """
+    x = math.sqrt(dist.n) / eps if high else dist.n ** (1.0 / (2.0 * level)) / eps
+    M = _pow2_budget(x * max(math.log(x), 1.0))
     exponent = level - 1.0
     return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent,
                                variant="estamp" if high else "estamp-prime")
 
 
-def _annealed_power_sum(oracle: DistributionOracle, alpha: float,
-                        cfg: EstimatorConfig) -> tuple[float, list[dict]]:
-    """Walk the annealing chain from the base case out to alpha.
+def _power_sum_report(algo: str, oracle, alpha, cfg, seed, truth, estimate,
+                      extras) -> EstimateReport:
+    extras["entropy_estimate_nats"] = (
+        math.log(estimate) / (1.0 - alpha) if estimate > 0 else None)
+    extras["entropy_truth_nats"] = math.log(truth) / (1.0 - alpha)
+    return _finish(algo, estimate, truth, "multiplicative", oracle, cfg, seed,
+                   alpha=alpha, extras=extras)
 
+
+def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
+                               cfg: EstimatorConfig) -> Callable:
+    """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
+
+    Reported as renyi-high for alpha > 1 and renyi-low for alpha < 1.
+    Exact-expectation mode reports the exact mean of the final level's law.
+
+    Contract mode walks the annealing chain from the base case out to alpha.
     Each level estimates its own power sum with the multiplicative mean
     contract, boosted by median amplification; the previous level's estimate
     supplies the next level's mean bounds.  The bounds are computed once per
     level and shared by that level's repetitions (re-deriving them inside
     every repetition would multiply the recursion out exponentially, which
-    the target cost rules out).  A level's repetitions run as one batch of
-    multiplicative_runs over the level's payoff law, booked on the oracle's
-    ledger as the batch returns.
+    the target cost rules out).  Every level's budget and payoff law is fixed
+    before any draw: the base case and the inner levels at a constant
+    epsilon, the last at the target one.  A level's repetitions run as one
+    batch of multiplicative_runs over the level's payoff law, booked on the
+    oracle's ledger as the batch returns.
     """
-    n = oracle.n
-    ln_n = math.log(n)
-    rng = cfg.rng()
+    if not 0 < alpha < math.inf or float(alpha).is_integer():
+        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     high = alpha > 1
-    levels = _annealed_levels(alpha, n, cfg.epsilon)
-    delta_inner = 1.0 / (12.0 * ln_n * abs(math.log(alpha)))
-    delta_inner = min(max(delta_inner, 1e-12), 0.5)
+    algo = "renyi-high" if high else "renyi-low"
+    truth = power_sum(dist, alpha)
+    if cfg.mode == "exact-expectation":
+        M, sub = _level_law(dist, alpha, cfg.epsilon, high)
+        mean, variance = sub.mean(), sub.variance()
+        return lambda oracle, seed: _power_sum_report(
+            algo, oracle, alpha, cfg, seed, truth, mean,
+            {"M": M, "exact_subroutine_variance": variance})
+    n = dist.n
+    ln_n = math.log(n)
+    orders = annealing_schedule(alpha, n)[::-1]
+    delta_inner = min(max(1.0 / (12.0 * ln_n * abs(math.log(alpha))), 1e-12), 0.5)
     step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
-
-    estimate = None
-    trace = []
-    for idx, (level, eps_level) in enumerate(levels):
-        final = idx == len(levels) - 1
-        delta_level = cfg.delta if final else delta_inner
-        if idx == 0:
-            a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
-        elif high:
-            a = (0.75 * estimate) ** step / math.e
-            b = (1.25 * estimate) ** step
-        else:
-            a = (0.5 * estimate) ** step
-            b = math.e * (2.0 * estimate) ** step
+    levels = []  # (payoff law, the trace entries fixed before any draw)
+    for idx, level in enumerate(orders):
+        final = idx == len(orders) - 1
+        eps_level = cfg.epsilon if final else 0.25 if high else 0.5
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M, sub = _level_law(oracle.source, level, eps_level, high)
+        M, sub = _level_law(dist, level, eps_level, high)
         exact_mean, exact_var = sub.mean(), sub.variance()
-        exceeded = bool(exact_var > (sigma * exact_mean) ** 2)
+        levels.append((sub, {
+            "alpha": level, "eps": eps_level, "delta": cfg.delta if final else delta_inner,
+            "sigma": sigma, "M": M,
+            "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
+            "variance_bound_exceeded": bool(exact_var > (sigma * exact_mean) ** 2),
+        }))
 
-        def level_runs(rng_, repetitions):
-            runs = multiplicative_runs(sub, sigma, a, b, eps_level, repetitions, rng_)
-            oracle.ledger.charge("estamp", M * repetitions * runs.charged_executions)
-            oracle.ledger.charge_classical(int(runs.classical_executions.sum()))
-            return runs.value
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        rng = np.random.default_rng(seed)
+        estimate = None
+        trace = []
+        for idx, (sub, fixed) in enumerate(levels):
+            level = fixed["alpha"]
+            if idx == 0:
+                a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
+            elif high:
+                a = (0.75 * estimate) ** step / math.e
+                b = (1.25 * estimate) ** step
+            else:
+                a = (0.5 * estimate) ** step
+                b = math.e * (2.0 * estimate) ** step
 
-        try:
-            value, runs = median_amplify(level_runs, delta_level, rng)
-        except SampleCountOverflow as exc:
-            raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
-                             % (level, exc, exceeded)) from None
-        # Power sums of a distribution on n symbols live in a known range;
-        # clamping a wild level estimate keeps the next level's bounds legal.
-        lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
-        clamped = min(max(value, lo), hi)
-        trace.append({
-            "alpha": level, "eps": eps_level, "delta": delta_level,
-            "a": a, "b": b, "sigma": sigma, "M": M,
-            "repetitions": len(runs), "estimate": value, "clamped": clamped,
-            "clamp_applied": clamped != value,
-            "exact_subroutine_mean": exact_mean,
-            "exact_subroutine_variance": exact_var,
-            "variance_bound_exceeded": exceeded,
-            "runs": runs if final else None,
-        })
-        estimate = clamped
-    return estimate, trace
+            def level_runs(rng_, repetitions):
+                runs = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
+                                           repetitions, rng_)
+                oracle.ledger.charge("estamp", fixed["M"] * repetitions * runs.charged_executions)
+                oracle.ledger.charge_classical(int(runs.classical_executions.sum()))
+                return runs.value
 
-
-def _power_sum_report(algo: str, oracle, alpha, cfg, estimate, extras) -> EstimateReport:
-    truth = power_sum(oracle.source, alpha)
-    extras["entropy_estimate_nats"] = (
-        math.log(estimate) / (1.0 - alpha) if estimate > 0 else None)
-    extras["entropy_truth_nats"] = math.log(truth) / (1.0 - alpha)
-    return _finish(algo, estimate, truth, "multiplicative", cfg.epsilon,
-                   oracle, cfg, alpha=alpha, extras=extras)
-
-
-def refuse_exact_expectation(mode: str, alpha: float) -> None:
-    """Raise ValueError for exact-expectation mode at an order that the
-    collision searches estimate: infinity (min-entropy) and the integers from
-    2 up.  They have no payoff law to integrate."""
-    if mode != "exact-expectation":
-        return
-    if alpha == math.inf:
-        estimator = "the min-entropy estimator"
-    elif alpha >= 2 and float(alpha).is_integer():
-        estimator = "the integer-order collision estimator"
-    else:
-        return
-    raise ValueError("%s has no payoff law to integrate: it runs only in contract "
-                     "mode, not exact-expectation" % estimator)
+            try:
+                value, runs = median_amplify(level_runs, fixed["delta"], rng)
+            except SampleCountOverflow as exc:
+                raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
+                                 % (level, exc, fixed["variance_bound_exceeded"])) from None
+            # Power sums of a distribution on n symbols live in a known range;
+            # clamping a wild level estimate keeps the next level's bounds legal.
+            lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
+            clamped = min(max(value, lo), hi)
+            trace.append(dict(fixed, a=a, b=b, repetitions=len(runs), estimate=value,
+                              clamped=clamped, clamp_applied=clamped != value,
+                              runs=runs if idx == len(levels) - 1 else None))
+            estimate = clamped
+        return _power_sum_report(algo, oracle, alpha, cfg, seed, truth, estimate,
+                                 {"schedule": trace})
+    return trial
 
 
 def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
                                 cfg: EstimatorConfig) -> EstimateReport:
-    """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
-
-    Reported as renyi-high for alpha > 1 and renyi-low for alpha < 1.
-    Exact-expectation mode reports the exact mean of the final level's law.
-    """
-    if not 0 < alpha < math.inf or float(alpha).is_integer():
-        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
-    algo = "renyi-high" if alpha > 1 else "renyi-low"
-    if cfg.mode == "exact-expectation":
-        M, sub = _level_law(oracle.source, alpha, cfg.epsilon, alpha > 1)
-        return _power_sum_report(algo, oracle, alpha, cfg, sub.mean(),
-                                 {"M": M, "exact_subroutine_variance": sub.variance()})
-    estimate, trace = _annealed_power_sum(oracle, alpha, cfg)
-    return _power_sum_report(algo, oracle, alpha, cfg, estimate, {"schedule": trace})
+    return prepare_power_sum_annealed(oracle.source, alpha, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -578,41 +578,8 @@ _COLLISION_ROUNDS = 8.0
 _MAX_ROUNDS = 1 << 40
 
 
-def check_integer_order(alpha: int, n: int, eps: float) -> tuple[int, float, int]:
-    """estimate_power_sum_integer's search cap i_max, search failure rate and
-    count rounds for an integer order alpha >= 2 on n symbols.
-
-    Raises ValueError for an epsilon that asks for more than _MAX_ROUNDS
-    rounds, and for an order whose charges could sum past the digits Python
-    will print.
-    """
-    i_max = math.ceil(math.log2(alpha * n))
-    fail_search = 1.0 / (10.0 * i_max)
-    rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
-    if rounds > _MAX_ROUNDS:
-        raise ValueError("epsilon %r is too small for integer order alpha=%.15g: the count "
-                         "phase would run ~%.3g rounds, past the ceiling of 2^40"
-                         % (eps, alpha, rounds))
-    length = 1 << i_max
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
-    # The ledger books at most i_max + 1 + rounds charges, none above this
-    # one: the charge grows with the length and shrinks with the failure rate.
-    # The bound is at least 2^(alpha^2), past limit digits once 3*alpha^2 >
-    # 10*limit as 2^(10/3) > 10, so such an order is rejected before a bound
-    # of alpha^2 bits is built.  Under 3*limit bits it has under limit digits.
-    too_long = limit and 3 * alpha * alpha > 10 * limit
-    if limit and not too_long:
-        bound = (i_max + 1 + rounds) * belovs_charge(
-            alpha, length, min(fail_search, 0.5, eps ** 2 / length))
-        too_long = bound.bit_length() > 3 * limit and bound >= 10 ** limit
-    if too_long:
-        raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
-                         "the most Python converts to a string" % (alpha, limit))
-    return i_max, fail_search, rounds
-
-
-def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
-                               cfg: EstimatorConfig) -> EstimateReport:
+def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
+                              cfg: EstimatorConfig) -> Callable:
     """Relative-error power sum for integer alpha >= 2, success >= 2/3.
 
     A doubling loop finds a sequence length l that contains an alpha-wise
@@ -623,45 +590,78 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
     are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
     positions at a time, with one draw call per chunk.  Every search and
     count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are classical bookkeeping.  What check_integer_order refuses
-    and exact-expectation mode raise ValueError before any draw.
+    themselves are classical bookkeeping.
+
+    Refused here, before any draw: exact-expectation mode, an epsilon that
+    asks for more than _MAX_ROUNDS count rounds, and an order whose charges
+    could sum past the digits Python will print.
     """
-    refuse_exact_expectation(cfg.mode, alpha)
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
+    if cfg.mode == "exact-expectation":
+        raise ValueError(_NO_PAYOFF_LAW % "the integer-order collision estimator")
     alpha = int(alpha)
-    n, eps = oracle.n, cfg.epsilon
-    i_max, fail_search, rounds = check_integer_order(alpha, n, eps)
-    rng = cfg.rng()
+    n, eps = dist.n, cfg.epsilon
+    i_max = math.ceil(math.log2(alpha * n))  # the search's cap on the length's exponent
+    fail_search = 1.0 / (10.0 * i_max)
+    rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
+    if rounds > _MAX_ROUNDS:
+        raise ValueError("epsilon %r is too small for integer order alpha=%.15g: the count "
+                         "phase would run ~%.3g rounds, past the ceiling of 2^40"
+                         % (eps, alpha, rounds))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
+    # The ledger books at most i_max + 1 + rounds charges, none above this
+    # one: the charge grows with the length and shrinks with the failure rate.
+    # The bound is at least 2^(alpha^2), past limit digits once 3*alpha^2 >
+    # 10*limit as 2^(10/3) > 10, so such an order is rejected before a bound
+    # of alpha^2 bits is built.  Under 3*limit bits it has under limit digits.
+    too_long = limit and 3 * alpha * alpha > 10 * limit
+    if limit and not too_long:
+        bound = (i_max + 1 + rounds) * belovs_charge(
+            alpha, 1 << i_max, min(fail_search, 0.5, eps ** 2 / (1 << i_max)))
+        too_long = bound.bit_length() > 3 * limit and bound >= 10 ** limit
+    if too_long:
+        raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
+                         "the most Python converts to a string" % (alpha, limit))
+    truth = power_sum(dist, alpha)
 
-    length = 1 << i_max
-    for i in range(i_max + 1):
-        seq = oracle.sample_classical(rng, 1 << i)
-        oracle.ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
-        hit = find_k_collision(seq, alpha, fail_search, rng)
-        if hit is not None:
-            length = 1 << i
-            break
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        rng = np.random.default_rng(seed)
+        length = 1 << i_max
+        for i in range(i_max + 1):
+            seq = oracle.sample_classical(rng, 1 << i)
+            oracle.ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
+            hit = find_k_collision(seq, alpha, fail_search, rng)
+            if hit is not None:
+                length = 1 << i
+                break
 
-    fail_count = min(0.5, eps ** 2 / length)
-    denominator = math.comb(length, alpha)
-    round_charge = belovs_charge(alpha, length, fail_count)
-    chunk_rows = max(1, _COUNT_CHUNK // length)
-    total = 0
-    for done in range(0, rounds, chunk_rows):
-        rows = min(chunk_rows, rounds - done)
-        # One call for the chunk gives the same positions, and leaves the same
-        # generator state, as one call per round: bounded draws take their
-        # bits from the bit generator value by value, rejections included.
-        total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
-        oracle.ledger.charge("distinctness", rows * round_charge)
-    estimate = total / (rounds * denominator)
-    extras = {
-        "fixed_length": length, "rounds": rounds, "collision_total": total,
-        "cost_model": "belovs", "search_fail_prob": fail_search,
-        "count_fail_prob": fail_count,
-    }
-    return _power_sum_report("renyi-integer", oracle, alpha, cfg, estimate, extras)
+        fail_count = min(0.5, eps ** 2 / length)
+        denominator = math.comb(length, alpha)
+        round_charge = belovs_charge(alpha, length, fail_count)
+        chunk_rows = max(1, _COUNT_CHUNK // length)
+        total = 0
+        for done in range(0, rounds, chunk_rows):
+            rows = min(chunk_rows, rounds - done)
+            # One call for the chunk gives the same positions, and leaves the
+            # same generator state, as one call per round: bounded draws take
+            # their bits from the bit generator value by value, rejections
+            # included.
+            total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
+            oracle.ledger.charge("distinctness", rows * round_charge)
+        extras = {
+            "fixed_length": length, "rounds": rounds, "collision_total": total,
+            "cost_model": "belovs", "search_fail_prob": fail_search,
+            "count_fail_prob": fail_count,
+        }
+        return _power_sum_report("renyi-integer", oracle, alpha, cfg, seed, truth,
+                                 total / (rounds * denominator), extras)
+    return trial
+
+
+def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
+                               cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_power_sum_integer(oracle.source, alpha, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -671,21 +671,6 @@ def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
 # 2^40 positions would take hours, so a smaller epsilon is refused before
 # any draw.
 _MAX_FIRST_INTENSITY = 2.0 ** 40
-
-
-def check_min_entropy(n: int, eps: float) -> None:
-    """What estimate_min_entropy refuses from n and eps, before any draw: an
-    alphabet below 2 symbols, a first round above _MAX_FIRST_INTENSITY, and
-    a budget of the final amplitude estimate (relative eps, floor 1/n) above
-    the largest outcome table."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    first = 16.0 * math.log(n) / eps ** 2  # the first round's intensity, at lam = 1
-    if first > _MAX_FIRST_INTENSITY:
-        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
-                         "round would draw ~%.3g positions, past the ceiling of 2^40"
-                         % (eps, n, first))
-    multiplicative_budget(eps, 1.0 / n)
 
 
 def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
@@ -708,7 +693,7 @@ def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                                lambda i: oracle.symbol_at(state, i, _COUNT_CHUNK))
 
 
-def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
+def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
     """Multiplicative estimate of max_i p_i; success probability is a
     constant, not 2/3 (reported, not promised).
 
@@ -716,48 +701,66 @@ def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> Es
     appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
     to relative error eps with the 1/n floor budget.  If no round fires
     before the intensity passes n, the estimate falls back to 1/n.
-    What check_min_entropy refuses and exact-expectation mode raise
-    ValueError before any draw.
+
+    Refused here, before any draw: exact-expectation mode, an alphabet below
+    2 symbols, a first round above _MAX_FIRST_INTENSITY, and a budget of the
+    final amplitude estimate (relative eps, floor 1/n) above the largest
+    outcome table.
     """
-    refuse_exact_expectation(cfg.mode, math.inf)
-    n, eps = oracle.n, cfg.epsilon
-    check_min_entropy(n, eps)
+    if cfg.mode == "exact-expectation":
+        raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
+    n, eps = dist.n, cfg.epsilon
+    if n < 2:
+        raise ValueError("need n >= 2")
     ln_n = math.log(n)
-    rng = cfg.rng()
-
-    k = math.ceil(16.0 * ln_n / eps ** 2)  # the first round's intensity, rounded up
+    first = 16.0 * ln_n / eps ** 2  # the first round's intensity, at lam = 1
+    if first > _MAX_FIRST_INTENSITY:
+        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
+                         "round would draw ~%.3g positions, past the ceiling of 2^40"
+                         % (eps, n, first))
+    multiplicative_budget(eps, 1.0 / n)
+    k = math.ceil(first)
     fail_round = min(0.5, eps / (2.0 * ln_n))
-    lam = 1.0
-    rounds = []
-    found = None
-    while lam <= n:
-        intensity = 16.0 * lam * ln_n / eps ** 2
-        batch = int(rng.poisson(intensity))
-        oracle.ledger.charge("distinctness", flat34_charge(batch))
-        hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
-        rounds.append({"lambda": lam, "batch": batch, "hit": None if hit is None else int(hit)})
-        if hit is not None:
-            found = int(hit)
-            break
-        lam *= math.sqrt(1.0 + eps)
-
-    extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
-    if found is None:
-        estimate = 1.0 / n
-        extras["fallback"] = True
-    else:
-        a = float(oracle.source.fraction(found))
-        estimate, M = sample_estamp_multiplicative(a, eps, 1.0 / n, rng)
-        oracle.ledger.charge("estamp", M)
-        extras["fallback"] = False
-        extras["captured_symbol"] = found
-        extras["M"] = M
     # a Python int, so the truth is a float, not an np.float64
-    truth = int(oracle.source.counts.max()) / oracle.source.denominator
-    extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
-    extras["min_entropy_truth_nats"] = -math.log(truth)
-    return _finish("minentropy", estimate, truth, "multiplicative", cfg.epsilon,
-                   oracle, cfg, alpha=math.inf, extras=extras)
+    truth = int(dist.counts.max()) / dist.denominator
+
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        rng = np.random.default_rng(seed)
+        lam = 1.0
+        rounds = []
+        found = None
+        while lam <= n:
+            intensity = 16.0 * lam * ln_n / eps ** 2
+            batch = int(rng.poisson(intensity))
+            oracle.ledger.charge("distinctness", flat34_charge(batch))
+            hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
+            rounds.append({"lambda": lam, "batch": batch,
+                           "hit": None if hit is None else int(hit)})
+            if hit is not None:
+                found = int(hit)
+                break
+            lam *= math.sqrt(1.0 + eps)
+
+        extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
+        if found is None:
+            estimate = 1.0 / n
+            extras["fallback"] = True
+        else:
+            estimate, M = sample_estamp_multiplicative(float(dist.fraction(found)), eps,
+                                                       1.0 / n, rng)
+            oracle.ledger.charge("estamp", M)
+            extras["fallback"] = False
+            extras["captured_symbol"] = found
+            extras["M"] = M
+        extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
+        extras["min_entropy_truth_nats"] = -math.log(truth)
+        return _finish("minentropy", estimate, truth, "multiplicative", oracle, cfg, seed,
+                       alpha=math.inf, extras=extras)
+    return trial
+
+
+def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_min_entropy(oracle.source, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +777,29 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
     return payoff
 
 
-def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
-                              cfg: EstimatorConfig) -> EstimateReport:
+def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
+                             cfg: EstimatorConfig) -> Callable:
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     t, eps = n_samples, cfg.epsilon
     M = coverage_budget(t, eps)
-    sub = MasterSubroutine(oracle.source, M, payoff=_coverage_payoff(t), variant="estamp")
-    extras = {"M": M, "n_samples": t}
-    value = _additive_mean(sub, float(t), eps * t / 2.0, extras, cfg, ((oracle.ledger, M),))
-    truth_abs = support_coverage(oracle.source, t)
-    extras.update(estimate_absolute=value, truth_absolute=truth_abs)
-    return _finish("coverage", value / t, truth_abs / t, "additive", eps,
-                   oracle, cfg, extras=extras)
+    sub = MasterSubroutine(dist, M, payoff=_coverage_payoff(t), variant="estamp")
+    run = _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, cfg.mode)
+    truth_abs = support_coverage(dist, t)
+
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        value, extras = run(seed, ((oracle.ledger, M),))
+        extras.update(estimate_absolute=value, truth_absolute=truth_abs)
+        return _finish("coverage", value / t, truth_abs / t, "additive", oracle, cfg, seed,
+                       extras=extras)
+    return trial
+
+
+def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
+                              cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_support_coverage(oracle.source, n_samples, cfg)(oracle, cfg.seed)
 
 
 # The least epsilon whose coverage epsilon eps/(2 ln(2/eps)) is at least
@@ -797,8 +808,8 @@ _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
 def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None:
-    """What estimate_support_size refuses before any draw: m, eps, the
-    promise and the budget of its coverage run."""
+    """What prepare_support_size refuses before it prepares its coverage run:
+    m, eps and the promise.  The coverage run then refuses its budget."""
     if m < 1:
         raise ValueError("m must be positive")
     if eps >= 2.0:
@@ -811,85 +822,67 @@ def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None
     short = (src.counts > 0) & (src.counts <= (src.denominator - 1) // m)
     if short.any():
         raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % (short.argmax() + 1))
-    check_budget(coverage_budget(*_support_coverage_run(m, eps)))
 
 
-def _support_coverage_run(m: int, eps: float) -> tuple[int, float]:
-    """The draws t = ceil(m ln(2/eps)) and the epsilon eps/(2 ln(2/eps)) of
-    support size's coverage run."""
-    return math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
-
-
-def estimate_support_size(oracle: DistributionOracle, m: int,
-                          cfg: EstimatorConfig) -> EstimateReport:
+def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfig) -> Callable:
     """Estimate |support(p)| / m to additive eps, for p promising that every
     nonzero probability is at least 1/m; success >= 2/3.
 
     Reduces to coverage at t = ceil(m * ln(2/eps)) draws with a shrunken
-    error budget: after t draws every promised symbol has been seen but an
-    eps/2 sliver, so the rounded coverage tracks the support size.
+    error budget eps/(2 ln(2/eps)): after t draws every promised symbol has
+    been seen but an eps/2 sliver, so the rounded coverage tracks the
+    support size.
     """
-    src, eps = oracle.source, cfg.epsilon
-    check_support_promise(src, m, eps)
-    t, eps_cov = _support_coverage_run(m, eps)
-    inner = estimate_support_coverage(oracle, t, replace(cfg, epsilon=eps_cov))
-    absolute = inner.extras["estimate_absolute"]
-    size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
-    truth = src.support_size()
-    extras = {
-        "n_samples": t, "coverage_eps": eps_cov,
-        "coverage_estimate_absolute": absolute,
-        "size_estimate": size_estimate, "size_truth": truth,
-    }
-    return _finish("support", size_estimate / m, truth / m, "additive", eps,
-                   oracle, cfg, alpha=0.0, extras=extras)
+    eps = cfg.epsilon
+    check_support_promise(dist, m, eps)
+    t = math.ceil(m * math.log(2.0 / eps))
+    eps_cov = eps / (2.0 * math.log(2.0 / eps))
+    coverage = prepare_support_coverage(dist, t, replace(cfg, epsilon=eps_cov))
+    truth = dist.support_size()
+
+    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+        absolute = coverage(oracle, seed).extras["estimate_absolute"]
+        size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
+        extras = {
+            "n_samples": t, "coverage_eps": eps_cov,
+            "coverage_estimate_absolute": absolute,
+            "size_estimate": size_estimate, "size_truth": truth,
+        }
+        return _finish("support", size_estimate / m, truth / m, "additive", oracle, cfg, seed,
+                       alpha=0.0, extras=extras)
+    return trial
+
+
+def estimate_support_size(oracle: DistributionOracle, m: int,
+                          cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_support_size(oracle.source, m, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _check_order(alpha: float) -> None:
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if alpha == 0:
-        raise ValueError("order 0 needs a support promise; use estimate_support_size")
-
-
-def check_renyi(n: int, alpha: float, cfg: EstimatorConfig) -> None:
-    """What estimate_renyi refuses from n, alpha and cfg alone, before any
-    draw: an order it does not estimate, and the checks of the estimator it
-    routes to: Shannon's budget, min-entropy's, an integer order's, or each
-    annealed level's budget (in contract mode, after the schedule's own
-    checks; in exact-expectation mode, the one level at alpha)."""
-    _check_order(alpha)
-    eps = cfg.epsilon
-    if alpha == 1:
-        check_budget(shannon_budget(n, eps))
-    elif math.isinf(alpha):
-        check_min_entropy(n, eps)
-    elif alpha >= 2 and float(alpha).is_integer():
-        check_integer_order(int(alpha), n, eps)
-    else:
-        levels = _annealed_levels(alpha, n, eps) if cfg.mode == "contract" else [(alpha, eps)]
-        for level, eps_level in levels:
-            check_budget(_level_budget(n, level, eps_level, alpha > 1))
-
-
-def estimate_renyi(oracle: DistributionOracle, alpha: float,
-                   cfg: EstimatorConfig) -> EstimateReport:
+def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
     """Route an order-alpha entropy request to the appropriate estimator.
 
-    alpha = 1 runs the Shannon estimator, alpha = inf the min-entropy
+    alpha = 1 prepares the Shannon estimator, alpha = inf the min-entropy
     estimator, integer alpha >= 2 the collision-based power sum, other
     positive alpha the annealed power sums.  alpha = 0 (support size) needs
     the 1/m promise and its own entry point, so it is rejected here.
     """
-    _check_order(alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if alpha == 0:
+        raise ValueError("order 0 needs a support promise; use estimate_support_size")
     if alpha == 1:
-        return estimate_shannon(oracle, cfg)
+        return prepare_shannon(dist, cfg)
     if math.isinf(alpha):
-        return estimate_min_entropy(oracle, cfg)
+        return prepare_min_entropy(dist, cfg)
     if float(alpha).is_integer():
-        return estimate_power_sum_integer(oracle, int(alpha), cfg)
-    return estimate_power_sum_annealed(oracle, alpha, cfg)
+        return prepare_power_sum_integer(dist, int(alpha), cfg)
+    return prepare_power_sum_annealed(dist, alpha, cfg)
+
+
+def estimate_renyi(oracle: DistributionOracle, alpha: float,
+                   cfg: EstimatorConfig) -> EstimateReport:
+    return prepare_renyi(oracle.source, alpha, cfg)(oracle, cfg.seed)

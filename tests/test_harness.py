@@ -918,12 +918,18 @@ def test_experiment_checks_eps_and_delta_before_any_row(key, value, message, tmp
       "n_samples": 8}, "ratio unbounded"),
     ({"algo": "support", "dist": "uniform:4", "m": 4, "eps": 2},
      "epsilon must be below 2 for the reduction to make sense"),
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 0}, "n_samples must be positive"),
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": -5}, "n_samples must be positive"),
+    ({"algo": "plugin", "dist": "uniform:4", "measure": "shannon", "n_samples": 0},
+     "n_samples must be positive"),
 ], ids=["unknown-algo", "renyi-without-alpha", "unresolvable-dist", "counts-with-s",
         "kl-dist-q", "plugin-kl-dist-q", "dist-seed", "dist-not-a-string", "n-samples-2^63",
-        "kl-alphabets", "kl-unbounded", "kl-above-f", "plugin-kl-unbounded", "support-eps-2"])
+        "kl-alphabets", "kl-unbounded", "kl-above-f", "plugin-kl-unbounded", "support-eps-2",
+        "coverage-n-samples-0", "coverage-n-samples-negative", "plugin-n-samples-0"])
 def test_experiment_checks_every_cell_before_any_row(bad, message, tmp_path, capsys):
     # each used to write the first cell's row, then exit 2 without naming the
-    # cell (a dist that is not a string, with an AttributeError traceback)
+    # cell (a dist that is not a string, with an AttributeError traceback; a
+    # coverage cell with n_samples -5, with "math domain error")
     config = {"master_seed": 3, "cells": [{"algo": "shannon", "dist": "uniform:4"}, bad]}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
@@ -976,35 +982,40 @@ def test_experiment_checks_a_plugin_measure_before_any_row(measure, message, tmp
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": 1e308},
-     "budget M=inf is above the largest outcome table"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 3, "eps": 1e-6},
-     "epsilon 1e-06 is too small for integer order alpha=3"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 120},
-     "alpha=120: its query charges can exceed 4300 decimal digits"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 200},
-     "alpha=200: its query charges can exceed 4300 decimal digits"),
-    ({"algo": "renyi", "dist": "uniform:2", "alpha": 0.5}, "need n >= 3"),
-    ({"algo": "minentropy", "dist": "point:1"}, "need n >= 2"),
-    ({"algo": "shannon", "dist": "uniform:4", "eps": 1e-100},
-     "budget M=2^335 is above the largest outcome table"),
-    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 5, "eps": 1e-100},
-     "budget M=2^169 is above the largest outcome table"),
-    ({"algo": "support", "dist": "uniform:4", "m": 4, "eps": 1e-100},
-     "budget M=2^177 is above the largest outcome table"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 2.5, "eps": 1e-100},
-     "budget M=2^343 is above the largest outcome table"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 0.5, "eps": 1e-100,
-      "mode": "exact-expectation"}, "budget M=2^344 is above the largest outcome table"),
-    ({"algo": "renyi", "dist": "uniform:4", "alpha": 1, "eps": 1e-100},
-     "budget M=2^335 is above the largest outcome table"),
-    ({"algo": "minentropy", "dist": "uniform:1048576", "eps": 0.005},
-     "budget M=2^21 is above the largest outcome table"),
-], ids=["kl-budget", "renyi-rounds", "renyi-120-digits", "renyi-200-digits",
-        "renyi-annealed-n", "minentropy-n", "shannon-budget", "coverage-budget",
-        "support-coverage-budget", "renyi-annealed-budget", "renyi-exact-expectation-budget",
-        "renyi-1-budget", "minentropy-budget"])
+# Cells that a trial refuses from its settings and distributions alone, with
+# the start of each message.
+_REFUSED_BEFORE_ANY_DRAW = {
+    "kl-budget": ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": 1e308},
+                  "budget M=inf is above the largest outcome table"),
+    "renyi-rounds": ({"algo": "renyi", "dist": "uniform:4", "alpha": 3, "eps": 1e-6},
+                     "epsilon 1e-06 is too small for integer order alpha=3"),
+    "renyi-120-digits": ({"algo": "renyi", "dist": "uniform:4", "alpha": 120},
+                         "alpha=120: its query charges can exceed 4300 decimal digits"),
+    "renyi-200-digits": ({"algo": "renyi", "dist": "uniform:4", "alpha": 200},
+                         "alpha=200: its query charges can exceed 4300 decimal digits"),
+    "renyi-annealed-n": ({"algo": "renyi", "dist": "uniform:2", "alpha": 0.5}, "need n >= 3"),
+    "minentropy-n": ({"algo": "minentropy", "dist": "point:1"}, "need n >= 2"),
+    "shannon-budget": ({"algo": "shannon", "dist": "uniform:4", "eps": 1e-100},
+                       "budget M=2^335 is above the largest outcome table"),
+    "coverage-budget": ({"algo": "coverage", "dist": "uniform:4", "n_samples": 5,
+                         "eps": 1e-100}, "budget M=2^169 is above the largest outcome table"),
+    "support-coverage-budget": ({"algo": "support", "dist": "uniform:4", "m": 4, "eps": 1e-100},
+                                "budget M=2^177 is above the largest outcome table"),
+    "renyi-annealed-budget": ({"algo": "renyi", "dist": "uniform:4", "alpha": 2.5,
+                               "eps": 1e-100},
+                              "budget M=2^343 is above the largest outcome table"),
+    "renyi-exact-expectation-budget": (
+        {"algo": "renyi", "dist": "uniform:4", "alpha": 0.5, "eps": 1e-100,
+         "mode": "exact-expectation"}, "budget M=2^344 is above the largest outcome table"),
+    "renyi-1-budget": ({"algo": "renyi", "dist": "uniform:4", "alpha": 1, "eps": 1e-100},
+                       "budget M=2^335 is above the largest outcome table"),
+    "minentropy-budget": ({"algo": "minentropy", "dist": "uniform:1048576", "eps": 0.005},
+                          "budget M=2^21 is above the largest outcome table"),
+}
+
+
+@pytest.mark.parametrize("bad, message", list(_REFUSED_BEFORE_ANY_DRAW.values()),
+                         ids=list(_REFUSED_BEFORE_ANY_DRAW))
 def test_experiment_refuses_a_cell_that_fails_before_any_draw(
         bad, message, tmp_path, capsys, int_max_str_digits):
     # each used to write the shannon cell's row, then exit 2 naming no cell
@@ -1018,6 +1029,23 @@ def test_experiment_refuses_a_cell_that_fails_before_any_draw(
     assert err.startswith("error: " + message)
     assert err.endswith("(cell 1)\n")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("bad, message", list(_REFUSED_BEFORE_ANY_DRAW.values()),
+                         ids=list(_REFUSED_BEFORE_ANY_DRAW))
+def test_one_trial_refuses_a_cell_that_fails_before_any_draw(
+        bad, message, int_max_str_digits):
+    # renyi alpha=2.5 at eps 1e-100 used to run its inner levels' contract
+    # runs, drawing and charging, before its final level's budget failed
+    int_max_str_digits(4300)
+    drew = AssertionError("drew")
+    with mock.patch.object(estimators, "multiplicative_runs", side_effect=drew), \
+            mock.patch.object(estimators, "qmean_additive", side_effect=drew), \
+            mock.patch.object(harness.DistributionOracle, "sample_classical", side_effect=drew), \
+            mock.patch.object(harness.DistributionOracle, "sample_counts", side_effect=drew), \
+            pytest.raises(ValueError) as raised:
+        run_cell_trial(bad, 3)
+    assert str(raised.value).startswith(message)
 
 
 def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
@@ -1165,6 +1193,57 @@ def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert json.dumps(report, sort_keys=True) == json.dumps(pinned[key], sort_keys=True)
+
+
+# (case, mode) for each run of ESTIMATE_CASES that gets past the
+# exact-expectation refusal.
+_RUNNING_ESTIMATES = [(case, mode) for case in sorted(ESTIMATE_CASES) for mode in MODES
+                      if not (mode == "exact-expectation" and case in REFUSE_EXACT)]
+
+
+def _containers(value) -> set[int]:
+    """The ids of the dicts and lists reachable from value."""
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(_containers, value.values()))
+    if isinstance(value, list):
+        return {id(value)}.union(*map(_containers, value))
+    return set()
+
+
+@pytest.mark.parametrize("case, mode", _RUNNING_ESTIMATES,
+                         ids=["%s/%s" % run for run in _RUNNING_ESTIMATES])
+def test_a_prepared_cell_draws_nothing_and_runs_independent_trials(case, mode, monkeypatch):
+    args = cli._build_parser().parse_args(["estimate", *ESTIMATE_CASES[case], "--mode", mode])
+    cell = cli._estimate_cell(args)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made before any trial")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", no_generator)
+        patched.setattr(np.random, "Generator", no_generator)
+        trial = harness.prepare_cell(cell)
+    first, second = trial(7), trial(8)
+    # each trial books a fresh ledger: the second reports what a fresh
+    # one-trial run with its seed reports, not the sum of both
+    assert [repr(first.to_dict()), repr(second.to_dict())] \
+        == [repr(run_cell_trial(cell, seed).to_dict()) for seed in (7, 8)]
+    assert not _containers(first.extras) & _containers(second.extras)
+
+
+def test_experiment_resolves_each_distribution_once_per_cell(tmp_path, monkeypatch):
+    resolved = []
+
+    def recording_resolve(spec):
+        resolved.append(spec)
+        return resolve_distribution(spec)
+
+    monkeypatch.setattr(harness, "resolve_distribution", recording_resolve)
+    config = ExperimentConfig.from_dict({"master_seed": 3, "trials": 3, "cells": [
+        {"algo": "shannon", "dist": "uniform:4"},
+        {"algo": "renyi", "dist": "zipf:1.5:16", "alpha": 2}]})
+    assert run_experiment(config, str(tmp_path / "rows.csv")) == 6
+    assert resolved == ["uniform:4", "zipf:1.5:16"]
 
 
 # One cell per estimator path, every algo among them.
