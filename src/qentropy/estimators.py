@@ -447,9 +447,12 @@ def _level_law(dist: RationalDistribution, level: float, eps: float,
     M is the power of two one doubling above x*max(ln x, 1), where x is
     sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
     below 1 use the zero-adjusted estimate, which keeps the negative power
-    finite.
+    finite.  An x past the largest float is inf, which no budget meets.
     """
-    x = math.sqrt(dist.n) / eps if high else dist.n ** (1.0 / (2.0 * level)) / eps
+    try:
+        x = math.sqrt(dist.n) / eps if high else dist.n ** (1.0 / (2.0 * level)) / eps
+    except OverflowError:
+        x = math.inf
     M = _pow2_budget(x * max(math.log(x), 1.0))
     exponent = level - 1.0
     return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent,

@@ -665,6 +665,23 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+def test_no_module_calls_numpy_power():
+    # np.power's float64 loop is SIMD-dispatched: under AVX-512 it gives 217
+    # of the 4096 zipf weights at s = 1.5 a different last bit than libm pow,
+    # so counts and outputs would depend on the CPU.  np.float_power calls
+    # libm pow per element, as math.pow and ** on floats do.
+    offenders = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "power" \
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                offenders.append("%s:%d uses %s.power" % (path.name, node.lineno, node.value.id))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                offenders += ["%s:%d imports numpy.power" % (path.name, node.lineno)
+                              for alias in node.names if alias.name == "power"]
+    assert offenders == [], "use np.float_power, which calls libm pow: %s" % offenders
+
+
 def test_cli_estimate_and_exact(capsys):
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:16",
                  "--eps", "0.25", "--seed", "4"]) == 0
@@ -1011,6 +1028,9 @@ _REFUSED_BEFORE_ANY_DRAW = {
                        "budget M=2^335 is above the largest outcome table"),
     "minentropy-budget": ({"algo": "minentropy", "dist": "uniform:1048576", "eps": 0.005},
                           "budget M=2^21 is above the largest outcome table"),
+    "renyi-tiny-order": ({"algo": "renyi", "dist": "uniform:16", "alpha": 0.001,
+                          "mode": "exact-expectation"},
+                         "budget M=inf is above the largest outcome table"),
 }
 
 
@@ -1060,6 +1080,18 @@ def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: budget M=2^21 is above the largest outcome table built, "
+                            "M=1048576 (2^20)\n")
+
+
+def test_a_tiny_annealed_order_is_refused_not_raised(capsys):
+    # 16 ** (1/(2*0.001)) passes the largest float: _level_law's OverflowError
+    # ended `estimate` in a traceback (exit 1); the renyi-tiny-order row of
+    # _REFUSED_BEFORE_ANY_DRAW checks `experiment`
+    assert main(["estimate", "--algo", "renyi", "--alpha", "0.001", "--dist", "uniform:16",
+                 "--mode", "exact-expectation", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: budget M=inf is above the largest outcome table built, "
                             "M=1048576 (2^20)\n")
 
 

@@ -1,13 +1,18 @@
 """Named instance families and separation pairs."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qentropy
 from qentropy.cli import main
 from qentropy.distributions import RationalDistribution, shannon_entropy, support_coverage
 from qentropy.instances import (
@@ -71,10 +76,65 @@ def test_zipf_matches_the_list_based_build(s, n):
 @pytest.mark.parametrize("n", [1, 64, 256, 4096])
 @pytest.mark.parametrize("s", [0.5, 1.1, 1.5, 2.0])
 def test_zipf_counts_match_the_comprehension_build(s, n):
-    # The weights come from math.pow mapped over a float list; the
-    # comprehension's i ** -s calls the same libm pow, so no count moves.
+    # The weights come from np.float_power, whose float64 loop calls libm
+    # pow per rank; the comprehension's i ** -s calls the same pow, so no
+    # count moves.
     dist = zipf(s, n)
     assert (dist.denominator, tuple(dist.counts.tolist())) == zipf_reference(s, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(0.01, 8.0), n=st.integers(1, 1 << 14))
+@example(s=1.5, n=4096)
+@example(s=1.1, n=1 << 16)
+def test_float_power_weights_are_libm_pow_bit_for_bit(s, n):
+    # zipf's premise, weight by weight: a last-bit change rarely moves a count
+    weights = np.float_power(np.arange(1.0, n + 1.0), -s)
+    reference = np.array([math.pow(i, -s) for i in range(1, n + 1)])
+    assert weights.tobytes() == reference.tobytes()
+
+
+_ZIPF_DIGEST = textwrap.dedent("""
+    import hashlib
+    from qentropy.instances import zipf
+
+    digest = hashlib.sha256()
+    for s in (0.5, 1.1, 1.5, 2.0, 3.7):
+        for n in (64, 4096, 1 << 20):
+            dist = zipf(s, n)
+            digest.update(b"%d:" % dist.denominator + dist.counts.tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_zipf_counts_are_the_same_under_every_numpy_dispatch_level():
+    # NPY_DISABLE_CPU_FEATURES makes numpy run as on a CPU without the named
+    # targets.  Naming a baseline feature stops numpy's import, so each
+    # setting names dispatched targets only: all of them, then the top ones.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy dispatches no SIMD target")
+    disables = [None, " ".join(__cpu_dispatch__), " ".join(__cpu_dispatch__[1:])]
+    src = os.path.dirname(os.path.dirname(qentropy.__file__))
+    children = []
+    for disabled in disables:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        children.append(subprocess.Popen([sys.executable, "-c", _ZIPF_DIGEST], env=env,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                         text=True))
+    digests = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, "")
+        digests.append(out.strip())
+    assert len(set(digests)) == 1, dict(zip(disables, digests))
 
 
 def test_two_valued_exact():
