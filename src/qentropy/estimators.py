@@ -196,14 +196,15 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
 def _count_classes(counts: np.ndarray) -> dict[int, int]:
     """Each distinct nonzero count c mapped to c times its number of bins."""
     weights: dict[int, int] = {}
-    for values, index in _count_chunks(counts):
-        if index is None:
-            for c in values:
-                weights[c] = weights.get(c, 0) + c
-        else:
-            for c, k in zip(values, np.bincount(index).tolist()):
-                weights[c] = weights.get(c, 0) + c * k
+    for values, lengths in _count_chunks(counts):
+        for c, k in zip(values, [1] * len(values) if lengths is None else lengths.tolist()):
+            weights[c] = weights.get(c, 0) + c * k
     return weights
+
+
+def _mapped(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """f of each value; math.log, unlike np.log, is the same on every CPU."""
+    return np.fromiter(map(f, values.tolist()), np.float64, values.size)
 
 
 class MasterSubroutine(FiniteLaw):
@@ -220,8 +221,7 @@ class MasterSubroutine(FiniteLaw):
                  payoff: Callable[[float], float], variant: str = "estamp"):
         values, probabilities = _grid_law(_count_classes(dist.counts), dist.denominator,
                                           M, variant)
-        super().__init__(np.fromiter(map(payoff, values.tolist()), np.float64, values.size),
-                         probabilities)
+        super().__init__(_mapped(payoff, values), probabilities)
 
 
 class _RatioSubroutine:
@@ -251,7 +251,8 @@ class _RatioSubroutine:
             row = estamp_distribution(cq / q.denominator, M_q)
             grid = np.flatnonzero(row)
             vq = _reported_values(grid, M_q, "estamp-prime")
-            self._pairs.append((FiniteLaw(np.log(vp), pp), FiniteLaw(np.log(vq), row[grid])))
+            self._pairs.append((FiniteLaw(_mapped(math.log, vp), pp),
+                                FiniteLaw(_mapped(math.log, vq), row[grid])))
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws: a multinomial split over the

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -380,19 +380,18 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
     prepare step refuses what needs no draw (a budget above the largest
     table, a broken promise, exact-expectation mode for the collision
     estimators, ...), builds the payoff laws and computes the truth.  Each
-    oracle layout is built once; each trial draws on fresh ledgers.  Every
+    oracle layout is built once and never changed: each trial draws on
+    copies of the layouts, each with a fresh ledger.  Every
     search of the collision estimators books a fixed charge: Belovs's bound
     for integer orders, L^(3/4) for min-entropy.
     """
     reads = _check_cell(cell)
     dists = [resolve_distribution(cell[key]) for key in reads]
     run = TRIALS[cell["algo"]][1](cell, *dists)
-    oracles = [build_oracle(dist) for dist in dists]
+    layouts = [build_oracle(dist) for dist in dists]
 
     def trial(seed: Optional[int]) -> EstimateReport:
-        for oracle in oracles:
-            oracle.ledger = QueryLedger()
-        return run(*oracles, seed=seed)
+        return run(*(replace(layout, ledger=QueryLedger()) for layout in layouts), seed=seed)
     return trial
 
 

@@ -45,6 +45,9 @@ size; the reported classical draws still count the full notional sample.
 The additive contract reads only sample sums, so it also takes KL's ratio
 law, a difference of two independent finite laws per group that is never
 tabulated jointly.
+
+Sums of products are np.add.reduce over the products, never `@` or
+np.vecdot: BLAS picks its kernel, and so its order of additions, per CPU.
 """
 
 from __future__ import annotations
@@ -110,14 +113,14 @@ class FiniteLaw:
         cost is O(#values) whatever the count.
         """
         counts = rng.multinomial(count, self._pvals)
-        return float(counts @ self.values)
+        return float(np.add.reduce(counts * self.values))
 
     def mean(self) -> float:
-        return float(self.values @ self.probabilities)
+        return float(np.add.reduce(self.values * self.probabilities))
 
     def variance(self) -> float:
         m = self.mean()
-        return float((self.values - m) ** 2 @ self.probabilities)
+        return float(np.add.reduce((self.values - m) ** 2 * self.probabilities))
 
 
 class SampleCountOverflow(ValueError):
@@ -219,8 +222,9 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         chunk = anchors[lo:lo + step, None]
         drawn = sub._cum.searchsorted(rng.random((chunk.size, pilot)), side="right")
         x = np.maximum(_beyond(atoms.take(drawn, mode="clip"), chunk, sign), 0.0)
-        # vecdot sums each row on its own, whatever the chunk's shape
-        m2_hat[lo:lo + step] = np.vecdot(x, x) / pilot
+        x *= x
+        # each row is summed on its own, whatever the chunk's shape
+        m2_hat[lo:lo + step] = np.add.reduce(x, axis=1) / pilot
 
     samples = _main_samples(m2_hat, epsilon)
     # The largest count, and the total that an estimator books, must fit
@@ -243,7 +247,8 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
         on_side = columns < widths[rows_, None]
         counts = rng.multinomial(n, np.where(on_side, pvals, 0.0))
         part = np.maximum(_beyond(ranked[:width], anchors[rows_, None], sign), 0.0)
-        means[rows_] = np.vecdot(counts[:, :width], part) / np.maximum(n, 1)
+        part *= counts[:, :width]
+        means[rows_] = np.add.reduce(part, axis=1) / np.maximum(n, 1)
     return means, m2_hat, samples
 
 

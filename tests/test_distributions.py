@@ -240,6 +240,55 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
                 == _ref_support_violation(cp, S, m_)
 
 
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 3000), kind=st.sampled_from(["runs", "few", "distinct"]),
+       zeros=st.floats(0.0, 0.9), columns=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.integers(1, 4 * distributions._MIN_DISTINCT_CHUNK))
+@example(n=3000, kind="runs", zeros=0.0, columns=1, seed=0, chunk=640)
+@example(n=3000, kind="runs", zeros=0.3, columns=2, seed=1, chunk=640)
+@example(n=3000, kind="few", zeros=0.0, columns=2, seed=2, chunk=200)
+@example(n=3000, kind="distinct", zeros=0.0, columns=1, seed=3, chunk=640)
+@example(n=5, kind="runs", zeros=0.9, columns=2, seed=4, chunk=1)
+def test_count_chunks_expand_to_the_nonzero_rows_in_bin_order(n, kind, zeros, columns, seed,
+                                                              chunk):
+    # Long runs of a few values, a few values in no order, or all-distinct
+    # counts, with zeros: expanding a chunk's runs gives the rows of its
+    # bins where the first column is nonzero, in bin order.
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        if kind == "runs":
+            values = rng.integers(1, 1000, size=4)
+            counts = np.repeat(rng.choice(values, size=n // 50 + 1), 50)[:n]
+        elif kind == "few":
+            counts = rng.integers(1, 4, size=n)
+        else:
+            counts = rng.permutation(np.arange(1, n + 1))
+        counts[rng.random(n) < zeros] = 0
+        return counts
+
+    cols = [draw() for _ in range(columns)]
+    with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
+        chunks = list(distributions._count_chunks(*cols))
+    assert len(chunks) == -(-n // chunk)
+    for lo, (rows, lengths) in zip(range(0, n, chunk), chunks):
+        block = [column[lo:lo + chunk].tolist() for column in cols]
+        bins = block[0] if columns == 1 else list(zip(*block))
+        expected = [row for row, first in zip(bins, block[0]) if first]
+        rows = list(rows)
+        starts = sum(1 for i, row in enumerate(expected) if i == 0 or row != expected[i - 1])
+        grouped = len(expected) >= distributions._MIN_DISTINCT_CHUNK \
+            and starts - 1 < distributions._MAX_DISTINCT_SHARE * len(expected)
+        assert (lengths is not None) == grouped
+        if lengths is None:
+            assert rows == expected
+        else:
+            lengths = lengths.tolist()
+            assert len(rows) == len(lengths) == starts and min(lengths) >= 1
+            assert [row for row, k in zip(rows, lengths) for _ in range(k)] == expected
+
+
 @pytest.mark.parametrize("counts, message", [
     (np.array([1.0, 2.0]), "non-negative integers"),
     (np.array([True, True]), "non-negative integers"),

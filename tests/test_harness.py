@@ -199,10 +199,11 @@ def test_cells_without_a_payoff_law_refuse_exact_expectation_before_any_draw(
     monkeypatch.setattr(harness, "build_oracle", recording_build_oracle)
     with pytest.raises(ValueError, match="no payoff law"):
         run_cell_trial(dict(cell, mode="exact-expectation"), 7)
-    assert all(o.ledger.snapshot() == QueryLedger().snapshot() for o in built)
-    # the same cell in contract mode runs and draws through the recorded oracles
+    # refused while preparing: no oracle was built, so none could draw
+    assert built == []
+    # the same cell in contract mode builds its oracles and draws
     assert run_cell_trial(cell, 7).classical_executions > 0
-    assert any(o.ledger.classical_executions for o in built)
+    assert built
 
 
 def test_plugin_cells_run_only_in_contract_mode():
@@ -665,21 +666,41 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
-def test_no_module_calls_numpy_power():
-    # np.power's float64 loop is SIMD-dispatched: under AVX-512 it gives 217
-    # of the 4096 zipf weights at s = 1.5 a different last bit than libm pow,
-    # so counts and outputs would depend on the CPU.  np.float_power calls
-    # libm pow per element, as math.pow and ** on floats do.
+# numpy routines whose float64 bits depend on the CPU.  power, log, log1p,
+# exp and expm1 run SIMD-dispatched loops: under AVX-512 np.power gives 217
+# of the 4096 zipf weights at s = 1.5 a different last bit than libm pow.
+# dot, vecdot, matmul, einsum and inner (and the @ operator) go through BLAS,
+# whose kernel, and so whose order of additions, OpenBLAS picks per CPU.
+# np.float_power and math.log, math.exp, ... call libm once per element, and
+# np.add.reduce over a product sums in one fixed order.
+_CPU_DEPENDENT = {"power", "log", "log1p", "exp", "expm1",
+                  "dot", "vecdot", "matmul", "einsum", "inner"}
+
+# The one @ allowed: an exact dot product of int64 arrays, which no BLAS runs.
+_INTEGER_MATMUL = ("verify.py", "_exact_collision_sum")
+
+
+def test_no_module_calls_a_cpu_dependent_numpy_routine():
     offenders = []
     for path in sorted(Path(harness.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "power" \
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef)
+                   and (path.name, function.name) == _INTEGER_MATMUL
+                   for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _CPU_DEPENDENT \
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-                offenders.append("%s:%d uses %s.power" % (path.name, node.lineno, node.value.id))
+                offenders.append("%s:%d uses %s.%s" % (path.name, node.lineno, node.value.id,
+                                                       node.attr))
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-                offenders += ["%s:%d imports numpy.power" % (path.name, node.lineno)
-                              for alias in node.names if alias.name == "power"]
-    assert offenders == [], "use np.float_power, which calls libm pow: %s" % offenders
+                offenders += ["%s:%d imports numpy.%s" % (path.name, node.lineno, alias.name)
+                              for alias in node.names if alias.name in _CPU_DEPENDENT]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.MatMult) and id(node) not in allowed:
+                offenders.append("%s:%d uses @" % (path.name, node.lineno))
+    assert offenders == [], "use np.float_power, math's functions mapped over the " \
+        "values, or np.add.reduce over a product: %s" % offenders
 
 
 def test_cli_estimate_and_exact(capsys):
@@ -1233,6 +1254,46 @@ _RUNNING_ESTIMATES = [(case, mode) for case in sorted(ESTIMATE_CASES) for mode i
                       if not (mode == "exact-expectation" and case in REFUSE_EXACT)]
 
 
+_EVERY_PINNED_OUTPUT = textwrap.dedent("""
+    from qentropy.cli import main
+
+    for argv in %r:
+        assert main(argv) == 0, argv
+""") % ([["estimate", *ESTIMATE_CASES[case], "--mode", mode, "--seed", "7"]
+         for case, mode in _RUNNING_ESTIMATES] + [["verify", "all", "--json"]],)
+
+
+def test_pinned_outputs_are_the_same_bytes_on_other_cpus():
+    # OPENBLAS_CORETYPE makes OpenBLAS run the kernel it picks for that CPU,
+    # NPY_DISABLE_CPU_FEATURES makes numpy run as on a CPU without AVX-512
+    # (naming a target this numpy lacks is harmless), and GLIBC_TUNABLES
+    # makes glibc's libm run its code for a CPU without FMA or AVX2 (other C
+    # libraries ignore it).  Each child runs every pinned estimate and every
+    # verify check, all at once.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    environments = [{}, {"OPENBLAS_CORETYPE": "Prescott",
+                         "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
+                    {"OPENBLAS_CORETYPE": "Haswell",
+                     "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}]
+    children = []
+    for extra in environments:
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES",
+                               "GLIBC_TUNABLES")}
+        env.update(extra, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        children.append(subprocess.Popen([sys.executable, "-c", _EVERY_PINNED_OUTPUT], env=env,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = []
+    for extra, child in zip(environments, children):
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, (extra, err.decode())
+        outputs.append(out)
+    assert outputs[0].count(b"\n") > len(_RUNNING_ESTIMATES)
+    assert outputs[1:] == outputs[:1] * 2, \
+        [extra for extra, out in zip(environments, outputs) if out != outputs[0]]
+
+
 def _containers(value) -> set[int]:
     """The ids of the dicts and lists reachable from value."""
     if isinstance(value, dict):
@@ -1240,6 +1301,12 @@ def _containers(value) -> set[int]:
     if isinstance(value, list):
         return {id(value)}.union(*map(_containers, value))
     return set()
+
+
+def _fields(layout) -> dict:
+    """An oracle's fields, with its arrays as bytes."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(layout).items()}
 
 
 @pytest.mark.parametrize("case, mode", _RUNNING_ESTIMATES,
@@ -1251,11 +1318,24 @@ def test_a_prepared_cell_draws_nothing_and_runs_independent_trials(case, mode, m
     def no_generator(*args, **kwargs):
         raise AssertionError("a generator was made before any trial")
 
+    layouts = []
+
+    def recording_build(dist):
+        layouts.append(build_oracle(dist))
+        return layouts[-1]
+
     with monkeypatch.context() as patched:
         patched.setattr(np.random, "default_rng", no_generator)
         patched.setattr(np.random, "Generator", no_generator)
+        patched.setattr(harness, "build_oracle", recording_build)
         trial = harness.prepare_cell(cell)
+    held = [(layout.ledger, _fields(layout)) for layout in layouts]
     first, second = trial(7), trial(8)
+    # the trials draw on fresh oracles: the ones the cell holds keep their
+    # ledgers, empty, and every other field
+    for layout, (ledger, fields) in zip(layouts, held):
+        assert layout.ledger is ledger and _fields(layout) == fields
+        assert ledger.snapshot() == QueryLedger().snapshot()
     # each trial books a fresh ledger: the second reports what a fresh
     # one-trial run with its seed reports, not the sum of both
     assert [repr(first.to_dict()), repr(second.to_dict())] \
@@ -1318,8 +1398,8 @@ def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
     report = json.loads(capsys.readouterr().out)
     final = report["extras"]["schedule"][-1]
     assert final["repetitions"] == 1
-    assert final["runs"] == [4.353881856486745]
-    assert report["estimate"] == 4.353881856486745
+    assert final["runs"] == [4.353881856486746]
+    assert report["estimate"] == 4.353881856486746
     assert report["ledger"] == {"classical_executions": 39541197, "phases": {"estamp": 77590272},
                                 "quantum_total": 77590272}
 
