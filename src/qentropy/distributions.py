@@ -42,10 +42,13 @@ _MIN_DISTINCT_CHUNK = 160
 # its nonzero counts (of its (p, q) pairs where p is nonzero, for KL) differ
 # from the one before them in bin order: on mostly distinct counts, finding
 # the runs and repeating their terms costs more than the terms it saves.
-# power_sum on 2^16 counts in descending order took 0.9 ms by runs against
-# 5.4 ms by the loop with 1/64 of them starting a run, 2.6 against 6.0 ms at
-# 1/8, 5.0 against 8.0 ms at 1/4 and 12.5 against 7.9 ms at 1/2.
-_MAX_DISTINCT_SHARE = 1 / 8
+# power_sum on 2^16 counts in descending order (min of 7, three runs on a
+# shared 2-vCPU VM) took 1.0-1.5 ms by runs against 6.3-10.6 ms by the loop
+# with 1/64 of them starting a run, 2.8-4.4 against 6.1-8.3 ms at 1/8,
+# 4.4-5.6 against 5.8-8.9 ms at 1/4 and 8.5-16.3 against 5.6-10.0 ms at
+# 1/2; on 3 * 2^14 counts with 3/8 of them starting a run, 9.2-11.4
+# against 5.6-7.5 ms.
+_MAX_DISTINCT_SHARE = 1 / 4
 
 _BAD_COUNTS = ("counts must be Python or numpy integers, not bools, and must be "
                "non-negative integers below 2**63; got %s")

@@ -30,6 +30,14 @@ of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A lone contract run
 is the k = 1 case; it has no entry point of its own.
 
+An index draw, an anchor's or a pilot's, reads rng.random's draw k * 2^-53
+as position k of a layout of 2^53 integer positions, in which each atom
+owns the positions up to the ceiling of its running sum times 2^53, and
+looks it up in oracle.GuideTable, the one guide-table routine the oracles
+read their positions through.  It selects the index that a binary search of
+the running sums would, clipped to the last atom, so the draws are those of
+np.searchsorted.  The table is built once per call, in O(#values).
+
 Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
 ratio r, floored at one execution: the theorems' O(.) constant is taken as
 1.  Out-of-contract parameters (eps too large for the theorem's range) still
@@ -57,6 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import GuideTable
+
 # Elements (runs x pilot draws, or runs x side atoms) the batched contracts
 # draw and hold at once.
 _ROW_CHUNK = 1 << 15
@@ -79,6 +89,10 @@ _PILOT_SAFETY = 2.0
 # amplification of a >= 2/3 success estimator to 1 - delta.
 _MEDIAN_CONSTANT = 48
 
+# Positions of the integer layout a FiniteLaw draws from: rng.random's
+# draws are the multiples of 2^-53 in [0, 1).
+_KEYS = 1 << 53
+
 
 class FiniteLaw:
     """A random variable X with finitely many values: what a contract estimates.
@@ -89,22 +103,41 @@ class FiniteLaw:
     def __init__(self, values, probabilities):
         self.values = np.asarray(values, dtype=np.float64)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
+        if self.values.ndim != 1 or self.values.size == 0:
+            raise ValueError("values must be a non-empty 1-D array")
         if self.values.shape != self.probabilities.shape:
             raise ValueError("values and probabilities must align")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
         if np.any(self.probabilities < 0):
             raise ValueError("probabilities must be non-negative")
         total = self.probabilities.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
+        # a NaN or infinite probability makes the total NaN or infinite
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError("probabilities must be finite and sum to 1")
         # exact-sum normalization keeps multinomial's validation happy
         self._pvals = self.probabilities / total
-        self._cum = np.cumsum(self._pvals)
+
+    def _guide(self) -> GuideTable:
+        """The GuideTable of X's draws, built in O(#values): position k is
+        the index that rng.random's draw k * 2^-53 selects,
+        min(searchsorted(cumsum(_pvals), k * 2^-53, "right"), #values - 1).
+
+        A running sum c is at most k * 2^-53 exactly when ceil(c * 2^53) <= k,
+        so atom i ends at position ceil(c_i * 2^53).  Ending the last atom
+        at 2^53 clips a draw above a running total rounded below 1, and
+        capping the ends there keeps them in order when the total rounds
+        above it.
+        """
+        ends = np.ceil(np.cumsum(self._pvals) * _KEYS)
+        sizes = np.minimum(ends, _KEYS, out=ends).astype(np.int64)
+        sizes[-1] = _KEYS
+        sizes[1:] -= sizes[:-1]
+        return GuideTable.build(sizes, 4 * sizes.size, np.int32)
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """`count` independent draws of X."""
-        idx = self._cum.searchsorted(rng.random(count), side="right")
-        # a draw above a rounded-down last _cum finds index size: clip it
-        return self.values.take(idx, mode="clip")
+        return self.values.take(_drawn(self._guide(), rng.random(count)))
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws of X.
@@ -121,6 +154,13 @@ class FiniteLaw:
     def variance(self) -> float:
         m = self.mean()
         return float(np.add.reduce((self.values - m) ** 2 * self.probabilities))
+
+
+def _drawn(guide: GuideTable, u: np.ndarray) -> np.ndarray:
+    """The indices that rng.random's draws u select through a law's guide, in u's shape."""
+    # rng.random returns k * 2^-53, so the product is k exactly
+    keys = (u * _KEYS).astype(np.int64)
+    return guide.symbols(keys.reshape(-1)).reshape(u.shape)
 
 
 class SampleCountOverflow(ValueError):
@@ -195,16 +235,18 @@ def _beyond(values, anchors, sign: float):
     return values - anchors if sign > 0 else anchors - values
 
 
-def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
+def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
                 widths: np.ndarray, anchors, sign: float, epsilon: float,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bounded-l2 pilot and main step, one run per anchor, over sub's law.
+    """The bounded-l2 pilot and main step, one run per anchor, over a law.
 
-    atoms holds the estimated variable at each of the law's atoms, and run r
-    estimates the mean of its part max(sign*(atoms - anchors[r]), 0).
+    guide is the law's FiniteLaw._guide(), atoms holds the estimated
+    variable at each of the law's atoms, and run r estimates the mean of its
+    part max(sign*(atoms - anchors[r]), 0).
     ranked and ps are the atoms' values and probabilities sorted so that run
     r's part is positive exactly on the first widths[r] of them: its side.  A
-    pilot is _PILOT_RUNS index draws from the law.  A main sample is one
+    pilot is _PILOT_RUNS index draws from the law, read through its guide
+    table as FiniteLaw.draw reads them.  A main sample is one
     multinomial over the side plus one lumped atom, the next in order, to
     which numpy's multinomial gives the rest of the mass: the full multinomial
     with the zero-valued atoms aggregated, so the sample mean has the same
@@ -220,8 +262,8 @@ def _part_means(sub: FiniteLaw, atoms: np.ndarray, ranked: np.ndarray, ps: np.nd
     step = max(1, _ROW_CHUNK // pilot)
     for lo in range(0, rows, step):
         chunk = anchors[lo:lo + step, None]
-        drawn = sub._cum.searchsorted(rng.random((chunk.size, pilot)), side="right")
-        x = np.maximum(_beyond(atoms.take(drawn, mode="clip"), chunk, sign), 0.0)
+        drawn = _drawn(guide, rng.random((chunk.size, pilot)))
+        x = np.maximum(_beyond(atoms.take(drawn), chunk, sign), 0.0)
         x *= x
         # each row is summed on its own, whatever the chunk's shape
         m2_hat[lo:lo + step] = np.add.reduce(x, axis=1) / pilot
@@ -322,12 +364,13 @@ def multiplicative_runs(
     out_of_contract = not (epsilon < 24.0 * sigma)
 
     scale = sigma * b
-    drawn = sub.draw(repetitions, rng)
+    guide = sub._guide()
+    drawn = sub.values.take(_drawn(guide, rng.random(repetitions)))
     eps_inner = epsilon * a / (48.0 * sigma * b)
     m_tilde = drawn / scale
     minus, plus = _residual_parts(sub, scale, drawn)
-    mu_minus, _, n_minus = _part_means(sub, *minus, eps_inner, rng)
-    mu_plus, _, n_plus = _part_means(sub, *plus, eps_inner, rng)
+    mu_minus, _, n_minus = _part_means(guide, *minus, eps_inner, rng)
+    mu_plus, _, n_plus = _part_means(guide, *plus, eps_inner, rng)
     value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
 
     return MultiplicativeRuns(

@@ -3,15 +3,20 @@
 An oracle for p is the map [S] -> [n] of the sorted layout: position s reads
 the symbol i with cum[i-1] <= s < cum[i], where cum holds the running sums of
 the counts, so bin i owns counts[i-1] positions and a uniformly random
-position samples from p.  No S-entry table is stored.  A guide table of at
-most 4n buckets, each 2^shift positions wide, holds the symbol at the first
-position of every bucket (Chen and Asau's guide-table method).  A position
-past that symbol's end lies in a bucket that a boundary cuts: one compare
-against cum moves it on to the next symbol, which resolves every bucket cut
-by a single boundary, and only the positions still past their symbol's end
-(buckets cut twice or more, or zero-count bins) are looked up in cum by
-binary search.  When S <= 4n the buckets are single positions and the guide
-is the sorted table itself.
+position samples from p.  No S-entry table is stored: the oracle is a
+GuideTable over the layout.
+
+A GuideTable maps the integer positions of any layout to their symbols.  A
+guide of at most a given number of buckets, each 2^shift positions wide,
+holds the symbol at the first position of every bucket (Chen and Asau's
+guide-table method).  A position past that symbol's end lies in a bucket
+that a boundary cuts: one compare against cum moves it on to the next
+symbol, which resolves every bucket cut by a single boundary, and only the
+positions still past their symbol's end (buckets cut twice or more, or
+zero-count bins) are looked up in cum by binary search.  When the layout
+has no more positions than buckets, the buckets are single positions and
+the guide is the layout itself.  mean_estimation.FiniteLaw draws through
+the same table, over a layout of 2^53 positions.
 
 Quantum algorithms are charged against the ledger attached to the oracle; the
 ledger separates charged quantum queries (keyed by phase label) from the
@@ -67,19 +72,64 @@ class QueryLedger:
 
 
 @dataclass
-class DistributionOracle:
-    """Sorted-layout oracle [S] -> [n] plus its ledger; build with build_oracle().
+class GuideTable:
+    """Guide table over the integer positions of a layout; build with build().
 
-    guide[b] is the symbol at position b << shift, the first position of
-    bucket b.  cum[i] is counts[0] + ... + counts[i], the end of the
-    positions of symbol i+1; it is None when shift is 0, since
+    Symbol v owns the positions [cum[v-1], cum[v]), symbol 0 those below
+    cum[0], so the symbol at a position is the number of entries of cum at
+    or below it.  guide[b] is the symbol at position b << shift, the first
+    position of bucket b.  cum is None when shift is 0, since
     single-position buckets are never cut.
     """
 
-    source: RationalDistribution
     cum: np.ndarray | None
     guide: np.ndarray
     shift: int
+
+    @classmethod
+    def build(cls, sizes: np.ndarray, buckets: int, dtype, **fields):
+        """The table of the layout in which symbol v owns the next sizes[v]
+        positions (int64, non-negative), with guide entries of dtype; other
+        fields go to the constructor.
+
+        The bucket width 2^shift is the smallest power of two that leaves at
+        most `buckets` buckets, and the build takes O(sizes.size + buckets).
+        """
+        shift = (-(-int(np.add.reduce(sizes)) // buckets) - 1).bit_length()
+        cum, owned = None, sizes
+        if shift:
+            cum = np.cumsum(sizes)
+            # Symbol v owns the buckets whose first position it holds: bucket
+            # ceil(cum[v-1] / w) up to, but not including, ceil(cum[v] / w).
+            owned = -((-cum) >> shift)
+            owned[1:] -= owned[:-1]
+        guide = np.repeat(np.arange(sizes.size, dtype=dtype), owned)
+        return cls(cum=cum, guide=guide, shift=shift, **fields)
+
+    def symbols(self, positions: np.ndarray) -> np.ndarray:
+        """Symbols at a 1-D array of positions in the layout."""
+        if not self.shift:
+            return self.guide[positions]
+        # one index dtype from here on, whatever the guide's
+        out = self.guide[positions >> self.shift].astype(np.intp, copy=False)
+        past = positions >= self.cum[out]
+        out += past
+        moved = np.flatnonzero(past)
+        far = moved[positions[moved] >= self.cum[out[moved]]]
+        if far.size:
+            out[far] = np.searchsorted(self.cum, positions[far], side="right")
+        return out
+
+
+@dataclass
+class DistributionOracle(GuideTable):
+    """Sorted-layout oracle [S] -> [n] plus its ledger; build with build_oracle().
+
+    Symbol 0 owns no position, so symbols start at 1, and cum[i] is
+    counts[0] + ... + counts[i-1], the end of the positions of symbol i.
+    """
+
+    source: RationalDistribution
     ledger: QueryLedger = field(default_factory=QueryLedger)
 
     @property
@@ -89,19 +139,6 @@ class DistributionOracle:
     @property
     def size(self) -> int:
         return self.source.denominator
-
-    def symbols(self, positions: np.ndarray) -> np.ndarray:
-        """Symbols at a 1-D array of positions in [0, S)."""
-        if not self.shift:
-            return self.guide[positions]
-        out = self.guide[positions >> self.shift]
-        past = positions >= self.cum[out - 1]
-        out += past
-        moved = np.flatnonzero(past)
-        far = moved[positions[moved] >= self.cum[out[moved] - 1]]
-        if far.size:
-            out[far] = np.searchsorted(self.cum, positions[far], side="right") + 1
-        return out
 
     def sample_classical(self, rng: np.random.Generator,
                          shape: int | tuple[int, ...]) -> np.ndarray:
@@ -144,21 +181,11 @@ class DistributionOracle:
 
 
 def build_oracle(dist: RationalDistribution) -> DistributionOracle:
-    """Guide table and cumulative counts of the layout [1]*m_1 + [2]*m_2 + ...
+    """Guide table of the layout [1]*m_1 + [2]*m_2 + ...
 
-    The bucket width 2^shift is the smallest power of two that leaves at most
-    4n buckets, so memory is O(n) whatever S is; when S <= 4n the guide is the
-    layout itself.
+    At most 4n buckets, so memory is O(n) whatever S is; when S <= 4n the
+    guide is the layout itself.
     """
-    S, counts = dist.denominator, dist.counts
-    symbols = np.arange(1, dist.n + 1, dtype=np.int64)
-    shift = (-(-S // (4 * dist.n)) - 1).bit_length()
-    if not shift:
-        cum = None
-        guide = np.repeat(symbols, counts)
-    else:
-        cum = np.cumsum(counts)
-        # Symbol i owns the buckets whose first position it holds: bucket
-        # ceil(cum[i-2] / w) up to, but not including, ceil(cum[i-1] / w).
-        guide = np.repeat(symbols, np.diff(-((-cum) >> shift), prepend=0))
-    return DistributionOracle(source=dist, cum=cum, guide=guide, shift=shift)
+    # symbol 0 owns no position
+    sizes = np.concatenate((np.zeros(1, dtype=np.int64), dist.counts))
+    return DistributionOracle.build(sizes, 4 * dist.n, np.int64, source=dist)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .amplitude import deviation_bound, grid_value, outcome_laws
-from .distributions import RationalDistribution, power_sum
+from .distributions import from_counts, power_sum
 from .instances import zipf
 from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
 
@@ -106,8 +106,8 @@ def sandwich_suite() -> list[CheckResult]:
         counts = rng.integers(0, 20, size=n)
         if counts.sum() == 0:
             counts[0] = 1
-        dist = RationalDistribution(int(counts.sum()), counts)
-        a1, a2 = sorted(float(x) for x in rng.uniform(0.2, 5.0, size=2))
+        dist = from_counts(counts)
+        a1, a2 = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
         if a2 - a1 < 1e-9:
             a2 += 1e-3
         r = a1 / a2

@@ -64,6 +64,86 @@ def test_draws_follow_the_table():
     assert (xs == 5.0).mean() == pytest.approx(0.25, abs=0.01)
 
 
+@pytest.mark.parametrize("values, probabilities, message", [
+    ([1.0, 2.0], [math.nan, 1.0], "finite"),
+    ([math.nan, 2.0], [0.5, 0.5], "finite"),
+    ([math.inf, 2.0], [0.5, 0.5], "finite"),
+    ([-math.inf, 2.0], [0.5, 0.5], "finite"),
+    ([1.0, 2.0], [math.inf, 0.5], "finite"),
+    ([1.0, 2.0], [-math.inf, 0.5], "non-negative"),
+    ([], [], "non-empty 1-D"),
+    ([[1.0], [2.0]], [[0.5], [0.5]], "non-empty 1-D"),
+    (1.0, 1.0, "non-empty 1-D"),
+], ids=["nan-probability", "nan-value", "inf-value", "minus-inf-value", "inf-probability",
+        "minus-inf-probability", "empty", "two-dimensional", "scalar"])
+def test_laws_refuse_what_they_cannot_draw_or_integrate(values, probabilities, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteLaw(values, probabilities)
+
+
+_KEYS = 1 << 53
+
+
+def _keys_at_every_edge(law):
+    """Keys on and next to every bucket edge and every end of the law's guide
+    table, keys equal to a running sum, and the first and last keys."""
+    guide = law._guide()
+    edges = np.arange(guide.guide.size, dtype=np.int64) << guide.shift
+    exact = np.cumsum(law._pvals) * _KEYS
+    exact = exact[(exact < _KEYS) & (exact == np.floor(exact))].astype(np.int64)
+    keys = np.concatenate([edges - 1, edges, edges + 1, guide.cum - 1, guide.cum,
+                           guide.cum + 1, exact, [0, _KEYS - 1]])
+    return np.unique(keys[(keys >= 0) & (keys < _KEYS)])
+
+
+def _assert_draws_read_the_running_sums(law, keys):
+    # a draw u of rng.random selects min(searchsorted(cum, u, "right"), K - 1),
+    # the index the law drew by binary search
+    u = keys * 2.0 ** -53
+    assert np.array_equal((u * _KEYS).astype(np.int64), keys)
+    cum = np.cumsum(law._pvals)
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), law.values.size - 1)
+    drawn = mean_estimation._drawn(law._guide(), u)
+    np.testing.assert_array_equal(drawn, expected)
+    np.testing.assert_array_equal(mean_estimation._drawn(law._guide(), u.reshape(-1, 1)),
+                                  expected.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("weights, total", [
+    ([0.1] * 10 + [0.0], "below"),
+    ([0.1] * 7 + [0.0, 0.0], "below"),
+    ([0.1] * 9 + [0.0, 0.0], "above"),
+    ([0.1] * 13, "above"),
+    ([1.0], "exact"),
+    ([0.0, 1.0, 0.0], "exact"),
+])
+def test_draws_read_the_running_sums_when_the_total_rounds(weights, total):
+    # the float running total of the normalized weights lands below 1, above
+    # it (here before the trailing zero atoms too), or on it
+    weights = np.array(weights)
+    law = FiniteLaw(weights, weights / weights.sum())
+    last = np.cumsum(law._pvals)[-1]
+    assert {"below": last < 1.0, "above": last > 1.0, "exact": last == 1.0}[total]
+    _assert_draws_read_the_running_sums(law, _keys_at_every_edge(law))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.sampled_from([0.1, 0.25, 1 / 3]),
+                                  st.floats(1e-300, 1.0), st.floats(1e-9, 1e9)),
+                        min_size=1, max_size=64).filter(lambda w: sum(w) > 0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_draws_read_the_running_sums_at_every_key(weights, seed):
+    # zero atoms, ties, one-atom laws and up to 64 atoms: every bucket width
+    # from 2^51 (one atom, four buckets) down to 2^45
+    weights = np.array(weights)
+    law = FiniteLaw(np.arange(weights.size, dtype=float), weights / weights.sum())
+    random_keys = np.random.default_rng(seed).integers(_KEYS, size=256)
+    _assert_draws_read_the_running_sums(
+        law, np.concatenate([_keys_at_every_edge(law), random_keys]))
+    assert law._guide().guide.size <= 4 * weights.size
+    assert law._guide().guide.dtype == np.int32
+
+
 def test_theorem_execution_count_values():
     assert theorem_execution_count(0.5) == 1
     assert theorem_execution_count(2.0) == 1  # below e the log factors vanish
@@ -138,7 +218,7 @@ def _whole_law_step(sub, epsilon, rng):
     # The bounded-l2 step as one run over the whole law: anchor 0 and sign +1,
     # so the side is every atom and nothing is lumped (values are >= 0).
     means, m2_hat, samples = mean_estimation._part_means(
-        sub, sub.values, sub.values, sub._pvals, np.array([sub.values.size]), np.zeros(1),
+        sub._guide(), sub.values, sub.values, sub._pvals, np.array([sub.values.size]), np.zeros(1),
         1.0, epsilon, rng)
     return means[0], m2_hat[0], samples[0]
 

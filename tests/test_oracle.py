@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qentropy.distributions import RationalDistribution, from_counts
 from qentropy.harness import resolve_distribution
 from qentropy.instances import uniform, zipf
-from qentropy.oracle import QueryLedger, build_oracle
+from qentropy.oracle import GuideTable, QueryLedger, build_oracle
 
 
 def test_table_layout_matches_counts():
@@ -34,6 +34,27 @@ def test_every_position_reads_the_sorted_layout(counts):
     for seed in range(3):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         assert orc.sample_classical(rng, 1)[0] == layout[replay.integers(dist.denominator)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=30)
+       .filter(lambda c: sum(c) > 0),
+       dtype=st.sampled_from([np.int32, np.int64]))
+@example(counts=[0, 0, 7, 0, 0], dtype=np.int32)  # zero-count symbols on both sides
+def test_guide_tables_read_every_position_at_every_bucket_width(counts, dtype):
+    # Symbols start at 0 here, as a FiniteLaw's atoms do; every bucket
+    # count from one up to a bucket per position gives every width.
+    sizes = np.array(counts, dtype=np.int64)
+    cum = np.cumsum(sizes)
+    positions = np.arange(cum[-1], dtype=np.int64)
+    expected = np.searchsorted(cum, positions, side="right")
+    shifts = set()
+    for buckets in range(1, int(cum[-1]) + 1):
+        table = GuideTable.build(sizes, buckets, dtype)
+        shifts.add(table.shift)
+        assert table.guide.size <= buckets and table.guide.dtype == dtype
+        assert np.array_equal(table.symbols(positions), expected)
+    assert shifts == set(range(int(cum[-1] - 1).bit_length() + 1))
 
 
 def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
