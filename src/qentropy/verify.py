@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .amplitude import deviation_bound, grid_value, outcome_laws
-from .distributions import from_counts, power_sum
+from .distributions import power_sum
 from .instances import zipf
 from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
 
@@ -92,38 +92,49 @@ def estamp_suite() -> list[CheckResult]:
     return checks
 
 
+def _sandwich_cases(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sizes n, orders a1 < a2 and power sums (P_a1, P_a2) of the sandwich cases,
+    drawn one by one as a per-case loop draws them.  Each sum is power_sum's bit
+    for bit: c / S is exact, float_power calls libm pow as ** does, and
+    accumulate adds each row left to right in bin order (a zero bin adds +0.0).
+    One buffer holds the terms of both orders."""
+    sizes = np.empty(_SANDWICH_TRIALS, dtype=np.int64)
+    counts = np.zeros((_SANDWICH_TRIALS, 64), dtype=np.int64)
+    orders = np.empty((_SANDWICH_TRIALS, 2))
+    for case in range(_SANDWICH_TRIALS):
+        n = sizes[case] = rng.integers(2, 65)
+        counts[case, :n] = rng.integers(0, 20, size=n)
+        orders[case] = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
+    totals = counts.sum(axis=1)
+    counts[totals == 0, 0] = 1
+    totals[totals == 0] = 1
+    orders[orders[:, 1] - orders[:, 0] < 1e-9, 1] += 1e-3
+    terms, sums = np.empty(counts.shape), np.empty_like(orders)
+    for side in (0, 1):
+        np.divide(counts, totals[:, None], out=terms)
+        np.float_power(terms, orders[:, side, None], out=terms)
+        sums[:, side] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return sizes, orders, sums.T
+
+
 def sandwich_suite() -> list[CheckResult]:
     """Power-sum interpolation bounds on random rational distributions.
 
     For 0 < a1 < a2: P_{a2}^{a1/a2} <= P_{a1} <= n^{1-a1/a2} * P_{a2}^{a1/a2},
     each side allowed 1e-12 relative slack.
     """
-    rng = np.random.default_rng(_SUITE_SEED)
-    worst_lower = math.inf
-    worst_upper = math.inf
-    for _ in range(_SANDWICH_TRIALS):
-        n = int(rng.integers(2, 65))
-        counts = rng.integers(0, 20, size=n)
-        if counts.sum() == 0:
-            counts[0] = 1
-        dist = from_counts(counts)
-        a1, a2 = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
-        if a2 - a1 < 1e-9:
-            a2 += 1e-3
-        r = a1 / a2
-        p1 = power_sum(dist, a1)
-        p2 = power_sum(dist, a2)
-        lower = p2 ** r
-        upper = n ** (1.0 - r) * p2 ** r
-        worst_lower = min(worst_lower, (p1 - lower) / lower)
-        worst_upper = min(worst_upper, (upper - p1) / upper)
-    checks = [
+    sizes, orders, (p1, p2) = _sandwich_cases(np.random.default_rng(_SUITE_SEED))
+    r = orders[:, 0] / orders[:, 1]
+    lower = np.float_power(p2, r)
+    upper = np.float_power(sizes, 1.0 - r) * lower
+    worst_lower = min(((p1 - lower) / lower).tolist())
+    worst_upper = min(((upper - p1) / upper).tolist())  # min keeps the first of 0.0, -0.0
+    return [
         CheckResult("sandwich", "lower bound x%d" % _SANDWICH_TRIALS, worst_lower >= -1e-12,
                     worst_lower + 1e-12, "worst relative slack %.3e" % worst_lower),
         CheckResult("sandwich", "upper bound x%d" % _SANDWICH_TRIALS, worst_upper >= -1e-12,
                     worst_upper + 1e-12, "worst relative slack %.3e" % worst_upper),
     ]
-    return checks
 
 
 # 40 digits for the Poisson mass e^-mu mu^j / j!, whose factors leave the
@@ -227,17 +238,17 @@ def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
     same symbol, column against column, and looks that count up in a table.
     This is independent of the estimator's sort-based count_row_collisions,
     and cheap for the short rows the suite uses (O(l^2) compares per row).
-    Rows go through in chunks of _ROW_CHUNK so the temporaries stay small.
+    Rows go through in chunks of _ROW_CHUNK, compared as contiguous columns.
     """
     rows, length = samples.shape
     comb_table = np.array([math.comb(t, k - 1) for t in range(length)], dtype=np.int64)
     out = np.empty(rows, dtype=np.int64)
     for lo in range(0, rows, _ROW_CHUNK):
-        columns = samples[lo:lo + _ROW_CHUNK].T
-        size = columns.shape[1]
-        total = np.full(size, comb_table[0])
-        earlier = np.empty(size, dtype=np.min_scalar_type(length))
-        equal = np.empty(size, dtype=bool)
+        columns = np.ascontiguousarray(samples[lo:lo + _ROW_CHUNK].T)
+        total = out[lo:lo + _ROW_CHUNK]
+        total[:] = comb_table[0]
+        earlier = np.empty(total.size, dtype=np.min_scalar_type(length))
+        equal = np.empty(total.size, dtype=bool)
         for j in range(1, length):
             np.equal(columns[0], columns[j], out=equal)
             earlier[:] = equal
@@ -245,7 +256,6 @@ def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
                 np.equal(columns[i], columns[j], out=equal)
                 earlier += equal
             total += comb_table.take(earlier)
-        out[lo:lo + size] = total
     return out
 
 
@@ -270,22 +280,31 @@ def _exact_collision_sum(counts: np.ndarray, length: int, k: int) -> int:
     """sum_s (prod_i c_{s_i}) * C(s) over every sequence s of `length`
     symbols from range(n), C(s) its k-collision count, as an exact int.
 
-    The sequences go through a block at a time: the last `tail` symbols run
-    over one precomputed int8 block of n^tail <= _ROW_CHUNK rows, and the
-    leading ones are constant within a block, so memory is O(_ROW_CHUNK).
+    The last `tail` symbols run over a block of n^tail <= _ROW_CHUNK tails, the
+    rest over n^lead heads (one empty head if lead = 0).  Each counter call and
+    integer @ take as many heads, times the block, as fit in _ROW_CHUNK rows
+    (at least one), laid out column by column so the counter copies nothing.
+    Memory is O(_ROW_CHUNK + n^lead); the heads' weights are exact ints.
     """
     n = counts.size
     tail = 1
     while tail < length and n ** (tail + 1) <= _ROW_CHUNK:
         tail += 1
-    rows = np.empty((n ** tail, length), dtype=np.int8)
-    rows[:, length - tail:] = np.indices((n,) * tail, dtype=np.int8).reshape(tail, -1).T
-    tail_weights = np.prod(counts.take(rows[:, length - tail:]), axis=1)
+    block = n ** tail
+    group = max(1, _ROW_CHUNK // block)
+    heads = np.array(list(itertools.product(range(n), repeat=length - tail)), dtype=np.int8)
+    head_weights = [math.prod(weights) for weights in counts.take(heads).tolist()]
+    tails = np.indices((n,) * tail, dtype=np.int8).reshape(tail, -1)
+    tail_weights = np.prod(counts.take(tails), axis=0)
+    columns = np.empty((length, min(group, len(heads)) * block), dtype=np.int8)
+    columns[length - tail:] = np.tile(tails, columns.shape[1] // block)
     total = 0
-    for head in itertools.product(range(n), repeat=length - tail):
-        rows[:, :length - tail] = head
-        head_weight = math.prod(int(counts[s]) for s in head)
-        total += head_weight * int(tail_weights @ _collision_counts_rows(rows, k))
+    for lo in range(0, len(heads), group):
+        part = heads[lo:lo + group]
+        size = len(part) * block
+        columns[:length - tail, :size] = part.T.repeat(block, axis=1)
+        by_head = _collision_counts_rows(columns[:, :size].T, k).reshape(-1, block) @ tail_weights
+        total += sum(h * c for h, c in zip(head_weights[lo:lo + group], by_head.tolist()))
     return total
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from qentropy import amplitude, cli, estimators, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
-from qentropy.distributions import RationalDistribution, shannon_entropy
+from qentropy.distributions import RationalDistribution, from_counts, power_sum, shannon_entropy
 from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy, estimate_renyi
 from qentropy.harness import (
     CSV_COLUMNS,
@@ -464,15 +464,43 @@ def test_collision_rows_match_the_sort_based_counter(length, k, chunk, data):
 @pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
 def test_enumerated_sequences_match_itertools_product(n, length, k):
     # The block enumeration's weighted collision sum against the sum over
-    # one array of every itertools.product sequence, in blocks of the
-    # suite's size and in n^2 blocks of n^(l-2) rows.
+    # one array of every itertools.product sequence, at the suite's chunk
+    # and at chunks that leave one head per group (n^(l-2): tails of l-2
+    # symbols, n^2 heads), a partial last group (3 n^(l-2): n^2 heads is 1
+    # mod 3) and one group of one empty head (n^l: lead = 0).
     counts = zipf(1.5, n).counts
     sequences = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
     weights = np.prod(counts.take(sequences), axis=1)
     expected = int(weights @ _collision_counts_rows(sequences, k))
-    for chunk in (n ** (length - 2), verify._ROW_CHUNK):
+    for chunk in (n ** (length - 2), 3 * n ** (length - 2), n ** length, verify._ROW_CHUNK):
         with mock.patch.object(verify, "_ROW_CHUNK", chunk):
             assert verify._exact_collision_sum(counts, length, k) == expected
+
+
+def _sandwich_loop_cases(rng):
+    """The sandwich suite's cases as its per-case loop drew and evaluated them."""
+    for _ in range(verify._SANDWICH_TRIALS):
+        n = int(rng.integers(2, 65))
+        counts = rng.integers(0, 20, size=n)
+        if counts.sum() == 0:
+            counts[0] = 1
+        dist = from_counts(counts)
+        a1, a2 = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
+        if a2 - a1 < 1e-9:
+            a2 += 1e-3
+        yield n, a1, a2, power_sum(dist, a1), power_sum(dist, a2)
+
+
+def test_sandwich_batch_is_the_per_case_loop_bit_for_bit():
+    # Every one of the suite's cases against the loop: the same sizes and
+    # orders, power sums equal to power_sum's to the last bit, and the
+    # generator left in the same state.
+    ours, loop = (np.random.default_rng(verify._SUITE_SEED) for _ in range(2))
+    sizes, orders, sums = verify._sandwich_cases(ours)
+    batch = np.column_stack([sizes, orders, *sums])
+    expected = np.array(list(_sandwich_loop_cases(loop)))
+    assert batch.tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == loop.bit_generator.state
 
 
 def test_collision_suite_memory_is_bounded_by_a_chunk():
@@ -486,6 +514,22 @@ def test_collision_suite_memory_is_bounded_by_a_chunk():
         tracemalloc.stop()
     assert suite_passed(checks)
     assert peak < 4_000_000, peak
+
+
+def test_sandwich_suite_memory_is_bounded():
+    # The batch holds two 1000 x 64 matrices, the int64 counts and one
+    # float64 buffer for both orders' terms: a traced peak of ~1.2 MB on a
+    # second pass, below the collision suite's ~1.9 MB, so the batch is
+    # never verify's peak.
+    verify.sandwich_suite()
+    tracemalloc.start()
+    try:
+        checks = verify.sandwich_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite_passed(checks)
+    assert peak < 1_500_000, peak
 
 
 @pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
