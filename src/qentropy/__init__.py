@@ -25,14 +25,15 @@ from .estimators import (
     EstimateReport,
     EstimatorConfig,
     annealing_schedule,
-    estimate_kl,
-    estimate_min_entropy,
-    estimate_power_sum_annealed,
-    estimate_power_sum_integer,
-    estimate_renyi,
-    estimate_shannon,
-    estimate_support_coverage,
-    estimate_support_size,
+    prepare_kl,
+    prepare_min_entropy,
+    prepare_plugin,
+    prepare_power_sum_annealed,
+    prepare_power_sum_integer,
+    prepare_renyi,
+    prepare_shannon,
+    prepare_support_coverage,
+    prepare_support_size,
 )
 
 __version__ = "0.1.0"
@@ -47,14 +48,6 @@ __all__ = [
     "build_oracle",
     "estamp_distribution",
     "estamp_prime_floor",
-    "estimate_kl",
-    "estimate_min_entropy",
-    "estimate_power_sum_annealed",
-    "estimate_power_sum_integer",
-    "estimate_renyi",
-    "estimate_shannon",
-    "estimate_support_coverage",
-    "estimate_support_size",
     "from_counts",
     "from_json_dict",
     "grid_value",
@@ -62,6 +55,15 @@ __all__ = [
     "load_distribution",
     "min_entropy",
     "power_sum",
+    "prepare_kl",
+    "prepare_min_entropy",
+    "prepare_plugin",
+    "prepare_power_sum_annealed",
+    "prepare_power_sum_integer",
+    "prepare_renyi",
+    "prepare_shannon",
+    "prepare_support_coverage",
+    "prepare_support_size",
     "renyi_entropy",
     "shannon_entropy",
     "support_coverage",

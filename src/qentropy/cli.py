@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
+from .distributions import evaluate_measure
 from .estimators import MODES
 from .harness import (
     TRIALS,
     ExperimentConfig,
-    evaluate_measure,
     resolve_distribution,
     run_cell_trial,
     run_experiment,

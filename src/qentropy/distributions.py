@@ -383,3 +383,56 @@ def pairs_ratio_bound(pairs: tuple, p: RationalDistribution, q: RationalDistribu
         raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
     return max(Fraction(a * q.denominator, b * p.denominator)
                for a, b in zip(cp.tolist(), cq.tolist()))
+
+
+# Measures by name, shared by `exact`, the plug-in baseline and experiment cells.
+_ORDER = (float, "a numeric order, not NaN,")
+# name -> ((kind, description) of the argument after the colon, or None; value)
+_MEASURES = {
+    "shannon": (None, lambda dist, _: shannon_entropy(dist)),
+    "renyi": (_ORDER, renyi_entropy),
+    "minentropy": (None, lambda dist, _: min_entropy(dist)),
+    "support": (None, lambda dist, _: float(dist.support_size())),
+    "power-sum": (_ORDER, power_sum),
+    "coverage": ((int, "an integer sample count below 2^63"),
+                 lambda dist, t: support_coverage(dist, t) / t),
+    "kl": (None, None),
+}
+
+
+def evaluate_measure(dist: RationalDistribution, measure: str,
+                     dist_q: Optional[RationalDistribution] = None) -> float:
+    """Exact value of a named measure: shannon | renyi:<a> | minentropy |
+    support | power-sum:<a> | coverage:<t> | kl (needs dist_q).
+
+    Coverage is reported normalized by the sample count t, matching the
+    estimator's output scale.  The measure is read by parse_measure.
+    """
+    name, arg = parse_measure(measure)
+    if name != "kl":
+        return _MEASURES[name][1](dist, arg)
+    if dist_q is None:
+        raise ValueError("measure 'kl' needs a second distribution")
+    return kl_divergence(dist, dist_q)
+
+
+def parse_measure(measure: str) -> tuple[str, float | int | None]:
+    """The name of a measure and its argument, converted; None if it takes none.
+
+    An unknown name, an order that is NaN or not a number, or a t that is
+    not an integer below 2^63 raises ValueError quoting the measure.
+    """
+    name, _, arg = measure.partition(":")
+    if name not in _MEASURES:
+        raise ValueError("unknown measure %r" % measure)
+    if _MEASURES[name][0] is None:
+        return name, None
+    kind, what = _MEASURES[name][0]
+    try:
+        value = kind(arg)
+    except ValueError:
+        value = math.nan
+    # NaN, or an argument kind could not convert; an integer must fit a float
+    if value != value or (kind is int and value >= 1 << 63):
+        raise ValueError("measure %r needs %s after the colon, got %r" % (measure, what, arg))
+    return name, value

@@ -13,26 +13,30 @@ and refuse that mode.
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
 cfg) touches no rng: it makes every check that needs no draw, fixes the
 budgets, builds the payoff laws and computes the truth, so what it refuses is
-refused before any draw.  It returns the trial, trial(oracle, seed), which
-draws from np.random.default_rng(seed), books the oracle's ledger and returns
-a fresh report; a prepared estimator runs any number of trials.
-estimate_X(oracle, ..., cfg) is the one-shot form, one trial at cfg.seed.
+refused before any draw.  The estimators that draw symbols themselves (the
+integer orders, min-entropy and the plug-in) then build their oracle layout,
+once.  prepare_X returns the trial, trial(seed), which draws from
+np.random.default_rng(seed), books ledgers of its own, one per distribution
+it reads, and returns a fresh report; a prepared estimator runs any number
+of trials.
 
-Charging policy: only the estimators book a ledger; payoff laws and contracts
-are pure functions of their inputs and an rng.  A contract returns its
-execution count and classical draws; the estimator books M queries per
-execution under phase "estamp" (each execution's one sampling query is
-absorbed into the constants), and the draws, on the ledger of each oracle the
-law reads.  Collision-based estimators book their sequence draws as classical
-work and a fixed charge per collision search under phase "distinctness"
-(Belovs's bound for integer orders, a flat L^(3/4) for min-entropy).
+Charging policy: only the estimators book a ledger; payoff laws, contracts
+and oracle layouts are pure functions of their inputs and an rng.  A
+contract returns its execution count and classical draws; the estimator
+books M queries per execution under phase "estamp" (each execution's one
+sampling query is absorbed into the constants), and the draws, on the
+ledger of each distribution the law reads.  Collision-based estimators book
+their sequence draws as classical work and a fixed charge per collision
+search under phase "distinctness" (Belovs's bound for integer orders, a
+flat L^(3/4) for min-entropy).  The plug-in books its draws as classical
+work only.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -57,9 +61,12 @@ from .distributions import (
     RationalDistribution,
     _count_chunks,
     count_pairs,
+    evaluate_measure,
     kl_divergence,
     pairs_ratio_bound,
+    parse_measure,
     power_sum,
+    ratio_bound,
     shannon_entropy,
     support_coverage,
 )
@@ -70,7 +77,7 @@ from .mean_estimation import (
     multiplicative_runs,
     qmean_additive,
 )
-from .oracle import DistributionOracle
+from .oracle import DistributionOracle, QueryLedger, build_oracle
 
 
 # sampled payoffs through a mean-estimation contract, or the payoff law's exact mean
@@ -91,7 +98,6 @@ MIN_EPSILON = 1e-150
 class EstimatorConfig:
     epsilon: float = 0.25
     delta: float = 0.1
-    seed: Optional[int] = None
     mode: str = "contract"  # one of MODES
 
     def __post_init__(self):
@@ -141,9 +147,9 @@ class EstimateReport:
         }
 
 
-def _finish(algo, estimate, truth, error_mode, oracle, cfg, seed,
+def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
             alpha=None, ledger_q=None, extras=None) -> EstimateReport:
-    """The report of one trial, judged against tolerance cfg.epsilon."""
+    """The report of one trial on dist, judged against tolerance cfg.epsilon."""
     if error_mode == "multiplicative":
         err = abs(estimate - truth) / abs(truth) if truth != 0 else math.inf
     else:
@@ -152,11 +158,11 @@ def _finish(algo, estimate, truth, error_mode, oracle, cfg, seed,
         algo=algo, estimate=float(estimate), truth=float(truth),
         error_mode=error_mode, tolerance=cfg.epsilon,
         success=bool(err <= cfg.epsilon), error=float(err),
-        n=oracle.n, denominator=oracle.source.denominator,
+        n=dist.n, denominator=dist.denominator,
         epsilon=cfg.epsilon, delta=cfg.delta, seed=seed, mode=cfg.mode,
-        alpha=alpha, ledger=oracle.ledger.snapshot(),
+        alpha=alpha, ledger=ledger.snapshot(),
         ledger_q=ledger_q.snapshot() if ledger_q is not None else None,
-        classical_executions=oracle.ledger.classical_executions,
+        classical_executions=ledger.classical_executions,
         extras=extras or {},
     )
 
@@ -306,28 +312,31 @@ def coverage_budget(n_samples: int, epsilon: float) -> int:
 # additive estimators: Shannon entropy, KL divergence, support coverage
 
 
-def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str):
+def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str,
+                  budgets: tuple[int, ...]):
     """Shared trial of the additive estimators, prepared once per law.
 
     Records the payoff law's exact moments in extras.  The returned
-    run(seed, charges) gives (value, a fresh copy of extras): the law's exact
-    mean in exact-expectation mode, else a qmean_additive estimate at the
-    target error, its copy recording that contract's charge and flag, which
-    it books, with its classical draws, on each (ledger, M) pair of charges.
+    run(seed) gives (value, a fresh copy of extras, one fresh ledger per
+    budget M in budgets): the law's exact mean in exact-expectation mode,
+    else a qmean_additive estimate at the target error, its copy recording
+    that contract's charge and flag, which it books, at M queries per
+    execution and with its classical draws, on each budget's ledger.
     """
     exact_mean, exact_var = sub.mean(), sub.variance()
     extras = dict(extras, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
                   variance_bound_exceeded=bool(exact_var > sigma ** 2))
 
-    def run(seed: Optional[int], charges: tuple) -> tuple[float, dict]:
+    def run(seed: Optional[int]) -> tuple[float, dict, tuple[QueryLedger, ...]]:
+        ledgers = tuple(QueryLedger() for _ in budgets)
         if mode == "exact-expectation":
-            return exact_mean, dict(extras)
+            return exact_mean, dict(extras), ledgers
         me = qmean_additive(sub, sigma, target, np.random.default_rng(seed))
-        for ledger, M in charges:
+        for ledger, M in zip(ledgers, budgets):
             ledger.charge("estamp", M * me.charged_executions)
             ledger.charge_classical(me.classical_executions)
         return me.value, dict(extras, charged_executions=me.charged_executions,
-                              out_of_contract=me.out_of_contract)
+                              out_of_contract=me.out_of_contract), ledgers
     return run
 
 
@@ -343,18 +352,14 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
     M = shannon_budget(n, eps)
     sub = MasterSubroutine(dist, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
-    run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode)
+    run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
     truth = shannon_entropy(dist)
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
-        value, extras = run(seed, ((oracle.ledger, M),))
-        return _finish("shannon", value, truth, "additive", oracle, cfg, seed,
+    def trial(seed: Optional[int]) -> EstimateReport:
+        value, extras, (ledger,) = run(seed)
+        return _finish("shannon", value, truth, "additive", dist, cfg, seed, ledger,
                        alpha=1.0, extras=extras)
     return trial
-
-
-def estimate_shannon(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_shannon(oracle.source, cfg)(oracle, cfg.seed)
 
 
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
@@ -379,7 +384,7 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     distributions.ratio_bound: its float can round below it); None stands
     for that exact bound.  Budgets use its float.  q's budget carries the
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
-    charge by roughly that ratio.  The trial is trial(oracle_p, oracle_q, seed).
+    charge by roughly that ratio.
     """
     pairs = count_pairs(p, q)  # one grouping serves the bound, the promise and the law
     if ratio_bound is None:
@@ -395,22 +400,14 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     run = _additive_run(sub, sigma, eps / 2.0,
                         {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound},
-                        cfg.mode)
+                        cfg.mode, (M_p, M_q))
     truth = kl_divergence(p, q)
 
-    def trial(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
-              seed: Optional[int]) -> EstimateReport:
-        value, extras = run(seed, ((oracle_p.ledger, M_p), (oracle_q.ledger, M_q)))
-        return _finish("kl", value, truth, "additive", oracle_p, cfg, seed,
-                       ledger_q=oracle_q.ledger, extras=extras)
+    def trial(seed: Optional[int]) -> EstimateReport:
+        value, extras, (ledger_p, ledger_q) = run(seed)
+        return _finish("kl", value, truth, "additive", p, cfg, seed, ledger_p,
+                       ledger_q=ledger_q, extras=extras)
     return trial
-
-
-def estimate_kl(oracle_p: DistributionOracle, oracle_q: DistributionOracle,
-                ratio_bound: float | Fraction | None,
-                cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_kl(oracle_p.source, oracle_q.source, ratio_bound, cfg)(
-        oracle_p, oracle_q, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +457,12 @@ def _level_law(dist: RationalDistribution, level: float, eps: float,
                                variant="estamp" if high else "estamp-prime")
 
 
-def _power_sum_report(algo: str, oracle, alpha, cfg, seed, truth, estimate,
+def _power_sum_report(algo: str, dist, alpha, cfg, seed, ledger, truth, estimate,
                       extras) -> EstimateReport:
     extras["entropy_estimate_nats"] = (
         math.log(estimate) / (1.0 - alpha) if estimate > 0 else None)
     extras["entropy_truth_nats"] = math.log(truth) / (1.0 - alpha)
-    return _finish(algo, estimate, truth, "multiplicative", oracle, cfg, seed,
+    return _finish(algo, estimate, truth, "multiplicative", dist, cfg, seed, ledger,
                    alpha=alpha, extras=extras)
 
 
@@ -486,7 +483,7 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     before any draw: the base case and the inner levels at a constant
     epsilon, the last at the target one.  A level's repetitions run as one
     batch of multiplicative_runs over the level's payoff law, booked on the
-    oracle's ledger as the batch returns.
+    trial's ledger as the batch returns.
     """
     if not 0 < alpha < math.inf or float(alpha).is_integer():
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
@@ -496,8 +493,8 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     if cfg.mode == "exact-expectation":
         M, sub = _level_law(dist, alpha, cfg.epsilon, high)
         mean, variance = sub.mean(), sub.variance()
-        return lambda oracle, seed: _power_sum_report(
-            algo, oracle, alpha, cfg, seed, truth, mean,
+        return lambda seed: _power_sum_report(
+            algo, dist, alpha, cfg, seed, QueryLedger(), truth, mean,
             {"M": M, "exact_subroutine_variance": variance})
     n = dist.n
     ln_n = math.log(n)
@@ -519,8 +516,9 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
             "variance_bound_exceeded": bool(exact_var > (sigma * exact_mean) ** 2),
         }))
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+    def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
+        ledger = QueryLedger()
         estimate = None
         trace = []
         for idx, (sub, fixed) in enumerate(levels):
@@ -537,8 +535,8 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
             def level_runs(rng_, repetitions):
                 runs = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
                                            repetitions, rng_)
-                oracle.ledger.charge("estamp", fixed["M"] * repetitions * runs.charged_executions)
-                oracle.ledger.charge_classical(int(runs.classical_executions.sum()))
+                ledger.charge("estamp", fixed["M"] * repetitions * runs.charged_executions)
+                ledger.charge_classical(int(runs.classical_executions.sum()))
                 return runs.value
 
             try:
@@ -554,24 +552,19 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
                               clamped=clamped, clamp_applied=clamped != value,
                               runs=runs if idx == len(levels) - 1 else None))
             estimate = clamped
-        return _power_sum_report(algo, oracle, alpha, cfg, seed, truth, estimate,
+        return _power_sum_report(algo, dist, alpha, cfg, seed, ledger, truth, estimate,
                                  {"schedule": trace})
     return trial
-
-
-def estimate_power_sum_annealed(oracle: DistributionOracle, alpha: float,
-                                cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_power_sum_annealed(oracle.source, alpha, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # integer power sums via collision counting
 
 
-# Positions held at once by the collision estimators: the count phase of
-# estimate_power_sum_integer draws, maps and counts its rounds in chunks of
+# Positions held at once by the drawing estimators: the count phase of the
+# integer orders draws, maps and counts its rounds in chunks of
 # this many elements (at least one round per chunk), and min-entropy streams
-# a larger batch through chunks of this many.
+# a larger batch, and the plug-in its samples, through chunks of this many.
 _COUNT_CHUNK = 1 << 16
 
 # K in the integer-order power-sum estimator's round count ceil(K/eps^2).
@@ -594,7 +587,7 @@ def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
     are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
     positions at a time, with one draw call per chunk.  Every search and
     count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are classical bookkeeping.
+    themselves are booked as classical work.
 
     Refused here, before any draw: exact-expectation mode, an epsilon that
     asks for more than _MAX_ROUNDS count rounds, and an order whose charges
@@ -628,13 +621,16 @@ def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
         raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
     truth = power_sum(dist, alpha)
+    oracle = build_oracle(dist)
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+    def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
+        ledger = QueryLedger()
         length = 1 << i_max
         for i in range(i_max + 1):
             seq = oracle.sample_classical(rng, 1 << i)
-            oracle.ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
+            ledger.charge_classical(1 << i)
+            ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
             hit = find_k_collision(seq, alpha, fail_search, rng)
             if hit is not None:
                 length = 1 << i
@@ -652,20 +648,16 @@ def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
             # their bits from the bit generator value by value, rejections
             # included.
             total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
-            oracle.ledger.charge("distinctness", rows * round_charge)
+            ledger.charge_classical(rows * length)
+            ledger.charge("distinctness", rows * round_charge)
         extras = {
             "fixed_length": length, "rounds": rounds, "collision_total": total,
             "cost_model": "belovs", "search_fail_prob": fail_search,
             "count_fail_prob": fail_count,
         }
-        return _power_sum_report("renyi-integer", oracle, alpha, cfg, seed, truth,
+        return _power_sum_report("renyi-integer", dist, alpha, cfg, seed, ledger, truth,
                                  total / (rounds * denominator), extras)
     return trial
-
-
-def estimate_power_sum_integer(oracle: DistributionOracle, alpha: int,
-                               cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_power_sum_integer(oracle.source, alpha, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +671,7 @@ _MAX_FIRST_INTENSITY = 2.0 ** 40
 
 def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                         fail_prob: float, rng: np.random.Generator) -> Optional[int]:
-    """One round's k-collision search over batch fresh draws, booked as
-    classical work.
+    """One round's k-collision search over batch fresh draws.
 
     A batch of at most _COUNT_CHUNK positions is drawn whole and searched by
     sorting (find_k_collision).  A larger one is drawn and counted a chunk
@@ -727,16 +718,19 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
     fail_round = min(0.5, eps / (2.0 * ln_n))
     # a Python int, so the truth is a float, not an np.float64
     truth = int(dist.counts.max()) / dist.denominator
+    oracle = build_oracle(dist)
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
+    def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
+        ledger = QueryLedger()
         lam = 1.0
         rounds = []
         found = None
         while lam <= n:
             intensity = 16.0 * lam * ln_n / eps ** 2
             batch = int(rng.poisson(intensity))
-            oracle.ledger.charge("distinctness", flat34_charge(batch))
+            ledger.charge("distinctness", flat34_charge(batch))
+            ledger.charge_classical(batch)
             hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
             rounds.append({"lambda": lam, "batch": batch,
                            "hit": None if hit is None else int(hit)})
@@ -752,19 +746,15 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
         else:
             estimate, M = sample_estamp_multiplicative(float(dist.fraction(found)), eps,
                                                        1.0 / n, rng)
-            oracle.ledger.charge("estamp", M)
+            ledger.charge("estamp", M)
             extras["fallback"] = False
             extras["captured_symbol"] = found
             extras["M"] = M
         extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
         extras["min_entropy_truth_nats"] = -math.log(truth)
-        return _finish("minentropy", estimate, truth, "multiplicative", oracle, cfg, seed,
-                       alpha=math.inf, extras=extras)
+        return _finish("minentropy", estimate, truth, "multiplicative", dist, cfg, seed,
+                       ledger, alpha=math.inf, extras=extras)
     return trial
-
-
-def estimate_min_entropy(oracle: DistributionOracle, cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_min_entropy(oracle.source, cfg)(oracle, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -781,29 +771,29 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
     return payoff
 
 
+def _coverage_run(dist: RationalDistribution, t: int, eps: float, mode: str):
+    """_additive_run of the coverage at t draws, to additive error eps * t."""
+    M = coverage_budget(t, eps)
+    sub = MasterSubroutine(dist, M, payoff=_coverage_payoff(t), variant="estamp")
+    return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
+
+
 def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
                              cfg: EstimatorConfig) -> Callable:
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    t, eps = n_samples, cfg.epsilon
-    M = coverage_budget(t, eps)
-    sub = MasterSubroutine(dist, M, payoff=_coverage_payoff(t), variant="estamp")
-    run = _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, cfg.mode)
+    t = n_samples
+    run = _coverage_run(dist, t, cfg.epsilon, cfg.mode)
     truth_abs = support_coverage(dist, t)
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
-        value, extras = run(seed, ((oracle.ledger, M),))
+    def trial(seed: Optional[int]) -> EstimateReport:
+        value, extras, (ledger,) = run(seed)
         extras.update(estimate_absolute=value, truth_absolute=truth_abs)
-        return _finish("coverage", value / t, truth_abs / t, "additive", oracle, cfg, seed,
-                       extras=extras)
+        return _finish("coverage", value / t, truth_abs / t, "additive", dist, cfg, seed,
+                       ledger, extras=extras)
     return trial
-
-
-def estimate_support_coverage(oracle: DistributionOracle, n_samples: int,
-                              cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_support_coverage(oracle.source, n_samples, cfg)(oracle, cfg.seed)
 
 
 # The least epsilon whose coverage epsilon eps/(2 ln(2/eps)) is at least
@@ -813,7 +803,9 @@ _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None:
     """What prepare_support_size refuses before it prepares its coverage run:
-    m, eps and the promise.  The coverage run then refuses its budget."""
+    m, eps and the promise.  The coverage run then refuses its budget.  An
+    eps at or above _SUPPORT_MIN_EPSILON keeps the coverage epsilon at or
+    above MIN_EPSILON."""
     if m < 1:
         raise ValueError("m must be positive")
     if eps >= 2.0:
@@ -841,25 +833,78 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
     check_support_promise(dist, m, eps)
     t = math.ceil(m * math.log(2.0 / eps))
     eps_cov = eps / (2.0 * math.log(2.0 / eps))
-    coverage = prepare_support_coverage(dist, t, replace(cfg, epsilon=eps_cov))
+    coverage = _coverage_run(dist, t, eps_cov, cfg.mode)
     truth = dist.support_size()
 
-    def trial(oracle: DistributionOracle, seed: Optional[int]) -> EstimateReport:
-        absolute = coverage(oracle, seed).extras["estimate_absolute"]
+    def trial(seed: Optional[int]) -> EstimateReport:
+        absolute, _, (ledger,) = coverage(seed)
         size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
         extras = {
             "n_samples": t, "coverage_eps": eps_cov,
             "coverage_estimate_absolute": absolute,
             "size_estimate": size_estimate, "size_truth": truth,
         }
-        return _finish("support", size_estimate / m, truth / m, "additive", oracle, cfg, seed,
-                       alpha=0.0, extras=extras)
+        return _finish("support", size_estimate / m, truth / m, "additive", dist, cfg, seed,
+                       ledger, alpha=0.0, extras=extras)
     return trial
 
 
-def estimate_support_size(oracle: DistributionOracle, m: int,
-                          cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_support_size(oracle.source, m, cfg)(oracle, cfg.seed)
+# ---------------------------------------------------------------------------
+# the classical plug-in baseline
+
+# The most samples a plug-in side draws: 2^40 positions would take hours, so
+# a larger n_samples is refused before any draw.
+_MAX_PLUGIN_SAMPLES = 1 << 40
+
+
+def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
+                   dist_q: Optional[RationalDistribution] = None,
+                   epsilon: float = math.inf) -> Callable:
+    """Plug-in estimator: evaluate the measure on empirical frequencies.
+
+    Prepared like the quantum estimators: the sample count, the measure and
+    the truth are settled before any draw, and a KL pair with no finite
+    divergence is refused as prepare_kl refuses it.  Each side draws
+    n_samples positions, p's first, booked as classical work on its own
+    ledger, and drawn and counted _COUNT_CHUNK at a time, so memory is O(n)
+    whatever n_samples is.  A KL plug-in whose empirical q lands zero mass
+    where empirical p has support is reported as undefined (NaN estimate,
+    success False) rather than raising.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if n_samples > _MAX_PLUGIN_SAMPLES:
+        raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
+                         "that many positions, past the ceiling of 2^40" % n_samples)
+    kl = parse_measure(measure)[0] == "kl"
+    if kl and dist_q is not None:
+        ratio_bound(dist, dist_q)
+    truth = evaluate_measure(dist, measure, dist_q)
+    oracles = [build_oracle(d) for d in ((dist, dist_q) if kl else (dist,))]
+
+    def trial(seed: Optional[int]) -> EstimateReport:
+        rng = np.random.default_rng(seed)
+        counts = [oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:] for oracle in oracles]
+        ledgers = [QueryLedger() for _ in oracles]
+        for ledger in ledgers:
+            ledger.charge_classical(n_samples)
+        empirical = [RationalDistribution(n_samples, c) for c in counts]
+        undefined = kl and bool(np.any((counts[0] > 0) & (counts[1] == 0)))
+        estimate = math.nan if undefined else evaluate_measure(
+            empirical[0], measure, empirical[1] if kl else None)
+        err = abs(estimate - truth)
+        return EstimateReport(
+            algo="plugin:" + measure, estimate=float(estimate), truth=float(truth),
+            error_mode="additive", tolerance=epsilon,
+            success=bool(not undefined and err <= epsilon), error=float(err),
+            n=dist.n, denominator=dist.denominator,
+            epsilon=epsilon, delta=0.0, seed=seed, mode="plugin",
+            ledger=ledgers[0].snapshot(),
+            ledger_q=ledgers[1].snapshot() if kl else None,
+            classical_executions=ledgers[0].classical_executions,
+            extras={"n_samples": n_samples, "undefined": undefined},
+        )
+    return trial
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +922,7 @@ def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     if alpha == 0:
-        raise ValueError("order 0 needs a support promise; use estimate_support_size")
+        raise ValueError("order 0 needs a support promise; use prepare_support_size")
     if alpha == 1:
         return prepare_shannon(dist, cfg)
     if math.isinf(alpha):
@@ -885,8 +930,3 @@ def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig
     if float(alpha).is_integer():
         return prepare_power_sum_integer(dist, int(alpha), cfg)
     return prepare_power_sum_annealed(dist, alpha, cfg)
-
-
-def estimate_renyi(oracle: DistributionOracle, alpha: float,
-                   cfg: EstimatorConfig) -> EstimateReport:
-    return prepare_renyi(oracle.source, alpha, cfg)(oracle, cfg.seed)

@@ -1,14 +1,14 @@
-"""Experiment harness: batch trials to CSV, plug-in baseline, verify suites.
+"""Experiment harness: batch trials to CSV, verify suites.
 
 The CSV schema is the external contract; reruns with the same master seed
 must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-A cell is prepared once (prepare_cell): checked, its distributions resolved,
-its estimator prepared and its oracle layouts built, so everything a cell
-refuses without a draw is refused there.  The prepared cell is trial(seed),
-which draws on fresh ledgers.  ExperimentConfig prepares every cell when it
+A cell is prepared once (prepare_cell): checked, its distributions resolved
+and its estimator prepared, so everything a cell refuses without a draw is
+refused there.  The prepared cell is the estimator's trial(seed), which
+books ledgers of its own.  ExperimentConfig prepares every cell when it
 loads and run_experiment runs each cell's trials on it; run_cell_trial, the
 one-trial form behind `estimate`, prepares a cell afresh for each call.
 
@@ -25,36 +25,25 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import (
-    RationalDistribution,
-    kl_divergence,
-    load_distribution,
-    min_entropy,
-    power_sum,
-    ratio_bound,
-    renyi_entropy,
-    shannon_entropy,
-    support_coverage,
-)
+from .distributions import RationalDistribution, load_distribution, parse_measure
 from .estimators import (
-    _COUNT_CHUNK,
     MODES,
     EstimateReport,
     EstimatorConfig,
     prepare_kl,
     prepare_min_entropy,
+    prepare_plugin,
     prepare_renyi,
     prepare_shannon,
     prepare_support_coverage,
     prepare_support_size,
 )
 from .instances import INSTANCE_FAMILIES, parse_instance
-from .oracle import DistributionOracle, QueryLedger, build_oracle
 from .verify import SUITES, run_suite, suite_passed
 
 SEED_ENV_VAR = "QENTROPY_SEED"
@@ -90,121 +79,6 @@ def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed from (master, cell, trial)."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(cell_index, trial_index))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-# ---------------------------------------------------------------------------
-# measures shared by `exact`, the plug-in baseline, and truth columns
-
-
-_ORDER = (float, "a numeric order, not NaN,")
-# name -> ((kind, description) of the argument after the colon, or None; value)
-_MEASURES = {
-    "shannon": (None, lambda dist, _: shannon_entropy(dist)),
-    "renyi": (_ORDER, renyi_entropy),
-    "minentropy": (None, lambda dist, _: min_entropy(dist)),
-    "support": (None, lambda dist, _: float(dist.support_size())),
-    "power-sum": (_ORDER, power_sum),
-    "coverage": ((int, "an integer sample count below 2^63"),
-                 lambda dist, t: support_coverage(dist, t) / t),
-    "kl": (None, None),
-}
-
-
-def evaluate_measure(dist: RationalDistribution, measure: str,
-                     dist_q: Optional[RationalDistribution] = None) -> float:
-    """Exact value of a named measure: shannon | renyi:<a> | minentropy |
-    support | power-sum:<a> | coverage:<t> | kl (needs dist_q).
-
-    Coverage is reported normalized by the sample count t, matching the
-    estimator's output scale.  The measure is read by parse_measure.
-    """
-    name, arg = parse_measure(measure)
-    if name != "kl":
-        return _MEASURES[name][1](dist, arg)
-    if dist_q is None:
-        raise ValueError("measure 'kl' needs a second distribution")
-    return kl_divergence(dist, dist_q)
-
-
-def parse_measure(measure: str) -> tuple[str, float | int | None]:
-    """The name of a measure and its argument, converted; None if it takes none.
-
-    An unknown name, an order that is NaN or not a number, or a t that is
-    not an integer below 2^63 raises ValueError quoting the measure.
-    """
-    name, _, arg = measure.partition(":")
-    if name not in _MEASURES:
-        raise ValueError("unknown measure %r" % measure)
-    if _MEASURES[name][0] is None:
-        return name, None
-    kind, what = _MEASURES[name][0]
-    try:
-        value = kind(arg)
-    except ValueError:
-        value = math.nan
-    # NaN, or an argument kind could not convert; an integer must fit a float
-    if value != value or (kind is int and value >= 1 << 63):
-        raise ValueError("measure %r needs %s after the colon, got %r" % (measure, what, arg))
-    return name, value
-
-
-def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
-                   dist_q: Optional[RationalDistribution] = None,
-                   epsilon: float = math.inf) -> Callable:
-    """Plug-in estimator: evaluate the measure on empirical frequencies.
-
-    Prepared like the quantum estimators: the sample count, the measure and
-    the truth are settled before any draw, and a KL pair with no finite
-    divergence is refused as estimate_kl refuses it.  The trial,
-    trial(oracle, oracle_q, rng), draws.  Draws are charged as classical
-    queries only, and drawn and counted _COUNT_CHUNK at a time, so memory is
-    O(n) whatever n_samples is.  A KL plug-in whose empirical q lands zero
-    mass where empirical p has support is reported as undefined (NaN
-    estimate, success False) rather than raising.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    kl = parse_measure(measure)[0] == "kl"
-    if kl and dist_q is not None:
-        ratio_bound(dist, dist_q)
-    truth = evaluate_measure(dist, measure, dist_q)
-
-    def trial(oracle: DistributionOracle, oracle_q: Optional[DistributionOracle],
-              rng: np.random.Generator) -> EstimateReport:
-        counts = oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
-        empirical = RationalDistribution(n_samples, counts)
-        undefined = False
-        if kl:
-            counts_q = oracle_q.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:]
-            if np.any((counts > 0) & (counts_q == 0)):
-                undefined = True
-                estimate = math.nan
-            else:
-                estimate = kl_divergence(empirical, RationalDistribution(n_samples, counts_q))
-        else:
-            estimate = evaluate_measure(empirical, measure)
-        err = abs(estimate - truth)
-        return EstimateReport(
-            algo="plugin:" + measure, estimate=float(estimate), truth=float(truth),
-            error_mode="additive", tolerance=epsilon,
-            success=bool(not undefined and err <= epsilon), error=float(err),
-            n=oracle.n, denominator=dist.denominator,
-            epsilon=epsilon, delta=0.0, seed=None, mode="plugin",
-            ledger=oracle.ledger.snapshot(),
-            ledger_q=oracle_q.ledger.snapshot() if oracle_q is not None else None,
-            classical_executions=oracle.ledger.classical_executions,
-            extras={"n_samples": n_samples, "undefined": undefined},
-        )
-    return trial
-
-
-def classical_plugin_baseline(oracle: DistributionOracle, measure: str,
-                              n_samples: int, rng: np.random.Generator,
-                              oracle_q: Optional[DistributionOracle] = None,
-                              epsilon: float = math.inf) -> EstimateReport:
-    dist_q = None if oracle_q is None else oracle_q.source
-    return prepare_plugin(oracle.source, measure, n_samples, dist_q, epsilon)(
-        oracle, oracle_q, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +216,8 @@ def _config(cell: dict) -> EstimatorConfig:
                            delta=float(cell.get("delta", 0.1)), mode=cell.get("mode", "contract"))
 
 
-def _prepare_plugin(cell: dict, p: RationalDistribution,
-                    q: Optional[RationalDistribution] = None) -> Callable:
-    run = prepare_plugin(p, cell["measure"], cell["n_samples"], q,
-                         float(cell.get("eps", math.inf)))
-
-    def trial(oracle: DistributionOracle, oracle_q: Optional[DistributionOracle] = None, *,
-              seed: Optional[int]) -> EstimateReport:
-        report = run(oracle, oracle_q, np.random.default_rng(seed))
-        report.seed = seed
-        return report
-    return trial
-
-
 # algo -> (keys its cells need besides 'algo' and 'dist',
-#          prepare(cell, the distribution of each key _check_cell names)
-#          -> trial(oracle of each of them, seed=seed))
+#          prepare(cell, the distribution of each key _check_cell names) -> trial(seed))
 TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "shannon": ((), lambda cell, p: prepare_shannon(p, _config(cell))),
     "kl": (("dist_q",), lambda cell, p, q: prepare_kl(
@@ -367,7 +227,8 @@ TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "coverage": (("n_samples",), lambda cell, p: prepare_support_coverage(
         p, cell["n_samples"], _config(cell))),
     "support": (("m",), lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
-    "plugin": (("measure", "n_samples"), _prepare_plugin),
+    "plugin": (("measure", "n_samples"), lambda cell, p, q=None: prepare_plugin(
+        p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
 }
 
 
@@ -379,20 +240,12 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
     resolved.  Then each distribution is resolved once and the estimator's
     prepare step refuses what needs no draw (a budget above the largest
     table, a broken promise, exact-expectation mode for the collision
-    estimators, ...), builds the payoff laws and computes the truth.  Each
-    oracle layout is built once and never changed: each trial draws on
-    copies of the layouts, each with a fresh ledger.  Every
-    search of the collision estimators books a fixed charge: Belovs's bound
-    for integer orders, L^(3/4) for min-entropy.
+    estimators, ...), builds the payoff laws, computes the truth and, if
+    the estimator draws symbols itself, builds its oracle layout.  The
+    returned trial is the estimator's own.
     """
     reads = _check_cell(cell)
-    dists = [resolve_distribution(cell[key]) for key in reads]
-    run = TRIALS[cell["algo"]][1](cell, *dists)
-    layouts = [build_oracle(dist) for dist in dists]
-
-    def trial(seed: Optional[int]) -> EstimateReport:
-        return run(*(replace(layout, ledger=QueryLedger()) for layout in layouts), seed=seed)
-    return trial
+    return TRIALS[cell["algo"]][1](cell, *(resolve_distribution(cell[key]) for key in reads))
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],

@@ -18,14 +18,16 @@ has no more positions than buckets, the buckets are single positions and
 the guide is the layout itself.  mean_estimation.FiniteLaw draws through
 the same table, over a layout of 2^53 positions.
 
-Quantum algorithms are charged against the ledger attached to the oracle; the
-ledger separates charged quantum queries (keyed by phase label) from the
-classical executions the simulation actually performed.
+A layout is a value: its arrays are read-only and its fields fixed, so one
+layout serves any number of trials.  It books nothing.  Each trial of an
+estimator makes its own QueryLedger, which separates charged quantum
+queries (keyed by phase label) from the classical executions the simulation
+actually performed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .distributions import RationalDistribution
 
 
 class QueryLedger:
-    """Per-oracle cost record.
+    """Per-trial cost record, one for each distribution a trial reads.
 
     Quantum charges are grouped under free-form phase labels such as
     "estamp" or "distinctness"; counters never decrease and the
@@ -71,7 +73,7 @@ class QueryLedger:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuideTable:
     """Guide table over the integer positions of a layout; build with build().
 
@@ -79,7 +81,7 @@ class GuideTable:
     cum[0], so the symbol at a position is the number of entries of cum at
     or below it.  guide[b] is the symbol at position b << shift, the first
     position of bucket b.  cum is None when shift is 0, since
-    single-position buckets are never cut.
+    single-position buckets are never cut.  Both arrays are read-only.
     """
 
     cum: np.ndarray | None
@@ -104,6 +106,9 @@ class GuideTable:
             owned = -((-cum) >> shift)
             owned[1:] -= owned[:-1]
         guide = np.repeat(np.arange(sizes.size, dtype=dtype), owned)
+        for array in (cum, guide):
+            if array is not None:
+                array.flags.writeable = False
         return cls(cum=cum, guide=guide, shift=shift, **fields)
 
     def symbols(self, positions: np.ndarray) -> np.ndarray:
@@ -121,16 +126,15 @@ class GuideTable:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionOracle(GuideTable):
-    """Sorted-layout oracle [S] -> [n] plus its ledger; build with build_oracle().
+    """Sorted-layout oracle [S] -> [n]; build with build_oracle().
 
     Symbol 0 owns no position, so symbols start at 1, and cum[i] is
     counts[0] + ... + counts[i-1], the end of the positions of symbol i.
     """
 
     source: RationalDistribution
-    ledger: QueryLedger = field(default_factory=QueryLedger)
 
     @property
     def n(self) -> int:
@@ -144,11 +148,9 @@ class DistributionOracle(GuideTable):
                          shape: int | tuple[int, ...]) -> np.ndarray:
         """Symbols at rng.integers(S, size=shape) positions, in that shape.
 
-        Recorded as classical work only: a quantum algorithm that touches
-        these positions pays through the charge of its own subroutine.
+        Books nothing: the caller books the draws as classical work.
         """
         positions = rng.integers(self.size, size=shape)
-        self.ledger.charge_classical(positions.size)
         return self.symbols(positions.reshape(-1)).reshape(positions.shape)
 
     def sample_counts(self, rng: np.random.Generator, size: int, chunk: int) -> np.ndarray:
@@ -157,8 +159,7 @@ class DistributionOracle(GuideTable):
         The draws are made and counted chunk positions at a time, so memory
         is O(n + chunk) whatever size is.  Bounded draws take their bits from
         the bit generator value by value, so the chunks give the same
-        positions, leave the same generator state and book the same classical
-        count as one call.
+        positions, and leave the same generator state, as one call.
         """
         counts = np.zeros(self.n + 1, dtype=np.int64)
         for done in range(0, size, chunk):
@@ -168,10 +169,7 @@ class DistributionOracle(GuideTable):
 
     def symbol_at(self, state: dict, index: int, chunk: int) -> int:
         """The symbol of draw `index` of sample_classical calls made from the
-        bit-generator state `state`, redrawn chunk positions at a time.
-
-        Books nothing: the draw was booked when it was first made.
-        """
+        bit-generator state `state`, redrawn chunk positions at a time."""
         replay = np.random.Generator(getattr(np.random, state["bit_generator"])(0))
         replay.bit_generator.state = state
         for _ in range(index // chunk):

@@ -315,8 +315,10 @@ def collision_suite() -> list[CheckResult]:
     sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
     Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
     within 5 standard errors of the exact expectation.  Both go through
-    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l
-    or with the row count.
+    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l,
+    and the draws of only one chunk of rows are held at once; the count of
+    every row is kept, one float64 each, so memory grows with the row count
+    by 8 bytes a row.
     """
     mc_rows = _COLLISION_MC_ROWS
     rng = np.random.default_rng(_SUITE_SEED)

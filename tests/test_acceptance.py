@@ -20,17 +20,16 @@ from scipy.stats import poisson
 from qentropy.distributions import from_counts, power_sum
 from qentropy.estimators import (
     EstimatorConfig,
-    estimate_kl,
-    estimate_renyi,
-    estimate_shannon,
-    estimate_support_coverage,
-    estimate_support_size,
+    prepare_kl,
+    prepare_renyi,
+    prepare_shannon,
+    prepare_support_coverage,
+    prepare_support_size,
 )
 from qentropy.harness import CSV_COLUMNS, ExperimentConfig, run_experiment
 from qentropy.instances import hard_pair_shannon, uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, multiplicative_runs
 from qentropy.distinctness import count_row_collisions
-from qentropy.oracle import build_oracle
 from qentropy.verify import collision_suite, estamp_suite, sandwich_suite
 
 TRIALS_E2E = 200
@@ -44,8 +43,8 @@ def _line(num, name, passed, detail):
     print("CRITERION %02d %s: %s (%s)" % (num, name, "PASS" if passed else "FAIL", detail))
 
 
-def _cfg(eps, seed, delta=0.1, mode="contract"):
-    return EstimatorConfig(epsilon=eps, delta=delta, seed=seed, mode=mode)
+def _cfg(eps, delta=0.1, mode="contract"):
+    return EstimatorConfig(epsilon=eps, delta=delta, mode=mode)
 
 
 def test_criterion_01_output_law_tables():
@@ -70,8 +69,7 @@ def test_criterion_02_shannon_exact_bias():
         dists += [pair.p_uniform, pair.p_bumped]
         for dist in dists:
             start = time.monotonic()
-            rep = estimate_shannon(build_oracle(dist),
-                                   _cfg(eps, 0, mode="exact-expectation"))
+            rep = prepare_shannon(dist, _cfg(eps, mode="exact-expectation"))(0)
             bias = abs(rep.estimate - rep.truth)
             assert bias <= eps / 2, (dist.n, eps, bias)
             assert time.monotonic() - start < 60.0
@@ -84,21 +82,14 @@ def test_criterion_02_shannon_exact_bias():
 def test_criterion_03_end_to_end_success_rates():
     start = time.monotonic()
     grid = {
-        "shannon": (BASE_RATE, lambda s: estimate_shannon(
-            build_oracle(uniform(64)), _cfg(0.25, s))),
-        "kl": (BASE_RATE, lambda s: estimate_kl(
-            build_oracle(from_counts([1, 1])), build_oracle(from_counts([1, 3])),
-            2.0, _cfg(0.25, s))),
-        "renyi-high": (AMPLIFIED_RATE, lambda s: estimate_renyi(
-            build_oracle(uniform(16)), 2.5, _cfg(0.25, s))),
-        "renyi-low": (AMPLIFIED_RATE, lambda s: estimate_renyi(
-            build_oracle(uniform(16)), 0.75, _cfg(0.5, s))),
-        "renyi-integer": (BASE_RATE, lambda s: estimate_renyi(
-            build_oracle(uniform(16)), 2.0, _cfg(0.25, s))),
-        "coverage": (BASE_RATE, lambda s: estimate_support_coverage(
-            build_oracle(uniform(32)), 32, _cfg(0.2, s))),
-        "support": (BASE_RATE, lambda s: estimate_support_size(
-            build_oracle(uniform(16)), 16, _cfg(0.25, s))),
+        "shannon": (BASE_RATE, prepare_shannon(uniform(64), _cfg(0.25))),
+        "kl": (BASE_RATE, prepare_kl(from_counts([1, 1]), from_counts([1, 3]), 2.0,
+                                     _cfg(0.25))),
+        "renyi-high": (AMPLIFIED_RATE, prepare_renyi(uniform(16), 2.5, _cfg(0.25))),
+        "renyi-low": (AMPLIFIED_RATE, prepare_renyi(uniform(16), 0.75, _cfg(0.5))),
+        "renyi-integer": (BASE_RATE, prepare_renyi(uniform(16), 2.0, _cfg(0.25))),
+        "coverage": (BASE_RATE, prepare_support_coverage(uniform(32), 32, _cfg(0.2))),
+        "support": (BASE_RATE, prepare_support_size(uniform(16), 16, _cfg(0.25))),
     }
     rates = {}
     for name, (threshold, run) in grid.items():
@@ -233,7 +224,7 @@ def test_criterion_08_hard_pair_separation():
 def test_criterion_09_query_scaling_slopes():
     ns = [64, 256, 1024, 4096]
     shannon_q = [
-        estimate_shannon(build_oracle(uniform(n)), _cfg(0.25, 0)).ledger["quantum_total"]
+        prepare_shannon(uniform(n), _cfg(0.25))(0).ledger["quantum_total"]
         for n in ns
     ]
     slope_s = float(np.polyfit(np.log(ns), np.log(shannon_q), 1)[0])
@@ -242,8 +233,7 @@ def test_criterion_09_query_scaling_slopes():
     integer_q = []
     for n in ns:
         totals = [
-            estimate_renyi(build_oracle(uniform(n)), 2.0, _cfg(0.25, seed))
-            .ledger["quantum_total"]
+            prepare_renyi(uniform(n), 2.0, _cfg(0.25))(seed).ledger["quantum_total"]
             for seed in range(10)
         ]
         integer_q.append(float(np.mean(totals)))

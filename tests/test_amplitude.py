@@ -18,9 +18,8 @@ from qentropy.amplitude import (
     sample_estamp_multiplicative,
 )
 from qentropy.distributions import from_counts
-from qentropy.estimators import EstimatorConfig, MasterSubroutine, estimate_min_entropy
+from qentropy.estimators import EstimatorConfig, MasterSubroutine, prepare_min_entropy
 from qentropy.instances import point_mass
-from qentropy.oracle import build_oracle
 from qentropy.verify import _window_masses
 
 # Reference table for a=0.3, M=8, computed independently with 50-digit
@@ -238,11 +237,10 @@ def test_sampling_is_seeded_and_charged():
     grid = {grid_value(l, M) for l in range(M // 2 + 1)}
     assert {est for est, _ in xs} <= grid
     # the sampler books nothing: the min-entropy estimator charges the M it returns
-    orc = build_oracle(point_mass(4))
-    rep = estimate_min_entropy(orc, EstimatorConfig(epsilon=0.5, seed=12))
+    rep = prepare_min_entropy(point_mass(4), EstimatorConfig(epsilon=0.5))(12)
     assert not rep.extras["fallback"]
     assert rep.extras["M"] == multiplicative_budget(0.5, 0.25)
-    assert orc.ledger.phases["estamp"] == rep.extras["M"]
+    assert rep.ledger["phases"]["estamp"] == rep.extras["M"]
 
 
 def test_estamp_prime_never_returns_zero():

@@ -25,49 +25,56 @@ from qentropy.estimators import (
     MasterSubroutine,
     annealing_schedule,
     coverage_budget,
-    estimate_kl,
-    estimate_min_entropy,
-    estimate_power_sum_annealed,
-    estimate_power_sum_integer,
-    estimate_renyi,
-    estimate_shannon,
-    estimate_support_coverage,
-    estimate_support_size,
+    prepare_kl,
+    prepare_min_entropy,
+    prepare_power_sum_annealed,
+    prepare_power_sum_integer,
+    prepare_renyi,
+    prepare_shannon,
+    prepare_support_coverage,
+    prepare_support_size,
     shannon_budget,
 )
 from qentropy.instances import point_mass, two_valued, uniform, zipf
-from qentropy.oracle import DistributionOracle, QueryLedger, build_oracle
+from qentropy.oracle import DistributionOracle, build_oracle
 
 # Exact expected payoff of the Shannon subroutine on uniform(16) at M=32,
 # computed independently with 50-digit arithmetic from the output law.
 SHANNON_EXACT_MEAN_U16_M32 = 2.7430458130292847
 
 
-def cfg(eps=0.25, delta=0.1, seed=0, **kw):
-    return EstimatorConfig(epsilon=eps, delta=delta, seed=seed, **kw)
+def cfg(eps=0.25, delta=0.1, **kw):
+    return EstimatorConfig(epsilon=eps, delta=delta, **kw)
+
+
+def no_layout():
+    """A patch under which building an oracle layout fails the test."""
+    return mock.patch.object(estimators, "build_oracle",
+                             side_effect=AssertionError("an oracle layout was built"))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=0.0, delta=0.1, seed=0)
+        EstimatorConfig(epsilon=0.0, delta=0.1)
     with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=0.1, delta=1.0, seed=0)
+        EstimatorConfig(epsilon=0.1, delta=1.0)
     with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, mode="magic")
+        EstimatorConfig(epsilon=0.1, delta=0.1, mode="magic")
     with pytest.raises(TypeError):  # the search charges are fixed per estimator
-        EstimatorConfig(epsilon=0.1, delta=0.1, seed=0, distinctness_cost="belovs")
+        EstimatorConfig(epsilon=0.1, delta=0.1, distinctness_cost="belovs")
+    with pytest.raises(TypeError):  # the seed belongs to the trial
+        EstimatorConfig(epsilon=0.1, delta=0.1, seed=0)
 
 
 def test_every_estimator_stays_finite_at_the_largest_epsilon():
-    c = cfg(eps=estimators.MAX_EPSILON, seed=1)
+    c = cfg(eps=estimators.MAX_EPSILON)
     dist = zipf(1.5, 16)
     reports = [
-        estimate_shannon(build_oracle(dist), c),
-        estimate_kl(build_oracle(dist), build_oracle(uniform(16)),
-                    ratio_bound(dist, uniform(16)), c),
-        estimate_support_coverage(build_oracle(dist), 10, c),
-        estimate_min_entropy(build_oracle(dist), c),
-    ] + [estimate_renyi(build_oracle(dist), alpha, c) for alpha in (0.5, 2.5, 3)]
+        prepare_shannon(dist, c)(1),
+        prepare_kl(dist, uniform(16), ratio_bound(dist, uniform(16)), c)(1),
+        prepare_support_coverage(dist, 10, c)(1),
+        prepare_min_entropy(dist, c)(1),
+    ] + [prepare_renyi(dist, alpha, c)(1) for alpha in (0.5, 2.5, 3)]
     for rep in reports:
         assert math.isfinite(rep.estimate), rep.algo
     with pytest.raises(ValueError, match="epsilon must be positive and at most 1e\\+150"):
@@ -77,16 +84,14 @@ def test_every_estimator_stays_finite_at_the_largest_epsilon():
 def test_every_estimator_refuses_the_smallest_epsilon_with_an_error():
     # Below MIN_EPSILON eps ** 2 is subnormal or 0; at it, every estimator
     # refuses a budget, a round count or a first batch it cannot run.
-    c = cfg(eps=estimators.MIN_EPSILON, seed=1)
+    c = cfg(eps=estimators.MIN_EPSILON)
     dist = zipf(1.5, 16)
     runs = [
-        lambda: estimate_shannon(build_oracle(dist), c),
-        lambda: estimate_kl(build_oracle(dist), build_oracle(uniform(16)),
-                            ratio_bound(dist, uniform(16)), c),
-        lambda: estimate_support_coverage(build_oracle(dist), 10, c),
-        lambda: estimate_min_entropy(build_oracle(dist), c),
-    ] + [lambda alpha=alpha: estimate_renyi(build_oracle(dist), alpha, c)
-         for alpha in (0.5, 2.5, 3)]
+        lambda: prepare_shannon(dist, c)(1),
+        lambda: prepare_kl(dist, uniform(16), ratio_bound(dist, uniform(16)), c)(1),
+        lambda: prepare_support_coverage(dist, 10, c)(1),
+        lambda: prepare_min_entropy(dist, c)(1),
+    ] + [lambda alpha=alpha: prepare_renyi(dist, alpha, c)(1) for alpha in (0.5, 2.5, 3)]
     for run in runs:
         with pytest.raises(ValueError, match="^(budget M=|epsilon 1e-150 is too small)"):
             run()
@@ -203,7 +208,7 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
     p = from_counts([cp for cp, _ in pairs])
     q = from_counts([cq for _, cq in pairs])
     f = float(ratio_bound(p, q)) * (1 + 1e-12)  # rounded up, so the promise holds
-    rep = estimate_kl(build_oracle(p), build_oracle(q), f, cfg(eps=0.5, mode="exact-expectation"))
+    rep = prepare_kl(p, q, f, cfg(eps=0.5, mode="exact-expectation"))(0)
     M_p, M_q = rep.extras["M_p"], rep.extras["M_q"]
 
     def log_estimates(count, dist, M):
@@ -282,15 +287,15 @@ FROZEN_ZIPF256_PHASES = {
 
 
 def test_contract_ledgers_are_frozen():
-    c = cfg(seed=7)
+    c = cfg()
     runs = {
-        "renyi 0.5": lambda o: estimate_renyi(o, 0.5, c),
-        "renyi 2.5": lambda o: estimate_renyi(o, 2.5, c),
-        "shannon": lambda o: estimate_shannon(o, c),
-        "coverage": lambda o: estimate_support_coverage(o, 256, c),
+        "renyi 0.5": lambda d: prepare_renyi(d, 0.5, c),
+        "renyi 2.5": lambda d: prepare_renyi(d, 2.5, c),
+        "shannon": lambda d: prepare_shannon(d, c),
+        "coverage": lambda d: prepare_support_coverage(d, 256, c),
     }
     for name, run in runs.items():
-        rep = run(build_oracle(zipf(1.5, 256)))
+        rep = run(zipf(1.5, 256))(7)
         assert rep.ledger["phases"] == FROZEN_ZIPF256_PHASES[name], name
         assert rep.ledger["quantum_total"] == sum(FROZEN_ZIPF256_PHASES[name].values())
 
@@ -299,7 +304,7 @@ def test_kl_contract_ledgers_are_frozen():
     # Budgets and theorem counts fix both ledgers and the classical draws;
     # how the payoff law is sampled may not move them.
     p, q = zipf(1.5, 256), uniform(256)
-    rep = estimate_kl(build_oracle(p), build_oracle(q), ratio_bound(p, q), cfg(seed=7))
+    rep = prepare_kl(p, q, ratio_bound(p, q), cfg())(7)
     assert rep.ledger["phases"] == {"estamp": 154752}
     assert rep.ledger_q["phases"] == {"estamp": 19808256}
     assert rep.classical_executions == 111024
@@ -307,12 +312,11 @@ def test_kl_contract_ledgers_are_frozen():
 
 
 def test_kl_books_the_contract_counts_on_both_ledgers():
-    # The ratio law books nothing: the estimator charges each oracle its own
-    # budget times the contract's execution count, and the contract's
-    # classical draws on both, since every draw reads p and q once.
+    # The ratio law books nothing: the estimator charges each side's ledger
+    # its own budget times the contract's execution count, and the
+    # contract's classical draws on both, since every draw reads p and q once.
     p, q = zipf(1.5, 64), uniform(64)
-    orc_p, orc_q = build_oracle(p), build_oracle(q)
-    rep = estimate_kl(orc_p, orc_q, ratio_bound(p, q), cfg(seed=3))
+    rep = prepare_kl(p, q, ratio_bound(p, q), cfg())(3)
     executions = rep.extras["charged_executions"]
     draws = 3 * math.ceil(5 * (rep.extras["sigma"] / (rep.epsilon / 2)) ** 2)
     assert rep.ledger["phases"] == {"estamp": rep.extras["M_p"] * executions}
@@ -325,14 +329,14 @@ def test_single_class_stream_is_frozen():
     # seeded sample path (estimate and classical draws) is pinned as drawn
     # with each annealing level's repetitions batched, index-draw pilots and
     # main samples over each part's side.
-    rep = estimate_renyi(build_oracle(uniform(16)), 2.5, cfg(seed=7))
+    rep = prepare_renyi(uniform(16), 2.5, cfg())(7)
     assert rep.estimate == pytest.approx(0.018721832354423942, rel=1e-12)
     assert rep.ledger["phases"] == {"estamp": 59589120}
     assert rep.classical_executions == 181054609
 
 
 def test_shannon_exact_expectation_frozen_value():
-    rep = estimate_shannon(build_oracle(uniform(16)), cfg(mode="exact-expectation"))
+    rep = prepare_shannon(uniform(16), cfg(mode="exact-expectation"))(0)
     assert rep.estimate == pytest.approx(SHANNON_EXACT_MEAN_U16_M32, abs=1e-12)
     assert rep.truth == pytest.approx(math.log(16), rel=1e-15)
     assert rep.extras["M"] == 32
@@ -343,13 +347,12 @@ def test_shannon_exact_expectation_frozen_value():
 
 def test_shannon_exact_bias_within_half_eps():
     for spec, eps in ((uniform(64), 0.25), (zipf(1.5, 64), 0.25), (uniform(16), 0.5)):
-        rep = estimate_shannon(build_oracle(spec), cfg(eps=eps, mode="exact-expectation"))
+        rep = prepare_shannon(spec, cfg(eps=eps, mode="exact-expectation"))(0)
         assert abs(rep.estimate - rep.truth) <= eps / 2
 
 
 def test_shannon_contract_run_and_ledger_invariant():
-    orc = build_oracle(uniform(64))
-    rep = estimate_shannon(orc, cfg())
+    rep = prepare_shannon(uniform(64), cfg())(0)
     assert rep.algo == "shannon"
     assert rep.success
     # charged quantum = M per execution, exactly
@@ -359,56 +362,47 @@ def test_shannon_contract_run_and_ledger_invariant():
 
 
 def test_shannon_point_mass_is_exact_zero():
-    rep = estimate_shannon(build_oracle(point_mass(8)), cfg(seed=1))
+    rep = prepare_shannon(point_mass(8), cfg())(1)
     assert rep.estimate == 0.0
     assert rep.truth == 0.0
     assert rep.success
 
 
 def test_reports_are_deterministic_given_seed():
-    a = estimate_shannon(build_oracle(uniform(64)), cfg(seed=7))
-    b = estimate_shannon(build_oracle(uniform(64)), cfg(seed=7))
-    c = estimate_shannon(build_oracle(uniform(64)), cfg(seed=8))
+    a = prepare_shannon(uniform(64), cfg())(7)
+    b = prepare_shannon(uniform(64), cfg())(7)
+    c = prepare_shannon(uniform(64), cfg())(8)
     assert a.estimate == b.estimate
     assert a.estimate != c.estimate
 
 
 _LEDGER_RUNS = {
-    "shannon": lambda o, c: estimate_shannon(o, c),
-    "renyi-low": lambda o, c: estimate_renyi(o, 0.5, c),
-    "renyi-high": lambda o, c: estimate_renyi(o, 2.5, c),
-    "renyi-integer": lambda o, c: estimate_renyi(o, 2, c),
-    "coverage": lambda o, c: estimate_support_coverage(o, 8, c),
+    "shannon": lambda d, c: prepare_shannon(d, c),
+    "renyi-low": lambda d, c: prepare_renyi(d, 0.5, c),
+    "renyi-high": lambda d, c: prepare_renyi(d, 2.5, c),
+    "renyi-integer": lambda d, c: prepare_renyi(d, 2, c),
+    "coverage": lambda d, c: prepare_support_coverage(d, 8, c),
 }
-
-
-def _ledger_reports(counts, seed):
-    oracle = build_oracle(from_counts(counts))
-    return [run(oracle, cfg(eps=0.5, seed=seed)) for run in _LEDGER_RUNS.values()]
 
 
 @settings(max_examples=40, deadline=None)
 @given(counts=st.lists(st.integers(0, 5), min_size=3, max_size=8).filter(any),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_ledger_properties_over_successive_estimates(counts, seed):
-    # every report's quantum total is the sum of its phases; one oracle's
-    # ledger only grows from estimate to estimate; a seed fixes every report
-    reports = _ledger_reports(counts, seed)
-    previous = {"phases": {}, "quantum_total": 0, "classical_executions": 0}
+    # every report's quantum total is the sum of its phases; each trial books
+    # ledgers of its own, so a seed fixes every report whichever trials ran
+    # before it
+    trials = [run(from_counts(counts), cfg(eps=0.5)) for run in _LEDGER_RUNS.values()]
+    reports = [trial(seed) for trial in trials]
     for rep in reports:
         ledger = rep.ledger
         assert ledger["quantum_total"] == sum(ledger["phases"].values())
-        assert ledger["quantum_total"] >= previous["quantum_total"]
-        assert ledger["classical_executions"] >= previous["classical_executions"]
-        for phase, amount in previous["phases"].items():
-            assert ledger["phases"][phase] >= amount
-        previous = ledger
-    again = _ledger_reports(counts, seed)
+    again = [trial(seed) for trial in reversed(trials)][::-1]
     assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
 
 
 def test_report_dict_uses_schema_names():
-    rep = estimate_shannon(build_oracle(uniform(4)), cfg(seed=2))
+    rep = prepare_shannon(uniform(4), cfg())(2)
     d = rep.to_dict()
     assert d["S"] == 4
     assert d["eps"] == 0.25
@@ -417,12 +411,11 @@ def test_report_dict_uses_schema_names():
 
 
 def test_kl_frozen_small_case():
-    p = build_oracle(from_counts([1, 1]))
-    q = build_oracle(from_counts([1, 3]))
-    rep = estimate_kl(p, q, 2.0, cfg(seed=3))
+    p, q = from_counts([1, 1]), from_counts([1, 3])
+    rep = prepare_kl(p, q, 2.0, cfg())(3)
     assert rep.extras["M_p"] == 16
     assert rep.extras["M_q"] == 32
-    assert rep.truth == pytest.approx(kl_divergence(p.source, q.source))
+    assert rep.truth == pytest.approx(kl_divergence(p, q))
     # q's budget carries the ratio factor: charge ratio is exactly M_q / M_p
     assert rep.ledger_q["phases"]["estamp"] * rep.extras["M_p"] == (
         rep.ledger["phases"]["estamp"] * rep.extras["M_q"])
@@ -430,56 +423,52 @@ def test_kl_frozen_small_case():
 
 
 def test_kl_promise_violation_raises():
-    p = build_oracle(from_counts([3, 1]))
-    q = build_oracle(from_counts([1, 3]))
+    p, q = from_counts([3, 1]), from_counts([1, 3])
     with pytest.raises(ValueError, match="ratio promise violated at symbol 1"):
-        estimate_kl(p, q, 2.0, cfg())
+        prepare_kl(p, q, 2.0, cfg())
 
 
 def test_kl_alphabet_mismatch():
-    p = build_oracle(from_counts([1, 1]))
-    q = build_oracle(from_counts([1, 1, 2]))
+    p, q = from_counts([1, 1]), from_counts([1, 1, 2])
     with pytest.raises(ValueError, match="share an alphabet"):
-        estimate_kl(p, q, 2.0, cfg())
+        prepare_kl(p, q, 2.0, cfg())
     with pytest.raises(ValueError, match="share an alphabet"):
-        estimate_kl(p, q, None, cfg())
+        prepare_kl(p, q, None, cfg())
 
 
 def test_kl_without_a_bound_uses_the_exact_one():
     # None stands for distributions.ratio_bound(p, q): the same report, and
     # the same refusal when no bound exists
     p, q = zipf(1.5, 64), uniform(64)
-    exact = estimate_kl(build_oracle(p), build_oracle(q), ratio_bound(p, q), cfg(seed=3))
-    found = estimate_kl(build_oracle(p), build_oracle(q), None, cfg(seed=3))
+    exact = prepare_kl(p, q, ratio_bound(p, q), cfg())(3)
+    found = prepare_kl(p, q, None, cfg())(3)
     assert found.to_dict() == exact.to_dict()
     with pytest.raises(ValueError, match="ratio unbounded"):
-        estimate_kl(build_oracle(from_counts([1, 1])), build_oracle(from_counts([0, 1])),
-                    None, cfg())
+        prepare_kl(from_counts([1, 1]), from_counts([0, 1]), None, cfg())
 
 
 def test_renyi_dispatch_routes_by_order():
-    orc = lambda: build_oracle(uniform(16))
-    assert estimate_renyi(orc(), 1.0, cfg(seed=1)).algo == "shannon"
-    assert estimate_renyi(orc(), 2.0, cfg(seed=1)).algo == "renyi-integer"
-    assert estimate_renyi(orc(), 3.0, cfg(seed=1)).algo == "renyi-integer"
-    assert estimate_renyi(orc(), 2.5, cfg(seed=1)).algo == "renyi-high"
-    assert estimate_renyi(orc(), 0.75, cfg(eps=0.5, seed=1)).algo == "renyi-low"
-    assert estimate_renyi(orc(), math.inf, cfg(seed=1)).algo == "minentropy"
+    dist = uniform(16)
+    assert prepare_renyi(dist, 1.0, cfg())(1).algo == "shannon"
+    assert prepare_renyi(dist, 2.0, cfg())(1).algo == "renyi-integer"
+    assert prepare_renyi(dist, 3.0, cfg())(1).algo == "renyi-integer"
+    assert prepare_renyi(dist, 2.5, cfg())(1).algo == "renyi-high"
+    assert prepare_renyi(dist, 0.75, cfg(eps=0.5))(1).algo == "renyi-low"
+    assert prepare_renyi(dist, math.inf, cfg())(1).algo == "minentropy"
     with pytest.raises(ValueError, match="support promise"):
-        estimate_renyi(orc(), 0.0, cfg())
+        prepare_renyi(dist, 0.0, cfg())
     with pytest.raises(ValueError, match="non-negative"):
-        estimate_renyi(orc(), -1.0, cfg())
+        prepare_renyi(dist, -1.0, cfg())
 
 
 def test_power_sum_high_rejects_bad_orders():
-    orc = build_oracle(uniform(16))
     for alpha in (2.0, 1.0, 0.0, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
-            estimate_power_sum_annealed(orc, alpha, cfg())
+            prepare_power_sum_annealed(uniform(16), alpha, cfg())
 
 
 def test_power_sum_high_trace_shape():
-    rep = estimate_power_sum_annealed(build_oracle(uniform(16)), 2.5, cfg(seed=3))
+    rep = prepare_power_sum_annealed(uniform(16), 2.5, cfg())(3)
     assert rep.algo == "renyi-high"
     sched = rep.extras["schedule"]
     assert [lvl["alpha"] for lvl in sched] == pytest.approx(
@@ -498,11 +487,9 @@ def test_power_sum_high_trace_shape():
 
 
 def test_power_sum_exact_expectation_mode():
-    rep = estimate_power_sum_annealed(
-        build_oracle(uniform(16)), 2.5, cfg(mode="exact-expectation"))
+    rep = prepare_power_sum_annealed(uniform(16), 2.5, cfg(mode="exact-expectation"))(0)
     # deterministic: the exact subroutine mean at the target order, no sampling
-    again = estimate_power_sum_annealed(
-        build_oracle(uniform(16)), 2.5, cfg(seed=99, mode="exact-expectation"))
+    again = prepare_power_sum_annealed(uniform(16), 2.5, cfg(mode="exact-expectation"))(99)
     assert rep.estimate == again.estimate
     assert rep.extras["M"] & (rep.extras["M"] - 1) == 0
     assert rep.extras["exact_subroutine_variance"] >= 0.0
@@ -511,7 +498,7 @@ def test_power_sum_exact_expectation_mode():
 
 
 def test_power_sum_low_contract():
-    rep = estimate_renyi(build_oracle(uniform(16)), 0.75, cfg(eps=0.5, seed=5))
+    rep = prepare_renyi(uniform(16), 0.75, cfg(eps=0.5))(5)
     assert rep.algo == "renyi-low"
     assert rep.error_mode == "multiplicative"
     assert rep.truth == pytest.approx(16 ** (1 - 0.75), rel=1e-12)
@@ -520,7 +507,7 @@ def test_power_sum_low_contract():
 
 
 def test_power_sum_integer_point_mass_is_exact():
-    rep = estimate_power_sum_integer(build_oracle(point_mass(8)), 2, cfg(seed=2))
+    rep = prepare_power_sum_integer(point_mass(8), 2, cfg())(2)
     assert rep.estimate == 1.0
     assert rep.truth == 1.0
     assert rep.success
@@ -528,39 +515,35 @@ def test_power_sum_integer_point_mass_is_exact():
 
 
 def test_power_sum_integer_requires_alpha_at_least_two():
-    orc = build_oracle(uniform(8))
     with pytest.raises(ValueError):
-        estimate_power_sum_integer(orc, 1, cfg())
+        prepare_power_sum_integer(uniform(8), 1, cfg())
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda orc, c: estimate_power_sum_integer(orc, 2, c),
-    lambda orc, c: estimate_min_entropy(orc, c),
-    lambda orc, c: estimate_renyi(orc, 3.0, c),
-    lambda orc, c: estimate_renyi(orc, math.inf, c),
+@pytest.mark.parametrize("prepare", [
+    lambda d, c: prepare_power_sum_integer(d, 2, c),
+    lambda d, c: prepare_min_entropy(d, c),
+    lambda d, c: prepare_renyi(d, 3.0, c),
+    lambda d, c: prepare_renyi(d, math.inf, c),
 ], ids=["integer", "minentropy", "renyi-3", "renyi-inf"])
-def test_collision_estimators_refuse_exact_expectation_before_any_draw(estimate):
+def test_collision_estimators_refuse_exact_expectation_before_any_draw(prepare):
     # They have no payoff law to integrate; they used to run the sampled
     # estimate, charge the whole ledger and label it exact-expectation.
-    orc = build_oracle(uniform(16))
-    with pytest.raises(ValueError, match="no payoff law.*exact-expectation"):
-        estimate(orc, cfg(seed=7, mode="exact-expectation"))
-    assert orc.ledger.snapshot() == QueryLedger().snapshot()
+    # Now they refuse before they build the oracle layout their draws read.
+    with no_layout(), pytest.raises(ValueError, match="no payoff law.*exact-expectation"):
+        prepare(uniform(16), cfg(mode="exact-expectation"))
 
 
 def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits):
     # At alpha = 120 the bound on the charges has 4,341 digits, past the
     # default limit of 4,300; at alpha = 119 it has 4,269.
     int_max_str_digits(4300)
-    orc = build_oracle(uniform(4))
-    with pytest.raises(ValueError, match=r"alpha=120.*4300 decimal digits"):
-        estimate_power_sum_integer(orc, 120, cfg())
-    assert orc.ledger.snapshot() == build_oracle(uniform(4)).ledger.snapshot()
-    rep = estimate_power_sum_integer(orc, 119, cfg())
+    with no_layout(), pytest.raises(ValueError, match=r"alpha=120.*4300 decimal digits"):
+        prepare_power_sum_integer(uniform(4), 120, cfg())
+    rep = prepare_power_sum_integer(uniform(4), 119, cfg())(0)
     assert rep.extras["cost_model"] == "belovs"
     assert 4000 < len(str(rep.ledger["quantum_total"])) <= 4300
     int_max_str_digits(0)  # no limit
-    rep = estimate_power_sum_integer(build_oracle(uniform(4)), 120, cfg())
+    rep = prepare_power_sum_integer(uniform(4), 120, cfg())(0)
     assert len(str(rep.ledger["quantum_total"])) > 4300
 
 
@@ -571,11 +554,9 @@ def test_huge_orders_are_rejected_without_building_their_bound(alpha, int_max_st
     # before belovs_charge builds a bound of alpha^2 bits (1.25 GB at 10^5).
     int_max_str_digits(4300)
     monkeypatch.setattr(estimators, "belovs_charge", None)  # any call fails
-    orc = build_oracle(uniform(4))
     message = r"alpha=%s: .*4300 decimal digits" % re.escape("%.15g" % alpha)
-    with pytest.raises(ValueError, match=message):
-        estimate_power_sum_integer(orc, alpha, cfg())
-    assert orc.ledger.snapshot() == QueryLedger().snapshot()
+    with no_layout(), pytest.raises(ValueError, match=message):
+        prepare_power_sum_integer(uniform(4), alpha, cfg())
 
 
 # Collision-large trials at eps 0.25, delta 0.1, as first drawn one round
@@ -601,7 +582,7 @@ FROZEN_COLLISION_TRIALS = {
 def test_integer_power_sum_trials_are_frozen(name):
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
     for seed, estimate, total, length, phases, classical in frozen:
-        rep = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+        rep = prepare_power_sum_integer(dist, alpha, cfg())(seed)
         assert rep.estimate == estimate
         assert rep.extras["collision_total"] == total
         assert rep.extras["fixed_length"] == length
@@ -615,11 +596,12 @@ def test_integer_power_sum_trials_are_frozen(name):
 def test_count_chunks_leave_the_report_unchanged(name, rows, monkeypatch):
     # Three rows make 42 full chunks of the 128 rounds and a last one of two.
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
+    trial = prepare_power_sum_integer(dist, alpha, cfg())
     for seed, _, _, length, _, _ in frozen:
-        rep = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+        rep = trial(seed)
         with monkeypatch.context() as patch:
             patch.setattr(estimators, "_COUNT_CHUNK", rows * length)
-            again = estimate_power_sum_integer(build_oracle(dist), alpha, cfg(seed=seed))
+            again = trial(seed)
         assert again.to_dict() == rep.to_dict()
 
 
@@ -651,7 +633,7 @@ def test_min_entropy_trials_are_frozen():
               3: {"distinctness": 4686, "estamp": 2048}}
     classical = {1: 36645, 2: 37061, 3: 36837}
     for seed in (1, 2, 3):
-        rep = estimate_min_entropy(build_oracle(zipf(1.5, 4096)), cfg(seed=seed))
+        rep = prepare_min_entropy(zipf(1.5, 4096), cfg())(seed)
         assert rep.estimate == 0.38745804432010356
         assert [r["batch"] for r in rep.extras["rounds"]] == batches[seed]
         assert rep.extras["captured_symbol"] == 1
@@ -670,7 +652,7 @@ def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
         return symbols(self, positions)
 
     monkeypatch.setattr(DistributionOracle, "symbols", recording)
-    rep = estimate_power_sum_integer(build_oracle(TWO_VALUED), 2, cfg(eps=0.05, seed=1))
+    rep = prepare_power_sum_integer(TWO_VALUED, 2, cfg(eps=0.05))(1)
     length = rep.extras["fixed_length"]
     assert rep.extras["rounds"] == 3200 and length == 128
     assert max(sizes) <= estimators._COUNT_CHUNK
@@ -701,17 +683,15 @@ def sorted_min_entropy_round(oracle, batch, k, fail_prob, rng):
 def test_streamed_min_entropy_round_matches_the_whole_batch(counts, chunk, data, k,
                                                             fail_prob, seed):
     # A batch of up to four chunks: counted chunk by chunk, with a false
-    # positive's entry redrawn, it gives the symbol, the classical count and
-    # the generator state of the whole batch searched by sorting.
+    # positive's entry redrawn, it gives the symbol and the generator state
+    # of the whole batch searched by sorting.
     batch = data.draw(st.integers(0, 4 * chunk))
-    dist = RationalDistribution(sum(counts), tuple(counts))
-    ours, theirs = build_oracle(dist), build_oracle(dist)
+    oracle = build_oracle(RationalDistribution(sum(counts), tuple(counts)))
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
-        found = estimators._min_entropy_search(ours, batch, k, fail_prob, rng)
-    expected = sorted_min_entropy_round(theirs, batch, k, fail_prob, ref)
+        found = estimators._min_entropy_search(oracle, batch, k, fail_prob, rng)
+    expected = sorted_min_entropy_round(oracle, batch, k, fail_prob, ref)
     assert found == expected
-    assert ours.ledger.snapshot() == theirs.ledger.snapshot()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -726,16 +706,17 @@ def test_streamed_min_entropy_holds_one_chunk_and_keeps_the_report(seed):
         sizes.append(positions.size)
         return symbols(self, positions)
 
-    rep = estimate_min_entropy(build_oracle(zipf(1.5, 64)), cfg(eps=0.5, seed=seed))
+    trial = prepare_min_entropy(zipf(1.5, 64), cfg(eps=0.5))
+    rep = trial(seed)
     with mock.patch.object(estimators, "_COUNT_CHUNK", 64), \
             mock.patch.object(DistributionOracle, "symbols", recording):
-        streamed = estimate_min_entropy(build_oracle(zipf(1.5, 64)), cfg(eps=0.5, seed=seed))
+        streamed = trial(seed)
     assert streamed.to_dict() == rep.to_dict()
     assert max(sizes) <= 64 < min(r["batch"] for r in rep.extras["rounds"])
 
 
 def test_min_entropy_point_mass():
-    rep = estimate_min_entropy(build_oracle(point_mass(8)), cfg(seed=3))
+    rep = prepare_min_entropy(point_mass(8), cfg())(3)
     assert rep.algo == "minentropy"
     assert rep.alpha == math.inf
     assert rep.estimate == 1.0  # exactly captures p_max = 1 on the grid
@@ -749,7 +730,7 @@ def test_min_entropy_truth_is_the_exact_largest_count_over_s():
     base = zipf(1.5, 4096)
     order = np.random.default_rng(5).permutation(base.n)
     dist = RationalDistribution(base.denominator, base.counts[order])
-    rep = estimate_min_entropy(build_oracle(dist), cfg(seed=1))
+    rep = prepare_min_entropy(dist, cfg())(1)
     assert rep.truth == max(dist.counts.tolist()) / dist.denominator
     assert type(rep.truth) is float
     assert type(rep.extras["min_entropy_truth_nats"]) is float
@@ -757,10 +738,8 @@ def test_min_entropy_truth_is_the_exact_largest_count_over_s():
 
 def test_min_entropy_fallback_reports_floor():
     # tiny alphabet, huge eps: the scan can exhaust lambda without a capture
-    reports = [
-        estimate_min_entropy(build_oracle(uniform(2)), cfg(eps=1.5, delta=0.3, seed=s))
-        for s in range(6)
-    ]
+    trial = prepare_min_entropy(uniform(2), cfg(eps=1.5, delta=0.3))
+    reports = [trial(s) for s in range(6)]
     assert any(r.extras["fallback"] for r in reports) or all(r.success for r in reports)
     for r in reports:
         if r.extras["fallback"]:
@@ -768,8 +747,7 @@ def test_min_entropy_fallback_reports_floor():
 
 
 def test_support_coverage_normalized():
-    rep = estimate_support_coverage(
-        build_oracle(uniform(32)), 32, cfg(eps=0.2, seed=5))
+    rep = prepare_support_coverage(uniform(32), 32, cfg(eps=0.2))(5)
     assert rep.algo == "coverage"
     assert rep.error_mode == "additive"
     assert 0.0 <= rep.estimate <= 1.0
@@ -779,20 +757,18 @@ def test_support_coverage_normalized():
 
 
 def test_support_size_promise_and_output():
-    rep = estimate_support_size(build_oracle(uniform(16)), 16, cfg(seed=3))
+    rep = prepare_support_size(uniform(16), 16, cfg())(3)
     assert rep.algo == "support"
     assert rep.alpha == 0.0
     assert rep.extras["size_estimate"] == rep.estimate * 16
     assert float(rep.extras["size_estimate"]).is_integer()
     assert rep.success
     with pytest.raises(ValueError, match="promise violated"):
-        estimate_support_size(build_oracle(from_counts([15, 1])), 4, cfg())
+        prepare_support_size(from_counts([15, 1]), 4, cfg())
 
 
 def test_variance_bound_flag_is_quiet_on_standard_cells():
-    rep = estimate_shannon(build_oracle(zipf(1.5, 64)), cfg(seed=11))
+    rep = prepare_shannon(zipf(1.5, 64), cfg())(11)
     assert not rep.extras["variance_bound_exceeded"]
-    repk = estimate_kl(
-        build_oracle(from_counts([1, 1])), build_oracle(from_counts([1, 3])),
-        2.0, cfg(seed=11))
+    repk = prepare_kl(from_counts([1, 1]), from_counts([1, 3]), 2.0, cfg())(11)
     assert not repk.extras["variance_bound_exceeded"]

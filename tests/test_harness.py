@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,21 +27,31 @@ from hypothesis import strategies as st
 from qentropy import amplitude, cli, estimators, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
-from qentropy.distributions import RationalDistribution, from_counts, power_sum, shannon_entropy
-from qentropy.estimators import MODES, EstimatorConfig, estimate_min_entropy, estimate_renyi
+from qentropy.distributions import (
+    RationalDistribution,
+    evaluate_measure,
+    from_counts,
+    power_sum,
+    shannon_entropy,
+)
+from qentropy.estimators import (
+    MODES,
+    EstimatorConfig,
+    prepare_min_entropy,
+    prepare_plugin,
+    prepare_renyi,
+)
 from qentropy.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
-    classical_plugin_baseline,
     derive_seed,
-    evaluate_measure,
     resolve_distribution,
     run_cell_trial,
     run_experiment,
 )
 from qentropy.instances import uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
-from qentropy.oracle import QueryLedger, build_oracle
+from qentropy.oracle import DistributionOracle, build_oracle
 from qentropy.verify import _collision_counts_rows, run_suite, suite_passed
 
 SMALL_CONFIG = {
@@ -105,9 +116,7 @@ def test_measure_orders_must_be_numbers(measure, what, capsys):
 
 
 def test_plugin_baseline_converges():
-    orc = build_oracle(uniform(16))
-    rep = classical_plugin_baseline(orc, "shannon", 100_000,
-                                    np.random.default_rng(0), epsilon=0.05)
+    rep = prepare_plugin(uniform(16), "shannon", 100_000, epsilon=0.05)(0)
     assert rep.algo == "plugin:shannon"
     assert abs(rep.estimate - math.log(16)) < 0.02
     assert rep.ledger["quantum_total"] == 0
@@ -119,37 +128,33 @@ def test_plugin_baseline_converges():
 @given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any),
        chunk=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2 ** 32))
 def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
-    # One to four chunks into one running bincount: the counts, the ledger
-    # and the generator state of one whole draw, and so the same report.
+    # One to four chunks into one running bincount: the counts and the
+    # generator state of one whole draw, and so the same report.
     n_samples = data.draw(st.integers(1, 4 * chunk))
     dist = RationalDistribution(sum(counts), tuple(counts))
-    ours, theirs = build_oracle(dist), build_oracle(dist)
+    oracle = build_oracle(dist)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    chunked = ours.sample_counts(rng, n_samples, chunk)
-    whole = np.bincount(theirs.sample_classical(ref, n_samples), minlength=len(counts) + 1)
+    chunked = oracle.sample_counts(rng, n_samples, chunk)
+    whole = np.bincount(oracle.sample_classical(ref, n_samples), minlength=len(counts) + 1)
     assert chunked.tolist() == whole.tolist()
-    assert ours.ledger.snapshot() == theirs.ledger.snapshot()
     assert rng.bit_generator.state == ref.bit_generator.state
 
     q = uniform(len(counts))
     for measure in ("shannon", "renyi:2", "kl"):
-        rep = classical_plugin_baseline(build_oracle(dist), measure, n_samples,
-                                        np.random.default_rng(seed), oracle_q=build_oracle(q))
-        with mock.patch.object(harness, "_COUNT_CHUNK", chunk):
-            again = classical_plugin_baseline(build_oracle(dist), measure, n_samples,
-                                              np.random.default_rng(seed),
-                                              oracle_q=build_oracle(q))
+        trial = prepare_plugin(dist, measure, n_samples, q)
+        rep = trial(seed)
+        with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
+            again = trial(seed)
         assert repr(again.to_dict()) == repr(rep.to_dict())
 
 
 def test_plugin_baseline_kl_undefined_is_flagged():
     # true KL is finite (q dominates p) but the empirical q misses tail bins
-    p = build_oracle(uniform(16))
-    q = build_oracle(resolve_distribution("counts:17," + ",".join(["1"] * 15)))
+    trial = prepare_plugin(uniform(16), "kl", 50,
+                           resolve_distribution("counts:17," + ",".join(["1"] * 15)))
     flagged = 0
     for seed in range(10):
-        rep = classical_plugin_baseline(p, "kl", 50, np.random.default_rng(seed),
-                                        oracle_q=q)
+        rep = trial(seed)
         if rep.extras["undefined"]:
             flagged += 1
             assert math.isnan(rep.estimate)
@@ -196,7 +201,7 @@ def test_cells_without_a_payoff_law_refuse_exact_expectation_before_any_draw(
         built.append(build_oracle(dist))
         return built[-1]
 
-    monkeypatch.setattr(harness, "build_oracle", recording_build_oracle)
+    monkeypatch.setattr(estimators, "build_oracle", recording_build_oracle)
     with pytest.raises(ValueError, match="no payoff law"):
         run_cell_trial(dict(cell, mode="exact-expectation"), 7)
     # refused while preparing: no oracle was built, so none could draw
@@ -880,13 +885,12 @@ def test_cli_names_the_support_epsilon_floor(capsys):
 @pytest.mark.parametrize("alpha, eps", [(2, 1e-150), (3, 1e-6)])
 def test_integer_orders_refuse_more_count_rounds_than_the_ceiling_before_any_draw(
         alpha, eps, capsys):
-    # 1e-150 asks for ~8e300 rounds: it used to run without end
-    oracle = build_oracle(uniform(16))
-    with pytest.raises(ValueError, match=r"^epsilon %r is too small for integer order "
-                       r"alpha=%d: .* past the ceiling of 2\^40$" % (eps, alpha)):
-        estimate_renyi(oracle, alpha, EstimatorConfig(epsilon=eps, seed=1))
-    assert oracle.ledger.classical_executions == 0
-    assert oracle.ledger.snapshot()["quantum_total"] == 0
+    # 1e-150 asks for ~8e300 rounds: it used to run without end.  Refused
+    # before the layout that the draws read is built.
+    with mock.patch.object(estimators, "build_oracle", side_effect=AssertionError("built")), \
+            pytest.raises(ValueError, match=r"^epsilon %r is too small for integer order "
+                          r"alpha=%d: .* past the ceiling of 2\^40$" % (eps, alpha)):
+        prepare_renyi(uniform(16), alpha, EstimatorConfig(epsilon=eps))
     assert main(["estimate", "--algo", "renyi", "--alpha", str(alpha), "--dist", "uniform:16",
                  "--eps", repr(eps), "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: epsilon %r is too small" % eps)
@@ -945,12 +949,26 @@ def test_cli_refuses_a_min_entropy_epsilon_whose_first_batch_cannot_be_drawn(eps
     assert captured.err.endswith("past the ceiling of 2^40\n")
 
 
+def test_cli_refuses_a_plugin_sample_count_past_the_ceiling(capsys):
+    # 10^18 samples used to be accepted, and would have drawn for centuries
+    started = time.perf_counter()
+    assert main(["estimate", "--algo", "plugin", "--measure", "shannon", "--dist", "uniform:16",
+                 "--n-samples", "1000000000000000000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: n_samples 1000000000000000000 is too large")
+    # the ceiling itself is prepared, not drawn
+    assert prepare_plugin(uniform(16), "shannon", 1 << 40) is not None
+    with pytest.raises(ValueError, match="^n_samples %d .* 2\\^40$" % ((1 << 40) + 1)):
+        prepare_plugin(uniform(16), "shannon", (1 << 40) + 1)
+
+
 def test_min_entropy_refuses_a_tiny_epsilon_before_any_draw():
-    oracle = build_oracle(uniform(16))
-    with pytest.raises(ValueError, match="^epsilon 1e-07 is too small"):
-        estimate_min_entropy(oracle, EstimatorConfig(epsilon=1e-7, seed=1))
-    assert oracle.ledger.classical_executions == 0
-    assert oracle.ledger.snapshot()["quantum_total"] == 0
+    with mock.patch.object(estimators, "build_oracle", side_effect=AssertionError("built")), \
+            pytest.raises(ValueError, match="^epsilon 1e-07 is too small"):
+        prepare_min_entropy(uniform(16), EstimatorConfig(epsilon=1e-7))
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1126,8 +1144,8 @@ def test_one_trial_refuses_a_cell_that_fails_before_any_draw(
     drew = AssertionError("drew")
     with mock.patch.object(estimators, "multiplicative_runs", side_effect=drew), \
             mock.patch.object(estimators, "qmean_additive", side_effect=drew), \
-            mock.patch.object(harness.DistributionOracle, "sample_classical", side_effect=drew), \
-            mock.patch.object(harness.DistributionOracle, "sample_counts", side_effect=drew), \
+            mock.patch.object(DistributionOracle, "sample_classical", side_effect=drew), \
+            mock.patch.object(DistributionOracle, "sample_counts", side_effect=drew), \
             pytest.raises(ValueError) as raised:
         run_cell_trial(bad, 3)
     assert str(raised.value).startswith(message)
@@ -1136,9 +1154,9 @@ def test_one_trial_refuses_a_cell_that_fails_before_any_draw(
 def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
     # zipf:1.5:16777216 at eps 0.02 drew for 47 s before this budget failed;
     # uniform:1048576 at eps 0.005 needs the same M = 2^21
-    with mock.patch.object(harness.DistributionOracle, "sample_classical",
+    with mock.patch.object(DistributionOracle, "sample_classical",
                            side_effect=AssertionError("drew")), \
-            mock.patch.object(harness.DistributionOracle, "sample_counts",
+            mock.patch.object(DistributionOracle, "sample_counts",
                               side_effect=AssertionError("drew")):
         assert main(["estimate", "--algo", "minentropy", "--dist", "uniform:1048576",
                      "--eps", "0.005", "--seed", "1"]) == 2
@@ -1371,20 +1389,35 @@ def test_a_prepared_cell_draws_nothing_and_runs_independent_trials(case, mode, m
     with monkeypatch.context() as patched:
         patched.setattr(np.random, "default_rng", no_generator)
         patched.setattr(np.random, "Generator", no_generator)
-        patched.setattr(harness, "build_oracle", recording_build)
+        patched.setattr(estimators, "build_oracle", recording_build)
         trial = harness.prepare_cell(cell)
-    held = [(layout.ledger, _fields(layout)) for layout in layouts]
-    first, second = trial(7), trial(8)
-    # the trials draw on fresh oracles: the ones the cell holds keep their
-    # ledgers, empty, and every other field
-    for layout, (ledger, fields) in zip(layouts, held):
-        assert layout.ledger is ledger and _fields(layout) == fields
-        assert ledger.snapshot() == QueryLedger().snapshot()
-    # each trial books a fresh ledger: the second reports what a fresh
+    held = [_fields(layout) for layout in layouts]
+    reports = [trial(7).to_dict(), trial(8).to_dict()]
+    # the trials leave every layout the cell holds as it was, byte for byte
+    assert [_fields(layout) for layout in layouts] == held
+    # each trial books ledgers of its own: the second reports what a fresh
     # one-trial run with its seed reports, not the sum of both
-    assert [repr(first.to_dict()), repr(second.to_dict())] \
+    assert list(map(repr, reports)) \
         == [repr(run_cell_trial(cell, seed).to_dict()) for seed in (7, 8)]
-    assert not _containers(first.extras) & _containers(second.extras)
+    # and the two reports share no ledger and no extras
+    assert not _containers(reports[0]) & _containers(reports[1])
+
+
+# The cases with a payoff law: their estimators draw no symbol themselves,
+# so they build no oracle layout.
+_LAYOUT_FREE = [(case, mode) for case, mode in _RUNNING_ESTIMATES if case not in REFUSE_EXACT]
+
+
+@pytest.mark.parametrize("case, mode", _LAYOUT_FREE, ids=["%s/%s" % run for run in _LAYOUT_FREE])
+def test_cells_that_draw_no_symbol_build_no_oracle_layout(case, mode, monkeypatch):
+    args = cli._build_parser().parse_args(["estimate", *ESTIMATE_CASES[case], "--mode", mode])
+
+    def no_layout(*args, **kwargs):
+        raise AssertionError("an oracle layout was built")
+
+    monkeypatch.setattr(DistributionOracle, "build", no_layout)
+    report = harness.prepare_cell(cli._estimate_cell(args))(7)
+    assert report.mode == mode
 
 
 def test_experiment_resolves_each_distribution_once_per_cell(tmp_path, monkeypatch):

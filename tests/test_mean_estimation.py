@@ -377,7 +377,6 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
     # draws of all its runs.
     from qentropy import estimators
     from qentropy.instances import zipf
-    from qentropy.oracle import build_oracle
 
     sub = _zipf_master()
     mean = sub.mean()
@@ -396,15 +395,14 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
         return batch
 
     monkeypatch.setattr(estimators, "multiplicative_runs", recording)
-    oracle = build_oracle(zipf(1.5, 64))
-    rep = estimators.estimate_renyi(oracle, 2.5, estimators.EstimatorConfig(seed=3))
+    rep = estimators.prepare_renyi(zipf(1.5, 64), 2.5, estimators.EstimatorConfig())(3)
     levels = rep.extras["schedule"]
     assert len(batches) == len(levels)
     assert [batch.value.size for batch in batches] == [level["repetitions"] for level in levels]
-    assert oracle.ledger.phases == {"estamp": sum(
+    assert rep.ledger["phases"] == {"estamp": sum(
         level["M"] * level["repetitions"] * batch.charged_executions
         for level, batch in zip(levels, batches))}
-    assert oracle.ledger.classical_executions == sum(
+    assert rep.ledger["classical_executions"] == sum(
         int(batch.classical_executions.sum()) for batch in batches)
 
 

@@ -1,5 +1,6 @@
 """Oracles (sorted layout read through a guide table) and the query ledger."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -96,19 +97,37 @@ def test_seeded_draw_stream_is_frozen():
 
 
 def test_classical_draws_never_touch_quantum_counters():
+    # An oracle holds no ledger: the estimator that draws books its draws.
     orc = build_oracle(uniform(4))
-    rng = np.random.default_rng(1)
-    out = orc.sample_classical(rng, 100)
+    assert not hasattr(orc, "ledger")
+    out = orc.sample_classical(np.random.default_rng(1), 100)
     assert out.shape == (100,)
-    assert orc.ledger.quantum_total == 0
-    assert orc.ledger.classical_executions == 100
-    # a shaped draw reads the positions of one flat draw, and records them all
+    # a shaped draw reads the positions of one flat draw
     orc = build_oracle(from_counts([40, 0, 25, 3, 0, 70, 11, 0]))
     rows = orc.sample_classical(np.random.default_rng(7), (3, 50))
     assert rows.shape == (3, 50)
     assert np.array_equal(rows.reshape(-1), orc.sample_classical(np.random.default_rng(7), 150))
-    assert orc.ledger.quantum_total == 0
-    assert orc.ledger.classical_executions == 300
+
+
+@pytest.mark.parametrize("counts", [[2, 0, 3], [40, 0, 25, 3, 0, 70, 11, 0]],
+                         ids=["guide-is-layout", "bucketed"])
+def test_layouts_are_values(counts):
+    # A layout is shared by every trial of a prepared estimator, so neither
+    # its fields nor its arrays can be changed.
+    orc = build_oracle(from_counts(counts))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        orc.shift = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        orc.guide = np.zeros(3, dtype=np.int64)
+    for array in (orc.guide, orc.cum):
+        if array is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+    table = GuideTable.build(np.array(counts, dtype=np.int64), 2, np.int32)
+    with pytest.raises(ValueError, match="read-only"):
+        table.guide[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        table.cum[0] = 1
 
 
 def test_ledger_rejects_negative_charges():
