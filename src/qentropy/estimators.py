@@ -269,6 +269,10 @@ class _RatioSubroutine:
                 total += law_p.sample_sum(n, rng) - law_q.sample_sum(n, rng)
         return total
 
+    def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
+        """`groups` independent sample_sum(count, rng) values, one call after another."""
+        return np.array([self.sample_sum(count, rng) for _ in range(groups)])
+
     def mean(self) -> float:
         mean = 0.0
         for w, (law_p, law_q) in zip(self._weights, self._pairs):

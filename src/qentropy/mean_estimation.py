@@ -36,7 +36,14 @@ owns the positions up to the ceiling of its running sum times 2^53, and
 looks it up in oracle.GuideTable, the one guide-table routine the oracles
 read their positions through.  It selects the index that a binary search of
 the running sums would, clipped to the last atom, so the draws are those of
-np.searchsorted.  The table is built once per call, in O(#values).
+np.searchsorted.  Each multiplicative_runs call, and each FiniteLaw.draw,
+builds the table once, with four buckets per atom but no fewer than
+_MIN_BUCKETS, so that a lookup rarely meets a cut bucket.  The pilot and
+main steps compute a part's values in place, in one buffer per chunk.
+
+median_amplify takes the middle of the sorted outcomes, or the mean of the
+two middle ones for an even count: np.median's value bit for bit, without
+its array overhead or the import of numpy.ma it makes on its first call.
 
 Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
 ratio r, floored at one execution: the theorems' O(.) constant is taken as
@@ -50,8 +57,9 @@ the contracts are simulated from its law, never from sample paths: X is a
 FiniteLaw of values and probabilities.  A sample sum is one multinomial draw
 of how often each value occurs, which costs O(#values) whatever the sample
 size; the reported classical draws still count the full notional sample.
-The additive contract reads only sample sums, so it also takes KL's ratio
-law, a difference of two independent finite laws per group that is never
+The additive contract reads only sample sums, all its groups' at once (one
+multinomial call for a FiniteLaw), so it also takes KL's ratio law, a
+difference of two independent finite laws per group that is never
 tabulated jointly.
 
 Sums of products are np.add.reduce over the products, never `@` or
@@ -93,6 +101,11 @@ _MEDIAN_CONSTANT = 48
 # draws are the multiples of 2^-53 in [0, 1).
 _KEYS = 1 << 53
 
+# Buckets of a FiniteLaw's guide table: four per atom, and at least this
+# many (64 KB), so that few draws of a small law with many small atoms land
+# in a bucket its boundaries cut, and fewer still in one they cut twice.
+_MIN_BUCKETS = 1 << 13
+
 
 class FiniteLaw:
     """A random variable X with finitely many values: what a contract estimates.
@@ -119,8 +132,9 @@ class FiniteLaw:
         self._pvals = self.probabilities / total
 
     def _guide(self) -> GuideTable:
-        """The GuideTable of X's draws, built in O(#values): position k is
-        the index that rng.random's draw k * 2^-53 selects,
+        """The GuideTable of X's draws, of at most max(4 * #values,
+        _MIN_BUCKETS) buckets, built in O(#values + _MIN_BUCKETS): position k
+        is the index that rng.random's draw k * 2^-53 selects,
         min(searchsorted(cumsum(_pvals), k * 2^-53, "right"), #values - 1).
 
         A running sum c is at most k * 2^-53 exactly when ceil(c * 2^53) <= k,
@@ -133,7 +147,7 @@ class FiniteLaw:
         sizes = np.minimum(ends, _KEYS, out=ends).astype(np.int64)
         sizes[-1] = _KEYS
         sizes[1:] -= sizes[:-1]
-        return GuideTable.build(sizes, 4 * sizes.size, np.int32)
+        return GuideTable.build(sizes, max(4 * sizes.size, _MIN_BUCKETS))
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """`count` independent draws of X."""
@@ -147,6 +161,15 @@ class FiniteLaw:
         """
         counts = rng.multinomial(count, self._pvals)
         return float(np.add.reduce(counts * self.values))
+
+    def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
+        """`groups` independent sample_sum(count, rng) values, drawn in that order.
+
+        One multinomial call draws every group's counts, and each row is
+        summed on its own, so the sums and the stream are those of the calls.
+        """
+        counts = rng.multinomial(count, self._pvals, size=groups)
+        return np.add.reduce(counts * self.values, axis=1)
 
     def mean(self) -> float:
         return float(np.add.reduce(self.values * self.probabilities))
@@ -195,7 +218,7 @@ def qmean_additive(
     Requires var[X] <= sigma^2 and, for the charged cost to be meaningful,
     0 < epsilon < 4*sigma.  Classically runs a median of group means sized by
     Chebyshev; charged_executions is the near-linear theorem cost.  sub needs
-    only sample_sum(count, rng).
+    only sample_sums(count, groups, rng).
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -205,8 +228,7 @@ def qmean_additive(
     charged = theorem_execution_count(sigma / epsilon)
 
     group_size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
-    means = sorted(sub.sample_sum(group_size, rng) / group_size
-                   for _ in range(_ADDITIVE_GROUPS))
+    means = sorted((sub.sample_sums(group_size, _ADDITIVE_GROUPS, rng) / group_size).tolist())
     # np.median's value without its array overhead: the group count is odd
     value = means[_ADDITIVE_GROUPS // 2]
     return MeanEstimate(
@@ -230,9 +252,15 @@ def _main_samples(m2_hat: np.ndarray, epsilon: float) -> np.ndarray:
     return np.ceil(_LEMMA_CHEBYSHEV * m2_up / tau ** 2)
 
 
-def _beyond(values, anchors, sign: float):
-    """sign * (values - anchors), without a pass to negate either."""
-    return values - anchors if sign > 0 else anchors - values
+def _residual(values, anchors, sign: float, out: np.ndarray) -> np.ndarray:
+    """max(sign * (values - anchors), 0) written into out, which may be values.
+
+    Neither side is negated: the difference is taken the other way round."""
+    if sign > 0:
+        np.subtract(values, anchors, out=out)
+    else:
+        np.subtract(anchors, values, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
@@ -262,11 +290,12 @@ def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np
     step = max(1, _ROW_CHUNK // pilot)
     for lo in range(0, rows, step):
         chunk = anchors[lo:lo + step, None]
-        drawn = _drawn(guide, rng.random((chunk.size, pilot)))
-        x = np.maximum(_beyond(atoms.take(drawn), chunk, sign), 0.0)
+        x = atoms.take(_drawn(guide, rng.random((chunk.size, pilot))))
+        _residual(x, chunk, sign, out=x)
         x *= x
         # each row is summed on its own, whatever the chunk's shape
-        m2_hat[lo:lo + step] = np.add.reduce(x, axis=1) / pilot
+        np.add.reduce(x, axis=1, out=m2_hat[lo:lo + step])
+    m2_hat /= pilot
 
     samples = _main_samples(m2_hat, epsilon)
     # The largest count, and the total that an estimator books, must fit
@@ -288,7 +317,8 @@ def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np
         # they draw nothing, so its counts are those of its own multinomial.
         on_side = columns < widths[rows_, None]
         counts = rng.multinomial(n, np.where(on_side, pvals, 0.0))
-        part = np.maximum(_beyond(ranked[:width], anchors[rows_, None], sign), 0.0)
+        part = _residual(ranked[:width], anchors[rows_, None], sign,
+                         out=np.empty((n.size, width)))
         part *= counts[:, :width]
         means[rows_] = np.add.reduce(part, axis=1) / np.maximum(n, 1)
     return means, m2_hat, samples
@@ -390,9 +420,19 @@ def median_amplify(run, delta: float, rng: np.random.Generator) -> tuple[float, 
 
     run(rng, repetitions) returns all the runs' outcomes at once.  Boosts
     success probability to >= 1 - delta; returns (median, all runs).
+
+    The median of finite outcomes is np.median's bit for bit: the middle
+    of the sorted list, or the mean of the two middle values for an even
+    count.  np.median's mean starts its sum at +0.0, so a zero median is
+    +0.0 whatever the signs of the zeros in the middle; adding +0.0 does
+    the same here.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     repetitions = max(1, math.ceil(_MEDIAN_CONSTANT * math.log(1.0 / delta)))
-    outcomes = [float(x) for x in run(rng, repetitions)]
-    return float(np.median(outcomes)), outcomes
+    outcomes = np.asarray(run(rng, repetitions), dtype=np.float64).tolist()
+    ranked = sorted(outcomes)
+    middle = len(ranked) // 2
+    if len(ranked) % 2:
+        return ranked[middle] + 0.0, outcomes
+    return (ranked[middle - 1] + ranked[middle] + 0.0) / 2, outcomes

@@ -10,13 +10,14 @@ A GuideTable maps the integer positions of any layout to their symbols.  A
 guide of at most a given number of buckets, each 2^shift positions wide,
 holds the symbol at the first position of every bucket (Chen and Asau's
 guide-table method).  A position past that symbol's end lies in a bucket
-that a boundary cuts: one compare against cum moves it on to the next
-symbol, which resolves every bucket cut by a single boundary, and only the
-positions still past their symbol's end (buckets cut twice or more, or
-zero-count bins) are looked up in cum by binary search.  When the layout
-has no more positions than buckets, the buckets are single positions and
-the guide is the layout itself.  mean_estimation.FiniteLaw draws through
-the same table, over a layout of 2^53 positions.
+that a boundary cuts: one compare against cum finds those positions, and
+only they are moved on to the next symbol, which resolves every bucket cut
+by a single boundary; only the positions still past their symbol's end
+(buckets cut twice or more, or zero-count bins) are looked up in cum by
+binary search.  When the layout has no more positions than buckets, the
+buckets are single positions and the guide is the layout itself.
+mean_estimation.FiniteLaw draws through the same table, over a layout of
+2^53 positions.
 
 A layout is a value: its arrays are read-only and its fields fixed, so one
 layout serves any number of trials.  It books nothing.  Each trial of an
@@ -80,8 +81,9 @@ class GuideTable:
     Symbol v owns the positions [cum[v-1], cum[v]), symbol 0 those below
     cum[0], so the symbol at a position is the number of entries of cum at
     or below it.  guide[b] is the symbol at position b << shift, the first
-    position of bucket b.  cum is None when shift is 0, since
-    single-position buckets are never cut.  Both arrays are read-only.
+    position of bucket b, as an np.intp, so that a lookup indexes cum with
+    it directly.  cum is None when shift is 0, since single-position
+    buckets are never cut.  Both arrays are read-only.
     """
 
     cum: np.ndarray | None
@@ -89,10 +91,9 @@ class GuideTable:
     shift: int
 
     @classmethod
-    def build(cls, sizes: np.ndarray, buckets: int, dtype, **fields):
+    def build(cls, sizes: np.ndarray, buckets: int, **fields):
         """The table of the layout in which symbol v owns the next sizes[v]
-        positions (int64, non-negative), with guide entries of dtype; other
-        fields go to the constructor.
+        positions (int64, non-negative); other fields go to the constructor.
 
         The bucket width 2^shift is the smallest power of two that leaves at
         most `buckets` buckets, and the build takes O(sizes.size + buckets).
@@ -105,7 +106,7 @@ class GuideTable:
             # ceil(cum[v-1] / w) up to, but not including, ceil(cum[v] / w).
             owned = -((-cum) >> shift)
             owned[1:] -= owned[:-1]
-        guide = np.repeat(np.arange(sizes.size, dtype=dtype), owned)
+        guide = np.repeat(np.arange(sizes.size, dtype=np.intp), owned)
         for array in (cum, guide):
             if array is not None:
                 array.flags.writeable = False
@@ -114,13 +115,13 @@ class GuideTable:
     def symbols(self, positions: np.ndarray) -> np.ndarray:
         """Symbols at a 1-D array of positions in the layout."""
         if not self.shift:
-            return self.guide[positions]
-        # one index dtype from here on, whatever the guide's
-        out = self.guide[positions >> self.shift].astype(np.intp, copy=False)
-        past = positions >= self.cum[out]
-        out += past
-        moved = np.flatnonzero(past)
-        far = moved[positions[moved] >= self.cum[out[moved]]]
+            return self.guide.take(positions)
+        out = self.guide.take(positions >> self.shift)
+        # only the positions in cut buckets move on, so only they are rewritten
+        moved = (positions >= self.cum.take(out)).nonzero()[0]
+        after = out.take(moved) + 1
+        out[moved] = after
+        far = moved[positions.take(moved) >= self.cum.take(after)]
         if far.size:
             out[far] = np.searchsorted(self.cum, positions[far], side="right")
         return out
@@ -186,4 +187,4 @@ def build_oracle(dist: RationalDistribution) -> DistributionOracle:
     """
     # symbol 0 owns no position
     sizes = np.concatenate((np.zeros(1, dtype=np.int64), dist.counts))
-    return DistributionOracle.build(sizes, 4 * dist.n, np.int64, source=dist)
+    return DistributionOracle.build(sizes, 4 * dist.n, source=dist)

@@ -51,16 +51,23 @@ def _window_masses(laws: np.ndarray, amplitudes: np.ndarray, radius: np.ndarray)
     """Each row's mass on the grid values v with |v - a| <= radius + 1e-12,
     for outcome_laws rows over l = 0..M/2.
 
-    The values ascend, so the window is one run [lo, hi) of the row, and
-    its sum adds the table's entries inside it in the same order.  Only an
-    on-grid phase leaves exact zeros, and its row is a point mass, whose
-    sum the zeros cannot change.
+    The values ascend, so the window is one run [lo, lo + width) of the
+    row, and its sum adds the table's entries inside it in the same order.
+    Only an on-grid phase leaves exact zeros, and its row is a point mass,
+    whose sum the zeros cannot change.  Rows of one width are gathered into
+    one array and each row is summed on its own, as a slice of the row
+    would be.
     """
     values = grid_value(np.arange(laws.shape[1]), 2 * (laws.shape[1] - 1))
     inside = np.abs(values - amplitudes[:, None]) <= (radius + 1e-12)[:, None]
     lo = inside.argmax(axis=1)
-    return np.array([row[start:stop].sum() for row, start, stop
-                     in zip(laws, lo.tolist(), (lo + inside.sum(axis=1)).tolist())])
+    widths = inside.sum(axis=1)
+    masses = np.empty(laws.shape[0])
+    for width in set(widths.tolist()):
+        rows = np.flatnonzero(widths == width)
+        window = laws[rows[:, None], lo[rows, None] + np.arange(width)]
+        masses[rows] = np.add.reduce(window, axis=1)
+    return masses
 
 
 def estamp_suite() -> list[CheckResult]:

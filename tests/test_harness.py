@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -622,7 +623,9 @@ def test_poisson_tail_is_exact_everywhere(mu, m):
 def test_estimating_never_imports_scipy():
     # scipy.special costs a fifth of a second and ~17 MB to import (scipy.stats
     # most of a second): in a fresh interpreter, `estimate`, `exact`,
-    # `experiment` and `verify all` load no scipy module at all.
+    # `experiment` and `verify all` load no scipy module at all.  Nor do they
+    # load numpy.ma (8-11 ms and ~1.3 MB), which np.median imports on its
+    # first call: the annealed `estimate` takes its medians without it.
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -643,7 +646,8 @@ def test_estimating_never_imports_scipy():
                 cli.main(["verify", "all"]),
             ]
         print(json.dumps([codes, sorted(m for m in sys.modules
-                                        if m == "scipy" or m.startswith("scipy."))]))
+                                        if m in ("scipy", "numpy.ma")
+                                        or m.startswith(("scipy.", "numpy.ma.")))]))
     """)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -1254,6 +1258,26 @@ def test_verify_checks_match_the_pinned_rows(capsys):
     rows = [[r["suite"], r["name"], r["passed"], r["known_defect"], repr(r["margin"]),
              r["detail"]] for r in _verify_json_rows(capsys, "all")]
     assert rows == pinned
+
+
+def test_experiment_csv_and_verify_json_match_the_fingerprint(tmp_path, capsys):
+    # The bytes of an `experiment` CSV (prepared cells, per-trial seeds and
+    # row formatting; every algo, both modes where a payoff law exists, the
+    # plug-in for every measure, two trials per cell) and of `verify all
+    # --json`.  A changed output byte fails here; regenerating
+    # fingerprint.json is a declared change, like the pin files.
+    here = Path(__file__).parent
+    pinned = json.loads((here / "fingerprint.json").read_text())
+    rows = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(here / "fingerprint_config.json"),
+                 "--out", str(rows)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "all", "--json"]) == 0
+    digests = {
+        "experiment_csv_sha256": hashlib.sha256(rows.read_bytes()).hexdigest(),
+        "verify_all_json_sha256": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert digests == pinned
 
 
 # One `qentropy estimate` call per algorithm and path, each run in both modes.

@@ -1,10 +1,11 @@
 """Quantum mean estimators driven by exact output tables."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qentropy import mean_estimation
@@ -133,15 +134,15 @@ def test_draws_read_the_running_sums_when_the_total_rounds(weights, total):
                         min_size=1, max_size=64).filter(lambda w: sum(w) > 0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_draws_read_the_running_sums_at_every_key(weights, seed):
-    # zero atoms, ties, one-atom laws and up to 64 atoms: every bucket width
-    # from 2^51 (one atom, four buckets) down to 2^45
+    # zero atoms, ties, one-atom laws and up to 64 atoms, each in a table of
+    # _MIN_BUCKETS buckets of 2^40 positions
     weights = np.array(weights)
     law = FiniteLaw(np.arange(weights.size, dtype=float), weights / weights.sum())
     random_keys = np.random.default_rng(seed).integers(_KEYS, size=256)
     _assert_draws_read_the_running_sums(
         law, np.concatenate([_keys_at_every_edge(law), random_keys]))
-    assert law._guide().guide.size <= 4 * weights.size
-    assert law._guide().guide.dtype == np.int32
+    assert law._guide().guide.size <= max(4 * weights.size, mean_estimation._MIN_BUCKETS)
+    assert law._guide().guide.dtype == np.intp
 
 
 def test_theorem_execution_count_values():
@@ -187,11 +188,33 @@ def test_additive_charges_quantum_wholesale():
     # caller charges wholesale, and exactly the draws it took from the law.
     sub = FiniteLaw([0.2, 0.6], [0.5, 0.5])
     asked = []
-    sample_sum = sub.sample_sum
-    sub.sample_sum = lambda count, rng: asked.append(count) or sample_sum(count, rng)
+    sample_sums = sub.sample_sums
+    sub.sample_sums = lambda count, groups, rng: (asked.extend([count] * groups)
+                                                 or sample_sums(count, groups, rng))
     est = qmean_additive(sub, 0.2, 0.05, np.random.default_rng(1))
     assert est.charged_executions == theorem_execution_count(0.2 / 0.05)
     assert est.classical_executions == sum(asked) == 3 * math.ceil(5 * (0.2 / 0.05) ** 2)
+
+
+def test_additive_call_stream_is_frozen():
+    # The three groups' sums: value, classical draws and the generator state
+    # after the call are pinned, for a zipf payoff law and KL's two-group
+    # ratio law.
+    from qentropy.distributions import count_pairs, from_counts
+    from qentropy.estimators import _RatioSubroutine
+
+    rng = np.random.default_rng(23)
+    est = qmean_additive(_zipf_master(), 0.2, 0.05, rng)
+    assert est.value == pytest.approx(0.12817992175882903, rel=1e-12)
+    assert (est.classical_executions, est.charged_executions) == (240, 3)
+    assert rng.random() == 0.736505236153433
+
+    p, q = from_counts([1, 1]), from_counts([1, 3])
+    rng = np.random.default_rng(24)
+    est = qmean_additive(_RatioSubroutine(p, q, 16, 32, count_pairs(p, q)), 1.0, 0.1, rng)
+    assert est.value == pytest.approx(0.2091447008963522, rel=1e-12)
+    assert (est.classical_executions, est.charged_executions) == (1500, 30)
+    assert rng.random() == 0.6579229454157692
 
 
 def _law_state(sub):
@@ -284,6 +307,23 @@ def test_median_amplify_count_and_value():
     assert len(outcomes) == math.ceil(48 * math.log(10))
     assert value == np.median(outcomes)
     assert value == pytest.approx(2.0, abs=0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcomes=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=40))
+@example(outcomes=[0.0, -0.0, -0.0, 0.0, 5e-324])  # a stable sort leaves -0.0 in the middle
+@example(outcomes=[-0.0, -0.0])
+@example(outcomes=[-5e-324, 0.0])  # the mean underflows to -0.0
+@example(outcomes=[1.5e308, 1.7e308])  # the sum overflows
+def test_median_is_np_median_bit_for_bit(outcomes):
+    # odd and even counts, signed zeros, subnormals and sums past the float range
+    value, returned = median_amplify(lambda rng, k: outcomes, 0.5, np.random.default_rng(0))
+    assert returned == outcomes
+    with np.errstate(over="ignore"):
+        expected = float(np.median(outcomes))
+    assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
 def _zipf_master():
