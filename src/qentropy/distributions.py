@@ -4,13 +4,14 @@ A distribution on the alphabet {1, ..., n} is one int64 array of bin counts
 (m_1, ..., m_n) over a common denominator S below 2**63, so every
 probability is the exact rational m_i / S.  All real-valued measures are
 computed in double precision.  The additive ones (Shannon entropy, power
-sums, support coverage, KL divergence) evaluate their libm term once per
-run of equal nonzero counts (or of equal pairs of counts) in bin order,
-from the exact Python-int quotient m_i / S, and add the terms over the
-nonzero bins in bin order, left to right: by np.add.accumulate a chunk of
-bins at a time, or by a plain loop on chunks that are small or mostly
-distinct.  Both orders are the sequential float sum on every Python
-version; tests cross-check it bit for bit against a per-bin loop and
+sums, support coverage, KL divergence) evaluate their libm term from the
+exact Python-int quotient m_i / S and add the terms over the nonzero bins
+in bin order, left to right.  An array of fewer than _LOOP_BELOW_BINS bins
+is one loop over its nonzero bins.  A larger one is read a chunk of bins at
+a time: its term is taken once per run of equal nonzero counts (of equal
+pairs of counts, for KL) in bin order, repeated over the run's bins and
+added by np.add.accumulate.  Both are the sequential float sum on every
+Python version; tests cross-check it bit for bit against a per-bin loop and
 against an arbitrary-precision reference.
 
 Unless a docstring says otherwise, logarithms are natural and entropies are
@@ -19,7 +20,7 @@ reported in nats.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import operator
@@ -32,23 +33,11 @@ import numpy as np
 # The most bins the additive measures read at once.
 _BIN_CHUNK = 1 << 16
 
-# A chunk with fewer nonzero counts than this is summed by the per-bin loop:
-# finding its runs costs ~15 us of numpy calls whatever the size.  power_sum
-# on two runs of equal counts took 16.3 us by the loop and 21.2 us by runs
-# at 128 counts, and 20.3 against 20.4 us at 192.
-_MIN_DISTINCT_CHUNK = 160
-
-# A chunk is summed per run of equal counts only if fewer than this share of
-# its nonzero counts (of its (p, q) pairs where p is nonzero, for KL) differ
-# from the one before them in bin order: on mostly distinct counts, finding
-# the runs and repeating their terms costs more than the terms it saves.
-# power_sum on 2^16 counts in descending order (min of 7, three runs on a
-# shared 2-vCPU VM) took 1.0-1.5 ms by runs against 6.3-10.6 ms by the loop
-# with 1/64 of them starting a run, 2.8-4.4 against 6.1-8.3 ms at 1/8,
-# 4.4-5.6 against 5.8-8.9 ms at 1/4 and 8.5-16.3 against 5.6-10.0 ms at
-# 1/2; on 3 * 2^14 counts with 3/8 of them starting a run, 9.2-11.4
-# against 5.6-7.5 ms.
-_MAX_DISTINCT_SHARE = 1 / 4
+# An array with fewer bins than this is summed by one loop over its nonzero
+# bins, not by runs: finding a chunk's runs costs ~15 us of numpy calls
+# whatever its size.  power_sum on two runs of equal counts took 16.3 us by
+# the loop and 21.2 us by runs at 128 counts, and 20.3 against 20.4 us at 192.
+_LOOP_BELOW_BINS = 160
 
 _BAD_COUNTS = ("counts must be Python or numpy integers, not bools, and must be "
                "non-negative integers below 2**63; got %s")
@@ -156,76 +145,51 @@ def _checked_counts(counts) -> tuple[np.ndarray, int]:
     return array, total
 
 
-def _run_starts(chunk: list[np.ndarray]) -> Optional[np.ndarray]:
-    """The positions where the runs of equal rows of the chunk's columns
-    start in bin order, if it has at least _MIN_DISTINCT_CHUNK rows and
-    fewer than _MAX_DISTINCT_SHARE of them differ from the row before them;
-    else None."""
-    if chunk[0].size < _MIN_DISTINCT_CHUNK:
-        return None
-    new = np.zeros(chunk[0].size, dtype=bool)
-    for column in chunk:
-        new[1:] |= column[1:] != column[:-1]
-    new[0] = True
-    starts = np.flatnonzero(new)
-    return starts if starts.size - 1 < _MAX_DISTINCT_SHARE * chunk[0].size else None
+def _count_runs(*columns: np.ndarray) -> Iterator[tuple[list[list[int]], np.ndarray]]:
+    """The runs of equal rows of one or two equal-length count columns at
+    the bins where the first is nonzero, _BIN_CHUNK bins at a time, in bin
+    order.  A row is a bin's counts, one per column.
 
-
-def _rows(chunk: list[np.ndarray], nonzero_only: bool = False) -> Iterable:
-    """The rows of the chunk's columns in bin order, as Python ints: the
-    counts of one column, or a tuple of counts per bin of several; with
-    nonzero_only, only the rows whose first count is nonzero."""
-    columns = [column.tolist() for column in chunk]
-    rows = columns[0] if len(columns) == 1 else zip(*columns)
-    return itertools.compress(rows, columns[0]) if nonzero_only else rows
-
-
-def _count_chunks(*columns: np.ndarray) -> Iterator[tuple[Iterable, Optional[np.ndarray]]]:
-    """The rows (see _rows) of one or two equal-length count columns at the
-    bins where the first is nonzero, _BIN_CHUNK bins at a time, in bin order.
-
-    Each chunk comes as (rows, lengths).  rows are the rows at the starts of
-    its runs of equal rows, in bin order, and lengths the numbers of bins in
-    those runs.  A chunk whose runs _run_starts does not find comes as the
-    rows of its bins in bin order, and lengths None.
+    Each chunk with a nonzero bin comes as (rows, lengths): the rows at the
+    starts of its runs, in bin order, as one list of Python ints per column,
+    and the numbers of bins in those runs.  No sort is made: a run starts
+    wherever a row differs from the one before it.
     """
     for lo in range(0, columns[0].size, _BIN_CHUNK):
         nonzero = columns[0][lo:lo + _BIN_CHUNK] != 0
         chunk = [column[lo:lo + _BIN_CHUNK][nonzero] for column in columns]
-        starts = _run_starts(chunk)
-        if starts is None:
-            yield _rows(chunk), None
-        else:
-            yield _rows([column[starts] for column in chunk]), \
-                np.diff(starts, append=chunk[0].size)
+        size = chunk[0].size
+        if not size:
+            continue
+        # a flag where each run starts, and one past the last bin
+        new = np.ones(size + 1, dtype=bool)
+        np.not_equal(chunk[0][1:], chunk[0][:-1], out=new[1:size])
+        for column in chunk[1:]:
+            new[1:size] |= column[1:] != column[:-1]
+        bounds = np.flatnonzero(new)
+        starts = bounds[:-1]
+        yield [column[starts].tolist() for column in chunk], bounds[1:] - starts
 
 
-def _carried_sum(total: float, terms: np.ndarray) -> float:
-    """total + terms[0] + terms[1] + ..., added left to right by
-    np.add.accumulate, which overwrites terms: the additions of a loop."""
-    if terms.size:
+def _bin_order_sum(term: Callable[..., float], *columns: np.ndarray) -> float:
+    """The sum over the bins where the first column is nonzero, in bin order
+    and left to right, of term(c) of each bin's count c (term(c, d) of its
+    counts in two columns).  A small array is one loop over its nonzero
+    bins; a larger one takes term once per run of equal rows (see
+    _count_runs), repeats it over the run's bins and adds the terms by
+    np.add.accumulate, carrying the total from chunk to chunk: the
+    additions of the loop."""
+    if columns[0].size < _LOOP_BELOW_BINS:
+        nonzero = columns[0] != 0
+        # a left fold: sum() of floats is compensated from Python 3.12
+        return functools.reduce(operator.add, map(term, *(column[nonzero].tolist()
+                                                          for column in columns)), 0.0)
+    total = 0.0
+    for rows, lengths in _count_runs(*columns):
+        terms = np.repeat(np.fromiter(map(term, *rows), np.float64, lengths.size), lengths)
         terms[0] += total
         total = float(np.add.accumulate(terms, out=terms)[-1])
     return total
-
-
-def _bin_order_sum(add: Callable[[float, Iterable], float], *columns: np.ndarray) -> float:
-    """The sum over the bins where the first column is nonzero, in bin order
-    and left to right, of the term of each bin's row (see _rows).
-    add(total, rows) is the measure's per-bin loop: it adds the term of each
-    row, in order, to total and returns the total.  A chunk with run lengths
-    runs it once per run, from -0.0, which adds exactly (-0.0 + x == x for
-    every float x), and repeats each run's term over the run's bins."""
-    if columns[0].size < _MIN_DISTINCT_CHUNK:  # one small chunk: the loop alone
-        return float(add(0.0, _rows(list(columns), nonzero_only=True)))
-    total = 0.0
-    for rows, lengths in _count_chunks(*columns):
-        if lengths is None:
-            total = add(total, rows)
-        else:
-            terms = np.array([add(-0.0, (row,)) for row in rows])
-            total = _carried_sum(total, np.repeat(terms, lengths))
-    return float(total)
 
 
 def from_counts(counts: Iterable[int]) -> RationalDistribution:
@@ -261,13 +225,11 @@ def shannon_entropy(dist: RationalDistribution) -> float:
     """H(p) = -sum p_i ln p_i in nats; empty bins contribute zero."""
     S = dist.denominator
 
-    def add(total: float, counts: Iterable[int]) -> float:
-        for c in counts:
-            p = c / S
-            total -= p * math.log(p)
-        return total
+    def term(c: int) -> float:
+        p = c / S
+        return -(p * math.log(p))  # total + -x is total - x, bit for bit
 
-    return _bin_order_sum(add, dist.counts)
+    return _bin_order_sum(term, dist.counts)
 
 
 def power_sum(dist: RationalDistribution, alpha: float) -> float:
@@ -275,13 +237,7 @@ def power_sum(dist: RationalDistribution, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("power sums are defined here for alpha > 0")
     S = dist.denominator
-
-    def add(total: float, counts: Iterable[int]) -> float:
-        for c in counts:
-            total += (c / S) ** alpha
-        return total
-
-    return _bin_order_sum(add, dist.counts)
+    return _bin_order_sum(lambda c: (c / S) ** alpha, dist.counts)
 
 
 def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
@@ -312,16 +268,14 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution) -> float:
         raise ValueError("p and q must share an alphabet")
     Sp, Sq = p.denominator, q.denominator
 
-    def add(total: float, rows: Iterable[tuple[int, int]]) -> float:
-        for cp, cq in rows:
-            if cq == 0:
-                raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
-            pi = cp / Sp
-            qi = cq / Sq
-            total += pi * math.log(pi / qi)
-        return total
+    def term(cp: int, cq: int) -> float:
+        if cq == 0:
+            raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
+        pi = cp / Sp
+        qi = cq / Sq
+        return pi * math.log(pi / qi)
 
-    return _bin_order_sum(add, p.counts, q.counts)
+    return _bin_order_sum(term, p.counts, q.counts)
 
 
 def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
@@ -333,13 +287,11 @@ def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
         raise ValueError("n_samples must be a positive integer")
     S = dist.denominator
 
-    def add(total: float, counts: Iterable[int]) -> float:
-        for c in counts:
-            p = c / S
-            total += -math.expm1(n_samples * math.log1p(-p)) if p < 1.0 else 1.0
-        return total
+    def term(c: int) -> float:
+        p = c / S
+        return -math.expm1(n_samples * math.log1p(-p)) if p < 1.0 else 1.0
 
-    return _bin_order_sum(add, dist.counts)
+    return _bin_order_sum(term, dist.counts)
 
 
 def _pair_groups(p_counts: np.ndarray, q_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +304,15 @@ def _pair_groups(p_counts: np.ndarray, q_counts: np.ndarray) -> tuple[np.ndarray
         ranked = column[order]
         new[1:] |= ranked[1:] != ranked[:-1]
     return order, new
+
+
+def count_classes(counts: np.ndarray) -> dict[int, int]:
+    """Each distinct nonzero count c mapped to c times its number of bins."""
+    weights: dict[int, int] = {}
+    for (values,), lengths in _count_runs(counts):
+        for c, k in zip(values, lengths.tolist()):
+            weights[c] = weights.get(c, 0) + c * k
+    return weights
 
 
 def count_pairs(p: RationalDistribution, q: RationalDistribution

@@ -59,7 +59,7 @@ from .distinctness import (
 )
 from .distributions import (
     RationalDistribution,
-    _count_chunks,
+    count_classes,
     count_pairs,
     evaluate_measure,
     kl_divergence,
@@ -199,15 +199,6 @@ def _grid_law(weights: dict[int, int], denominator: int, M: int,
     return _reported_values(grid, M, variant), mixture[grid]
 
 
-def _count_classes(counts: np.ndarray) -> dict[int, int]:
-    """Each distinct nonzero count c mapped to c times its number of bins."""
-    weights: dict[int, int] = {}
-    for values, lengths in _count_chunks(counts):
-        for c, k in zip(values, [1] * len(values) if lengths is None else lengths.tolist()):
-            weights[c] = weights.get(c, 0) + c * k
-    return weights
-
-
 def _mapped(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     """f of each value; math.log, unlike np.log, is the same on every CPU."""
     return np.fromiter(map(f, values.tolist()), np.float64, values.size)
@@ -225,7 +216,7 @@ class MasterSubroutine(FiniteLaw):
 
     def __init__(self, dist: RationalDistribution, M: int,
                  payoff: Callable[[float], float], variant: str = "estamp"):
-        values, probabilities = _grid_law(_count_classes(dist.counts), dist.denominator,
+        values, probabilities = _grid_law(count_classes(dist.counts), dist.denominator,
                                           M, variant)
         super().__init__(_mapped(payoff, values), probabilities)
 

@@ -36,10 +36,10 @@ owns the positions up to the ceiling of its running sum times 2^53, and
 looks it up in oracle.GuideTable, the one guide-table routine the oracles
 read their positions through.  It selects the index that a binary search of
 the running sums would, clipped to the last atom, so the draws are those of
-np.searchsorted.  Each multiplicative_runs call, and each FiniteLaw.draw,
-builds the table once, with four buckets per atom but no fewer than
-_MIN_BUCKETS, so that a lookup rarely meets a cut bucket.  The pilot and
-main steps compute a part's values in place, in one buffer per chunk.
+np.searchsorted.  Each multiplicative_runs call builds the table once,
+with four buckets per atom but no fewer than _MIN_BUCKETS, so that a lookup
+rarely meets a cut bucket.  The pilot and main steps compute a part's
+values in place, in one buffer per chunk.
 
 median_amplify takes the middle of the sorted outcomes, or the mean of the
 two middle ones for an even count: np.median's value bit for bit, without
@@ -148,10 +148,6 @@ class FiniteLaw:
         sizes[-1] = _KEYS
         sizes[1:] -= sizes[:-1]
         return GuideTable.build(sizes, max(4 * sizes.size, _MIN_BUCKETS))
-
-    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """`count` independent draws of X."""
-        return self.values.take(_drawn(self._guide(), rng.random(count)))
 
     def sample_sum(self, count: int, rng: np.random.Generator) -> float:
         """Sum of `count` independent draws of X.
@@ -274,7 +270,7 @@ def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np
     ranked and ps are the atoms' values and probabilities sorted so that run
     r's part is positive exactly on the first widths[r] of them: its side.  A
     pilot is _PILOT_RUNS index draws from the law, read through its guide
-    table as FiniteLaw.draw reads them.  A main sample is one
+    table as the anchors are.  A main sample is one
     multinomial over the side plus one lumped atom, the next in order, to
     which numpy's multinomial gives the rest of the mass: the full multinomial
     with the zero-valued atoms aggregated, so the sample mean has the same

@@ -19,6 +19,7 @@ from qentropy import distributions
 from qentropy.cli import main
 from qentropy.distributions import (
     RationalDistribution,
+    count_classes,
     from_counts,
     from_json_dict,
     kl_divergence,
@@ -30,7 +31,7 @@ from qentropy.distributions import (
     shannon_entropy,
     support_coverage,
 )
-from qentropy.estimators import _count_classes, check_ratio_promise, check_support_promise
+from qentropy.estimators import check_ratio_promise, check_support_promise
 from qentropy.instances import point_mass, uniform, zipf
 
 
@@ -178,19 +179,19 @@ def _named_symbol(check, *args):
 @given(n=st.integers(1, 5000),
        high=st.sampled_from([1, 3, 1000, 1 << 40, None, "distinct", "runs"]),
        zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 4 * distributions._MIN_DISTINCT_CHUNK))
+       chunk=st.integers(1, 4 * distributions._LOOP_BELOW_BINS))
 @example(n=4096, high=None, zeros=0.0, seed=0, chunk=7)
 @example(n=1, high=1, zeros=0.9, seed=1, chunk=1)
-@example(n=5000, high=3, zeros=0.0, seed=2, chunk=distributions._MIN_DISTINCT_CHUNK)
+@example(n=5000, high=3, zeros=0.0, seed=2, chunk=distributions._LOOP_BELOW_BINS)
 @example(n=5000, high="distinct", zeros=0.0, seed=3, chunk=1000)
 @example(n=5000, high=1000, zeros=0.5, seed=4, chunk=1 << 16)
 @example(n=5000, high="runs", zeros=0.3, seed=5, chunk=1000)
 def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chunk):
-    # Chunks below and above _MIN_DISTINCT_CHUNK nonzero counts, with few
-    # distinct counts in runs (high "runs", and high 1 once zeros are
-    # dropped), few in no order (high 3) or only distinct ones, take both the
-    # per-bin loop and the per-distinct path, and cross between them.  high
-    # None draws counts up to what keeps S below 2**63.
+    # Arrays below and above _LOOP_BELOW_BINS bins, in chunks of any size,
+    # with few distinct counts in runs (high "runs", and high 1 once zeros
+    # are dropped), few in no order (high 3) or only distinct ones, take the
+    # small-array loop and the runs path, whose runs cross chunk boundaries.
+    # high None draws counts up to what keeps S below 2**63.
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -229,7 +230,7 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
         assert bound == _ref_ratio_bound(cp, S, cu, n)
         assert _or_none(ratio_bound, p, q) == _ref_ratio_bound(cp, S, cq, q.denominator)
         assert p.support_size() == sum(1 for c in cp if c > 0)
-        assert _count_classes(p.counts) == _ref_count_classes(cp)
+        assert count_classes(p.counts) == _ref_count_classes(cp)
         for f in (bound, bound / 2, float(bound / 3)):
             assert _named_symbol(check_ratio_promise, p, u, f) \
                 == _ref_ratio_violation(cp, S, cu, n, f)
@@ -244,17 +245,18 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
 @given(n=st.integers(1, 3000), kind=st.sampled_from(["runs", "few", "distinct"]),
        zeros=st.floats(0.0, 0.9), columns=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 4 * distributions._MIN_DISTINCT_CHUNK))
+       chunk=st.integers(1, 4 * distributions._LOOP_BELOW_BINS))
 @example(n=3000, kind="runs", zeros=0.0, columns=1, seed=0, chunk=640)
 @example(n=3000, kind="runs", zeros=0.3, columns=2, seed=1, chunk=640)
 @example(n=3000, kind="few", zeros=0.0, columns=2, seed=2, chunk=200)
 @example(n=3000, kind="distinct", zeros=0.0, columns=1, seed=3, chunk=640)
 @example(n=5, kind="runs", zeros=0.9, columns=2, seed=4, chunk=1)
-def test_count_chunks_expand_to_the_nonzero_rows_in_bin_order(n, kind, zeros, columns, seed,
-                                                              chunk):
+def test_count_runs_expand_to_the_nonzero_rows_in_bin_order(n, kind, zeros, columns, seed,
+                                                            chunk):
     # Long runs of a few values, a few values in no order, or all-distinct
     # counts, with zeros: expanding a chunk's runs gives the rows of its
-    # bins where the first column is nonzero, in bin order.
+    # bins where the first column is nonzero, in bin order, and a run starts
+    # only where the row changes.
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -270,23 +272,17 @@ def test_count_chunks_expand_to_the_nonzero_rows_in_bin_order(n, kind, zeros, co
 
     cols = [draw() for _ in range(columns)]
     with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
-        chunks = list(distributions._count_chunks(*cols))
-    assert len(chunks) == -(-n // chunk)
-    for lo, (rows, lengths) in zip(range(0, n, chunk), chunks):
-        block = [column[lo:lo + chunk].tolist() for column in cols]
-        bins = block[0] if columns == 1 else list(zip(*block))
-        expected = [row for row, first in zip(bins, block[0]) if first]
-        rows = list(rows)
-        starts = sum(1 for i, row in enumerate(expected) if i == 0 or row != expected[i - 1])
-        grouped = len(expected) >= distributions._MIN_DISTINCT_CHUNK \
-            and starts - 1 < distributions._MAX_DISTINCT_SHARE * len(expected)
-        assert (lengths is not None) == grouped
-        if lengths is None:
-            assert rows == expected
-        else:
-            lengths = lengths.tolist()
-            assert len(rows) == len(lengths) == starts and min(lengths) >= 1
-            assert [row for row, k in zip(rows, lengths) for _ in range(k)] == expected
+        chunks = list(distributions._count_runs(*cols))
+    blocks = [[column[lo:lo + chunk].tolist() for column in cols] for lo in range(0, n, chunk)]
+    blocks = [block for block in blocks if any(block[0])]
+    assert len(chunks) == len(blocks)
+    for block, (rows, lengths) in zip(blocks, chunks):
+        expected = [row for row in zip(*block) if row[0]]
+        rows = list(zip(*rows))
+        lengths = lengths.tolist()
+        assert len(rows) == len(lengths) and min(lengths) >= 1
+        assert all(a != b for a, b in zip(rows, rows[1:]))
+        assert [row for row, k in zip(rows, lengths) for _ in range(k)] == expected
 
 
 @pytest.mark.parametrize("counts, message", [

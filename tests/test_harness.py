@@ -756,6 +756,19 @@ def test_no_module_calls_a_cpu_dependent_numpy_routine():
         "values, or np.add.reduce over a product: %s" % offenders
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # A module's underscore names are its own: a format one module reads
+    # through another's private helper cannot change in one place.
+    offenders = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.level > 0 or (node.module or "").split(".")[0] == "qentropy"):
+                offenders += ["%s:%d imports %s" % (path.name, node.lineno, alias.name)
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
 def test_cli_estimate_and_exact(capsys):
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:16",
                  "--eps", "0.25", "--seed", "4"]) == 0
