@@ -47,9 +47,13 @@ def count_row_collisions(rows: np.ndarray, k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     ordered = np.sort(rows, axis=1)
-    boundaries = np.ones(ordered.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=boundaries[:, 1:])
-    runs = np.diff(np.flatnonzero(boundaries), append=boundaries.size)
+    # boundaries[i] marks flat entry i as the first of its run, and the
+    # extra last entry closes the last run, so runs are differences of starts
+    boundaries = np.ones(ordered.size + 1, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1],
+                 out=boundaries[:-1].reshape(ordered.shape)[:, 1:])
+    starts = np.flatnonzero(boundaries)
+    runs = starts[1:] - starts[:-1]
     hist = np.bincount(runs[runs >= k])
     lengths = np.flatnonzero(hist)
     return sum(math.comb(m, k) * c for m, c in zip(lengths.tolist(), hist[lengths].tolist()))
@@ -92,12 +96,14 @@ def find_k_collision(
     # In sorted order a symbol occurs at least k times exactly when it fills
     # a window of k entries.  The first full window of each run leaves the
     # candidates ascending and distinct, as np.unique would list them.
-    ordered = np.sort(arr, axis=None)
+    ordered = arr.flatten()
+    ordered.sort()
     starts = ordered[:max(ordered.size - k + 1, 0)]
-    full = starts[starts == ordered[k - 1:]]
-    first = np.ones(full.shape, dtype=bool)
-    np.not_equal(full[1:], full[:-1], out=first[1:])
-    candidates = full[first]
+    candidates = starts[starts == ordered[k - 1:]]
+    if candidates.size > 1:  # a run of m entries fills m - k + 1 windows
+        first = np.ones(candidates.shape, dtype=bool)
+        np.not_equal(candidates[1:], candidates[:-1], out=first[1:])
+        candidates = candidates[first]
 
     return k_collision_verdict(candidates, arr.size, k, fail_prob, rng, lambda i: arr[i])
 

@@ -658,10 +658,10 @@ def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
 # ---------------------------------------------------------------------------
 # min-entropy
 
-# The largest intensity of the first round's Poisson batch: even streamed,
+# The largest total intensity of the rounds' Poisson batches: even streamed,
 # 2^40 positions would take hours, so a smaller epsilon is refused before
 # any draw.
-_MAX_FIRST_INTENSITY = 2.0 ** 40
+_MAX_INTENSITY = 2.0 ** 40
 
 
 def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
@@ -693,9 +693,9 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
     before the intensity passes n, the estimate falls back to 1/n.
 
     Refused here, before any draw: exact-expectation mode, an alphabet below
-    2 symbols, a first round above _MAX_FIRST_INTENSITY, and a budget of the
-    final amplitude estimate (relative eps, floor 1/n) above the largest
-    outcome table.
+    2 symbols, rounds whose intensities could sum past _MAX_INTENSITY, and a
+    budget of the final amplitude estimate (relative eps, floor 1/n) above
+    the largest outcome table.
     """
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
@@ -704,10 +704,17 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
         raise ValueError("need n >= 2")
     ln_n = math.log(n)
     first = 16.0 * ln_n / eps ** 2  # the first round's intensity, at lam = 1
-    if first > _MAX_FIRST_INTENSITY:
-        raise ValueError("epsilon %r is too small for min-entropy on n = %d: the first "
-                         "round would draw ~%.3g positions, past the ceiling of 2^40"
-                         % (eps, n, first))
+    # With no round firing, lam runs through 1, r, r^2, ... up to n, for
+    # r = sqrt(1 + eps), so the intensities sum to at most first times
+    # (r n - 1) / (r - 1).  With r - 1 written eps / (r + 1), exact where
+    # 1 + eps rounds to 1, that is 16 ln(n) (r n - 1) (r + 1) / eps^3,
+    # taken in log2 so that no epsilon overflows it.
+    r = math.sqrt(1.0 + eps)
+    total_log2 = math.log2(16.0 * ln_n * (r * n - 1.0) * (r + 1.0)) - 3.0 * math.log2(eps)
+    if total_log2 > math.log2(_MAX_INTENSITY):
+        raise ValueError("epsilon %r is too small for min-entropy on n = %d: its rounds "
+                         "could draw ~2^%.1f positions, past the ceiling of 2^40"
+                         % (eps, n, total_log2))
     multiplicative_budget(eps, 1.0 / n)
     k = math.ceil(first)
     fail_round = min(0.5, eps / (2.0 * ln_n))
@@ -732,7 +739,7 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
             if hit is not None:
                 found = int(hit)
                 break
-            lam *= math.sqrt(1.0 + eps)
+            lam *= r
 
         extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
         if found is None:

@@ -176,7 +176,8 @@ class FiniteLaw:
 
 
 def _drawn(guide: GuideTable, u: np.ndarray) -> np.ndarray:
-    """The indices that rng.random's draws u select through a law's guide, in u's shape."""
+    """The indices that rng.random's draws u select through a law's guide,
+    in u's shape and the guide's type."""
     # rng.random returns k * 2^-53, so the product is k exactly
     keys = (u * _KEYS).astype(np.int64)
     return guide.symbols(keys.reshape(-1)).reshape(u.shape)

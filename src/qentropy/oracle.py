@@ -81,9 +81,13 @@ class GuideTable:
     Symbol v owns the positions [cum[v-1], cum[v]), symbol 0 those below
     cum[0], so the symbol at a position is the number of entries of cum at
     or below it.  guide[b] is the symbol at position b << shift, the first
-    position of bucket b, as an np.intp, so that a lookup indexes cum with
-    it directly.  cum is None when shift is 0, since single-position
-    buckets are never cut.  Both arrays are read-only.
+    position of bucket b.  The guide, and every symbol array a lookup
+    returns, has the narrowest unsigned type of 16 bits or more that holds
+    every symbol (np.intp past 2^32 symbols), so that draws are gathered,
+    sorted and counted at 2 bytes a symbol whenever the alphabet allows;
+    numpy's 8-bit sort is slower than its 16-bit one, hence no uint8.  cum
+    is None when shift is 0, since single-position buckets are never cut.
+    Both arrays are read-only.
     """
 
     cum: np.ndarray | None
@@ -106,7 +110,9 @@ class GuideTable:
             # ceil(cum[v-1] / w) up to, but not including, ceil(cum[v] / w).
             owned = -((-cum) >> shift)
             owned[1:] -= owned[:-1]
-        guide = np.repeat(np.arange(sizes.size, dtype=np.intp), owned)
+        dtype = next(t for t in (np.uint16, np.uint32, np.intp)
+                     if sizes.size - 1 <= np.iinfo(t).max)
+        guide = np.repeat(np.arange(sizes.size, dtype=dtype), owned)
         for array in (cum, guide):
             if array is not None:
                 array.flags.writeable = False
@@ -117,8 +123,17 @@ class GuideTable:
         if not self.shift:
             return self.guide.take(positions)
         out = self.guide.take(positions >> self.shift)
+        # The end of each position's guide symbol.  take widens narrow
+        # indices into an np.intp copy of its own, so they are widened once
+        # here and that buffer receives the ends: each index is read before
+        # its slot is written, and mode="clip" writes straight into it (every
+        # symbol indexes cum, so nothing is clipped).
+        ends = out.astype(np.intp)
+        self.cum.take(ends, out=ends, mode="clip")
         # only the positions in cut buckets move on, so only they are rewritten
-        moved = (positions >= self.cum.take(out)).nonzero()[0]
+        moved = (positions >= ends).nonzero()[0]
+        # A moved position lies past its guide symbol's end, so that symbol
+        # is not the last one, and adding 1 cannot overflow the guide's type.
         after = out.take(moved) + 1
         out[moved] = after
         far = moved[positions.take(moved) >= self.cum.take(after)]
@@ -147,7 +162,8 @@ class DistributionOracle(GuideTable):
 
     def sample_classical(self, rng: np.random.Generator,
                          shape: int | tuple[int, ...]) -> np.ndarray:
-        """Symbols at rng.integers(S, size=shape) positions, in that shape.
+        """Symbols at rng.integers(S, size=shape) positions, in that shape
+        and the guide's type.
 
         Books nothing: the caller books the draws as classical work.
         """

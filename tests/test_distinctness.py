@@ -184,6 +184,26 @@ def test_sorted_window_search_matches_unique(seq, k, fail_prob, seed):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 8).flatmap(lambda length: st.lists(
+           st.lists(st.one_of(st.integers(0, 3), st.integers(0, 65535)),
+                    min_size=length, max_size=length),
+           min_size=1, max_size=6)),
+       k=st.integers(1, 5), fail_prob=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32))
+def test_narrow_symbols_search_and_count_as_int64_does(rows, k, fail_prob, seed):
+    # Guides hand out uint16 or uint32 symbols: the search returns the same
+    # symbol from the same generator stream, and the count the same total.
+    wide = np.array(rows, dtype=np.int64)
+    results = []
+    for dtype in (np.int64, np.uint16, np.uint32):
+        rng = np.random.default_rng(seed)
+        found = find_k_collision(wide.ravel().astype(dtype), k, fail_prob, rng)
+        results.append((found, type(found), rng.bit_generator.state,
+                        count_row_collisions(wide.astype(dtype), k)))
+    assert results[0] == results[1] == results[2]
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_find_collision_rejects_k_below_one(k):
     with pytest.raises(ValueError, match="k must be positive"):

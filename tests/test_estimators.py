@@ -746,6 +746,33 @@ def test_min_entropy_fallback_reports_floor():
             assert r.estimate == pytest.approx(1 / 2)
 
 
+def _unfired_min_entropy_intensities(n, eps):
+    """Each round's intensity, as the trial computes it, when no round fires."""
+    ln_n, lam, out = math.log(n), 1.0, []
+    while lam <= n:
+        out.append(16.0 * lam * ln_n / eps ** 2)
+        lam *= math.sqrt(1.0 + eps)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), eps=st.floats(2e-4, 4e-3))
+def test_min_entropy_refuses_rounds_that_could_sum_past_the_ceiling(n, eps):
+    # Totals from ~1e8 to ~3e12 positions, on both sides of 2^40: a run whose
+    # rounds could draw past it is refused before any draw, and the bound
+    # (r n - 1) / (r - 1) overstates the rounds' sum by at most the factor
+    # (r n - 1) / (n - 1), so a run that far under the ceiling is prepared.
+    total = math.fsum(_unfired_min_entropy_intensities(n, eps))
+    r = math.sqrt(1.0 + eps)
+    try:
+        prepare_min_entropy(uniform(n), cfg(eps=eps))
+    except ValueError as exc:
+        assert str(exc).startswith("epsilon %r is too small for min-entropy" % eps)
+        assert total * (r * n - 1.0) / (n - 1.0) > 2.0 ** 40
+    else:
+        assert total <= 2.0 ** 40
+
+
 def test_support_coverage_normalized():
     rep = prepare_support_coverage(uniform(32), 32, cfg(eps=0.2))(5)
     assert rep.algo == "coverage"

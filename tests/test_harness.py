@@ -966,6 +966,19 @@ def test_cli_refuses_a_min_entropy_epsilon_whose_first_batch_cannot_be_drawn(eps
     assert captured.err.endswith("past the ceiling of 2^40\n")
 
 
+def test_cli_refuses_a_min_entropy_epsilon_whose_rounds_sum_past_the_ceiling(capsys):
+    # the first round draws ~4.4e7 positions, but the 5,548 rounds up to
+    # lam = 16 would draw ~1.33e12 in all; it used to run for hours
+    started = time.perf_counter()
+    assert main(["estimate", "--algo", "minentropy", "--dist", "uniform:16", "--eps", "1e-3",
+                 "--seed", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: epsilon 0.001 is too small for min-entropy on n = 16: its "
+                            "rounds could draw ~2^40.3 positions, past the ceiling of 2^40\n")
+
+
 def test_cli_refuses_a_plugin_sample_count_past_the_ceiling(capsys):
     # 10^18 samples used to be accepted, and would have drawn for centuries
     started = time.perf_counter()
@@ -1126,8 +1139,10 @@ _REFUSED_BEFORE_ANY_DRAW = {
          "mode": "exact-expectation"}, "budget M=2^344 is above the largest outcome table"),
     "renyi-1-budget": ({"algo": "renyi", "dist": "uniform:4", "alpha": 1, "eps": 1e-100},
                        "budget M=2^335 is above the largest outcome table"),
+    # M = 2^21 at this epsilon, but the rounds, checked first, could draw
+    # 2^51.7 positions
     "minentropy-budget": ({"algo": "minentropy", "dist": "uniform:1048576", "eps": 0.005},
-                          "budget M=2^21 is above the largest outcome table"),
+                          "epsilon 0.005 is too small for min-entropy on n = 1048576"),
     "renyi-tiny-order": ({"algo": "renyi", "dist": "uniform:16", "alpha": 0.001,
                           "mode": "exact-expectation"},
                          "budget M=inf is above the largest outcome table"),
@@ -1170,7 +1185,9 @@ def test_one_trial_refuses_a_cell_that_fails_before_any_draw(
 
 def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
     # zipf:1.5:16777216 at eps 0.02 drew for 47 s before this budget failed;
-    # uniform:1048576 at eps 0.005 needs the same M = 2^21
+    # uniform:1048576 at eps 0.005 needs the same M = 2^21.  Both are now
+    # refused before the budget is read, on the positions their rounds
+    # could draw: no alphabet that fits in memory reaches this budget check.
     with mock.patch.object(DistributionOracle, "sample_classical",
                            side_effect=AssertionError("drew")), \
             mock.patch.object(DistributionOracle, "sample_counts",
@@ -1179,8 +1196,8 @@ def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
                      "--eps", "0.005", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: budget M=2^21 is above the largest outcome table built, "
-                            "M=1048576 (2^20)\n")
+    assert captured.err == ("error: epsilon 0.005 is too small for min-entropy on n = 1048576: "
+                            "its rounds could draw ~2^51.7 positions, past the ceiling of 2^40\n")
 
 
 def test_a_tiny_annealed_order_is_refused_not_raised(capsys):

@@ -148,7 +148,18 @@ def test_draws_read_the_running_sums_at_every_key(weights, seed):
     _assert_draws_read_the_running_sums(
         law, np.concatenate([_keys_at_every_edge(law), random_keys]))
     assert law._guide().guide.size <= max(4 * weights.size, mean_estimation._MIN_BUCKETS)
-    assert law._guide().guide.dtype == np.intp
+    assert law._guide().guide.dtype == np.uint16
+
+
+@pytest.mark.parametrize("atoms, dtype", [(65536, np.uint16), (65537, np.uint32)])
+def test_law_guides_take_the_narrowest_type_and_read_every_edge(atoms, dtype):
+    # indices 0..65535 fit 16 bits; one atom more needs 32
+    weights = np.random.default_rng(atoms).random(atoms)
+    weights[::7] = 0.0
+    law = FiniteLaw(np.zeros(atoms), weights / weights.sum())
+    assert law._guide().guide.dtype == dtype
+    _assert_draws_read_the_running_sums(law, _keys_at_every_edge(law))
+    assert mean_estimation._drawn(law._guide(), np.array([0.5])).dtype == dtype
 
 
 def test_theorem_execution_count_values():

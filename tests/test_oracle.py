@@ -52,9 +52,63 @@ def test_guide_tables_read_every_position_at_every_bucket_width(counts):
     for buckets in range(1, int(cum[-1]) + 1):
         table = GuideTable.build(sizes, buckets)
         shifts.add(table.shift)
-        assert table.guide.size <= buckets and table.guide.dtype == np.intp
+        assert table.guide.size <= buckets and table.guide.dtype == np.uint16
         assert np.array_equal(table.symbols(positions), expected)
     assert shifts == set(range(int(cum[-1] - 1).bit_length() + 1))
+
+
+@pytest.mark.parametrize("symbols, dtype", [(65535, np.uint16), (65536, np.uint16),
+                                            (65537, np.uint32)])
+def test_guides_take_the_narrowest_type_and_read_every_edge(symbols, dtype):
+    # 16 bits hold the symbols 0..65535, so 65,537 symbols need 32.  The
+    # first and last position of every symbol, zero-count ones between
+    # them, read the same symbol at a bucket per position, at buckets
+    # that one boundary cuts, and at buckets that many boundaries cut.
+    sizes = np.random.default_rng(symbols).integers(0, 3, size=symbols)
+    sizes[-1] = 2  # the largest symbol owns positions
+    cum = np.cumsum(sizes)
+    positions = np.unique(np.concatenate((cum - sizes, cum - 1)))
+    positions = positions[(positions >= 0) & (positions < cum[-1])]
+    expected = np.searchsorted(cum, positions, side="right")
+    assert expected.max() == symbols - 1
+    shifts = []
+    for buckets in (int(cum[-1]), symbols // 2, symbols // 64):
+        table = GuideTable.build(sizes, buckets)
+        shifts.append(table.shift)
+        assert table.guide.dtype == dtype
+        read = table.symbols(positions)
+        assert read.dtype == dtype
+        np.testing.assert_array_equal(read, expected)
+    assert shifts[0] == 0 < shifts[1] < shifts[2]
+
+
+@pytest.mark.parametrize("n, dtype", [(65535, np.uint16), (65536, np.uint32)])
+def test_oracle_draws_come_in_the_guide_type(n, dtype):
+    # symbol 0 owns no position, so n symbols make a guide of n + 1
+    orc = build_oracle(uniform(n))
+    assert orc.guide.dtype == dtype
+    assert orc.symbols(np.array([0, n - 1])).tolist() == [1, n]
+    assert orc.sample_classical(np.random.default_rng(0), (2, 3)).dtype == dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any),
+       size=st.integers(0, 200), chunk=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+def test_counts_and_replays_do_not_depend_on_the_guide_type(counts, size, chunk, seed):
+    # The same layout with its guide held as uint16, uint32 or int64 counts
+    # the same draws, replays the same symbols and leaves the same stream.
+    orc = build_oracle(from_counts(counts))
+    results = []
+    for dtype in (np.uint16, np.uint32, np.int64):
+        guide = orc.guide.astype(dtype)
+        guide.flags.writeable = False
+        table = dataclasses.replace(orc, guide=guide)
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        tallies = table.sample_counts(rng, size, chunk)
+        replayed = [table.symbol_at(state, i, chunk) for i in range(0, size, 37)]
+        results.append((tallies.tolist(), replayed, rng.random()))
+    assert results[0] == results[1] == results[2]
 
 
 def test_large_denominator_json_distribution_builds_and_draws(tmp_path):
