@@ -18,6 +18,9 @@ outcome_laws builds the laws of many amplitudes at one budget as the rows
 of one array over l = 0..M/2, with the kernel run on at most _KERNEL_CHUNK
 elements at a time; a row does not depend on the others in its batch.
 estamp_distribution gives one amplitude's row, read-only, and caches it.
+sample_estamp draws one M-query estimate from such a row, and
+multiplicative_budget is the least M at which that estimate meets a relative
+error for every amplitude above a floor.
 """
 
 from __future__ import annotations
@@ -211,7 +214,9 @@ def estamp_distribution(a: float, M: int) -> np.ndarray:
 
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     """Smallest power-of-two M whose first confidence window gives relative
-    error epsilon for any amplitude at least p_floor; check_budget bounds it."""
+    error epsilon for any amplitude at least p_floor; check_budget bounds it.
+    At this M, sample_estamp's estimate of an amplitude a >= p_floor is within
+    relative epsilon with probability at least 8/pi^2."""
     if not 0.0 < p_floor <= 1.0:
         raise ValueError("p_floor must lie in (0, 1]")
     if epsilon <= 0.0:
@@ -223,21 +228,10 @@ def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     return M
 
 
-def sample_estamp_multiplicative(
-    a: float,
-    epsilon: float,
-    p_floor: float,
-    rng: np.random.Generator,
-) -> tuple[float, int]:
-    """Relative-error estimate of the amplitude a, assuming a >= p_floor.
-
-    Returns (estimate, M); with probability at least 8/pi^2 the estimate is
-    within relative epsilon whenever the floor assumption holds.  The one
-    M-query invocation is drawn from the outcome table with one uniform; its
-    caller books the M queries.
-    """
-    M = multiplicative_budget(epsilon, p_floor)
+def sample_estamp(a: float, M: int, rng: np.random.Generator) -> float:
+    """One M-query amplitude estimate of a, drawn from its outcome table with
+    one uniform; its caller books the M queries."""
     row = estamp_distribution(a, M)
     grid = np.flatnonzero(row)
     idx = np.cumsum(row[grid]).searchsorted(rng.random(1), side="right")
-    return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0]), M
+    return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0])

@@ -6,16 +6,18 @@ result through a payoff function), then hand the payoff random variable to a
 mean-estimation contract.  Because the amplitude-estimation outcome law is
 known in closed form, the payoff variable's distribution is also known
 exactly, which enables both fast vectorized simulation and exact
-enumeration of its mean and variance ("exact-expectation" mode).  The
-collision-based estimators (integer orders, min-entropy) have no such law
-and refuse that mode.
+enumeration of its mean and variance ("exact-expectation" mode).  Every
+payoff law is one type, MasterSubroutine, built from a distribution's count
+classes; KL's law is a pair of them per group of symbols sharing a q count.
+The collision-based estimators (integer orders, min-entropy) have no such
+law and refuse that mode.
 
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
 cfg) touches no rng: it makes every check that needs no draw, fixes the
-budgets, builds the payoff laws and computes the truth, so what it refuses is
-refused before any draw.  The estimators that draw symbols themselves (the
-integer orders, min-entropy and the plug-in) then build their oracle layout,
-once.  prepare_X returns the trial, trial(seed), which draws from
+budgets and the repetition counts, builds the payoff laws and computes the
+truth, so what it refuses is refused before any draw.  The estimators that
+draw symbols themselves (the integer orders, min-entropy and the plug-in)
+then build their oracle layout, once.  prepare_X returns the trial, trial(seed), which draws from
 np.random.default_rng(seed), books ledgers of its own, one per distribution
 it reads, and returns a fresh report; a prepared estimator runs any number
 of trials.
@@ -48,7 +50,7 @@ from .amplitude import (
     estamp_prime_floor,
     grid_value,
     multiplicative_budget,
-    sample_estamp_multiplicative,
+    sample_estamp,
 )
 from .distinctness import (
     belovs_charge,
@@ -74,6 +76,7 @@ from .mean_estimation import (
     FiniteLaw,
     SampleCountOverflow,
     median_amplify,
+    median_repetitions,
     multiplicative_runs,
     qmean_additive,
 )
@@ -171,63 +174,45 @@ def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
 # payoff subroutines over the amplitude-estimation outcome law
 
 
-def _reported_values(grid: np.ndarray, M: int, variant: str) -> np.ndarray:
-    """Estimates reported at grid indices l; estamp-prime lifts l = 0 to its floor."""
-    values = grid_value(grid, M)
-    if variant == "estamp-prime":
-        values = np.where(grid == 0, estamp_prime_floor(M), values)
-    elif variant != "estamp":
-        raise ValueError("variant must be 'estamp' or 'estamp-prime'")
-    return values
-
-
-def _grid_law(weights: dict[int, int], denominator: int, M: int,
-              variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Law of the reported estimate for a symbol drawn from count classes.
-
-    weights maps each count c to the total count of the symbols having it;
-    the result is the mixture of the outcome tables law(c/denominator, M),
-    each weighted by its class's share, on the grid l = 0..M/2 with the
-    massless points dropped.  Returns (estimates, probabilities).
-    """
-    check_budget(M)  # before the mixture is allocated
-    total = sum(weights.values())
-    mixture = np.zeros(M // 2 + 1)
-    for c, w in sorted(weights.items()):
-        mixture += estamp_distribution(c / denominator, M) * (w / total)
-    grid = np.flatnonzero(mixture)
-    return _reported_values(grid, M, variant), mixture[grid]
-
-
-def _mapped(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """f of each value; math.log, unlike np.log, is the same on every CPU."""
-    return np.fromiter(map(f, values.tolist()), np.float64, values.size)
-
-
 class MasterSubroutine(FiniteLaw):
-    """Sample a symbol from p, amplitude-estimate its probability, apply a payoff.
+    """Sample a symbol, amplitude-estimate its probability, apply a payoff.
 
-    The payoff sees only the grid point of the outcome, so the subroutine
-    is one finite law over l = 0..M/2: the mixture sum_c w_c * law(c/S, M)
-    over the distinct nonzero counts c, where w_c is the probability of
-    drawing a symbol with count c.  The payoff is evaluated once per grid
-    point with mass.
+    classes maps each distinct nonzero count c to the total count of the
+    symbols having it, as distributions.count_classes gives it, over the
+    given denominator S.  The payoff sees only the grid point of the
+    outcome, so the subroutine is one finite law over l = 0..M/2: the
+    mixture sum_c w_c * law(c/S, M), where w_c is the class's share of the
+    total, with the massless grid points dropped.  The variant estamp-prime
+    reports l = 0 as its floor.  The payoff is evaluated once per grid point
+    with mass; a one-class law is that amplitude's outcome row itself.
     """
 
-    def __init__(self, dist: RationalDistribution, M: int,
+    def __init__(self, classes: dict[int, int], denominator: int, M: int,
                  payoff: Callable[[float], float], variant: str = "estamp"):
-        values, probabilities = _grid_law(count_classes(dist.counts), dist.denominator,
-                                          M, variant)
-        super().__init__(_mapped(payoff, values), probabilities)
+        check_budget(M)  # before the mixture is allocated
+        if variant not in ("estamp", "estamp-prime"):
+            raise ValueError("variant must be 'estamp' or 'estamp-prime'")
+        total = sum(classes.values())
+        mixture = np.zeros(M // 2 + 1)
+        for c, w in sorted(classes.items()):
+            mixture += estamp_distribution(c / denominator, M) * (w / total)
+        grid = np.flatnonzero(mixture)
+        values = grid_value(grid, M)
+        if variant == "estamp-prime":
+            values = np.where(grid == 0, estamp_prime_floor(M), values)
+        # the payoff maps Python floats: math.log, unlike np.log, is the
+        # same on every CPU
+        super().__init__(np.fromiter(map(payoff, values.tolist()), np.float64, values.size),
+                         mixture[grid])
 
 
 class _RatioSubroutine:
     """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
 
     Symbols are grouped by their q count.  Within a group ln q~ follows one
-    outcome table and ln p~, independent of it, the group's grid law on the
-    M_p grid, so a group is a pair of finite laws and X is their
-    difference.  Grouping by the q side
+    outcome table and ln p~, independent of it, the mixture of the group's
+    p classes on the M_p grid, so a group is a pair of MasterSubroutine laws,
+    a one-class one for q, and X is their difference.  Grouping by the q side
     keeps one copy of each q table, the larger ones since M_q >= M_p.  The
     joint law of X is never tabulated: sums and moments come from the pairs.
     """
@@ -242,27 +227,22 @@ class _RatioSubroutine:
         self._weights = np.array(
             [sum(weights.values()) / p.denominator for weights in groups.values()])
         self._pvals = self._weights / self._weights.sum()
-        self._pairs = []
-        for cq, weights in groups.items():
-            vp, pp = _grid_law(weights, p.denominator, M_p, "estamp-prime")
-            row = estamp_distribution(cq / q.denominator, M_q)
-            grid = np.flatnonzero(row)
-            vq = _reported_values(grid, M_q, "estamp-prime")
-            self._pairs.append((FiniteLaw(_mapped(math.log, vp), pp),
-                                FiniteLaw(_mapped(math.log, vq), row[grid])))
-
-    def sample_sum(self, count: int, rng: np.random.Generator) -> float:
-        """Sum of `count` independent draws: a multinomial split over the
-        groups, then each side's own sum over its group's share."""
-        total = 0.0
-        for n, (law_p, law_q) in zip(rng.multinomial(count, self._pvals), self._pairs):
-            if n:
-                total += law_p.sample_sum(n, rng) - law_q.sample_sum(n, rng)
-        return total
+        self._pairs = [(MasterSubroutine(weights, p.denominator, M_p, math.log, "estamp-prime"),
+                        MasterSubroutine({cq: 1}, q.denominator, M_q, math.log, "estamp-prime"))
+                       for cq, weights in groups.items()]
 
     def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
-        """`groups` independent sample_sum(count, rng) values, one call after another."""
-        return np.array([self.sample_sum(count, rng) for _ in range(groups)])
+        """`groups` independent sums of `count` draws, one after another: each
+        a multinomial split over the groups, then each side's own sum over
+        its group's share."""
+        sums = np.empty(groups)
+        for g in range(groups):
+            total = 0.0
+            for n, (law_p, law_q) in zip(rng.multinomial(count, self._pvals), self._pairs):
+                if n:
+                    total += law_p.sample_sums(n, 1, rng)[0] - law_q.sample_sums(n, 1, rng)[0]
+            sums[g] = total
+        return sums
 
     def mean(self) -> float:
         mean = 0.0
@@ -345,7 +325,8 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
     """
     n, eps = dist.n, cfg.epsilon
     M = shannon_budget(n, eps)
-    sub = MasterSubroutine(dist, M, payoff=lambda x: -math.log(x), variant="estamp-prime")
+    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M,
+                           payoff=lambda x: -math.log(x), variant="estamp-prime")
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
     run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
     truth = shannon_entropy(dist)
@@ -358,10 +339,10 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
 
 
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
-                        ratio_bound: float | Fraction, pairs: Optional[tuple] = None) -> None:
-    """prepare_kl's promise: one alphabet, and p_i <= ratio_bound * q_i
-    exactly.  pairs is count_pairs(p, q), if the caller has found them."""
-    cps, cqs, _, firsts = count_pairs(p, q) if pairs is None else pairs
+                        ratio_bound: float | Fraction, pairs: tuple) -> None:
+    """prepare_kl's promise, p_i <= ratio_bound * q_i exactly, read from
+    pairs, which is count_pairs(p, q)."""
+    cps, cqs, _, firsts = pairs
     f = Fraction(ratio_bound)
     broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
               if Fraction(cp * q.denominator, p.denominator) > f * cq]
@@ -433,9 +414,10 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     return chain
 
 
-def _level_law(dist: RationalDistribution, level: float, eps: float,
+def _level_law(dist: RationalDistribution, classes: dict[int, int], level: float, eps: float,
                high: bool) -> tuple[int, MasterSubroutine]:
-    """Budget M and payoff law x^(level-1) of one annealed level.
+    """Budget M and payoff law x^(level-1) of one annealed level, over
+    dist's count classes.
 
     M is the power of two one doubling above x*max(ln x, 1), where x is
     sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
@@ -448,7 +430,7 @@ def _level_law(dist: RationalDistribution, level: float, eps: float,
         x = math.inf
     M = _pow2_budget(x * max(math.log(x), 1.0))
     exponent = level - 1.0
-    return M, MasterSubroutine(dist, M, payoff=lambda x: x ** exponent,
+    return M, MasterSubroutine(classes, dist.denominator, M, payoff=lambda x: x ** exponent,
                                variant="estamp" if high else "estamp-prime")
 
 
@@ -474,19 +456,21 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     supplies the next level's mean bounds.  The bounds are computed once per
     level and shared by that level's repetitions (re-deriving them inside
     every repetition would multiply the recursion out exponentially, which
-    the target cost rules out).  Every level's budget and payoff law is fixed
-    before any draw: the base case and the inner levels at a constant
-    epsilon, the last at the target one.  A level's repetitions run as one
-    batch of multiplicative_runs over the level's payoff law, booked on the
-    trial's ledger as the batch returns.
+    the target cost rules out).  Every level's budget, repetition count and
+    payoff law is fixed before any draw: the base case and the inner levels
+    at a constant epsilon, the last at the target one.  A level's repetitions
+    run as one batch of multiplicative_runs over the level's payoff law,
+    booked on the trial's ledger as the batch returns; the level's estimate
+    is their median.
     """
     if not 0 < alpha < math.inf or float(alpha).is_integer():
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     high = alpha > 1
     algo = "renyi-high" if high else "renyi-low"
     truth = power_sum(dist, alpha)
+    classes = count_classes(dist.counts)
     if cfg.mode == "exact-expectation":
-        M, sub = _level_law(dist, alpha, cfg.epsilon, high)
+        M, sub = _level_law(dist, classes, alpha, cfg.epsilon, high)
         mean, variance = sub.mean(), sub.variance()
         return lambda seed: _power_sum_report(
             algo, dist, alpha, cfg, seed, QueryLedger(), truth, mean,
@@ -496,16 +480,17 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     orders = annealing_schedule(alpha, n)[::-1]
     delta_inner = min(max(1.0 / (12.0 * ln_n * abs(math.log(alpha))), 1e-12), 0.5)
     step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
-    levels = []  # (payoff law, the trace entries fixed before any draw)
+    levels = []  # (payoff law, repetitions, the trace entries fixed before any draw)
     for idx, level in enumerate(orders):
         final = idx == len(orders) - 1
         eps_level = cfg.epsilon if final else 0.25 if high else 0.5
+        delta_level = cfg.delta if final else delta_inner
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M, sub = _level_law(dist, level, eps_level, high)
+        M, sub = _level_law(dist, classes, level, eps_level, high)
         exact_mean, exact_var = sub.mean(), sub.variance()
-        levels.append((sub, {
-            "alpha": level, "eps": eps_level, "delta": cfg.delta if final else delta_inner,
+        levels.append((sub, median_repetitions(delta_level), {
+            "alpha": level, "eps": eps_level, "delta": delta_level,
             "sigma": sigma, "M": M,
             "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
             "variance_bound_exceeded": bool(exact_var > (sigma * exact_mean) ** 2),
@@ -516,7 +501,7 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
         ledger = QueryLedger()
         estimate = None
         trace = []
-        for idx, (sub, fixed) in enumerate(levels):
+        for idx, (sub, repetitions, fixed) in enumerate(levels):
             level = fixed["alpha"]
             if idx == 0:
                 a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
@@ -526,24 +511,21 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
             else:
                 a = (0.5 * estimate) ** step
                 b = math.e * (2.0 * estimate) ** step
-
-            def level_runs(rng_, repetitions):
-                runs = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
-                                           repetitions, rng_)
-                ledger.charge("estamp", fixed["M"] * repetitions * runs.charged_executions)
-                ledger.charge_classical(int(runs.classical_executions.sum()))
-                return runs.value
-
             try:
-                value, runs = median_amplify(level_runs, fixed["delta"], rng)
+                batch = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
+                                            repetitions, rng)
             except SampleCountOverflow as exc:
                 raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
                                  % (level, exc, fixed["variance_bound_exceeded"])) from None
+            ledger.charge("estamp", fixed["M"] * repetitions * batch.charged_executions)
+            ledger.charge_classical(int(batch.classical_executions.sum()))
+            runs = batch.value.tolist()
+            value = median_amplify(runs)
             # Power sums of a distribution on n symbols live in a known range;
             # clamping a wild level estimate keeps the next level's bounds legal.
             lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
             clamped = min(max(value, lo), hi)
-            trace.append(dict(fixed, a=a, b=b, repetitions=len(runs), estimate=value,
+            trace.append(dict(fixed, a=a, b=b, repetitions=repetitions, estimate=value,
                               clamped=clamped, clamp_applied=clamped != value,
                               runs=runs if idx == len(levels) - 1 else None))
             estimate = clamped
@@ -715,7 +697,7 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
         raise ValueError("epsilon %r is too small for min-entropy on n = %d: its rounds "
                          "could draw ~2^%.1f positions, past the ceiling of 2^40"
                          % (eps, n, total_log2))
-    multiplicative_budget(eps, 1.0 / n)
+    M = multiplicative_budget(eps, 1.0 / n)
     k = math.ceil(first)
     fail_round = min(0.5, eps / (2.0 * ln_n))
     # a Python int, so the truth is a float, not an np.float64
@@ -746,8 +728,7 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
             estimate = 1.0 / n
             extras["fallback"] = True
         else:
-            estimate, M = sample_estamp_multiplicative(float(dist.fraction(found)), eps,
-                                                       1.0 / n, rng)
+            estimate = sample_estamp(float(dist.fraction(found)), M, rng)
             ledger.charge("estamp", M)
             extras["fallback"] = False
             extras["captured_symbol"] = found
@@ -776,7 +757,8 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
 def _coverage_run(dist: RationalDistribution, t: int, eps: float, mode: str):
     """_additive_run of the coverage at t draws, to additive error eps * t."""
     M = coverage_budget(t, eps)
-    sub = MasterSubroutine(dist, M, payoff=_coverage_payoff(t), variant="estamp")
+    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M,
+                           payoff=_coverage_payoff(t), variant="estamp")
     return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
 
 

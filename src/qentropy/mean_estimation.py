@@ -41,9 +41,11 @@ with four buckets per atom but no fewer than _MIN_BUCKETS, so that a lookup
 rarely meets a cut bucket.  The pilot and main steps compute a part's
 values in place, in one buffer per chunk.
 
-median_amplify takes the middle of the sorted outcomes, or the mean of the
-two middle ones for an even count: np.median's value bit for bit, without
-its array overhead or the import of numpy.ma it makes on its first call.
+Median amplification is split along what the caller fixes before any draw:
+median_repetitions(delta) is the run count, and median_amplify(outcomes)
+takes the middle of the sorted outcomes, or the mean of the two middle ones
+for an even count: np.median's value bit for bit, without its array
+overhead or the import of numpy.ma it makes on its first call.
 
 Charged executions are ceil(r * ln(r)^1.5 * ln(ln(r))) at the contract's
 ratio r, floored at one execution: the theorems' O(.) constant is taken as
@@ -57,9 +59,10 @@ the contracts are simulated from its law, never from sample paths: X is a
 FiniteLaw of values and probabilities.  A sample sum is one multinomial draw
 of how often each value occurs, which costs O(#values) whatever the sample
 size; the reported classical draws still count the full notional sample.
-The additive contract reads only sample sums, all its groups' at once (one
-multinomial call for a FiniteLaw), so it also takes KL's ratio law, a
-difference of two independent finite laws per group that is never
+FiniteLaw.sample_sums is the one draw call: it draws every group's counts
+in one multinomial call, and a lone sum is its one-group case.  The
+additive contract reads only sample sums, so it also takes KL's ratio law,
+a difference of two independent finite laws per group that is never
 tabulated jointly.
 
 Sums of products are np.add.reduce over the products, never `@` or
@@ -149,20 +152,12 @@ class FiniteLaw:
         sizes[1:] -= sizes[:-1]
         return GuideTable.build(sizes, max(4 * sizes.size, _MIN_BUCKETS))
 
-    def sample_sum(self, count: int, rng: np.random.Generator) -> float:
-        """Sum of `count` independent draws of X.
-
-        One multinomial over the values gives how often each occurs, so the
-        cost is O(#values) whatever the count.
-        """
-        counts = rng.multinomial(count, self._pvals)
-        return float(np.add.reduce(counts * self.values))
-
     def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
-        """`groups` independent sample_sum(count, rng) values, drawn in that order.
+        """`groups` independent sums of `count` draws of X, drawn in that order.
 
-        One multinomial call draws every group's counts, and each row is
-        summed on its own, so the sums and the stream are those of the calls.
+        One multinomial call gives how often each value occurs in every
+        group, so the cost is O(groups * #values) whatever the count, and
+        each row is summed on its own.
         """
         counts = rng.multinomial(count, self._pvals, size=groups)
         return np.add.reduce(counts * self.values, axis=1)
@@ -412,24 +407,24 @@ def multiplicative_runs(
     )
 
 
-def median_amplify(run, delta: float, rng: np.random.Generator) -> tuple[float, list[float]]:
-    """Median of ceil(_MEDIAN_CONSTANT * ln(1/delta)) runs of a >= 2/3 estimator.
-
-    run(rng, repetitions) returns all the runs' outcomes at once.  Boosts
-    success probability to >= 1 - delta; returns (median, all runs).
-
-    The median of finite outcomes is np.median's bit for bit: the middle
-    of the sorted list, or the mean of the two middle values for an even
-    count.  np.median's mean starts its sum at +0.0, so a zero median is
-    +0.0 whatever the signs of the zeros in the middle; adding +0.0 does
-    the same here.
-    """
+def median_repetitions(delta: float) -> int:
+    """ceil(_MEDIAN_CONSTANT * ln(1/delta)) runs, at least one: the median of
+    that many runs of a >= 2/3 estimator succeeds with probability >= 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    repetitions = max(1, math.ceil(_MEDIAN_CONSTANT * math.log(1.0 / delta)))
-    outcomes = np.asarray(run(rng, repetitions), dtype=np.float64).tolist()
+    return max(1, math.ceil(_MEDIAN_CONSTANT * math.log(1.0 / delta)))
+
+
+def median_amplify(outcomes: list[float]) -> float:
+    """The median of the finite outcomes of median_repetitions(delta) runs.
+
+    It is np.median's bit for bit: the middle of the sorted list, or the
+    mean of the two middle values for an even count.  np.median's mean
+    starts its sum at +0.0, so a zero median is +0.0 whatever the signs of
+    the zeros in the middle; adding +0.0 does the same here.
+    """
     ranked = sorted(outcomes)
     middle = len(ranked) // 2
     if len(ranked) % 2:
-        return ranked[middle] + 0.0, outcomes
-    return (ranked[middle - 1] + ranked[middle] + 0.0) / 2, outcomes
+        return ranked[middle] + 0.0
+    return (ranked[middle - 1] + ranked[middle] + 0.0) / 2

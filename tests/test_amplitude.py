@@ -15,9 +15,9 @@ from qentropy.amplitude import (
     grid_value,
     multiplicative_budget,
     outcome_laws,
-    sample_estamp_multiplicative,
+    sample_estamp,
 )
-from qentropy.distributions import from_counts
+from qentropy.distributions import count_classes, from_counts
 from qentropy.estimators import EstimatorConfig, MasterSubroutine, prepare_min_entropy
 from qentropy.instances import point_mass
 from qentropy.verify import _window_masses
@@ -229,14 +229,13 @@ def test_budget_has_a_ceiling_above_every_budget_in_use():
 def test_sampling_is_seeded_and_charged():
     rng_a = np.random.default_rng(12)
     rng_b = np.random.default_rng(12)
-    xs = [sample_estamp_multiplicative(0.25, 0.5, 0.25, rng_a) for _ in range(20)]
-    ys = [sample_estamp_multiplicative(0.25, 0.5, 0.25, rng_b) for _ in range(20)]
-    assert xs == ys
     M = multiplicative_budget(0.5, 0.25)
-    assert {used for _, used in xs} == {M}
+    xs = [sample_estamp(0.25, M, rng_a) for _ in range(20)]
+    ys = [sample_estamp(0.25, M, rng_b) for _ in range(20)]
+    assert xs == ys
     grid = {grid_value(l, M) for l in range(M // 2 + 1)}
-    assert {est for est, _ in xs} <= grid
-    # the sampler books nothing: the min-entropy estimator charges the M it returns
+    assert set(xs) <= grid
+    # the sampler books nothing: the min-entropy estimator charges the M it fixed
     rep = prepare_min_entropy(point_mass(4), EstimatorConfig(epsilon=0.5))(12)
     assert not rep.extras["fallback"]
     assert rep.extras["M"] == multiplicative_budget(0.5, 0.25)
@@ -249,8 +248,10 @@ def test_estamp_prime_never_returns_zero():
     # the estamp-prime law reports outcome 0 as the floor and every other
     # outcome as it is, with the same probabilities
     dist = from_counts([1, 7])  # amplitudes 1/8 and 7/8
-    plain = MasterSubroutine(dist, 8, payoff=lambda x: x, variant="estamp")
-    prime = MasterSubroutine(dist, 8, payoff=lambda x: x, variant="estamp-prime")
+    classes = count_classes(dist.counts)
+    plain = MasterSubroutine(classes, dist.denominator, 8, payoff=lambda x: x, variant="estamp")
+    prime = MasterSubroutine(classes, dist.denominator, 8, payoff=lambda x: x,
+                             variant="estamp-prime")
     assert plain.values[0] == 0.0
     assert np.array_equal(prime.probabilities, plain.probabilities)
     assert np.array_equal(prime.values, np.where(plain.values == 0.0, floor, plain.values))
@@ -276,8 +277,7 @@ def test_multiplicative_sampling_contract():
     hits = 0
     trials = 400
     for _ in range(trials):
-        est, used = sample_estamp_multiplicative(0.25, eps, p_floor, rng)
-        assert used == M
+        est = sample_estamp(0.25, M, rng)
         if abs(est - 0.25) <= eps * 0.25:
             hits += 1
     rate = hits / trials
@@ -306,7 +306,7 @@ def test_table_grid_indexes_the_values():
 
 
 def test_table_cache_is_bounded_in_bytes(monkeypatch):
-    budget = amplitude._TABLE_CACHE_BYTES
+    budget = 4 << 20  # eight tables at M = 2^17: a sixteenth of the real budget
     cache = amplitude._TableCache(budget)
     monkeypatch.setattr(amplitude, "_TABLE_CACHE", cache)
     M = 1 << 17

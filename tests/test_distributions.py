@@ -20,6 +20,7 @@ from qentropy.cli import main
 from qentropy.distributions import (
     RationalDistribution,
     count_classes,
+    count_pairs,
     from_counts,
     from_json_dict,
     kl_divergence,
@@ -232,9 +233,9 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
         assert p.support_size() == sum(1 for c in cp if c > 0)
         assert count_classes(p.counts) == _ref_count_classes(cp)
         for f in (bound, bound / 2, float(bound / 3)):
-            assert _named_symbol(check_ratio_promise, p, u, f) \
+            assert _named_symbol(check_ratio_promise, p, u, f, count_pairs(p, u)) \
                 == _ref_ratio_violation(cp, S, cu, n, f)
-        assert _named_symbol(check_ratio_promise, p, q, 1.5) \
+        assert _named_symbol(check_ratio_promise, p, q, 1.5, count_pairs(p, q)) \
             == _ref_ratio_violation(cp, S, cq, q.denominator, 1.5)
         for m_ in (m, m + 1, 2 * m + 1):
             assert _named_symbol(check_support_promise, p, m_, 0.1) \

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.amplitude import estamp_distribution, grid_value
+from qentropy.amplitude import estamp_distribution, estamp_prime_floor, grid_value
 from qentropy.distributions import (
     RationalDistribution,
+    count_classes,
     count_pairs,
     from_counts,
     kl_divergence,
@@ -149,7 +150,7 @@ def test_exact_expectation_matches_direct_table_sum():
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    sub = MasterSubroutine(dist, M, payoff)
+    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M, payoff)
     mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
@@ -160,6 +161,37 @@ def test_exact_expectation_matches_direct_table_sum():
         direct_sq += p_sym * float(row @ (vals * vals))
     assert mean == pytest.approx(direct_mean, rel=1e-13)
     assert var == pytest.approx(direct_sq - direct_mean**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["estamp", "estamp-prime"])
+@pytest.mark.parametrize("c,S,M", [(1, 3, 16), (5, 7, 64), (1, 2, 8), (1, 1, 4), (2, 2, 8)])
+def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
+    # KL's q side is a one-class law: its probabilities are the nonzero
+    # entries of the row, byte for byte (0.0 + row * 1.0 is row), and its
+    # values the payoff of the reported estimates, the floor for l = 0 under
+    # estamp-prime.  The amplitudes 1/2 at M = 8 and 1 at M = 4 and 8 are on
+    # the grid, where the row has exact zeros.
+    payoff = math.log if variant == "estamp-prime" else (lambda x: x ** 1.5)
+    sub = MasterSubroutine({c: 1}, S, M, payoff, variant)
+    row = estamp_distribution(c / S, M)
+    grid = np.flatnonzero(row)
+    reported = grid_value(grid, M)
+    if variant == "estamp-prime":
+        reported = np.where(grid == 0, estamp_prime_floor(M), reported)
+    assert sub.probabilities.tobytes() == row[grid].tobytes()
+    assert sub.values.tobytes() == np.array([payoff(x) for x in reported.tolist()]).tobytes()
+    # any class weight is the same one-class law
+    assert MasterSubroutine({c: 9}, S, M, payoff, variant).values.tobytes() \
+        == sub.values.tobytes()
+
+
+def test_payoff_law_refuses_its_budget_and_variant_before_building():
+    with pytest.raises(ValueError, match="power of two"):
+        MasterSubroutine({1: 1}, 2, 12, math.log)
+    with mock.patch.object(estimators, "estamp_distribution",
+                           side_effect=AssertionError("a table was read")):
+        with pytest.raises(ValueError, match="variant"):
+            MasterSubroutine({1: 1}, 2, 8, math.log, "estamp-double")
 
 
 def _per_symbol_moments(dist, M, payoff, variant):
@@ -193,7 +225,7 @@ def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
     dist = from_counts(counts)
     M = 1 << log_m
     fn, variant = _PAYOFFS[payoff]
-    sub = MasterSubroutine(dist, M, fn, variant=variant)
+    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M, fn, variant=variant)
     assert sub.values.size <= M // 2 + 1
     mean, var = sub.mean(), sub.variance()
     ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)
@@ -260,7 +292,7 @@ def test_kl_sample_sums_agree_in_law_with_draws_one_by_one():
     sub = _RatioSubroutine(p, q, M_p, M_q, count_pairs(p, q))
     assert len(sub._pairs) == 2
     rng = np.random.default_rng(17)
-    sums = np.array([sub.sample_sum(count, rng) for _ in range(calls)])
+    sums = sub.sample_sums(count, calls, rng)
     reference = _kl_draws_one_by_one(p, q, M_p, M_q, (calls, count),
                                      np.random.default_rng(18)).sum(axis=1)
 

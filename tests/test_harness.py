@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import hashlib
+import importlib
 import importlib.util
 import itertools
 import json
@@ -1614,3 +1615,29 @@ def test_readme_names_every_cell_key():
 def test_readme_lists_every_spec_family():
     block = re.search(r"Spec families:\n\n```\n(.*?)```", _README.read_text(), re.S).group(1)
     assert block.split() == [entry[0] for entry in instances._FAMILIES.values()]
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted name imports: its longest module prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_readme_names_only_what_imports():
+    # every qentropy.* name in a backquoted span, spans that break across
+    # lines included
+    spans = re.findall(r"`([^`]*)`", _README.read_text())
+    names = sorted({name for span in spans
+                    for name in re.findall(r"\bqentropy(?:\.[A-Za-z_]\w*)+", span)})
+    assert len(names) >= 13
+    assert [name for name in names if not _resolves(name)] == []
