@@ -338,12 +338,18 @@ def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
 
 def pairs_ratio_bound(pairs: tuple, p: RationalDistribution, q: RationalDistribution
                       ) -> Fraction:
-    """ratio_bound on the pairs count_pairs(p, q) found."""
+    """ratio_bound on the pairs count_pairs(p, q) found.
+
+    The largest ratio (cp / S_p) / (cq / S_q) is that of the largest cp / cq,
+    found by cross-multiplying Python ints; one Fraction is built, for it."""
     cp, cq = pairs[:2]
     if not cq.all():
         raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
-    return max(Fraction(a * q.denominator, b * p.denominator)
-               for a, b in zip(cp.tolist(), cq.tolist()))
+    top, bottom = 0, 1
+    for a, b in zip(cp.tolist(), cq.tolist()):
+        if a * bottom > top * b:
+            top, bottom = a, b
+    return Fraction(top * q.denominator, bottom * p.denominator)
 
 
 # Measures by name, shared by `exact`, the plug-in baseline and experiment cells.

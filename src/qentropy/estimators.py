@@ -341,11 +341,16 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                         ratio_bound: float | Fraction, pairs: tuple) -> None:
     """prepare_kl's promise, p_i <= ratio_bound * q_i exactly, read from
-    pairs, which is count_pairs(p, q)."""
+    pairs, which is count_pairs(p, q).
+
+    With ratio_bound = num / den, p_i = cp / S_p and q_i = cq / S_q, a pair
+    breaks it when cp * S_q * den > cq * num * S_p: Python ints, so no
+    Fraction is built per pair."""
     cps, cqs, _, firsts = pairs
-    f = Fraction(ratio_bound)
+    num, den = Fraction(ratio_bound).as_integer_ratio()
+    scale, limit = q.denominator * den, num * p.denominator
     broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
-              if Fraction(cp * q.denominator, p.denominator) > f * cq]
+              if cp * scale > cq * limit]
     if broken:
         raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i"
                          % (min(broken) + 1, float(ratio_bound)))
@@ -906,7 +911,8 @@ def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     if alpha == 0:
-        raise ValueError("order 0 needs a support promise; use prepare_support_size")
+        raise ValueError("order 0 needs a support promise: estimate the support size "
+                         "instead (algo 'support', with its promise m)")
     if alpha == 1:
         return prepare_shannon(dist, cfg)
     if math.isinf(alpha):

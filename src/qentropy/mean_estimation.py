@@ -28,7 +28,10 @@ multinomial with its zero-valued atoms aggregated, so the sample mean has the
 same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A lone contract run
-is the k = 1 case; it has no entry point of its own.
+is the k = 1 case; it has no entry point of its own.  additive_runs is
+its additive twin: one sample_sums call draws every run's groups, run
+after run, so k runs are k one-run calls in value and generator state,
+and qmean_additive is its one-run case.
 
 An index draw, an anchor's or a pilot's, reads rng.random's draw k * 2^-53
 as position k of a layout of 2^53 integer positions, in which each atom
@@ -199,35 +202,74 @@ def theorem_execution_count(ratio: float) -> int:
     return max(1, math.ceil(core))
 
 
+@dataclass
+class AdditiveRuns:
+    """Independent runs of the additive contract, one array entry per run.
+
+    charged_executions and classical_executions are those of one run: every
+    run draws the same number of groups of the same size.
+    """
+
+    value: np.ndarray
+    charged_executions: int
+    classical_executions: int
+    out_of_contract: bool
+
+
+def additive_runs(
+    sub,
+    sigma: float,
+    epsilon: float,
+    repetitions: int,
+    rng: np.random.Generator,
+) -> AdditiveRuns:
+    """`repetitions` independent runs of the additive contract over sub.
+
+    Each run meets |est - E[X]| <= epsilon w.p. >= 4/5, given var[X] <=
+    sigma^2 and, for the charged cost to be meaningful, 0 < epsilon <
+    4*sigma.  Classically a run is the median of _ADDITIVE_GROUPS group
+    means sized by Chebyshev; charged_executions is the near-linear theorem
+    cost.  One sample_sums(count, groups, rng) call draws every run's
+    groups, run after run, so the runs are those of `repetitions` calls one
+    after another; sub needs nothing else, and the array it returns is
+    divided and sorted in place.  A stable sort of each run's means breaks
+    ties as `sorted` does.  A caller books repetitions times
+    charged_executions and classical_executions.
+    """
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    group_size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
+    means = sub.sample_sums(group_size, _ADDITIVE_GROUPS * repetitions, rng)
+    means /= group_size
+    # sorted in place, row by row: the middle of an odd group count is
+    # np.median's value
+    means = means.reshape(repetitions, _ADDITIVE_GROUPS)
+    means.sort(axis=1, kind="stable")
+    return AdditiveRuns(
+        value=means[:, _ADDITIVE_GROUPS // 2],
+        charged_executions=theorem_execution_count(sigma / epsilon),
+        classical_executions=_ADDITIVE_GROUPS * group_size,
+        out_of_contract=not (epsilon < 4.0 * sigma),
+    )
+
+
 def qmean_additive(
     sub,
     sigma: float,
     epsilon: float,
     rng: np.random.Generator,
 ) -> MeanEstimate:
-    """Additive-error mean estimate: |est - E[X]| <= epsilon w.p. >= 4/5.
-
-    Requires var[X] <= sigma^2 and, for the charged cost to be meaningful,
-    0 < epsilon < 4*sigma.  Classically runs a median of group means sized by
-    Chebyshev; charged_executions is the near-linear theorem cost.  sub needs
-    only sample_sums(count, groups, rng).
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be non-negative and finite")
-    out_of_contract = not (epsilon < 4.0 * sigma)
-    charged = theorem_execution_count(sigma / epsilon)
-
-    group_size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
-    means = sorted((sub.sample_sums(group_size, _ADDITIVE_GROUPS, rng) / group_size).tolist())
-    # np.median's value without its array overhead: the group count is odd
-    value = means[_ADDITIVE_GROUPS // 2]
+    """Additive-error mean estimate: additive_runs' one-run case."""
+    runs = additive_runs(sub, sigma, epsilon, 1, rng)
     return MeanEstimate(
-        value=value,
-        charged_executions=charged,
-        classical_executions=_ADDITIVE_GROUPS * group_size,
-        out_of_contract=out_of_contract,
+        value=float(runs.value[0]),
+        charged_executions=runs.charged_executions,
+        classical_executions=runs.classical_executions,
+        out_of_contract=runs.out_of_contract,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .amplitude import deviation_bound, grid_value, outcome_laws
 from .distributions import power_sum
 from .instances import zipf
-from .mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
+from .mean_estimation import FiniteLaw, additive_runs, multiplicative_runs, qmean_additive
 
 
 @dataclass
@@ -100,18 +100,23 @@ def estamp_suite() -> list[CheckResult]:
 
 
 def _sandwich_cases(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sizes n, orders a1 < a2 and power sums (P_a1, P_a2) of the sandwich cases,
-    drawn one by one as a per-case loop draws them.  Each sum is power_sum's bit
-    for bit: c / S is exact, float_power calls libm pow as ** does, and
-    accumulate adds each row left to right in bin order (a zero bin adds +0.0).
-    One buffer holds the terms of both orders."""
-    sizes = np.empty(_SANDWICH_TRIALS, dtype=np.int64)
-    counts = np.zeros((_SANDWICH_TRIALS, 64), dtype=np.int64)
-    orders = np.empty((_SANDWICH_TRIALS, 2))
-    for case in range(_SANDWICH_TRIALS):
-        n = sizes[case] = rng.integers(2, 65)
-        counts[case, :n] = rng.integers(0, 20, size=n)
-        orders[case] = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
+    """Sizes n, orders a1 < a2 and power sums (P_a1, P_a2) of the sandwich cases.
+
+    Three draws give every case: the sizes, a 64-column count matrix whose
+    columns at or past each size are then zeroed, and the order pairs,
+    sorted.  Case 0 becomes uniform on its n bins, where the upper bound is
+    an equality, and case 1 a point mass, where the lower bound is: so each
+    bound's worst slack is float error whatever the seed.  Each sum is
+    power_sum's bit for bit: c / S is exact, float_power calls libm pow as
+    ** does, and accumulate adds each row left to right in bin order (a zero
+    bin adds +0.0).  One buffer holds the terms of both orders."""
+    sizes = rng.integers(2, 65, size=_SANDWICH_TRIALS)
+    counts = rng.integers(0, 20, size=(_SANDWICH_TRIALS, 64))
+    counts[np.arange(64) >= sizes[:, None]] = 0
+    orders = np.sort(rng.uniform(0.2, 5.0, size=(_SANDWICH_TRIALS, 2)), axis=1)
+    counts[0, :sizes[0]] = 1
+    counts[1] = 0
+    counts[1, 0] = 1
     totals = counts.sum(axis=1)
     counts[totals == 0, 0] = 1
     totals[totals == 0] = 1
@@ -128,7 +133,9 @@ def sandwich_suite() -> list[CheckResult]:
     """Power-sum interpolation bounds on random rational distributions.
 
     For 0 < a1 < a2: P_{a2}^{a1/a2} <= P_{a1} <= n^{1-a1/a2} * P_{a2}^{a1/a2},
-    each side allowed 1e-12 relative slack.
+    each side allowed 1e-12 relative slack.  The cases, drawn in three
+    calls, include each bound's equality case, so each worst slack is
+    float error.
     """
     sizes, orders, (p1, p2) = _sandwich_cases(np.random.default_rng(_SUITE_SEED))
     r = orders[:, 0] / orders[:, 1]
@@ -362,7 +369,11 @@ def collision_suite() -> list[CheckResult]:
 
 
 def meanest_suite() -> list[CheckResult]:
-    """Mean-estimation contracts on synthetic finite laws."""
+    """Mean-estimation contracts on synthetic finite laws.
+
+    Each failure rate comes from one batched call: _MEANEST_TRIALS runs of
+    multiplicative_runs per law, and as many of additive_runs.
+    """
     trials = _MEANEST_TRIALS
     rng = np.random.default_rng(_SUITE_SEED)
     checks = []
@@ -394,13 +405,9 @@ def meanest_suite() -> list[CheckResult]:
             worst_identity <= 1e-12, 1e-12 - worst_identity,
             "worst |rebuilt - value| = %.2e" % worst_identity))
 
-    sigma = 1.0
     sub = FiniteLaw([0.0, 2.0], [0.5, 0.5])  # mean 1, variance 1
-    failures = 0
-    for _ in range(trials):
-        est = qmean_additive(sub, sigma, 0.25, rng)
-        if abs(est.value - 1.0) > 0.25:
-            failures += 1
+    runs = additive_runs(sub, 1.0, 0.25, trials, rng)
+    failures = int(np.count_nonzero(np.abs(runs.value - 1.0) > 0.25))
     rate = failures / trials
     limit = 0.2 + 3.0 * math.sqrt(0.2 * 0.8 / trials)
     checks.append(CheckResult(

@@ -242,6 +242,59 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
                 == _ref_support_violation(cp, S, m_)
 
 
+def _fraction_ratio_bound(pairs, p, q):
+    """pairs_ratio_bound as it was, one Fraction per pair: the reference."""
+    cp, cq = pairs[:2]
+    if not cq.all():
+        raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")
+    return max(Fraction(a * q.denominator, b * p.denominator)
+               for a, b in zip(cp.tolist(), cq.tolist()))
+
+
+def _fraction_ratio_promise(p, q, ratio_bound, pairs):
+    """check_ratio_promise as it was, one Fraction per pair: the reference."""
+    cps, cqs, _, firsts = pairs
+    f = Fraction(ratio_bound)
+    broken = [first for cp, cq, first in zip(cps.tolist(), cqs.tolist(), firsts.tolist())
+              if Fraction(cp * q.denominator, p.denominator) > f * cq]
+    if broken:
+        raise ValueError("ratio promise violated at symbol %d: p_i > %s * q_i"
+                         % (min(broken) + 1, float(ratio_bound)))
+
+
+def _outcome(check, *args):
+    """What a check returns, with its type, or the message it refuses with."""
+    try:
+        value = check(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "returned", type(value), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), high=st.sampled_from([1, 3, 1000, 1 << 40, None]),
+       extra=st.one_of(st.fractions(), st.floats(-1e6, 1e300)), data=st.data())
+def test_cross_multiplied_ratio_checks_match_the_fraction_reference(n, high, extra, data):
+    # The bound and the promise cross-multiply ints: the same bound, of the
+    # same type, the same verdict and the same first broken symbol as the
+    # Fraction per pair they replaced, for counts up to what keeps S below
+    # 2**63, zeros on either side, and bounds at, just below and far from
+    # the exact one.
+    cap = high or ((1 << 63) - 1) // n
+    counts = st.lists(st.integers(0, cap), min_size=n, max_size=n).filter(any)
+    p, q = from_counts(data.draw(counts)), from_counts(data.draw(counts))
+    pairs = count_pairs(p, q)
+    bound = _outcome(distributions.pairs_ratio_bound, pairs, p, q)
+    assert bound == _outcome(_fraction_ratio_bound, pairs, p, q)
+    factors = [extra, 1.5, 0, 1e-300, 1e300]
+    if bound[0] == "returned":
+        exact = bound[2]
+        factors += [exact, exact * (1 - Fraction(1, 1 << 70)), float(exact), exact / 2]
+    for f in factors:
+        assert _outcome(check_ratio_promise, p, q, f, pairs) \
+            == _outcome(_fraction_ratio_promise, p, q, f, pairs), f
+
+
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 3000), kind=st.sampled_from(["runs", "few", "distinct"]),
        zeros=st.floats(0.0, 0.9), columns=st.integers(1, 2),

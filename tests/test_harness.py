@@ -484,30 +484,51 @@ def test_enumerated_sequences_match_itertools_product(n, length, k):
             assert verify._exact_collision_sum(counts, length, k) == expected
 
 
-def _sandwich_loop_cases(rng):
-    """The sandwich suite's cases as its per-case loop drew and evaluated them."""
-    for _ in range(verify._SANDWICH_TRIALS):
-        n = int(rng.integers(2, 65))
-        counts = rng.integers(0, 20, size=n)
-        if counts.sum() == 0:
-            counts[0] = 1
-        dist = from_counts(counts)
-        a1, a2 = sorted(rng.uniform(0.2, 5.0, size=2).tolist())
+def _sandwich_reference_cases(rng):
+    """The sandwich cases from the suite's three documented draws, one
+    distribution and order pair at a time, with the equality rows in cases
+    0 and 1, the zero-total fix and the order nudge."""
+    trials = verify._SANDWICH_TRIALS
+    sizes = rng.integers(2, 65, size=trials)
+    counts = rng.integers(0, 20, size=(trials, 64))
+    orders = np.sort(rng.uniform(0.2, 5.0, size=(trials, 2)), axis=1)
+    for case, (n, row, (a1, a2)) in enumerate(zip(sizes.tolist(), counts, orders.tolist())):
+        row = row[:n].copy()
+        if case == 0:
+            row[:] = 1
+        elif case == 1:
+            row[:] = 0
+            row[0] = 1
+        if row.sum() == 0:
+            row[0] = 1
         if a2 - a1 < 1e-9:
             a2 += 1e-3
-        yield n, a1, a2, power_sum(dist, a1), power_sum(dist, a2)
+        yield n, a1, a2, from_counts(row)
 
 
-def test_sandwich_batch_is_the_per_case_loop_bit_for_bit():
-    # Every one of the suite's cases against the loop: the same sizes and
-    # orders, power sums equal to power_sum's to the last bit, and the
-    # generator left in the same state.
-    ours, loop = (np.random.default_rng(verify._SUITE_SEED) for _ in range(2))
+def test_sandwich_cases_are_their_documented_draws_bit_for_bit():
+    # Every one of the suite's cases against power_sum on the distribution
+    # its three draws give: the same sizes and orders, sums equal to the
+    # last bit, and the generator left in the same state.  Case 0 is uniform
+    # and case 1 a point mass, the bounds' equality cases, so both worst
+    # slacks read float error.
+    ours, theirs = (np.random.default_rng(verify._SUITE_SEED) for _ in range(2))
     sizes, orders, sums = verify._sandwich_cases(ours)
+    expected = list(_sandwich_reference_cases(theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
     batch = np.column_stack([sizes, orders, *sums])
-    expected = np.array(list(_sandwich_loop_cases(loop)))
-    assert batch.tobytes() == expected.tobytes()
-    assert ours.bit_generator.state == loop.bit_generator.state
+    reference = np.array([[n, a1, a2, power_sum(dist, a1), power_sum(dist, a2)]
+                          for n, a1, a2, dist in expected])
+    assert batch.tobytes() == reference.tobytes()
+    uniform_case, point_case = expected[0][3], expected[1][3]
+    assert uniform_case.counts.tolist() == [1] * int(sizes[0])
+    assert point_case.counts.tolist() == [1] + [0] * (int(sizes[1]) - 1)
+    r = orders[:, 0] / orders[:, 1]
+    lower = np.float_power(sums[1], r)
+    upper = np.float_power(sizes, 1.0 - r) * lower
+    worst_lower = float(((sums[0] - lower) / lower).min())
+    worst_upper = float(((upper - sums[0]) / upper).min())
+    assert abs(worst_lower) <= 1e-15 and abs(worst_upper) <= 1e-15, (worst_lower, worst_upper)
 
 
 def test_collision_suite_memory_is_bounded_by_a_chunk():
@@ -923,6 +944,18 @@ def test_cli_error_line_of_a_huge_integer_order_is_short(capsys, int_max_str_dig
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: alpha=1e+300: ") and len(captured.err) < 200
+
+
+def test_cli_refusal_of_order_zero_points_to_the_support_estimator(capsys):
+    # it used to tell a command-line user to "use prepare_support_size"
+    assert main(["estimate", "--algo", "renyi", "--alpha", "0", "--dist", "uniform:16",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: order 0 needs a support promise")
+    assert "'support'" in captured.err and "promise m" in captured.err
+    assert "prepare_" not in captured.err
 
 
 def test_cli_rejects_a_ratio_bound_whose_budget_is_infinite(capsys):

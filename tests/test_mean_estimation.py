@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qentropy import mean_estimation
 from qentropy.mean_estimation import (
     FiniteLaw,
+    additive_runs,
     median_amplify,
     median_repetitions,
     multiplicative_runs,
@@ -213,10 +214,8 @@ def test_additive_failure_rate_within_contract():
     eps = 0.25
     rng = np.random.default_rng(9)
     trials = 400
-    fails = sum(
-        abs(qmean_additive(sub, sigma, eps, rng).value - 1.3) > eps
-        for _ in range(trials)
-    )
+    fails = int(np.count_nonzero(np.abs(additive_runs(sub, sigma, eps, trials, rng).value - 1.3)
+                                 > eps))
     bound = 0.2 + 3 * math.sqrt(0.2 * 0.8 / trials)
     assert fails / trials <= bound
 
@@ -259,6 +258,67 @@ def test_additive_call_stream_is_frozen():
     assert est.value == pytest.approx(0.2091447008963522, rel=1e-12)
     assert (est.classical_executions, est.charged_executions) == (1500, 30)
     assert rng.random() == 0.6579229454157692
+
+
+def _ratio_law():
+    from qentropy.distributions import count_pairs, from_counts
+    from qentropy.estimators import _RatioSubroutine
+
+    p, q = from_counts([1, 1]), from_counts([1, 3])
+    return _RatioSubroutine(p, q, 16, 32, count_pairs(p, q))
+
+
+@pytest.mark.parametrize("law, sigma, eps", [
+    ("two-point", 0.5, 0.25),
+    ("two-point", 0.1, 0.5),  # out of contract
+    ("zipf", 0.2, 0.05),
+    ("ratio", 1.0, 0.1),
+])
+@pytest.mark.parametrize("repetitions", [1, 2, 9])
+def test_additive_runs_are_sequential_one_run_calls(law, sigma, eps, repetitions):
+    # One batch of k runs against k qmean_additive calls one after another:
+    # the same values to the last bit, the same counts and flag, and the
+    # generator left in the same state.
+    sub = {"two-point": lambda: two_point(1.3, 0.25), "zipf": _zipf_master,
+           "ratio": _ratio_law}[law]()
+    ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+    runs = additive_runs(sub, sigma, eps, repetitions, ours)
+    calls = [qmean_additive(sub, sigma, eps, theirs) for _ in range(repetitions)]
+    assert runs.value.tobytes() == np.array([c.value for c in calls]).tobytes()
+    for c in calls:
+        assert (c.charged_executions, c.classical_executions, c.out_of_contract) \
+            == (runs.charged_executions, runs.classical_executions, runs.out_of_contract)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _FixedSums:
+    """A subroutine whose sample sums are given, to test the median's ties."""
+
+    def __init__(self, sums):
+        self.sums = sums
+
+    def sample_sums(self, count, groups, rng):
+        assert groups == len(self.sums)
+        return np.array(self.sums, dtype=np.float64)
+
+
+def test_additive_run_medians_break_ties_as_sorted_does():
+    # a zero median keeps the sign of the zero that `sorted` puts in the
+    # middle, the first of equal values in draw order
+    rows = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0],
+            [2.0, 1.0, 3.0], [1.0, 1.0, 1.0], [3.0, 2.0, 1.0]]
+    sub = _FixedSums([x for row in rows for x in row])
+    runs = additive_runs(sub, 0.5, 1.0, len(rows), np.random.default_rng(0))
+    group_size = math.ceil(5 * 0.5 ** 2)
+    expected = [sorted(x / group_size for x in row)[1] for row in rows]
+    assert [math.copysign(1.0, v) for v in runs.value.tolist()] \
+        == [math.copysign(1.0, v) for v in expected]
+    assert runs.value.tolist() == expected
+
+
+def test_additive_runs_refuse_a_count_below_one():
+    with pytest.raises(ValueError, match="at least one repetition"):
+        additive_runs(two_point(1.3, 0.25), 0.5, 0.25, 0, np.random.default_rng(0))
 
 
 def _law_state(sub):
