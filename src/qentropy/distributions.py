@@ -5,14 +5,11 @@ A distribution on the alphabet {1, ..., n} is one int64 array of bin counts
 probability is the exact rational m_i / S.  All real-valued measures are
 computed in double precision.  The additive ones (Shannon entropy, power
 sums, support coverage, KL divergence) evaluate their libm term from the
-exact Python-int quotient m_i / S and add the terms over the nonzero bins
-in bin order, left to right.  An array of fewer than _LOOP_BELOW_BINS bins
-is one loop over its nonzero bins.  A larger one is read a chunk of bins at
-a time: its term is taken once per run of equal nonzero counts (of equal
-pairs of counts, for KL) in bin order, repeated over the run's bins and
-added by np.add.accumulate.  Both are the sequential float sum on every
-Python version; tests cross-check it bit for bit against a per-bin loop and
-against an arbitrary-precision reference.
+exact Python-int quotient m_i / S, once per run of equal nonzero counts (of
+equal pairs of counts, for KL), a chunk of bins at a time.  Each is the
+exact sum of its per-bin float terms, rounded once, so it does not depend
+on the order of the bins; tests cross-check it bit for bit against the
+exact rational sum of those terms.
 
 Unless a docstring says otherwise, logarithms are natural and entropies are
 reported in nats.
@@ -20,7 +17,7 @@ reported in nats.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import operator
@@ -30,14 +27,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-# The most bins the additive measures read at once.
+# The most bins the additive measures read at once, below 2**27 (see _exact_sum).
 _BIN_CHUNK = 1 << 16
 
-# An array with fewer bins than this is summed by one loop over its nonzero
-# bins, not by runs: finding a chunk's runs costs ~15 us of numpy calls
-# whatever its size.  power_sum on two runs of equal counts took 16.3 us by
-# the loop and 21.2 us by runs at 128 counts, and 20.3 against 20.4 us at 192.
-_LOOP_BELOW_BINS = 160
+# Veltkamp's splitting constant 2**27 + 1 (see _exact_sum).
+_SPLIT = float((1 << 27) + 1)
 
 _BAD_COUNTS = ("counts must be Python or numpy integers, not bools, and must be "
                "non-negative integers below 2**63; got %s")
@@ -171,25 +165,24 @@ def _count_runs(*columns: np.ndarray) -> Iterator[tuple[list[list[int]], np.ndar
         yield [column[starts].tolist() for column in chunk], bounds[1:] - starts
 
 
-def _bin_order_sum(term: Callable[..., float], *columns: np.ndarray) -> float:
-    """The sum over the bins where the first column is nonzero, in bin order
-    and left to right, of term(c) of each bin's count c (term(c, d) of its
-    counts in two columns).  A small array is one loop over its nonzero
-    bins; a larger one takes term once per run of equal rows (see
-    _count_runs), repeats it over the run's bins and adds the terms by
-    np.add.accumulate, carrying the total from chunk to chunk: the
-    additions of the loop."""
-    if columns[0].size < _LOOP_BELOW_BINS:
-        nonzero = columns[0] != 0
-        # a left fold: sum() of floats is compensated from Python 3.12
-        return functools.reduce(operator.add, map(term, *(column[nonzero].tolist()
-                                                          for column in columns)), 0.0)
-    total = 0.0
-    for rows, lengths in _count_runs(*columns):
-        terms = np.repeat(np.fromiter(map(term, *rows), np.float64, lengths.size), lengths)
-        terms[0] += total
-        total = float(np.add.accumulate(terms, out=terms)[-1])
-    return total
+def _exact_sum(term: Callable[..., float], *columns: np.ndarray) -> float:
+    """The sum over the bins where the first column is nonzero of term(c) of
+    each bin's count c (term(c, d) of its counts in two columns), exact and
+    rounded once, so it does not depend on the order of the bins.
+
+    term is taken once per run of equal rows (see _count_runs).  Veltkamp's
+    split, in separate ufunc calls (no fused multiply-add), writes it as
+    high + low of at most 26 bits each, so each half times the run's length
+    is exact; one math.fsum adds the products of every chunk."""
+    def products() -> Iterator[list[float]]:
+        for rows, lengths in _count_runs(*columns):
+            terms = np.fromiter(map(term, *rows), np.float64, lengths.size)
+            high = terms * _SPLIT
+            high -= high - terms
+            yield (high * lengths).tolist()
+            yield ((terms - high) * lengths).tolist()
+
+    return math.fsum(itertools.chain.from_iterable(products()))
 
 
 def from_counts(counts: Iterable[int]) -> RationalDistribution:
@@ -227,17 +220,17 @@ def shannon_entropy(dist: RationalDistribution) -> float:
 
     def term(c: int) -> float:
         p = c / S
-        return -(p * math.log(p))  # total + -x is total - x, bit for bit
+        return -(p * math.log(p))
 
-    return _bin_order_sum(term, dist.counts)
+    return _exact_sum(term, dist.counts)
 
 
 def power_sum(dist: RationalDistribution, alpha: float) -> float:
     """P_alpha(p) = sum over nonzero bins of p_i ** alpha; alpha > 0."""
-    if alpha <= 0:
-        raise ValueError("power sums are defined here for alpha > 0")
+    if not alpha > 0:  # NaN too
+        raise ValueError("power sums are defined here for alpha > 0, got alpha=%r" % alpha)
     S = dist.denominator
-    return _bin_order_sum(lambda c: (c / S) ** alpha, dist.counts)
+    return _exact_sum(lambda c: (c / S) ** alpha, dist.counts)
 
 
 def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
@@ -247,8 +240,8 @@ def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
     alpha = inf the min-entropy -ln(max_i p_i).  Other alpha > 0 use
     ln(P_alpha) / (1 - alpha).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not alpha >= 0:  # NaN too
+        raise ValueError("alpha must be non-negative, got alpha=%r" % alpha)
     if alpha == 0:
         return math.log(dist.support_size())
     if alpha == 1:
@@ -275,7 +268,7 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution) -> float:
         qi = cq / Sq
         return pi * math.log(pi / qi)
 
-    return _bin_order_sum(term, p.counts, q.counts)
+    return _exact_sum(term, p.counts, q.counts)
 
 
 def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
@@ -283,15 +276,16 @@ def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
 
     S_n(p) = sum over nonzero bins of (1 - (1 - p_x) ** n_samples).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
+    t = _as_int(n_samples, "n_samples")
+    if t < 1:
+        raise ValueError("n_samples must be a positive integer, got %d" % t)
     S = dist.denominator
 
     def term(c: int) -> float:
         p = c / S
-        return -math.expm1(n_samples * math.log1p(-p)) if p < 1.0 else 1.0
+        return -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
 
-    return _bin_order_sum(term, dist.counts)
+    return _exact_sum(term, dist.counts)
 
 
 def _pair_groups(p_counts: np.ndarray, q_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -106,10 +106,10 @@ def _sandwich_cases(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, n
     columns at or past each size are then zeroed, and the order pairs,
     sorted.  Case 0 becomes uniform on its n bins, where the upper bound is
     an equality, and case 1 a point mass, where the lower bound is: so each
-    bound's worst slack is float error whatever the seed.  Each sum is
-    power_sum's bit for bit: c / S is exact, float_power calls libm pow as
-    ** does, and accumulate adds each row left to right in bin order (a zero
-    bin adds +0.0).  One buffer holds the terms of both orders."""
+    bound's worst slack is float error whatever the seed.  Each sum is a
+    left fold in bin order of power_sum's terms (c / S is exact, float_power
+    calls libm pow as ** does, a zero bin adds +0.0), not power_sum's exact
+    sum, rounded once.  One buffer holds the terms of both orders."""
     sizes = rng.integers(2, 65, size=_SANDWICH_TRIALS)
     counts = rng.integers(0, 20, size=(_SANDWICH_TRIALS, 64))
     counts[np.arange(64) >= sizes[:, None]] = 0

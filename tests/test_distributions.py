@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -83,52 +84,64 @@ def _bits(x: float) -> str:
     return float(x).hex()
 
 
-# The per-bin loops the measures ran over a tuple of Python ints, here over
-# counts.tolist(); each adds in bin order, as the chunked readers must.
+def _rational_sum(term, classes):
+    """The exact rational sum of term(key) times the number of bins of each
+    key of the Counter classes, rounded once; None where a term is None.
 
-def _ref_shannon(counts, S):
-    total = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / S
-            total -= p * math.log(p)
-    return total
-
-
-def _ref_power_sum(counts, S, alpha):
-    total = 0.0
-    for c in counts:
-        if c > 0:
-            total += (c / S) ** alpha
-    return total
+    Each float term is num / 2**shift, so the sum is an exact int over the
+    largest 2**shift, and int / int rounds it once, correctly."""
+    parts = []
+    for key, k in classes.items():
+        t = term(key)
+        if t is None:
+            return None
+        num, den = t.as_integer_ratio()
+        parts.append((k * num, den.bit_length() - 1))
+    top = max(shift for _, shift in parts)
+    return sum(num << top - shift for num, shift in parts) / (1 << top)
 
 
-def _ref_coverage(counts, S, t):
-    total = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / S
-            total += -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
-    return total
+def _classes(counts):
+    """A Counter of the nonzero counts: each one's number of bins."""
+    classes = Counter(counts)
+    del classes[0]
+    return classes
+
+
+# The measures' per-bin float terms, the same libm calls on the same exact
+# quotients c / S, summed over a Counter of the counts.
+
+def _ref_shannon(classes, S):
+    return _rational_sum(lambda c: -(c / S * math.log(c / S)), classes)
+
+
+def _ref_power_sum(classes, S, alpha):
+    return _rational_sum(lambda c: (c / S) ** alpha, classes)
+
+
+def _ref_coverage(classes, S, t):
+    def term(c):
+        p = c / S
+        return -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
+
+    return _rational_sum(term, classes)
 
 
 def _ref_kl(p_counts, p_S, q_counts, q_S):
     """None where the divergence is undefined."""
-    total = 0.0
-    for cp, cq in zip(p_counts, q_counts):
-        if cp == 0:
-            continue
-        if cq == 0:
-            return None
-        pi, qi = cp / p_S, cq / q_S
-        total += pi * math.log(pi / qi)
-    return total
+    def term(pair):
+        cp, cq = pair
+        if not cp:
+            return 0.0
+        return cp / p_S * math.log(cp / p_S / (cq / q_S)) if cq else None
+
+    return _rational_sum(term, Counter(zip(p_counts, q_counts)))
 
 
 def _ref_ratio_bound(p_counts, p_S, q_counts, q_S):
     """None where no bound exists."""
     worst = Fraction(0)
-    for cp, cq in zip(p_counts, q_counts):
+    for cp, cq in set(zip(p_counts, q_counts)):
         if cp == 0:
             continue
         if cq == 0:
@@ -138,9 +151,10 @@ def _ref_ratio_bound(p_counts, p_S, q_counts, q_S):
 
 
 def _ref_ratio_violation(p_counts, p_S, q_counts, q_S, f):
-    f = Fraction(f)
+    # cp / p_S > f * cq / q_S, in ints
+    top, bottom = Fraction(f).as_integer_ratio()
     for i, (cp, cq) in enumerate(zip(p_counts, q_counts), start=1):
-        if cp > 0 and Fraction(cp * q_S, p_S) > f * cq:
+        if cp > 0 and cp * q_S * bottom > top * cq * p_S:
             return i
     return None
 
@@ -150,14 +164,6 @@ def _ref_support_violation(counts, S, m):
         if c > 0 and c * m < S:
             return i
     return None
-
-
-def _ref_count_classes(counts):
-    weights = {}
-    for c in counts:
-        if c > 0:
-            weights[c] = weights.get(c, 0) + c
-    return weights
 
 
 def _or_none(measure, *args):
@@ -180,19 +186,20 @@ def _named_symbol(check, *args):
 @given(n=st.integers(1, 5000),
        high=st.sampled_from([1, 3, 1000, 1 << 40, None, "distinct", "runs"]),
        zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 4 * distributions._LOOP_BELOW_BINS))
+       chunk=st.integers(1, 640))
 @example(n=4096, high=None, zeros=0.0, seed=0, chunk=7)
 @example(n=1, high=1, zeros=0.9, seed=1, chunk=1)
-@example(n=5000, high=3, zeros=0.0, seed=2, chunk=distributions._LOOP_BELOW_BINS)
+@example(n=5000, high=3, zeros=0.0, seed=2, chunk=160)
 @example(n=5000, high="distinct", zeros=0.0, seed=3, chunk=1000)
 @example(n=5000, high=1000, zeros=0.5, seed=4, chunk=1 << 16)
 @example(n=5000, high="runs", zeros=0.3, seed=5, chunk=1000)
 def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chunk):
-    # Arrays below and above _LOOP_BELOW_BINS bins, in chunks of any size,
-    # with few distinct counts in runs (high "runs", and high 1 once zeros
-    # are dropped), few in no order (high 3) or only distinct ones, take the
-    # small-array loop and the runs path, whose runs cross chunk boundaries.
-    # high None draws counts up to what keeps S below 2**63.
+    # Arrays in chunks of any size, with few distinct counts in runs (high
+    # "runs", and high 1 once zeros are dropped), few in no order (high 3)
+    # or only distinct ones, whose runs cross chunk boundaries: each truth
+    # is the exact rational sum of its per-bin terms, rounded once, and the
+    # same bits after the bins of p and q are permuted together.  high None
+    # draws counts up to what keeps S below 2**63.
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -218,20 +225,24 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
     S = p.denominator
     nonzero = sorted(c for c in cp if c > 0)
     m = S // nonzero[len(nonzero) // 2]
+    classes = _classes(cp)
+    cubes = _ref_power_sum(classes, S, 3.0)
+    exact = [(shannon_entropy, _ref_shannon(classes, S)),
+             (lambda d: power_sum(d, 0.5), _ref_power_sum(classes, S, 0.5)),
+             (lambda d: power_sum(d, 3.0), cubes),
+             (min_entropy, -math.log(max(cp) / S)),
+             (lambda d: support_coverage(d, 7), _ref_coverage(classes, S, 7))]
+    kl_u, kl_q = _ref_kl(cp, S, cu, n), _ref_kl(cp, S, cq, q.denominator)
     with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
-        assert _bits(shannon_entropy(p)) == _bits(_ref_shannon(cp, S))
-        for alpha in (0.5, 3.0):
-            assert _bits(power_sum(p, alpha)) == _bits(_ref_power_sum(cp, S, alpha))
-        assert _bits(renyi_entropy(p, 2.0)) == _bits(-math.log(_ref_power_sum(cp, S, 2.0)))
-        assert _bits(min_entropy(p)) == _bits(-math.log(max(cp) / S))
-        assert _bits(support_coverage(p, 7)) == _bits(_ref_coverage(cp, S, 7))
-        assert _bits(kl_divergence(p, u)) == _bits(_ref_kl(cp, S, cu, n))
-        assert _or_none(kl_divergence, p, q) == _ref_kl(cp, S, cq, q.denominator)
+        for truth, value in exact:
+            assert _bits(truth(p)) == _bits(value)
+        assert _bits(kl_divergence(p, u)) == _bits(kl_u)
+        assert _or_none(kl_divergence, p, q) == kl_q
         bound = ratio_bound(p, u)
         assert bound == _ref_ratio_bound(cp, S, cu, n)
         assert _or_none(ratio_bound, p, q) == _ref_ratio_bound(cp, S, cq, q.denominator)
-        assert p.support_size() == sum(1 for c in cp if c > 0)
-        assert count_classes(p.counts) == _ref_count_classes(cp)
+        assert p.support_size() == sum(classes.values())
+        assert count_classes(p.counts) == {c: c * k for c, k in classes.items()}
         for f in (bound, bound / 2, float(bound / 3)):
             assert _named_symbol(check_ratio_promise, p, u, f, count_pairs(p, u)) \
                 == _ref_ratio_violation(cp, S, cu, n, f)
@@ -240,6 +251,15 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
         for m_ in (m, m + 1, 2 * m + 1):
             assert _named_symbol(check_support_promise, p, m_, 0.1) \
                 == _ref_support_violation(cp, S, m_)
+    # Relabelling the bins of p and q together moves no truth.  Renyi
+    # entropy reads power_sum, so it is checked at one chunk size only.
+    exact.append((lambda d: renyi_entropy(d, 3.0), math.log(cubes) / (1.0 - 3.0)))
+    order = rng.permutation(n)
+    pp, qq, uu = (from_counts(d.counts[order]) for d in (p, q, u))
+    for truth, value in exact:
+        assert _bits(truth(pp)) == _bits(value)
+    assert _bits(kl_divergence(pp, uu)) == _bits(kl_u)
+    assert _or_none(kl_divergence, pp, qq) == kl_q
 
 
 def _fraction_ratio_bound(pairs, p, q):
@@ -299,7 +319,7 @@ def test_cross_multiplied_ratio_checks_match_the_fraction_reference(n, high, ext
 @given(n=st.integers(1, 3000), kind=st.sampled_from(["runs", "few", "distinct"]),
        zeros=st.floats(0.0, 0.9), columns=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 4 * distributions._LOOP_BELOW_BINS))
+       chunk=st.integers(1, 640))
 @example(n=3000, kind="runs", zeros=0.0, columns=1, seed=0, chunk=640)
 @example(n=3000, kind="runs", zeros=0.3, columns=2, seed=1, chunk=640)
 @example(n=3000, kind="few", zeros=0.0, columns=2, seed=2, chunk=200)
@@ -458,9 +478,15 @@ def test_from_json_dict_rejects_values_that_are_not_integers(payload, tmp_path, 
     assert "error:" in capsys.readouterr().err
 
 
+def _ulps(value, expected):
+    return abs(value - expected) / math.ulp(expected)
+
+
 def test_shannon_uniform_is_log_n():
-    for n in (2, 7, 64, 1000):
-        assert shannon_entropy(uniform(n)) == pytest.approx(math.log(n), rel=1e-14)
+    # The exact sum of n equal terms, rounded once: a left fold was ~1.9e6
+    # ulps off at n = 2**24.
+    for n in (2, 7, 64, 1000, (1 << 20) + 1, 1 << 24):
+        assert _ulps(shannon_entropy(uniform(n)), math.log(n)) <= 4, n
 
 
 def test_point_mass_measures_are_zero():
@@ -474,8 +500,30 @@ def test_point_mass_measures_are_zero():
 def test_power_sum_uniform_closed_form():
     for n in (4, 16, 100):
         for alpha in (0.5, 2.0, 2.5):
-            assert power_sum(uniform(n), alpha) == pytest.approx(
-                n ** (1.0 - alpha), rel=1e-13)
+            assert _ulps(power_sum(uniform(n), alpha), n ** (1.0 - alpha)) <= 4, (n, alpha)
+
+
+@pytest.mark.parametrize("measure, argument, value", [
+    (power_sum, "alpha", math.nan),
+    (renyi_entropy, "alpha", math.nan),
+    (support_coverage, "n_samples", 2.5),
+    (support_coverage, "n_samples", True),
+    (support_coverage, "n_samples", np.bool_(True)),
+    (support_coverage, "n_samples", 0),
+], ids=["power-sum-nan", "renyi-nan", "coverage-float", "coverage-bool", "coverage-numpy-bool",
+        "coverage-zero"])
+def test_truths_refuse_a_nan_order_and_a_sample_count_that_is_not_a_positive_integer(
+        measure, argument, value):
+    # A NaN order passed alpha <= 0 and gave NaN; coverage gave 2.27 for
+    # t = 2.5 and 1.0 for t = True on uniform(8).
+    with pytest.raises(ValueError, match=argument):
+        measure(uniform(8), value)
+
+
+def test_support_coverage_takes_numpy_integer_sample_counts():
+    dist = zipf(1.5, 32)
+    for t in (np.int64(7), np.uint8(7), np.int32(7)):
+        assert _bits(support_coverage(dist, t)) == _bits(support_coverage(dist, 7))
 
 
 def test_renyi_dispatch_special_orders():
