@@ -20,7 +20,7 @@ from .distributions import (
     support_coverage,
 )
 from .oracle import DistributionOracle, QueryLedger, build_oracle
-from .amplitude import estamp_distribution, estamp_prime_floor, grid_value
+from .amplitude import estamp_prime_floor, grid_value
 from .estimators import (
     EstimateReport,
     EstimatorConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "RationalDistribution",
     "annealing_schedule",
     "build_oracle",
-    "estamp_distribution",
     "estamp_prime_floor",
     "from_counts",
     "from_json_dict",

@@ -17,8 +17,7 @@ hardware.  An M-query invocation costs M quantum queries; its caller books them.
 outcome_laws builds the laws of many amplitudes at one budget as the rows
 of one array over l = 0..M/2, with the kernel run on at most _KERNEL_CHUNK
 elements at a time; a row does not depend on the others in its batch.
-estamp_distribution gives one amplitude's row, read-only, and caches it.
-sample_estamp draws one M-query estimate from such a row, and
+sample_estamp draws one M-query estimate from one amplitude's row, and
 multiplicative_budget is the least M at which that estimate meets a relative
 error for every amplitude above a floor.
 """
@@ -26,7 +25,6 @@ error for every amplitude above a floor.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -36,10 +34,6 @@ _GRID_TOLERANCE = 1e-14
 # Probability mass must survive the closed form to this accuracy before the
 # table is renormalized.
 _NORMALIZATION_TOLERANCE = 1e-9
-
-# Outcome tables are cached by (a, M) up to this many bytes of arrays, least
-# recently used out first.  A table at M = 2^17 holds about 0.5 MB.
-_TABLE_CACHE_BYTES = 64 << 20
 
 # When it builds many outcome laws, the kernel evaluates at most this many
 # elements at a time (2M - 1 per row); a longer row is a chunk of its own.
@@ -174,44 +168,6 @@ def deviation_bound(a, M: int, k: int = 1):
     return 2.0 * math.pi * k * np.sqrt(a * (1.0 - a)) / M + (k * math.pi / M) ** 2
 
 
-class _TableCache:
-    """Least-recently-used outcome tables, bounded by the bytes they hold."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.bytes = 0
-        self._tables: OrderedDict = OrderedDict()
-
-    def get(self, key) -> np.ndarray | None:
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-        return table
-
-    def put(self, key, table: np.ndarray) -> None:
-        if table.nbytes > self.budget:
-            return
-        self._tables[key] = table
-        self.bytes += table.nbytes
-        while self.bytes > self.budget:
-            _, evicted = self._tables.popitem(last=False)
-            self.bytes -= evicted.nbytes
-
-
-_TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
-
-
-def estamp_distribution(a: float, M: int) -> np.ndarray:
-    """Exact merged outcome law for amplitude a and budget M: the read-only
-    row outcome_laws([a], M) gives over l = 0..M/2, exact zeros kept."""
-    table = _TABLE_CACHE.get((a, M))
-    if table is None:
-        table = outcome_laws([a], M)[0][0]
-        table.flags.writeable = False
-        _TABLE_CACHE.put((a, M), table)
-    return table
-
-
 def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     """Smallest power-of-two M whose first confidence window gives relative
     error epsilon for any amplitude at least p_floor; check_budget bounds it.
@@ -229,9 +185,9 @@ def multiplicative_budget(epsilon: float, p_floor: float) -> int:
 
 
 def sample_estamp(a: float, M: int, rng: np.random.Generator) -> float:
-    """One M-query amplitude estimate of a, drawn from its outcome table with
+    """One M-query amplitude estimate of a, drawn from its outcome law with
     one uniform; its caller books the M queries."""
-    row = estamp_distribution(a, M)
+    row = outcome_laws([a], M)[0][0]
     grid = np.flatnonzero(row)
     idx = np.cumsum(row[grid]).searchsorted(rng.random(1), side="right")
     return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0])

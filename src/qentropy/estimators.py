@@ -46,10 +46,10 @@ import numpy as np
 
 from .amplitude import (
     check_budget,
-    estamp_distribution,
     estamp_prime_floor,
     grid_value,
     multiplicative_budget,
+    outcome_laws,
     sample_estamp,
 )
 from .distinctness import (
@@ -195,7 +195,7 @@ class MasterSubroutine(FiniteLaw):
         total = sum(classes.values())
         mixture = np.zeros(M // 2 + 1)
         for c, w in sorted(classes.items()):
-            mixture += estamp_distribution(c / denominator, M) * (w / total)
+            mixture += outcome_laws([c / denominator], M)[0][0] * (w / total)
         grid = np.flatnonzero(mixture)
         values = grid_value(grid, M)
         if variant == "estamp-prime":

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qentropy import amplitude
 from qentropy.amplitude import (
     deviation_bound,
-    estamp_distribution,
     estamp_prime_floor,
     grid_value,
     multiplicative_budget,
@@ -118,7 +117,7 @@ def test_laws_match_a_50_digit_reference_within_m_ulps_of_one(M):
 
 
 def test_frozen_table_a03_m8():
-    row = estamp_distribution(0.3, 8)
+    row = outcome_laws([0.3], 8)[0][0]
     assert grid_value(np.flatnonzero(row), 8).tolist() == pytest.approx(
         REF_A03_M8_VALUES, abs=1e-15)
     assert row.tolist() == pytest.approx(REF_A03_M8_PROBS, rel=1e-13)
@@ -126,7 +125,7 @@ def test_frozen_table_a03_m8():
 
 def test_frozen_spot_values_a07_m16():
     # same independent 50-digit computation, three spot checks
-    row = estamp_distribution(0.7, 16)
+    row = outcome_laws([0.7], 16)[0][0]
     lookup = dict(zip(grid_value(np.arange(9), 16).tolist(), row.tolist()))
     assert lookup[0.0] == pytest.approx(0.000125514743808, rel=1e-12)
     assert lookup[1.0] == pytest.approx(0.000292867735552, rel=1e-12)
@@ -172,10 +171,11 @@ def test_every_row_keeps_the_lost_mass_check(monkeypatch):
     monkeypatch.setattr(amplitude, "_NORMALIZATION_TOLERANCE", -1.0)
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
         outcome_laws([0.3, 0.5], 8)
-    monkeypatch.setattr(amplitude, "_TABLE_CACHE",
-                        amplitude._TableCache(amplitude._TABLE_CACHE_BYTES))
+    # the payoff laws and min-entropy's one estimate build their rows through it
+    with pytest.raises(ArithmeticError, match="lost mass.*a=0.25 M=8"):
+        MasterSubroutine({1: 1, 2: 1}, 4, 8, payoff=lambda x: x)
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
-        estamp_distribution(0.3, 8)
+        sample_estamp(0.3, 8, np.random.default_rng(0))
 
 
 def test_raw_probabilities_are_symmetric():
@@ -187,7 +187,7 @@ def test_raw_probabilities_are_symmetric():
 
 def test_on_grid_amplitudes_give_point_masses():
     for a, M in ((0.0, 8), (1.0, 8), (0.5, 4), (grid_value(3, 16), 16)):
-        row = estamp_distribution(a, M)
+        row = outcome_laws([a], M)[0][0]
         grid = np.flatnonzero(row)
         assert len(grid) == 1
         assert grid_value(grid[0], M) == pytest.approx(a, abs=1e-15)
@@ -214,11 +214,11 @@ def test_deviation_window_masses():
             radius = deviation_bound(amplitudes, M, k)
             masses = _window_masses(laws, amplitudes, radius)
             assert masses.min() >= floor - 1e-12
-            # the masked sum over each cached table's entries, bit for bit
+            # the masked sum over each one-row call's entries, bit for bit
             values = grid_value(np.arange(M // 2 + 1), M)
             for a, r, mass in zip(amplitudes.tolist(), radius.tolist(), masses.tolist()):
                 inside = np.abs(values - a) <= r + 1e-12
-                assert mass == float(estamp_distribution(a, M)[inside].sum())
+                assert mass == float(outcome_laws([a], M)[0][0][inside].sum())
 
 
 def test_deviation_bound_formula():
@@ -240,11 +240,11 @@ def test_deviation_bound_formula():
 
 def test_budget_must_be_a_power_of_two():
     with pytest.raises(ValueError):
-        estamp_distribution(0.3, 12)
+        sample_estamp(0.3, 12, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        estamp_distribution(0.3, 0)
+        sample_estamp(0.3, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        estamp_distribution(1.2, 8)
+        sample_estamp(1.2, 8, np.random.default_rng(0))
     with pytest.raises(ValueError, match="power of two"):
         outcome_laws([0.3], 12)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -257,7 +257,7 @@ def test_budget_has_a_ceiling_above_every_budget_in_use():
     # a power of two above the ceiling is named by its exponent
     with pytest.raises(ValueError, match=r"M=2\^%d is above .* M=%d "
                        % (amplitude._MAX_BUDGET.bit_length(), amplitude._MAX_BUDGET)):
-        estamp_distribution(0.3, 2 * amplitude._MAX_BUDGET)
+        outcome_laws([0.3], 2 * amplitude._MAX_BUDGET)
 
 
 def test_sampling_is_seeded_and_charged():
@@ -319,36 +319,11 @@ def test_multiplicative_sampling_contract():
     assert rate >= 8 / math.pi**2 - 3 * sigma - 1e-9
 
 
-def test_tables_are_cached():
-    a = estamp_distribution(0.3, 8)
-    b = estamp_distribution(0.3, 8)
-    assert a is b
-    # a cached table is shared, so no caller may write to it
-    with pytest.raises(ValueError, match="read-only"):
-        a[0] = 0.0
-    assert b.tobytes() == outcome_laws([0.3], 8)[0][0].tobytes()
-
-
 def test_table_grid_indexes_the_values():
     # a table's entry l is the mass of sin^2(l*pi/M), l = 0..M/2; only an
     # on-grid phase leaves exact zeros
-    row = estamp_distribution(0.3, 64)
+    row = outcome_laws([0.3], 64)[0][0]
     assert row.shape == (33,)
     assert np.flatnonzero(row).tolist() == list(range(33))
-    on_grid = estamp_distribution(grid_value(3, 16), 16)
+    on_grid = outcome_laws([grid_value(3, 16)], 16)[0][0]
     assert np.flatnonzero(on_grid).tolist() == [3]
-
-
-def test_table_cache_is_bounded_in_bytes(monkeypatch):
-    budget = 4 << 20  # eight tables at M = 2^17: a sixteenth of the real budget
-    cache = amplitude._TableCache(budget)
-    monkeypatch.setattr(amplitude, "_TABLE_CACHE", cache)
-    M = 1 << 17
-    first = estamp_distribution(0.1, M)
-    count = budget // first.nbytes + 3
-    for i in range(1, count):
-        last = estamp_distribution(0.1 + 0.8 * i / count, M)
-        assert cache.bytes <= budget
-    assert cache.bytes == sum(t.nbytes for t in cache._tables.values())
-    assert estamp_distribution(0.1 + 0.8 * (count - 1) / count, M) is last
-    assert estamp_distribution(0.1, M) is not first  # evicted, rebuilt

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qentropy import amplitude, cli, estimators, harness, instances, verify
+from qentropy import cli, estimators, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
 from qentropy.distributions import (
@@ -408,17 +408,13 @@ def test_timing_column_is_opt_in(tmp_path):
     assert int(row["wall_ms"]) >= 0
 
 
-def test_verify_suites_pass(monkeypatch):
-    cache = amplitude._TableCache(amplitude._TABLE_CACHE_BYTES)
-    monkeypatch.setattr(amplitude, "_TABLE_CACHE", cache)
+def test_verify_suites_pass():
     for name in ("estamp", "sandwich", "collision", "meanest"):
         results = run_suite(name)
         assert results, name
         assert suite_passed(results), [r.name for r in results if not r.passed]
         if name == "estamp":
-            # the suite builds its own laws, so it neither reads nor fills the
-            # table cache, and a second pass repeats the first
-            assert not cache._tables
+            # the suite builds its own laws, so a second pass repeats the first
             assert run_suite(name) == results
 
 
