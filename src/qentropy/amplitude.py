@@ -5,21 +5,25 @@ estimation (M a power of two) returns a value on the grid sin^2(l*pi/M),
 l = 0..M/2.  Measurement outcomes are indexed y in {0, ..., M-1}; outcome y
 occurs with probability
 
-    P(y) = (f(d(omega, y/M)) + f(d(omega, -y/M))) / 2,
-    f(D)  = sin^2(M*D*pi) / (M^2 * sin^2(D*pi)),   f(0) = 1,
+    P(y) = (f(omega - y/M) + f(omega + y/M)) / 2,
+    f(D)  = sin^2(M*D*pi) / (M^2 * sin^2(D*pi)),   f(integer) = 1,
 
-where d(.,.) is circular distance on the unit interval (the two mirrored
-phase components contribute equally, so P(y) = P(M-y)).  Outcomes y and M-y
-produce the same estimate sin^2(y*pi/M) and are merged onto the grid.  The
-law is exact, so estimator statistics can be enumerated instead of run on
-hardware.  An M-query invocation costs M quantum queries; its caller books them.
+where f has period 1 (the two mirrored phase components contribute
+equally, so P(y) = P(M-y)).  Outcomes y and M-y produce the same estimate
+sin^2(y*pi/M) and are merged onto the grid: entry l of the merged law is
+f(omega - l/M) + f(omega + l/M), halved at l = 0 and l = M/2.  The law is
+exact, so estimator statistics can be enumerated instead of run on
+hardware.  An M-query invocation costs M quantum queries; its caller books
+them.
 
-outcome_laws builds the laws of many amplitudes at one budget as the rows
-of one array over l = 0..M/2, with the kernel run on at most _KERNEL_CHUNK
-elements at a time; a row does not depend on the others in its batch.
-sample_estamp draws one M-query estimate from one amplitude's row, and
-multiplicative_budget is the least M at which that estimate meets a relative
-error for every amplitude above a floor.
+outcome_laws builds the laws of any number of amplitudes at one budget as
+the rows of one array over l = 0..M/2; a row does not depend on the others
+in its call, so a batch's row is a one-row call's row, byte for byte.  The
+kernel splits the phase exactly (see outcome_laws) and reads the budget's
+sine table, sine_table(M), which its caller builds once for all the rows it
+builds, in one call or one at a time.  sample_estamp draws one M-query estimate
+from one amplitude's row, and multiplicative_budget is the least M at which
+that estimate meets a relative error for every amplitude above a floor.
 """
 
 from __future__ import annotations
@@ -35,15 +39,11 @@ _GRID_TOLERANCE = 1e-14
 # table is renormalized.
 _NORMALIZATION_TOLERANCE = 1e-9
 
-# When it builds many outcome laws, the kernel evaluates at most this many
-# elements at a time (2M - 1 per row); a longer row is a chunk of its own.
-_KERNEL_CHUNK = 1 << 15
-
-# The largest budget M.  A table holds about 4*M bytes (a probability per
-# grid point), so the largest one holds 4 MB, and building it holds ~80 MB
-# of kernel temporaries for a moment.  Each doubling doubles both; a budget
-# of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need gigabytes before
-# it could fail.
+# The largest budget M.  A row holds M/2 + 1 float64s, so the largest one
+# holds 4 MB; building it holds 40 MB for a moment: the 16 MB sine table,
+# a row's two windows of M + 1 entries and two rows.  Each doubling doubles
+# both; a budget of 2^28 (Shannon at eps = 1e-7 on 64 symbols) would need
+# gigabytes before it could fail.
 _MAX_BUDGET = 1 << 20
 
 
@@ -70,94 +70,79 @@ def estamp_prime_floor(M: int) -> float:
     return math.sin(math.pi / (2 * M)) ** 2
 
 
-def _fejer(x: np.ndarray, M: int) -> np.ndarray:
-    """Kernel f at the circular distance of each phase offset x from 0.
+def sine_table(M: int) -> np.ndarray:
+    """The table outcome_laws reads at budget M: sin(k*pi/M) for
+    k = -M/2..3M/2, as a read-only view of its M + 1 windows of M + 1
+    consecutive entries, window i starting at k = i - M/2.
 
-    A grid hit divides 0 by 0, and its NaN is replaced by f(0) = 1, so the
-    caller evaluates this under np.errstate(divide="ignore", invalid="ignore").
+    It is built by symmetry from the quarter sin(k*pi/M), k = 0..M/2, which
+    is the expression grid_value squares.  So entries M apart are exact
+    negatives, and sin(0) and sin(pi) are exactly 0.
     """
-    d = x - np.floor(x)
-    np.minimum(d, 1.0 - d, out=d)
-    f = np.sin(M * np.pi * d)
-    f /= M * np.sin(np.pi * d)
-    np.square(f, out=f)
-    f[d < _GRID_TOLERANCE] = 1.0
-    return f
+    check_budget(M)
+    half = M // 2
+    quarter = np.sin(np.pi * np.arange(half + 1) / M)
+    sines = np.concatenate((-quarter[half:0:-1], quarter, quarter[half - 1::-1], -quarter[1:]))
+    # the windows are rows one entry apart over the table's own buffer
+    windows = np.ndarray((M + 1, M + 1), sines.dtype, sines, strides=2 * sines.strides)
+    windows.flags.writeable = False
+    return windows
 
 
-def _off_grid_laws(omegas: list[float], M: int) -> np.ndarray:
-    """Raw laws over y for off-grid phases omega, one row each."""
-    # Both offset sets, omega - y/M and omega + y/M, in one kernel call over
-    # the shifts s/M, s = 1-M..M-1: IEEE division is symmetric in sign and
-    # subtraction is addition of the negation, so omega + (-y)/M is exactly
-    # omega - y/M, and y = 0 is evaluated once for both.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = _fejer(np.add.outer(omegas, np.arange(1 - M, M) / M), M)
-    raw = f[:, M - 1::-1] + f[:, M - 1:]
-    raw *= 0.5
-    return raw
+def outcome_laws(amplitudes, sines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merged, renormalised outcome laws over l = 0..M/2 at the budget M of
+    sines = sine_table(M) for a 1-D sequence of amplitudes, one row each,
+    exact zeros kept, and each row's mass before renormalisation
+    (raw_total).
 
-
-def _raw_laws(amplitudes: list[float], M: int) -> np.ndarray:
-    """Raw outcome laws over y = 0..M-1, one row per amplitude.
-
-    Each row is what a call for its amplitude alone gives: ufuncs work
-    element by element, so a row's values do not depend on the others.
+    The phase splits exactly: omega*M = j + delta with j = round(omega*M) and
+    |delta| <= 1/2, both exact in floats since M is a power of two.  At the
+    shift t = j + s the kernel's numerator is sin^2(pi*delta), one value per
+    row, and its denominator M*sin(pi*(t + delta)/M) is
+    M * (S_t*cos(pi*delta/M) + C_t*sin(pi*delta/M)), with S_t = sin(t*pi/M)
+    and C_t = cos(t*pi/M) = S_(t + M/2) read as two windows of sines.  A row
+    is f(omega + s/M), s = -M/2..M/2, folded onto l = |s|.  Each entry of an
+    off-grid row is within 4 * 2^-52 absolute and 2^-49 relative of the
+    exact law at the same float omega.  An amplitude within _GRID_TOLERANCE
+    of the grid is a point mass.
     """
-    rows, omegas, hits = [], [], []
+    M = sines.shape[1] - 1
+    amplitudes = np.asarray(amplitudes, dtype=np.float64).tolist()
+    half = M // 2
+    laws = np.zeros((len(amplitudes), half + 1))
+    rows, starts, scales, tops = [], [], [], []
     for row, a in enumerate(amplitudes):
         if not 0.0 <= a <= 1.0:
             raise ValueError("amplitude must lie in [0, 1]")
         omega = math.asin(math.sqrt(a)) / math.pi
         j = round(omega * M)
         if abs(omega * M - j) < _GRID_TOLERANCE * M:
-            hits.append((row, j))
+            # every other outcome vanishes exactly; the closed form in floats
+            # would instead leave dust on them
+            laws[row, j] = 1.0
         else:
+            phase = math.pi * (omega * M - j)
             rows.append(row)
-            omegas.append(omega)
-    if not hits:
-        return _off_grid_laws(omegas, M)
-    probs = np.zeros((len(amplitudes), M))
+            starts += (j, j + half)
+            scales += (M * math.cos(phase / M), M * math.sin(phase / M))
+            tops.append(math.sin(phase))
     if rows:
-        probs[rows] = _off_grid_laws(omegas, M)
-    for row, j in hits:
-        # On-grid phase: every other outcome vanishes exactly (sin(pi*(j-y))
-        # is 0 for integers); evaluating the closed form in floats would
-        # instead leave ~1e-33 dust on the off outcomes.
-        probs[row, j % M] += 0.5
-        probs[row, (M - j) % M] += 0.5
-    return probs
-
-
-def _fold(raw: np.ndarray, M: int) -> np.ndarray:
-    """Merge outcomes y and M-y onto l = 0..M/2 along the last axis."""
-    half = M // 2
-    merged = raw[..., :half + 1].copy()
-    merged[..., 1:half] += raw[..., :half:-1]
-    return merged
-
-
-def outcome_laws(amplitudes, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merged, renormalised outcome laws over l = 0..M/2 for a 1-D sequence
-    of amplitudes, one row each, exact zeros kept, and each row's mass
-    before renormalisation (raw_total).  The kernel runs on at most
-    _KERNEL_CHUNK elements at a time.
-    """
-    check_budget(M)
-    amplitudes = np.asarray(amplitudes, dtype=np.float64).tolist()
-    laws = np.empty((len(amplitudes), M // 2 + 1))
-    raw_totals = np.empty(len(amplitudes))
-    step = max(1, _KERNEL_CHUNK // (2 * M))
-    for start in range(0, len(amplitudes), step):
-        chunk = amplitudes[start:start + step]
-        merged = _fold(_raw_laws(chunk, M), M)
-        totals = merged.sum(axis=1)
-        for a, raw_total in zip(chunk, totals.tolist()):
-            if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
-                raise ArithmeticError("outcome law lost mass: sums to %.17g for a=%r M=%d"
-                                      % (raw_total, a, M))
-        np.divide(merged, totals[:, None], out=laws[start:start + len(chunk)])
-        raw_totals[start:start + len(chunk)] = totals
+        # each row's S_t window times M*cos(pi*delta/M) plus its C_t window
+        # times M*sin(pi*delta/M)
+        pairs = sines[starts]
+        pairs *= np.array(scales)[:, None]
+        kernel = np.add(pairs[::2], pairs[1::2], out=pairs[::2])
+        np.divide(np.array(tops)[:, None], kernel, out=kernel)
+        np.square(kernel, out=kernel)
+        merged = kernel[:, half::-1] + kernel[:, half:]
+        merged[:, ::half] *= 0.5
+        laws[rows] = merged
+    raw_totals = np.add.reduce(laws, axis=1)
+    for a, raw_total in zip(amplitudes, raw_totals.tolist()):
+        if abs(raw_total - 1.0) > _NORMALIZATION_TOLERANCE:
+            raise ArithmeticError("outcome law lost mass: sums to %.17g for a=%r M=%d"
+                                  % (raw_total, a, M))
+    laws /= raw_totals[:, None]
     return laws, raw_totals
 
 
@@ -187,7 +172,7 @@ def multiplicative_budget(epsilon: float, p_floor: float) -> int:
 def sample_estamp(a: float, M: int, rng: np.random.Generator) -> float:
     """One M-query amplitude estimate of a, drawn from its outcome law with
     one uniform; its caller books the M queries."""
-    row = outcome_laws([a], M)[0][0]
+    row = outcome_laws([a], sine_table(M))[0][0]
     grid = np.flatnonzero(row)
     idx = np.cumsum(row[grid]).searchsorted(rng.random(1), side="right")
     return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0])

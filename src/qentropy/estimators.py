@@ -51,6 +51,7 @@ from .amplitude import (
     multiplicative_budget,
     outcome_laws,
     sample_estamp,
+    sine_table,
 )
 from .distinctness import (
     belovs_charge,
@@ -184,7 +185,9 @@ class MasterSubroutine(FiniteLaw):
     mixture sum_c w_c * law(c/S, M), where w_c is the class's share of the
     total, with the massless grid points dropped.  The variant estamp-prime
     reports l = 0 as its floor.  The payoff is evaluated once per grid point
-    with mass; a one-class law is that amplitude's outcome row itself.
+    with mass; a one-class law is that amplitude's outcome row itself.  The
+    rows are built one class at a time on one sine table, so the build
+    holds O(M) memory whatever the class count.
     """
 
     def __init__(self, classes: dict[int, int], denominator: int, M: int,
@@ -194,8 +197,9 @@ class MasterSubroutine(FiniteLaw):
             raise ValueError("variant must be 'estamp' or 'estamp-prime'")
         total = sum(classes.values())
         mixture = np.zeros(M // 2 + 1)
+        sines = sine_table(M)
         for c, w in sorted(classes.items()):
-            mixture += outcome_laws([c / denominator], M)[0][0] * (w / total)
+            mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
         grid = np.flatnonzero(mixture)
         values = grid_value(grid, M)
         if variant == "estamp-prime":

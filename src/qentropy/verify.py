@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitude import deviation_bound, grid_value, outcome_laws
+from .amplitude import deviation_bound, grid_value, outcome_laws, sine_table
 from .distributions import power_sum
 from .instances import zipf
 from .mean_estimation import FiniteLaw, additive_runs, multiplicative_runs, qmean_additive
@@ -74,14 +74,15 @@ def estamp_suite() -> list[CheckResult]:
     """Closed-form outcome law: normalization and the k=1 deviation window.
 
     Each budget's outcome laws for all the amplitudes come from one
-    outcome_laws call; the suite builds no cached table.
+    outcome_laws call, whose rows are the bytes the estimators' one-row
+    calls give.
     """
     rng = np.random.default_rng(_SUITE_SEED)
     amplitudes = rng.random(_ESTAMP_DRAWS)
     checks = []
     for m_exp in range(1, 9):
         M = 1 << m_exp
-        laws, raw_totals = outcome_laws(amplitudes, M)
+        laws, raw_totals = outcome_laws(amplitudes, sine_table(M))
         worst_norm = float(np.abs(raw_totals - 1.0).max())
         masses = _window_masses(laws, amplitudes, deviation_bound(amplitudes, M))
         worst_mass = min(1.0, float(masses.min()))
@@ -92,7 +93,7 @@ def estamp_suite() -> list[CheckResult]:
             "estamp", "k=1 window mass M=%d" % M, worst_mass >= _K1_CONFIDENCE,
             worst_mass - _K1_CONFIDENCE,
             "worst in-window mass = %.7f (needs >= %.7f)" % (worst_mass, _K1_CONFIDENCE)))
-    zero = outcome_laws([0.0], 64)[0][0]
+    zero = outcome_laws([0.0], sine_table(64))[0][0]
     exact_zero = np.flatnonzero(zero).tolist() == [0] and zero[0] == 1.0
     checks.append(CheckResult(
         "estamp", "a=0 returns a point mass", exact_zero, 0.0 if exact_zero else -1.0))
@@ -329,10 +330,11 @@ def collision_suite() -> list[CheckResult]:
     sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
     Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
     within 5 standard errors of the exact expectation.  Both go through
-    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l,
-    and the draws of only one chunk of rows are held at once; the count of
-    every row is kept, one float64 each, so memory grows with the row count
-    by 8 bytes a row.
+    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l.
+    Its largest temporaries are per cell: the float64 sample of all
+    _COLLISION_MC_ROWS counts (800 KB), the copy sample.std makes of it, and
+    _categorical_draws' block of one chunk's uniforms (_ROW_CHUNK x l
+    float64s, 786 KB at l = 6).
     """
     mc_rows = _COLLISION_MC_ROWS
     rng = np.random.default_rng(_SUITE_SEED)

@@ -16,6 +16,7 @@ from qentropy.amplitude import (
     multiplicative_budget,
     outcome_laws,
     sample_estamp,
+    sine_table,
 )
 from qentropy.distributions import count_classes, from_counts
 from qentropy.estimators import EstimatorConfig, MasterSubroutine, prepare_min_entropy
@@ -76,11 +77,9 @@ def _reference_law(a, M):
 @given(a=st.floats(0.0, 1.0), log_m=st.integers(1, 12))
 def test_law_matches_scalar_reference(a, log_m):
     M = 1 << log_m
-    laws, raw_totals = outcome_laws([a], M)
+    laws, raw_totals = outcome_laws([a], sine_table(M))
     assert np.max(np.abs(laws[0] - _reference_law(a, M))) <= 1e-12
     assert abs(raw_totals[0] - 1.0) <= 1e-12
-    raw = amplitude._raw_laws([a], M)[0]
-    assert np.max(np.abs(raw[1:] - raw[:0:-1]), initial=0.0) <= 1e-12
 
 
 def _mpmath_law(a, M):
@@ -103,21 +102,50 @@ def _mpmath_law(a, M):
         return [float(p / total) for p in merged]
 
 
+# The kernel's bound on every entry against the exact law at the same float
+# omega (outcome_laws' docstring); the relative one holds off the grid, where
+# a row is not a point mass.
+_ABSOLUTE_BOUND = 4 * 2.0 ** -52
+_RELATIVE_BOUND = 2.0 ** -49
+
+
+def _assert_within_kernel_bounds(row, a, M):
+    exact = np.array(_mpmath_law(a, M))
+    error = np.abs(row - exact)
+    assert error.max() <= _ABSOLUTE_BOUND, (a, M)
+    if np.count_nonzero(row) > 1:
+        assert np.max(error / exact) <= _RELATIVE_BOUND, (a, M)
+
+
 @pytest.mark.parametrize("M", [16, 64, 256])
 def test_laws_match_a_50_digit_reference_within_m_ulps_of_one(M):
     # Amplitudes near 0 and 1, just below the grid value 1/2, within 1e-13
     # of the grid value sin^2(pi/16) and on the grid: each entry is within
-    # M * 2**-52 of the exact law at the same float omega (at least 3x
-    # headroom: the worst seen over 13 amplitudes were 1.07e-15, 3.92e-15
-    # and 1.41e-14 at these M).
+    # 4 * 2**-52 of the exact law at the same float omega, and within 2**-49
+    # of it relatively off the grid (the worst seen over these amplitudes
+    # were 1.1e-16 and 6.8e-16).
     amplitudes = [1e-9, 1 - 1e-9, 0.5 - 1e-12, float(grid_value(1, 16)) + 5e-14, 0.3, 0.8, 0.5]
-    laws, _ = outcome_laws(amplitudes, M)
+    laws, _ = outcome_laws(amplitudes, sine_table(M))
     for a, row in zip(amplitudes, laws):
-        assert np.max(np.abs(row - _mpmath_law(a, M))) <= M * 2.0 ** -52, a
+        _assert_within_kernel_bounds(row, a, M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_m=st.integers(1, 10), a=st.floats(0.0, 1.0),
+       near=st.none() | st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1.0, 1.0]),
+                                  st.floats(-15.0, -6.0)))
+def test_every_entry_is_within_the_kernel_bound_of_a_50_digit_reference(log_m, a, near):
+    # random amplitudes, and amplitudes 1e-15 to 1e-6 off a grid value
+    M = 1 << log_m
+    if near is not None:
+        share, sign, exponent = near
+        a = float(grid_value(round(share * M / 2), M)) + sign * 10.0 ** exponent
+        a = min(1.0, max(0.0, a))
+    _assert_within_kernel_bounds(outcome_laws([a], sine_table(M))[0][0], a, M)
 
 
 def test_frozen_table_a03_m8():
-    row = outcome_laws([0.3], 8)[0][0]
+    row = outcome_laws([0.3], sine_table(8))[0][0]
     assert grid_value(np.flatnonzero(row), 8).tolist() == pytest.approx(
         REF_A03_M8_VALUES, abs=1e-15)
     assert row.tolist() == pytest.approx(REF_A03_M8_PROBS, rel=1e-13)
@@ -125,7 +153,7 @@ def test_frozen_table_a03_m8():
 
 def test_frozen_spot_values_a07_m16():
     # same independent 50-digit computation, three spot checks
-    row = outcome_laws([0.7], 16)[0][0]
+    row = outcome_laws([0.7], sine_table(16))[0][0]
     lookup = dict(zip(grid_value(np.arange(9), 16).tolist(), row.tolist()))
     assert lookup[0.0] == pytest.approx(0.000125514743808, rel=1e-12)
     assert lookup[1.0] == pytest.approx(0.000292867735552, rel=1e-12)
@@ -138,39 +166,49 @@ def test_frozen_spot_values_a07_m16():
 def test_law_normalizes_for_generic_amplitudes():
     rng = np.random.default_rng(5)
     for M in (2, 4, 8, 32, 128):
-        laws, raw_totals = outcome_laws(rng.uniform(0.0, 1.0, size=40), M)
+        laws, raw_totals = outcome_laws(rng.uniform(0.0, 1.0, size=40), sine_table(M))
         assert np.all(np.abs(raw_totals - 1.0) < 1e-9)
         assert np.all(laws >= 0.0)
 
 
 @pytest.mark.parametrize("M", [2, 256, 4096, 1 << 15])
-def test_batched_laws_match_one_row_builds(M, monkeypatch):
-    # a batch over two kernel chunks and a part, with on-grid phases inside
-    # chunks and on their edges: every row, and its mass before
-    # renormalisation, is a one-row call's, byte for byte; only the on-grid
-    # rows hold exact zeros
-    per_chunk = max(1, amplitude._KERNEL_CHUNK // (2 * M))
-    amplitudes = np.random.default_rng(M).random(2 * per_chunk + 3)
+def test_batched_laws_match_one_row_builds(M):
+    # a batch with on-grid phases first, last and inside: every row, and its
+    # mass before renormalisation, is a one-row call's, byte for byte, with
+    # or without a shared sine table; only the on-grid rows hold exact zeros
+    amplitudes = np.random.default_rng(M).random(24)
     on_grid = [0.0, 1.0, grid_value(1, M), grid_value(M // 4, M)]
-    amplitudes[[0, per_chunk - 1, per_chunk + 1, -1]] = on_grid
-    sizes = []
-    kernel = amplitude._fejer
-    monkeypatch.setattr(amplitude, "_fejer", lambda x, M: sizes.append(x.size) or kernel(x, M))
-    laws, raw_totals = outcome_laws(amplitudes, M)
-    monkeypatch.undo()
-    assert len(sizes) >= 2 and max(sizes) <= max(amplitude._KERNEL_CHUNK, 2 * M)
+    amplitudes[[0, 1, 12, -1]] = on_grid
+    laws, raw_totals = outcome_laws(amplitudes, sine_table(M))
     assert laws.shape == (amplitudes.size, M // 2 + 1)
+    sines = sine_table(M)
     for a, row, raw_total in zip(amplitudes.tolist(), laws, raw_totals.tolist()):
-        one_row, one_total = outcome_laws([a], M)
-        assert row.tobytes() == one_row[0].tobytes()
-        assert raw_total == one_total[0]
+        for one_row, one_total in (outcome_laws([a], sine_table(M)), outcome_laws([a], sines)):
+            assert row.tobytes() == one_row[0].tobytes()
+            assert raw_total == one_total[0]
         assert np.count_nonzero(row) == (1 if a in on_grid else M // 2 + 1)
+
+
+def test_sine_table_extends_the_grid_by_symmetry():
+    # window i starts at sin((i - M/2) pi / M); the quarter from 0 to pi/2
+    # squares to the grid values bit for bit, and entries M apart are exact
+    # negatives
+    for M in (2, 16, 1024):
+        windows = sine_table(M)
+        assert windows.shape == (M + 1, M + 1) and not windows.flags.writeable
+        sines = np.append(windows[0], windows[-1][1:])
+        exact = [mpmath.sinpi(mpmath.mpf(k) / M) for k in range(-M // 2, 3 * M // 2 + 1)]
+        assert max(abs(x - y) for x, y in zip(sines.tolist(), exact)) <= 2 ** -53
+        grid = grid_value(np.arange(M // 2 + 1), M)
+        assert (sines[M // 2:M + 1] ** 2).tobytes() == grid.tobytes()
+        assert np.array_equal(sines[M:], -sines[:M + 1])
+        assert sines[M // 2] == sines[3 * M // 2] == 0.0
 
 
 def test_every_row_keeps_the_lost_mass_check(monkeypatch):
     monkeypatch.setattr(amplitude, "_NORMALIZATION_TOLERANCE", -1.0)
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
-        outcome_laws([0.3, 0.5], 8)
+        outcome_laws([0.3, 0.5], sine_table(8))
     # the payoff laws and min-entropy's one estimate build their rows through it
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.25 M=8"):
         MasterSubroutine({1: 1, 2: 1}, 4, 8, payoff=lambda x: x)
@@ -178,16 +216,9 @@ def test_every_row_keeps_the_lost_mass_check(monkeypatch):
         sample_estamp(0.3, 8, np.random.default_rng(0))
 
 
-def test_raw_probabilities_are_symmetric():
-    for a in (0.13, 0.5, 0.77):
-        probs = amplitude._raw_laws([a], 16)[0]
-        for y in range(1, 16):
-            assert probs[y] == pytest.approx(probs[16 - y], rel=1e-12)
-
-
 def test_on_grid_amplitudes_give_point_masses():
     for a, M in ((0.0, 8), (1.0, 8), (0.5, 4), (grid_value(3, 16), 16)):
-        row = outcome_laws([a], M)[0][0]
+        row = outcome_laws([a], sine_table(M))[0][0]
         grid = np.flatnonzero(row)
         assert len(grid) == 1
         assert grid_value(grid[0], M) == pytest.approx(a, abs=1e-15)
@@ -209,7 +240,7 @@ def test_deviation_window_masses():
     for M in (8, 64, 256):
         amplitudes = np.append(rng.uniform(0.0, 1.0, size=30),
                                [0.0, 1.0, grid_value(3, M), grid_value(M // 4, M)])
-        laws, _ = outcome_laws(amplitudes, M)
+        laws, _ = outcome_laws(amplitudes, sine_table(M))
         for k, floor in thresholds.items():
             radius = deviation_bound(amplitudes, M, k)
             masses = _window_masses(laws, amplitudes, radius)
@@ -218,7 +249,7 @@ def test_deviation_window_masses():
             values = grid_value(np.arange(M // 2 + 1), M)
             for a, r, mass in zip(amplitudes.tolist(), radius.tolist(), masses.tolist()):
                 inside = np.abs(values - a) <= r + 1e-12
-                assert mass == float(outcome_laws([a], M)[0][0][inside].sum())
+                assert mass == float(outcome_laws([a], sine_table(M))[0][0][inside].sum())
 
 
 def test_deviation_bound_formula():
@@ -246,9 +277,9 @@ def test_budget_must_be_a_power_of_two():
     with pytest.raises(ValueError):
         sample_estamp(1.2, 8, np.random.default_rng(0))
     with pytest.raises(ValueError, match="power of two"):
-        outcome_laws([0.3], 12)
+        sine_table(12)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        outcome_laws([0.3, 1.2], 8)
+        outcome_laws([0.3, 1.2], sine_table(8))
 
 
 def test_budget_has_a_ceiling_above_every_budget_in_use():
@@ -257,7 +288,7 @@ def test_budget_has_a_ceiling_above_every_budget_in_use():
     # a power of two above the ceiling is named by its exponent
     with pytest.raises(ValueError, match=r"M=2\^%d is above .* M=%d "
                        % (amplitude._MAX_BUDGET.bit_length(), amplitude._MAX_BUDGET)):
-        outcome_laws([0.3], 2 * amplitude._MAX_BUDGET)
+        sine_table(2 * amplitude._MAX_BUDGET)
 
 
 def test_sampling_is_seeded_and_charged():
@@ -322,8 +353,8 @@ def test_multiplicative_sampling_contract():
 def test_table_grid_indexes_the_values():
     # a table's entry l is the mass of sin^2(l*pi/M), l = 0..M/2; only an
     # on-grid phase leaves exact zeros
-    row = outcome_laws([0.3], 64)[0][0]
+    row = outcome_laws([0.3], sine_table(64))[0][0]
     assert row.shape == (33,)
     assert np.flatnonzero(row).tolist() == list(range(33))
-    on_grid = outcome_laws([grid_value(3, 16)], 16)[0][0]
+    on_grid = outcome_laws([grid_value(3, 16)], sine_table(16))[0][0]
     assert np.flatnonzero(on_grid).tolist() == [3]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.amplitude import estamp_prime_floor, grid_value, outcome_laws
+from qentropy.amplitude import estamp_prime_floor, grid_value, outcome_laws, sine_table
 from qentropy.distributions import (
     RationalDistribution,
     count_classes,
@@ -156,7 +156,7 @@ def test_exact_expectation_matches_direct_table_sum():
     direct_sq = 0.0
     vals = np.array([payoff(v) for v in grid_value(np.arange(M // 2 + 1), M)])
     for count, p_sym in zip(dist.counts, dist.counts / dist.denominator):
-        row = outcome_laws([count / dist.denominator], M)[0][0]
+        row = outcome_laws([count / dist.denominator], sine_table(M))[0][0]
         direct_mean += p_sym * float(row @ vals)
         direct_sq += p_sym * float(row @ (vals * vals))
     assert mean == pytest.approx(direct_mean, rel=1e-13)
@@ -173,7 +173,7 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
     # the grid, where the row has exact zeros.
     payoff = math.log if variant == "estamp-prime" else (lambda x: x ** 1.5)
     sub = MasterSubroutine({c: 1}, S, M, payoff, variant)
-    row = outcome_laws([c / S], M)[0][0]
+    row = outcome_laws([c / S], sine_table(M))[0][0]
     grid = np.flatnonzero(row)
     reported = grid_value(grid, M)
     if variant == "estamp-prime":
@@ -188,10 +188,26 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
 def test_payoff_law_refuses_its_budget_and_variant_before_building():
     with pytest.raises(ValueError, match="power of two"):
         MasterSubroutine({1: 1}, 2, 12, math.log)
-    with mock.patch.object(estimators, "outcome_laws",
-                           side_effect=AssertionError("a table was read")):
+    with mock.patch.object(estimators, "sine_table",
+                           side_effect=AssertionError("a table was built")), \
+            mock.patch.object(estimators, "outcome_laws",
+                              side_effect=AssertionError("a row was built")):
         with pytest.raises(ValueError, match="variant"):
             MasterSubroutine({1: 1}, 2, 8, math.log, "estamp-double")
+
+
+def test_payoff_law_builds_one_row_at_a_time_on_one_sine_table():
+    # one table for the law, and one one-row call per class on it, in
+    # sorted class order
+    dist = zipf(1.5, 64)
+    classes = count_classes(dist.counts)
+    with mock.patch.object(estimators, "sine_table", wraps=sine_table) as tables, \
+            mock.patch.object(estimators, "outcome_laws", wraps=outcome_laws) as rows:
+        MasterSubroutine(classes, dist.denominator, 256, math.log, "estamp-prime")
+    assert tables.call_args_list == [mock.call(256)]
+    assert [call.args[0] for call in rows.call_args_list] \
+        == [[c / dist.denominator] for c in sorted(classes)]
+    assert len({id(call.args[1]) for call in rows.call_args_list}) == 1
 
 
 def _per_symbol_moments(dist, M, payoff, variant):
@@ -201,7 +217,7 @@ def _per_symbol_moments(dist, M, payoff, variant):
     for count in dist.counts:
         if count == 0:
             continue
-        row = outcome_laws([count / dist.denominator], M)[0][0]
+        row = outcome_laws([count / dist.denominator], sine_table(M))[0][0]
         for value, prob in zip(grid_value(np.arange(M // 2 + 1), M), row):
             if variant == "estamp-prime" and value == 0.0:
                 value = floor
@@ -244,7 +260,7 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
     M_p, M_q = rep.extras["M_p"], rep.extras["M_q"]
 
     def log_estimates(count, dist, M):
-        row = outcome_laws([count / dist.denominator], M)[0][0]
+        row = outcome_laws([count / dist.denominator], sine_table(M))[0][0]
         floor = math.sin(math.pi / (2 * M)) ** 2
         return [(prob, math.log(floor if v == 0.0 else v))
                 for v, prob in zip(grid_value(np.arange(M // 2 + 1), M), row)]
@@ -267,7 +283,8 @@ def _kl_draws_one_by_one(p, q, M_p, M_q, shape, rng):
     def log_table(count, dist, M):
         values = grid_value(np.arange(M // 2 + 1), M)
         values = np.where(values == 0.0, math.sin(math.pi / (2 * M)) ** 2, values)
-        return np.cumsum(outcome_laws([count / dist.denominator], M)[0][0]), np.log(values)
+        row = outcome_laws([count / dist.denominator], sine_table(M))[0][0]
+        return np.cumsum(row), np.log(values)
 
     symbols = rng.choice(p.n, size=shape, p=p.counts / p.denominator)
     out = np.empty(shape)

@@ -788,6 +788,35 @@ def test_no_module_calls_a_cpu_dependent_numpy_routine():
         "values, or np.add.reduce over a product: %s" % offenders
 
 
+# A module-level cache keeps what one call computed for the next, so memory
+# grows with the calls a process has made and a result can depend on them.
+_CACHE_NAMES = {("collections", "OrderedDict"), ("functools", "lru_cache"),
+                ("functools", "cache")}
+
+
+def test_no_module_holds_a_cache():
+    offenders = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call) \
+                    and isinstance(node.value.func, ast.Name) and node.value.func.id in classes:
+                offenders.append("%s:%d binds an instance of %s" % (path.name, node.lineno,
+                                                                      node.value.func.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                offenders += ["%s:%d imports %s.%s" % (path.name, node.lineno, node.module,
+                                                       alias.name)
+                              for alias in node.names if (node.module, alias.name) in _CACHE_NAMES]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and (node.value.id, node.attr) in _CACHE_NAMES:
+                offenders.append("%s:%d uses %s.%s" % (path.name, node.lineno, node.value.id,
+                                                       node.attr))
+    assert offenders == [], "build what a call needs in the call, or hold it in the " \
+        "caller: %s" % offenders
+
+
 def test_no_module_imports_a_private_name_of_another():
     # A module's underscore names are its own: a format one module reads
     # through another's private helper cannot change in one place.
