@@ -21,7 +21,8 @@ the rows of one array over l = 0..M/2; a row does not depend on the others
 in its call, so a batch's row is a one-row call's row, byte for byte.  The
 kernel splits the phase exactly (see outcome_laws) and reads the budget's
 sine table, sine_table(M), which its caller builds once for all the rows it
-builds, in one call or one at a time.  sample_estamp draws one M-query estimate
+builds at that budget, in one call or one at a time: an estimator's prepare
+builds one per budget.  sample_estamp draws one M-query estimate
 from one amplitude's row, and multiplicative_budget is the least M at which
 that estimate meets a relative error for every amplitude above a floor.
 """

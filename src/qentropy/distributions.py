@@ -271,14 +271,21 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution) -> float:
     return _exact_sum(term, p.counts, q.counts)
 
 
+def sample_count(n_samples) -> int:
+    """n_samples as a Python int if it is a Python or numpy integer, not a
+    bool, and at least 1; anything else raises ValueError naming it."""
+    t = _as_int(n_samples, "n_samples")
+    if t < 1:
+        raise ValueError("n_samples must be positive, got %d" % t)
+    return t
+
+
 def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
     """Expected number of distinct symbols in n_samples draws.
 
     S_n(p) = sum over nonzero bins of (1 - (1 - p_x) ** n_samples).
     """
-    t = _as_int(n_samples, "n_samples")
-    if t < 1:
-        raise ValueError("n_samples must be a positive integer, got %d" % t)
+    t = sample_count(n_samples)
     S = dist.denominator
 
     def term(c: int) -> float:

@@ -7,10 +7,11 @@ mean-estimation contract.  Because the amplitude-estimation outcome law is
 known in closed form, the payoff variable's distribution is also known
 exactly, which enables both fast vectorized simulation and exact
 enumeration of its mean and variance ("exact-expectation" mode).  Every
-payoff law is one type, MasterSubroutine, built from a distribution's count
-classes; KL's law is a pair of them per group of symbols sharing a q count.
-The collision-based estimators (integer orders, min-entropy) have no such
-law and refuse that mode.
+payoff law is a plain FiniteLaw, a budget's payoff table over a class
+mixture, and a prepare builds each table and mixture once per budget; KL's
+law is a pair of them per group of symbols sharing a q count.  The
+collision-based estimators (integer orders, min-entropy) have no such law
+and refuse that mode.
 
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
 cfg) touches no rng: it makes every check that needs no draw, fixes the
@@ -70,16 +71,17 @@ from .distributions import (
     parse_measure,
     power_sum,
     ratio_bound,
+    sample_count,
     shannon_entropy,
     support_coverage,
 )
 from .mean_estimation import (
     FiniteLaw,
     SampleCountOverflow,
+    additive_runs,
     median_amplify,
     median_repetitions,
     multiplicative_runs,
-    qmean_additive,
 )
 from .oracle import DistributionOracle, QueryLedger, build_oracle
 
@@ -175,50 +177,58 @@ def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
 # payoff subroutines over the amplitude-estimation outcome law
 
 
-class MasterSubroutine(FiniteLaw):
-    """Sample a symbol, amplitude-estimate its probability, apply a payoff.
+def _payoff_table(M: int, payoff: Callable[[float], float], variant: str) -> np.ndarray:
+    """payoff(grid_value(l, M)) for l = 0..M/2, the values of every payoff law
+    at budget M; the variant estamp-prime reports l = 0 as its floor.  The
+    variant and the budget are checked before anything is allocated."""
+    if variant not in ("estamp", "estamp-prime"):
+        raise ValueError("variant must be 'estamp' or 'estamp-prime'")
+    check_budget(M)
+    values = grid_value(np.arange(M // 2 + 1), M)
+    if variant == "estamp-prime":
+        values[0] = estamp_prime_floor(M)
+    # the payoff maps Python floats: math.log, unlike np.log, is the same on
+    # every CPU
+    return np.fromiter(map(payoff, values.tolist()), np.float64, values.size)
+
+
+def _class_mixture(classes: dict[int, int], denominator: int, sines: np.ndarray) -> np.ndarray:
+    """The outcome law of a symbol drawn from count classes, amplitude-estimated
+    at the budget M of sines = sine_table(M): sum_c w_c * law(c/S, M) over
+    l = 0..M/2.
 
     classes maps each distinct nonzero count c to the total count of the
     symbols having it, as distributions.count_classes gives it, over the
-    given denominator S.  The payoff sees only the grid point of the
-    outcome, so the subroutine is one finite law over l = 0..M/2: the
-    mixture sum_c w_c * law(c/S, M), where w_c is the class's share of the
-    total, with the massless grid points dropped.  The variant estamp-prime
-    reports l = 0 as its floor.  The payoff is evaluated once per grid point
-    with mass; a one-class law is that amplitude's outcome row itself.  The
-    rows are built one class at a time on one sine table, so the build
-    holds O(M) memory whatever the class count.
+    denominator S, and w_c is the class's share of the total.  The rows are
+    built one class at a time in sorted order, so the build holds O(M)
+    memory whatever the class count; a one-class mixture is that amplitude's
+    outcome row itself.
     """
+    total = sum(classes.values())
+    mixture = np.zeros((sines.shape[1] - 1) // 2 + 1)
+    for c, w in sorted(classes.items()):
+        mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
+    return mixture
 
-    def __init__(self, classes: dict[int, int], denominator: int, M: int,
-                 payoff: Callable[[float], float], variant: str = "estamp"):
-        check_budget(M)  # before the mixture is allocated
-        if variant not in ("estamp", "estamp-prime"):
-            raise ValueError("variant must be 'estamp' or 'estamp-prime'")
-        total = sum(classes.values())
-        mixture = np.zeros(M // 2 + 1)
-        sines = sine_table(M)
-        for c, w in sorted(classes.items()):
-            mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
-        grid = np.flatnonzero(mixture)
-        values = grid_value(grid, M)
-        if variant == "estamp-prime":
-            values = np.where(grid == 0, estamp_prime_floor(M), values)
-        # the payoff maps Python floats: math.log, unlike np.log, is the
-        # same on every CPU
-        super().__init__(np.fromiter(map(payoff, values.tolist()), np.float64, values.size),
-                         mixture[grid])
+
+def _payoff_law(payoffs: np.ndarray, mixture: np.ndarray) -> FiniteLaw:
+    """Sample a symbol, amplitude-estimate its probability, apply a payoff:
+    the finite law of a budget's payoff table under a class mixture at that
+    budget, over the grid points with mass."""
+    grid = np.flatnonzero(mixture)
+    return FiniteLaw(payoffs[grid], mixture[grid])
 
 
 class _RatioSubroutine:
     """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
 
     Symbols are grouped by their q count.  Within a group ln q~ follows one
-    outcome table and ln p~, independent of it, the mixture of the group's
-    p classes on the M_p grid, so a group is a pair of MasterSubroutine laws,
-    a one-class one for q, and X is their difference.  Grouping by the q side
-    keeps one copy of each q table, the larger ones since M_q >= M_p.  The
-    joint law of X is never tabulated: sums and moments come from the pairs.
+    outcome row and ln p~, independent of it, the mixture of the group's
+    p classes on the M_p grid, so a group is a pair of payoff laws on their
+    budgets' log tables, a one-class one for q, and X is their difference.
+    Grouping by the q side keeps one copy of each q row, the larger ones
+    since M_q >= M_p.  The joint law of X is never tabulated: sums and
+    moments come from the pairs.
     """
 
     def __init__(self, p: RationalDistribution, q: RationalDistribution,
@@ -231,8 +241,11 @@ class _RatioSubroutine:
         self._weights = np.array(
             [sum(weights.values()) / p.denominator for weights in groups.values()])
         self._pvals = self._weights / self._weights.sum()
-        self._pairs = [(MasterSubroutine(weights, p.denominator, M_p, math.log, "estamp-prime"),
-                        MasterSubroutine({cq: 1}, q.denominator, M_q, math.log, "estamp-prime"))
+        budgets = dict.fromkeys((M_p, M_q))  # one log and one sine table per distinct budget
+        logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in budgets}
+        sines = {M: sine_table(M) for M in budgets}
+        self._pairs = [(_payoff_law(logs[M_p], _class_mixture(weights, p.denominator, sines[M_p])),
+                        _payoff_law(logs[M_q], _class_mixture({cq: 1}, q.denominator, sines[M_q])))
                        for cq, weights in groups.items()]
 
     def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
@@ -298,7 +311,7 @@ def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str,
     Records the payoff law's exact moments in extras.  The returned
     run(seed) gives (value, a fresh copy of extras, one fresh ledger per
     budget M in budgets): the law's exact mean in exact-expectation mode,
-    else a qmean_additive estimate at the target error, its copy recording
+    else one additive contract run at the target error, its copy recording
     that contract's charge and flag, which it books, at M queries per
     execution and with its classical draws, on each budget's ledger.
     """
@@ -310,12 +323,12 @@ def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str,
         ledgers = tuple(QueryLedger() for _ in budgets)
         if mode == "exact-expectation":
             return exact_mean, dict(extras), ledgers
-        me = qmean_additive(sub, sigma, target, np.random.default_rng(seed))
+        runs = additive_runs(sub, sigma, target, 1, np.random.default_rng(seed))
         for ledger, M in zip(ledgers, budgets):
-            ledger.charge("estamp", M * me.charged_executions)
-            ledger.charge_classical(me.classical_executions)
-        return me.value, dict(extras, charged_executions=me.charged_executions,
-                              out_of_contract=me.out_of_contract), ledgers
+            ledger.charge("estamp", M * runs.charged_executions)
+            ledger.charge_classical(runs.classical_executions)
+        return float(runs.value[0]), dict(extras, charged_executions=runs.charged_executions,
+                                          out_of_contract=runs.out_of_contract), ledgers
     return run
 
 
@@ -329,8 +342,8 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
     """
     n, eps = dist.n, cfg.epsilon
     M = shannon_budget(n, eps)
-    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M,
-                           payoff=lambda x: -math.log(x), variant="estamp-prime")
+    sub = _payoff_law(_payoff_table(M, lambda x: -math.log(x), "estamp-prime"),
+                      _class_mixture(count_classes(dist.counts), dist.denominator, sine_table(M)))
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
     run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
     truth = shannon_entropy(dist)
@@ -423,24 +436,16 @@ def annealing_schedule(alpha: float, n: int) -> list[float]:
     return chain
 
 
-def _level_law(dist: RationalDistribution, classes: dict[int, int], level: float, eps: float,
-               high: bool) -> tuple[int, MasterSubroutine]:
-    """Budget M and payoff law x^(level-1) of one annealed level, over
-    dist's count classes.
-
-    M is the power of two one doubling above x*max(ln x, 1), where x is
-    sqrt(n)/eps for orders above 1 and n^(1/(2*level))/eps below 1.  Orders
-    below 1 use the zero-adjusted estimate, which keeps the negative power
-    finite.  An x past the largest float is inf, which no budget meets.
-    """
+def _level_budget(n: int, level: float, eps: float, high: bool) -> int:
+    """Budget M of one annealed level on n symbols: the power of two one
+    doubling above x*max(ln x, 1), where x is sqrt(n)/eps for orders above 1
+    and n^(1/(2*level))/eps below 1.  An x past the largest float is inf,
+    which no budget meets."""
     try:
-        x = math.sqrt(dist.n) / eps if high else dist.n ** (1.0 / (2.0 * level)) / eps
+        x = math.sqrt(n) / eps if high else n ** (1.0 / (2.0 * level)) / eps
     except OverflowError:
         x = math.inf
-    M = _pow2_budget(x * max(math.log(x), 1.0))
-    exponent = level - 1.0
-    return M, MasterSubroutine(classes, dist.denominator, M, payoff=lambda x: x ** exponent,
-                               variant="estamp" if high else "estamp-prime")
+    return _pow2_budget(x * max(math.log(x), 1.0))
 
 
 def _power_sum_report(algo: str, dist, alpha, cfg, seed, ledger, truth, estimate,
@@ -467,10 +472,10 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     every repetition would multiply the recursion out exponentially, which
     the target cost rules out).  Every level's budget, repetition count and
     payoff law is fixed before any draw: the base case and the inner levels
-    at a constant epsilon, the last at the target one.  A level's repetitions
-    run as one batch of multiplicative_runs over the level's payoff law,
-    booked on the trial's ledger as the batch returns; the level's estimate
-    is their median.
+    at a constant epsilon, the last at the target one, and the levels at one
+    budget share its class mixture.  A level's repetitions run as one batch
+    of multiplicative_runs over the level's payoff law, booked on the
+    trial's ledger as the batch returns; the level's estimate is their median.
     """
     if not 0 < alpha < math.inf or float(alpha).is_integer():
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
@@ -478,8 +483,20 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     algo = "renyi-high" if high else "renyi-low"
     truth = power_sum(dist, alpha)
     classes = count_classes(dist.counts)
+    mixtures = {}  # the class mixture of each budget in use
+
+    def level_law(level: float, eps: float) -> tuple[int, FiniteLaw]:
+        """Budget and payoff law x^(level-1) of one level; orders below 1 use
+        the zero-adjusted estimate, which keeps the negative power finite."""
+        M = _level_budget(dist.n, level, eps, high)
+        exponent = level - 1.0
+        payoffs = _payoff_table(M, lambda x: x ** exponent, "estamp" if high else "estamp-prime")
+        if M not in mixtures:
+            mixtures[M] = _class_mixture(classes, dist.denominator, sine_table(M))
+        return M, _payoff_law(payoffs, mixtures[M])
+
     if cfg.mode == "exact-expectation":
-        M, sub = _level_law(dist, classes, alpha, cfg.epsilon, high)
+        M, sub = level_law(alpha, cfg.epsilon)
         mean, variance = sub.mean(), sub.variance()
         return lambda seed: _power_sum_report(
             algo, dist, alpha, cfg, seed, QueryLedger(), truth, mean,
@@ -496,7 +513,7 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
         delta_level = cfg.delta if final else delta_inner
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M, sub = _level_law(dist, classes, level, eps_level, high)
+        M, sub = level_law(level, eps_level)
         exact_mean, exact_var = sub.mean(), sub.variance()
         levels.append((sub, median_repetitions(delta_level), {
             "alpha": level, "eps": eps_level, "delta": delta_level,
@@ -766,8 +783,8 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
 def _coverage_run(dist: RationalDistribution, t: int, eps: float, mode: str):
     """_additive_run of the coverage at t draws, to additive error eps * t."""
     M = coverage_budget(t, eps)
-    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M,
-                           payoff=_coverage_payoff(t), variant="estamp")
+    sub = _payoff_law(_payoff_table(M, _coverage_payoff(t), "estamp"),
+                      _class_mixture(count_classes(dist.counts), dist.denominator, sine_table(M)))
     return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
 
 
@@ -775,9 +792,7 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
                              cfg: EstimatorConfig) -> Callable:
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    t = n_samples
+    t = sample_count(n_samples)
     run = _coverage_run(dist, t, cfg.epsilon, cfg.mode)
     truth_abs = support_coverage(dist, t)
 
@@ -864,8 +879,7 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     where empirical p has support is reported as undefined (NaN estimate,
     success False) rather than raising.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    n_samples = sample_count(n_samples)
     if n_samples > _MAX_PLUGIN_SAMPLES:
         raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
                          "that many positions, past the ceiling of 2^40" % n_samples)

@@ -31,7 +31,7 @@ its mains, the draws do not depend on the chunking.  A lone contract run
 is the k = 1 case; it has no entry point of its own.  additive_runs is
 its additive twin: one sample_sums call draws every run's groups, run
 after run, so k runs are k one-run calls in value and generator state,
-and qmean_additive is its one-run case.
+and a lone additive run is its k = 1 case too.
 
 An index draw, an anchor's or a pilot's, reads rng.random's draw k * 2^-53
 as position k of a layout of 2^53 integer positions, in which each atom
@@ -185,14 +185,6 @@ class SampleCountOverflow(ValueError):
     """A bounded-l2 step asked for more main-sample draws than int64 holds."""
 
 
-@dataclass
-class MeanEstimate:
-    value: float
-    charged_executions: int
-    classical_executions: int
-    out_of_contract: bool = False
-
-
 def theorem_execution_count(ratio: float) -> int:
     """ceil(r * ln(r)^{3/2} * ln(ln(r))), floored at one execution."""
     if ratio > math.e:
@@ -254,22 +246,6 @@ def additive_runs(
         charged_executions=theorem_execution_count(sigma / epsilon),
         classical_executions=_ADDITIVE_GROUPS * group_size,
         out_of_contract=not (epsilon < 4.0 * sigma),
-    )
-
-
-def qmean_additive(
-    sub,
-    sigma: float,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> MeanEstimate:
-    """Additive-error mean estimate: additive_runs' one-run case."""
-    runs = additive_runs(sub, sigma, epsilon, 1, rng)
-    return MeanEstimate(
-        value=float(runs.value[0]),
-        charged_executions=runs.charged_executions,
-        classical_executions=runs.classical_executions,
-        out_of_contract=runs.out_of_contract,
     )
 
 

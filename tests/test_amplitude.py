@@ -19,7 +19,13 @@ from qentropy.amplitude import (
     sine_table,
 )
 from qentropy.distributions import count_classes, from_counts
-from qentropy.estimators import EstimatorConfig, MasterSubroutine, prepare_min_entropy
+from qentropy.estimators import (
+    EstimatorConfig,
+    _class_mixture,
+    _payoff_law,
+    _payoff_table,
+    prepare_min_entropy,
+)
 from qentropy.instances import point_mass
 from qentropy.verify import _window_masses
 
@@ -209,9 +215,10 @@ def test_every_row_keeps_the_lost_mass_check(monkeypatch):
     monkeypatch.setattr(amplitude, "_NORMALIZATION_TOLERANCE", -1.0)
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
         outcome_laws([0.3, 0.5], sine_table(8))
-    # the payoff laws and min-entropy's one estimate build their rows through it
+    # the payoff laws' mixtures and min-entropy's one estimate build their
+    # rows through it
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.25 M=8"):
-        MasterSubroutine({1: 1, 2: 1}, 4, 8, payoff=lambda x: x)
+        _class_mixture({1: 1, 2: 1}, 4, sine_table(8))
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
         sample_estamp(0.3, 8, np.random.default_rng(0))
 
@@ -314,9 +321,9 @@ def test_estamp_prime_never_returns_zero():
     # outcome as it is, with the same probabilities
     dist = from_counts([1, 7])  # amplitudes 1/8 and 7/8
     classes = count_classes(dist.counts)
-    plain = MasterSubroutine(classes, dist.denominator, 8, payoff=lambda x: x, variant="estamp")
-    prime = MasterSubroutine(classes, dist.denominator, 8, payoff=lambda x: x,
-                             variant="estamp-prime")
+    mixture = _class_mixture(classes, dist.denominator, sine_table(8))
+    plain = _payoff_law(_payoff_table(8, lambda x: x, "estamp"), mixture)
+    prime = _payoff_law(_payoff_table(8, lambda x: x, "estamp-prime"), mixture)
     assert plain.values[0] == 0.0
     assert np.array_equal(prime.probabilities, plain.probabilities)
     assert np.array_equal(prime.values, np.where(plain.values == 0.0, floor, plain.values))

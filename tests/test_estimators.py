@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qentropy.amplitude import estamp_prime_floor, grid_value, outcome_laws, sine_table
+from qentropy.amplitude import (
+    check_budget,
+    estamp_prime_floor,
+    grid_value,
+    outcome_laws,
+    sine_table,
+)
 from qentropy.distributions import (
     RationalDistribution,
     count_classes,
@@ -23,11 +29,14 @@ from qentropy.distributions import (
 from qentropy import estimators
 from qentropy.estimators import (
     EstimatorConfig,
-    MasterSubroutine,
+    _class_mixture,
+    _payoff_law,
+    _payoff_table,
     annealing_schedule,
     coverage_budget,
     prepare_kl,
     prepare_min_entropy,
+    prepare_plugin,
     prepare_power_sum_annealed,
     prepare_power_sum_integer,
     prepare_renyi,
@@ -145,12 +154,18 @@ def test_annealing_schedule_validation():
             annealing_schedule(alpha, 16)
 
 
+def _law(classes, S, M, payoff, variant="estamp"):
+    """The payoff law of count classes over S at budget M, as a prepare builds it."""
+    return _payoff_law(_payoff_table(M, payoff, variant),
+                       _class_mixture(classes, S, sine_table(M)))
+
+
 def test_exact_expectation_matches_direct_table_sum():
     # independent recomputation from the law's public pieces
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M, payoff)
+    sub = _law(count_classes(dist.counts), dist.denominator, M, payoff)
     mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
@@ -172,7 +187,7 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
     # estamp-prime.  The amplitudes 1/2 at M = 8 and 1 at M = 4 and 8 are on
     # the grid, where the row has exact zeros.
     payoff = math.log if variant == "estamp-prime" else (lambda x: x ** 1.5)
-    sub = MasterSubroutine({c: 1}, S, M, payoff, variant)
+    sub = _law({c: 1}, S, M, payoff, variant)
     row = outcome_laws([c / S], sine_table(M))[0][0]
     grid = np.flatnonzero(row)
     reported = grid_value(grid, M)
@@ -181,33 +196,163 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
     assert sub.probabilities.tobytes() == row[grid].tobytes()
     assert sub.values.tobytes() == np.array([payoff(x) for x in reported.tolist()]).tobytes()
     # any class weight is the same one-class law
-    assert MasterSubroutine({c: 9}, S, M, payoff, variant).values.tobytes() \
-        == sub.values.tobytes()
+    assert _law({c: 9}, S, M, payoff, variant).values.tobytes() == sub.values.tobytes()
 
 
 def test_payoff_law_refuses_its_budget_and_variant_before_building():
-    with pytest.raises(ValueError, match="power of two"):
-        MasterSubroutine({1: 1}, 2, 12, math.log)
-    with mock.patch.object(estimators, "sine_table",
-                           side_effect=AssertionError("a table was built")), \
-            mock.patch.object(estimators, "outcome_laws",
-                              side_effect=AssertionError("a row was built")):
-        with pytest.raises(ValueError, match="variant"):
-            MasterSubroutine({1: 1}, 2, 8, math.log, "estamp-double")
+    with mock.patch.object(estimators, "grid_value",
+                           side_effect=AssertionError("a payoff table was built")):
+        with pytest.raises(ValueError, match="power of two"):
+            _payoff_table(12, math.log, "estamp")
+        with mock.patch.object(estimators, "sine_table",
+                               side_effect=AssertionError("a table was built")), \
+                mock.patch.object(estimators, "outcome_laws",
+                                  side_effect=AssertionError("a row was built")):
+            with pytest.raises(ValueError, match="variant"):
+                _payoff_table(8, math.log, "estamp-double")
 
 
 def test_payoff_law_builds_one_row_at_a_time_on_one_sine_table():
-    # one table for the law, and one one-row call per class on it, in
-    # sorted class order
+    # the Shannon law of zipf(1.5, 64) at eps 0.1 (M = 256): one table for
+    # the law, and one one-row call per class on it, in sorted class order
     dist = zipf(1.5, 64)
     classes = count_classes(dist.counts)
     with mock.patch.object(estimators, "sine_table", wraps=sine_table) as tables, \
             mock.patch.object(estimators, "outcome_laws", wraps=outcome_laws) as rows:
-        MasterSubroutine(classes, dist.denominator, 256, math.log, "estamp-prime")
+        prepare_shannon(dist, cfg(eps=0.1))
     assert tables.call_args_list == [mock.call(256)]
     assert [call.args[0] for call in rows.call_args_list] \
         == [[c / dist.denominator] for c in sorted(classes)]
     assert len({id(call.args[1]) for call in rows.call_args_list}) == 1
+
+
+def _per_law_reference(classes, denominator, M, payoff, variant):
+    """The values and probabilities of a payoff law built on its own: its
+    own sine table and mixture, and the payoff mapped over its own nonzero
+    grid points.  This is the per-law build the per-budget tables replaced,
+    kept as the reference."""
+    check_budget(M)
+    total = sum(classes.values())
+    mixture = np.zeros(M // 2 + 1)
+    sines = sine_table(M)
+    for c, w in sorted(classes.items()):
+        mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
+    grid = np.flatnonzero(mixture)
+    values = grid_value(grid, M)
+    if variant == "estamp-prime":
+        values = np.where(grid == 0, estamp_prime_floor(M), values)
+    return np.fromiter(map(payoff, values.tolist()), np.float64, values.size), mixture[grid]
+
+
+_CLASS_SETS = {
+    # amplitude 1/2, on the grid at every M >= 4 (l = M/4)
+    "half": ({1: 1}, 2),
+    # amplitude 1, on the grid at every M (l = M/2)
+    "one": ({1: 1}, 1),
+    # amplitudes 1/16, 1/8, 5/16 and 1/2, the last on the grid
+    "mixed": ({1: 1, 2: 2, 5: 5, 8: 8}, 16),
+    "zipf": (count_classes(zipf(1.5, 64).counts), zipf(1.5, 64).denominator),
+}
+
+_BYTE_PAYOFFS = {
+    "estamp": [lambda x: x ** 1.5, estimators._coverage_payoff(7)],
+    "estamp-prime": [math.log, lambda x: -math.log(x), lambda x: x ** -0.5],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_BYTE_PAYOFFS))
+@pytest.mark.parametrize("M", [4, 8, 16, 256])
+@pytest.mark.parametrize("classes", sorted(_CLASS_SETS))
+def test_per_budget_tables_give_the_per_law_bytes(classes, M, variant):
+    classes, S = _CLASS_SETS[classes]
+    mixture = _class_mixture(classes, S, sine_table(M))
+    for payoff in _BYTE_PAYOFFS[variant]:
+        law = _payoff_law(_payoff_table(M, payoff, variant), mixture)
+        values, probabilities = _per_law_reference(classes, S, M, payoff, variant)
+        assert law.values.tobytes() == values.tobytes()
+        assert law.probabilities.tobytes() == probabilities.tobytes()
+
+
+def _prepare_builds(prepare):
+    """The trial a prepare returns, the budget of each sine_table it builds,
+    and for each outcome_laws row it builds, its amplitude and the id of the
+    table it reads."""
+    with mock.patch.object(estimators, "sine_table", wraps=sine_table) as tables, \
+            mock.patch.object(estimators, "outcome_laws", wraps=outcome_laws) as rows:
+        trial = prepare()
+    return (trial, [call.args[0] for call in tables.call_args_list],
+            [(call.args[0][0], id(call.args[1])) for call in rows.call_args_list])
+
+
+def _budgets(report):
+    """The budgets a report's payoff laws read, in order of first use."""
+    if "schedule" in report.extras:
+        return list(dict.fromkeys(level["M"] for level in report.extras["schedule"]))
+    return [report.extras["M"]]
+
+
+@pytest.mark.parametrize("dist, prepare, builds", [
+    # the six levels share one budget: one table and 19 rows, where laws
+    # built on their own build 6 and 114
+    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg()), (1, 19)),
+    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg(eps=0.1)), None),
+    (zipf(1.5, 256), lambda d: prepare_renyi(d, 0.5, cfg()), None),
+    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg(mode="exact-expectation")), None),
+    (zipf(1.5, 64), lambda d: prepare_support_coverage(d, 64, cfg()), None),
+], ids=["renyi-2.5", "renyi-2.5-eps-0.1", "renyi-0.5", "renyi-2.5-exact", "coverage"])
+def test_a_prepare_builds_one_table_per_budget_and_one_row_per_class_per_budget(
+        dist, prepare, builds):
+    trial, tables, rows = _prepare_builds(lambda: prepare(dist))
+    budgets = _budgets(trial(1))
+    if builds is not None:
+        assert (len(tables), len(rows)) == builds
+    classes = [c / dist.denominator for c in sorted(count_classes(dist.counts))]
+    assert tables == budgets
+    assert [a for a, _ in rows] == classes * len(budgets)
+    # each budget's rows read that budget's one table
+    assert len({table for _, table in rows}) == len(budgets)
+
+
+@pytest.mark.parametrize("p, q, distinct", [
+    (from_counts([1, 1]), from_counts([1, 3]), 2),
+    (zipf(1.5, 64), zipf(1.5, 64), 1),
+], ids=["two-budgets", "one-budget"])
+def test_kl_builds_one_table_per_distinct_budget(p, q, distinct):
+    # counts:1,1 against counts:1,3 builds 2 tables where two laws per q
+    # group built on their own build 4; p against itself has M_p = M_q
+    trial, tables, rows = _prepare_builds(lambda: prepare_kl(p, q, None, cfg()))
+    report = trial(1)
+    assert tables == list(dict.fromkeys((report.extras["M_p"], report.extras["M_q"])))
+    assert len(tables) == distinct
+    assert len({table for _, table in rows}) == distinct
+    # one row per (p count, q count) pair on the p side, one per q count
+    cps, cqs = count_pairs(p, q)[:2]
+    assert len(rows) == cps.size + np.unique(cqs).size
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
+@pytest.mark.parametrize("prepare", [
+    lambda t: prepare_plugin(uniform(16), "shannon", t),
+    lambda t: prepare_support_coverage(uniform(16), t, cfg()),
+], ids=["plugin", "coverage"])
+def test_sample_counts_are_refused_at_prepare_before_any_build(prepare, value):
+    # 2.5 and True used to prepare a plug-in whose trial then raised a
+    # TypeError, and a coverage estimator refused them only after building
+    # its payoff law
+    built = AssertionError("built")
+    with mock.patch.object(estimators, "sine_table", side_effect=built), \
+            mock.patch.object(estimators, "build_oracle", side_effect=built), \
+            pytest.raises(ValueError, match="n_samples"):
+        prepare(value)
+
+
+def test_numpy_integer_sample_counts_are_the_python_ints():
+    dist = zipf(1.5, 16)
+    for t in (np.int64(16), np.uint8(16), np.int32(16)):
+        assert prepare_plugin(dist, "shannon", t)(3).to_dict() \
+            == prepare_plugin(dist, "shannon", 16)(3).to_dict()
+        assert prepare_support_coverage(dist, t, cfg())(3).to_dict() \
+            == prepare_support_coverage(dist, 16, cfg())(3).to_dict()
 
 
 def _per_symbol_moments(dist, M, payoff, variant):
@@ -241,7 +386,7 @@ def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
     dist = from_counts(counts)
     M = 1 << log_m
     fn, variant = _PAYOFFS[payoff]
-    sub = MasterSubroutine(count_classes(dist.counts), dist.denominator, M, fn, variant=variant)
+    sub = _law(count_classes(dist.counts), dist.denominator, M, fn, variant)
     assert sub.values.size <= M // 2 + 1
     mean, var = sub.mean(), sub.variance()
     ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)

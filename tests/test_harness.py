@@ -52,7 +52,7 @@ from qentropy.harness import (
     run_experiment,
 )
 from qentropy.instances import uniform, zipf
-from qentropy.mean_estimation import FiniteLaw, multiplicative_runs, qmean_additive
+from qentropy.mean_estimation import FiniteLaw, additive_runs, multiplicative_runs
 from qentropy.oracle import DistributionOracle, build_oracle
 from qentropy.verify import _collision_counts_rows, run_suite, suite_passed
 
@@ -331,8 +331,8 @@ _LAW = FiniteLaw([1.0, 2.0], [0.5, 0.5])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name, entry", [
     ("epsilon", lambda v, rng: EstimatorConfig(epsilon=v)),
-    ("epsilon", lambda v, rng: qmean_additive(_LAW, 0.5, v, rng)),
-    ("sigma", lambda v, rng: qmean_additive(_LAW, v, 0.25, rng)),
+    ("epsilon", lambda v, rng: additive_runs(_LAW, 0.5, v, 1, rng)),
+    ("sigma", lambda v, rng: additive_runs(_LAW, v, 0.25, 1, rng)),
     ("epsilon", lambda v, rng: multiplicative_runs(_LAW, 0.5, 1.0, 2.0, v, 3, rng)),
     ("sigma", lambda v, rng: multiplicative_runs(_LAW, v, 1.0, 2.0, 0.25, 3, rng)),
 ], ids=["config-epsilon", "additive-epsilon", "additive-sigma", "multiplicative-epsilon",
@@ -1248,7 +1248,7 @@ def test_one_trial_refuses_a_cell_that_fails_before_any_draw(
     int_max_str_digits(4300)
     drew = AssertionError("drew")
     with mock.patch.object(estimators, "multiplicative_runs", side_effect=drew), \
-            mock.patch.object(estimators, "qmean_additive", side_effect=drew), \
+            mock.patch.object(estimators, "additive_runs", side_effect=drew), \
             mock.patch.object(DistributionOracle, "sample_classical", side_effect=drew), \
             mock.patch.object(DistributionOracle, "sample_counts", side_effect=drew), \
             pytest.raises(ValueError) as raised:
@@ -1274,7 +1274,7 @@ def test_cli_refuses_a_min_entropy_budget_before_any_draw(capsys):
 
 
 def test_a_tiny_annealed_order_is_refused_not_raised(capsys):
-    # 16 ** (1/(2*0.001)) passes the largest float: _level_law's OverflowError
+    # 16 ** (1/(2*0.001)) passes the largest float: _level_budget's OverflowError
     # ended `estimate` in a traceback (exit 1); the renyi-tiny-order row of
     # _REFUSED_BEFORE_ANY_DRAW checks `experiment`
     assert main(["estimate", "--algo", "renyi", "--alpha", "0.001", "--dist", "uniform:16",

@@ -15,7 +15,6 @@ from qentropy.mean_estimation import (
     median_amplify,
     median_repetitions,
     multiplicative_runs,
-    qmean_additive,
     theorem_execution_count,
 )
 
@@ -200,8 +199,8 @@ def test_theorem_execution_count_values():
 
 def test_additive_constant_subroutine_is_exact():
     sub = FiniteLaw([1.3], [1.0])
-    est = qmean_additive(sub, 0.5, 0.25, np.random.default_rng(0))
-    assert est.value == 1.3
+    est = additive_runs(sub, 0.5, 0.25, 1, np.random.default_rng(0))
+    assert est.value.tolist() == [1.3]
     assert est.charged_executions == theorem_execution_count(2.0)
     assert est.classical_executions == 3 * math.ceil(5 * (0.5 / 0.25) ** 2)
     assert not est.out_of_contract
@@ -222,7 +221,7 @@ def test_additive_failure_rate_within_contract():
 
 def test_additive_flags_out_of_contract():
     sub = FiniteLaw([1.0], [1.0])
-    est = qmean_additive(sub, 0.1, 0.5, np.random.default_rng(0))
+    est = additive_runs(sub, 0.1, 0.5, 1, np.random.default_rng(0))
     assert est.out_of_contract  # eps >= 4 sigma voids the contract
 
 
@@ -234,7 +233,7 @@ def test_additive_charges_quantum_wholesale():
     sample_sums = sub.sample_sums
     sub.sample_sums = lambda count, groups, rng: (asked.extend([count] * groups)
                                                  or sample_sums(count, groups, rng))
-    est = qmean_additive(sub, 0.2, 0.05, np.random.default_rng(1))
+    est = additive_runs(sub, 0.2, 0.05, 1, np.random.default_rng(1))
     assert est.charged_executions == theorem_execution_count(0.2 / 0.05)
     assert est.classical_executions == sum(asked) == 3 * math.ceil(5 * (0.2 / 0.05) ** 2)
 
@@ -247,15 +246,15 @@ def test_additive_call_stream_is_frozen():
     from qentropy.estimators import _RatioSubroutine
 
     rng = np.random.default_rng(23)
-    est = qmean_additive(_zipf_master(), 0.2, 0.05, rng)
-    assert est.value == pytest.approx(0.12817992175882903, rel=1e-12)
+    est = additive_runs(_zipf_law(), 0.2, 0.05, 1, rng)
+    assert est.value[0] == pytest.approx(0.12817992175882903, rel=1e-12)
     assert (est.classical_executions, est.charged_executions) == (240, 3)
     assert rng.random() == 0.736505236153433
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
     rng = np.random.default_rng(24)
-    est = qmean_additive(_RatioSubroutine(p, q, 16, 32, count_pairs(p, q)), 1.0, 0.1, rng)
-    assert est.value == pytest.approx(0.2091447008963522, rel=1e-12)
+    est = additive_runs(_RatioSubroutine(p, q, 16, 32, count_pairs(p, q)), 1.0, 0.1, 1, rng)
+    assert est.value[0] == pytest.approx(0.2091447008963522, rel=1e-12)
     assert (est.classical_executions, est.charged_executions) == (1500, 30)
     assert rng.random() == 0.6579229454157692
 
@@ -276,15 +275,15 @@ def _ratio_law():
 ])
 @pytest.mark.parametrize("repetitions", [1, 2, 9])
 def test_additive_runs_are_sequential_one_run_calls(law, sigma, eps, repetitions):
-    # One batch of k runs against k qmean_additive calls one after another:
+    # One batch of k runs against k one-run calls one after another:
     # the same values to the last bit, the same counts and flag, and the
     # generator left in the same state.
-    sub = {"two-point": lambda: two_point(1.3, 0.25), "zipf": _zipf_master,
+    sub = {"two-point": lambda: two_point(1.3, 0.25), "zipf": _zipf_law,
            "ratio": _ratio_law}[law]()
     ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
     runs = additive_runs(sub, sigma, eps, repetitions, ours)
-    calls = [qmean_additive(sub, sigma, eps, theirs) for _ in range(repetitions)]
-    assert runs.value.tobytes() == np.array([c.value for c in calls]).tobytes()
+    calls = [additive_runs(sub, sigma, eps, 1, theirs) for _ in range(repetitions)]
+    assert runs.value.tobytes() == np.concatenate([c.value for c in calls]).tobytes()
     for c in calls:
         assert (c.charged_executions, c.classical_executions, c.out_of_contract) \
             == (runs.charged_executions, runs.classical_executions, runs.out_of_contract)
@@ -327,10 +326,10 @@ def _law_state(sub):
 
 def test_one_law_serves_two_contract_calls_unchanged():
     # A law is a value: two calls with equal seeds agree, and leave it as it was.
-    sub = _zipf_master()
+    sub = _zipf_law()
     before = _law_state(sub)
     mean = sub.mean()
-    for call in (lambda rng: qmean_additive(sub, 0.2, 0.05, rng),
+    for call in (lambda rng: additive_runs(sub, 0.2, 0.05, 1, rng),
                  lambda rng: multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 5, rng)):
         first, second = call(np.random.default_rng(4)), call(np.random.default_rng(4))
         for field in vars(first):
@@ -444,14 +443,16 @@ def test_median_is_np_median_bit_for_bit(outcomes):
     assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
-def _zipf_master():
+def _zipf_law():
+    from qentropy.amplitude import sine_table
     from qentropy.distributions import count_classes
-    from qentropy.estimators import MasterSubroutine
+    from qentropy.estimators import _class_mixture, _payoff_law, _payoff_table
     from qentropy.instances import zipf
 
     dist = zipf(1.5, 64)
-    return MasterSubroutine(count_classes(dist.counts), dist.denominator, 256,
-                            payoff=lambda x: x ** 1.5)
+    return _payoff_law(_payoff_table(256, lambda x: x ** 1.5, "estamp"),
+                       _class_mixture(count_classes(dist.counts), dist.denominator,
+                                      sine_table(256)))
 
 
 def test_single_multiplicative_call_stream_is_frozen():
@@ -464,7 +465,7 @@ def test_single_multiplicative_call_stream_is_frozen():
     assert classical == 48561
     assert rng.random() == 0.11566037371975635
 
-    sub = _zipf_master()
+    sub = _zipf_law()
     mean = sub.mean()
     rng = np.random.default_rng(12)
     runs = multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 1, rng)
@@ -490,7 +491,7 @@ def test_single_call_on_a_law_with_ties_is_frozen():
 def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
     # all pilots of a part come before all of its mains, so chunking the rows
     # cannot reorder the draws
-    sub = _zipf_master()
+    sub = _zipf_law()
     mean = sub.mean()
     args = (sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 50)
     rng = np.random.default_rng(5)
@@ -506,7 +507,7 @@ def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_every_batched_run_satisfies_the_identity():
-    for sub, sigma in ((two_point(1.3, 0.25), 0.5), (_zipf_master(), 2.0)):
+    for sub, sigma in ((two_point(1.3, 0.25), 0.5), (_zipf_law(), 2.0)):
         mean = sub.mean()
         runs = multiplicative_runs(sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 200,
                                    np.random.default_rng(8))
@@ -539,7 +540,7 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
     from qentropy import estimators
     from qentropy.instances import zipf
 
-    sub = _zipf_master()
+    sub = _zipf_law()
     mean = sub.mean()
     runs = multiplicative_runs(sub, 2.0, 0.5 * mean, 2.0 * mean, 0.25, 7,
                                np.random.default_rng(3))
@@ -607,7 +608,7 @@ def _shuffled_law_with_ties():
 
 @pytest.mark.parametrize("law", ["zipf", "shuffled"])
 def test_side_sampler_agrees_in_law_with_the_full_law_sampler(law):
-    sub = _zipf_master() if law == "zipf" else _shuffled_law_with_ties()
+    sub = _zipf_law() if law == "zipf" else _shuffled_law_with_ties()
     mean = sub.mean()
     sigma = math.sqrt(sub.variance()) / mean
     args = (sub, sigma, 0.5 * mean, 2.0 * mean, 0.25, 2000)
