@@ -5,11 +5,11 @@ A distribution on the alphabet {1, ..., n} is one int64 array of bin counts
 probability is the exact rational m_i / S.  All real-valued measures are
 computed in double precision.  The additive ones (Shannon entropy, power
 sums, support coverage, KL divergence) evaluate their libm term from the
-exact Python-int quotient m_i / S, once per run of equal nonzero counts (of
-equal pairs of counts, for KL), a chunk of bins at a time.  Each is the
-exact sum of its per-bin float terms, rounded once, so it does not depend
-on the order of the bins; tests cross-check it bit for bit against the
-exact rational sum of those terms.
+exact Python-int quotient m_i / S, once per distinct nonzero count (per
+distinct pair of counts, for KL), found by one sort of the nonzero counts.
+Each is the exact sum of its per-bin float terms, rounded once, so it does
+not depend on the order of the bins; tests cross-check it bit for bit
+against the exact rational sum of those terms.
 
 Unless a docstring says otherwise, logarithms are natural and entropies are
 reported in nats.
@@ -17,18 +17,21 @@ reported in nats.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-# The most bins the additive measures read at once, below 2**27 (see _exact_sum).
+# The most counts _checked_counts sums as Python ints at once.
 _BIN_CHUNK = 1 << 16
+
+# A multiplicity at or above this, 2**27, is split into parts below it, so
+# that a 26-bit half times a part is exact (see _exact_sum).
+_MULTIPLICITY_BOUND = 1 << 27
 
 # Veltkamp's splitting constant 2**27 + 1 (see _exact_sum).
 _SPLIT = float((1 << 27) + 1)
@@ -139,50 +142,49 @@ def _checked_counts(counts) -> tuple[np.ndarray, int]:
     return array, total
 
 
-def _count_runs(*columns: np.ndarray) -> Iterator[tuple[list[list[int]], np.ndarray]]:
-    """The runs of equal rows of one or two equal-length count columns at
-    the bins where the first is nonzero, _BIN_CHUNK bins at a time, in bin
-    order.  A row is a bin's counts, one per column.
-
-    Each chunk with a nonzero bin comes as (rows, lengths): the rows at the
-    starts of its runs, in bin order, as one list of Python ints per column,
-    and the numbers of bins in those runs.  No sort is made: a run starts
-    wherever a row differs from the one before it.
-    """
-    for lo in range(0, columns[0].size, _BIN_CHUNK):
-        nonzero = columns[0][lo:lo + _BIN_CHUNK] != 0
-        chunk = [column[lo:lo + _BIN_CHUNK][nonzero] for column in columns]
-        size = chunk[0].size
-        if not size:
-            continue
-        # a flag where each run starts, and one past the last bin
-        new = np.ones(size + 1, dtype=bool)
-        np.not_equal(chunk[0][1:], chunk[0][:-1], out=new[1:size])
-        for column in chunk[1:]:
-            new[1:size] |= column[1:] != column[:-1]
-        bounds = np.flatnonzero(new)
-        starts = bounds[:-1]
-        yield [column[starts].tolist() for column in chunk], bounds[1:] - starts
+def _runs(first: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and length of each run of equal rows of equal-length
+    columns; sorted columns have one run per distinct row."""
+    size = first.size
+    new = np.ones(size + 1, dtype=bool)  # a flag where each run starts, and one past the last row
+    np.not_equal(first[1:], first[:-1], out=new[1:size])
+    for column in rest:
+        new[1:size] |= column[1:] != column[:-1]
+    bounds = new.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _exact_sum(term: Callable[..., float], *columns: np.ndarray) -> float:
-    """The sum over the bins where the first column is nonzero of term(c) of
-    each bin's count c (term(c, d) of its counts in two columns), exact and
-    rounded once, so it does not depend on the order of the bins.
+def _count_groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers of bins of the distinct nonzero counts, and those counts,
+    ascending, from one in-place sort of a copy of the nonzero counts."""
+    values = counts[counts != 0]
+    values.sort()
+    starts, lengths = _runs(values)
+    return lengths, values[starts]
 
-    term is taken once per run of equal rows (see _count_runs).  Veltkamp's
-    split, in separate ufunc calls (no fused multiply-add), writes it as
-    high + low of at most 26 bits each, so each half times the run's length
-    is exact; one math.fsum adds the products of every chunk."""
-    def products() -> Iterator[list[float]]:
-        for rows, lengths in _count_runs(*columns):
-            terms = np.fromiter(map(term, *rows), np.float64, lengths.size)
-            high = terms * _SPLIT
-            high -= high - terms
-            yield (high * lengths).tolist()
-            yield ((terms - high) * lengths).tolist()
 
-    return math.fsum(itertools.chain.from_iterable(products()))
+def _exact_sum(term: Callable[..., float], multiplicities: np.ndarray,
+               *values: np.ndarray) -> float:
+    """The sum of term(c) times its multiplicity over distinct counts c
+    (term(c, d) over distinct pairs of counts in two columns of values),
+    exact and rounded once, so it does not depend on the order of the bins.
+
+    term is taken once per distinct count or pair.  Veltkamp's split, in
+    separate ufunc calls (no fused multiply-add), writes it as high + low of
+    at most 26 bits each, and a multiplicity of _MULTIPLICITY_BOUND or more
+    is split into parts below it, so each half times a part is exact; one
+    math.fsum adds every product."""
+    terms = np.fromiter(map(term, *(column.tolist() for column in values)), np.float64,
+                        multiplicities.size)
+    if multiplicities.max() >= _MULTIPLICITY_BOUND:
+        part = _MULTIPLICITY_BOUND - 1
+        whole, rest = np.divmod(multiplicities, part)
+        terms = np.concatenate((terms, np.repeat(terms, whole)))
+        multiplicities = np.concatenate((rest, np.full(terms.size - rest.size, part)))
+    high = terms * _SPLIT
+    high -= high - terms
+    return math.fsum((high * multiplicities).tolist()
+                     + ((terms - high) * multiplicities).tolist())
 
 
 def from_counts(counts: Iterable[int]) -> RationalDistribution:
@@ -222,7 +224,7 @@ def shannon_entropy(dist: RationalDistribution) -> float:
         p = c / S
         return -(p * math.log(p))
 
-    return _exact_sum(term, dist.counts)
+    return _exact_sum(term, *_count_groups(dist.counts))
 
 
 def power_sum(dist: RationalDistribution, alpha: float) -> float:
@@ -230,7 +232,7 @@ def power_sum(dist: RationalDistribution, alpha: float) -> float:
     if not alpha > 0:  # NaN too
         raise ValueError("power sums are defined here for alpha > 0, got alpha=%r" % alpha)
     S = dist.denominator
-    return _exact_sum(lambda c: (c / S) ** alpha, dist.counts)
+    return _exact_sum(lambda c: (c / S) ** alpha, *_count_groups(dist.counts))
 
 
 def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
@@ -255,20 +257,23 @@ def min_entropy(dist: RationalDistribution) -> float:
     return renyi_entropy(dist, math.inf)
 
 
-def kl_divergence(p: RationalDistribution, q: RationalDistribution) -> float:
-    """D(p || q) = sum p_i ln(p_i / q_i); requires support(p) within support(q)."""
-    if p.n != q.n:
-        raise ValueError("p and q must share an alphabet")
+def kl_divergence(p: RationalDistribution, q: RationalDistribution,
+                  pairs: Optional[tuple] = None) -> float:
+    """D(p || q) = sum p_i ln(p_i / q_i); requires support(p) within support(q).
+
+    pairs, if given, is count_pairs(p, q), so a caller that holds it does
+    not group the bins again."""
+    cp, cq, bins = (count_pairs(p, q) if pairs is None else pairs)[:3]
+    if not cq.all():
+        raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
     Sp, Sq = p.denominator, q.denominator
 
     def term(cp: int, cq: int) -> float:
-        if cq == 0:
-            raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
         pi = cp / Sp
         qi = cq / Sq
         return pi * math.log(pi / qi)
 
-    return _exact_sum(term, p.counts, q.counts)
+    return _exact_sum(term, bins, cp, cq)
 
 
 def sample_count(n_samples) -> int:
@@ -292,44 +297,29 @@ def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
         p = c / S
         return -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
 
-    return _exact_sum(term, dist.counts)
-
-
-def _pair_groups(p_counts: np.ndarray, q_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sort of the bins by q count, then p count: the bins in that order,
-    and a flag on each position whose (p, q) pair differs from the last."""
-    order = np.lexsort((p_counts, q_counts))
-    new = np.zeros(order.size, dtype=bool)
-    new[0] = True
-    for column in (p_counts, q_counts):
-        ranked = column[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    return order, new
+    return _exact_sum(term, *_count_groups(dist.counts))
 
 
 def count_classes(counts: np.ndarray) -> dict[int, int]:
-    """Each distinct nonzero count c mapped to c times its number of bins."""
-    weights: dict[int, int] = {}
-    for (values,), lengths in _count_runs(counts):
-        for c, k in zip(values, lengths.tolist()):
-            weights[c] = weights.get(c, 0) + c * k
-    return weights
+    """Each distinct nonzero count c, ascending, mapped to c times its
+    number of bins."""
+    bins, values = _count_groups(counts)
+    return {c: c * k for c, k in zip(values.tolist(), bins.tolist())}
 
 
 def count_pairs(p: RationalDistribution, q: RationalDistribution
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct pairs (p_i, q_i) of counts with p_i > 0, found by one sort
-    of the bins: their p counts, q counts, numbers of bins and first bins
-    (0-based), ordered by q count, then p count."""
+    of the bins where p is nonzero: their p counts, q counts, numbers of bins
+    and first bins (0-based), ordered by q count, then p count."""
     if p.n != q.n:
         raise ValueError("p and q must share an alphabet")
-    order, new = _pair_groups(p.counts, q.counts)
-    starts = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, starts)
-    cp = p.counts[first]
-    keep = cp > 0
-    return cp[keep], q.counts[first[keep]], np.diff(starts, append=order.size)[keep], \
-        first[keep]
+    bins = (p.counts != 0).nonzero()[0]
+    # lexsort is stable, so each group starts at its first bin
+    bins = bins[np.lexsort((p.counts[bins], q.counts[bins]))]
+    cp, cq = p.counts[bins], q.counts[bins]
+    starts, lengths = _runs(cp, cq)
+    return cp[starts], cq[starts], lengths, bins[starts]
 
 
 def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:

@@ -384,7 +384,8 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
     charge by roughly that ratio.
     """
-    pairs = count_pairs(p, q)  # one grouping serves the bound, the promise and the law
+    # one grouping serves the bound, the promise, the law and the truth
+    pairs = count_pairs(p, q)
     if ratio_bound is None:
         ratio_bound = pairs_ratio_bound(pairs, p, q)
     check_ratio_promise(p, q, ratio_bound, pairs)
@@ -399,7 +400,7 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     run = _additive_run(sub, sigma, eps / 2.0,
                         {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound},
                         cfg.mode, (M_p, M_q))
-    truth = kl_divergence(p, q)
+    truth = kl_divergence(p, q, pairs)
 
     def trial(seed: Optional[int]) -> EstimateReport:
         value, extras, (ledger_p, ledger_q) = run(seed)

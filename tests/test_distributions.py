@@ -186,20 +186,20 @@ def _named_symbol(check, *args):
 @given(n=st.integers(1, 5000),
        high=st.sampled_from([1, 3, 1000, 1 << 40, None, "distinct", "runs"]),
        zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 640))
-@example(n=4096, high=None, zeros=0.0, seed=0, chunk=7)
-@example(n=1, high=1, zeros=0.9, seed=1, chunk=1)
-@example(n=5000, high=3, zeros=0.0, seed=2, chunk=160)
-@example(n=5000, high="distinct", zeros=0.0, seed=3, chunk=1000)
-@example(n=5000, high=1000, zeros=0.5, seed=4, chunk=1 << 16)
-@example(n=5000, high="runs", zeros=0.3, seed=5, chunk=1000)
-def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chunk):
-    # Arrays in chunks of any size, with few distinct counts in runs (high
-    # "runs", and high 1 once zeros are dropped), few in no order (high 3)
-    # or only distinct ones, whose runs cross chunk boundaries: each truth
-    # is the exact rational sum of its per-bin terms, rounded once, and the
-    # same bits after the bins of p and q are permuted together.  high None
-    # draws counts up to what keeps S below 2**63.
+       split_at=st.integers(2, 640))
+@example(n=4096, high=None, zeros=0.0, seed=0, split_at=7)
+@example(n=1, high=1, zeros=0.9, seed=1, split_at=2)
+@example(n=5000, high=3, zeros=0.0, seed=2, split_at=160)
+@example(n=5000, high="distinct", zeros=0.0, seed=3, split_at=1000)
+@example(n=5000, high=1000, zeros=0.5, seed=4, split_at=1 << 27)
+@example(n=5000, high="runs", zeros=0.3, seed=5, split_at=1000)
+def test_grouped_measures_match_the_per_bin_reference(n, high, zeros, seed, split_at):
+    # Arrays with few distinct counts in runs (high "runs", and high 1 once
+    # zeros are dropped), few in no order (high 3) or only distinct ones,
+    # with multiplicities split at any bound: each truth is the exact
+    # rational sum of its per-bin terms, rounded once, and the same bits
+    # after the bins of p and q are permuted together.  high None draws
+    # counts up to what keeps S below 2**63.
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -233,7 +233,7 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
              (min_entropy, -math.log(max(cp) / S)),
              (lambda d: support_coverage(d, 7), _ref_coverage(classes, S, 7))]
     kl_u, kl_q = _ref_kl(cp, S, cu, n), _ref_kl(cp, S, cq, q.denominator)
-    with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
+    with mock.patch.object(distributions, "_MULTIPLICITY_BOUND", split_at):
         for truth, value in exact:
             assert _bits(truth(p)) == _bits(value)
         assert _bits(kl_divergence(p, u)) == _bits(kl_u)
@@ -242,7 +242,8 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
         assert bound == _ref_ratio_bound(cp, S, cu, n)
         assert _or_none(ratio_bound, p, q) == _ref_ratio_bound(cp, S, cq, q.denominator)
         assert p.support_size() == sum(classes.values())
-        assert count_classes(p.counts) == {c: c * k for c, k in classes.items()}
+        assert list(count_classes(p.counts).items()) \
+            == [(c, c * k) for c, k in sorted(classes.items())]
         for f in (bound, bound / 2, float(bound / 3)):
             assert _named_symbol(check_ratio_promise, p, u, f, count_pairs(p, u)) \
                 == _ref_ratio_violation(cp, S, cu, n, f)
@@ -252,7 +253,7 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
             assert _named_symbol(check_support_promise, p, m_, 0.1) \
                 == _ref_support_violation(cp, S, m_)
     # Relabelling the bins of p and q together moves no truth.  Renyi
-    # entropy reads power_sum, so it is checked at one chunk size only.
+    # entropy reads power_sum, so it is checked at the default bound only.
     exact.append((lambda d: renyi_entropy(d, 3.0), math.log(cubes) / (1.0 - 3.0)))
     order = rng.permutation(n)
     pp, qq, uu = (from_counts(d.counts[order]) for d in (p, q, u))
@@ -260,6 +261,40 @@ def test_chunked_measures_match_the_per_bin_reference(n, high, zeros, seed, chun
         assert _bits(truth(pp)) == _bits(value)
     assert _bits(kl_divergence(pp, uu)) == _bits(kl_u)
     assert _or_none(kl_divergence, pp, qq) == kl_q
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+def test_each_truth_takes_its_term_once_per_distinct_count(shuffled):
+    # 2,000 bins with 49 distinct nonzero counts and zeros, and a q of three
+    # counts: each truth calls its term once per distinct nonzero count of
+    # p, or per distinct (p, q) pair of counts for KL, whatever the order
+    # of the bins.
+    rng = np.random.default_rng(7)
+    counts = np.repeat(np.arange(50, dtype=np.int64), 40)
+    q_counts = rng.integers(1, 4, size=counts.size)
+    if shuffled:
+        order = rng.permutation(counts.size)
+        counts, q_counts = counts[order], q_counts[order]
+    p, q = from_counts(counts), from_counts(q_counts)
+    calls = []
+    real = distributions._exact_sum
+
+    def counted(term, *args):
+        def wrapped(*row):
+            calls.append(row)
+            return term(*row)
+        return real(wrapped, *args)
+
+    classes = {(c,) for c in counts.tolist() if c}
+    pairs = {(c, d) for c, d in zip(counts.tolist(), q_counts.tolist()) if c}
+    with mock.patch.object(distributions, "_exact_sum", counted):
+        for truth, rows in [(shannon_entropy, classes),
+                            (lambda d: power_sum(d, 2.5), classes),
+                            (lambda d: support_coverage(d, 7), classes),
+                            (lambda d: kl_divergence(d, q), pairs)]:
+            calls.clear()
+            truth(p)
+            assert sorted(calls) == sorted(rows)
 
 
 def _fraction_ratio_bound(pairs, p, q):
@@ -313,50 +348,6 @@ def test_cross_multiplied_ratio_checks_match_the_fraction_reference(n, high, ext
     for f in factors:
         assert _outcome(check_ratio_promise, p, q, f, pairs) \
             == _outcome(_fraction_ratio_promise, p, q, f, pairs), f
-
-
-@settings(max_examples=120, deadline=None)
-@given(n=st.integers(1, 3000), kind=st.sampled_from(["runs", "few", "distinct"]),
-       zeros=st.floats(0.0, 0.9), columns=st.integers(1, 2),
-       seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.integers(1, 640))
-@example(n=3000, kind="runs", zeros=0.0, columns=1, seed=0, chunk=640)
-@example(n=3000, kind="runs", zeros=0.3, columns=2, seed=1, chunk=640)
-@example(n=3000, kind="few", zeros=0.0, columns=2, seed=2, chunk=200)
-@example(n=3000, kind="distinct", zeros=0.0, columns=1, seed=3, chunk=640)
-@example(n=5, kind="runs", zeros=0.9, columns=2, seed=4, chunk=1)
-def test_count_runs_expand_to_the_nonzero_rows_in_bin_order(n, kind, zeros, columns, seed,
-                                                            chunk):
-    # Long runs of a few values, a few values in no order, or all-distinct
-    # counts, with zeros: expanding a chunk's runs gives the rows of its
-    # bins where the first column is nonzero, in bin order, and a run starts
-    # only where the row changes.
-    rng = np.random.default_rng(seed)
-
-    def draw():
-        if kind == "runs":
-            values = rng.integers(1, 1000, size=4)
-            counts = np.repeat(rng.choice(values, size=n // 50 + 1), 50)[:n]
-        elif kind == "few":
-            counts = rng.integers(1, 4, size=n)
-        else:
-            counts = rng.permutation(np.arange(1, n + 1))
-        counts[rng.random(n) < zeros] = 0
-        return counts
-
-    cols = [draw() for _ in range(columns)]
-    with mock.patch.object(distributions, "_BIN_CHUNK", chunk):
-        chunks = list(distributions._count_runs(*cols))
-    blocks = [[column[lo:lo + chunk].tolist() for column in cols] for lo in range(0, n, chunk)]
-    blocks = [block for block in blocks if any(block[0])]
-    assert len(chunks) == len(blocks)
-    for block, (rows, lengths) in zip(blocks, chunks):
-        expected = [row for row in zip(*block) if row[0]]
-        rows = list(zip(*rows))
-        lengths = lengths.tolist()
-        assert len(rows) == len(lengths) and min(lengths) >= 1
-        assert all(a != b for a, b in zip(rows, rows[1:]))
-        assert [row for row, k in zip(rows, lengths) for _ in range(k)] == expected
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -604,7 +595,8 @@ def test_exact_on_a_large_alphabet_stays_under_its_memory_bound(spec, measure, b
     # array, and zipf held a list of n float weights: the peaks were 418 MB
     # (zipf) and 158 MB (uniform).  One array: 228 and 94 MB.  zipf's shares
     # and remainders overwrite its weights in place: 130 MB.  The measures
-    # read a chunk of bins at a time, so each peaks at ~97 MB on uniform.
+    # sort one copy of the nonzero counts in place, so each peaks at ~99 MB
+    # on uniform.
     # The child reads its own VmHWM, the peak of the memory it maps after
     # exec: ru_maxrss would carry over the peak of this test process.
     script = ("import re, sys\n"
