@@ -5,11 +5,11 @@ A distribution on the alphabet {1, ..., n} is one int64 array of bin counts
 probability is the exact rational m_i / S.  All real-valued measures are
 computed in double precision.  The additive ones (Shannon entropy, power
 sums, support coverage, KL divergence) evaluate their libm term from the
-exact Python-int quotient m_i / S, once per distinct nonzero count (per
-distinct pair of counts, for KL), found by one sort of the nonzero counts.
-Each is the exact sum of its per-bin float terms, rounded once, so it does
-not depend on the order of the bins; tests cross-check it bit for bit
-against the exact rational sum of those terms.
+exact Python-int quotient m_i / S, once per row of the one table that one
+sort of the nonzero counts gives, count_classes (count_pairs, for KL); a
+caller that holds the table passes it in.  Each is the exact sum of its
+per-bin float terms, rounded once, so it does not depend on the order of
+the bins; tests cross-check it bit for bit against the exact rational sum.
 
 Unless a docstring says otherwise, logarithms are natural and entropies are
 reported in nats.
@@ -155,25 +155,25 @@ def _runs(first: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _count_groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers of bins of the distinct nonzero counts, and those counts,
-    ascending, from one in-place sort of a copy of the nonzero counts."""
+    """The distinct nonzero counts, ascending, and their numbers of bins,
+    from one in-place sort of a copy of the nonzero counts."""
     values = counts[counts != 0]
     values.sort()
     starts, lengths = _runs(values)
-    return lengths, values[starts]
+    return values[starts], lengths
 
 
-def _exact_sum(term: Callable[..., float], multiplicities: np.ndarray,
-               *values: np.ndarray) -> float:
-    """The sum of term(c) times its multiplicity over distinct counts c
-    (term(c, d) over distinct pairs of counts in two columns of values),
-    exact and rounded once, so it does not depend on the order of the bins.
+def _exact_sum(term: Callable[..., float], *table: np.ndarray) -> float:
+    """The sum of term(c) (term(c, d) for pairs) times its multiplicity over
+    the rows of count_classes or count_pairs' first three columns, exact and
+    rounded once, so it does not depend on the order of the bins.
 
     term is taken once per distinct count or pair.  Veltkamp's split, in
     separate ufunc calls (no fused multiply-add), writes it as high + low of
     at most 26 bits each, and a multiplicity of _MULTIPLICITY_BOUND or more
     is split into parts below it, so each half times a part is exact; one
     math.fsum adds every product."""
+    *values, multiplicities = table
     terms = np.fromiter(map(term, *(column.tolist() for column in values)), np.float64,
                         multiplicities.size)
     if multiplicities.max() >= _MULTIPLICITY_BOUND:
@@ -216,7 +216,7 @@ def load_distribution(path: str) -> RationalDistribution:
     return from_json_dict(payload)
 
 
-def shannon_entropy(dist: RationalDistribution) -> float:
+def shannon_entropy(dist: RationalDistribution, classes: Optional[tuple] = None) -> float:
     """H(p) = -sum p_i ln p_i in nats; empty bins contribute zero."""
     S = dist.denominator
 
@@ -224,15 +224,15 @@ def shannon_entropy(dist: RationalDistribution) -> float:
         p = c / S
         return -(p * math.log(p))
 
-    return _exact_sum(term, *_count_groups(dist.counts))
+    return _exact_sum(term, *(classes or count_classes(dist)))
 
 
-def power_sum(dist: RationalDistribution, alpha: float) -> float:
+def power_sum(dist: RationalDistribution, alpha: float, classes: Optional[tuple] = None) -> float:
     """P_alpha(p) = sum over nonzero bins of p_i ** alpha; alpha > 0."""
     if not alpha > 0:  # NaN too
         raise ValueError("power sums are defined here for alpha > 0, got alpha=%r" % alpha)
     S = dist.denominator
-    return _exact_sum(lambda c: (c / S) ** alpha, *_count_groups(dist.counts))
+    return _exact_sum(lambda c: (c / S) ** alpha, *(classes or count_classes(dist)))
 
 
 def renyi_entropy(dist: RationalDistribution, alpha: float) -> float:
@@ -261,8 +261,7 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution,
                   pairs: Optional[tuple] = None) -> float:
     """D(p || q) = sum p_i ln(p_i / q_i); requires support(p) within support(q).
 
-    pairs, if given, is count_pairs(p, q), so a caller that holds it does
-    not group the bins again."""
+    pairs, if given, is count_pairs(p, q)."""
     cp, cq, bins = (count_pairs(p, q) if pairs is None else pairs)[:3]
     if not cq.all():
         raise ValueError("KL divergence undefined: p puts mass on a bin where q is zero")
@@ -273,7 +272,7 @@ def kl_divergence(p: RationalDistribution, q: RationalDistribution,
         qi = cq / Sq
         return pi * math.log(pi / qi)
 
-    return _exact_sum(term, bins, cp, cq)
+    return _exact_sum(term, cp, cq, bins)
 
 
 def sample_count(n_samples) -> int:
@@ -285,7 +284,8 @@ def sample_count(n_samples) -> int:
     return t
 
 
-def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
+def support_coverage(dist: RationalDistribution, n_samples: int,
+                     classes: Optional[tuple] = None) -> float:
     """Expected number of distinct symbols in n_samples draws.
 
     S_n(p) = sum over nonzero bins of (1 - (1 - p_x) ** n_samples).
@@ -297,14 +297,12 @@ def support_coverage(dist: RationalDistribution, n_samples: int) -> float:
         p = c / S
         return -math.expm1(t * math.log1p(-p)) if p < 1.0 else 1.0
 
-    return _exact_sum(term, *_count_groups(dist.counts))
+    return _exact_sum(term, *(classes or count_classes(dist)))
 
 
-def count_classes(counts: np.ndarray) -> dict[int, int]:
-    """Each distinct nonzero count c, ascending, mapped to c times its
-    number of bins."""
-    bins, values = _count_groups(counts)
-    return {c: c * k for c, k in zip(values.tolist(), bins.tolist())}
+def count_classes(dist: RationalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct nonzero counts of dist, ascending, and their numbers of bins."""
+    return _count_groups(dist.counts)
 
 
 def count_pairs(p: RationalDistribution, q: RationalDistribution

@@ -8,10 +8,11 @@ known in closed form, the payoff variable's distribution is also known
 exactly, which enables both fast vectorized simulation and exact
 enumeration of its mean and variance ("exact-expectation" mode).  Every
 payoff law is a plain FiniteLaw, a budget's payoff table over a class
-mixture, and a prepare builds each table and mixture once per budget; KL's
-law is a pair of them per group of symbols sharing a q count.  The
-collision-based estimators (integer orders, min-entropy) have no such law
-and refuse that mode.
+mixture; KL's law is a pair of them per group of symbols sharing a q count.
+A prepare groups each distribution (KL: the pair) once, hands that table to
+both the laws and the truth, and builds each table and mixture once per
+budget.  The collision-based estimators (integer orders, min-entropy) have
+no such law and refuse that mode.
 
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
 cfg) touches no rng: it makes every check that needs no draw, fixes the
@@ -70,7 +71,6 @@ from .distributions import (
     pairs_ratio_bound,
     parse_measure,
     power_sum,
-    ratio_bound,
     sample_count,
     shannon_entropy,
     support_coverage,
@@ -192,21 +192,22 @@ def _payoff_table(M: int, payoff: Callable[[float], float], variant: str) -> np.
     return np.fromiter(map(payoff, values.tolist()), np.float64, values.size)
 
 
-def _class_mixture(classes: dict[int, int], denominator: int, sines: np.ndarray) -> np.ndarray:
+def _class_mixture(classes: tuple, denominator: int, sines: np.ndarray) -> np.ndarray:
     """The outcome law of a symbol drawn from count classes, amplitude-estimated
     at the budget M of sines = sine_table(M): sum_c w_c * law(c/S, M) over
     l = 0..M/2.
 
-    classes maps each distinct nonzero count c to the total count of the
-    symbols having it, as distributions.count_classes gives it, over the
-    denominator S, and w_c is the class's share of the total.  The rows are
-    built one class at a time in sorted order, so the build holds O(M)
-    memory whatever the class count; a one-class mixture is that amplitude's
-    outcome row itself.
+    classes is a class table: distinct counts c over the denominator S,
+    ascending, and their numbers of bins k, as distributions.count_classes
+    gives it or the p side of a q group of count_pairs; w_c is the Python int
+    c * k over the Python-int sum of them.  The rows are built one class
+    at a time in table order, so the build holds O(M) memory whatever the
+    class count.
     """
-    total = sum(classes.values())
+    counts, weights = classes[0].tolist(), (classes[0] * classes[1]).tolist()  # c * k <= S
+    total = sum(weights)
     mixture = np.zeros((sines.shape[1] - 1) // 2 + 1)
-    for c, w in sorted(classes.items()):
+    for c, w in zip(counts, weights):
         mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
     return mixture
 
@@ -222,10 +223,10 @@ def _payoff_law(payoffs: np.ndarray, mixture: np.ndarray) -> FiniteLaw:
 class _RatioSubroutine:
     """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
 
-    Symbols are grouped by their q count.  Within a group ln q~ follows one
-    outcome row and ln p~, independent of it, the mixture of the group's
-    p classes on the M_p grid, so a group is a pair of payoff laws on their
-    budgets' log tables, a one-class one for q, and X is their difference.
+    A group of symbols sharing a q count is a run of pairs = count_pairs(p, q),
+    whose p counts and bins are a class table.  ln q~ follows the q count's
+    outcome row and ln p~, independent of it, that table's mixture on the M_p
+    grid: a pair of payoff laws on the budgets' log tables, X their difference.
     Grouping by the q side keeps one copy of each q row, the larger ones
     since M_q >= M_p.  The joint law of X is never tabulated: sums and
     moments come from the pairs.
@@ -233,20 +234,16 @@ class _RatioSubroutine:
 
     def __init__(self, p: RationalDistribution, q: RationalDistribution,
                  M_p: int, M_q: int, pairs: tuple):
-        # pairs is count_pairs(p, q), which lists the pairs by q count, so
-        # the groups come out in order
-        groups: dict[int, dict[int, int]] = {}
-        for cp, cq, bins in zip(*(a.tolist() for a in pairs[:3])):
-            groups.setdefault(cq, {})[cp] = cp * bins
-        self._weights = np.array(
-            [sum(weights.values()) / p.denominator for weights in groups.values()])
+        runs = np.split(np.stack(pairs[:3]), np.flatnonzero(np.diff(pairs[1])) + 1, axis=1)
+        self._weights = np.array([int(np.add.reduce(cp * k)) / p.denominator for cp, _, k in runs])
         self._pvals = self._weights / self._weights.sum()
         budgets = dict.fromkeys((M_p, M_q))  # one log and one sine table per distinct budget
         logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in budgets}
         sines = {M: sine_table(M) for M in budgets}
-        self._pairs = [(_payoff_law(logs[M_p], _class_mixture(weights, p.denominator, sines[M_p])),
-                        _payoff_law(logs[M_q], _class_mixture({cq: 1}, q.denominator, sines[M_q])))
-                       for cq, weights in groups.items()]
+        self._pairs = [(_payoff_law(logs[M_p], _class_mixture((cp, k), p.denominator, sines[M_p])),
+                        _payoff_law(logs[M_q], outcome_laws([int(cq[0]) / q.denominator],
+                                                            sines[M_q])[0][0]))
+                       for cp, cq, k in runs]
 
     def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
         """`groups` independent sums of `count` draws, one after another: each
@@ -342,11 +339,12 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
     """
     n, eps = dist.n, cfg.epsilon
     M = shannon_budget(n, eps)
+    classes = count_classes(dist)
     sub = _payoff_law(_payoff_table(M, lambda x: -math.log(x), "estamp-prime"),
-                      _class_mixture(count_classes(dist.counts), dist.denominator, sine_table(M)))
+                      _class_mixture(classes, dist.denominator, sine_table(M)))
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
     run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
-    truth = shannon_entropy(dist)
+    truth = shannon_entropy(dist, classes)
 
     def trial(seed: Optional[int]) -> EstimateReport:
         value, extras, (ledger,) = run(seed)
@@ -482,8 +480,8 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     high = alpha > 1
     algo = "renyi-high" if high else "renyi-low"
-    truth = power_sum(dist, alpha)
-    classes = count_classes(dist.counts)
+    classes = count_classes(dist)
+    truth = power_sum(dist, alpha, classes)
     mixtures = {}  # the class mixture of each budget in use
 
     def level_law(level: float, eps: float) -> tuple[int, FiniteLaw]:
@@ -781,11 +779,11 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
     return payoff
 
 
-def _coverage_run(dist: RationalDistribution, t: int, eps: float, mode: str):
-    """_additive_run of the coverage at t draws, to additive error eps * t."""
+def _coverage_run(dist: RationalDistribution, classes: tuple, t: int, eps: float, mode: str):
+    """_additive_run of the coverage of dist's classes at t draws, to error eps * t."""
     M = coverage_budget(t, eps)
     sub = _payoff_law(_payoff_table(M, _coverage_payoff(t), "estamp"),
-                      _class_mixture(count_classes(dist.counts), dist.denominator, sine_table(M)))
+                      _class_mixture(classes, dist.denominator, sine_table(M)))
     return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
 
 
@@ -794,8 +792,9 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
     t = sample_count(n_samples)
-    run = _coverage_run(dist, t, cfg.epsilon, cfg.mode)
-    truth_abs = support_coverage(dist, t)
+    classes = count_classes(dist)
+    run = _coverage_run(dist, classes, t, cfg.epsilon, cfg.mode)
+    truth_abs = support_coverage(dist, t, classes)
 
     def trial(seed: Optional[int]) -> EstimateReport:
         value, extras, (ledger,) = run(seed)
@@ -842,7 +841,7 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
     check_support_promise(dist, m, eps)
     t = math.ceil(m * math.log(2.0 / eps))
     eps_cov = eps / (2.0 * math.log(2.0 / eps))
-    coverage = _coverage_run(dist, t, eps_cov, cfg.mode)
+    coverage = _coverage_run(dist, count_classes(dist), t, eps_cov, cfg.mode)
     truth = dist.support_size()
 
     def trial(seed: Optional[int]) -> EstimateReport:
@@ -886,8 +885,11 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
                          "that many positions, past the ceiling of 2^40" % n_samples)
     kl = parse_measure(measure)[0] == "kl"
     if kl and dist_q is not None:
-        ratio_bound(dist, dist_q)
-    truth = evaluate_measure(dist, measure, dist_q)
+        pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
+        pairs_ratio_bound(pairs, dist, dist_q)
+        truth = kl_divergence(dist, dist_q, pairs)
+    else:
+        truth = evaluate_measure(dist, measure, dist_q)
     oracles = [build_oracle(d) for d in ((dist, dist_q) if kl else (dist,))]
 
     def trial(seed: Optional[int]) -> EstimateReport:

@@ -84,12 +84,6 @@ def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
 # ---------------------------------------------------------------------------
 # experiment cells
 
-_CELL_KEYS = frozenset({
-    "algo", "dist", "dist_q", "alpha", "eps", "delta", "f", "m", "n_samples",
-    "measure", "mode", "trials",
-})
-
-
 # numeric cell key -> the name its error uses
 _NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f"}
 # infinity means min-entropy as alpha, and no error target as the plug-in's eps
@@ -109,10 +103,11 @@ def _check_trials(trials, where: str) -> None:
 
 def _check_cell(cell: dict) -> tuple[str, ...]:
     """Reject keys no cell reads, so a typo fails instead of running defaults,
-    an unknown algo or a missing key, values of the wrong type, NaN or a
-    meaningless infinity, which would otherwise be coerced or fail late, an
-    eps or delta outside EstimatorConfig's limits, an unknown mode and a
-    plug-in cell outside contract mode.  Returns the keys of the
+    an unknown algo, a missing key or one the algo does not read (the
+    plug-in reads dist_q with measure kl only), values of the wrong type,
+    NaN or a meaningless infinity, which would otherwise be coerced or fail
+    late, an eps or delta outside EstimatorConfig's limits, an unknown mode
+    and a plug-in cell outside contract mode.  Returns the keys of the
     distributions its trial reads, unresolved."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
@@ -145,6 +140,10 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got mode %r"
                          % (", ".join("'%s'" % m for m in MODES), mode))
+    unread = sorted(set(cell) - _COMMON_KEYS - set(_ALGO_KEYS[algo]))
+    if unread:
+        raise ValueError("%s cells do not read %s"
+                         % (algo, " or ".join("'%s'" % k for k in unread)))
     reads = ("dist", "dist_q") if algo == "kl" else ("dist",)
     if algo != "plugin":
         _config(cell)  # EstimatorConfig's own limits on eps and delta
@@ -158,6 +157,8 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
             if "dist_q" not in cell:
                 raise ValueError("KL plugin cells need 'dist_q'")
             reads = ("dist", "dist_q")
+        elif "dist_q" in cell:
+            raise ValueError("plugin cells with measure %r do not read 'dist_q'" % cell["measure"])
     return reads
 
 
@@ -231,13 +232,20 @@ TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
         p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
 }
 
+# the cell keys every cell reads, and algo -> the other keys its cells read
+_COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
+_ALGO_KEYS = {"shannon": (), "kl": ("dist_q", "f"), "renyi": ("alpha",), "minentropy": (),
+              "coverage": ("n_samples",), "support": ("m",),
+              "plugin": ("dist_q", "measure", "n_samples")}
+_CELL_KEYS = _COMMON_KEYS.union(*_ALGO_KEYS.values())
+
 
 def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
     """Check a cell dict and prepare its estimator; returns trial(seed).
 
     _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
-    algo, a missing key or a bad value, before any distribution is
-    resolved.  Then each distribution is resolved once and the estimator's
+    algo, a missing key, a key the algo does not read or a bad value, before
+    any distribution is resolved.  Then each distribution is resolved once and the estimator's
     prepare step refuses what needs no draw (a budget above the largest
     table, a broken promise, exact-expectation mode for the collision
     estimators, ...), builds the payoff laws, computes the truth and, if

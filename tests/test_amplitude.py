@@ -218,7 +218,7 @@ def test_every_row_keeps_the_lost_mass_check(monkeypatch):
     # the payoff laws' mixtures and min-entropy's one estimate build their
     # rows through it
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.25 M=8"):
-        _class_mixture({1: 1, 2: 1}, 4, sine_table(8))
+        _class_mixture((np.array([1, 2]), np.array([1, 1])), 4, sine_table(8))
     with pytest.raises(ArithmeticError, match="lost mass.*a=0.3 M=8"):
         sample_estamp(0.3, 8, np.random.default_rng(0))
 
@@ -320,7 +320,7 @@ def test_estamp_prime_never_returns_zero():
     # the estamp-prime law reports outcome 0 as the floor and every other
     # outcome as it is, with the same probabilities
     dist = from_counts([1, 7])  # amplitudes 1/8 and 7/8
-    classes = count_classes(dist.counts)
+    classes = count_classes(dist)
     mixture = _class_mixture(classes, dist.denominator, sine_table(8))
     plain = _payoff_law(_payoff_table(8, lambda x: x, "estamp"), mixture)
     prime = _payoff_law(_payoff_table(8, lambda x: x, "estamp-prime"), mixture)

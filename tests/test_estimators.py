@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from qentropy.distributions import (
     ratio_bound,
     shannon_entropy,
 )
-from qentropy import estimators
+from qentropy import distributions, estimators
 from qentropy.estimators import (
     EstimatorConfig,
     _class_mixture,
@@ -165,7 +166,7 @@ def test_exact_expectation_matches_direct_table_sum():
     dist = from_counts([1, 3])
     M = 8
     payoff = lambda x: x * x
-    sub = _law(count_classes(dist.counts), dist.denominator, M, payoff)
+    sub = _law(count_classes(dist), dist.denominator, M, payoff)
     mean, var = sub.mean(), sub.variance()
     direct_mean = 0.0
     direct_sq = 0.0
@@ -187,7 +188,7 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
     # estamp-prime.  The amplitudes 1/2 at M = 8 and 1 at M = 4 and 8 are on
     # the grid, where the row has exact zeros.
     payoff = math.log if variant == "estamp-prime" else (lambda x: x ** 1.5)
-    sub = _law({c: 1}, S, M, payoff, variant)
+    sub = _law((np.array([c]), np.array([1])), S, M, payoff, variant)
     row = outcome_laws([c / S], sine_table(M))[0][0]
     grid = np.flatnonzero(row)
     reported = grid_value(grid, M)
@@ -195,8 +196,9 @@ def test_one_class_law_is_the_outcome_row_bit_for_bit(c, S, M, variant):
         reported = np.where(grid == 0, estamp_prime_floor(M), reported)
     assert sub.probabilities.tobytes() == row[grid].tobytes()
     assert sub.values.tobytes() == np.array([payoff(x) for x in reported.tolist()]).tobytes()
-    # any class weight is the same one-class law
-    assert _law({c: 9}, S, M, payoff, variant).values.tobytes() == sub.values.tobytes()
+    # any number of bins is the same one-class law
+    nine = _law((np.array([c]), np.array([9])), S, M, payoff, variant)
+    assert nine.values.tobytes() == sub.values.tobytes()
 
 
 def test_payoff_law_refuses_its_budget_and_variant_before_building():
@@ -216,14 +218,29 @@ def test_payoff_law_builds_one_row_at_a_time_on_one_sine_table():
     # the Shannon law of zipf(1.5, 64) at eps 0.1 (M = 256): one table for
     # the law, and one one-row call per class on it, in sorted class order
     dist = zipf(1.5, 64)
-    classes = count_classes(dist.counts)
+    counts = count_classes(dist)[0].tolist()
     with mock.patch.object(estimators, "sine_table", wraps=sine_table) as tables, \
             mock.patch.object(estimators, "outcome_laws", wraps=outcome_laws) as rows:
         prepare_shannon(dist, cfg(eps=0.1))
     assert tables.call_args_list == [mock.call(256)]
     assert [call.args[0] for call in rows.call_args_list] \
-        == [[c / dist.denominator] for c in sorted(classes)]
+        == [[c / dist.denominator] for c in counts]
     assert len({id(call.args[1]) for call in rows.call_args_list}) == 1
+
+
+def _dict_mixture(classes, denominator, sines):
+    """_class_mixture as it read a dict of each distinct count c to c times
+    its number of bins, kept as the reference for the class table."""
+    total = sum(classes.values())
+    mixture = np.zeros((sines.shape[1] - 1) // 2 + 1)
+    for c, w in sorted(classes.items()):
+        mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
+    return mixture
+
+
+def _as_dict(classes):
+    """A class table (counts, bins) as the dict _dict_mixture reads."""
+    return {c: c * k for c, k in zip(*(column.tolist() for column in classes))}
 
 
 def _per_law_reference(classes, denominator, M, payoff, variant):
@@ -232,11 +249,7 @@ def _per_law_reference(classes, denominator, M, payoff, variant):
     grid points.  This is the per-law build the per-budget tables replaced,
     kept as the reference."""
     check_budget(M)
-    total = sum(classes.values())
-    mixture = np.zeros(M // 2 + 1)
-    sines = sine_table(M)
-    for c, w in sorted(classes.items()):
-        mixture += outcome_laws([c / denominator], sines)[0][0] * (w / total)
+    mixture = _dict_mixture(_as_dict(classes), denominator, sine_table(M))
     grid = np.flatnonzero(mixture)
     values = grid_value(grid, M)
     if variant == "estamp-prime":
@@ -246,12 +259,12 @@ def _per_law_reference(classes, denominator, M, payoff, variant):
 
 _CLASS_SETS = {
     # amplitude 1/2, on the grid at every M >= 4 (l = M/4)
-    "half": ({1: 1}, 2),
+    "half": ((np.array([1]), np.array([1])), 2),
     # amplitude 1, on the grid at every M (l = M/2)
-    "one": ({1: 1}, 1),
+    "one": ((np.array([1]), np.array([1])), 1),
     # amplitudes 1/16, 1/8, 5/16 and 1/2, the last on the grid
-    "mixed": ({1: 1, 2: 2, 5: 5, 8: 8}, 16),
-    "zipf": (count_classes(zipf(1.5, 64).counts), zipf(1.5, 64).denominator),
+    "mixed": ((np.array([1, 2, 5, 8]), np.array([1, 1, 1, 1])), 16),
+    "zipf": (count_classes(zipf(1.5, 64)), zipf(1.5, 64).denominator),
 }
 
 _BYTE_PAYOFFS = {
@@ -271,6 +284,93 @@ def test_per_budget_tables_give_the_per_law_bytes(classes, M, variant):
         values, probabilities = _per_law_reference(classes, S, M, payoff, variant)
         assert law.values.tobytes() == values.tobytes()
         assert law.probabilities.tobytes() == probabilities.tobytes()
+
+
+def _table(classes):
+    """The class table of a dict of each distinct count to its number of bins."""
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*sorted(classes.items())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=st.dictionaries(st.integers(1, 1 << 38), st.integers(1, 1 << 20),
+                               min_size=1, max_size=12),
+       spare=st.integers(0, 1 << 40), log_m=st.integers(1, 9))
+def test_class_table_mixture_is_the_dict_mixture_byte_for_byte(classes, spare, log_m):
+    # c * k reaches 2^58, so a weight taken through floats would round
+    S = sum(c * k for c, k in classes.items()) + spare
+    sines = sine_table(1 << log_m)
+    mixture = _class_mixture(_table(classes), S, sines)
+    assert mixture.tobytes() \
+        == _dict_mixture({c: c * k for c, k in classes.items()}, S, sines).tobytes()
+
+
+@pytest.mark.parametrize("classes, S", [
+    ({5: 1}, 7), ({1: 2}, 2), ({1: 1}, 1),  # one class, the last two on the grid
+    # weights near 2^56 and 2^58, whose mixture at M = 4 and 64 moves when
+    # each weight and the total are rounded to floats before the division
+    ({29178980712: 2645590, 69228196096: 3455859}, 316438504113986544),
+], ids=["one-class", "one-class-on-grid", "amplitude-one", "weights-above-2^53"])
+@pytest.mark.parametrize("M", [4, 64])
+def test_class_table_mixture_is_the_dict_mixture_on_edge_tables(classes, S, M):
+    sines = sine_table(M)
+    assert _class_mixture(_table(classes), S, sines).tobytes() \
+        == _dict_mixture({c: c * k for c, k in classes.items()}, S, sines).tobytes()
+
+
+def test_kl_group_laws_are_the_dict_form_laws_byte_for_byte():
+    # three q groups, each a run of count_pairs' columns, against the laws
+    # built from a dict of dicts, as the groups were built before
+    p, q = zipf(1.5, 64), from_counts(np.arange(64) % 3 + 1)
+    M_p, M_q = 64, 128
+    sub = estimators._RatioSubroutine(p, q, M_p, M_q, count_pairs(p, q))
+    groups = {}
+    for cp, cq in zip(p.counts.tolist(), q.counts.tolist()):
+        groups.setdefault(cq, Counter())[cp] += 1
+    assert len(sub._pairs) == len(groups) == 3
+    logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in (M_p, M_q)}
+    for (law_p, law_q), cq in zip(sub._pairs, sorted(groups)):
+        weights = {c: c * k for c, k in groups[cq].items()}
+        refs = (_payoff_law(logs[M_p], _dict_mixture(weights, p.denominator, sine_table(M_p))),
+                _payoff_law(logs[M_q], _dict_mixture({cq: 1}, q.denominator, sine_table(M_q))))
+        for law, ref in zip((law_p, law_q), refs):
+            assert law.values.tobytes() == ref.values.tobytes()
+            assert law.probabilities.tobytes() == ref.probabilities.tobytes()
+    assert sub._weights.tobytes() == np.array(
+        [sum(c * k for c, k in groups[cq].items()) / p.denominator
+         for cq in sorted(groups)]).tobytes()
+
+
+_P, _Q = zipf(1.5, 8), uniform(8)
+# name -> (the distributions a prepare reads, the prepare)
+_ONE_GROUPING = {
+    "shannon": ((_P,), lambda d: prepare_shannon(d, cfg())),
+    "coverage": ((_P,), lambda d: prepare_support_coverage(d, 16, cfg())),
+    "support": ((_P,), lambda d: prepare_support_size(d, 16, cfg())),
+    "annealed": ((_P,), lambda d: prepare_renyi(d, 2.5, cfg())),
+    "annealed-exact": ((_P,), lambda d: prepare_renyi(d, 0.75, cfg(mode="exact-expectation"))),
+    "kl": ((_P, _Q), lambda p, q: prepare_kl(p, q, None, cfg())),
+    "kl-f": ((_P, _Q), lambda p, q: prepare_kl(p, q, 4.0, cfg())),
+    "plugin-kl": ((_P, _Q), lambda p, q: prepare_plugin(p, "kl", 64, q)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_GROUPING))
+def test_a_prepare_groups_each_distribution_once(name):
+    # the sort of the counts is wrapped where distributions calls it, and
+    # count_pairs where distributions and estimators call it
+    dists, prepare = _ONE_GROUPING[name]
+    with mock.patch.object(distributions, "_count_groups",
+                           wraps=distributions._count_groups) as classes, \
+            mock.patch.object(distributions, "count_pairs",
+                              wraps=distributions.count_pairs) as pairs, \
+            mock.patch.object(estimators, "count_pairs", new=pairs):
+        prepare(*dists)
+    grouped = [id(call.args[0]) for call in classes.call_args_list]
+    paired = [tuple(map(id, call.args)) for call in pairs.call_args_list]
+    if len(dists) == 1:
+        assert (grouped, paired) == ([id(dists[0].counts)], [])
+    else:
+        assert (grouped, paired) == ([], [tuple(map(id, dists))])
 
 
 def _prepare_builds(prepare):
@@ -306,7 +406,7 @@ def test_a_prepare_builds_one_table_per_budget_and_one_row_per_class_per_budget(
     budgets = _budgets(trial(1))
     if builds is not None:
         assert (len(tables), len(rows)) == builds
-    classes = [c / dist.denominator for c in sorted(count_classes(dist.counts))]
+    classes = [c / dist.denominator for c in count_classes(dist)[0].tolist()]
     assert tables == budgets
     assert [a for a, _ in rows] == classes * len(budgets)
     # each budget's rows read that budget's one table
@@ -386,7 +486,7 @@ def test_merged_law_moments_match_per_symbol_enumeration(counts, log_m, payoff):
     dist = from_counts(counts)
     M = 1 << log_m
     fn, variant = _PAYOFFS[payoff]
-    sub = _law(count_classes(dist.counts), dist.denominator, M, fn, variant)
+    sub = _law(count_classes(dist), dist.denominator, M, fn, variant)
     assert sub.values.size <= M // 2 + 1
     mean, var = sub.mean(), sub.variance()
     ref_mean, ref_var = _per_symbol_moments(dist, M, fn, variant)

@@ -260,12 +260,75 @@ def test_unknown_cell_keys_are_rejected():
         main(["estimate", "--algo", "minentropy", "--dist", "uniform:4",
               "--distinctness-cost", "belovs"])
     assert exc.value.code == 2
-    every_key = {"algo": "shannon", "dist": "uniform:16", "dist_q": "uniform:16",
-                 "alpha": 1, "eps": 0.5, "delta": 0.1, "f": 1, "m": 16, "n_samples": 16,
-                 "measure": "shannon", "mode": "contract", "trials": 1}
-    assert set(every_key) == harness._CELL_KEYS
-    assert ExperimentConfig.from_dict({"cells": [every_key]}).cells == (every_key,)
-    assert run_cell_trial(every_key, 0).epsilon == 0.5
+    # every cell key is one some algo reads: a cell with every key its algo
+    # reads loads and runs
+    common = {"dist": "uniform:16", "eps": 0.5, "delta": 0.1, "mode": "contract", "trials": 1}
+    full = [dict(common, algo="kl", dist_q="uniform:16", f=1),
+            dict(common, algo="renyi", alpha=1),
+            dict(common, algo="support", m=16),
+            dict(common, algo="plugin", dist_q="uniform:16", measure="kl", n_samples=16)]
+    assert set().union(*full) == harness._CELL_KEYS
+    for cell in full:
+        assert ExperimentConfig.from_dict({"cells": [cell]}).cells == (cell,)
+        assert run_cell_trial(cell, 0).epsilon == 0.5
+
+
+# each cell key only some algos read -> those algos, the option of `estimate`
+# that sets it, and a value; eps, delta, mode and trials every cell reads
+_READ_BY = {
+    "dist_q": (("kl", "plugin"), "--dist-q", "uniform:4"),
+    "f": (("kl",), "--f-n", 2.0),
+    "alpha": (("renyi",), "--alpha", 2.5),
+    "m": (("support",), "--m", 4),
+    "n_samples": (("coverage", "plugin"), "--n-samples", 16),
+    "measure": (("plugin",), "--measure", "shannon"),
+}
+_REQUIRED = {"shannon": (), "kl": ("dist_q",), "renyi": ("alpha",), "minentropy": (),
+             "coverage": ("n_samples",), "support": ("m",), "plugin": ("measure", "n_samples")}
+_UNREAD = [(algo, key) for algo in _REQUIRED for key, (algos, _, _) in _READ_BY.items()
+           if algo not in algos]
+
+
+def _estimate_argv(algo, keys):
+    argv = ["estimate", "--algo", algo, "--dist", "uniform:4", "--seed", "1"]
+    for key in keys:
+        argv += [_READ_BY[key][1], str(_READ_BY[key][2])]
+    return argv
+
+
+@pytest.mark.parametrize("algo, key", _UNREAD, ids=["%s-%s" % pair for pair in _UNREAD])
+def test_a_cell_key_its_algo_does_not_read_is_refused(algo, key, capsys):
+    # estimate --algo shannon --dist-q ... used to run and drop --dist-q
+    cell = {"algo": algo, "dist": "no-such-family:4", key: _READ_BY[key][2]}
+    cell.update((k, _READ_BY[k][2]) for k in _REQUIRED[algo])
+    message = "%s cells do not read '%s'" % (algo, key)
+    with pytest.raises(ValueError, match="^%s$" % message):  # before any distribution resolves
+        harness.prepare_cell(cell)
+    assert main(_estimate_argv(algo, _REQUIRED[algo] + (key,))) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message and captured.out == ""
+
+
+def test_a_plugin_cell_reads_dist_q_only_with_measure_kl(capsys):
+    message = "plugin cells with measure 'shannon' do not read 'dist_q'"
+    cell = {"algo": "plugin", "dist": "uniform:4", "dist_q": "uniform:4",
+            "measure": "shannon", "n_samples": 16}
+    with pytest.raises(ValueError, match="^%s$" % message):
+        harness.prepare_cell(cell)
+    assert main(_estimate_argv("plugin", ("measure", "n_samples", "dist_q"))) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    # every key an algo reads still runs
+    for algo in _REQUIRED:
+        assert main(_estimate_argv(algo, _REQUIRED[algo])) == 0, algo
+    assert main(_estimate_argv("kl", ("dist_q", "f"))) == 0
+    assert main(_estimate_argv("plugin", ("n_samples", "dist_q")) + ["--measure", "kl"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_readme_example_config_loads():
+    block = re.search(r"```json\n(\{\n  \"master_seed\".*?)```", _README.read_text(), re.S)
+    config = ExperimentConfig.from_dict(json.loads(block.group(1)))
+    assert [cell["algo"] for cell in config.cells] == ["shannon", "renyi", "kl", "plugin"]
 
 
 SHANNON_CELL = {"algo": "shannon", "dist": "uniform:16"}
@@ -790,8 +853,10 @@ def test_no_module_calls_a_cpu_dependent_numpy_routine():
 
 # A module-level cache keeps what one call computed for the next, so memory
 # grows with the calls a process has made and a result can depend on them.
+# A per-instance memo does the same on a value: a distribution, like a law,
+# is a value, and the caller that needs a result twice holds it.
 _CACHE_NAMES = {("collections", "OrderedDict"), ("functools", "lru_cache"),
-                ("functools", "cache")}
+                ("functools", "cache"), ("functools", "cached_property")}
 
 
 def test_no_module_holds_a_cache():

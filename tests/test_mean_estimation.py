@@ -451,8 +451,7 @@ def _zipf_law():
 
     dist = zipf(1.5, 64)
     return _payoff_law(_payoff_table(256, lambda x: x ** 1.5, "estamp"),
-                       _class_mixture(count_classes(dist.counts), dist.denominator,
-                                      sine_table(256)))
+                       _class_mixture(count_classes(dist), dist.denominator, sine_table(256)))
 
 
 def test_single_multiplicative_call_stream_is_frozen():
