@@ -41,8 +41,9 @@ def count_row_collisions(rows: np.ndarray, k: int) -> int:
     pass cover them all: every row opens a run, so no run crosses into the
     next row.  The sum is an exact Python int taken over a histogram of the
     run lengths, since C(L, k) can exceed int64.  The verify suite's
-    collision check counts by an independent method (the hockey-stick
-    identity, without sorting), so the two cross-check each other.
+    collision checks read a per-sequence table built by an independent
+    method (prefix recursion on the hockey-stick identity, without
+    sorting), so the two cross-check each other.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -700,9 +700,12 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
     before the intensity passes n, the estimate falls back to 1/n.
 
     Refused here, before any draw: exact-expectation mode, an alphabet below
-    2 symbols, rounds whose intensities could sum past _MAX_INTENSITY, and a
-    budget of the final amplitude estimate (relative eps, floor 1/n) above
-    the largest outcome table.
+    2 symbols, and rounds whose intensities could sum past _MAX_INTENSITY.
+    That last refusal also bounds the final amplitude estimate's budget
+    (relative eps, floor 1/n): at the smallest epsilon it admits, no
+    alphabet under 2^31 symbols needs more than 2^19, so
+    multiplicative_budget's check_budget, which refuses a budget above the
+    largest outcome table, is only a guard.
     """
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
@@ -890,7 +893,9 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
         truth = kl_divergence(dist, dist_q, pairs)
     else:
         truth = evaluate_measure(dist, measure, dist_q)
-    oracles = [build_oracle(d) for d in ((dist, dist_q) if kl else (dist,))]
+    oracles = [build_oracle(dist)]
+    if kl:  # an oracle is a value: one distribution needs one
+        oracles.append(oracles[0] if dist_q is dist else build_oracle(dist_q))
 
     def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)

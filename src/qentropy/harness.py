@@ -245,15 +245,17 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
 
     _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
     algo, a missing key, a key the algo does not read or a bad value, before
-    any distribution is resolved.  Then each distribution is resolved once and the estimator's
-    prepare step refuses what needs no draw (a budget above the largest
-    table, a broken promise, exact-expectation mode for the collision
-    estimators, ...), builds the payoff laws, computes the truth and, if
-    the estimator draws symbols itself, builds its oracle layout.  The
-    returned trial is the estimator's own.
+    any distribution is resolved.  Then each distinct spec is resolved once,
+    so a dist and dist_q that name one spec are one distribution, and the
+    estimator's prepare step refuses what needs no draw (a budget above the
+    largest table, a broken promise, exact-expectation mode for the
+    collision estimators, ...), builds the payoff laws, computes the truth
+    and, if the estimator draws symbols itself, builds its oracle layout.
+    The returned trial is the estimator's own.
     """
-    reads = _check_cell(cell)
-    return TRIALS[cell["algo"]][1](cell, *(resolve_distribution(cell[key]) for key in reads))
+    specs = [cell[key] for key in _check_cell(cell)]
+    resolved = {spec: resolve_distribution(spec) for spec in dict.fromkeys(specs)}
+    return TRIALS[cell["algo"]][1](cell, *(resolved[spec] for spec in specs))
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],

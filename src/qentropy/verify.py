@@ -10,7 +10,6 @@ benchmark.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
@@ -239,39 +238,45 @@ def poisson_suite() -> list[CheckResult]:
 
 
 _COLLISION_GRID = ((4, 3, 2), (8, 5, 2), (8, 6, 3))
+_ROW_CHUNK = 1 << 14  # Monte-Carlo rows drawn at a time
 
 
-_ROW_CHUNK = 1 << 14
+def _sequence_counts(n: int, length: int, k: int) -> np.ndarray:
+    """The k-collision count of every sequence of `length` symbols from
+    range(n), in itertools.product order, in the narrowest unsigned dtype
+    that holds C(length, k) (uint8 on the suite's grid).
 
-
-def _collision_counts_rows(samples: np.ndarray, k: int) -> np.ndarray:
-    """Exact k-collision count per row of a (rows, l) symbol matrix, without sorting.
-
-    By the hockey-stick identity C(m, k) = sum_{t<m} C(t, k-1), a symbol seen
-    m times adds C(t, k-1) at its occurrence with t equal entries before it.
-    So each position j counts the earlier positions of its row that hold the
-    same symbol, column against column, and looks that count up in a table.
-    This is independent of the estimator's sort-based count_row_collisions,
-    and cheap for the short rows the suite uses (O(l^2) compares per row).
-    Rows go through in chunks of _ROW_CHUNK, compared as contiguous columns.
+    Built by prefix recursion on the hockey-stick identity
+    C(m, k) = sum_{t<m} C(t, k-1): appending symbol x to a prefix that holds
+    x t times adds C(t, k-1).  Each step extends every prefix by every
+    symbol, carrying each prefix's count of each symbol, so no sequence is
+    sorted and the table is independent of the estimators' sort-based
+    count_row_collisions.
     """
-    rows, length = samples.shape
-    comb_table = np.array([math.comb(t, k - 1) for t in range(length)], dtype=np.int64)
-    out = np.empty(rows, dtype=np.int64)
-    for lo in range(0, rows, _ROW_CHUNK):
-        columns = np.ascontiguousarray(samples[lo:lo + _ROW_CHUNK].T)
-        total = out[lo:lo + _ROW_CHUNK]
-        total[:] = comb_table[0]
-        earlier = np.empty(total.size, dtype=np.min_scalar_type(length))
-        equal = np.empty(total.size, dtype=bool)
-        for j in range(1, length):
-            np.equal(columns[0], columns[j], out=equal)
-            earlier[:] = equal
-            for i in range(1, j):
-                np.equal(columns[i], columns[j], out=equal)
-                earlier += equal
-            total += comb_table.take(earlier)
-    return out
+    dtype = np.min_scalar_type(math.comb(length, k))
+    steps = np.array([math.comb(t, k - 1) for t in range(length)], dtype=dtype)
+    table = np.zeros(1, dtype=dtype)
+    seen = np.zeros((1, n), dtype=np.min_scalar_type(length))  # each prefix's symbol counts
+    for position in range(length):
+        # indexing casts the indices in buffered blocks, where steps.take
+        # would copy all of them to intp first (2 MB at n = 8, l = 6)
+        table = (table[:, None] + steps[seen]).reshape(-1)
+        if position + 1 < length:  # the full sequences' counts would be n bytes each
+            seen = (seen[:, None] + np.eye(n, dtype=seen.dtype)).reshape(-1, n)
+    return table
+
+
+def _fold_counts(table: np.ndarray, counts: np.ndarray, length: int) -> int:
+    """sum_s (prod_i c_{s_i}) * T[s] over every sequence s of `length`
+    symbols, for a table T in itertools.product order, as an int: one
+    symbol at a time, the last first, each prefix takes
+    sum_x c_x * T[prefix, x].  The sums are int64s, so the caller checks
+    that every partial sum fits.
+    """
+    folded = table.reshape((counts.size,) * length)
+    for _ in range(length):
+        folded = sum(folded[..., x] * counts[x] for x in range(counts.size))
+    return int(folded)
 
 
 def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
@@ -291,50 +296,23 @@ def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator
     return draws
 
 
-def _exact_collision_sum(counts: np.ndarray, length: int, k: int) -> int:
-    """sum_s (prod_i c_{s_i}) * C(s) over every sequence s of `length`
-    symbols from range(n), C(s) its k-collision count, as an exact int.
-
-    The last `tail` symbols run over a block of n^tail <= _ROW_CHUNK tails, the
-    rest over n^lead heads (one empty head if lead = 0).  Each counter call and
-    integer @ take as many heads, times the block, as fit in _ROW_CHUNK rows
-    (at least one), laid out column by column so the counter copies nothing.
-    Memory is O(_ROW_CHUNK + n^lead); the heads' weights are exact ints.
-    """
-    n = counts.size
-    tail = 1
-    while tail < length and n ** (tail + 1) <= _ROW_CHUNK:
-        tail += 1
-    block = n ** tail
-    group = max(1, _ROW_CHUNK // block)
-    heads = np.array(list(itertools.product(range(n), repeat=length - tail)), dtype=np.int8)
-    head_weights = [math.prod(weights) for weights in counts.take(heads).tolist()]
-    tails = np.indices((n,) * tail, dtype=np.int8).reshape(tail, -1)
-    tail_weights = np.prod(counts.take(tails), axis=0)
-    columns = np.empty((length, min(group, len(heads)) * block), dtype=np.int8)
-    columns[length - tail:] = np.tile(tails, columns.shape[1] // block)
-    total = 0
-    for lo in range(0, len(heads), group):
-        part = heads[lo:lo + group]
-        size = len(part) * block
-        columns[:length - tail, :size] = part.T.repeat(block, axis=1)
-        by_head = _collision_counts_rows(columns[:, :size].T, k).reshape(-1, block) @ tail_weights
-        total += sum(h * c for h, c in zip(head_weights[lo:lo + group], by_head.tolist()))
-    return total
-
-
 def collision_suite() -> list[CheckResult]:
     """Collision-count statistics: E[C] = C(l, k) * P_k(p).
 
-    Exact: integer-arithmetic enumeration of all n^l sequences must satisfy
-    sum_s (prod_i c_{s_i}) * C(s) = C(l,k) * (sum_i c_i^k) * S^(l-k).
-    Monte-Carlo: the sample mean over _COLLISION_MC_ROWS sequences must sit
-    within 5 standard errors of the exact expectation.  Both go through
-    _ROW_CHUNK rows at a time, so the suite's memory does not grow with n^l.
-    Its largest temporaries are per cell: the float64 sample of all
-    _COLLISION_MC_ROWS counts (800 KB), the copy sample.std makes of it, and
-    _categorical_draws' block of one chunk's uniforms (_ROW_CHUNK x l
-    float64s, 786 KB at l = 6).
+    Both checks of a cell read one _sequence_counts table, the k-collision
+    count C(s) of each of its n^l sequences s.
+    Exact: folding the table against the counts one symbol at a time,
+    sum_x c_x * T[prefix, x], l times, gives sum_s (prod_i c_{s_i}) * C(s),
+    which must equal C(l,k) * (sum_i c_i^k) * S^(l-k).  The folds add int64s,
+    so the bound C(l,k) * S^l on every partial sum is checked first.
+    Monte-Carlo: the mean count of _COLLISION_MC_ROWS drawn sequences, each
+    read from the table at its base-n code, must sit within 5 standard
+    errors of the exact expectation.
+    The table's memory grows with n^l: one byte per sequence, 262,144 at
+    n = 8, l = 6.  The other large temporaries of a cell are the float64
+    sample of all _COLLISION_MC_ROWS counts (800 KB), the copy sample.std
+    makes of it, and _categorical_draws' block of one chunk's uniforms
+    (_ROW_CHUNK x l float64s, 786 KB at l = 6).
     """
     mc_rows = _COLLISION_MC_ROWS
     rng = np.random.default_rng(_SUITE_SEED)
@@ -343,8 +321,12 @@ def collision_suite() -> list[CheckResult]:
         dist = zipf(1.5, n)
         counts = dist.counts
         denominator = dist.denominator
+        if math.comb(length, k) * denominator ** length >= 1 << 63:
+            raise OverflowError("the exact collision sum for n=%d l=%d k=%d can pass int64"
+                                % (n, length, k))
+        table = _sequence_counts(n, length, k)
 
-        lhs = _exact_collision_sum(counts, length, k)
+        lhs = _fold_counts(table, counts, length)
         p_sum_num = int((counts.astype(object) ** k).sum())
         rhs = math.comb(length, k) * p_sum_num * denominator ** (length - k)
         exact_ok = lhs == rhs
@@ -360,7 +342,7 @@ def collision_suite() -> list[CheckResult]:
         for lo in range(0, mc_rows, _ROW_CHUNK):
             rows = min(_ROW_CHUNK, mc_rows - lo)
             draws = _categorical_draws(probs, (rows, length), rng)
-            sample[lo:lo + rows] = _collision_counts_rows(draws, k)
+            sample[lo:lo + rows] = table.take(np.ravel_multi_index(tuple(draws.T), (n,) * length))
         se = sample.std(ddof=1) / math.sqrt(mc_rows)
         gap = abs(sample.mean() - expectation)
         checks.append(CheckResult(

@@ -54,7 +54,7 @@ from qentropy.harness import (
 from qentropy.instances import uniform, zipf
 from qentropy.mean_estimation import FiniteLaw, additive_runs, multiplicative_runs
 from qentropy.oracle import DistributionOracle, build_oracle
-from qentropy.verify import _collision_counts_rows, run_suite, suite_passed
+from qentropy.verify import _sequence_counts, run_suite, suite_passed
 
 SMALL_CONFIG = {
     "master_seed": 11,
@@ -164,6 +164,22 @@ def test_plugin_baseline_kl_undefined_is_flagged():
         else:
             assert math.isfinite(rep.estimate)
     assert flagged > 0
+
+
+def test_a_spec_named_twice_is_resolved_and_built_once():
+    # The KL plug-in on dist = dist_q resolves the spec once and builds one
+    # oracle, and draws what two oracles of equal distributions draw
+    # ("zipf:1.10:64" names the same counts under another spec).
+    cell = {"algo": "plugin", "dist": "zipf:1.1:64", "dist_q": "zipf:1.1:64",
+            "measure": "kl", "n_samples": 40}
+    with mock.patch.object(harness, "resolve_distribution",
+                           wraps=harness.resolve_distribution) as resolve, \
+            mock.patch.object(estimators, "build_oracle", wraps=estimators.build_oracle) as build:
+        shared = harness.prepare_cell(cell)
+    assert (resolve.call_count, build.call_count) == (1, 1)
+    separate = harness.prepare_cell(dict(cell, dist_q="zipf:1.10:64"))
+    for seed in range(3):
+        assert repr(shared(seed).to_dict()) == repr(separate(seed).to_dict())
 
 
 def test_run_cell_trial_requires_algo_keys():
@@ -502,45 +518,64 @@ def _brute_force_collisions(row, k):
     return sum(1 for combo in itertools.combinations(row, k) if len(set(combo)) == 1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(length=st.integers(1, 7), k=st.integers(1, 4), chunk=st.integers(1, 4),
-       data=st.data())
-def test_collision_rows_match_brute_force(length, k, chunk, data):
-    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=length,
-                                       max_size=length), min_size=1, max_size=9))
-    with mock.patch.object(verify, "_ROW_CHUNK", chunk):
-        counts = _collision_counts_rows(np.array(rows, dtype=np.int64), k)
-    assert counts.tolist() == [_brute_force_collisions(row, k) for row in rows]
+# The (n, length, k) tables the table tests check entry by entry: every
+# n <= 4 and length <= 5, with k up to length + 1, past every length; and
+# n = 2, length = 11, where C(11, 5) = C(11, 6) = 462 needs a uint16 table.
+_SMALL_GRIDS = [(n, length, k) for n in range(1, 5) for length in range(6)
+                for k in range(1, length + 2)]
+_WIDE_GRIDS = [(2, 11, 5), (2, 11, 6)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(length=st.integers(1, 7), k=st.integers(1, 5), chunk=st.integers(1, 4),
-       data=st.data())
-def test_collision_rows_match_the_sort_based_counter(length, k, chunk, data):
-    # The suite's hockey-stick count against the estimator's sort and
+def test_sequence_counts_match_brute_force():
+    # Every entry against a count of the row's equal k-subsets, with the
+    # sequences in itertools.product order.
+    for n, length, k in _SMALL_GRIDS:
+        expected = [_brute_force_collisions(row, k)
+                    for row in itertools.product(range(n), repeat=length)]
+        assert _sequence_counts(n, length, k).tolist() == expected, (n, length, k)
+
+
+def test_sequence_counts_match_the_sort_based_counter():
+    # The suite's hockey-stick table against the estimator's sort and
     # run-length count, row by row: each method checks the other.
-    rows = np.array(data.draw(st.lists(st.lists(st.integers(-2, 3), min_size=length,
-                                                max_size=length), min_size=1, max_size=9)),
-                    dtype=np.int64)
-    with mock.patch.object(verify, "_ROW_CHUNK", chunk):
-        counts = _collision_counts_rows(rows, k)
-    assert counts.tolist() == [count_row_collisions(rows[r:r + 1], k) for r in range(len(rows))]
+    for n, length, k in _SMALL_GRIDS + _WIDE_GRIDS:
+        rows = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
+        table = _sequence_counts(n, length, k)
+        assert table.dtype == np.min_scalar_type(math.comb(length, k))
+        assert table.tolist() == [count_row_collisions(row[None], k) for row in rows], \
+            (n, length, k)
 
 
 @pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
 def test_enumerated_sequences_match_itertools_product(n, length, k):
-    # The block enumeration's weighted collision sum against the sum over
-    # one array of every itertools.product sequence, at the suite's chunk
-    # and at chunks that leave one head per group (n^(l-2): tails of l-2
-    # symbols, n^2 heads), a partial last group (3 n^(l-2): n^2 heads is 1
-    # mod 3) and one group of one empty head (n^l: lead = 0).
-    counts = zipf(1.5, n).counts
+    # The suite's table and its exact sum against one array of every
+    # itertools.product sequence, each counted from a sort of its own row:
+    # a symbol that fills a run of m sorted entries adds C(m, k).  The sum
+    # is taken for the suite's counts and for counts with no zero.
     sequences = np.array(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
-    weights = np.prod(counts.take(sequences), axis=1)
-    expected = int(weights @ _collision_counts_rows(sequences, k))
-    for chunk in (n ** (length - 2), 3 * n ** (length - 2), n ** length, verify._ROW_CHUNK):
-        with mock.patch.object(verify, "_ROW_CHUNK", chunk):
-            assert verify._exact_collision_sum(counts, length, k) == expected
+    ordered = np.sort(sequences, axis=1)
+    comb = np.array([math.comb(m, k) for m in range(length + 1)])
+    run = np.ones(len(ordered), dtype=np.int64)
+    per_row = np.zeros(len(ordered), dtype=np.int64)
+    for j in range(1, length):
+        same = ordered[:, j] == ordered[:, j - 1]
+        per_row += np.where(same, 0, comb.take(run))  # a run closes before j
+        run = np.where(same, run + 1, 1)
+    per_row += comb.take(run)
+    table = _sequence_counts(n, length, k)
+    assert table.tolist() == per_row.tolist()
+    for counts in (zipf(1.5, n).counts, np.arange(2, n + 2)):
+        weights = np.prod(counts.take(sequences), axis=1)
+        assert verify._fold_counts(table, counts, length) == int((weights * per_row).sum())
+
+
+def test_collision_suite_refuses_a_cell_whose_exact_sum_can_pass_int64():
+    # C(2, 2) * S^2 = (2^40 + 1)^2 is past 2^63, so the int64 fold could wrap.
+    big = from_counts([1 << 40, 1])
+    with mock.patch.object(verify, "_COLLISION_GRID", ((2, 2, 2),)), \
+            mock.patch.object(verify, "zipf", lambda s, n: big):
+        with pytest.raises(OverflowError, match="n=2 l=2 k=2 can pass int64"):
+            verify.collision_suite()
 
 
 def _sandwich_reference_cases(rng):
@@ -605,8 +640,9 @@ def test_sandwich_cases_are_their_documented_draws_bit_for_bit():
 
 
 def test_collision_suite_memory_is_bounded_by_a_chunk():
-    # Enumerating all 8^6 sequences and drawing 100,000 x 6 uniforms at once
-    # peaked at 23 MB traced; blocks of _ROW_CHUNK rows keep it under 2 MB.
+    # Enumerating all 8^6 sequences as rows and drawing 100,000 x 6 uniforms
+    # at once peaked at 23 MB traced; a one-byte count per sequence and
+    # draws of _ROW_CHUNK rows at a time keep it near 2.2 MB.
     tracemalloc.start()
     try:
         checks = verify.collision_suite()
@@ -620,7 +656,7 @@ def test_collision_suite_memory_is_bounded_by_a_chunk():
 def test_sandwich_suite_memory_is_bounded():
     # The batch holds two 1000 x 64 matrices, the int64 counts and one
     # float64 buffer for both orders' terms: a traced peak of ~1.2 MB on a
-    # second pass, below the collision suite's ~1.9 MB, so the batch is
+    # second pass, below the collision suite's ~2.2 MB, so the batch is
     # never verify's peak.
     verify.sandwich_suite()
     tracemalloc.start()
@@ -824,19 +860,11 @@ def test_no_module_imports_scipy():
 _CPU_DEPENDENT = {"power", "log", "log1p", "exp", "expm1",
                   "dot", "vecdot", "matmul", "einsum", "inner"}
 
-# The one @ allowed: an exact dot product of int64 arrays, which no BLAS runs.
-_INTEGER_MATMUL = ("verify.py", "_exact_collision_sum")
-
 
 def test_no_module_calls_a_cpu_dependent_numpy_routine():
     offenders = []
     for path in sorted(Path(harness.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        allowed = {id(node) for function in ast.walk(tree)
-                   if isinstance(function, ast.FunctionDef)
-                   and (path.name, function.name) == _INTEGER_MATMUL
-                   for node in ast.walk(function)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in _CPU_DEPENDENT \
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                 offenders.append("%s:%d uses %s.%s" % (path.name, node.lineno, node.value.id,
@@ -845,7 +873,7 @@ def test_no_module_calls_a_cpu_dependent_numpy_routine():
                 offenders += ["%s:%d imports numpy.%s" % (path.name, node.lineno, alias.name)
                               for alias in node.names if alias.name in _CPU_DEPENDENT]
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
-                    and isinstance(node.op, ast.MatMult) and id(node) not in allowed:
+                    and isinstance(node.op, ast.MatMult):
                 offenders.append("%s:%d uses @" % (path.name, node.lineno))
     assert offenders == [], "use np.float_power, math's functions mapped over the " \
         "values, or np.add.reduce over a product: %s" % offenders
