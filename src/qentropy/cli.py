@@ -126,7 +126,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     dist = resolve_distribution(args.dist)
-    dist_q = resolve_distribution(args.dist_q) if args.dist_q else None
+    dist_q = None
+    if args.dist_q:  # one spec named twice is one distribution, as in prepare_cell
+        dist_q = dist if args.dist_q == args.dist else resolve_distribution(args.dist_q)
     value = evaluate_measure(dist, args.measure, dist_q)
     print(json.dumps({"measure": args.measure, "value": value,
                       "n": dist.n, "S": dist.denominator}, sort_keys=True))

@@ -86,10 +86,11 @@ def find_k_collision(
 
     Truthful with probability 1 - fail_prob: returns one k-collided symbol
     (chosen uniformly among candidates) or None.  With probability fail_prob
-    the verdict is inverted: an existing collision is missed, or an arbitrary
-    entry is reported as collided.  Sequences shorter than k cannot support a
-    false positive and are always answered truthfully.  Charges nothing: the
-    caller books the search's cost.
+    the verdict is inverted: an existing collision is missed, or the entry at
+    a uniform position of the sorted sequence is reported as collided.
+    Sequences shorter than k cannot support a false positive and are always
+    answered truthfully.  Charges nothing: the caller books the search's
+    cost.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,7 +107,7 @@ def find_k_collision(
         np.not_equal(candidates[1:], candidates[:-1], out=first[1:])
         candidates = candidates[first]
 
-    return k_collision_verdict(candidates, arr.size, k, fail_prob, rng, lambda i: arr[i])
+    return k_collision_verdict(candidates, arr.size, k, fail_prob, rng, lambda i: ordered[i])
 
 
 def k_collision_verdict(
@@ -118,10 +119,11 @@ def k_collision_verdict(
     entry: Callable[[int], int],
 ) -> Optional[int]:
     """find_k_collision's answer for a sequence of `size` entries whose
-    k-collided symbols are `candidates`, ascending; entry(i) reads entry i.
+    k-collided symbols are `candidates`, ascending; entry(i) reads entry i of
+    the sequence sorted.
 
     Draws the lie uniform, then one index: into the candidates, or, for a
-    false positive, into the sequence, whose entry there is reported.
+    false positive, into the sorted sequence, whose entry there is reported.
     """
     lie = size >= k and float(rng.random()) < fail_prob
     if lie:

@@ -679,15 +679,15 @@ def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
     sorting (find_k_collision).  A larger one is drawn and counted a chunk
     at a time, so memory is O(n + chunk): its candidates are the symbols
     counted at least k times, ascending as the sort lists them, and a false
-    positive's entry is redrawn from the bit-generator state saved before
-    the batch.  Both give the same verdict and leave the same generator state.
+    positive reports entry i of the sorted batch, the symbol whose running
+    count first passes i.  Both give the same verdict and leave the same
+    generator state.
     """
     if batch <= _COUNT_CHUNK:
         return find_k_collision(oracle.sample_classical(rng, batch), k, fail_prob, rng)
-    state = rng.bit_generator.state
     counts = oracle.sample_counts(rng, batch, _COUNT_CHUNK)
     return k_collision_verdict(np.flatnonzero(counts >= k), batch, k, fail_prob, rng,
-                               lambda i: oracle.symbol_at(state, i, _COUNT_CHUNK))
+                               lambda i: np.cumsum(counts).searchsorted(i, side="right"))
 
 
 def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:

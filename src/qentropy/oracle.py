@@ -184,16 +184,6 @@ class DistributionOracle(GuideTable):
                                   minlength=self.n + 1)
         return counts
 
-    def symbol_at(self, state: dict, index: int, chunk: int) -> int:
-        """The symbol of draw `index` of sample_classical calls made from the
-        bit-generator state `state`, redrawn chunk positions at a time."""
-        replay = np.random.Generator(getattr(np.random, state["bit_generator"])(0))
-        replay.bit_generator.state = state
-        for _ in range(index // chunk):
-            replay.integers(self.size, size=chunk)
-        positions = replay.integers(self.size, size=index % chunk + 1)
-        return int(self.symbols(positions[-1:])[0])
-
 
 def build_oracle(dist: RationalDistribution) -> DistributionOracle:
     """Guide table of the layout [1]*m_1 + [2]*m_2 + ...

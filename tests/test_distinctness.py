@@ -156,7 +156,8 @@ def test_short_sequences_cannot_collide():
 
 
 def unique_reference(seq, k, fail_prob, rng):
-    """find_k_collision's verdict from np.unique's candidate list."""
+    """find_k_collision's verdict from np.unique's candidate list; a false
+    positive reads the sorted sequence."""
     arr = np.asarray(seq)
     values, counts = (np.array([]), np.array([])) if arr.size == 0 else np.unique(arr, return_counts=True)
     candidates = values[counts >= k]
@@ -164,7 +165,7 @@ def unique_reference(seq, k, fail_prob, rng):
     if lie:
         if candidates.size > 0:
             return None
-        return int(arr[int(rng.integers(arr.size))])
+        return int(np.sort(arr)[int(rng.integers(arr.size))])
     if candidates.size > 0:
         return int(candidates[int(rng.integers(candidates.size))])
     return None

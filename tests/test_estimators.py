@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qentropy.amplitude import (
@@ -17,6 +17,7 @@ from qentropy.amplitude import (
     outcome_laws,
     sine_table,
 )
+from qentropy.distinctness import find_k_collision
 from qentropy.distributions import (
     RationalDistribution,
     count_classes,
@@ -957,14 +958,15 @@ def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
 
 def sorted_min_entropy_round(oracle, batch, k, fail_prob, rng):
     """One min-entropy round as the estimator ran it before streaming: the
-    whole batch drawn at once, candidates from np.unique, entry read by index."""
+    whole batch drawn at once, candidates from np.unique, a false positive's
+    entry read by index from the sorted batch."""
     seq = oracle.sample_classical(rng, batch)
     values, counts = np.unique(seq, return_counts=True)
     candidates = values[counts >= k]
     if batch >= k and float(rng.random()) < fail_prob:
         if candidates.size > 0:
             return None
-        return int(seq[int(rng.integers(batch))])
+        return int(np.sort(seq)[int(rng.integers(batch))])
     if candidates.size > 0:
         return int(candidates[int(rng.integers(candidates.size))])
     return None
@@ -977,8 +979,8 @@ def sorted_min_entropy_round(oracle, batch, k, fail_prob, rng):
 def test_streamed_min_entropy_round_matches_the_whole_batch(counts, chunk, data, k,
                                                             fail_prob, seed):
     # A batch of up to four chunks: counted chunk by chunk, with a false
-    # positive's entry redrawn, it gives the symbol and the generator state
-    # of the whole batch searched by sorting.
+    # positive's entry read from the running counts, it gives the symbol and
+    # the generator state of the whole batch searched by sorting.
     batch = data.draw(st.integers(0, 4 * chunk))
     oracle = build_oracle(RationalDistribution(sum(counts), tuple(counts)))
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -987,6 +989,30 @@ def test_streamed_min_entropy_round_matches_the_whole_batch(counts, chunk, data,
     expected = sorted_min_entropy_round(oracle, batch, k, fail_prob, ref)
     assert found == expected
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), min_size=2, max_size=8).filter(any),
+       chunk=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_a_lying_search_reports_the_sorted_draw_at_its_index(counts, chunk, data, seed):
+    # With no k-collision and a certain lie, the whole-batch search and the
+    # streamed one both report np.sort(draws)[i], for the index i a twin
+    # generator draws after the lie's uniform, and leave the twin's state.
+    batch = data.draw(st.integers(chunk + 1, 4 * chunk))
+    oracle = build_oracle(RationalDistribution(sum(counts), tuple(counts)))
+    twin = np.random.default_rng(seed)
+    draws = oracle.sample_classical(twin, batch)
+    k = int(np.bincount(draws).max()) + 1
+    assume(k <= batch)
+    twin.random()
+    expected = int(np.sort(draws)[twin.integers(batch)])
+
+    whole = np.random.default_rng(seed)
+    assert find_k_collision(oracle.sample_classical(whole, batch), k, 1.0, whole) == expected
+    streamed = np.random.default_rng(seed)
+    with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
+        assert estimators._min_entropy_search(oracle, batch, k, 1.0, streamed) == expected
+    assert whole.bit_generator.state == streamed.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(8))

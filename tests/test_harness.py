@@ -182,6 +182,19 @@ def test_a_spec_named_twice_is_resolved_and_built_once():
         assert repr(shared(seed).to_dict()) == repr(separate(seed).to_dict())
 
 
+def test_exact_resolves_a_spec_named_twice_once(capsys):
+    # `exact` reuses --dist for a --dist-q that names the same spec, and
+    # prints what two specs of the same counts print.
+    argv = ["exact", "--measure", "kl", "--dist", "zipf:1.1:64", "--dist-q"]
+    with mock.patch.object(cli, "resolve_distribution",
+                           wraps=cli.resolve_distribution) as resolve:
+        assert main(argv + ["zipf:1.1:64"]) == 0
+    assert resolve.call_count == 1
+    shared = capsys.readouterr().out
+    assert main(argv + ["zipf:1.10:64"]) == 0
+    assert capsys.readouterr().out == shared
+
+
 def test_run_cell_trial_requires_algo_keys():
     with pytest.raises(ValueError):
         run_cell_trial({"dist": "uniform:8"}, 0)
@@ -908,6 +921,20 @@ def test_no_module_holds_a_cache():
                                                        node.attr))
     assert offenders == [], "build what a call needs in the call, or hold it in the " \
         "caller: %s" % offenders
+
+
+def test_no_module_reads_or_sets_a_bit_generator_state():
+    # A draw is read from values in hand, not replayed from a saved state:
+    # a replay repeats the draws and ties a report to the bit generator's
+    # type.
+    offenders = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "state" \
+                    and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "bit_generator":
+                offenders.append("%s:%d uses .bit_generator.state" % (path.name, node.lineno))
+    assert offenders == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -94,9 +94,9 @@ def test_oracle_draws_come_in_the_guide_type(n, dtype):
 @settings(max_examples=60, deadline=None)
 @given(counts=st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any),
        size=st.integers(0, 200), chunk=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
-def test_counts_and_replays_do_not_depend_on_the_guide_type(counts, size, chunk, seed):
+def test_counts_do_not_depend_on_the_guide_type(counts, size, chunk, seed):
     # The same layout with its guide held as uint16, uint32 or int64 counts
-    # the same draws, replays the same symbols and leaves the same stream.
+    # the same draws and leaves the same stream.
     orc = build_oracle(from_counts(counts))
     results = []
     for dtype in (np.uint16, np.uint32, np.int64):
@@ -104,10 +104,8 @@ def test_counts_and_replays_do_not_depend_on_the_guide_type(counts, size, chunk,
         guide.flags.writeable = False
         table = dataclasses.replace(orc, guide=guide)
         rng = np.random.default_rng(seed)
-        state = rng.bit_generator.state
         tallies = table.sample_counts(rng, size, chunk)
-        replayed = [table.symbol_at(state, i, chunk) for i in range(0, size, 37)]
-        results.append((tallies.tolist(), replayed, rng.random()))
+        results.append((tallies.tolist(), rng.random()))
     assert results[0] == results[1] == results[2]
 
 
