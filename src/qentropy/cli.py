@@ -72,10 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _estimate_cell(args) -> dict:
     """The experiment cell an `estimate` command line describes."""
-    # each option's dest is the cell key it sets
+    # each option's dest is the cell key it sets, and TRIALS lists each algo's keys
     cell = {"algo": args.algo, "dist": args.dist, "eps": args.eps,
             "delta": args.delta, "mode": args.mode}
-    for key in ("dist_q", "f", "alpha", "m", "n_samples", "measure"):
+    for key in sorted({key for required, optional, _ in TRIALS.values()
+                       for key in required + optional}):
         if getattr(args, key) is not None:
             cell[key] = getattr(args, key)
     return cell

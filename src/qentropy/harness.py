@@ -117,7 +117,7 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
         raise ValueError("cell needs at least 'algo' and 'dist'")
     if not isinstance(algo, str) or algo not in TRIALS:
         raise ValueError("unknown algo %r" % (algo,))
-    required = TRIALS[algo][0]
+    required, optional, _ = TRIALS[algo]
     if any(key not in cell for key in required):
         raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
     for key in ("dist", "dist_q"):
@@ -140,7 +140,7 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got mode %r"
                          % (", ".join("'%s'" % m for m in MODES), mode))
-    unread = sorted(set(cell) - _COMMON_KEYS - set(_ALGO_KEYS[algo]))
+    unread = sorted(set(cell) - _COMMON_KEYS - set(required + optional))
     if unread:
         raise ValueError("%s cells do not read %s"
                          % (algo, " or ".join("'%s'" % k for k in unread)))
@@ -217,27 +217,25 @@ def _config(cell: dict) -> EstimatorConfig:
                            delta=float(cell.get("delta", 0.1)), mode=cell.get("mode", "contract"))
 
 
-# algo -> (keys its cells need besides 'algo' and 'dist',
+# the cell keys every cell reads
+_COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
+
+# algo -> (keys its cells need besides 'algo' and 'dist', the other keys they read,
 #          prepare(cell, the distribution of each key _check_cell names) -> trial(seed))
-TRIALS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "shannon": ((), lambda cell, p: prepare_shannon(p, _config(cell))),
-    "kl": (("dist_q",), lambda cell, p, q: prepare_kl(
+TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
+    "shannon": ((), (), lambda cell, p: prepare_shannon(p, _config(cell))),
+    "kl": (("dist_q",), ("f",), lambda cell, p, q: prepare_kl(
         p, q, float(cell["f"]) if "f" in cell else None, _config(cell))),
-    "renyi": (("alpha",), lambda cell, p: prepare_renyi(p, float(cell["alpha"]), _config(cell))),
-    "minentropy": ((), lambda cell, p: prepare_min_entropy(p, _config(cell))),
-    "coverage": (("n_samples",), lambda cell, p: prepare_support_coverage(
+    "renyi": (("alpha",), (), lambda cell, p: prepare_renyi(
+        p, float(cell["alpha"]), _config(cell))),
+    "minentropy": ((), (), lambda cell, p: prepare_min_entropy(p, _config(cell))),
+    "coverage": (("n_samples",), (), lambda cell, p: prepare_support_coverage(
         p, cell["n_samples"], _config(cell))),
-    "support": (("m",), lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
-    "plugin": (("measure", "n_samples"), lambda cell, p, q=None: prepare_plugin(
+    "support": (("m",), (), lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
+    "plugin": (("measure", "n_samples"), ("dist_q",), lambda cell, p, q=None: prepare_plugin(
         p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
 }
-
-# the cell keys every cell reads, and algo -> the other keys its cells read
-_COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
-_ALGO_KEYS = {"shannon": (), "kl": ("dist_q", "f"), "renyi": ("alpha",), "minentropy": (),
-              "coverage": ("n_samples",), "support": ("m",),
-              "plugin": ("dist_q", "measure", "n_samples")}
-_CELL_KEYS = _COMMON_KEYS.union(*_ALGO_KEYS.values())
+_CELL_KEYS = _COMMON_KEYS.union(*(required + optional for required, optional, _ in TRIALS.values()))
 
 
 def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
@@ -255,7 +253,7 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
     """
     specs = [cell[key] for key in _check_cell(cell)]
     resolved = {spec: resolve_distribution(spec) for spec in dict.fromkeys(specs)}
-    return TRIALS[cell["algo"]][1](cell, *(resolved[spec] for spec in specs))
+    return TRIALS[cell["algo"]][2](cell, *(resolved[spec] for spec in specs))
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],

@@ -19,11 +19,13 @@ as sigma*b*(m~ - 6*mu_- + 6*mu_+).  The step meets the bounded-l2 contract
 
 Median amplification asks for all of its runs at once.  multiplicative_runs
 does k runs over one law in a few array draws: all k anchors, then the minus
-part's k pilots and k main samples, then the plus part's.  It sorts the law's
-atoms by value once per call, so a run's minus part is nonzero on a prefix
-of them and its plus part on a suffix: its side.  A pilot is 64 index draws
-from the law, and a main sample is one multinomial over the side plus
-one lumped atom that holds the rest of the mass.  That is the full
+part's k pilots and k main samples, then the plus part's.  The plus part of
+X - m~ is the minus part of the mirrored law, (-X) - (-m~), and IEEE
+subtraction gives (-a) - (-x) == x - a bit for bit, so one step estimates
+both parts.  It sorts the law's atoms by value once per call, and a run's
+minus part is nonzero on the atoms below its anchor: its side.  A pilot is
+64 index draws from the law, and a main sample is one multinomial over the
+side plus one lumped atom that holds the rest of the mass.  That is the full
 multinomial with its zero-valued atoms aggregated, so the sample mean has the
 same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
@@ -128,7 +130,7 @@ class FiniteLaw:
             raise ValueError("values and probabilities must align")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-        if np.any(self.probabilities < 0):
+        if (self.probabilities < 0).any():
             raise ValueError("probabilities must be non-negative")
         total = self.probabilities.sum()
         # a NaN or infinite probability makes the total NaN or infinite
@@ -262,46 +264,42 @@ def _main_samples(m2_hat: np.ndarray, epsilon: float) -> np.ndarray:
     return np.ceil(_LEMMA_CHEBYSHEV * m2_up / tau ** 2)
 
 
-def _residual(values, anchors, sign: float, out: np.ndarray) -> np.ndarray:
-    """max(sign * (values - anchors), 0) written into out, which may be values.
-
-    Neither side is negated: the difference is taken the other way round."""
-    if sign > 0:
-        np.subtract(values, anchors, out=out)
-    else:
-        np.subtract(anchors, values, out=out)
+def _residual(values, anchors, out: np.ndarray) -> np.ndarray:
+    """max(anchors - values, 0) written into out, which may be values."""
+    np.subtract(anchors, values, out=out)
     return np.maximum(out, 0.0, out=out)
 
 
 def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np.ndarray,
-                widths: np.ndarray, anchors, sign: float, epsilon: float,
+                anchors: np.ndarray, epsilon: float,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounded-l2 pilot and main step, one run per anchor, over a law.
 
     guide is the law's FiniteLaw._guide(), atoms holds the estimated
     variable at each of the law's atoms, and run r estimates the mean of its
-    part max(sign*(atoms - anchors[r]), 0).
-    ranked and ps are the atoms' values and probabilities sorted so that run
-    r's part is positive exactly on the first widths[r] of them: its side.  A
-    pilot is _PILOT_RUNS index draws from the law, read through its guide
-    table as the anchors are.  A main sample is one
-    multinomial over the side plus one lumped atom, the next in order, to
-    which numpy's multinomial gives the rest of the mass: the full multinomial
-    with the zero-valued atoms aggregated, so the sample mean has the same
-    law.
+    part max(anchors[r] - atoms, 0).  ranked and ps are the atoms' values and
+    probabilities in ascending order of value, so run r's part is positive
+    exactly on the ranked values below anchors[r]: its side, the first
+    ranked.searchsorted(anchors[r], "left") of them.  A pilot is _PILOT_RUNS
+    index draws from the law, read through its guide table as the anchors
+    are.  A main sample is one multinomial over the side plus one lumped
+    atom, the next in order, to which numpy's multinomial gives the rest of
+    the mass: the full multinomial with the zero-valued atoms aggregated, so
+    the sample mean has the same law.
 
     Every pilot precedes every main sample, and runs go in chunks of at most
     _ROW_CHUNK drawn elements, so the draws do not depend on the chunking.
     Returns per-run means, second-moment pilots and main sample counts.
     """
     pilot = _PILOT_RUNS
+    widths = ranked.searchsorted(anchors, side="left")
     rows = widths.size
     m2_hat = np.empty(rows)
     step = max(1, _ROW_CHUNK // pilot)
     for lo in range(0, rows, step):
         chunk = anchors[lo:lo + step, None]
         x = atoms.take(_drawn(guide, rng.random((chunk.size, pilot))))
-        _residual(x, chunk, sign, out=x)
+        _residual(x, chunk, out=x)
         x *= x
         # each row is summed on its own, whatever the chunk's shape
         np.add.reduce(x, axis=1, out=m2_hat[lo:lo + step])
@@ -327,29 +325,10 @@ def _part_means(guide: GuideTable, atoms: np.ndarray, ranked: np.ndarray, ps: np
         # they draw nothing, so its counts are those of its own multinomial.
         on_side = columns < widths[rows_, None]
         counts = rng.multinomial(n, np.where(on_side, pvals, 0.0))
-        part = _residual(ranked[:width], anchors[rows_, None], sign,
-                         out=np.empty((n.size, width)))
+        part = _residual(ranked[:width], anchors[rows_, None], out=np.empty((n.size, width)))
         part *= counts[:, :width]
         means[rows_] = np.add.reduce(part, axis=1) / np.maximum(n, 1)
     return means, m2_hat, samples
-
-
-def _residual_parts(sub: FiniteLaw, scale: float, drawn) -> tuple[tuple, tuple]:
-    """The minus and plus parts of runs anchored at the drawn values, for _part_means.
-
-    Each is (atoms, ranked, ps, widths, anchors, sign) in units of
-    6*scale, where an anchor is itself an atom's value and so lies on neither
-    side.  One stable sort by value serves both parts: the minus part
-    (sign -1) is positive on the atoms below the anchor, a prefix of the
-    sorted atoms, and the plus part (sign +1) on those above it, a suffix.
-    """
-    atoms = sub.values / (6.0 * scale)
-    anchors = drawn / (6.0 * scale)
-    order = sub.values.argsort(kind="stable")
-    low, ps = atoms[order], sub._pvals[order]
-    below = low.searchsorted(anchors, side="left")
-    above = low.size - low.searchsorted(anchors, side="right")
-    return (atoms, low, ps, below, anchors, -1.0), (atoms, low[::-1], ps[::-1], above, anchors, 1.0)
 
 
 @dataclass
@@ -385,8 +364,10 @@ def multiplicative_runs(
     theorem's range is 0 < epsilon < 24*sigma.  Each run scales X by
     1/(sigma*b), draws its anchor m~ from X, and estimates the means of
     max(-(X/scale - m~), 0)/6 and max(X/scale - m~, 0)/6 with the bounded-l2
-    step.  The law's atoms are sorted by value once, so the minus part is
-    positive on a prefix of them and the plus part on a suffix.  Draw order:
+    step.  The law's atoms are sorted by value once; the plus part is the
+    minus part of the mirrored law -X at -m~, the same step over the negated
+    atoms in reverse order, since (-a) - (-x) == x - a in IEEE arithmetic,
+    signed zeros included.  Draw order:
     all anchors, then every minus-part pilot, every minus-part main sample,
     every plus-part pilot and every plus-part main sample.  A caller books
     repetitions times charged_executions, and the runs' classical draws.
@@ -408,9 +389,13 @@ def multiplicative_runs(
     drawn = sub.values.take(_drawn(guide, rng.random(repetitions)))
     eps_inner = epsilon * a / (48.0 * sigma * b)
     m_tilde = drawn / scale
-    minus, plus = _residual_parts(sub, scale, drawn)
-    mu_minus, _, n_minus = _part_means(guide, *minus, eps_inner, rng)
-    mu_plus, _, n_plus = _part_means(guide, *plus, eps_inner, rng)
+    # in units of 6*scale; an anchor is an atom's value, so on neither side
+    atoms, anchors = sub.values / (6.0 * scale), drawn / (6.0 * scale)
+    order = sub.values.argsort(kind="stable")
+    low, ps = atoms[order], sub._pvals[order]
+    mu_minus, _, n_minus = _part_means(guide, atoms, low, ps, anchors, eps_inner, rng)
+    mu_plus, _, n_plus = _part_means(guide, -atoms, -low[::-1], ps[::-1], -anchors,
+                                     eps_inner, rng)
     value = scale * (m_tilde - 6.0 * mu_minus + 6.0 * mu_plus)
 
     return MultiplicativeRuns(

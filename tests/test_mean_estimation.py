@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,11 +342,13 @@ def test_one_law_serves_two_contract_calls_unchanged():
 
 
 def _whole_law_step(sub, epsilon, rng):
-    # The bounded-l2 step as one run over the whole law: anchor 0 and sign +1,
-    # so the side is every atom and nothing is lumped (values are >= 0).
+    # The bounded-l2 step as one run over the whole law: the minus part of the
+    # mirrored law -X at anchor 0 is X itself (values are >= 0), so the side
+    # is every nonzero atom and only zeros are lumped.
+    order = sub.values.argsort(kind="stable")[::-1]
     means, m2_hat, samples = mean_estimation._part_means(
-        sub._guide(), sub.values, sub.values, sub._pvals, np.array([sub.values.size]), np.zeros(1),
-        1.0, epsilon, rng)
+        sub._guide(), -sub.values, -sub.values[order], sub._pvals[order], np.zeros(1),
+        epsilon, rng)
     return means[0], m2_hat[0], samples[0]
 
 
@@ -485,6 +488,60 @@ def test_single_call_on_a_law_with_ties_is_frozen():
     assert value == pytest.approx(1.1229409445929461, rel=1e-12)
     assert classical == 344177
     assert rng.random() == 0.5015981818087427
+
+
+def _annealed_base_level():
+    # The payoff law, sigma and mean bounds of the base level of renyi
+    # alpha = 2.5 on zipf:1.5:256, built as prepare_power_sum_annealed does.
+    from qentropy.amplitude import sine_table
+    from qentropy.distributions import count_classes
+    from qentropy.estimators import (_class_mixture, _level_budget, _payoff_law,
+                                     _payoff_table, annealing_schedule)
+    from qentropy.instances import zipf
+
+    dist = zipf(1.5, 256)
+    level = annealing_schedule(2.5, dist.n)[-1]
+    M = _level_budget(dist.n, level, 0.25, True)
+    law = _payoff_law(_payoff_table(M, lambda x: x ** (level - 1.0), "estamp"),
+                      _class_mixture(count_classes(dist), dist.denominator, sine_table(M)))
+    return law, (math.sqrt(5.0 * dist.n ** (1.0 - 1.0 / level)), 1.0 / math.e, 1.0)
+
+
+@pytest.mark.parametrize("law, expected", [
+    ("annealed", {
+        "value": ["0x1.98ec0840d72e6p-1", "0x1.99e681cc1ba66p-1",
+                  "0x1.9983886e0014ep-1", "0x1.9893ac047c7cfp-1"],
+        "m_tilde": ["0x1.4e470c59a2ee3p-2", "0x1.a32309d31b645p-3",
+                    "0x1.056fec2ae822bp-2", "0x1.4e470c59a2ee3p-2"],
+        "mu_minus": ["0x1.d754915408455p-8", "0x1.395832f7f8e45p-14",
+                     "0x1.84893bb24b6fep-10", "0x1.d9f12fc2c9d84p-8"],
+        "mu_plus": ["0x0.0p+0", "0x1.b3998f558f879p-7", "0x1.973ed08b4f2cap-8", "0x0.0p+0"],
+        "classical_executions": [23211, 44246, 14074, 28813],
+        "next": "0x1.a7abccc2fc800p-6"}),
+    ("two-atom", {
+        "value": ["0x1.4c74fc4043124p+0", "0x1.4cbbb6c7e6d5ep+0",
+                  "0x1.4c604bc79deaap+0", "0x1.4c7fa5a31fdd3p+0"],
+        "m_tilde": ["0x1.f333333333334p+0", "0x1.4cccccccccccdp-1",
+                    "0x1.4cccccccccccdp-1", "0x1.f333333333334p+0"],
+        "mu_minus": ["0x1.bca5e7dd2b02cp-4", "0x0.0p+0", "0x0.0p+0", "0x1.bc89798033902p-4"],
+        "mu_plus": ["0x0.0p+0", "0x1.bb8e2baeabd3dp-4", "0x1.ba9a63ade9608p-4", "0x0.0p+0"],
+        "classical_executions": [61736, 57472, 64515, 68593],
+        "next": "0x1.6f07fecda7cf0p-2"}),
+])
+def test_multiplicative_runs_stream_is_frozen_bit_for_bit(law, expected):
+    # Four runs with anchors on both sides of each law, so both parts are
+    # drawn with and without a lumped atom; every output bit and the
+    # generator state after the call are pinned.
+    if law == "annealed":
+        sub, (sigma, a, b) = _annealed_base_level()
+    else:
+        sub, (sigma, a, b) = two_point(1.3, 0.25), (0.5, 1.0, 2.0)  # the meanest suite's
+    rng = np.random.default_rng(46)
+    runs = multiplicative_runs(sub, sigma, a, b, 0.25, 4, rng)
+    for field in ("value", "m_tilde", "mu_minus", "mu_plus"):
+        assert [x.hex() for x in getattr(runs, field).tolist()] == expected[field], field
+    assert runs.classical_executions.tolist() == expected["classical_executions"]
+    assert rng.random().hex() == expected["next"]
 
 
 def test_batched_runs_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -635,21 +692,34 @@ def test_each_side_holds_exactly_the_atoms_where_its_part_is_positive(atoms, uni
     values = np.array([v for v, _ in atoms]) * unit
     weights = np.array([w for _, w in atoms], dtype=float)
     sub = FiniteLaw(values, weights / weights.sum())
-    drawn = index_draws(sub, 5, np.random.default_rng(seed))
-    m_tilde = drawn / scale
-    minus, plus = mean_estimation._residual_parts(sub, scale, drawn)
-    for contract_sign, part in ((-1, minus), (1, plus)):
-        part_atoms, ranked, ps, widths, anchors, sign = part
-        assert sign == contract_sign
-        gap = sign * (ranked - anchors[:, None])  # the part, before clipping, in side order
-        assert np.all(np.diff(gap, axis=1) <= 0)
+    part_means, calls = mean_estimation._part_means, []
+
+    def recording(guide, part_atoms, ranked, ps, anchors, epsilon, rng):
+        calls.append((part_atoms, ranked, ps, anchors))
+        return part_means(guide, part_atoms, ranked, ps, anchors, epsilon, rng)
+
+    with mock.patch.object(mean_estimation, "_part_means", recording):
+        m_tilde = multiplicative_runs(sub, 1.0, scale, scale, 0.25, 5,
+                                      np.random.default_rng(seed)).m_tilde
+    assert len(calls) == 2
+    residual = mean_estimation._residual
+    for sign, (part_atoms, ranked, ps, anchors) in zip((-1, 1), calls):  # minus, then plus
+        assert np.all(np.diff(ranked) >= 0)
+        widths = ranked.searchsorted(anchors, side="left")  # each run's side, as the step reads it
+        sides = residual(ranked, anchors[:, None], out=np.empty((anchors.size, ranked.size)))
         for r, width in enumerate(widths):
-            positive = np.maximum(sign * (values / scale - m_tilde[r]), 0.0) / 6.0 > 0
+            expected = np.maximum(sign * (values / scale - m_tilde[r]), 0.0) / 6.0
+            positive = expected > 0
             assert width == positive.sum()
-            assert np.all(gap[r, :width] > 0) and np.all(gap[r, width:] <= 0)
+            # the residual at each atom of the law, zeros exactly where expected
+            got = residual(part_atoms, anchors[r], out=np.empty(values.size))
+            assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+            assert np.all(sides[r, :width] > 0) and np.all(sides[r, width:] == 0)
             # the side is the positive atoms, value for value and mass for mass
             np.testing.assert_array_equal(np.sort(ranked[:width]),
                                           np.sort(part_atoms[positive]))
+            side, want = np.sort(sides[r, :width]), np.sort(expected[positive])
+            assert np.all(np.abs(side - want) <= 1e-12 * want)
             side_mass, lumped_mass = ps[:width].sum(), ps[width:].sum()
             assert side_mass == pytest.approx(sub._pvals[positive].sum(), abs=1e-12)
             assert side_mass + lumped_mass == pytest.approx(1.0, abs=1e-12)
