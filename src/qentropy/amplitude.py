@@ -22,9 +22,10 @@ in its call, so a batch's row is a one-row call's row, byte for byte.  The
 kernel splits the phase exactly (see outcome_laws) and reads the budget's
 sine table, sine_table(M), which its caller builds once for all the rows it
 builds at that budget, in one call or one at a time: an estimator's prepare
-builds one per budget.  sample_estamp draws one M-query estimate
-from one amplitude's row, and multiplicative_budget is the least M at which
-that estimate meets a relative error for every amplitude above a floor.
+builds one per budget, min-entropy's for its one sample_estamp too.
+sample_estamp draws one M-query estimate from one amplitude's row, and
+multiplicative_budget is the least M at which that estimate meets a
+relative error for every amplitude above a floor.
 """
 
 from __future__ import annotations
@@ -170,10 +171,11 @@ def multiplicative_budget(epsilon: float, p_floor: float) -> int:
     return M
 
 
-def sample_estamp(a: float, M: int, rng: np.random.Generator) -> float:
-    """One M-query amplitude estimate of a, drawn from its outcome law with
-    one uniform; its caller books the M queries."""
-    row = outcome_laws([a], sine_table(M))[0][0]
+def sample_estamp(a: float, sines: np.ndarray, rng: np.random.Generator) -> float:
+    """One amplitude estimate of a at the budget M of sines = sine_table(M),
+    drawn from a's outcome row with one uniform; its caller books M queries."""
+    M = sines.shape[1] - 1
+    row = outcome_laws([a], sines)[0][0]
     grid = np.flatnonzero(row)
     idx = np.cumsum(row[grid]).searchsorted(rng.random(1), side="right")
     return float(grid_value(grid[np.minimum(idx, grid.size - 1)], M)[0])

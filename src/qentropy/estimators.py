@@ -15,11 +15,12 @@ budget.  The collision-based estimators (integer orders, min-entropy) have
 no such law and refuse that mode.
 
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
-cfg) touches no rng: it makes every check that needs no draw, fixes the
-budgets and the repetition counts, builds the payoff laws and computes the
-truth, so what it refuses is refused before any draw.  The estimators that
-draw symbols themselves (the integer orders, min-entropy and the plug-in)
-then build their oracle layout, once.  prepare_X returns the trial, trial(seed), which draws from
+cfg) touches no rng, and works in one order: parameter checks and every
+budget that needs only n and them, then reads of the distribution (its
+grouping, a promise, the truth), then tables and payoff laws; the
+estimators that draw symbols themselves (integer orders, min-entropy and
+the plug-in) then build their oracle layout, once.  prepare_X returns the
+trial, trial(seed), which draws from
 np.random.default_rng(seed), books ledgers of its own, one per distribution
 it reads, and returns a fresh report; a prepared estimator runs any number
 of trials.
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,21 +143,17 @@ class EstimateReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "algo": self.algo, "estimate": self.estimate, "truth": self.truth,
-            "error_mode": self.error_mode, "tolerance": self.tolerance,
-            "success": self.success, "error": self.error, "n": self.n,
-            "S": self.denominator, "eps": self.epsilon, "delta": self.delta,
-            "seed": self.seed, "mode": self.mode, "alpha": self.alpha,
-            "ledger": self.ledger, "ledger_q": self.ledger_q,
-            "classical_executions": self.classical_executions,
-            "wall_ms": self.wall_ms, "extras": self.extras,
-        }
+        """The fields in order, by name but denominator ("S") and epsilon ("eps")."""
+        return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+
+
+_REPORT_KEYS = {"denominator": "S", "epsilon": "eps"}
 
 
 def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
             alpha=None, ledger_q=None, extras=None) -> EstimateReport:
-    """The report of one trial on dist, judged against tolerance cfg.epsilon."""
+    """The report of one trial on dist, judged against tolerance cfg.epsilon
+    (a NaN estimate fails); cfg is anything with epsilon, delta and mode."""
     if error_mode == "multiplicative":
         err = abs(estimate - truth) / abs(truth) if truth != 0 else math.inf
     else:
@@ -278,15 +276,13 @@ class _RatioSubroutine:
 
 
 def _pow2_budget(x: float) -> int:
-    """The power of two one doubling above the least one >= max(x, 2).
-
-    The extra doubling was fixed so the exact estimator bias meets its
-    budget on the acceptance grids.  No power of two is large enough for
-    an infinite x, which raises check_budget's ValueError.
-    """
-    if not math.isfinite(x):
-        check_budget(math.inf)
-    return 2 << math.ceil(math.log2(max(x, 2.0)))
+    """The power of two one doubling above the least one >= max(x, 2), once
+    check_budget passes it (an infinite x is refused as M=inf): every budget
+    is refused where it is computed.  The extra doubling was fixed so the
+    exact estimator bias meets its budget on the acceptance grids."""
+    M = 2 << math.ceil(math.log2(max(x, 2.0))) if math.isfinite(x) else math.inf
+    check_budget(M)
+    return M
 
 
 def shannon_budget(n: int, epsilon: float) -> int:
@@ -378,21 +374,23 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
     ratio_bound as given (pass the exact Fraction from
     distributions.ratio_bound: its float can round below it); None stands
-    for that exact bound.  Budgets use its float.  q's budget carries the
+    for that exact bound, which keeps the promise by construction, so it is
+    not checked.  Budgets use its float.  q's budget carries the
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
     charge by roughly that ratio.
     """
-    # one grouping serves the bound, the promise, the law and the truth
-    pairs = count_pairs(p, q)
-    if ratio_bound is None:
-        ratio_bound = pairs_ratio_bound(pairs, p, q)
-    check_ratio_promise(p, q, ratio_bound, pairs)
-    ratio_bound = float(ratio_bound)
     n, eps = p.n, cfg.epsilon
     M_p = shannon_budget(n, eps)
-    M_q = _pow2_budget(math.sqrt(n) * ratio_bound / eps)
-    check_budget(M_p)  # both before either side's laws are built
-    check_budget(M_q)
+    given = ratio_bound is not None
+    # one grouping serves the exact bound or the promise, the law and the truth
+    if not given:
+        pairs = count_pairs(p, q)
+        ratio_bound = pairs_ratio_bound(pairs, p, q)
+    M_q = _pow2_budget(math.sqrt(n) * float(ratio_bound) / eps)
+    if given:  # a given bound's budget is refused before the pairs are read
+        pairs = count_pairs(p, q)
+        check_ratio_promise(p, q, ratio_bound, pairs)
+    ratio_bound = float(ratio_bound)
     sub = _RatioSubroutine(p, q, M_p, M_q, pairs)
     sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
     run = _additive_run(sub, sigma, eps / 2.0,
@@ -439,7 +437,7 @@ def _level_budget(n: int, level: float, eps: float, high: bool) -> int:
     """Budget M of one annealed level on n symbols: the power of two one
     doubling above x*max(ln x, 1), where x is sqrt(n)/eps for orders above 1
     and n^(1/(2*level))/eps below 1.  An x past the largest float is inf,
-    which no budget meets."""
+    refused as M=inf."""
     try:
         x = math.sqrt(n) / eps if high else n ** (1.0 / (2.0 * level)) / eps
     except OverflowError:
@@ -469,57 +467,56 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     supplies the next level's mean bounds.  The bounds are computed once per
     level and shared by that level's repetitions (re-deriving them inside
     every repetition would multiply the recursion out exponentially, which
-    the target cost rules out).  Every level's budget, repetition count and
-    payoff law is fixed before any draw: the base case and the inner levels
-    at a constant epsilon, the last at the target one, and the levels at one
-    budget share its class mixture.  A level's repetitions run as one batch
+    the target cost rules out).  A level's repetitions run as one batch
     of multiplicative_runs over the level's payoff law, booked on the
     trial's ledger as the batch returns; the level's estimate is their median.
+
+    Both modes first plan each level from n and the parameters: its order,
+    epsilon, delta, sigma and budget (refused as it is computed), the inner
+    levels at a constant epsilon, the last at the target one; exact mode
+    plans the final level alone.  Then one class mixture is built per
+    distinct budget, in plan order, and one payoff law x^(level-1) per level
+    (below 1 on the zero-adjusted estimate, which keeps the power finite).
     """
     if not 0 < alpha < math.inf or float(alpha).is_integer():
         raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     high = alpha > 1
     algo = "renyi-high" if high else "renyi-low"
-    classes = count_classes(dist)
-    truth = power_sum(dist, alpha, classes)
-    mixtures = {}  # the class mixture of each budget in use
-
-    def level_law(level: float, eps: float) -> tuple[int, FiniteLaw]:
-        """Budget and payoff law x^(level-1) of one level; orders below 1 use
-        the zero-adjusted estimate, which keeps the negative power finite."""
-        M = _level_budget(dist.n, level, eps, high)
-        exponent = level - 1.0
-        payoffs = _payoff_table(M, lambda x: x ** exponent, "estamp" if high else "estamp-prime")
-        if M not in mixtures:
-            mixtures[M] = _class_mixture(classes, dist.denominator, sine_table(M))
-        return M, _payoff_law(payoffs, mixtures[M])
-
-    if cfg.mode == "exact-expectation":
-        M, sub = level_law(alpha, cfg.epsilon)
-        mean, variance = sub.mean(), sub.variance()
-        return lambda seed: _power_sum_report(
-            algo, dist, alpha, cfg, seed, QueryLedger(), truth, mean,
-            {"M": M, "exact_subroutine_variance": variance})
     n = dist.n
-    ln_n = math.log(n)
-    orders = annealing_schedule(alpha, n)[::-1]
-    delta_inner = min(max(1.0 / (12.0 * ln_n * abs(math.log(alpha))), 1e-12), 0.5)
-    step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
-    levels = []  # (payoff law, repetitions, the trace entries fixed before any draw)
+    exact = cfg.mode == "exact-expectation"
+    orders = [alpha] if exact else annealing_schedule(alpha, n)[::-1]
+    if not exact:
+        ln_n = math.log(n)
+        delta_inner = min(max(1.0 / (12.0 * ln_n * abs(math.log(alpha))), 1e-12), 0.5)
+        step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
+    plan = []  # per level: the trace entries fixed from n and the parameters
     for idx, level in enumerate(orders):
         final = idx == len(orders) - 1
         eps_level = cfg.epsilon if final else 0.25 if high else 0.5
-        delta_level = cfg.delta if final else delta_inner
+        M = _level_budget(n, level, eps_level, high)  # refused before sigma can overflow
         sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
             else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        M, sub = level_law(level, eps_level)
+        plan.append({"alpha": level, "eps": eps_level,
+                     "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
+    classes = count_classes(dist)
+    truth = power_sum(dist, alpha, classes)
+    mixtures = {M: _class_mixture(classes, dist.denominator, sine_table(M))
+                for M in dict.fromkeys(level["M"] for level in plan)}
+    levels = []  # (payoff law, repetitions, the trace entries fixed before any draw)
+    for level in plan:
+        exponent = level["alpha"] - 1.0
+        sub = _payoff_law(_payoff_table(level["M"], lambda x: x ** exponent,
+                                        "estamp" if high else "estamp-prime"),
+                          mixtures[level["M"]])
         exact_mean, exact_var = sub.mean(), sub.variance()
-        levels.append((sub, median_repetitions(delta_level), {
-            "alpha": level, "eps": eps_level, "delta": delta_level,
-            "sigma": sigma, "M": M,
-            "exact_subroutine_mean": exact_mean, "exact_subroutine_variance": exact_var,
-            "variance_bound_exceeded": bool(exact_var > (sigma * exact_mean) ** 2),
-        }))
+        levels.append((sub, median_repetitions(level["delta"]), dict(
+            level, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
+            variance_bound_exceeded=bool(exact_var > (level["sigma"] * exact_mean) ** 2))))
+    if exact:
+        [(_, _, fixed)] = levels
+        return lambda seed: _power_sum_report(
+            algo, dist, alpha, cfg, seed, QueryLedger(), truth, fixed["exact_subroutine_mean"],
+            {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
 
     def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
@@ -705,7 +702,8 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
     (relative eps, floor 1/n): at the smallest epsilon it admits, no
     alphabet under 2^31 symbols needs more than 2^19, so
     multiplicative_budget's check_budget, which refuses a budget above the
-    largest outcome table, is only a guard.
+    largest outcome table, is only a guard.  Its sine table is built here,
+    so a fired trial builds only its symbol's row.
     """
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
@@ -726,6 +724,7 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
                          "could draw ~2^%.1f positions, past the ceiling of 2^40"
                          % (eps, n, total_log2))
     M = multiplicative_budget(eps, 1.0 / n)
+    sines = sine_table(M)
     k = math.ceil(first)
     fail_round = min(0.5, eps / (2.0 * ln_n))
     # a Python int, so the truth is a float, not an np.float64
@@ -756,7 +755,7 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
             estimate = 1.0 / n
             extras["fallback"] = True
         else:
-            estimate = sample_estamp(float(dist.fraction(found)), M, rng)
+            estimate = sample_estamp(float(dist.fraction(found)), sines, rng)
             ledger.charge("estamp", M)
             extras["fallback"] = False
             extras["captured_symbol"] = found
@@ -782,9 +781,10 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
     return payoff
 
 
-def _coverage_run(dist: RationalDistribution, classes: tuple, t: int, eps: float, mode: str):
-    """_additive_run of the coverage of dist's classes at t draws, to error eps * t."""
-    M = coverage_budget(t, eps)
+def _coverage_run(dist: RationalDistribution, classes: tuple, t: int, M: int, eps: float,
+                  mode: str):
+    """_additive_run of the coverage of dist's classes at t draws on budget
+    M = coverage_budget(t, eps), to error eps * t."""
     sub = _payoff_law(_payoff_table(M, _coverage_payoff(t), "estamp"),
                       _class_mixture(classes, dist.denominator, sine_table(M)))
     return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
@@ -795,8 +795,9 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
     t = sample_count(n_samples)
+    M = coverage_budget(t, cfg.epsilon)
     classes = count_classes(dist)
-    run = _coverage_run(dist, classes, t, cfg.epsilon, cfg.mode)
+    run = _coverage_run(dist, classes, t, M, cfg.epsilon, cfg.mode)
     truth_abs = support_coverage(dist, t, classes)
 
     def trial(seed: Optional[int]) -> EstimateReport:
@@ -812,11 +813,9 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
 _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
-def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None:
-    """What prepare_support_size refuses before it prepares its coverage run:
-    m, eps and the promise.  The coverage run then refuses its budget.  An
-    eps at or above _SUPPORT_MIN_EPSILON keeps the coverage epsilon at or
-    above MIN_EPSILON."""
+def _support_reduction(m: int, eps: float) -> tuple[int, float]:
+    """Coverage draws ceil(m ln(2/eps)) and epsilon eps/(2 ln(2/eps)), once m
+    and eps pass; eps >= _SUPPORT_MIN_EPSILON keeps the latter >= MIN_EPSILON."""
     if m < 1:
         raise ValueError("m must be positive")
     if eps >= 2.0:
@@ -825,6 +824,11 @@ def check_support_promise(src: RationalDistribution, m: int, eps: float) -> None
         raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
                          "epsilon eps/(2 ln(2/eps)) must be at least %g"
                          % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
+    return math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
+
+
+def check_support_promise(src: RationalDistribution, m: int) -> None:
+    """prepare_support_size's promise for m >= 1: every nonzero p_i >= 1/m."""
     # c * m < S exactly when c <= (S - 1) // m
     short = (src.counts > 0) & (src.counts <= (src.denominator - 1) // m)
     if short.any():
@@ -840,11 +844,10 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
     been seen but an eps/2 sliver, so the rounded coverage tracks the
     support size.
     """
-    eps = cfg.epsilon
-    check_support_promise(dist, m, eps)
-    t = math.ceil(m * math.log(2.0 / eps))
-    eps_cov = eps / (2.0 * math.log(2.0 / eps))
-    coverage = _coverage_run(dist, count_classes(dist), t, eps_cov, cfg.mode)
+    t, eps_cov = _support_reduction(m, cfg.epsilon)
+    M = coverage_budget(t, eps_cov)
+    check_support_promise(dist, m)
+    coverage = _coverage_run(dist, count_classes(dist), t, M, eps_cov, cfg.mode)
     truth = dist.support_size()
 
     def trial(seed: Optional[int]) -> EstimateReport:
@@ -896,6 +899,7 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     oracles = [build_oracle(dist)]
     if kl:  # an oracle is a value: one distribution needs one
         oracles.append(oracles[0] if dist_q is dist else build_oracle(dist_q))
+    settings = SimpleNamespace(epsilon=epsilon, delta=0.0, mode="plugin")  # as _finish reads cfg
 
     def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
@@ -907,18 +911,9 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
         undefined = kl and bool(np.any((counts[0] > 0) & (counts[1] == 0)))
         estimate = math.nan if undefined else evaluate_measure(
             empirical[0], measure, empirical[1] if kl else None)
-        err = abs(estimate - truth)
-        return EstimateReport(
-            algo="plugin:" + measure, estimate=float(estimate), truth=float(truth),
-            error_mode="additive", tolerance=epsilon,
-            success=bool(not undefined and err <= epsilon), error=float(err),
-            n=dist.n, denominator=dist.denominator,
-            epsilon=epsilon, delta=0.0, seed=seed, mode="plugin",
-            ledger=ledgers[0].snapshot(),
-            ledger_q=ledgers[1].snapshot() if kl else None,
-            classical_executions=ledgers[0].classical_executions,
-            extras={"n_samples": n_samples, "undefined": undefined},
-        )
+        return _finish("plugin:" + measure, estimate, truth, "additive", dist, settings, seed,
+                       ledgers[0], ledger_q=ledgers[1] if kl else None,
+                       extras={"n_samples": n_samples, "undefined": undefined})
     return trial
 
 

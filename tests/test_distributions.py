@@ -250,7 +250,7 @@ def test_grouped_measures_match_the_per_bin_reference(n, high, zeros, seed, spli
         assert _named_symbol(check_ratio_promise, p, q, 1.5, count_pairs(p, q)) \
             == _ref_ratio_violation(cp, S, cq, q.denominator, 1.5)
         for m_ in (m, m + 1, 2 * m + 1):
-            assert _named_symbol(check_support_promise, p, m_, 0.1) \
+            assert _named_symbol(check_support_promise, p, m_) \
                 == _ref_support_violation(cp, S, m_)
     # Relabelling the bins of p and q together moves no truth.  Renyi
     # entropy reads power_sum, so it is checked at the default bound only.

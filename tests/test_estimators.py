@@ -447,6 +447,33 @@ def test_sample_counts_are_refused_at_prepare_before_any_build(prepare, value):
         prepare(value)
 
 
+# What a prepare reads or builds from a distribution: none of it may run
+# before a budget that needs only n and the parameters is refused.
+_READS_AND_BUILDS = ("count_classes", "count_pairs", "power_sum", "shannon_entropy",
+                     "support_coverage", "sine_table", "outcome_laws", "build_oracle")
+
+
+@pytest.mark.parametrize("prepare", [
+    lambda: prepare_shannon(uniform(64), cfg(eps=1e-7)),
+    lambda: prepare_support_coverage(uniform(16), 1 << 40, cfg()),
+    # uniform:16 also breaks the promise at m = 4: the budget is refused first
+    lambda: prepare_support_size(uniform(16), 4, cfg(eps=1e-12)),
+    # p = 3/4 > 2 * 1/4 breaks the promise too; M_p, then M_q alone
+    lambda: prepare_kl(from_counts([3, 1]), from_counts([1, 3]), 2.0, cfg(eps=1e-7)),
+    lambda: prepare_kl(zipf(1.5, 64), uniform(64), 1e6, cfg(eps=0.01)),
+] + [lambda alpha=alpha, mode=mode: prepare_power_sum_annealed(
+        zipf(1.5, 64), alpha, cfg(eps=1e-4, mode=mode))
+     for alpha in (1.5, 0.75) for mode in ("contract", "exact-expectation")],
+    ids=["shannon", "coverage", "support", "kl-f-M_p", "kl-f-M_q", "annealed-1.5",
+         "annealed-1.5-exact", "annealed-0.75", "annealed-0.75-exact"])
+def test_a_budget_is_refused_before_any_read_of_the_distribution(prepare):
+    read = AssertionError("the distribution was read before the budget was refused")
+    with mock.patch.multiple(estimators, **{name: mock.Mock(side_effect=read)
+                                            for name in _READS_AND_BUILDS}), \
+            pytest.raises(ValueError, match="^budget M=2\\^"):
+        prepare()
+
+
 def test_numpy_integer_sample_counts_are_the_python_ints():
     dist = zipf(1.5, 16)
     for t in (np.int64(16), np.uint8(16), np.int32(16)):

@@ -950,6 +950,26 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def test_budgets_are_checked_where_computed_and_reports_built_in_one_place():
+    # A prepare that called check_budget itself would check a budget after
+    # computing it, where reads of the distribution can slip in between;
+    # _pow2_budget refuses each budget as it computes it.  And one builder
+    # of EstimateReport keeps every report's fields and judgement the same.
+    path = Path(harness.__file__).parent / "estimators.py"
+    tree = ast.parse(path.read_text(), str(path))
+    offenders = ["%s:%d calls check_budget" % (node.name, call.lineno)
+                 for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("prepare_")
+                 for call in ast.walk(node)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                 and call.func.id == "check_budget"]
+    assert offenders == []
+    builds = [call.lineno for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+              and call.func.id == "EstimateReport"]
+    assert len(builds) == 1, "EstimateReport is built at lines %s" % builds
+
+
 def test_cli_estimate_and_exact(capsys):
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:16",
                  "--eps", "0.25", "--seed", "4"]) == 0
