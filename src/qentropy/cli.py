@@ -75,7 +75,7 @@ def _estimate_cell(args) -> dict:
     # each option's dest is the cell key it sets, and TRIALS lists each algo's keys
     cell = {"algo": args.algo, "dist": args.dist, "eps": args.eps,
             "delta": args.delta, "mode": args.mode}
-    for key in sorted({key for required, optional, _ in TRIALS.values()
+    for key in sorted({key for required, optional, *_ in TRIALS.values()
                        for key in required + optional}):
         if getattr(args, key) is not None:
             cell[key] = getattr(args, key)

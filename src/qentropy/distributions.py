@@ -305,13 +305,18 @@ def count_classes(dist: RationalDistribution) -> tuple[np.ndarray, np.ndarray]:
     return _count_groups(dist.counts)
 
 
+def check_alphabet(n_p: int, n_q: int) -> None:
+    """count_pairs' refusal of p on n_p symbols and q on n_q, from the sizes alone."""
+    if n_p != n_q:
+        raise ValueError("p and q must share an alphabet")
+
+
 def count_pairs(p: RationalDistribution, q: RationalDistribution
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct pairs (p_i, q_i) of counts with p_i > 0, found by one sort
     of the bins where p is nonzero: their p counts, q counts, numbers of bins
     and first bins (0-based), ordered by q count, then p count."""
-    if p.n != q.n:
-        raise ValueError("p and q must share an alphabet")
+    check_alphabet(p.n, q.n)
     bins = (p.counts != 0).nonzero()[0]
     # lexsort is stable, so each group starts at its first bin
     bins = bins[np.lexsort((p.counts[bins], q.counts[bins]))]

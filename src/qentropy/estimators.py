@@ -15,12 +15,13 @@ budget.  The collision-based estimators (integer orders, min-entropy) have
 no such law and refuse that mode.
 
 Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
-cfg) touches no rng, and works in one order: parameter checks and every
-budget that needs only n and them, then reads of the distribution (its
-grouping, a promise, the truth), then tables and payoff laws; the
-estimators that draw symbols themselves (integer orders, min-entropy and
-the plug-in) then build their oracle layout, once.  prepare_X returns the
-trial, trial(seed), which draws from
+cfg) touches no rng, and works in one order: its planner, a function of n
+and the parameters that makes every check and budget needing no
+distribution (harness runs it on a spec's size too), then reads of the
+distribution (its grouping, a promise, the truth), then tables and payoff
+laws; the estimators that draw symbols themselves (integer orders,
+min-entropy and the plug-in) then build their oracle layout, once.
+prepare_X returns the trial, trial(seed), which draws from
 np.random.default_rng(seed), books ledgers of its own, one per distribution
 it reads, and returns a fresh report; a prepared estimator runs any number
 of trials.
@@ -66,6 +67,7 @@ from .distinctness import (
 )
 from .distributions import (
     RationalDistribution,
+    check_alphabet,
     count_classes,
     count_pairs,
     evaluate_measure,
@@ -289,8 +291,8 @@ def shannon_budget(n: int, epsilon: float) -> int:
     return _pow2_budget(math.sqrt(n) / epsilon)
 
 
-def coverage_budget(n_samples: int, epsilon: float) -> int:
-    return _pow2_budget(math.sqrt(n_samples / epsilon))
+def coverage_budget(n_samples, epsilon: float) -> int:
+    return _pow2_budget(math.sqrt(sample_count(n_samples) / epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +369,16 @@ def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                          % (min(broken) + 1, float(ratio_bound)))
 
 
+def kl_budgets(n: int, n_q: int, ratio_bound: float | Fraction | None,
+               eps: float) -> tuple[int, Optional[int]]:
+    """prepare_kl's planner: M_p, M_q for a given ratio bound (None without
+    one: the exact bound needs the pair), then p's n against q's n_q."""
+    M_p = shannon_budget(n, eps)
+    M_q = None if ratio_bound is None else _pow2_budget(math.sqrt(n) * float(ratio_bound) / eps)
+    check_alphabet(n, n_q)
+    return M_p, M_q
+
+
 def prepare_kl(p: RationalDistribution, q: RationalDistribution,
                ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
@@ -380,15 +392,13 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     charge by roughly that ratio.
     """
     n, eps = p.n, cfg.epsilon
-    M_p = shannon_budget(n, eps)
-    given = ratio_bound is not None
+    M_p, M_q = kl_budgets(n, q.n, ratio_bound, eps)
     # one grouping serves the exact bound or the promise, the law and the truth
-    if not given:
-        pairs = count_pairs(p, q)
+    pairs = count_pairs(p, q)
+    if ratio_bound is None:
         ratio_bound = pairs_ratio_bound(pairs, p, q)
-    M_q = _pow2_budget(math.sqrt(n) * float(ratio_bound) / eps)
-    if given:  # a given bound's budget is refused before the pairs are read
-        pairs = count_pairs(p, q)
+        M_q = kl_budgets(n, q.n, ratio_bound, eps)[1]
+    else:
         check_ratio_promise(p, q, ratio_bound, pairs)
     ratio_bound = float(ratio_bound)
     sub = _RatioSubroutine(p, q, M_p, M_q, pairs)
@@ -454,6 +464,29 @@ def _power_sum_report(algo: str, dist, alpha, cfg, seed, ledger, truth, estimate
                    alpha=alpha, extras=extras)
 
 
+def annealed_plan(n: int, alpha: float, cfg: EstimatorConfig) -> list[dict]:
+    """prepare_power_sum_annealed's planner: the order, then from the base
+    case out each level's order, epsilon (constant, the last's the target),
+    delta, sigma and budget M; exact-expectation mode plans the last alone."""
+    if not 0 < alpha < math.inf or float(alpha).is_integer():
+        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
+    high = alpha > 1
+    exact = cfg.mode == "exact-expectation"
+    orders = [alpha] if exact else annealing_schedule(alpha, n)[::-1]
+    if not exact:
+        delta_inner = min(max(1.0 / (12.0 * math.log(n) * abs(math.log(alpha))), 1e-12), 0.5)
+    plan = []
+    for idx, level in enumerate(orders):
+        final = idx == len(orders) - 1
+        eps_level = cfg.epsilon if final else 0.25 if high else 0.5
+        M = _level_budget(n, level, eps_level, high)  # refused before sigma can overflow
+        sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
+            else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
+        plan.append({"alpha": level, "eps": eps_level,
+                     "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
+    return plan
+
+
 def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
                                cfg: EstimatorConfig) -> Callable:
     """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
@@ -471,33 +504,15 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     of multiplicative_runs over the level's payoff law, booked on the
     trial's ledger as the batch returns; the level's estimate is their median.
 
-    Both modes first plan each level from n and the parameters: its order,
-    epsilon, delta, sigma and budget (refused as it is computed), the inner
-    levels at a constant epsilon, the last at the target one; exact mode
-    plans the final level alone.  Then one class mixture is built per
-    distinct budget, in plan order, and one payoff law x^(level-1) per level
-    (below 1 on the zero-adjusted estimate, which keeps the power finite).
+    Both modes first plan their levels (annealed_plan).  Then one class
+    mixture is built per distinct budget, in plan order, and one payoff law
+    x^(level-1) per level (below 1 on the zero-adjusted estimate, which
+    keeps the power finite).
     """
-    if not 0 < alpha < math.inf or float(alpha).is_integer():
-        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
+    plan = annealed_plan(dist.n, alpha, cfg)  # the trace entries of each level
     high = alpha > 1
     algo = "renyi-high" if high else "renyi-low"
     n = dist.n
-    exact = cfg.mode == "exact-expectation"
-    orders = [alpha] if exact else annealing_schedule(alpha, n)[::-1]
-    if not exact:
-        ln_n = math.log(n)
-        delta_inner = min(max(1.0 / (12.0 * ln_n * abs(math.log(alpha))), 1e-12), 0.5)
-        step = 1.0 + 1.0 / ln_n if high else 1.0 - 1.0 / ln_n
-    plan = []  # per level: the trace entries fixed from n and the parameters
-    for idx, level in enumerate(orders):
-        final = idx == len(orders) - 1
-        eps_level = cfg.epsilon if final else 0.25 if high else 0.5
-        M = _level_budget(n, level, eps_level, high)  # refused before sigma can overflow
-        sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
-            else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        plan.append({"alpha": level, "eps": eps_level,
-                     "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
     classes = count_classes(dist)
     truth = power_sum(dist, alpha, classes)
     mixtures = {M: _class_mixture(classes, dist.denominator, sine_table(M))
@@ -512,11 +527,12 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
         levels.append((sub, median_repetitions(level["delta"]), dict(
             level, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
             variance_bound_exceeded=bool(exact_var > (level["sigma"] * exact_mean) ** 2))))
-    if exact:
+    if cfg.mode == "exact-expectation":
         [(_, _, fixed)] = levels
         return lambda seed: _power_sum_report(
             algo, dist, alpha, cfg, seed, QueryLedger(), truth, fixed["exact_subroutine_mean"],
             {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
+    step = 1.0 + 1.0 / math.log(n) if high else 1.0 - 1.0 / math.log(n)
 
     def trial(seed: Optional[int]) -> EstimateReport:
         rng = np.random.default_rng(seed)
@@ -574,31 +590,17 @@ _COLLISION_ROUNDS = 8.0
 _MAX_ROUNDS = 1 << 40
 
 
-def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
-                              cfg: EstimatorConfig) -> Callable:
-    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
-
-    A doubling loop finds a sequence length l that contains an alpha-wise
-    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
-    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
-    their exact collision counts averaged.  Each count has expectation
-    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
-    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
-    positions at a time, with one draw call per chunk.  Every search and
-    count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are booked as classical work.
-
-    Refused here, before any draw: exact-expectation mode, an epsilon that
-    asks for more than _MAX_ROUNDS count rounds, and an order whose charges
-    could sum past the digits Python will print.
-    """
+def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> tuple[int, float, int]:
+    """prepare_power_sum_integer's planner: the search's cap i_max on the
+    length's exponent, its failure rate and the count rounds, once the order,
+    the mode, an epsilon asking past _MAX_ROUNDS rounds and charges past the
+    digits Python will print are refused."""
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the integer-order collision estimator")
-    alpha = int(alpha)
-    n, eps = dist.n, cfg.epsilon
-    i_max = math.ceil(math.log2(alpha * n))  # the search's cap on the length's exponent
+    alpha, eps = int(alpha), cfg.epsilon
+    i_max = math.ceil(math.log2(alpha * n))
     fail_search = 1.0 / (10.0 * i_max)
     rounds = math.ceil(_COLLISION_ROUNDS / eps ** 2)
     if rounds > _MAX_ROUNDS:
@@ -619,6 +621,25 @@ def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
     if too_long:
         raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
+    return i_max, fail_search, rounds
+
+
+def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
+                              cfg: EstimatorConfig) -> Callable:
+    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+
+    A doubling loop finds a sequence length l that contains an alpha-wise
+    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
+    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
+    their exact collision counts averaged.  Each count has expectation
+    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
+    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
+    positions at a time, with one draw call per chunk.  Every search and
+    count round books Belovs's bound as its quantum charge; the sequence draws
+    themselves are booked as classical work.
+    """
+    i_max, fail_search, rounds = power_sum_integer_plan(dist.n, alpha, cfg)
+    alpha, eps = int(alpha), cfg.epsilon
     truth = power_sum(dist, alpha)
     oracle = build_oracle(dist)
 
@@ -687,6 +708,29 @@ def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                                lambda i: np.cumsum(counts).searchsorted(i, side="right"))
 
 
+def min_entropy_plan(n: int, cfg: EstimatorConfig) -> int:
+    """prepare_min_entropy's planner: the budget M of the final estimate
+    (relative eps, floor 1/n), once the mode, n < 2 and rounds that could
+    draw past _MAX_INTENSITY are refused.  At the least epsilon that last
+    admits, no n under 2^31 needs M above 2^19: check_budget is a guard."""
+    if cfg.mode == "exact-expectation":
+        raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
+    eps = cfg.epsilon
+    if n < 2:
+        raise ValueError("need n >= 2")
+    # With no round firing, lam runs through 1, r, r^2, ... up to n, for
+    # r = sqrt(1 + eps), so the intensities 16 ln(n) lam / eps^2 sum to at
+    # most 16 ln(n) (r n - 1) / ((r - 1) eps^2), with r - 1 written eps / (r + 1)
+    # (exact where 1 + eps rounds to 1) and taken in log2 so no eps overflows it.
+    r = math.sqrt(1.0 + eps)
+    total_log2 = math.log2(16.0 * math.log(n) * (r * n - 1.0) * (r + 1.0)) - 3.0 * math.log2(eps)
+    if total_log2 > math.log2(_MAX_INTENSITY):
+        raise ValueError("epsilon %r is too small for min-entropy on n = %d: its rounds "
+                         "could draw ~2^%.1f positions, past the ceiling of 2^40"
+                         % (eps, n, total_log2))
+    return multiplicative_budget(eps, 1.0 / n)
+
+
 def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
     """Multiplicative estimate of max_i p_i; success probability is a
     constant, not 2/3 (reported, not promised).
@@ -696,36 +740,15 @@ def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Cal
     to relative error eps with the 1/n floor budget.  If no round fires
     before the intensity passes n, the estimate falls back to 1/n.
 
-    Refused here, before any draw: exact-expectation mode, an alphabet below
-    2 symbols, and rounds whose intensities could sum past _MAX_INTENSITY.
-    That last refusal also bounds the final amplitude estimate's budget
-    (relative eps, floor 1/n): at the smallest epsilon it admits, no
-    alphabet under 2^31 symbols needs more than 2^19, so
-    multiplicative_budget's check_budget, which refuses a budget above the
-    largest outcome table, is only a guard.  Its sine table is built here,
-    so a fired trial builds only its symbol's row.
+    The final estimate's sine table is built here, so a fired trial builds
+    only its symbol's row.
     """
-    if cfg.mode == "exact-expectation":
-        raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
+    M = min_entropy_plan(dist.n, cfg)
     n, eps = dist.n, cfg.epsilon
-    if n < 2:
-        raise ValueError("need n >= 2")
     ln_n = math.log(n)
-    first = 16.0 * ln_n / eps ** 2  # the first round's intensity, at lam = 1
-    # With no round firing, lam runs through 1, r, r^2, ... up to n, for
-    # r = sqrt(1 + eps), so the intensities sum to at most first times
-    # (r n - 1) / (r - 1).  With r - 1 written eps / (r + 1), exact where
-    # 1 + eps rounds to 1, that is 16 ln(n) (r n - 1) (r + 1) / eps^3,
-    # taken in log2 so that no epsilon overflows it.
-    r = math.sqrt(1.0 + eps)
-    total_log2 = math.log2(16.0 * ln_n * (r * n - 1.0) * (r + 1.0)) - 3.0 * math.log2(eps)
-    if total_log2 > math.log2(_MAX_INTENSITY):
-        raise ValueError("epsilon %r is too small for min-entropy on n = %d: its rounds "
-                         "could draw ~2^%.1f positions, past the ceiling of 2^40"
-                         % (eps, n, total_log2))
-    M = multiplicative_budget(eps, 1.0 / n)
+    r = math.sqrt(1.0 + eps)  # the ratio of one round's lam to the last's
     sines = sine_table(M)
-    k = math.ceil(first)
+    k = math.ceil(16.0 * ln_n / eps ** 2)  # the first round's intensity, at lam = 1
     fail_round = min(0.5, eps / (2.0 * ln_n))
     # a Python int, so the truth is a float, not an np.float64
     truth = int(dist.counts.max()) / dist.denominator
@@ -794,8 +817,8 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
                              cfg: EstimatorConfig) -> Callable:
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
+    M = coverage_budget(n_samples, cfg.epsilon)
     t = sample_count(n_samples)
-    M = coverage_budget(t, cfg.epsilon)
     classes = count_classes(dist)
     run = _coverage_run(dist, classes, t, M, cfg.epsilon, cfg.mode)
     truth_abs = support_coverage(dist, t, classes)
@@ -813,9 +836,9 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
 _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
-def _support_reduction(m: int, eps: float) -> tuple[int, float]:
-    """Coverage draws ceil(m ln(2/eps)) and epsilon eps/(2 ln(2/eps)), once m
-    and eps pass; eps >= _SUPPORT_MIN_EPSILON keeps the latter >= MIN_EPSILON."""
+def support_budget(m: int, eps: float) -> tuple[int, float, int]:
+    """Coverage draws ceil(m ln(2/eps)), epsilon eps/(2 ln(2/eps)) and budget,
+    once m and eps pass; eps >= _SUPPORT_MIN_EPSILON keeps the epsilon >= MIN_EPSILON."""
     if m < 1:
         raise ValueError("m must be positive")
     if eps >= 2.0:
@@ -824,7 +847,8 @@ def _support_reduction(m: int, eps: float) -> tuple[int, float]:
         raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
                          "epsilon eps/(2 ln(2/eps)) must be at least %g"
                          % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
-    return math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
+    t, eps_cov = math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
+    return t, eps_cov, coverage_budget(t, eps_cov)
 
 
 def check_support_promise(src: RationalDistribution, m: int) -> None:
@@ -844,8 +868,7 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
     been seen but an eps/2 sliver, so the rounded coverage tracks the
     support size.
     """
-    t, eps_cov = _support_reduction(m, cfg.epsilon)
-    M = coverage_budget(t, eps_cov)
+    t, eps_cov, M = support_budget(m, cfg.epsilon)
     check_support_promise(dist, m)
     coverage = _coverage_run(dist, count_classes(dist), t, M, eps_cov, cfg.mode)
     truth = dist.support_size()
@@ -871,6 +894,19 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
 _MAX_PLUGIN_SAMPLES = 1 << 40
 
 
+def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None) -> tuple[int, bool]:
+    """prepare_plugin's planner: the sample count, below 2^40, and whether the
+    measure is kl, once the measure and, for kl, p's n against q's n_q pass."""
+    n_samples = sample_count(n_samples)
+    if n_samples > _MAX_PLUGIN_SAMPLES:
+        raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
+                         "that many positions, past the ceiling of 2^40" % n_samples)
+    kl = parse_measure(measure)[0] == "kl"
+    if kl and n_q is not None:
+        check_alphabet(n, n_q)
+    return n_samples, kl
+
+
 def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
                    dist_q: Optional[RationalDistribution] = None,
                    epsilon: float = math.inf) -> Callable:
@@ -885,11 +921,7 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     where empirical p has support is reported as undefined (NaN estimate,
     success False) rather than raising.
     """
-    n_samples = sample_count(n_samples)
-    if n_samples > _MAX_PLUGIN_SAMPLES:
-        raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
-                         "that many positions, past the ceiling of 2^40" % n_samples)
-    kl = parse_measure(measure)[0] == "kl"
+    n_samples, kl = plugin_plan(dist.n, measure, n_samples, dist_q and dist_q.n)
     if kl and dist_q is not None:
         pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
         pairs_ratio_bound(pairs, dist, dist_q)
@@ -921,10 +953,11 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
 # dispatch
 
 
-def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
-    """Route an order-alpha entropy request to the appropriate estimator.
+def renyi_route(alpha: float) -> tuple[Callable, Callable]:
+    """The estimator of an order-alpha entropy request: its planner,
+    plan(n, cfg), and its prepare, prepare(dist, cfg).
 
-    alpha = 1 prepares the Shannon estimator, alpha = inf the min-entropy
+    alpha = 1 routes to the Shannon estimator, alpha = inf the min-entropy
     estimator, integer alpha >= 2 the collision-based power sum, other
     positive alpha the annealed power sums.  alpha = 0 (support size) needs
     the 1/m promise and its own entry point, so it is rejected here.
@@ -935,9 +968,16 @@ def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig
         raise ValueError("order 0 needs a support promise: estimate the support size "
                          "instead (algo 'support', with its promise m)")
     if alpha == 1:
-        return prepare_shannon(dist, cfg)
+        return lambda n, cfg: shannon_budget(n, cfg.epsilon), prepare_shannon
     if math.isinf(alpha):
-        return prepare_min_entropy(dist, cfg)
+        return min_entropy_plan, prepare_min_entropy
     if float(alpha).is_integer():
-        return prepare_power_sum_integer(dist, int(alpha), cfg)
-    return prepare_power_sum_annealed(dist, alpha, cfg)
+        return (lambda n, cfg: power_sum_integer_plan(n, int(alpha), cfg),
+                lambda dist, cfg: prepare_power_sum_integer(dist, int(alpha), cfg))
+    return (lambda n, cfg: annealed_plan(n, alpha, cfg),
+            lambda dist, cfg: prepare_power_sum_annealed(dist, alpha, cfg))
+
+
+def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
+    """Prepare an order-alpha entropy request's estimator (renyi_route)."""
+    return renyi_route(alpha)[1](dist, cfg)

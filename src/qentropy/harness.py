@@ -5,12 +5,15 @@ must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-A cell is prepared once (prepare_cell): checked, its distributions resolved
-and its estimator prepared, so everything a cell refuses without a draw is
-refused there.  The prepared cell is the estimator's trial(seed), which
-books ledgers of its own.  ExperimentConfig prepares every cell when it
-loads and run_experiment runs each cell's trials on it; run_cell_trial, the
-one-trial form behind `estimate`, prepares a cell afresh for each call.
+A cell is prepared once (prepare_cell), in one order: spec size, checks,
+build, reads, tables.  It is checked, its estimator's planner (TRIALS)
+refuses what needs no distribution on each spec's size, its distributions
+are resolved and its estimator prepared, so everything a cell refuses
+without a draw is refused there, and without a build where it can be.
+The prepared cell is the estimator's trial(seed), which books ledgers of
+its own.  ExperimentConfig prepares every cell when it loads and
+run_experiment runs each cell's trials on it; run_cell_trial, the one-trial
+form behind `estimate`, prepares a cell afresh for each call.
 
 The invariant suites live in `verify`; SUITES, run_suite and suite_passed,
 which the benchmark reads through this module, are re-exported here as the
@@ -35,6 +38,10 @@ from .estimators import (
     MODES,
     EstimateReport,
     EstimatorConfig,
+    coverage_budget,
+    kl_budgets,
+    min_entropy_plan,
+    plugin_plan,
     prepare_kl,
     prepare_min_entropy,
     prepare_plugin,
@@ -42,8 +49,11 @@ from .estimators import (
     prepare_shannon,
     prepare_support_coverage,
     prepare_support_size,
+    renyi_route,
+    shannon_budget,
+    support_budget,
 )
-from .instances import INSTANCE_FAMILIES, parse_instance
+from .instances import INSTANCE_FAMILIES, instance_size, parse_instance
 from .verify import SUITES, run_suite, suite_passed
 
 SEED_ENV_VAR = "QENTROPY_SEED"
@@ -55,10 +65,13 @@ CSV_COLUMNS = [
 ]
 
 
+def _is_instance(spec: str) -> bool:
+    return spec.split(":", 1)[0] in INSTANCE_FAMILIES
+
+
 def resolve_distribution(spec: str) -> RationalDistribution:
     """Instance spec (uniform:64, zipf:1.5:256, ...) or path to a JSON file."""
-    family = spec.split(":", 1)[0]
-    if family in INSTANCE_FAMILIES:
+    if _is_instance(spec):
         return parse_instance(spec)
     if not os.path.exists(spec):
         raise ValueError(
@@ -106,9 +119,8 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     an unknown algo, a missing key or one the algo does not read (the
     plug-in reads dist_q with measure kl only), values of the wrong type,
     NaN or a meaningless infinity, which would otherwise be coerced or fail
-    late, an eps or delta outside EstimatorConfig's limits, an unknown mode
-    and a plug-in cell outside contract mode.  Returns the keys of the
-    distributions its trial reads, unresolved."""
+    late, an unknown mode and a plug-in cell outside contract mode.  Returns
+    the keys of the distributions its trial reads, unresolved."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
@@ -117,7 +129,7 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
         raise ValueError("cell needs at least 'algo' and 'dist'")
     if not isinstance(algo, str) or algo not in TRIALS:
         raise ValueError("unknown algo %r" % (algo,))
-    required, optional, _ = TRIALS[algo]
+    required, optional, _, _ = TRIALS[algo]
     if any(key not in cell for key in required):
         raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
     for key in ("dist", "dist_q"):
@@ -145,9 +157,7 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
         raise ValueError("%s cells do not read %s"
                          % (algo, " or ".join("'%s'" % k for k in unread)))
     reads = ("dist", "dist_q") if algo == "kl" else ("dist",)
-    if algo != "plugin":
-        _config(cell)  # EstimatorConfig's own limits on eps and delta
-    else:
+    if algo == "plugin":
         if mode != "contract":
             raise ValueError("plugin cells have no payoff law to integrate: they run only "
                              "in contract mode, not %s" % mode)
@@ -220,22 +230,37 @@ def _config(cell: dict) -> EstimatorConfig:
 # the cell keys every cell reads
 _COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
 
+
+def _ratio_bound(cell: dict) -> Optional[float]:
+    return float(cell["f"]) if "f" in cell else None
+
+
 # algo -> (keys its cells need besides 'algo' and 'dist', the other keys they read,
-#          prepare(cell, the distribution of each key _check_cell names) -> trial(seed))
-TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
-    "shannon": ((), (), lambda cell, p: prepare_shannon(p, _config(cell))),
-    "kl": (("dist_q",), ("f",), lambda cell, p, q: prepare_kl(
-        p, q, float(cell["f"]) if "f" in cell else None, _config(cell))),
-    "renyi": (("alpha",), (), lambda cell, p: prepare_renyi(
-        p, float(cell["alpha"]), _config(cell))),
-    "minentropy": ((), (), lambda cell, p: prepare_min_entropy(p, _config(cell))),
-    "coverage": (("n_samples",), (), lambda cell, p: prepare_support_coverage(
-        p, cell["n_samples"], _config(cell))),
-    "support": (("m",), (), lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
-    "plugin": (("measure", "n_samples"), ("dist_q",), lambda cell, p, q=None: prepare_plugin(
-        p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
+#          plan(cell, the size n of each distribution _check_cell names): the
+#          estimator's planner, which makes its EstimatorConfig first,
+#          prepare(cell, each of those distributions) -> trial(seed))
+TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable, Callable]] = {
+    "shannon": ((), (), lambda cell, n: shannon_budget(n, _config(cell).epsilon),
+                lambda cell, p: prepare_shannon(p, _config(cell))),
+    "kl": (("dist_q",), ("f",),
+           lambda cell, n, n_q: kl_budgets(n, n_q, _ratio_bound(cell), _config(cell).epsilon),
+           lambda cell, p, q: prepare_kl(p, q, _ratio_bound(cell), _config(cell))),
+    "renyi": (("alpha",), (),
+              lambda cell, n: renyi_route(float(cell["alpha"]))[0](n, _config(cell)),
+              lambda cell, p: prepare_renyi(p, float(cell["alpha"]), _config(cell))),
+    "minentropy": ((), (), lambda cell, n: min_entropy_plan(n, _config(cell)),
+                   lambda cell, p: prepare_min_entropy(p, _config(cell))),
+    "coverage": (("n_samples",), (),
+                 lambda cell, n: coverage_budget(cell["n_samples"], _config(cell).epsilon),
+                 lambda cell, p: prepare_support_coverage(p, cell["n_samples"], _config(cell))),
+    "support": (("m",), (), lambda cell, n: support_budget(cell["m"], _config(cell).epsilon),
+                lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
+    "plugin": (("measure", "n_samples"), ("dist_q",),
+               lambda cell, n, n_q=None: plugin_plan(n, cell["measure"], cell["n_samples"], n_q),
+               lambda cell, p, q=None: prepare_plugin(
+                   p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
 }
-_CELL_KEYS = _COMMON_KEYS.union(*(required + optional for required, optional, _ in TRIALS.values()))
+_CELL_KEYS = _COMMON_KEYS.union(*(entry[0] + entry[1] for entry in TRIALS.values()))
 
 
 def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
@@ -243,17 +268,25 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
 
     _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
     algo, a missing key, a key the algo does not read or a bad value, before
-    any distribution is resolved.  Then each distinct spec is resolved once,
-    so a dist and dist_q that name one spec are one distribution, and the
-    estimator's prepare step refuses what needs no draw (a budget above the
-    largest table, a broken promise, exact-expectation mode for the
-    collision estimators, ...), builds the payoff laws, computes the truth
+    any distribution is resolved.  The estimator's planner then refuses,
+    on each distribution's size, what needs no distribution (an eps or delta
+    EstimatorConfig refuses, a budget above the largest table, a KL pair on
+    different alphabets, ...): a JSON file is loaded for its size, and an
+    instance spec only sized (instance_size), not built.  Then each distinct
+    spec is resolved once, so a dist and dist_q that name one spec are one
+    distribution, and the estimator's prepare step refuses what needs no
+    draw (a broken promise, ...), builds the payoff laws, computes the truth
     and, if the estimator draws symbols itself, builds its oracle layout.
     The returned trial is the estimator's own.
     """
     specs = [cell[key] for key in _check_cell(cell)]
-    resolved = {spec: resolve_distribution(spec) for spec in dict.fromkeys(specs)}
-    return TRIALS[cell["algo"]][2](cell, *(resolved[spec] for spec in specs))
+    _, _, plan, prepare = TRIALS[cell["algo"]]
+    distinct = dict.fromkeys(specs)
+    files = {spec: resolve_distribution(spec) for spec in distinct if not _is_instance(spec)}
+    plan(cell, *(files[spec].n if spec in files else instance_size(spec) for spec in specs))
+    resolved = {spec: files[spec] if spec in files else resolve_distribution(spec)
+                for spec in distinct}
+    return prepare(cell, *(resolved[spec] for spec in specs))
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],

@@ -9,6 +9,10 @@ which lowers the Shannon entropy by exactly (2l/n)*ln 2 nats relative to
 uniform and removes l support elements.  Choosing l from the target gap
 yields indistinguishable-looking instance pairs whose measure difference is
 known in closed form.
+
+parse_instance builds a distribution from a compact spec; instance_size
+reads the same spec's N with the same parsers and errors, without building
+anything, so that a refusal that needs only N comes before any build.
 """
 
 from __future__ import annotations
@@ -194,6 +198,21 @@ _FAMILIES = {
 INSTANCE_FAMILIES = frozenset(_FAMILIES)
 
 
+def _read_spec(text: str, use):
+    """use(parsers, builder, arguments) of a spec's family, its arguments parsed."""
+    family, *args = text.split(":")
+    if family not in _FAMILIES:
+        raise ValueError("unknown instance family %r in spec %r" % (family, text))
+    form, parsers, build = _FAMILIES[family]
+    if len(args) != len(parsers):
+        raise ValueError("instance spec %r has %d arguments; %s takes %d" % (
+            text, len(args), form, len(parsers)))
+    try:
+        return use(parsers, build, [parse(arg) for parse, arg in zip(parsers, args)])
+    except ValueError as exc:
+        raise ValueError("instance spec %r (format %s): %s" % (text, form, exc)) from None
+
+
 def parse_instance(text: str) -> RationalDistribution:
     """Build a distribution from a compact CLI spec.
 
@@ -203,14 +222,15 @@ def parse_instance(text: str) -> RationalDistribution:
     be at most MAX_SYMBOLS.  Every error from parsing or building an
     argument quotes the spec and gives the family's format.
     """
-    family, *args = text.split(":")
-    if family not in _FAMILIES:
-        raise ValueError("unknown instance family %r in spec %r" % (family, text))
-    form, parsers, build = _FAMILIES[family]
-    if len(args) != len(parsers):
-        raise ValueError("instance spec %r has %d arguments; %s takes %d" % (
-            text, len(args), form, len(parsers)))
-    try:
-        return build(*(parse(arg) for parse, arg in zip(parsers, args)))
-    except ValueError as exc:
-        raise ValueError("instance spec %r (format %s): %s" % (text, form, exc)) from None
+    return _read_spec(text, lambda _, build, args: build(*args))
+
+
+def instance_size(text: str) -> int:
+    """parse_instance(text).n, parsed with its errors but not built: the
+    argument _symbols parses, or counts:'s list length.  Only an N below 1,
+    no symbol, is built, to raise its family's error; a spec that passes may
+    still fail its build (two-valued integrality, a hard-* member, ...)."""
+    def size(parsers, build, args):
+        n = args[parsers.index(_symbols)] if _symbols in parsers else len(args[0])
+        return n if n >= 1 else build(*args).n
+    return _read_spec(text, size)

@@ -28,7 +28,7 @@ from qentropy.distributions import (
     ratio_bound,
     shannon_entropy,
 )
-from qentropy import distributions, estimators
+from qentropy import distributions, estimators, harness
 from qentropy.estimators import (
     EstimatorConfig,
     _class_mixture,
@@ -472,6 +472,55 @@ def test_a_budget_is_refused_before_any_read_of_the_distribution(prepare):
                                             for name in _READS_AND_BUILDS}), \
             pytest.raises(ValueError, match="^budget M=2\\^"):
         prepare()
+
+
+_LARGE = "zipf:1.5:16777216"  # 2^24 symbols: building it takes ~1 s and ~400 MB
+
+
+@pytest.mark.parametrize("cell, message", [
+    ({"algo": "minentropy", "dist": _LARGE, "eps": 0.02},
+     "^epsilon 0.02 is too small for min-entropy on n = 16777216"),
+    ({"algo": "minentropy", "dist": "point:1"}, "^need n >= 2$"),
+    ({"algo": "minentropy", "dist": _LARGE, "mode": "exact-expectation"},
+     "^the min-entropy estimator has no payoff law"),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 1.5, "eps": 0.01}, "^budget M=2\\^24 "),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 0.75, "eps": 1e-4,
+      "mode": "exact-expectation"}, "^budget M=2\\^"),
+    ({"algo": "renyi", "dist": "uniform:2", "alpha": 1.5}, "^need n >= 3"),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 3, "eps": 1e-7},
+     "^epsilon 1e-07 is too small for integer order alpha=3"),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 2, "mode": "exact-expectation"},
+     "^the integer-order collision estimator has no payoff law"),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 0}, "^order 0 needs a support promise"),
+    ({"algo": "renyi", "dist": _LARGE, "alpha": 1, "eps": 1e-7}, "^budget M=2\\^"),
+    ({"algo": "shannon", "dist": _LARGE, "eps": 1e-7}, "^budget M=2\\^"),
+    ({"algo": "shannon", "dist": _LARGE, "delta": 1.5}, "^delta must lie in"),
+    ({"algo": "plugin", "dist": _LARGE, "measure": "shannon", "n_samples": 10 ** 13},
+     "^n_samples 10000000000000 is too large for the plug-in"),
+    ({"algo": "plugin", "dist": _LARGE, "dist_q": "uniform:16777215", "measure": "kl",
+      "n_samples": 10}, "^p and q must share an alphabet$"),
+    ({"algo": "kl", "dist": _LARGE, "dist_q": "uniform:16777215"},
+     "^p and q must share an alphabet$"),
+    ({"algo": "kl", "dist": "counts:3,1", "dist_q": "counts:1,3", "f": 2.0, "eps": 1e-7},
+     "^budget M=2\\^"),
+    ({"algo": "kl", "dist": "zipf:1.5:64", "dist_q": "uniform:64", "f": 1e6, "eps": 0.01},
+     "^budget M=2\\^"),
+    ({"algo": "coverage", "dist": _LARGE, "n_samples": 1 << 40}, "^budget M=2\\^"),
+    ({"algo": "coverage", "dist": _LARGE, "n_samples": 0}, "^n_samples must be positive"),
+    ({"algo": "support", "dist": "uniform:16", "m": 4, "eps": 1e-12}, "^budget M=2\\^"),
+], ids=["minentropy-intensity", "minentropy-n", "minentropy-exact", "annealed-1.5",
+        "annealed-0.75-exact", "annealed-n", "integer-rounds", "integer-exact", "order-0",
+        "order-1", "shannon", "delta", "plugin-ceiling", "plugin-kl-alphabets", "kl-alphabets",
+        "kl-f-M_p", "kl-f-M_q", "coverage", "coverage-n-samples", "support"])
+def test_a_cell_is_refused_from_its_spec_sizes_before_any_build(cell, message):
+    # prepare_cell plans on each instance spec's size: parse_instance and
+    # every read or build a prepare makes are patched to fail
+    built = AssertionError("an instance was built or read before the refusal")
+    with mock.patch.object(harness, "parse_instance", side_effect=built), \
+            mock.patch.multiple(estimators, **{name: mock.Mock(side_effect=built)
+                                               for name in _READS_AND_BUILDS}), \
+            pytest.raises(ValueError, match=message):
+        harness.prepare_cell(cell)
 
 
 def test_numpy_integer_sample_counts_are_the_python_ints():

@@ -1284,6 +1284,24 @@ def test_experiment_checks_every_cell_before_any_row(bad, message, tmp_path, cap
     assert not out_path.exists()
 
 
+def test_experiment_load_refuses_a_cell_from_its_spec_size_before_building_it():
+    # cell 1 asks min-entropy for rounds past 2^40 positions on 2^24 symbols:
+    # the load refuses it on the spec's size, without building that instance
+    large = "zipf:1.5:16777216"
+    parse = harness.parse_instance
+
+    def parse_small(spec):
+        assert spec != large, "the 2^24-symbol instance was built"
+        return parse(spec)
+
+    raw = {"cells": [{"algo": "shannon", "dist": "uniform:4"},
+                     {"algo": "minentropy", "dist": large, "eps": 0.02}]}
+    with mock.patch.object(harness, "parse_instance", side_effect=parse_small), \
+            pytest.raises(ValueError, match="^epsilon 0.02 is too small for min-entropy on "
+                          "n = 16777216: .* \\(cell 1\\)$"):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_a_plugin_cell_keeps_an_infinite_eps():
     # a plug-in cell has no EstimatorConfig: infinity means no error target
     cell = {"algo": "plugin", "dist": "uniform:4", "measure": "shannon", "n_samples": 8,

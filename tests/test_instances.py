@@ -20,6 +20,7 @@ from qentropy.instances import (
     bumped,
     hard_pair_coverage,
     hard_pair_shannon,
+    instance_size,
     parse_instance,
     point_mass,
     two_valued,
@@ -252,6 +253,55 @@ def test_spec_errors_quote_the_spec_and_the_format(spec, form, cause, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+# family -> its number of arguments
+_ARITY = {"uniform": 1, "point": 1, "zipf": 2, "two-valued": 4, "lpairs": 2,
+          "hard-shannon": 3, "hard-coverage": 3, "counts": 1}
+# What only parsing refuses, never a build: a spec with one of these errors
+# must be refused by instance_size too.
+_PARSE_ERRORS = ("unknown instance family", "arguments;", "is not an integer",
+                 "is not a finite number", "is not a comma-separated list",
+                 "above the ceiling")
+
+
+@st.composite
+def _specs(draw):
+    """(spec, whether its family or argument count is wrong), with small N."""
+    family = draw(st.sampled_from(sorted(_ARITY) + ["nosuch"]))
+    arity = max(0, _ARITY.get(family, 1) + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    token = st.integers(-2, 40).map(str) | st.sampled_from(
+        ["0.1", "0.25", "1.5", "-0.5", "1", "2", "", "x", "1e3", "nan", "inf", "16777217"])
+    if family == "counts":
+        token = st.lists(st.integers(0, 9), min_size=1, max_size=6).map(
+            lambda c: ",".join(map(str, c))) | st.sampled_from(["1,x", "", "-1,3"])
+    args = [draw(token) for _ in range(arity)]
+    return ":".join([family] + args), family not in _ARITY or arity != _ARITY[family]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_specs())
+@example(case=("uniform:0", False))
+@example(case=("lpairs:0:0", False))
+@example(case=("counts:0,0", False))
+@example(case=("zipf:1.5:16777217", False))
+@example(case=("hard-shannon:8:0.25:3", False))
+def test_instance_size_is_the_built_n_with_the_same_parse_errors(case):
+    spec, malformed = case
+    try:
+        size = instance_size(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as built:
+            parse_instance(spec)
+        assert str(built.value) == str(exc)
+        return
+    assert not malformed and size >= 1
+    try:
+        n = parse_instance(spec).n
+    except ValueError as exc:  # the arguments parse but do not build
+        assert not any(error in str(exc) for error in _PARSE_ERRORS), str(exc)
+        return
+    assert size == n
 
 
 def test_family_registry_is_complete():
