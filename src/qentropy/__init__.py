@@ -28,8 +28,6 @@ from .estimators import (
     prepare_kl,
     prepare_min_entropy,
     prepare_plugin,
-    prepare_power_sum_annealed,
-    prepare_power_sum_integer,
     prepare_renyi,
     prepare_shannon,
     prepare_support_coverage,
@@ -57,8 +55,6 @@ __all__ = [
     "prepare_kl",
     "prepare_min_entropy",
     "prepare_plugin",
-    "prepare_power_sum_annealed",
-    "prepare_power_sum_integer",
     "prepare_renyi",
     "prepare_shannon",
     "prepare_support_coverage",

@@ -14,17 +14,15 @@ both the laws and the truth, and builds each table and mixture once per
 budget.  The collision-based estimators (integer orders, min-entropy) have
 no such law and refuse that mode.
 
-Each estimator is split along what depends on the seed.  prepare_X(dist, ...,
-cfg) touches no rng, and works in one order: its planner, a function of n
-and the parameters that makes every check and budget needing no
-distribution (harness runs it on a spec's size too), then reads of the
-distribution (its grouping, a promise, the truth), then tables and payoff
-laws; the estimators that draw symbols themselves (integer orders,
-min-entropy and the plug-in) then build their oracle layout, once.
-prepare_X returns the trial, trial(seed), which draws from
-np.random.default_rng(seed), books ledgers of its own, one per distribution
-it reads, and returns a fresh report; a prepared estimator runs any number
-of trials.
+Each estimator runs in three stages, each a closure of the one before.  Its
+planner X_plan(n, ..., cfg) makes every check and budget needing no
+distribution and returns prepare(dist, ...), which touches no rng: it reads
+the distribution (its grouping, a promise, the truth), then builds tables,
+payoff laws and, where the estimator draws symbols itself (integer orders,
+min-entropy, the plug-in), its oracle layout.  That returns trial(seed),
+which draws from np.random.default_rng(seed), books ledgers of its own, one
+per distribution it reads, and returns a fresh report, as often as called.
+prepare_X(dist, ..., cfg) is X_plan(dist.n, ..., cfg)(dist).
 
 Charging policy: only the estimators book a ledger; payoff laws, contracts
 and oracle layouts are pure functions of their inputs and an rng.  A
@@ -335,20 +333,28 @@ def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callabl
     variance for the additive mean contract at target eps/2 (the other eps/2
     is the bias budget of the payoff's expectation).
     """
-    n, eps = dist.n, cfg.epsilon
-    M = shannon_budget(n, eps)
-    classes = count_classes(dist)
-    sub = _payoff_law(_payoff_table(M, lambda x: -math.log(x), "estamp-prime"),
-                      _class_mixture(classes, dist.denominator, sine_table(M)))
-    sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
-    run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
-    truth = shannon_entropy(dist, classes)
+    return shannon_plan(dist.n, cfg)(dist)
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        value, extras, (ledger,) = run(seed)
-        return _finish("shannon", value, truth, "additive", dist, cfg, seed, ledger,
-                       alpha=1.0, extras=extras)
-    return trial
+
+def shannon_plan(n: int, cfg: EstimatorConfig) -> Callable:
+    """prepare_shannon's planner: the budget M and sigma of n symbols."""
+    eps = cfg.epsilon
+    M = shannon_budget(n, eps)
+    sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
+
+    def prepare(dist: RationalDistribution) -> Callable:
+        classes = count_classes(dist)
+        sub = _payoff_law(_payoff_table(M, lambda x: -math.log(x), "estamp-prime"),
+                          _class_mixture(classes, dist.denominator, sine_table(M)))
+        run = _additive_run(sub, sigma, eps / 2.0, {"M": M, "sigma": sigma}, cfg.mode, (M,))
+        truth = shannon_entropy(dist, classes)
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            value, extras, (ledger,) = run(seed)
+            return _finish("shannon", value, truth, "additive", dist, cfg, seed, ledger,
+                           alpha=1.0, extras=extras)
+        return trial
+    return prepare
 
 
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
@@ -369,16 +375,6 @@ def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                          % (min(broken) + 1, float(ratio_bound)))
 
 
-def kl_budgets(n: int, n_q: int, ratio_bound: float | Fraction | None,
-               eps: float) -> tuple[int, Optional[int]]:
-    """prepare_kl's planner: M_p, M_q for a given ratio bound (None without
-    one: the exact bound needs the pair), then p's n against q's n_q."""
-    M_p = shannon_budget(n, eps)
-    M_q = None if ratio_bound is None else _pow2_budget(math.sqrt(n) * float(ratio_bound) / eps)
-    check_alphabet(n, n_q)
-    return M_p, M_q
-
-
 def prepare_kl(p: RationalDistribution, q: RationalDistribution,
                ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
     """Additive-error KL divergence estimate under the bounded-ratio promise.
@@ -391,28 +387,41 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
     charge by roughly that ratio.
     """
-    n, eps = p.n, cfg.epsilon
-    M_p, M_q = kl_budgets(n, q.n, ratio_bound, eps)
-    # one grouping serves the exact bound or the promise, the law and the truth
-    pairs = count_pairs(p, q)
-    if ratio_bound is None:
-        ratio_bound = pairs_ratio_bound(pairs, p, q)
-        M_q = kl_budgets(n, q.n, ratio_bound, eps)[1]
-    else:
-        check_ratio_promise(p, q, ratio_bound, pairs)
-    ratio_bound = float(ratio_bound)
-    sub = _RatioSubroutine(p, q, M_p, M_q, pairs)
-    sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(ratio_bound), 0.0)), 1e-9)
-    run = _additive_run(sub, sigma, eps / 2.0,
-                        {"M_p": M_p, "M_q": M_q, "sigma": sigma, "ratio_bound": ratio_bound},
-                        cfg.mode, (M_p, M_q))
-    truth = kl_divergence(p, q, pairs)
+    return kl_plan(p.n, q.n, ratio_bound, cfg)(p, q)
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        value, extras, (ledger_p, ledger_q) = run(seed)
-        return _finish("kl", value, truth, "additive", p, cfg, seed, ledger_p,
-                       ledger_q=ledger_q, extras=extras)
-    return trial
+
+def kl_plan(n: int, n_q: int, ratio_bound: float | Fraction | None,
+            cfg: EstimatorConfig) -> Callable:
+    """prepare_kl's planner: M_p, M_q for a given ratio bound (else prepare's,
+    from the pair's exact bound), then p's n against q's n_q."""
+    eps = cfg.epsilon
+    M_p = shannon_budget(n, eps)
+
+    def q_budget(bound: float | Fraction) -> int:
+        return _pow2_budget(math.sqrt(n) * float(bound) / eps)
+    M_q = None if ratio_bound is None else q_budget(ratio_bound)
+    check_alphabet(n, n_q)
+
+    def prepare(p: RationalDistribution, q: RationalDistribution) -> Callable:
+        # one grouping serves the exact bound or the promise, the law and the truth
+        pairs = count_pairs(p, q)
+        if ratio_bound is not None:
+            check_ratio_promise(p, q, ratio_bound, pairs)
+        bound = float(pairs_ratio_bound(pairs, p, q) if ratio_bound is None else ratio_bound)
+        M = M_q or q_budget(bound)
+        sub = _RatioSubroutine(p, q, M_p, M, pairs)
+        sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(bound), 0.0)), 1e-9)
+        run = _additive_run(sub, sigma, eps / 2.0,
+                            {"M_p": M_p, "M_q": M, "sigma": sigma, "ratio_bound": bound},
+                            cfg.mode, (M_p, M))
+        truth = kl_divergence(p, q, pairs)
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            value, extras, (ledger_p, ledger_q) = run(seed)
+            return _finish("kl", value, truth, "additive", p, cfg, seed, ledger_p,
+                           ledger_q=ledger_q, extras=extras)
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -464,31 +473,7 @@ def _power_sum_report(algo: str, dist, alpha, cfg, seed, ledger, truth, estimate
                    alpha=alpha, extras=extras)
 
 
-def annealed_plan(n: int, alpha: float, cfg: EstimatorConfig) -> list[dict]:
-    """prepare_power_sum_annealed's planner: the order, then from the base
-    case out each level's order, epsilon (constant, the last's the target),
-    delta, sigma and budget M; exact-expectation mode plans the last alone."""
-    if not 0 < alpha < math.inf or float(alpha).is_integer():
-        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
-    high = alpha > 1
-    exact = cfg.mode == "exact-expectation"
-    orders = [alpha] if exact else annealing_schedule(alpha, n)[::-1]
-    if not exact:
-        delta_inner = min(max(1.0 / (12.0 * math.log(n) * abs(math.log(alpha))), 1e-12), 0.5)
-    plan = []
-    for idx, level in enumerate(orders):
-        final = idx == len(orders) - 1
-        eps_level = cfg.epsilon if final else 0.25 if high else 0.5
-        M = _level_budget(n, level, eps_level, high)  # refused before sigma can overflow
-        sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
-            else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
-        plan.append({"alpha": level, "eps": eps_level,
-                     "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
-    return plan
-
-
-def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
-                               cfg: EstimatorConfig) -> Callable:
+def annealed_plan(n: int, alpha: float, cfg: EstimatorConfig) -> Callable:
     """Relative-error power sum for non-integer alpha > 0, success >= 1 - delta.
 
     Reported as renyi-high for alpha > 1 and renyi-low for alpha < 1.
@@ -504,72 +489,89 @@ def prepare_power_sum_annealed(dist: RationalDistribution, alpha: float,
     of multiplicative_runs over the level's payoff law, booked on the
     trial's ledger as the batch returns; the level's estimate is their median.
 
-    Both modes first plan their levels (annealed_plan).  Then one class
-    mixture is built per distinct budget, in plan order, and one payoff law
-    x^(level-1) per level (below 1 on the zero-adjusted estimate, which
-    keeps the power finite).
+    The plan checks the order, then fixes each level's order, epsilon, delta,
+    sigma and budget M from the base case out (exact-expectation: the last
+    alone).  prepare(dist) builds one class mixture per distinct budget and
+    one payoff law x^(level-1) per level (below 1 on the zero-adjusted
+    estimate, which keeps the power finite).
     """
-    plan = annealed_plan(dist.n, alpha, cfg)  # the trace entries of each level
+    if not 0 < alpha < math.inf or float(alpha).is_integer():
+        raise ValueError("annealed power sums need a positive, finite, non-integer alpha")
     high = alpha > 1
     algo = "renyi-high" if high else "renyi-low"
-    n = dist.n
-    classes = count_classes(dist)
-    truth = power_sum(dist, alpha, classes)
-    mixtures = {M: _class_mixture(classes, dist.denominator, sine_table(M))
-                for M in dict.fromkeys(level["M"] for level in plan)}
-    levels = []  # (payoff law, repetitions, the trace entries fixed before any draw)
-    for level in plan:
-        exponent = level["alpha"] - 1.0
-        sub = _payoff_law(_payoff_table(level["M"], lambda x: x ** exponent,
-                                        "estamp" if high else "estamp-prime"),
-                          mixtures[level["M"]])
-        exact_mean, exact_var = sub.mean(), sub.variance()
-        levels.append((sub, median_repetitions(level["delta"]), dict(
-            level, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
-            variance_bound_exceeded=bool(exact_var > (level["sigma"] * exact_mean) ** 2))))
-    if cfg.mode == "exact-expectation":
-        [(_, _, fixed)] = levels
-        return lambda seed: _power_sum_report(
-            algo, dist, alpha, cfg, seed, QueryLedger(), truth, fixed["exact_subroutine_mean"],
-            {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
-    step = 1.0 + 1.0 / math.log(n) if high else 1.0 - 1.0 / math.log(n)
+    exact = cfg.mode == "exact-expectation"
+    orders = [alpha] if exact else annealing_schedule(alpha, n)[::-1]
+    if not exact:
+        delta_inner = min(max(1.0 / (12.0 * math.log(n) * abs(math.log(alpha))), 1e-12), 0.5)
+        step = 1.0 + 1.0 / math.log(n) if high else 1.0 - 1.0 / math.log(n)
+    plan = []  # the trace entries of each level
+    for idx, level in enumerate(orders):
+        final = idx == len(orders) - 1
+        eps_level = cfg.epsilon if final else 0.25 if high else 0.5
+        M = _level_budget(n, level, eps_level, high)  # refused before sigma can overflow
+        sigma = math.sqrt(5.0 * n ** (1.0 - 1.0 / level)) if high \
+            else math.sqrt(2.0 * n ** (1.0 / level - 1.0))
+        plan.append({"alpha": level, "eps": eps_level,
+                     "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        rng = np.random.default_rng(seed)
-        ledger = QueryLedger()
-        estimate = None
-        trace = []
-        for idx, (sub, repetitions, fixed) in enumerate(levels):
-            level = fixed["alpha"]
-            if idx == 0:
-                a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
-            elif high:
-                a = (0.75 * estimate) ** step / math.e
-                b = (1.25 * estimate) ** step
-            else:
-                a = (0.5 * estimate) ** step
-                b = math.e * (2.0 * estimate) ** step
-            try:
-                batch = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
-                                            repetitions, rng)
-            except SampleCountOverflow as exc:
-                raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
-                                 % (level, exc, fixed["variance_bound_exceeded"])) from None
-            ledger.charge("estamp", fixed["M"] * repetitions * batch.charged_executions)
-            ledger.charge_classical(int(batch.classical_executions.sum()))
-            runs = batch.value.tolist()
-            value = median_amplify(runs)
-            # Power sums of a distribution on n symbols live in a known range;
-            # clamping a wild level estimate keeps the next level's bounds legal.
-            lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
-            clamped = min(max(value, lo), hi)
-            trace.append(dict(fixed, a=a, b=b, repetitions=repetitions, estimate=value,
-                              clamped=clamped, clamp_applied=clamped != value,
-                              runs=runs if idx == len(levels) - 1 else None))
-            estimate = clamped
-        return _power_sum_report(algo, dist, alpha, cfg, seed, ledger, truth, estimate,
-                                 {"schedule": trace})
-    return trial
+    def prepare(dist: RationalDistribution) -> Callable:
+        classes = count_classes(dist)
+        truth = power_sum(dist, alpha, classes)
+        mixtures = {M: _class_mixture(classes, dist.denominator, sine_table(M))
+                    for M in dict.fromkeys(level["M"] for level in plan)}
+        levels = []  # (payoff law, repetitions, the trace entries fixed before any draw)
+        for level in plan:
+            exponent = level["alpha"] - 1.0
+            sub = _payoff_law(_payoff_table(level["M"], lambda x: x ** exponent,
+                                            "estamp" if high else "estamp-prime"),
+                              mixtures[level["M"]])
+            exact_mean, exact_var = sub.mean(), sub.variance()
+            levels.append((sub, median_repetitions(level["delta"]), dict(
+                level, exact_subroutine_mean=exact_mean, exact_subroutine_variance=exact_var,
+                variance_bound_exceeded=bool(exact_var > (level["sigma"] * exact_mean) ** 2))))
+        if exact:
+            [(_, _, fixed)] = levels
+            return lambda seed: _power_sum_report(
+                algo, dist, alpha, cfg, seed, QueryLedger(), truth, fixed["exact_subroutine_mean"],
+                {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            rng = np.random.default_rng(seed)
+            ledger = QueryLedger()
+            estimate = None
+            trace = []
+            for idx, (sub, repetitions, fixed) in enumerate(levels):
+                level = fixed["alpha"]
+                if idx == 0:
+                    a, b = (1.0 / math.e, 1.0) if high else (1.0, math.e)
+                elif high:
+                    a = (0.75 * estimate) ** step / math.e
+                    b = (1.25 * estimate) ** step
+                else:
+                    a = (0.5 * estimate) ** step
+                    b = math.e * (2.0 * estimate) ** step
+                try:
+                    batch = multiplicative_runs(sub, fixed["sigma"], a, b, fixed["eps"],
+                                                repetitions, rng)
+                except SampleCountOverflow as exc:
+                    raise ValueError("annealed level alpha=%r: %s; variance_bound_exceeded=%s"
+                                     % (level, exc, fixed["variance_bound_exceeded"])) from None
+                ledger.charge("estamp", fixed["M"] * repetitions * batch.charged_executions)
+                ledger.charge_classical(int(batch.classical_executions.sum()))
+                runs = batch.value.tolist()
+                value = median_amplify(runs)
+                # Power sums of a distribution on n symbols live in a known range;
+                # clamping a wild level estimate keeps the next level's bounds legal.
+                lo, hi = (n ** (1.0 - level), 1.0) if high else (1.0, n ** (1.0 - level))
+                clamped = min(max(value, lo), hi)
+                trace.append(dict(fixed, a=a, b=b, repetitions=repetitions, estimate=value,
+                                  clamped=clamped, clamp_applied=clamped != value,
+                                  runs=runs if idx == len(levels) - 1 else None))
+                estimate = clamped
+            return _power_sum_report(algo, dist, alpha, cfg, seed, ledger, truth, estimate,
+                                     {"schedule": trace})
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +592,24 @@ _COLLISION_ROUNDS = 8.0
 _MAX_ROUNDS = 1 << 40
 
 
-def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> tuple[int, float, int]:
-    """prepare_power_sum_integer's planner: the search's cap i_max on the
-    length's exponent, its failure rate and the count rounds, once the order,
-    the mode, an epsilon asking past _MAX_ROUNDS rounds and charges past the
-    digits Python will print are refused."""
+def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> Callable:
+    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+
+    A doubling loop finds a sequence length l that contains an alpha-wise
+    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
+    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
+    their exact collision counts averaged.  Each count has expectation
+    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
+    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
+    positions at a time, with one draw call per chunk.  Every search and
+    count round books Belovs's bound as its quantum charge; the sequence draws
+    themselves are booked as classical work.
+
+    The plan fixes the search's cap i_max on the length's exponent, its
+    failure rate and the count rounds, once the order, the mode, an epsilon
+    asking past _MAX_ROUNDS rounds and charges past the digits Python will
+    print are refused.
+    """
     if alpha < 2 or not float(alpha).is_integer():
         raise ValueError("integer power sums need integer alpha >= 2")
     if cfg.mode == "exact-expectation":
@@ -621,63 +636,47 @@ def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> tuple[in
     if too_long:
         raise ValueError("alpha=%.15g: its query charges can exceed %d decimal digits, "
                          "the most Python converts to a string" % (alpha, limit))
-    return i_max, fail_search, rounds
 
+    def prepare(dist: RationalDistribution) -> Callable:
+        truth = power_sum(dist, alpha)
+        oracle = build_oracle(dist)
 
-def prepare_power_sum_integer(dist: RationalDistribution, alpha: int,
-                              cfg: EstimatorConfig) -> Callable:
-    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+        def trial(seed: Optional[int]) -> EstimateReport:
+            rng = np.random.default_rng(seed)
+            ledger = QueryLedger()
+            length = 1 << i_max
+            for i in range(i_max + 1):
+                seq = oracle.sample_classical(rng, 1 << i)
+                ledger.charge_classical(1 << i)
+                ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
+                hit = find_k_collision(seq, alpha, fail_search, rng)
+                if hit is not None:
+                    length = 1 << i
+                    break
 
-    A doubling loop finds a sequence length l that contains an alpha-wise
-    collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by
-    pigeonhole); then ceil(K/eps^2) fresh length-l sequences are drawn and
-    their exact collision counts averaged.  Each count has expectation
-    C(l, alpha) * P_alpha, giving an unbiased normalized estimate.  Rounds
-    are drawn, mapped to symbols and counted a chunk of at most _COUNT_CHUNK
-    positions at a time, with one draw call per chunk.  Every search and
-    count round books Belovs's bound as its quantum charge; the sequence draws
-    themselves are booked as classical work.
-    """
-    i_max, fail_search, rounds = power_sum_integer_plan(dist.n, alpha, cfg)
-    alpha, eps = int(alpha), cfg.epsilon
-    truth = power_sum(dist, alpha)
-    oracle = build_oracle(dist)
-
-    def trial(seed: Optional[int]) -> EstimateReport:
-        rng = np.random.default_rng(seed)
-        ledger = QueryLedger()
-        length = 1 << i_max
-        for i in range(i_max + 1):
-            seq = oracle.sample_classical(rng, 1 << i)
-            ledger.charge_classical(1 << i)
-            ledger.charge("distinctness", belovs_charge(alpha, 1 << i, fail_search))
-            hit = find_k_collision(seq, alpha, fail_search, rng)
-            if hit is not None:
-                length = 1 << i
-                break
-
-        fail_count = min(0.5, eps ** 2 / length)
-        denominator = math.comb(length, alpha)
-        round_charge = belovs_charge(alpha, length, fail_count)
-        chunk_rows = max(1, _COUNT_CHUNK // length)
-        total = 0
-        for done in range(0, rounds, chunk_rows):
-            rows = min(chunk_rows, rounds - done)
-            # One call for the chunk gives the same positions, and leaves the
-            # same generator state, as one call per round: bounded draws take
-            # their bits from the bit generator value by value, rejections
-            # included.
-            total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
-            ledger.charge_classical(rows * length)
-            ledger.charge("distinctness", rows * round_charge)
-        extras = {
-            "fixed_length": length, "rounds": rounds, "collision_total": total,
-            "cost_model": "belovs", "search_fail_prob": fail_search,
-            "count_fail_prob": fail_count,
-        }
-        return _power_sum_report("renyi-integer", dist, alpha, cfg, seed, ledger, truth,
-                                 total / (rounds * denominator), extras)
-    return trial
+            fail_count = min(0.5, eps ** 2 / length)
+            denominator = math.comb(length, alpha)
+            round_charge = belovs_charge(alpha, length, fail_count)
+            chunk_rows = max(1, _COUNT_CHUNK // length)
+            total = 0
+            for done in range(0, rounds, chunk_rows):
+                rows = min(chunk_rows, rounds - done)
+                # One call for the chunk gives the same positions, and leaves the
+                # same generator state, as one call per round: bounded draws take
+                # their bits from the bit generator value by value, rejections
+                # included.
+                total += count_row_collisions(oracle.sample_classical(rng, (rows, length)), alpha)
+                ledger.charge_classical(rows * length)
+                ledger.charge("distinctness", rows * round_charge)
+            extras = {
+                "fixed_length": length, "rounds": rounds, "collision_total": total,
+                "cost_model": "belovs", "search_fail_prob": fail_search,
+                "count_fail_prob": fail_count,
+            }
+            return _power_sum_report("renyi-integer", dist, alpha, cfg, seed, ledger, truth,
+                                     total / (rounds * denominator), extras)
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +707,22 @@ def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                                lambda i: np.cumsum(counts).searchsorted(i, side="right"))
 
 
-def min_entropy_plan(n: int, cfg: EstimatorConfig) -> int:
+def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
+    """Multiplicative estimate of max_i p_i; success probability is a
+    constant, not 2/3 (reported, not promised).
+
+    Escalating rounds draw Poisson-sized sample batches; once some symbol
+    appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
+    to relative error eps with the 1/n floor budget.  If no round fires
+    before the intensity passes n, the estimate falls back to 1/n.
+
+    The final estimate's sine table is built here, so a fired trial builds
+    only its symbol's row.
+    """
+    return min_entropy_plan(dist.n, cfg)(dist)
+
+
+def min_entropy_plan(n: int, cfg: EstimatorConfig) -> Callable:
     """prepare_min_entropy's planner: the budget M of the final estimate
     (relative eps, floor 1/n), once the mode, n < 2 and rounds that could
     draw past _MAX_INTENSITY are refused.  At the least epsilon that last
@@ -722,72 +736,58 @@ def min_entropy_plan(n: int, cfg: EstimatorConfig) -> int:
     # r = sqrt(1 + eps), so the intensities 16 ln(n) lam / eps^2 sum to at
     # most 16 ln(n) (r n - 1) / ((r - 1) eps^2), with r - 1 written eps / (r + 1)
     # (exact where 1 + eps rounds to 1) and taken in log2 so no eps overflows it.
-    r = math.sqrt(1.0 + eps)
+    r = math.sqrt(1.0 + eps)  # the ratio of one round's lam to the last's
     total_log2 = math.log2(16.0 * math.log(n) * (r * n - 1.0) * (r + 1.0)) - 3.0 * math.log2(eps)
     if total_log2 > math.log2(_MAX_INTENSITY):
         raise ValueError("epsilon %r is too small for min-entropy on n = %d: its rounds "
                          "could draw ~2^%.1f positions, past the ceiling of 2^40"
                          % (eps, n, total_log2))
-    return multiplicative_budget(eps, 1.0 / n)
-
-
-def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
-    """Multiplicative estimate of max_i p_i; success probability is a
-    constant, not 2/3 (reported, not promised).
-
-    Escalating rounds draw Poisson-sized sample batches; once some symbol
-    appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
-    to relative error eps with the 1/n floor budget.  If no round fires
-    before the intensity passes n, the estimate falls back to 1/n.
-
-    The final estimate's sine table is built here, so a fired trial builds
-    only its symbol's row.
-    """
-    M = min_entropy_plan(dist.n, cfg)
-    n, eps = dist.n, cfg.epsilon
+    M = multiplicative_budget(eps, 1.0 / n)
     ln_n = math.log(n)
-    r = math.sqrt(1.0 + eps)  # the ratio of one round's lam to the last's
-    sines = sine_table(M)
     k = math.ceil(16.0 * ln_n / eps ** 2)  # the first round's intensity, at lam = 1
     fail_round = min(0.5, eps / (2.0 * ln_n))
-    # a Python int, so the truth is a float, not an np.float64
-    truth = int(dist.counts.max()) / dist.denominator
-    oracle = build_oracle(dist)
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        rng = np.random.default_rng(seed)
-        ledger = QueryLedger()
-        lam = 1.0
-        rounds = []
-        found = None
-        while lam <= n:
-            intensity = 16.0 * lam * ln_n / eps ** 2
-            batch = int(rng.poisson(intensity))
-            ledger.charge("distinctness", flat34_charge(batch))
-            ledger.charge_classical(batch)
-            hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
-            rounds.append({"lambda": lam, "batch": batch,
-                           "hit": None if hit is None else int(hit)})
-            if hit is not None:
-                found = int(hit)
-                break
-            lam *= r
+    def prepare(dist: RationalDistribution) -> Callable:
+        sines = sine_table(M)
+        # a Python int, so the truth is a float, not an np.float64
+        truth = int(dist.counts.max()) / dist.denominator
+        oracle = build_oracle(dist)
 
-        extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
-        if found is None:
-            estimate = 1.0 / n
-            extras["fallback"] = True
-        else:
-            estimate = sample_estamp(float(dist.fraction(found)), sines, rng)
-            ledger.charge("estamp", M)
-            extras["fallback"] = False
-            extras["captured_symbol"] = found
-            extras["M"] = M
-        extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
-        extras["min_entropy_truth_nats"] = -math.log(truth)
-        return _finish("minentropy", estimate, truth, "multiplicative", dist, cfg, seed,
-                       ledger, alpha=math.inf, extras=extras)
-    return trial
+        def trial(seed: Optional[int]) -> EstimateReport:
+            rng = np.random.default_rng(seed)
+            ledger = QueryLedger()
+            lam = 1.0
+            rounds = []
+            found = None
+            while lam <= n:
+                intensity = 16.0 * lam * ln_n / eps ** 2
+                batch = int(rng.poisson(intensity))
+                ledger.charge("distinctness", flat34_charge(batch))
+                ledger.charge_classical(batch)
+                hit = _min_entropy_search(oracle, batch, k, fail_round, rng)
+                rounds.append({"lambda": lam, "batch": batch,
+                               "hit": None if hit is None else int(hit)})
+                if hit is not None:
+                    found = int(hit)
+                    break
+                lam *= r
+
+            extras = {"k": k, "rounds": rounds, "cost_model": "flat34", "fail_round": fail_round}
+            if found is None:
+                estimate = 1.0 / n
+                extras["fallback"] = True
+            else:
+                estimate = sample_estamp(float(dist.fraction(found)), sines, rng)
+                ledger.charge("estamp", M)
+                extras["fallback"] = False
+                extras["captured_symbol"] = found
+                extras["M"] = M
+            extras["min_entropy_estimate_nats"] = -math.log(estimate) if estimate > 0 else None
+            extras["min_entropy_truth_nats"] = -math.log(truth)
+            return _finish("minentropy", estimate, truth, "multiplicative", dist, cfg, seed,
+                           ledger, alpha=math.inf, extras=extras)
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -817,38 +817,31 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
                              cfg: EstimatorConfig) -> Callable:
     """Estimate E[#distinct symbols in n_samples draws] / n_samples to
     additive error eps, success >= 2/3."""
+    return coverage_plan(dist.n, n_samples, cfg)(dist)
+
+
+def coverage_plan(n: int, n_samples, cfg: EstimatorConfig) -> Callable:
+    """prepare_support_coverage's planner: the sample count and its budget M."""
     M = coverage_budget(n_samples, cfg.epsilon)
     t = sample_count(n_samples)
-    classes = count_classes(dist)
-    run = _coverage_run(dist, classes, t, M, cfg.epsilon, cfg.mode)
-    truth_abs = support_coverage(dist, t, classes)
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        value, extras, (ledger,) = run(seed)
-        extras.update(estimate_absolute=value, truth_absolute=truth_abs)
-        return _finish("coverage", value / t, truth_abs / t, "additive", dist, cfg, seed,
-                       ledger, extras=extras)
-    return trial
+    def prepare(dist: RationalDistribution) -> Callable:
+        classes = count_classes(dist)
+        run = _coverage_run(dist, classes, t, M, cfg.epsilon, cfg.mode)
+        truth_abs = support_coverage(dist, t, classes)
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            value, extras, (ledger,) = run(seed)
+            extras.update(estimate_absolute=value, truth_absolute=truth_abs)
+            return _finish("coverage", value / t, truth_abs / t, "additive", dist, cfg, seed,
+                           ledger, extras=extras)
+        return trial
+    return prepare
 
 
 # The least epsilon whose coverage epsilon eps/(2 ln(2/eps)) is at least
 # MIN_EPSILON: below it the coverage run could not be configured.
 _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
-
-
-def support_budget(m: int, eps: float) -> tuple[int, float, int]:
-    """Coverage draws ceil(m ln(2/eps)), epsilon eps/(2 ln(2/eps)) and budget,
-    once m and eps pass; eps >= _SUPPORT_MIN_EPSILON keeps the epsilon >= MIN_EPSILON."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if eps >= 2.0:
-        raise ValueError("epsilon must be below 2 for the reduction to make sense")
-    if eps < _SUPPORT_MIN_EPSILON:
-        raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
-                         "epsilon eps/(2 ln(2/eps)) must be at least %g"
-                         % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
-    t, eps_cov = math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
-    return t, eps_cov, coverage_budget(t, eps_cov)
 
 
 def check_support_promise(src: RationalDistribution, m: int) -> None:
@@ -868,22 +861,42 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
     been seen but an eps/2 sliver, so the rounded coverage tracks the
     support size.
     """
-    t, eps_cov, M = support_budget(m, cfg.epsilon)
-    check_support_promise(dist, m)
-    coverage = _coverage_run(dist, count_classes(dist), t, M, eps_cov, cfg.mode)
-    truth = dist.support_size()
+    return support_plan(dist.n, m, cfg)(dist)
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        absolute, _, (ledger,) = coverage(seed)
-        size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
-        extras = {
-            "n_samples": t, "coverage_eps": eps_cov,
-            "coverage_estimate_absolute": absolute,
-            "size_estimate": size_estimate, "size_truth": truth,
-        }
-        return _finish("support", size_estimate / m, truth / m, "additive", dist, cfg, seed,
-                       ledger, alpha=0.0, extras=extras)
-    return trial
+
+def support_plan(n: int, m: int, cfg: EstimatorConfig) -> Callable:
+    """prepare_support_size's planner: coverage draws ceil(m ln(2/eps)),
+    epsilon eps/(2 ln(2/eps)) and budget, once m and eps pass; eps >=
+    _SUPPORT_MIN_EPSILON keeps the epsilon >= MIN_EPSILON."""
+    eps = cfg.epsilon
+    if m < 1:
+        raise ValueError("m must be positive")
+    if eps >= 2.0:
+        raise ValueError("epsilon must be below 2 for the reduction to make sense")
+    if eps < _SUPPORT_MIN_EPSILON:
+        raise ValueError("epsilon must be at least %r for support size, got %r: its coverage "
+                         "epsilon eps/(2 ln(2/eps)) must be at least %g"
+                         % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
+    t, eps_cov = math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
+    M = coverage_budget(t, eps_cov)
+
+    def prepare(dist: RationalDistribution) -> Callable:
+        check_support_promise(dist, m)
+        coverage = _coverage_run(dist, count_classes(dist), t, M, eps_cov, cfg.mode)
+        truth = dist.support_size()
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            absolute, _, (ledger,) = coverage(seed)
+            size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
+            extras = {
+                "n_samples": t, "coverage_eps": eps_cov,
+                "coverage_estimate_absolute": absolute,
+                "size_estimate": size_estimate, "size_truth": truth,
+            }
+            return _finish("support", size_estimate / m, truth / m, "additive", dist, cfg, seed,
+                           ledger, alpha=0.0, extras=extras)
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -892,19 +905,6 @@ def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfi
 # The most samples a plug-in side draws: 2^40 positions would take hours, so
 # a larger n_samples is refused before any draw.
 _MAX_PLUGIN_SAMPLES = 1 << 40
-
-
-def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None) -> tuple[int, bool]:
-    """prepare_plugin's planner: the sample count, below 2^40, and whether the
-    measure is kl, once the measure and, for kl, p's n against q's n_q pass."""
-    n_samples = sample_count(n_samples)
-    if n_samples > _MAX_PLUGIN_SAMPLES:
-        raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
-                         "that many positions, past the ceiling of 2^40" % n_samples)
-    kl = parse_measure(measure)[0] == "kl"
-    if kl and n_q is not None:
-        check_alphabet(n, n_q)
-    return n_samples, kl
 
 
 def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
@@ -921,41 +921,62 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     where empirical p has support is reported as undefined (NaN estimate,
     success False) rather than raising.
     """
-    n_samples, kl = plugin_plan(dist.n, measure, n_samples, dist_q and dist_q.n)
-    if kl and dist_q is not None:
-        pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
-        pairs_ratio_bound(pairs, dist, dist_q)
-        truth = kl_divergence(dist, dist_q, pairs)
-    else:
-        truth = evaluate_measure(dist, measure, dist_q)
-    oracles = [build_oracle(dist)]
-    if kl:  # an oracle is a value: one distribution needs one
-        oracles.append(oracles[0] if dist_q is dist else build_oracle(dist_q))
+    return plugin_plan(dist.n, measure, n_samples, dist_q and dist_q.n, epsilon)(dist, dist_q)
+
+
+def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None,
+                epsilon: float = math.inf) -> Callable:
+    """prepare_plugin's planner: the sample count, below 2^40, and whether the
+    measure is kl, once the measure and, for kl, p's n against q's n_q pass."""
+    n_samples = sample_count(n_samples)
+    if n_samples > _MAX_PLUGIN_SAMPLES:
+        raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
+                         "that many positions, past the ceiling of 2^40" % n_samples)
+    kl = parse_measure(measure)[0] == "kl"
+    if kl and n_q is not None:
+        check_alphabet(n, n_q)
     settings = SimpleNamespace(epsilon=epsilon, delta=0.0, mode="plugin")  # as _finish reads cfg
 
-    def trial(seed: Optional[int]) -> EstimateReport:
-        rng = np.random.default_rng(seed)
-        counts = [oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:] for oracle in oracles]
-        ledgers = [QueryLedger() for _ in oracles]
-        for ledger in ledgers:
-            ledger.charge_classical(n_samples)
-        empirical = [RationalDistribution(n_samples, c) for c in counts]
-        undefined = kl and bool(np.any((counts[0] > 0) & (counts[1] == 0)))
-        estimate = math.nan if undefined else evaluate_measure(
-            empirical[0], measure, empirical[1] if kl else None)
-        return _finish("plugin:" + measure, estimate, truth, "additive", dist, settings, seed,
-                       ledgers[0], ledger_q=ledgers[1] if kl else None,
-                       extras={"n_samples": n_samples, "undefined": undefined})
-    return trial
+    def prepare(dist: RationalDistribution,
+                dist_q: Optional[RationalDistribution] = None) -> Callable:
+        if kl and dist_q is not None:
+            pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
+            pairs_ratio_bound(pairs, dist, dist_q)
+            truth = kl_divergence(dist, dist_q, pairs)
+        else:
+            truth = evaluate_measure(dist, measure, dist_q)
+        oracles = [build_oracle(dist)]
+        if kl:  # an oracle is a value: one distribution needs one
+            oracles.append(oracles[0] if dist_q is dist else build_oracle(dist_q))
+
+        def trial(seed: Optional[int]) -> EstimateReport:
+            rng = np.random.default_rng(seed)
+            counts = [oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:] for oracle in oracles]
+            ledgers = [QueryLedger() for _ in oracles]
+            for ledger in ledgers:
+                ledger.charge_classical(n_samples)
+            empirical = [RationalDistribution(n_samples, c) for c in counts]
+            undefined = kl and bool(np.any((counts[0] > 0) & (counts[1] == 0)))
+            estimate = math.nan if undefined else evaluate_measure(
+                empirical[0], measure, empirical[1] if kl else None)
+            return _finish("plugin:" + measure, estimate, truth, "additive", dist, settings,
+                           seed, ledgers[0], ledger_q=ledgers[1] if kl else None,
+                           extras={"n_samples": n_samples, "undefined": undefined})
+        return trial
+    return prepare
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def renyi_route(alpha: float) -> tuple[Callable, Callable]:
-    """The estimator of an order-alpha entropy request: its planner,
-    plan(n, cfg), and its prepare, prepare(dist, cfg).
+def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
+    """Prepare an order-alpha entropy request's estimator (renyi_plan)."""
+    return renyi_plan(dist.n, alpha, cfg)(dist)
+
+
+def renyi_plan(n: int, alpha: float, cfg: EstimatorConfig) -> Callable:
+    """The planner of the estimator that an order-alpha entropy request routes to.
 
     alpha = 1 routes to the Shannon estimator, alpha = inf the min-entropy
     estimator, integer alpha >= 2 the collision-based power sum, other
@@ -968,16 +989,9 @@ def renyi_route(alpha: float) -> tuple[Callable, Callable]:
         raise ValueError("order 0 needs a support promise: estimate the support size "
                          "instead (algo 'support', with its promise m)")
     if alpha == 1:
-        return lambda n, cfg: shannon_budget(n, cfg.epsilon), prepare_shannon
+        return shannon_plan(n, cfg)
     if math.isinf(alpha):
-        return min_entropy_plan, prepare_min_entropy
+        return min_entropy_plan(n, cfg)
     if float(alpha).is_integer():
-        return (lambda n, cfg: power_sum_integer_plan(n, int(alpha), cfg),
-                lambda dist, cfg: prepare_power_sum_integer(dist, int(alpha), cfg))
-    return (lambda n, cfg: annealed_plan(n, alpha, cfg),
-            lambda dist, cfg: prepare_power_sum_annealed(dist, alpha, cfg))
-
-
-def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
-    """Prepare an order-alpha entropy request's estimator (renyi_route)."""
-    return renyi_route(alpha)[1](dist, cfg)
+        return power_sum_integer_plan(n, int(alpha), cfg)
+    return annealed_plan(n, alpha, cfg)

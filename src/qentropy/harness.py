@@ -5,15 +5,15 @@ must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-A cell is prepared once (prepare_cell), in one order: spec size, checks,
-build, reads, tables.  It is checked, its estimator's planner (TRIALS)
-refuses what needs no distribution on each spec's size, its distributions
-are resolved and its estimator prepared, so everything a cell refuses
-without a draw is refused there, and without a build where it can be.
-The prepared cell is the estimator's trial(seed), which books ledgers of
-its own.  ExperimentConfig prepares every cell when it loads and
-run_experiment runs each cell's trials on it; run_cell_trial, the one-trial
-form behind `estimate`, prepares a cell afresh for each call.
+A cell is prepared once, in one order: checks and plan on each spec's
+size (plan_cell, with the estimator's planner from TRIALS), then build
+(its distributions resolved and the plan's prepare run), so everything a
+cell refuses without a draw is refused there, and without a build where
+it can be.  The prepared cell is the estimator's trial(seed), which books
+ledgers of its own.  ExperimentConfig plans every cell, then builds each,
+when it loads, and run_experiment runs each cell's trials on it;
+run_cell_trial, the one-trial form behind `estimate`, prepares a cell
+(prepare_cell) afresh for each call.
 
 The invariant suites live in `verify`; SUITES, run_suite and suite_passed,
 which the benchmark reads through this module, are re-exported here as the
@@ -38,20 +38,13 @@ from .estimators import (
     MODES,
     EstimateReport,
     EstimatorConfig,
-    coverage_budget,
-    kl_budgets,
+    coverage_plan,
+    kl_plan,
     min_entropy_plan,
     plugin_plan,
-    prepare_kl,
-    prepare_min_entropy,
-    prepare_plugin,
-    prepare_renyi,
-    prepare_shannon,
-    prepare_support_coverage,
-    prepare_support_size,
-    renyi_route,
-    shannon_budget,
-    support_budget,
+    renyi_plan,
+    shannon_plan,
+    support_plan,
 )
 from .instances import INSTANCE_FAMILIES, instance_size, parse_instance
 from .verify import SUITES, run_suite, suite_passed
@@ -129,7 +122,7 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
         raise ValueError("cell needs at least 'algo' and 'dist'")
     if not isinstance(algo, str) or algo not in TRIALS:
         raise ValueError("unknown algo %r" % (algo,))
-    required, optional, _, _ = TRIALS[algo]
+    required, optional, _ = TRIALS[algo]
     if any(key not in cell for key in required):
         raise ValueError("%s cells need %s" % (algo, " and ".join("'%s'" % k for k in required)))
     for key in ("dist", "dist_q"):
@@ -172,11 +165,20 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     return reads
 
 
+def _in_cell(index: int, step: Callable, *args):
+    """step(*args), its refusal naming cell index."""
+    try:
+        return step(*args)
+    except (ValueError, OSError) as exc:
+        raise ValueError("%s (cell %d)" % (exc, index)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A batch of cells, each prepared once (prepare_cell) as it loads, so a
-    cell no trial could run fails here, named, before any CSV is opened.
-    Trials run on `prepared`: a cell dict changed after loading is not read."""
+    """A batch of cells, each prepared once as it loads, every cell planned
+    (plan_cell) before any is built, so a cell no trial could run fails here,
+    named, before any CSV is opened.  Trials run on `prepared`: a cell dict
+    changed after loading is not read."""
 
     cells: tuple[dict, ...]
     trials: int = 1
@@ -185,13 +187,9 @@ class ExperimentConfig:
     prepared: tuple[Callable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prepared = []
-        for index, cell in enumerate(self.cells):
-            try:
-                prepared.append(prepare_cell(cell))
-            except (ValueError, OSError) as exc:
-                raise ValueError("%s (cell %d)" % (exc, index)) from None
-        object.__setattr__(self, "prepared", tuple(prepared))
+        builds = [_in_cell(index, plan_cell, cell) for index, cell in enumerate(self.cells)]
+        object.__setattr__(self, "prepared", tuple(
+            _in_cell(index, build) for index, build in enumerate(builds)))
         _check_trials(self.trials, "config")
         if self.master_seed is not None and not _is_int(self.master_seed):
             raise ValueError("'master_seed' must be an integer or null, got %r"
@@ -231,40 +229,27 @@ def _config(cell: dict) -> EstimatorConfig:
 _COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
 
 
-def _ratio_bound(cell: dict) -> Optional[float]:
-    return float(cell["f"]) if "f" in cell else None
-
-
 # algo -> (keys its cells need besides 'algo' and 'dist', the other keys they read,
 #          plan(cell, the size n of each distribution _check_cell names): the
-#          estimator's planner, which makes its EstimatorConfig first,
-#          prepare(cell, each of those distributions) -> trial(seed))
-TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable, Callable]] = {
-    "shannon": ((), (), lambda cell, n: shannon_budget(n, _config(cell).epsilon),
-                lambda cell, p: prepare_shannon(p, _config(cell))),
-    "kl": (("dist_q",), ("f",),
-           lambda cell, n, n_q: kl_budgets(n, n_q, _ratio_bound(cell), _config(cell).epsilon),
-           lambda cell, p, q: prepare_kl(p, q, _ratio_bound(cell), _config(cell))),
-    "renyi": (("alpha",), (),
-              lambda cell, n: renyi_route(float(cell["alpha"]))[0](n, _config(cell)),
-              lambda cell, p: prepare_renyi(p, float(cell["alpha"]), _config(cell))),
-    "minentropy": ((), (), lambda cell, n: min_entropy_plan(n, _config(cell)),
-                   lambda cell, p: prepare_min_entropy(p, _config(cell))),
+#          estimator's planner on the cell's EstimatorConfig, which returns
+#          prepare(each of those distributions) -> trial(seed))
+TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
+    "shannon": ((), (), lambda cell, n: shannon_plan(n, _config(cell))),
+    "kl": (("dist_q",), ("f",), lambda cell, n, n_q: kl_plan(
+        n, n_q, float(cell["f"]) if "f" in cell else None, _config(cell))),
+    "renyi": (("alpha",), (), lambda cell, n: renyi_plan(n, float(cell["alpha"]), _config(cell))),
+    "minentropy": ((), (), lambda cell, n: min_entropy_plan(n, _config(cell))),
     "coverage": (("n_samples",), (),
-                 lambda cell, n: coverage_budget(cell["n_samples"], _config(cell).epsilon),
-                 lambda cell, p: prepare_support_coverage(p, cell["n_samples"], _config(cell))),
-    "support": (("m",), (), lambda cell, n: support_budget(cell["m"], _config(cell).epsilon),
-                lambda cell, p: prepare_support_size(p, cell["m"], _config(cell))),
-    "plugin": (("measure", "n_samples"), ("dist_q",),
-               lambda cell, n, n_q=None: plugin_plan(n, cell["measure"], cell["n_samples"], n_q),
-               lambda cell, p, q=None: prepare_plugin(
-                   p, cell["measure"], cell["n_samples"], q, float(cell.get("eps", math.inf)))),
+                 lambda cell, n: coverage_plan(n, cell["n_samples"], _config(cell))),
+    "support": (("m",), (), lambda cell, n: support_plan(n, cell["m"], _config(cell))),
+    "plugin": (("measure", "n_samples"), ("dist_q",), lambda cell, n, n_q=None: plugin_plan(
+        n, cell["measure"], cell["n_samples"], n_q, float(cell.get("eps", math.inf)))),
 }
 _CELL_KEYS = _COMMON_KEYS.union(*(entry[0] + entry[1] for entry in TRIALS.values()))
 
 
-def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
-    """Check a cell dict and prepare its estimator; returns trial(seed).
+def plan_cell(cell: dict) -> Callable[[], Callable[[Optional[int]], EstimateReport]]:
+    """Check a cell dict and plan its estimator; returns build() -> trial(seed).
 
     _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
     algo, a missing key, a key the algo does not read or a bad value, before
@@ -272,21 +257,26 @@ def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
     on each distribution's size, what needs no distribution (an eps or delta
     EstimatorConfig refuses, a budget above the largest table, a KL pair on
     different alphabets, ...): a JSON file is loaded for its size, and an
-    instance spec only sized (instance_size), not built.  Then each distinct
-    spec is resolved once, so a dist and dist_q that name one spec are one
-    distribution, and the estimator's prepare step refuses what needs no
-    draw (a broken promise, ...), builds the payoff laws, computes the truth
-    and, if the estimator draws symbols itself, builds its oracle layout.
-    The returned trial is the estimator's own.
+    instance spec only sized (instance_size), not built.  build() resolves
+    each distinct spec once (a dist and dist_q naming one spec are one
+    distribution) and runs the planner's prepare on them.
     """
     specs = [cell[key] for key in _check_cell(cell)]
-    _, _, plan, prepare = TRIALS[cell["algo"]]
     distinct = dict.fromkeys(specs)
     files = {spec: resolve_distribution(spec) for spec in distinct if not _is_instance(spec)}
-    plan(cell, *(files[spec].n if spec in files else instance_size(spec) for spec in specs))
-    resolved = {spec: files[spec] if spec in files else resolve_distribution(spec)
-                for spec in distinct}
-    return prepare(cell, *(resolved[spec] for spec in specs))
+    prepare = TRIALS[cell["algo"]][2](
+        cell, *(files[spec].n if spec in files else instance_size(spec) for spec in specs))
+
+    def build() -> Callable[[Optional[int]], EstimateReport]:
+        resolved = {spec: files[spec] if spec in files else resolve_distribution(spec)
+                    for spec in distinct}
+        return prepare(*(resolved[spec] for spec in specs))
+    return build
+
+
+def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
+    """A cell checked, planned and built, plan_cell(cell)(): its estimator's trial(seed)."""
+    return plan_cell(cell)()
 
 
 def run_cell_trial(cell: dict, seed: Optional[int],

@@ -34,13 +34,13 @@ from qentropy.estimators import (
     _class_mixture,
     _payoff_law,
     _payoff_table,
+    annealed_plan,
     annealing_schedule,
     coverage_budget,
+    power_sum_integer_plan,
     prepare_kl,
     prepare_min_entropy,
     prepare_plugin,
-    prepare_power_sum_annealed,
-    prepare_power_sum_integer,
     prepare_renyi,
     prepare_shannon,
     prepare_support_coverage,
@@ -461,7 +461,7 @@ _READS_AND_BUILDS = ("count_classes", "count_pairs", "power_sum", "shannon_entro
     # p = 3/4 > 2 * 1/4 breaks the promise too; M_p, then M_q alone
     lambda: prepare_kl(from_counts([3, 1]), from_counts([1, 3]), 2.0, cfg(eps=1e-7)),
     lambda: prepare_kl(zipf(1.5, 64), uniform(64), 1e6, cfg(eps=0.01)),
-] + [lambda alpha=alpha, mode=mode: prepare_power_sum_annealed(
+] + [lambda alpha=alpha, mode=mode: prepare_renyi(
         zipf(1.5, 64), alpha, cfg(eps=1e-4, mode=mode))
      for alpha in (1.5, 0.75) for mode in ("contract", "exact-expectation")],
     ids=["shannon", "coverage", "support", "kl-f-M_p", "kl-f-M_q", "annealed-1.5",
@@ -835,11 +835,11 @@ def test_renyi_dispatch_routes_by_order():
 def test_power_sum_high_rejects_bad_orders():
     for alpha in (2.0, 1.0, 0.0, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
-            prepare_power_sum_annealed(uniform(16), alpha, cfg())
+            annealed_plan(16, alpha, cfg())
 
 
 def test_power_sum_high_trace_shape():
-    rep = prepare_power_sum_annealed(uniform(16), 2.5, cfg())(3)
+    rep = prepare_renyi(uniform(16), 2.5, cfg())(3)
     assert rep.algo == "renyi-high"
     sched = rep.extras["schedule"]
     assert [lvl["alpha"] for lvl in sched] == pytest.approx(
@@ -858,9 +858,9 @@ def test_power_sum_high_trace_shape():
 
 
 def test_power_sum_exact_expectation_mode():
-    rep = prepare_power_sum_annealed(uniform(16), 2.5, cfg(mode="exact-expectation"))(0)
+    rep = prepare_renyi(uniform(16), 2.5, cfg(mode="exact-expectation"))(0)
     # deterministic: the exact subroutine mean at the target order, no sampling
-    again = prepare_power_sum_annealed(uniform(16), 2.5, cfg(mode="exact-expectation"))(99)
+    again = prepare_renyi(uniform(16), 2.5, cfg(mode="exact-expectation"))(99)
     assert rep.estimate == again.estimate
     assert rep.extras["M"] & (rep.extras["M"] - 1) == 0
     assert rep.extras["exact_subroutine_variance"] >= 0.0
@@ -878,7 +878,7 @@ def test_power_sum_low_contract():
 
 
 def test_power_sum_integer_point_mass_is_exact():
-    rep = prepare_power_sum_integer(point_mass(8), 2, cfg())(2)
+    rep = prepare_renyi(point_mass(8), 2, cfg())(2)
     assert rep.estimate == 1.0
     assert rep.truth == 1.0
     assert rep.success
@@ -887,11 +887,11 @@ def test_power_sum_integer_point_mass_is_exact():
 
 def test_power_sum_integer_requires_alpha_at_least_two():
     with pytest.raises(ValueError):
-        prepare_power_sum_integer(uniform(8), 1, cfg())
+        power_sum_integer_plan(8, 1, cfg())
 
 
 @pytest.mark.parametrize("prepare", [
-    lambda d, c: prepare_power_sum_integer(d, 2, c),
+    lambda d, c: power_sum_integer_plan(d.n, 2, c),
     lambda d, c: prepare_min_entropy(d, c),
     lambda d, c: prepare_renyi(d, 3.0, c),
     lambda d, c: prepare_renyi(d, math.inf, c),
@@ -909,12 +909,12 @@ def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits)
     # default limit of 4,300; at alpha = 119 it has 4,269.
     int_max_str_digits(4300)
     with no_layout(), pytest.raises(ValueError, match=r"alpha=120.*4300 decimal digits"):
-        prepare_power_sum_integer(uniform(4), 120, cfg())
-    rep = prepare_power_sum_integer(uniform(4), 119, cfg())(0)
+        power_sum_integer_plan(4, 120, cfg())
+    rep = prepare_renyi(uniform(4), 119, cfg())(0)
     assert rep.extras["cost_model"] == "belovs"
     assert 4000 < len(str(rep.ledger["quantum_total"])) <= 4300
     int_max_str_digits(0)  # no limit
-    rep = prepare_power_sum_integer(uniform(4), 120, cfg())(0)
+    rep = prepare_renyi(uniform(4), 120, cfg())(0)
     assert len(str(rep.ledger["quantum_total"])) > 4300
 
 
@@ -927,7 +927,7 @@ def test_huge_orders_are_rejected_without_building_their_bound(alpha, int_max_st
     monkeypatch.setattr(estimators, "belovs_charge", None)  # any call fails
     message = r"alpha=%s: .*4300 decimal digits" % re.escape("%.15g" % alpha)
     with no_layout(), pytest.raises(ValueError, match=message):
-        prepare_power_sum_integer(uniform(4), alpha, cfg())
+        power_sum_integer_plan(4, alpha, cfg())
 
 
 # Collision-large trials at eps 0.25, delta 0.1, as first drawn one round
@@ -953,7 +953,7 @@ FROZEN_COLLISION_TRIALS = {
 def test_integer_power_sum_trials_are_frozen(name):
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
     for seed, estimate, total, length, phases, classical in frozen:
-        rep = prepare_power_sum_integer(dist, alpha, cfg())(seed)
+        rep = prepare_renyi(dist, alpha, cfg())(seed)
         assert rep.estimate == estimate
         assert rep.extras["collision_total"] == total
         assert rep.extras["fixed_length"] == length
@@ -967,7 +967,7 @@ def test_integer_power_sum_trials_are_frozen(name):
 def test_count_chunks_leave_the_report_unchanged(name, rows, monkeypatch):
     # Three rows make 42 full chunks of the 128 rounds and a last one of two.
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
-    trial = prepare_power_sum_integer(dist, alpha, cfg())
+    trial = prepare_renyi(dist, alpha, cfg())
     for seed, _, _, length, _, _ in frozen:
         rep = trial(seed)
         with monkeypatch.context() as patch:
@@ -1023,7 +1023,7 @@ def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
         return symbols(self, positions)
 
     monkeypatch.setattr(DistributionOracle, "symbols", recording)
-    rep = prepare_power_sum_integer(TWO_VALUED, 2, cfg(eps=0.05))(1)
+    rep = prepare_renyi(TWO_VALUED, 2, cfg(eps=0.05))(1)
     length = rep.extras["fixed_length"]
     assert rep.extras["rounds"] == 3200 and length == 128
     assert max(sizes) <= estimators._COUNT_CHUNK

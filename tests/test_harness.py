@@ -970,6 +970,29 @@ def test_budgets_are_checked_where_computed_and_reports_built_in_one_place():
     assert len(builds) == 1, "EstimateReport is built at lines %s" % builds
 
 
+def test_each_prepare_is_its_plan_and_each_algo_has_one_callable():
+    # Plan, then build, then draw, each stage a closure of the one before: a
+    # prepare that called its planner beside its own steps, or an algo with a
+    # planner and a prepare side by side, would run the planner twice.
+    package = Path(harness.__file__).parent
+    tree = ast.parse((package / "estimators.py").read_text())
+    prepares = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("prepare_")]
+    assert len(prepares) == 7
+    for node in prepares:
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Call) \
+            and isinstance(call.func.func, ast.Name) and call.func.func.id.endswith("_plan"), \
+            "%s is not one return <name>_plan(...)(...)" % node.name
+    assert all(isinstance(entry, tuple) and len(entry) == 3 for entry in harness.TRIALS.values())
+    defined = {(path.name, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("renyi_route", "kl_budgets")}
+    assert defined == set()
+
+
 def test_cli_estimate_and_exact(capsys):
     assert main(["estimate", "--algo", "shannon", "--dist", "uniform:16",
                  "--eps", "0.25", "--seed", "4"]) == 0
@@ -1300,6 +1323,60 @@ def test_experiment_load_refuses_a_cell_from_its_spec_size_before_building_it():
             pytest.raises(ValueError, match="^epsilon 0.02 is too small for min-entropy on "
                           "n = 16777216: .* \\(cell 1\\)$"):
         ExperimentConfig.from_dict(raw)
+
+
+def test_experiment_load_plans_every_cell_before_building_any():
+    # cell 0 is fine but builds the 2^24-symbol instance that cell 1 refuses
+    # from its size alone: the load plans both cells before it builds either
+    large = "zipf:1.5:16777216"
+    raw = {"cells": [{"algo": "shannon", "dist": large, "eps": 0.5},
+                     {"algo": "minentropy", "dist": large, "eps": 0.02}]}
+    built = AssertionError("an instance was built before every cell was planned")
+    with mock.patch.object(harness, "parse_instance", side_effect=built), \
+            pytest.raises(ValueError, match="^epsilon 0.02 is too small for min-entropy on "
+                          "n = 16777216: .* \\(cell 1\\)$"):
+        ExperimentConfig.from_dict(raw)
+
+
+# The benchmark's grid-small cells, then KL without f, with what their plan
+# computes: each budget, the integer order's digit bound and the plug-in's
+# measure, each once per prepare.
+_PLANNED_ONCE = [
+    ({"algo": "shannon", "dist": "uniform:64"}, {"_pow2_budget": 1}),
+    ({"algo": "kl", "dist": "counts:1,1", "dist_q": "counts:1,3", "f": 2}, {"_pow2_budget": 2}),
+    ({"algo": "renyi", "dist": "uniform:16", "alpha": 2.5},
+     {"_pow2_budget": len(estimators.annealing_schedule(2.5, 16))}),
+    ({"algo": "renyi", "dist": "uniform:16", "alpha": 0.75, "eps": 0.5},
+     {"_pow2_budget": len(estimators.annealing_schedule(0.75, 16))}),
+    ({"algo": "renyi", "dist": "uniform:16", "alpha": 2}, {"belovs_charge": 1}),
+    ({"algo": "minentropy", "dist": "zipf:1.5:64", "eps": 0.5}, {"multiplicative_budget": 1}),
+    ({"algo": "coverage", "dist": "uniform:32", "n_samples": 32, "eps": 0.2},
+     {"_pow2_budget": 1}),
+    ({"algo": "support", "dist": "uniform:16", "m": 16}, {"_pow2_budget": 1}),
+    ({"algo": "plugin", "dist": "uniform:64", "measure": "shannon", "n_samples": 1024,
+      "eps": 0.25}, {"parse_measure": 1}),
+    ({"algo": "kl", "dist": "counts:1,1", "dist_q": "counts:1,3"}, {"_pow2_budget": 2}),
+]
+
+
+@pytest.mark.parametrize("cell, computed", _PLANNED_ONCE,
+                         ids=["shannon", "kl", "renyi-2.5", "renyi-0.75", "renyi-2",
+                              "minentropy", "coverage", "support", "plugin", "kl-without-f"])
+def test_a_prepared_cell_runs_its_planner_once(cell, computed):
+    calls = dict.fromkeys(("_pow2_budget", "multiplicative_budget", "belovs_charge",
+                           "parse_measure"), 0)
+
+    def counting(name):
+        real = getattr(estimators, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    with mock.patch.multiple(estimators, **{name: counting(name) for name in calls}):
+        harness.prepare_cell(cell)
+    assert {name: count for name, count in calls.items() if count} == computed
 
 
 def test_a_plugin_cell_keeps_an_infinite_eps():

@@ -492,7 +492,7 @@ def test_single_call_on_a_law_with_ties_is_frozen():
 
 def _annealed_base_level():
     # The payoff law, sigma and mean bounds of the base level of renyi
-    # alpha = 2.5 on zipf:1.5:256, built as prepare_power_sum_annealed does.
+    # alpha = 2.5 on zipf:1.5:256, built as annealed_plan's prepare does.
     from qentropy.amplitude import sine_table
     from qentropy.distributions import count_classes
     from qentropy.estimators import (_class_mixture, _level_budget, _payoff_law,
