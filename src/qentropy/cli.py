@@ -13,7 +13,7 @@ import json
 import sys
 
 from .distributions import evaluate_measure
-from .estimators import MODES
+from .estimators import MODES, EstimatorConfig
 from .harness import (
     TRIALS,
     ExperimentConfig,
@@ -39,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--f-n", type=float, dest="f",
                      help="ratio bound for kl (default: exact bound of the pair)")
     est.add_argument("--alpha", type=float, help="order for renyi (or 'inf')")
-    est.add_argument("--eps", type=float, default=0.25)
-    est.add_argument("--delta", type=float, default=0.1)
+    est.add_argument("--eps", type=float, help="default: %s" % EstimatorConfig.epsilon)
+    est.add_argument("--delta", type=float, help="default: %s" % EstimatorConfig.delta)
     est.add_argument("--seed", type=int, help="default: $QENTROPY_SEED, else fresh entropy")
-    est.add_argument("--mode", choices=MODES, default="contract")
+    est.add_argument("--mode", choices=MODES, help="default: %s" % EstimatorConfig.mode)
     est.add_argument("--m", type=int, help="promise parameter for support")
     est.add_argument("--n-samples", type=int, dest="n_samples",
                      help="sample count for coverage / plugin")
@@ -71,12 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimate_cell(args) -> dict:
-    """The experiment cell an `estimate` command line describes."""
+    """The experiment cell of an `estimate` command line: the options given alone."""
     # each option's dest is the cell key it sets, and TRIALS lists each algo's keys
-    cell = {"algo": args.algo, "dist": args.dist, "eps": args.eps,
-            "delta": args.delta, "mode": args.mode}
-    for key in sorted({key for required, optional, *_ in TRIALS.values()
-                       for key in required + optional}):
+    cell = {"algo": args.algo, "dist": args.dist}
+    for key in sorted({"eps", "delta", "mode", *(key for required, optional, _ in TRIALS.values()
+                                                 for key in required + optional)}):
         if getattr(args, key) is not None:
             cell[key] = getattr(args, key)
     return cell

@@ -16,13 +16,15 @@ no such law and refuse that mode.
 
 Each estimator runs in three stages, each a closure of the one before.  Its
 planner X_plan(n, ..., cfg) makes every check and budget needing no
-distribution and returns prepare(dist, ...), which touches no rng: it reads
-the distribution (its grouping, a promise, the truth), then builds tables,
-payoff laws and, where the estimator draws symbols itself (integer orders,
-min-entropy, the plug-in), its oracle layout.  That returns trial(seed),
-which draws from np.random.default_rng(seed), books ledgers of its own, one
-per distribution it reads, and returns a fresh report, as often as called.
-prepare_X(dist, ..., cfg) is X_plan(dist.n, ..., cfg)(dist).
+distribution and returns prepare(dist, ...), which touches no rng: it
+refuses a distribution on other than n symbols, reads it (its grouping, a
+promise, the truth), then builds tables, payoff laws and, where the
+estimator draws symbols itself (integer orders, min-entropy, the plug-in),
+its oracle layout.  That returns trial(seed), which draws from
+np.random.default_rng(seed), books ledgers of its own, one per
+distribution it reads, and returns a fresh report, as often as called.
+prepare_X(dist, ..., cfg) is X_plan(dist.n, ..., cfg)(dist), and cfg is an
+EstimatorConfig for every estimator, whose fields hold each default.
 
 Charging policy: only the estimators book a ledger; payoff laws, contracts
 and oracle layouts are pure functions of their inputs and an rng.  A
@@ -42,7 +44,6 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,6 +81,7 @@ from .distributions import (
 from .mean_estimation import (
     FiniteLaw,
     SampleCountOverflow,
+    additive_group_size,
     additive_runs,
     median_amplify,
     median_repetitions,
@@ -152,8 +154,8 @@ _REPORT_KEYS = {"denominator": "S", "epsilon": "eps"}
 
 def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
             alpha=None, ledger_q=None, extras=None) -> EstimateReport:
-    """The report of one trial on dist, judged against tolerance cfg.epsilon
-    (a NaN estimate fails); cfg is anything with epsilon, delta and mode."""
+    """The report of one trial on dist under cfg, its EstimatorConfig, judged
+    against tolerance cfg.epsilon (a NaN estimate fails)."""
     if error_mode == "multiplicative":
         err = abs(estimate - truth) / abs(truth) if truth != 0 else math.inf
     else:
@@ -169,6 +171,14 @@ def _finish(algo, estimate, truth, error_mode, dist, cfg, seed, ledger,
         classical_executions=ledger.classical_executions,
         extras=extras or {},
     )
+
+
+def _check_size(dist: RationalDistribution, n: int) -> None:
+    """A prepare's refusal, before it reads anything, of a distribution on
+    other than the n symbols its plan was made for."""
+    if dist.n != n:
+        raise ValueError("the plan is for n = %d symbols, but the distribution has n = %d"
+                         % (n, dist.n))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +353,7 @@ def shannon_plan(n: int, cfg: EstimatorConfig) -> Callable:
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         classes = count_classes(dist)
         sub = _payoff_law(_payoff_table(M, lambda x: -math.log(x), "estamp-prime"),
                           _class_mixture(classes, dist.denominator, sine_table(M)))
@@ -393,7 +404,12 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
 def kl_plan(n: int, n_q: int, ratio_bound: float | Fraction | None,
             cfg: EstimatorConfig) -> Callable:
     """prepare_kl's planner: M_p, M_q for a given ratio bound (else prepare's,
-    from the pair's exact bound), then p's n against q's n_q."""
+    from the pair's exact bound), then p's n against q's n_q.  A given bound
+    below 1 (or NaN) is refused first: summing p_i <= f q_i over i gives
+    1 <= f."""
+    if ratio_bound is not None and not ratio_bound >= 1:
+        raise ValueError("ratio bound f must be at least 1, got %r: p_i <= f * q_i for "
+                         "every i sums to 1 <= f" % float(ratio_bound))
     eps = cfg.epsilon
     M_p = shannon_budget(n, eps)
 
@@ -403,6 +419,8 @@ def kl_plan(n: int, n_q: int, ratio_bound: float | Fraction | None,
     check_alphabet(n, n_q)
 
     def prepare(p: RationalDistribution, q: RationalDistribution) -> Callable:
+        _check_size(p, n)
+        _check_size(q, n_q)
         # one grouping serves the exact bound or the promise, the law and the truth
         pairs = count_pairs(p, q)
         if ratio_bound is not None:
@@ -515,6 +533,7 @@ def annealed_plan(n: int, alpha: float, cfg: EstimatorConfig) -> Callable:
                      "delta": cfg.delta if final else delta_inner, "sigma": sigma, "M": M})
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         classes = count_classes(dist)
         truth = power_sum(dist, alpha, classes)
         mixtures = {M: _class_mixture(classes, dist.denominator, sine_table(M))
@@ -638,6 +657,7 @@ def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> Callable
                          "the most Python converts to a string" % (alpha, limit))
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         truth = power_sum(dist, alpha)
         oracle = build_oracle(dist)
 
@@ -748,6 +768,7 @@ def min_entropy_plan(n: int, cfg: EstimatorConfig) -> Callable:
     fail_round = min(0.5, eps / (2.0 * ln_n))
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         sines = sine_table(M)
         # a Python int, so the truth is a float, not an np.float64
         truth = int(dist.counts.max()) / dist.denominator
@@ -804,13 +825,23 @@ def _coverage_payoff(t: int) -> Callable[[float], float]:
     return payoff
 
 
-def _coverage_run(dist: RationalDistribution, classes: tuple, t: int, M: int, eps: float,
-                  mode: str):
-    """_additive_run of the coverage of dist's classes at t draws on budget
-    M = coverage_budget(t, eps), to error eps * t."""
-    sub = _payoff_law(_payoff_table(M, _coverage_payoff(t), "estamp"),
-                      _class_mixture(classes, dist.denominator, sine_table(M)))
-    return _additive_run(sub, float(t), eps * t / 2.0, {"M": M, "n_samples": t}, mode, (M,))
+def _coverage_plan(t: int, eps: float, mode: str) -> Callable:
+    """The plan of _additive_run on the coverage at t draws, to error eps * t:
+    its budget M = coverage_budget(t, eps) and, in contract mode, its group
+    size, both refused before any build.  (Shannon and KL need no such
+    check: their M <= 2^20 ceiling keeps sigma/eps far below the group
+    size's bound of 2^63.)  Returns build(dist, classes), the run(seed) of
+    dist's classes."""
+    M = coverage_budget(t, eps)
+    sigma, target = float(t), eps * t / 2.0
+    if mode == "contract":
+        additive_group_size(sigma, target)
+
+    def build(dist: RationalDistribution, classes: tuple) -> Callable:
+        sub = _payoff_law(_payoff_table(M, _coverage_payoff(t), "estamp"),
+                          _class_mixture(classes, dist.denominator, sine_table(M)))
+        return _additive_run(sub, sigma, target, {"M": M, "n_samples": t}, mode, (M,))
+    return build
 
 
 def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
@@ -821,13 +852,14 @@ def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
 
 
 def coverage_plan(n: int, n_samples, cfg: EstimatorConfig) -> Callable:
-    """prepare_support_coverage's planner: the sample count and its budget M."""
-    M = coverage_budget(n_samples, cfg.epsilon)
+    """prepare_support_coverage's planner: the sample count and its coverage plan."""
     t = sample_count(n_samples)
+    coverage = _coverage_plan(t, cfg.epsilon, cfg.mode)
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         classes = count_classes(dist)
-        run = _coverage_run(dist, classes, t, M, cfg.epsilon, cfg.mode)
+        run = coverage(dist, classes)
         truth_abs = support_coverage(dist, t, classes)
 
         def trial(seed: Optional[int]) -> EstimateReport:
@@ -878,15 +910,16 @@ def support_plan(n: int, m: int, cfg: EstimatorConfig) -> Callable:
                          "epsilon eps/(2 ln(2/eps)) must be at least %g"
                          % (_SUPPORT_MIN_EPSILON, eps, MIN_EPSILON))
     t, eps_cov = math.ceil(m * math.log(2.0 / eps)), eps / (2.0 * math.log(2.0 / eps))
-    M = coverage_budget(t, eps_cov)
+    coverage = _coverage_plan(t, eps_cov, cfg.mode)
 
     def prepare(dist: RationalDistribution) -> Callable:
+        _check_size(dist, n)
         check_support_promise(dist, m)
-        coverage = _coverage_run(dist, count_classes(dist), t, M, eps_cov, cfg.mode)
+        run = coverage(dist, count_classes(dist))
         truth = dist.support_size()
 
         def trial(seed: Optional[int]) -> EstimateReport:
-            absolute, _, (ledger,) = coverage(seed)
+            absolute, _, (ledger,) = run(seed)
             size_estimate = math.ceil(absolute) if cfg.mode == "contract" else absolute
             extras = {
                 "n_samples": t, "coverage_eps": eps_cov,
@@ -908,8 +941,8 @@ _MAX_PLUGIN_SAMPLES = 1 << 40
 
 
 def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
-                   dist_q: Optional[RationalDistribution] = None,
-                   epsilon: float = math.inf) -> Callable:
+                   cfg: EstimatorConfig, dist_q: Optional[RationalDistribution] = None
+                   ) -> Callable:
     """Plug-in estimator: evaluate the measure on empirical frequencies.
 
     Prepared like the quantum estimators: the sample count, the measure and
@@ -921,13 +954,16 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     where empirical p has support is reported as undefined (NaN estimate,
     success False) rather than raising.
     """
-    return plugin_plan(dist.n, measure, n_samples, dist_q and dist_q.n, epsilon)(dist, dist_q)
+    return plugin_plan(dist.n, measure, n_samples, cfg, dist_q and dist_q.n)(dist, dist_q)
 
 
-def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None,
-                epsilon: float = math.inf) -> Callable:
+def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig,
+                n_q: Optional[int] = None) -> Callable:
     """prepare_plugin's planner: the sample count, below 2^40, and whether the
-    measure is kl, once the measure and, for kl, p's n against q's n_q pass."""
+    measure is kl, once the mode, the measure and, for kl, p's n against
+    q's n_q pass."""
+    if cfg.mode == "exact-expectation":
+        raise ValueError(_NO_PAYOFF_LAW % "the plug-in estimator")
     n_samples = sample_count(n_samples)
     if n_samples > _MAX_PLUGIN_SAMPLES:
         raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
@@ -935,11 +971,13 @@ def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None,
     kl = parse_measure(measure)[0] == "kl"
     if kl and n_q is not None:
         check_alphabet(n, n_q)
-    settings = SimpleNamespace(epsilon=epsilon, delta=0.0, mode="plugin")  # as _finish reads cfg
 
     def prepare(dist: RationalDistribution,
                 dist_q: Optional[RationalDistribution] = None) -> Callable:
+        _check_size(dist, n)
         if kl and dist_q is not None:
+            if n_q is not None:
+                _check_size(dist_q, n_q)
             pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
             pairs_ratio_bound(pairs, dist, dist_q)
             truth = kl_divergence(dist, dist_q, pairs)
@@ -959,7 +997,7 @@ def plugin_plan(n: int, measure: str, n_samples, n_q: Optional[int] = None,
             undefined = kl and bool(np.any((counts[0] > 0) & (counts[1] == 0)))
             estimate = math.nan if undefined else evaluate_measure(
                 empirical[0], measure, empirical[1] if kl else None)
-            return _finish("plugin:" + measure, estimate, truth, "additive", dist, settings,
+            return _finish("plugin:" + measure, estimate, truth, "additive", dist, cfg,
                            seed, ledgers[0], ledger_q=ledgers[1] if kl else None,
                            extras={"n_samples": n_samples, "undefined": undefined})
         return trial

@@ -5,15 +5,16 @@ must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-A cell is prepared once, in one order: checks and plan on each spec's
-size (plan_cell, with the estimator's planner from TRIALS), then build
-(its distributions resolved and the plan's prepare run), so everything a
-cell refuses without a draw is refused there, and without a build where
-it can be.  The prepared cell is the estimator's trial(seed), which books
-ledgers of its own.  ExperimentConfig plans every cell, then builds each,
-when it loads, and run_experiment runs each cell's trials on it;
-run_cell_trial, the one-trial form behind `estimate`, prepares a cell
-(prepare_cell) afresh for each call.
+A cell's eps, delta and mode make its EstimatorConfig, and a key it leaves
+out keeps that field's default, for every algo.  A cell is prepared once,
+in one order: checks and plan on each spec's size (plan_cell, with the
+estimator's planner from TRIALS), then build (its distributions resolved
+and the plan's prepare run), so everything a cell refuses without a draw
+is refused there, and without a build where it can be.  The prepared cell
+is the estimator's trial(seed), which books ledgers of its own.
+ExperimentConfig plans every cell, then builds each, when it loads, and
+run_experiment runs each cell's trials on it; run_cell_trial, the one-trial
+form behind `estimate`, prepares a cell (prepare_cell) afresh for each call.
 
 The invariant suites live in `verify`; SUITES, run_suite and suite_passed,
 which the benchmark reads through this module, are re-exported here as the
@@ -92,7 +93,7 @@ def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
 
 # numeric cell key -> the name its error uses
 _NUMERIC_CELL_KEYS = {"alpha": "alpha", "eps": "epsilon", "delta": "delta", "f": "f"}
-# infinity means min-entropy as alpha, and no error target as the plug-in's eps
+# infinity means min-entropy as alpha; an infinite eps is left to EstimatorConfig's range
 _INFINITE_CELL_KEYS = ("alpha", "eps")
 # cell keys that count something; below 2^63, so that each converts to a float
 _INTEGER_CELL_KEYS = ("m", "n_samples")
@@ -112,8 +113,8 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     an unknown algo, a missing key or one the algo does not read (the
     plug-in reads dist_q with measure kl only), values of the wrong type,
     NaN or a meaningless infinity, which would otherwise be coerced or fail
-    late, an unknown mode and a plug-in cell outside contract mode.  Returns
-    the keys of the distributions its trial reads, unresolved."""
+    late, and an unknown mode.  Returns the keys of the distributions its
+    trial reads, unresolved."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
@@ -141,19 +142,15 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
             raise ValueError("%s must be an integer below 2^63, got %r" % (key, cell[key]))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
-    mode = cell.get("mode", "contract")
-    if mode not in MODES:
+    if "mode" in cell and cell["mode"] not in MODES:
         raise ValueError("mode must be one of %s, got mode %r"
-                         % (", ".join("'%s'" % m for m in MODES), mode))
+                         % (", ".join("'%s'" % m for m in MODES), cell["mode"]))
     unread = sorted(set(cell) - _COMMON_KEYS - set(required + optional))
     if unread:
         raise ValueError("%s cells do not read %s"
                          % (algo, " or ".join("'%s'" % k for k in unread)))
     reads = ("dist", "dist_q") if algo == "kl" else ("dist",)
     if algo == "plugin":
-        if mode != "contract":
-            raise ValueError("plugin cells have no payoff law to integrate: they run only "
-                             "in contract mode, not %s" % mode)
         if not isinstance(cell["measure"], str):
             raise ValueError("measure must be a string, got %r" % (cell["measure"],))
         if parse_measure(cell["measure"])[0] == "kl":
@@ -215,14 +212,13 @@ class ExperimentConfig:
         cells = raw["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
             raise ValueError("'cells' must be a list of objects")
-        return cls(cells=tuple(cells), trials=raw.get("trials", 1),
-                   master_seed=raw.get("master_seed"),
-                   record_timing=raw.get("record_timing", False))
+        return cls(**dict(raw, cells=tuple(cells)))
 
 
 def _config(cell: dict) -> EstimatorConfig:
-    return EstimatorConfig(epsilon=float(cell.get("eps", 0.25)),
-                           delta=float(cell.get("delta", 0.1)), mode=cell.get("mode", "contract"))
+    """The cell's EstimatorConfig: a key the cell leaves out keeps its field's default."""
+    keys = (("eps", "epsilon", float), ("delta", "delta", float), ("mode", "mode", str))
+    return EstimatorConfig(**{name: kind(cell[key]) for key, name, kind in keys if key in cell})
 
 
 # the cell keys every cell reads
@@ -243,7 +239,7 @@ TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
                  lambda cell, n: coverage_plan(n, cell["n_samples"], _config(cell))),
     "support": (("m",), (), lambda cell, n: support_plan(n, cell["m"], _config(cell))),
     "plugin": (("measure", "n_samples"), ("dist_q",), lambda cell, n, n_q=None: plugin_plan(
-        n, cell["measure"], cell["n_samples"], n_q, float(cell.get("eps", math.inf)))),
+        n, cell["measure"], cell["n_samples"], _config(cell), n_q)),
 }
 _CELL_KEYS = _COMMON_KEYS.union(*(entry[0] + entry[1] for entry in TRIALS.values()))
 

@@ -184,7 +184,7 @@ def _drawn(guide: GuideTable, u: np.ndarray) -> np.ndarray:
 
 
 class SampleCountOverflow(ValueError):
-    """A bounded-l2 step asked for more main-sample draws than int64 holds."""
+    """A contract asked for more draws in one multinomial than int64 holds."""
 
 
 def theorem_execution_count(ratio: float) -> int:
@@ -194,6 +194,21 @@ def theorem_execution_count(ratio: float) -> int:
     else:
         core = 0.0
     return max(1, math.ceil(core))
+
+
+def additive_group_size(sigma: float, epsilon: float) -> int:
+    """The draws of one group of the additive contract at sigma and epsilon,
+    ceil(_C_CLASSICAL * (sigma/epsilon)^2) and at least one, refused with
+    SampleCountOverflow from 2^63 on: a multinomial count is an int64."""
+    try:
+        size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
+    except OverflowError:  # the square, or its ceiling, past the largest float
+        size = math.inf
+    if size >= 1 << 63:
+        raise SampleCountOverflow(
+            "the additive contract asks for %.3g draws per group at sigma/epsilon = %.3g, "
+            "more than int64 holds" % (size, sigma / epsilon))
+    return size
 
 
 @dataclass
@@ -236,7 +251,7 @@ def additive_runs(
         raise ValueError("sigma must be non-negative and finite")
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    group_size = max(1, math.ceil(_C_CLASSICAL * (sigma / epsilon) ** 2))
+    group_size = additive_group_size(sigma, epsilon)
     means = sub.sample_sums(group_size, _ADDITIVE_GROUPS * repetitions, rng)
     means /= group_size
     # sorted in place, row by row: the middle of an odd group count is

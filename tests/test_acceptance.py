@@ -4,10 +4,10 @@ Each test prints a single PASS/FAIL line (visible with `pytest -s` or in the
 -v test listing).  Criterion 6's second clause is a documented known defect:
 the claimed 2/n^2 lower-tail bound is not met by the exact Poisson tails at
 any grid cell, so that clause is encoded as a strict xfail together with a
-companion test that verifies the corrected exponent.  Next to it, a second
-strict xfail records a known defect outside the criteria: the plug-in's
-default tolerance depends on the entry point.  Nothing here is weakened to
-force a pass; tolerances are fixed constants.
+companion test that verifies the corrected exponent.  Next to it, a test
+outside the criteria checks that the plug-in's default tolerance is the
+same from every entry point.  Nothing here is weakened to force a pass;
+tolerances are fixed constants.
 """
 
 import csv
@@ -185,16 +185,14 @@ def test_criterion_06_poisson_tails_lower_clause_modeled():
     assert not violations
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="estimate's --eps defaults to 0.25 for the plug-in too, while a "
-                          "plug-in cell without eps has no error target (inf)")
 def test_the_plugin_default_tolerance_is_one_value(capsys):
     cell = {"algo": "plugin", "dist": "uniform:64", "measure": "shannon", "n_samples": 100}
     assert main(["estimate", "--algo", "plugin", "--dist", "uniform:64", "--measure",
                  "shannon", "--n-samples", "100", "--seed", "1"]) == 0
     printed = json.loads(capsys.readouterr().out)
     report = run_cell_trial(cell, 1)
-    # today: tolerance 0.25 and success false against inf and true, at error 0.353
+    # both read EstimatorConfig's default eps, 0.25: the error 0.353 fails in each
+    # (estimate used to pass 0.25 while the cell alone went untargeted, inf)
     assert printed["error"] == report.error
     assert (printed["tolerance"], printed["success"]) == (report.tolerance, report.success)
 

@@ -37,6 +37,10 @@ from qentropy.estimators import (
     annealed_plan,
     annealing_schedule,
     coverage_budget,
+    coverage_plan,
+    kl_plan,
+    min_entropy_plan,
+    plugin_plan,
     power_sum_integer_plan,
     prepare_kl,
     prepare_min_entropy,
@@ -46,6 +50,8 @@ from qentropy.estimators import (
     prepare_support_coverage,
     prepare_support_size,
     shannon_budget,
+    shannon_plan,
+    support_plan,
 )
 from qentropy.instances import point_mass, two_valued, uniform, zipf
 from qentropy.oracle import DistributionOracle, build_oracle
@@ -351,7 +357,7 @@ _ONE_GROUPING = {
     "annealed-exact": ((_P,), lambda d: prepare_renyi(d, 0.75, cfg(mode="exact-expectation"))),
     "kl": ((_P, _Q), lambda p, q: prepare_kl(p, q, None, cfg())),
     "kl-f": ((_P, _Q), lambda p, q: prepare_kl(p, q, 4.0, cfg())),
-    "plugin-kl": ((_P, _Q), lambda p, q: prepare_plugin(p, "kl", 64, q)),
+    "plugin-kl": ((_P, _Q), lambda p, q: prepare_plugin(p, "kl", 64, cfg(), q)),
 }
 
 
@@ -433,7 +439,7 @@ def test_kl_builds_one_table_per_distinct_budget(p, q, distinct):
 
 @pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
 @pytest.mark.parametrize("prepare", [
-    lambda t: prepare_plugin(uniform(16), "shannon", t),
+    lambda t: prepare_plugin(uniform(16), "shannon", t, cfg()),
     lambda t: prepare_support_coverage(uniform(16), t, cfg()),
 ], ids=["plugin", "coverage"])
 def test_sample_counts_are_refused_at_prepare_before_any_build(prepare, value):
@@ -508,10 +514,21 @@ _LARGE = "zipf:1.5:16777216"  # 2^24 symbols: building it takes ~1 s and ~400 MB
     ({"algo": "coverage", "dist": _LARGE, "n_samples": 1 << 40}, "^budget M=2\\^"),
     ({"algo": "coverage", "dist": _LARGE, "n_samples": 0}, "^n_samples must be positive"),
     ({"algo": "support", "dist": "uniform:16", "m": 4, "eps": 1e-12}, "^budget M=2\\^"),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": 0.5},
+     "^ratio bound f must be at least 1, got 0.5: "),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": 0},
+     "^ratio bound f must be at least 1, got 0.0: "),
+    ({"algo": "kl", "dist": "uniform:4", "dist_q": "uniform:4", "f": -3},
+     "^ratio bound f must be at least 1, got -3.0: "),
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 1, "eps": 1e-9},
+     "^the additive contract asks for 2e\\+19 draws per group"),
+    ({"algo": "support", "dist": "point:4", "m": 1, "eps": 1e-8},
+     "^the additive contract asks for .* more than int64 holds$"),
 ], ids=["minentropy-intensity", "minentropy-n", "minentropy-exact", "annealed-1.5",
         "annealed-0.75-exact", "annealed-n", "integer-rounds", "integer-exact", "order-0",
         "order-1", "shannon", "delta", "plugin-ceiling", "plugin-kl-alphabets", "kl-alphabets",
-        "kl-f-M_p", "kl-f-M_q", "coverage", "coverage-n-samples", "support"])
+        "kl-f-M_p", "kl-f-M_q", "coverage", "coverage-n-samples", "support", "kl-f-0.5",
+        "kl-f-0", "kl-f-minus-3", "coverage-group-size", "support-group-size"])
 def test_a_cell_is_refused_from_its_spec_sizes_before_any_build(cell, message):
     # prepare_cell plans on each instance spec's size: parse_instance and
     # every read or build a prepare makes are patched to fail
@@ -523,11 +540,47 @@ def test_a_cell_is_refused_from_its_spec_sizes_before_any_build(cell, message):
         harness.prepare_cell(cell)
 
 
+# name -> (a plan for 64 symbols, the distributions handed to its prepare)
+_PLANNED_FOR_64 = {
+    "shannon": (lambda: shannon_plan(64, cfg()), (uniform(16),)),
+    "kl-p": (lambda: kl_plan(64, 64, 2.0, cfg()), (uniform(16), uniform(16))),
+    "kl-q": (lambda: kl_plan(64, 64, 2.0, cfg()), (uniform(64), uniform(16))),
+    "annealed": (lambda: annealed_plan(64, 2.5, cfg()), (uniform(16),)),
+    "annealed-exact": (lambda: annealed_plan(64, 0.75, cfg(mode="exact-expectation")),
+                       (uniform(16),)),
+    "integer": (lambda: power_sum_integer_plan(64, 2, cfg()), (uniform(16),)),
+    "minentropy": (lambda: min_entropy_plan(64, cfg()), (uniform(16),)),
+    "coverage": (lambda: coverage_plan(64, 16, cfg()), (uniform(16),)),
+    "support": (lambda: support_plan(64, 16, cfg()), (uniform(16),)),
+    "plugin": (lambda: plugin_plan(64, "shannon", 16, cfg()), (uniform(16),)),
+    "plugin-kl-q": (lambda: plugin_plan(64, "kl", 16, cfg(), 64), (uniform(64), uniform(16))),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANNED_FOR_64))
+def test_a_prepare_refuses_a_distribution_of_another_size(name):
+    # shannon_plan(2^20, ...) used to prepare uniform(16) and report n = 16
+    # at the budget of 2^20 symbols; refused before anything is read or built
+    plan, dists = _PLANNED_FOR_64[name]
+    prepare = plan()
+    built = AssertionError("a distribution was read or built before the refusal")
+    with mock.patch.multiple(estimators, **{name: mock.Mock(side_effect=built)
+                                            for name in _READS_AND_BUILDS}), \
+            pytest.raises(ValueError, match="^the plan is for n = 64 symbols, but the "
+                                            "distribution has n = 16$"):
+        prepare(*dists)
+
+
+def test_kl_refuses_a_nan_ratio_bound_at_plan():
+    with pytest.raises(ValueError, match="^ratio bound f must be at least 1, got nan"):
+        kl_plan(4, 4, math.nan, cfg())
+
+
 def test_numpy_integer_sample_counts_are_the_python_ints():
     dist = zipf(1.5, 16)
     for t in (np.int64(16), np.uint8(16), np.int32(16)):
-        assert prepare_plugin(dist, "shannon", t)(3).to_dict() \
-            == prepare_plugin(dist, "shannon", 16)(3).to_dict()
+        assert prepare_plugin(dist, "shannon", t, cfg())(3).to_dict() \
+            == prepare_plugin(dist, "shannon", 16, cfg())(3).to_dict()
         assert prepare_support_coverage(dist, t, cfg())(3).to_dict() \
             == prepare_support_coverage(dist, 16, cfg())(3).to_dict()
 

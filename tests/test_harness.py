@@ -118,7 +118,7 @@ def test_measure_orders_must_be_numbers(measure, what, capsys):
 
 
 def test_plugin_baseline_converges():
-    rep = prepare_plugin(uniform(16), "shannon", 100_000, epsilon=0.05)(0)
+    rep = prepare_plugin(uniform(16), "shannon", 100_000, EstimatorConfig(epsilon=0.05))(0)
     assert rep.algo == "plugin:shannon"
     assert abs(rep.estimate - math.log(16)) < 0.02
     assert rep.ledger["quantum_total"] == 0
@@ -143,7 +143,7 @@ def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
 
     q = uniform(len(counts))
     for measure in ("shannon", "renyi:2", "kl"):
-        trial = prepare_plugin(dist, measure, n_samples, q)
+        trial = prepare_plugin(dist, measure, n_samples, EstimatorConfig(), q)
         rep = trial(seed)
         with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
             again = trial(seed)
@@ -152,7 +152,7 @@ def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
 
 def test_plugin_baseline_kl_undefined_is_flagged():
     # true KL is finite (q dominates p) but the empirical q misses tail bins
-    trial = prepare_plugin(uniform(16), "kl", 50,
+    trial = prepare_plugin(uniform(16), "kl", 50, EstimatorConfig(),
                            resolve_distribution("counts:17," + ",".join(["1"] * 15)))
     flagged = 0
     for seed in range(10):
@@ -393,9 +393,9 @@ def test_cell_trials_must_be_a_positive_integer():
 
 @pytest.mark.parametrize("key", ["alpha", "eps", "delta", "f", "m", "n_samples"])
 def test_numeric_cell_fields_must_be_numbers(key):
-    # infinity is min-entropy's alpha and the plug-in's default eps; an
-    # integer past the largest float used to end in an OverflowError traceback
-    infinite = () if key in ("alpha", "eps") else (math.inf,)
+    # infinity is min-entropy's alpha, and EstimatorConfig refuses it as eps;
+    # an integer past the largest float used to end in an OverflowError traceback
+    infinite = () if key == "alpha" else (math.inf,)
     for value in (None, "2", True, math.nan, 10 ** 400, *infinite):
         cell = dict(SHANNON_CELL, **{key: value})
         with pytest.raises(ValueError, match=key):
@@ -1226,9 +1226,78 @@ def test_cli_refuses_a_plugin_sample_count_past_the_ceiling(capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: n_samples 1000000000000000000 is too large")
     # the ceiling itself is prepared, not drawn
-    assert prepare_plugin(uniform(16), "shannon", 1 << 40) is not None
+    assert prepare_plugin(uniform(16), "shannon", 1 << 40, EstimatorConfig()) is not None
     with pytest.raises(ValueError, match="^n_samples %d .* 2\\^40$" % ((1 << 40) + 1)):
-        prepare_plugin(uniform(16), "shannon", (1 << 40) + 1)
+        prepare_plugin(uniform(16), "shannon", (1 << 40) + 1, EstimatorConfig())
+
+
+# (cell, the `estimate` options of the same cell, the group size and the
+#  sigma/epsilon its refusal names)
+_ADDITIVE_OVERFLOW = [
+    ({"algo": "coverage", "dist": "uniform:4", "n_samples": 1, "eps": 1e-9},
+     ["--algo", "coverage", "--dist", "uniform:4", "--n-samples", "1", "--eps", "1e-9"],
+     "2e+19 draws per group at sigma/epsilon = 2e+09"),
+    ({"algo": "support", "dist": "point:4", "m": 1, "eps": 1e-8},
+     ["--algo", "support", "--dist", "point:4", "--m", "1", "--eps", "1e-8"],
+     "2.92e+20 draws per group at sigma/epsilon = 7.65e+09"),
+]
+
+
+@pytest.mark.parametrize("cell, argv, asked", _ADDITIVE_OVERFLOW, ids=["coverage", "support"])
+def test_an_additive_group_past_int64_is_refused_at_plan(cell, argv, asked, tmp_path, capsys):
+    # the group size ceil(5 (sigma/eps)^2) used to reach rng.multinomial and
+    # end in an OverflowError traceback, exit 1, after an experiment's header
+    assert main(["estimate", *argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the additive contract asks for %s, more than int64 " \
+                           "holds\n" % asked
+    config, out = tmp_path / "exp.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps({"cells": [cell]}))
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("more than int64 holds (cell 0)\n")
+    assert not out.exists()
+
+
+# Adversarial `estimate` options: each once ended, or could end, in a
+# traceback, or ran with a meaningless setting.
+_ADVERSARIAL_ESTIMATES = [
+    "--algo plugin --dist uniform:64 --measure shannon --n-samples 100 --eps -1",
+    "--algo plugin --dist uniform:64 --measure shannon --n-samples 100 --delta 5",
+    "--algo plugin --dist uniform:64 --measure shannon --n-samples 100",
+    "--algo coverage --dist uniform:4 --n-samples 1 --eps 1e-9",
+    "--algo support --dist point:4 --m 1 --eps 1e-8",
+    "--algo kl --dist uniform:4 --dist-q uniform:4 --f-n 0.5",
+    "--algo kl --dist uniform:4 --dist-q uniform:4 --f-n -3",
+    "--algo renyi --dist uniform:16 --alpha 1e-300",
+    "--algo renyi --dist uniform:16 --alpha 1e300",
+    "--algo shannon --dist uniform:16 --eps 1e150",
+    "--algo kl --dist uniform:16 --dist-q uniform:16 --eps 1e150",
+    "--algo renyi --dist uniform:16 --alpha 2 --eps 1e150",
+    "--algo renyi --dist uniform:16 --alpha 2.5 --eps 1e150",
+    "--algo minentropy --dist uniform:16 --eps 1e150",
+    "--algo coverage --dist uniform:16 --n-samples 16 --eps 1e150",
+    "--algo plugin --dist uniform:16 --measure shannon --n-samples 16 --eps 1e150",
+]
+
+
+@pytest.mark.parametrize("options", _ADVERSARIAL_ESTIMATES)
+def test_an_adversarial_estimate_runs_or_exits_2_with_one_error_line(options, capsys):
+    code = main(["estimate", *options.split(), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    else:
+        assert captured.err == ""
+        json.loads(captured.out)
+
+
+def test_exact_expectation_runs_past_the_additive_group_bound():
+    # it draws nothing, so no group size bounds it
+    cell = dict(_ADDITIVE_OVERFLOW[0][0], mode="exact-expectation")
+    assert run_cell_trial(cell, 1).success
 
 
 def test_min_entropy_refuses_a_tiny_epsilon_before_any_draw():
@@ -1379,11 +1448,19 @@ def test_a_prepared_cell_runs_its_planner_once(cell, computed):
     assert {name: count for name, count in calls.items() if count} == computed
 
 
-def test_a_plugin_cell_keeps_an_infinite_eps():
-    # a plug-in cell has no EstimatorConfig: infinity means no error target
+@pytest.mark.parametrize("key, value, message", [
+    ("eps", math.inf, "epsilon must be positive and at most 1e+150, got inf"),
+    ("eps", 0, "epsilon must be positive and at most 1e+150, got 0.0"),
+    ("eps", -1, "epsilon must be positive and at most 1e+150, got -1.0"),
+    ("delta", 5, "delta must lie in (0, 1)"),
+], ids=["eps-inf", "eps-0", "eps-minus-1", "delta-5"])
+def test_a_plugin_cell_is_configured_like_every_cell(key, value, message):
+    # a plug-in cell used to take any eps, infinity meaning no error target,
+    # and to ignore delta; now it has an EstimatorConfig like every cell
     cell = {"algo": "plugin", "dist": "uniform:4", "measure": "shannon", "n_samples": 8,
-            "eps": math.inf}
-    assert len(ExperimentConfig.from_dict({"cells": [cell]}).cells) == 1
+            key: value}
+    with pytest.raises(ValueError, match="^%s \\(cell 0\\)$" % re.escape(message)):
+        ExperimentConfig.from_dict({"cells": [cell]})
 
 
 @pytest.mark.parametrize("spec", [

@@ -723,3 +723,19 @@ def test_each_side_holds_exactly_the_atoms_where_its_part_is_positive(atoms, uni
             side_mass, lumped_mass = ps[:width].sum(), ps[width:].sum()
             assert side_mass == pytest.approx(sub._pvals[positive].sum(), abs=1e-12)
             assert side_mass + lumped_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma, epsilon, asked", [
+    (1.0, 5e-10, "2e\\+19"),  # past 2^63
+    (1e154, 1.0, "inf"),  # 5 (sigma/epsilon)^2 rounds to inf
+    (1.0, 1e-160, "inf"),  # the square itself overflows
+], ids=["past-2^63", "product-inf", "square-inf"])
+def test_an_additive_group_past_int64_is_refused_before_any_draw(sigma, epsilon, asked):
+    # the group size used to reach rng.multinomial: an OverflowError from numpy
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(mean_estimation.SampleCountOverflow,
+                       match="^the additive contract asks for %s draws per group" % asked):
+        additive_runs(FiniteLaw([0.0, 1.0], [0.5, 0.5]), sigma, epsilon, 1, rng)
+    assert rng.bit_generator.state == state
+    assert mean_estimation.additive_group_size(1.0, 1.0) == 5
