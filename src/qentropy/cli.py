@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .distributions import evaluate_measure
+from .distributions import evaluate_measure, parse_measure
 from .estimators import MODES, EstimatorConfig
 from .harness import (
     TRIALS,
@@ -125,6 +125,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    parse_measure(args.measure)  # a bad measure is refused before any distribution is built
     dist = resolve_distribution(args.dist)
     dist_q = None
     if args.dist_q:  # one spec named twice is one distribution, as in prepare_cell

@@ -305,9 +305,9 @@ def count_classes(dist: RationalDistribution) -> tuple[np.ndarray, np.ndarray]:
     return _count_groups(dist.counts)
 
 
-def check_alphabet(n_p: int, n_q: int) -> None:
-    """count_pairs' refusal of p on n_p symbols and q on n_q, from the sizes alone."""
-    if n_p != n_q:
+def check_alphabet(p_size: int, q_size: int) -> None:
+    """count_pairs' refusal of p on p_size symbols and q on q_size, from the sizes alone."""
+    if p_size != q_size:
         raise ValueError("p and q must share an alphabet")
 
 

@@ -119,7 +119,8 @@ class EstimatorConfig:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in MODES:
-            raise ValueError("mode must be one of %s" % ", ".join("'%s'" % m for m in MODES))
+            raise ValueError("mode must be one of %s, got mode %r"
+                             % (", ".join("'%s'" % m for m in MODES), self.mode))
 
 
 @dataclass
@@ -398,15 +399,14 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
     charge by roughly that ratio.
     """
-    return kl_plan(p.n, q.n, ratio_bound, cfg)(p, q)
+    return kl_plan(p.n, ratio_bound, cfg)(p, q)
 
 
-def kl_plan(n: int, n_q: int, ratio_bound: float | Fraction | None,
-            cfg: EstimatorConfig) -> Callable:
-    """prepare_kl's planner: M_p, M_q for a given ratio bound (else prepare's,
-    from the pair's exact bound), then p's n against q's n_q.  A given bound
-    below 1 (or NaN) is refused first: summing p_i <= f q_i over i gives
-    1 <= f."""
+def kl_plan(n: int, ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
+    """prepare_kl's planner on p and q of n symbols each: M_p, M_q for a
+    given ratio bound (else prepare's, from the pair's exact bound).  A
+    given bound below 1 (or NaN) is refused first: summing p_i <= f q_i over
+    i gives 1 <= f."""
     if ratio_bound is not None and not ratio_bound >= 1:
         raise ValueError("ratio bound f must be at least 1, got %r: p_i <= f * q_i for "
                          "every i sums to 1 <= f" % float(ratio_bound))
@@ -416,11 +416,10 @@ def kl_plan(n: int, n_q: int, ratio_bound: float | Fraction | None,
     def q_budget(bound: float | Fraction) -> int:
         return _pow2_budget(math.sqrt(n) * float(bound) / eps)
     M_q = None if ratio_bound is None else q_budget(ratio_bound)
-    check_alphabet(n, n_q)
 
     def prepare(p: RationalDistribution, q: RationalDistribution) -> Callable:
         _check_size(p, n)
-        _check_size(q, n_q)
+        check_alphabet(n, q.n)
         # one grouping serves the exact bound or the promise, the law and the truth
         pairs = count_pairs(p, q)
         if ratio_bound is not None:
@@ -954,14 +953,13 @@ def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
     where empirical p has support is reported as undefined (NaN estimate,
     success False) rather than raising.
     """
-    return plugin_plan(dist.n, measure, n_samples, cfg, dist_q and dist_q.n)(dist, dist_q)
+    return plugin_plan(dist.n, measure, n_samples, cfg)(dist, dist_q)
 
 
-def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig,
-                n_q: Optional[int] = None) -> Callable:
-    """prepare_plugin's planner: the sample count, below 2^40, and whether the
-    measure is kl, once the mode, the measure and, for kl, p's n against
-    q's n_q pass."""
+def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig) -> Callable:
+    """prepare_plugin's planner on n symbols (for kl, p's and q's): the
+    sample count, below 2^40, and whether the measure is kl, once the mode
+    and the measure pass."""
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the plug-in estimator")
     n_samples = sample_count(n_samples)
@@ -969,15 +967,12 @@ def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig,
         raise ValueError("n_samples %d is too large for the plug-in: each side would draw "
                          "that many positions, past the ceiling of 2^40" % n_samples)
     kl = parse_measure(measure)[0] == "kl"
-    if kl and n_q is not None:
-        check_alphabet(n, n_q)
 
     def prepare(dist: RationalDistribution,
                 dist_q: Optional[RationalDistribution] = None) -> Callable:
         _check_size(dist, n)
         if kl and dist_q is not None:
-            if n_q is not None:
-                _check_size(dist_q, n_q)
+            check_alphabet(n, dist_q.n)
             pairs = count_pairs(dist, dist_q)  # one grouping for the refusal and the truth
             pairs_ratio_bound(pairs, dist, dist_q)
             truth = kl_divergence(dist, dist_q, pairs)

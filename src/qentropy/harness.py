@@ -5,16 +5,18 @@ must reproduce output byte for byte.  To keep that promise, wall-clock
 timing is off by default (the column is emitted as 0) and all floats are
 serialized with repr, which round-trips exactly.
 
-A cell's eps, delta and mode make its EstimatorConfig, and a key it leaves
-out keeps that field's default, for every algo.  A cell is prepared once,
-in one order: checks and plan on each spec's size (plan_cell, with the
-estimator's planner from TRIALS), then build (its distributions resolved
-and the plan's prepare run), so everything a cell refuses without a draw
-is refused there, and without a build where it can be.  The prepared cell
-is the estimator's trial(seed), which books ledgers of its own.
-ExperimentConfig plans every cell, then builds each, when it loads, and
-run_experiment runs each cell's trials on it; run_cell_trial, the one-trial
-form behind `estimate`, prepares a cell (prepare_cell) afresh for each call.
+A cell's eps, delta and mode make its one EstimatorConfig, and a key it
+leaves out keeps that field's default, for every algo.  A cell is prepared
+once, in one order: checks, its EstimatorConfig, its one alphabet size (a
+dist_q of another size is refused), then the estimator's planner from
+TRIALS, called on that size, the cell's other values and the config, then
+build (its distributions resolved and the plan's prepare run).  So
+everything a cell refuses without a draw is refused there, and without a
+build where it can be.  The prepared cell is the estimator's trial(seed),
+which books ledgers of its own.  ExperimentConfig checks its own fields,
+plans every cell, then builds each, when it loads, and run_experiment runs
+each cell's trials on it; run_cell_trial, the one-trial form behind
+`estimate`, prepares a cell (prepare_cell) afresh for each call.
 
 The invariant suites live in `verify`; SUITES, run_suite and suite_passed,
 which the benchmark reads through this module, are re-exported here as the
@@ -34,9 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import RationalDistribution, load_distribution, parse_measure
+from .distributions import RationalDistribution, check_alphabet, load_distribution, parse_measure
 from .estimators import (
-    MODES,
     EstimateReport,
     EstimatorConfig,
     coverage_plan,
@@ -108,13 +109,12 @@ def _check_trials(trials, where: str) -> None:
         raise ValueError("%s 'trials' must be a positive integer, got %r" % (where, trials))
 
 
-def _check_cell(cell: dict) -> tuple[str, ...]:
+def _check_cell(cell: dict) -> None:
     """Reject keys no cell reads, so a typo fails instead of running defaults,
     an unknown algo, a missing key or one the algo does not read (the
-    plug-in reads dist_q with measure kl only), values of the wrong type,
-    NaN or a meaningless infinity, which would otherwise be coerced or fail
-    late, and an unknown mode.  Returns the keys of the distributions its
-    trial reads, unresolved."""
+    plug-in reads dist_q with measure kl only), and values of the wrong
+    type, NaN or a meaningless infinity, which would otherwise be coerced or
+    fail late.  EstimatorConfig checks eps's and delta's ranges, and mode."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValueError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
@@ -129,37 +129,32 @@ def _check_cell(cell: dict) -> tuple[str, ...]:
     for key in ("dist", "dist_q"):
         if key in cell and not isinstance(cell[key], str):
             raise ValueError("%s must be a string, got %r" % (key, cell[key]))
-    for key, name in _NUMERIC_CELL_KEYS.items():
-        value = cell.get(key, 0)  # an absent key passes
+    for key in filter(cell.__contains__, _NUMERIC_CELL_KEYS):  # in table order
+        value = cell[key]
         # json parses NaN, Infinity and integers past the largest float; NaN
         # passes every range check
         number = (_is_int(value) and abs(value) <= sys.float_info.max) \
             or (isinstance(value, float) and not math.isnan(value))
         if not number or (math.isinf(value) and key not in _INFINITE_CELL_KEYS):
-            raise ValueError("%s must be a real number, got %r (cell key %r)" % (name, value, key))
+            raise ValueError("%s must be a real number, got %r (cell key %r)"
+                             % (_NUMERIC_CELL_KEYS[key], value, key))
     for key in _INTEGER_CELL_KEYS:
         if key in cell and not (_is_int(cell[key]) and cell[key] < 1 << 63):
             raise ValueError("%s must be an integer below 2^63, got %r" % (key, cell[key]))
     if "trials" in cell:
         _check_trials(cell["trials"], "cell")
-    if "mode" in cell and cell["mode"] not in MODES:
-        raise ValueError("mode must be one of %s, got mode %r"
-                         % (", ".join("'%s'" % m for m in MODES), cell["mode"]))
-    unread = sorted(set(cell) - _COMMON_KEYS - set(required + optional))
+    unread = set(cell).difference(_COMMON_KEYS, required, optional)
     if unread:
         raise ValueError("%s cells do not read %s"
-                         % (algo, " or ".join("'%s'" % k for k in unread)))
-    reads = ("dist", "dist_q") if algo == "kl" else ("dist",)
+                         % (algo, " or ".join("'%s'" % k for k in sorted(unread))))
     if algo == "plugin":
         if not isinstance(cell["measure"], str):
             raise ValueError("measure must be a string, got %r" % (cell["measure"],))
         if parse_measure(cell["measure"])[0] == "kl":
             if "dist_q" not in cell:
                 raise ValueError("KL plugin cells need 'dist_q'")
-            reads = ("dist", "dist_q")
         elif "dist_q" in cell:
             raise ValueError("plugin cells with measure %r do not read 'dist_q'" % cell["measure"])
-    return reads
 
 
 def _in_cell(index: int, step: Callable, *args):
@@ -174,8 +169,9 @@ def _in_cell(index: int, step: Callable, *args):
 class ExperimentConfig:
     """A batch of cells, each prepared once as it loads, every cell planned
     (plan_cell) before any is built, so a cell no trial could run fails here,
-    named, before any CSV is opened.  Trials run on `prepared`: a cell dict
-    changed after loading is not read."""
+    named, before any CSV is opened; the config's own fields are checked
+    before any cell.  Trials run on `prepared`: a cell dict changed after
+    loading is not read."""
 
     cells: tuple[dict, ...]
     trials: int = 1
@@ -184,9 +180,6 @@ class ExperimentConfig:
     prepared: tuple[Callable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        builds = [_in_cell(index, plan_cell, cell) for index, cell in enumerate(self.cells)]
-        object.__setattr__(self, "prepared", tuple(
-            _in_cell(index, build) for index, build in enumerate(builds)))
         _check_trials(self.trials, "config")
         if self.master_seed is not None and not _is_int(self.master_seed):
             raise ValueError("'master_seed' must be an integer or null, got %r"
@@ -194,6 +187,9 @@ class ExperimentConfig:
         if not isinstance(self.record_timing, bool):
             raise ValueError("'record_timing' must be true or false, got %r"
                              % (self.record_timing,))
+        builds = [_in_cell(index, plan_cell, cell) for index, cell in enumerate(self.cells)]
+        object.__setattr__(self, "prepared", tuple(
+            _in_cell(index, build) for index, build in enumerate(builds)))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -217,8 +213,11 @@ class ExperimentConfig:
 
 def _config(cell: dict) -> EstimatorConfig:
     """The cell's EstimatorConfig: a key the cell leaves out keeps its field's default."""
-    keys = (("eps", "epsilon", float), ("delta", "delta", float), ("mode", "mode", str))
-    return EstimatorConfig(**{name: kind(cell[key]) for key, name, kind in keys if key in cell})
+    fields = {name: float(cell[key]) for key, name in (("eps", "epsilon"), ("delta", "delta"))
+              if key in cell}
+    if "mode" in cell:
+        fields["mode"] = cell["mode"]
+    return EstimatorConfig(**fields)
 
 
 # the cell keys every cell reads
@@ -226,20 +225,17 @@ _COMMON_KEYS = frozenset({"algo", "dist", "eps", "delta", "mode", "trials"})
 
 
 # algo -> (keys its cells need besides 'algo' and 'dist', the other keys they read,
-#          plan(cell, the size n of each distribution _check_cell names): the
-#          estimator's planner on the cell's EstimatorConfig, which returns
-#          prepare(each of those distributions) -> trial(seed))
+#          the estimator's planner, planner(n, the cell's value of each of those
+#          keys but dist_q in this order, None where absent, its EstimatorConfig),
+#          which returns prepare(dist[, dist_q]) -> trial(seed))
 TRIALS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
-    "shannon": ((), (), lambda cell, n: shannon_plan(n, _config(cell))),
-    "kl": (("dist_q",), ("f",), lambda cell, n, n_q: kl_plan(
-        n, n_q, float(cell["f"]) if "f" in cell else None, _config(cell))),
-    "renyi": (("alpha",), (), lambda cell, n: renyi_plan(n, float(cell["alpha"]), _config(cell))),
-    "minentropy": ((), (), lambda cell, n: min_entropy_plan(n, _config(cell))),
-    "coverage": (("n_samples",), (),
-                 lambda cell, n: coverage_plan(n, cell["n_samples"], _config(cell))),
-    "support": (("m",), (), lambda cell, n: support_plan(n, cell["m"], _config(cell))),
-    "plugin": (("measure", "n_samples"), ("dist_q",), lambda cell, n, n_q=None: plugin_plan(
-        n, cell["measure"], cell["n_samples"], _config(cell), n_q)),
+    "shannon": ((), (), shannon_plan),
+    "kl": (("dist_q",), ("f",), kl_plan),
+    "renyi": (("alpha",), (), renyi_plan),
+    "minentropy": ((), (), min_entropy_plan),
+    "coverage": (("n_samples",), (), coverage_plan),
+    "support": (("m",), (), support_plan),
+    "plugin": (("measure", "n_samples"), ("dist_q",), plugin_plan),
 }
 _CELL_KEYS = _COMMON_KEYS.union(*(entry[0] + entry[1] for entry in TRIALS.values()))
 
@@ -247,21 +243,28 @@ _CELL_KEYS = _COMMON_KEYS.union(*(entry[0] + entry[1] for entry in TRIALS.values
 def plan_cell(cell: dict) -> Callable[[], Callable[[Optional[int]], EstimateReport]]:
     """Check a cell dict and plan its estimator; returns build() -> trial(seed).
 
-    _check_cell raises ValueError on a key outside _CELL_KEYS, an unknown
-    algo, a missing key, a key the algo does not read or a bad value, before
-    any distribution is resolved.  The estimator's planner then refuses,
-    on each distribution's size, what needs no distribution (an eps or delta
-    EstimatorConfig refuses, a budget above the largest table, a KL pair on
-    different alphabets, ...): a JSON file is loaded for its size, and an
-    instance spec only sized (instance_size), not built.  build() resolves
-    each distinct spec once (a dist and dist_q naming one spec are one
-    distribution) and runs the planner's prepare on them.
+    In this order, each refusal a ValueError: _check_cell refuses a key
+    outside _CELL_KEYS, an unknown algo, a missing key, a key the algo does
+    not read or a bad value; the cell's one EstimatorConfig refuses its eps,
+    delta or mode; each spec is sized, a JSON file loaded for its size and
+    an instance spec only sized (instance_size), not built; a dist_q whose
+    size is not dist's is refused (check_alphabet); and the estimator's
+    planner refuses, on that size, what needs no distribution (a budget
+    above the largest table, a mode without a payoff law, ...).  build()
+    resolves each distinct spec once (a dist and dist_q naming one spec are
+    one distribution) and runs the planner's prepare on them.
     """
-    specs = [cell[key] for key in _check_cell(cell)]
+    _check_cell(cell)
+    cfg = _config(cell)
+    specs = [cell[key] for key in ("dist", "dist_q") if key in cell]
     distinct = dict.fromkeys(specs)
     files = {spec: resolve_distribution(spec) for spec in distinct if not _is_instance(spec)}
-    prepare = TRIALS[cell["algo"]][2](
-        cell, *(files[spec].n if spec in files else instance_size(spec) for spec in specs))
+    sizes = [files[spec].n if spec in files else instance_size(spec) for spec in specs]
+    if len(sizes) > 1:
+        check_alphabet(*sizes)
+    required, optional, planner = TRIALS[cell["algo"]]
+    prepare = planner(sizes[0], *[cell.get(key) for key in required + optional
+                                  if key != "dist_q"], cfg)
 
     def build() -> Callable[[Optional[int]], EstimateReport]:
         resolved = {spec: files[spec] if spec in files else resolve_distribution(spec)

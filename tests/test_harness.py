@@ -363,6 +363,22 @@ def test_the_readme_example_config_loads():
 SHANNON_CELL = {"algo": "shannon", "dist": "uniform:16"}
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("trials", 0, "config 'trials' must be a positive integer, got 0"),
+    ("master_seed", "1", "'master_seed' must be an integer or null, got '1'"),
+    ("record_timing", 1, "'record_timing' must be true or false, got 1"),
+], ids=["trials", "master-seed", "record-timing"])
+def test_a_config_field_is_refused_before_any_cell_is_planned(key, value, message):
+    # trials 0 used to be refused only once this 2^24-symbol cell was
+    # planned and built (~1.4 s, ~400 MB)
+    raw = {"cells": [{"algo": "shannon", "dist": "zipf:1.5:16777216", "eps": 0.5}], key: value}
+    planned = AssertionError("a cell was planned or built before the config's fields")
+    with mock.patch.object(harness, "parse_instance", side_effect=planned), \
+            mock.patch.object(harness, "plan_cell", side_effect=planned), \
+            pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_record_timing_must_be_a_json_bool():
     # bool("false") is True: the string used to turn timing on
     with pytest.raises(ValueError, match="record_timing"):
@@ -525,6 +541,31 @@ def test_benchmark_workloads_call_what_the_harness_offers():
                 assert call in harness.SUITES, (workload.name, call)
             else:
                 assert run_cell_trial(call, 1).algo, (workload.name, call)
+
+
+def _load_benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # for @dataclass
+        spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+def test_the_harness_offers_every_name_the_benchmark_worker_calls():
+    # perfbench/worker.py reaches the package through these harness names
+    # alone, so a rename or a changed call shape must fail here
+    workloads = _load_benchmark_workloads()
+    assert harness.SUITES is verify.SUITES
+    assert tuple(harness.SUITES) == workloads["verify-all"].calls
+    for name in ("resolve_distribution", "derive_seed", "run_suite", "suite_passed"):
+        assert callable(getattr(harness, name)), name
+    for key, cell in enumerate(workloads["grid-small"].calls):
+        report = harness.run_cell_trial(cell, harness.derive_seed(1, key, 0))
+        assert report.algo.startswith(cell["algo"]) and math.isfinite(report.estimate), cell
+    for workload in workloads.values():
+        for call in () if workload.verify else workload.calls:
+            assert callable(harness.plan_cell(call)), (workload.name, call)
 
 
 def _brute_force_collisions(row, k):
@@ -1443,9 +1484,12 @@ def test_a_prepared_cell_runs_its_planner_once(cell, computed):
             return real(*args)
         return wrapper
 
-    with mock.patch.multiple(estimators, **{name: counting(name) for name in calls}):
+    with mock.patch.multiple(estimators, **{name: counting(name) for name in calls}), \
+            mock.patch.object(EstimatorConfig, "__post_init__", autospec=True,
+                              side_effect=EstimatorConfig.__post_init__) as configured:
         harness.prepare_cell(cell)
     assert {name: count for name, count in calls.items() if count} == computed
+    assert configured.call_count == 1  # one EstimatorConfig per cell
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1977,6 +2021,40 @@ def test_cli_verify_json_carries_the_text_report(capsys):
         assert line == "[%s] %s/%s  margin=%+.3e  (%s)" % (
             status, row["suite"], row["name"], row["margin"], row["detail"])
     assert type(rows[0]["margin"]) is float
+
+
+def test_cli_verify_reports_a_failing_check_and_exits_1(monkeypatch, capsys):
+    failing = [verify.CheckResult("estamp", "broken", False, -1.0, "made to fail")]
+    monkeypatch.setattr(cli, "run_suite", lambda suite: failing)
+    assert main(["verify", "estamp"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] estamp/broken  margin=-1.000e+00  (made to fail)",
+        "suite estamp: 0/1 checks passed"]
+
+
+def test_cli_estimate_timing_fills_wall_ms_alone(capsys):
+    argv = ["estimate", "--algo", "shannon", "--dist", "uniform:16", "--seed", "4"]
+    assert main(argv) == 0
+    untimed = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    wall_ms = timed.pop("wall_ms")
+    assert type(wall_ms) is int and wall_ms >= 0
+    untimed.pop("wall_ms")
+    assert timed == untimed
+    # the preparation and the trial take 2.5 s on this clock
+    clock = mock.Mock(perf_counter=mock.Mock(side_effect=[10.0, 12.5]))
+    with mock.patch.object(harness, "time", clock):
+        assert main(argv + ["--timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["wall_ms"] == 2500
+
+
+def test_exact_refuses_a_bad_measure_before_it_resolves_a_distribution(capsys):
+    # the 2^24-symbol law used to be built (~1 s, ~400 MB) before the refusal
+    resolved = AssertionError("a distribution was resolved before the measure was read")
+    with mock.patch.object(cli, "resolve_distribution", side_effect=resolved):
+        assert main(["exact", "--dist", "zipf:1.5:16777216", "--measure", "bogus"]) == 2
+    assert capsys.readouterr().err == "error: unknown measure 'bogus'\n"
 
 
 def test_cli_verify_exit_codes(capsys):
