@@ -125,7 +125,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    parse_measure(args.measure)  # a bad measure is refused before any distribution is built
+    if parse_measure(args.measure)[0] == "kl" and not args.dist_q:  # refused before any build
+        raise ValueError("measure 'kl' needs a second distribution")
     dist = resolve_distribution(args.dist)
     dist_q = None
     if args.dist_q:  # one spec named twice is one distribution, as in prepare_cell

@@ -325,17 +325,13 @@ def count_pairs(p: RationalDistribution, q: RationalDistribution
     return cp[starts], cq[starts], lengths, bins[starts]
 
 
-def ratio_bound(p: RationalDistribution, q: RationalDistribution) -> Fraction:
-    """Smallest f with p_i <= f * q_i for all i (exact); ValueError if none exists."""
-    return pairs_ratio_bound(count_pairs(p, q), p, q)
-
-
 def pairs_ratio_bound(pairs: tuple, p: RationalDistribution, q: RationalDistribution
                       ) -> Fraction:
-    """ratio_bound on the pairs count_pairs(p, q) found.
+    """The least f with p_i <= f * q_i for all i, exactly, from count_pairs(p, q).
 
     The largest ratio (cp / S_p) / (cq / S_q) is that of the largest cp / cq,
-    found by cross-multiplying Python ints; one Fraction is built, for it."""
+    found by cross-multiplying Python ints; one Fraction is built, for it.
+    Where p has mass and q has none, no f exists: ValueError."""
     cp, cq = pairs[:2]
     if not cq.all():
         raise ValueError("ratio unbounded: p puts mass on a bin where q is zero")

@@ -8,11 +8,11 @@ known in closed form, the payoff variable's distribution is also known
 exactly, which enables both fast vectorized simulation and exact
 enumeration of its mean and variance ("exact-expectation" mode).  Every
 payoff law is a plain FiniteLaw, a budget's payoff table over a class
-mixture; KL's law is a pair of them per group of symbols sharing a q count.
-A prepare groups each distribution (KL: the pair) once, hands that table to
-both the laws and the truth, and builds each table and mixture once per
-budget.  The collision-based estimators (integer orders, min-entropy) have
-no such law and refuse that mode.
+mixture; KL's law draws from one per distinct count of each side, built
+when drawn from.  A prepare groups each distribution (KL: the pair) once,
+hands that table to both the laws and the truth, and builds each table and
+mixture once per budget.  The collision-based estimators (integer orders,
+min-entropy) have no such law and refuse that mode.
 
 Each estimator runs in three stages, each a closure of the one before.  Its
 planner X_plan(n, ..., cfg) makes every check and budget needing no
@@ -208,10 +208,9 @@ def _class_mixture(classes: tuple, denominator: int, sines: np.ndarray) -> np.nd
 
     classes is a class table: distinct counts c over the denominator S,
     ascending, and their numbers of bins k, as distributions.count_classes
-    gives it or the p side of a q group of count_pairs; w_c is the Python int
-    c * k over the Python-int sum of them.  The rows are built one class
-    at a time in table order, so the build holds O(M) memory whatever the
-    class count.
+    gives it; w_c is the Python int c * k over the Python-int sum of them.
+    The rows are built one class at a time in table order, so the build
+    holds O(M) memory whatever the class count.
     """
     counts, weights = classes[0].tolist(), (classes[0] * classes[1]).tolist()  # c * k <= S
     total = sum(weights)
@@ -229,57 +228,59 @@ def _payoff_law(payoffs: np.ndarray, mixture: np.ndarray) -> FiniteLaw:
     return FiniteLaw(payoffs[grid], mixture[grid])
 
 
-class _RatioSubroutine:
+class _RatioLaw:
     """Sample i from p, independently estimate p_i and q_i, return ln p~ - ln q~.
 
-    A group of symbols sharing a q count is a run of pairs = count_pairs(p, q),
-    whose p counts and bins are a class table.  ln q~ follows the q count's
-    outcome row and ln p~, independent of it, that table's mixture on the M_p
-    grid: a pair of payoff laws on the budgets' log tables, X their difference.
-    Grouping by the q side keeps one copy of each q row, the larger ones
-    since M_q >= M_p.  The joint law of X is never tabulated: sums and
-    moments come from the pairs.
+    Pair j of count_pairs(p, q), of weight cp_j * k_j / S_p, draws ln p~
+    from the payoff law of p count cp_j's outcome row on the M_p log table
+    and ln q~ from q count cq_j's on the M_q one.  A row, one distinct
+    (amplitude, budget), is built once per prepare, for its moments, and
+    once per sample_sums call, then dropped: the law holds O(M_p + M_q +
+    pairs) memory, and a call O(M_p + M_q + pairs * groups).
     """
 
     def __init__(self, p: RationalDistribution, q: RationalDistribution,
                  M_p: int, M_q: int, pairs: tuple):
-        runs = np.split(np.stack(pairs[:3]), np.flatnonzero(np.diff(pairs[1])) + 1, axis=1)
-        self._weights = np.array([int(np.add.reduce(cp * k)) / p.denominator for cp, _, k in runs])
-        self._pvals = self._weights / self._weights.sum()
+        cp, cq, k = pairs[:3]
+        weights = cp * k / p.denominator  # cp * k <= S_p
+        self._pvals = weights / weights.sum()
         budgets = dict.fromkeys((M_p, M_q))  # one log and one sine table per distinct budget
-        logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in budgets}
-        sines = {M: sine_table(M) for M in budgets}
-        self._pairs = [(_payoff_law(logs[M_p], _class_mixture((cp, k), p.denominator, sines[M_p])),
-                        _payoff_law(logs[M_q], outcome_laws([int(cq[0]) / q.denominator],
-                                                            sines[M_q])[0][0]))
-                       for cp, cq, k in runs]
+        self._logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in budgets}
+        self._sines = {M: sine_table(M) for M in budgets}
+        rows = self._rows = {}  # (amplitude, M) -> its index, in order of first use
+        self._row_of = [np.array([rows.setdefault((c / dist.denominator, M), len(rows))
+                                  for c in counts.tolist()])
+                        for counts, dist, M in ((cp, p, M_p), (cq, q, M_q))]  # per side, per pair
+        moments = np.array([(law.mean(), law.variance()) for law in map(self._law, rows)])
+        (mean_p, var_p), (mean_q, var_q) = (moments[row].T for row in self._row_of)
+        gap = mean_p - mean_q
+        self._mean = float(np.add.reduce(weights * gap))
+        self._variance = float(np.add.reduce(weights * (var_p + var_q + gap * gap))) \
+            - self._mean * self._mean
 
-    def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
-        """`groups` independent sums of `count` draws, one after another: each
-        a multinomial split over the groups, then each side's own sum over
-        its group's share."""
-        sums = np.empty(groups)
-        for g in range(groups):
-            total = 0.0
-            for n, (law_p, law_q) in zip(rng.multinomial(count, self._pvals), self._pairs):
-                if n:
-                    total += law_p.sample_sums(n, 1, rng)[0] - law_q.sample_sums(n, 1, rng)[0]
-            sums[g] = total
+    def _law(self, row: tuple) -> FiniteLaw:  # row: (amplitude, M)
+        return _payoff_law(self._logs[row[1]], outcome_laws(row[:1], self._sines[row[1]])[0][0])
+
+    def sample_sums(self, count, groups: int, rng: np.random.Generator) -> np.ndarray:
+        """`groups` independent sums of `count` draws: each group's multinomial
+        over the pairs, its counts added up per row and side, then for each
+        row one FiniteLaw.sample_sums call of the p side's groups and the q
+        side's, whose difference each group's sum gains."""
+        pair_counts = rng.multinomial(count, self._pvals, size=groups)
+        counts = np.zeros((len(self._rows), 2, groups), np.int64)
+        for side, row in enumerate(self._row_of):
+            np.add.at(counts[:, side], row, pair_counts.T)
+        sums = np.zeros(groups)
+        for row, n in zip(self._rows, counts):
+            drawn = self._law(row).sample_sums(n.reshape(-1), 2 * groups, rng)
+            sums += drawn[:groups] - drawn[groups:]
         return sums
 
     def mean(self) -> float:
-        mean = 0.0
-        for w, (law_p, law_q) in zip(self._weights, self._pairs):
-            mean += w * (law_p.mean() - law_q.mean())
-        return mean
+        return self._mean
 
     def variance(self) -> float:
-        second = 0.0
-        for w, (law_p, law_q) in zip(self._weights, self._pairs):
-            gap = law_p.mean() - law_q.mean()
-            second += w * (law_p.variance() + law_q.variance() + gap * gap)
-        mean = self.mean()
-        return second - mean * mean
+        return self._variance
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +393,11 @@ def prepare_kl(p: RationalDistribution, q: RationalDistribution,
     """Additive-error KL divergence estimate under the bounded-ratio promise.
 
     Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
-    ratio_bound as given (pass the exact Fraction from
-    distributions.ratio_bound: its float can round below it); None stands
-    for that exact bound, which keeps the promise by construction, so it is
-    not checked.  Budgets use its float.  q's budget carries the
-    extra ratio_bound factor, so the q-ledger charge exceeds the p-ledger
-    charge by roughly that ratio.
+    ratio_bound as given (a float can round below the exact bound); None
+    stands for the pair's exact bound, which keeps the promise by
+    construction, so it is not checked.  Budgets use its float.  q's budget
+    carries the extra ratio_bound factor, so the q-ledger charge exceeds the
+    p-ledger charge by roughly that ratio.
     """
     return kl_plan(p.n, ratio_bound, cfg)(p, q)
 
@@ -426,7 +426,7 @@ def kl_plan(n: int, ratio_bound: float | Fraction | None, cfg: EstimatorConfig) 
             check_ratio_promise(p, q, ratio_bound, pairs)
         bound = float(pairs_ratio_bound(pairs, p, q) if ratio_bound is None else ratio_bound)
         M = M_q or q_budget(bound)
-        sub = _RatioSubroutine(p, q, M_p, M, pairs)
+        sub = _RatioLaw(p, q, M_p, M, pairs)
         sigma = max(math.hypot(math.log(4.0 * n / eps ** 2), max(math.log(bound), 0.0)), 1e-9)
         run = _additive_run(sub, sigma, eps / 2.0,
                             {"M_p": M_p, "M_q": M, "sigma": sigma, "ratio_bound": bound},
@@ -611,7 +611,9 @@ _MAX_ROUNDS = 1 << 40
 
 
 def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> Callable:
-    """Relative-error power sum for integer alpha >= 2, success >= 2/3.
+    """Relative-error power sum for integer alpha >= 2, aiming at success
+    >= 2/3, met at alpha = 2 but not at every order: at eps = 0.25 a trial
+    failed on 0.458 of 600 seeds at alpha = 8 on uniform:16 (ROADMAP item 22).
 
     A doubling loop finds a sequence length l that contains an alpha-wise
     collision (capped at 2^ceil(log2(alpha*n)), where one is guaranteed by

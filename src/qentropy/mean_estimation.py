@@ -31,9 +31,9 @@ same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A lone contract run
 is the k = 1 case; it has no entry point of its own.  additive_runs is
-its additive twin: one sample_sums call draws every run's groups, run
-after run, so k runs are k one-run calls in value and generator state,
-and a lone additive run is its k = 1 case too.
+its additive twin: one sample_sums call draws each run's groups, so k runs
+are k one-run calls in value and generator state, and a lone additive run
+is its k = 1 case too.
 
 An index draw, an anchor's or a pilot's, reads rng.random's draw k * 2^-53
 as position k of a layout of 2^53 integer positions, in which each atom
@@ -67,8 +67,7 @@ size; the reported classical draws still count the full notional sample.
 FiniteLaw.sample_sums is the one draw call: it draws every group's counts
 in one multinomial call, and a lone sum is its one-group case.  The
 additive contract reads only sample sums, so it also takes KL's ratio law,
-a difference of two independent finite laws per group that is never
-tabulated jointly.
+never tabulated jointly: a finite law per distinct count of each side.
 
 Sums of products are np.add.reduce over the products, never `@` or
 np.vecdot: BLAS picks its kernel, and so its order of additions, per CPU.
@@ -157,12 +156,14 @@ class FiniteLaw:
         sizes[1:] -= sizes[:-1]
         return GuideTable.build(sizes, max(4 * sizes.size, _MIN_BUCKETS))
 
-    def sample_sums(self, count: int, groups: int, rng: np.random.Generator) -> np.ndarray:
-        """`groups` independent sums of `count` draws of X, drawn in that order.
+    def sample_sums(self, count, groups: int, rng: np.random.Generator) -> np.ndarray:
+        """`groups` independent sums of draws of X, drawn in that order:
+        `count` draws each, or count[g] for group g if count is an array.
 
         One multinomial call gives how often each value occurs in every
         group, so the cost is O(groups * #values) whatever the count, and
-        each row is summed on its own.
+        each row is summed on its own; equal counts in an array draw what
+        the one count does.
         """
         counts = rng.multinomial(count, self._pvals, size=groups)
         return np.add.reduce(counts * self.values, axis=1)
@@ -238,11 +239,10 @@ def additive_runs(
     sigma^2 and, for the charged cost to be meaningful, 0 < epsilon <
     4*sigma.  Classically a run is the median of _ADDITIVE_GROUPS group
     means sized by Chebyshev; charged_executions is the near-linear theorem
-    cost.  One sample_sums(count, groups, rng) call draws every run's
-    groups, run after run, so the runs are those of `repetitions` calls one
-    after another; sub needs nothing else, and the array it returns is
-    divided and sorted in place.  A stable sort of each run's means breaks
-    ties as `sorted` does.  A caller books repetitions times
+    cost.  Each run is one sample_sums(count, _ADDITIVE_GROUPS, rng) call,
+    so the runs are those of `repetitions` one-run calls one after another
+    whatever sub is; sub needs nothing else.  A stable sort of each run's
+    means breaks ties as `sorted` does.  A caller books repetitions times
     charged_executions and classical_executions.
     """
     if not 0 < epsilon < math.inf:
@@ -252,7 +252,8 @@ def additive_runs(
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     group_size = additive_group_size(sigma, epsilon)
-    means = sub.sample_sums(group_size, _ADDITIVE_GROUPS * repetitions, rng)
+    means = np.concatenate([sub.sample_sums(group_size, _ADDITIVE_GROUPS, rng)
+                            for _ in range(repetitions)])
     means /= group_size
     # sorted in place, row by row: the middle of an odd group count is
     # np.median's value

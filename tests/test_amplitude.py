@@ -150,6 +150,7 @@ def test_every_entry_is_within_the_kernel_bound_of_a_50_digit_reference(log_m, a
     _assert_within_kernel_bounds(outcome_laws([a], sine_table(M))[0][0], a, M)
 
 
+@pytest.mark.pin
 def test_frozen_table_a03_m8():
     row = outcome_laws([0.3], sine_table(8))[0][0]
     assert grid_value(np.flatnonzero(row), 8).tolist() == pytest.approx(
@@ -157,6 +158,7 @@ def test_frozen_table_a03_m8():
     assert row.tolist() == pytest.approx(REF_A03_M8_PROBS, rel=1e-13)
 
 
+@pytest.mark.pin
 def test_frozen_spot_values_a07_m16():
     # same independent 50-digit computation, three spot checks
     row = outcome_laws([0.7], sine_table(16))[0][0]

@@ -27,8 +27,8 @@ from qentropy.distributions import (
     kl_divergence,
     load_distribution,
     min_entropy,
+    pairs_ratio_bound,
     power_sum,
-    ratio_bound,
     renyi_entropy,
     shannon_entropy,
     support_coverage,
@@ -238,9 +238,10 @@ def test_grouped_measures_match_the_per_bin_reference(n, high, zeros, seed, spli
             assert _bits(truth(p)) == _bits(value)
         assert _bits(kl_divergence(p, u)) == _bits(kl_u)
         assert _or_none(kl_divergence, p, q) == kl_q
-        bound = ratio_bound(p, u)
+        bound = pairs_ratio_bound(count_pairs(p, u), p, u)
         assert bound == _ref_ratio_bound(cp, S, cu, n)
-        assert _or_none(ratio_bound, p, q) == _ref_ratio_bound(cp, S, cq, q.denominator)
+        assert _or_none(lambda p, q: pairs_ratio_bound(count_pairs(p, q), p, q), p, q) \
+            == _ref_ratio_bound(cp, S, cq, q.denominator)
         assert p.support_size() == sum(classes.values())
         assert list(zip(*(column.tolist() for column in count_classes(p)))) \
             == sorted(classes.items())
@@ -565,7 +566,7 @@ def test_support_coverage_monotone_in_t():
 def test_ratio_bound_exact():
     p = from_counts([3, 1])
     q = from_counts([1, 1])
-    assert ratio_bound(p, q) == Fraction(3, 2)
+    assert pairs_ratio_bound(count_pairs(p, q), p, q) == Fraction(3, 2)
 
 
 def test_random_distributions_measure_sanity():

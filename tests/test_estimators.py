@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -24,8 +25,8 @@ from qentropy.distributions import (
     count_pairs,
     from_counts,
     kl_divergence,
+    pairs_ratio_bound,
     power_sum,
-    ratio_bound,
     shannon_entropy,
 )
 from qentropy import distributions, estimators, harness
@@ -63,6 +64,11 @@ SHANNON_EXACT_MEAN_U16_M32 = 2.7430458130292847
 
 def cfg(eps=0.25, delta=0.1, **kw):
     return EstimatorConfig(epsilon=eps, delta=delta, **kw)
+
+
+def ratio_bound(p, q):
+    """The pair's exact ratio bound, as kl_plan's prepare finds it."""
+    return pairs_ratio_bound(count_pairs(p, q), p, q)
 
 
 def no_layout():
@@ -324,27 +330,27 @@ def test_class_table_mixture_is_the_dict_mixture_on_edge_tables(classes, S, M):
         == _dict_mixture({c: c * k for c, k in classes.items()}, S, sines).tobytes()
 
 
-def test_kl_group_laws_are_the_dict_form_laws_byte_for_byte():
-    # three q groups, each a run of count_pairs' columns, against the laws
-    # built from a dict of dicts, as the groups were built before
+def test_kl_law_moments_are_the_q_group_laws_moments():
+    # The moments of the law by distinct count against those of the laws
+    # built per q group from a dict of dicts: ln p~ from the group's class
+    # mixture, ln q~ from its q count's row, independent within the group
     p, q = zipf(1.5, 64), from_counts(np.arange(64) % 3 + 1)
     M_p, M_q = 64, 128
-    sub = estimators._RatioSubroutine(p, q, M_p, M_q, count_pairs(p, q))
+    sub = estimators._RatioLaw(p, q, M_p, M_q, count_pairs(p, q))
     groups = {}
     for cp, cq in zip(p.counts.tolist(), q.counts.tolist()):
         groups.setdefault(cq, Counter())[cp] += 1
-    assert len(sub._pairs) == len(groups) == 3
     logs = {M: _payoff_table(M, math.log, "estamp-prime") for M in (M_p, M_q)}
-    for (law_p, law_q), cq in zip(sub._pairs, sorted(groups)):
+    mean = second = 0.0
+    for cq in sorted(groups):
         weights = {c: c * k for c, k in groups[cq].items()}
-        refs = (_payoff_law(logs[M_p], _dict_mixture(weights, p.denominator, sine_table(M_p))),
-                _payoff_law(logs[M_q], _dict_mixture({cq: 1}, q.denominator, sine_table(M_q))))
-        for law, ref in zip((law_p, law_q), refs):
-            assert law.values.tobytes() == ref.values.tobytes()
-            assert law.probabilities.tobytes() == ref.probabilities.tobytes()
-    assert sub._weights.tobytes() == np.array(
-        [sum(c * k for c, k in groups[cq].items()) / p.denominator
-         for cq in sorted(groups)]).tobytes()
+        law_p = _payoff_law(logs[M_p], _dict_mixture(weights, p.denominator, sine_table(M_p)))
+        law_q = _payoff_law(logs[M_q], _dict_mixture({cq: 1}, q.denominator, sine_table(M_q)))
+        w, gap = sum(weights.values()) / p.denominator, law_p.mean() - law_q.mean()
+        mean += w * gap
+        second += w * (law_p.variance() + law_q.variance() + gap * gap)
+    assert sub.mean() == pytest.approx(mean, rel=1e-12)
+    assert sub.variance() == pytest.approx(second - mean * mean, rel=1e-12)
 
 
 _P, _Q = zipf(1.5, 8), uniform(8)
@@ -423,18 +429,49 @@ def test_a_prepare_builds_one_table_per_budget_and_one_row_per_class_per_budget(
 @pytest.mark.parametrize("p, q, distinct", [
     (from_counts([1, 1]), from_counts([1, 3]), 2),
     (zipf(1.5, 64), zipf(1.5, 64), 1),
-], ids=["two-budgets", "one-budget"])
+    (from_counts([1, 1]), from_counts([2, 2]), 1),
+], ids=["two-budgets", "one-budget", "one-amplitude"])
 def test_kl_builds_one_table_per_distinct_budget(p, q, distinct):
-    # counts:1,1 against counts:1,3 builds 2 tables where two laws per q
-    # group built on their own build 4; p against itself has M_p = M_q
+    # One sine table per distinct budget, in the prepare alone, and one row
+    # per distinct p count and per distinct q count, less the rows a p count
+    # and a q count share (the same amplitude at the same budget), once in
+    # the prepare and once in a trial: counts:1,1 against counts:1,3 builds
+    # 3 rows where two laws per q group built 4; p against itself has
+    # M_p = M_q and one row per count; 1/2 against 2/4 shares its one row.
     trial, tables, rows = _prepare_builds(lambda: prepare_kl(p, q, None, cfg()))
-    report = trial(1)
-    assert tables == list(dict.fromkeys((report.extras["M_p"], report.extras["M_q"])))
+    report, trial_tables, trial_rows = _prepare_builds(lambda: trial(1))
+    M_p, M_q = report.extras["M_p"], report.extras["M_q"]
+    assert tables == list(dict.fromkeys((M_p, M_q)))
     assert len(tables) == distinct
     assert len({table for _, table in rows}) == distinct
-    # one row per (p count, q count) pair on the p side, one per q count
-    cps, cqs = count_pairs(p, q)[:2]
-    assert len(rows) == cps.size + np.unique(cqs).size
+    cps, cqs = (np.unique(side).tolist() for side in count_pairs(p, q)[:2])
+    shared = len({c / p.denominator for c in cps} & {c / q.denominator for c in cqs}) \
+        if M_p == M_q else 0
+    assert len(rows) == len(set(rows)) == len(cps) + len(cqs) - shared
+    assert trial_tables == []
+    assert trial_rows == rows
+
+
+def test_kl_memory_is_bounded_by_the_budgets_and_the_pairs():
+    # p = q = zipf:1.1:16384 at eps 0.1: M_p = M_q = 4096 and 205 pairs.
+    # Two payoff laws per q group held 20.4 MB after the prepare.  Now the
+    # law holds a sine and a log table per budget and the pairs' moments;
+    # a row built and drawn from holds a few arrays of M + 1 floats, and a
+    # trial's pair multinomial and its folds a few of groups x pairs
+    # integers.  32 floats per budget step and per pair bound the traced
+    # peak of the prepare and one trial (~0.43 MB), past the one-time
+    # costs of a first trial, paid here on a small pair.
+    prepare_kl(from_counts([1, 1]), from_counts([1, 3]), None, cfg())(1)
+    p, q = zipf(1.1, 16384), zipf(1.1, 16384)
+    tracemalloc.start()
+    try:
+        report = prepare_kl(p, q, None, cfg(eps=0.1))(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    M_p, M_q, pairs = report.extras["M_p"], report.extras["M_q"], count_pairs(p, q)[0].size
+    assert (M_p, M_q, pairs) == (4096, 4096, 205)
+    assert peak < 32 * 8 * (M_p + M_q + 3 * pairs), peak
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
@@ -678,14 +715,13 @@ def _kl_draws_one_by_one(p, q, M_p, M_q, shape, rng):
 
 
 def test_kl_sample_sums_agree_in_law_with_draws_one_by_one():
-    # counts:1,1 against counts:1,3 has two q-count groups; the multinomial
-    # sum over the group pairs must match summing the draws one at a time
-    from qentropy.estimators import _RatioSubroutine
-
+    # counts:1,1 against counts:1,3 has two pairs, one p count and two q
+    # counts; the multinomial over the pairs, folded onto the three rows,
+    # must match summing the draws one at a time
     p, q = from_counts([1, 1]), from_counts([1, 3])
     M_p, M_q, count, calls = 16, 32, 6, 4000
-    sub = _RatioSubroutine(p, q, M_p, M_q, count_pairs(p, q))
-    assert len(sub._pairs) == 2
+    sub = estimators._RatioLaw(p, q, M_p, M_q, count_pairs(p, q))
+    assert len(sub._rows) == 3
     rng = np.random.default_rng(17)
     sums = sub.sample_sums(count, calls, rng)
     reference = _kl_draws_one_by_one(p, q, M_p, M_q, (calls, count),
@@ -713,6 +749,7 @@ FROZEN_ZIPF256_PHASES = {
 }
 
 
+@pytest.mark.pin
 def test_contract_ledgers_are_frozen():
     c = cfg()
     runs = {
@@ -727,6 +764,7 @@ def test_contract_ledgers_are_frozen():
         assert rep.ledger["quantum_total"] == sum(FROZEN_ZIPF256_PHASES[name].values())
 
 
+@pytest.mark.pin
 def test_kl_contract_ledgers_are_frozen():
     # Budgets and theorem counts fix both ledgers and the classical draws;
     # how the payoff law is sampled may not move them.
@@ -751,6 +789,7 @@ def test_kl_books_the_contract_counts_on_both_ledgers():
     assert rep.classical_executions == rep.ledger_q["classical_executions"] == draws
 
 
+@pytest.mark.pin
 def test_single_class_stream_is_frozen():
     # One count class: the merged law is the outcome table itself.  The
     # seeded sample path (estimate and classical draws) is pinned as drawn
@@ -762,6 +801,7 @@ def test_single_class_stream_is_frozen():
     assert rep.classical_executions == 181054609
 
 
+@pytest.mark.pin
 def test_shannon_exact_expectation_frozen_value():
     rep = prepare_shannon(uniform(16), cfg(mode="exact-expectation"))(0)
     assert rep.estimate == pytest.approx(SHANNON_EXACT_MEAN_U16_M32, abs=1e-12)
@@ -837,6 +877,7 @@ def test_report_dict_uses_schema_names():
     assert d["algo"] == "shannon"
 
 
+@pytest.mark.pin
 def test_kl_frozen_small_case():
     p, q = from_counts([1, 1]), from_counts([1, 3])
     rep = prepare_kl(p, q, 2.0, cfg())(3)
@@ -864,7 +905,7 @@ def test_kl_alphabet_mismatch():
 
 
 def test_kl_without_a_bound_uses_the_exact_one():
-    # None stands for distributions.ratio_bound(p, q): the same report, and
+    # None stands for the pair's exact bound: the same report, and
     # the same refusal when no bound exists
     p, q = zipf(1.5, 64), uniform(64)
     exact = prepare_kl(p, q, ratio_bound(p, q), cfg())(3)
@@ -1006,6 +1047,7 @@ FROZEN_COLLISION_TRIALS = {
 
 
 @pytest.mark.parametrize("name", list(FROZEN_COLLISION_TRIALS))
+@pytest.mark.pin
 def test_integer_power_sum_trials_are_frozen(name):
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
     for seed, estimate, total, length, phases, classical in frozen:
@@ -1049,6 +1091,7 @@ def test_one_bounded_draw_per_chunk_is_one_per_round(size):
             assert whole.bit_generator.state == split.bit_generator.state
 
 
+@pytest.mark.pin
 def test_min_entropy_trials_are_frozen():
     batches = {
         1: [2131, 2340, 2539, 3017, 3210, 3736, 4099, 4626, 5153, 5794],

@@ -1710,6 +1710,7 @@ def _verify_json_rows(capsys, suite):
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
+@pytest.mark.pin
 def test_verify_checks_match_the_pinned_rows(capsys):
     # Every check of every suite, margins to the last bit: any change to an
     # RNG stream, a grid or a float path under `verify` fails here.
@@ -1719,6 +1720,7 @@ def test_verify_checks_match_the_pinned_rows(capsys):
     assert rows == pinned
 
 
+@pytest.mark.pin
 def test_experiment_csv_and_verify_json_match_the_fingerprint(tmp_path, capsys):
     # The bytes of an `experiment` CSV (prepared cells, per-trial seeds and
     # row formatting; every algo, both modes where a payoff law exists, the
@@ -1775,6 +1777,7 @@ REFUSE_EXACT = {"renyi-2", "renyi-2-two-valued", "renyi-2-wide-counts", "renyi-3
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+@pytest.mark.pin
 def test_estimate_reports_match_the_pinned_reports(capsys, case, mode):
     # The whole report, extras and ledgers included, to the last bit of every
     # float (json writes a float as its repr).
@@ -1950,6 +1953,7 @@ def test_every_report_is_plain_json():
     assert runs == len(_CELL_PER_PATH) + 6  # exact-expectation runs the six with a law
 
 
+@pytest.mark.pin
 def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
     # delta = 0.99 gives the final annealing level ceil(48 ln(1/0.99)) = 1
     # repetition: a one-run contract batch inside an estimator.
@@ -2055,6 +2059,14 @@ def test_exact_refuses_a_bad_measure_before_it_resolves_a_distribution(capsys):
     with mock.patch.object(cli, "resolve_distribution", side_effect=resolved):
         assert main(["exact", "--dist", "zipf:1.5:16777216", "--measure", "bogus"]) == 2
     assert capsys.readouterr().err == "error: unknown measure 'bogus'\n"
+
+
+def test_exact_refuses_kl_without_a_second_distribution_before_it_resolves_one(capsys):
+    with mock.patch.object(cli, "resolve_distribution",
+                           wraps=cli.resolve_distribution) as resolve:
+        assert main(["exact", "--dist", "zipf:1.5:16777216", "--measure", "kl"]) == 2
+    assert resolve.call_count == 0
+    assert capsys.readouterr().err == "error: measure 'kl' needs a second distribution\n"
 
 
 def test_cli_verify_exit_codes(capsys):

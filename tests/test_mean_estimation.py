@@ -89,6 +89,22 @@ def test_one_group_sum_is_the_single_sum_bit_for_bit(weights, count, seed):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+
+@pytest.mark.parametrize("counts", [[7, 7, 7], [0, 5, 1 << 40], [3]])
+def test_one_count_per_group_draws_each_group_as_its_own_sum(counts):
+    # An array of one count per group draws group g's sum as a one-group
+    # call of counts[g] would, one after another, and an array of equal
+    # counts what the one count draws: to the bit, and the generator state
+    sub = FiniteLaw([0.0, 1.0, 3.0, -2.5], [0.4, 0.3, 0.2, 0.1])
+    rng_a, rng_b, rng_c = (np.random.default_rng(5) for _ in range(3))
+    got = sub.sample_sums(np.array(counts), len(counts), rng_a)
+    one_by_one = np.concatenate([sub.sample_sums(c, 1, rng_b) for c in counts])
+    assert got.tobytes() == one_by_one.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if len(set(counts)) == 1:
+        assert sub.sample_sums(counts[0], len(counts), rng_c).tobytes() == got.tobytes()
+        assert rng_c.bit_generator.state == rng_a.bit_generator.state
+
 def test_draws_follow_the_table():
     sub = FiniteLaw([2.0, 5.0], [0.75, 0.25])
     xs = index_draws(sub, 50_000, np.random.default_rng(4))
@@ -239,12 +255,13 @@ def test_additive_charges_quantum_wholesale():
     assert est.classical_executions == sum(asked) == 3 * math.ceil(5 * (0.2 / 0.05) ** 2)
 
 
+@pytest.mark.pin
 def test_additive_call_stream_is_frozen():
     # The three groups' sums: value, classical draws and the generator state
-    # after the call are pinned, for a zipf payoff law and KL's two-group
+    # after the call are pinned, for a zipf payoff law and KL's two-pair
     # ratio law.
     from qentropy.distributions import count_pairs, from_counts
-    from qentropy.estimators import _RatioSubroutine
+    from qentropy.estimators import _RatioLaw
 
     rng = np.random.default_rng(23)
     est = additive_runs(_zipf_law(), 0.2, 0.05, 1, rng)
@@ -254,18 +271,18 @@ def test_additive_call_stream_is_frozen():
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
     rng = np.random.default_rng(24)
-    est = additive_runs(_RatioSubroutine(p, q, 16, 32, count_pairs(p, q)), 1.0, 0.1, 1, rng)
-    assert est.value[0] == pytest.approx(0.2091447008963522, rel=1e-12)
+    est = additive_runs(_RatioLaw(p, q, 16, 32, count_pairs(p, q)), 1.0, 0.1, 1, rng)
+    assert est.value[0] == pytest.approx(0.19686094345669497, rel=1e-12)
     assert (est.classical_executions, est.charged_executions) == (1500, 30)
     assert rng.random() == 0.6579229454157692
 
 
 def _ratio_law():
     from qentropy.distributions import count_pairs, from_counts
-    from qentropy.estimators import _RatioSubroutine
+    from qentropy.estimators import _RatioLaw
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
-    return _RatioSubroutine(p, q, 16, 32, count_pairs(p, q))
+    return _RatioLaw(p, q, 16, 32, count_pairs(p, q))
 
 
 @pytest.mark.parametrize("law, sigma, eps", [
@@ -292,14 +309,16 @@ def test_additive_runs_are_sequential_one_run_calls(law, sigma, eps, repetitions
 
 
 class _FixedSums:
-    """A subroutine whose sample sums are given, to test the median's ties."""
+    """A subroutine whose sample sums are given, served in order, to test the
+    median's ties."""
 
     def __init__(self, sums):
         self.sums = sums
 
     def sample_sums(self, count, groups, rng):
-        assert groups == len(self.sums)
-        return np.array(self.sums, dtype=np.float64)
+        assert groups <= len(self.sums)
+        served, self.sums = self.sums[:groups], self.sums[groups:]
+        return np.array(served, dtype=np.float64)
 
 
 def test_additive_run_medians_break_ties_as_sorted_does():
@@ -457,6 +476,7 @@ def _zipf_law():
                        _class_mixture(count_classes(dist), dist.denominator, sine_table(256)))
 
 
+@pytest.mark.pin
 def test_single_multiplicative_call_stream_is_frozen():
     # One call draws the anchor, then the minus part's pilot and main, then
     # the plus part's: value, classical draws and the generator state after
@@ -477,6 +497,7 @@ def test_single_multiplicative_call_stream_is_frozen():
     assert rng.random() == 0.19043718645394003
 
 
+@pytest.mark.pin
 def test_single_call_on_a_law_with_ties_is_frozen():
     # Unsorted atoms with tied values, so both sides are proper subsets of
     # the law and each main sample has a lumped atom.
@@ -528,6 +549,7 @@ def _annealed_base_level():
         "classical_executions": [61736, 57472, 64515, 68593],
         "next": "0x1.6f07fecda7cf0p-2"}),
 ])
+@pytest.mark.pin
 def test_multiplicative_runs_stream_is_frozen_bit_for_bit(law, expected):
     # Four runs with anchors on both sides of each law, so both parts are
     # drawn with and without a lumped atom; every output bit and the
@@ -626,10 +648,10 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
 
 def test_multiplicative_contract_needs_a_finite_law():
     from qentropy.distributions import count_pairs, from_counts
-    from qentropy.estimators import _RatioSubroutine
+    from qentropy.estimators import _RatioLaw
 
     p, q = from_counts([1, 1]), from_counts([1, 3])
-    ratio = _RatioSubroutine(p, q, 16, 32, count_pairs(p, q))
+    ratio = _RatioLaw(p, q, 16, 32, count_pairs(p, q))
     with pytest.raises(TypeError):
         multiplicative_runs(ratio, 0.5, 1.0, 2.0, 0.25, 1, np.random.default_rng(0))
 

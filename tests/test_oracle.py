@@ -130,6 +130,7 @@ def test_denominator_beyond_int64_positions_is_rejected():
     assert orc.sample_classical(np.random.default_rng(0), 1)[0] in (1, 2)
 
 
+@pytest.mark.pin
 def test_seeded_draw_stream_is_frozen():
     # Streams of the S-entry sorted table; one layout per bucket width.
     orc = build_oracle(zipf(1.5, 16))
