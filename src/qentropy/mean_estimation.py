@@ -31,9 +31,9 @@ same law, at the cost of the atoms the part can see.  Runs are drawn in chunks
 of at most _ROW_CHUNK drawn elements; since every pilot of a part precedes
 its mains, the draws do not depend on the chunking.  A lone contract run
 is the k = 1 case; it has no entry point of its own.  additive_runs is
-its additive twin: one sample_sums call draws each run's groups, so k runs
-are k one-run calls in value and generator state, and a lone additive run
-is its k = 1 case too.
+its additive twin: one sample_sums call draws the groups of all k runs,
+which for a FiniteLaw are those of k one-run calls in value and generator
+state, and a lone additive run is its k = 1 case too.
 
 An index draw, an anchor's or a pilot's, reads rng.random's draw k * 2^-53
 as position k of a layout of 2^53 integer positions, in which each atom
@@ -239,11 +239,12 @@ def additive_runs(
     sigma^2 and, for the charged cost to be meaningful, 0 < epsilon <
     4*sigma.  Classically a run is the median of _ADDITIVE_GROUPS group
     means sized by Chebyshev; charged_executions is the near-linear theorem
-    cost.  Each run is one sample_sums(count, _ADDITIVE_GROUPS, rng) call,
-    so the runs are those of `repetitions` one-run calls one after another
-    whatever sub is; sub needs nothing else.  A stable sort of each run's
-    means breaks ties as `sorted` does.  A caller books repetitions times
-    charged_executions and classical_executions.
+    cost.  One sample_sums(count, _ADDITIVE_GROUPS * repetitions, rng) call
+    draws every group, each run the median of the next _ADDITIVE_GROUPS;
+    sub needs nothing else.  A FiniteLaw draws its groups in order, so its
+    runs are those of one-run calls one after another.  A stable sort of
+    each run's means breaks ties as `sorted` does.  A caller books
+    repetitions times charged_executions and classical_executions.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -252,8 +253,7 @@ def additive_runs(
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     group_size = additive_group_size(sigma, epsilon)
-    means = np.concatenate([sub.sample_sums(group_size, _ADDITIVE_GROUPS, rng)
-                            for _ in range(repetitions)])
+    means = sub.sample_sums(group_size, _ADDITIVE_GROUPS * repetitions, rng)
     means /= group_size
     # sorted in place, row by row: the middle of an odd group count is
     # np.median's value

@@ -109,7 +109,8 @@ def _sandwich_cases(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, n
     bound's worst slack is float error whatever the seed.  Each sum is a
     left fold in bin order of power_sum's terms (c / S is exact, float_power
     calls libm pow as ** does, a zero bin adds +0.0), not power_sum's exact
-    sum, rounded once.  One buffer holds the terms of both orders."""
+    sum, rounded once.  One buffer holds the terms of both orders, added
+    column by column: np.add.accumulate's additions along each row."""
     sizes = rng.integers(2, 65, size=_SANDWICH_TRIALS)
     counts = rng.integers(0, 20, size=(_SANDWICH_TRIALS, 64))
     counts[np.arange(64) >= sizes[:, None]] = 0
@@ -121,12 +122,13 @@ def _sandwich_cases(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, n
     counts[totals == 0, 0] = 1
     totals[totals == 0] = 1
     orders[orders[:, 1] - orders[:, 0] < 1e-9, 1] += 1e-3
-    terms, sums = np.empty(counts.shape), np.empty_like(orders)
-    for side in (0, 1):
+    terms, sums = np.empty(counts.shape), np.zeros((2, _SANDWICH_TRIALS))
+    for side, fold in enumerate(sums):
         np.divide(counts, totals[:, None], out=terms)
         np.float_power(terms, orders[:, side, None], out=terms)
-        sums[:, side] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    return sizes, orders, sums.T
+        for column in terms.T:
+            fold += column
+    return sizes, orders, sums
 
 
 def sandwich_suite() -> list[CheckResult]:
@@ -249,20 +251,21 @@ def _sequence_counts(n: int, length: int, k: int) -> np.ndarray:
     Built by prefix recursion on the hockey-stick identity
     C(m, k) = sum_{t<m} C(t, k-1): appending symbol x to a prefix that holds
     x t times adds C(t, k-1).  Each step extends every prefix by every
-    symbol, carrying each prefix's count of each symbol, so no sequence is
-    sorted and the table is independent of the estimators' sort-based
-    count_row_collisions.
+    symbol and carries, per prefix and symbol, C(t, j) for 0 < j < k, which
+    Pascal's rule C(t+1, j) = C(t, j) + C(t, j-1) updates: no index lookup,
+    and no sort, so the table is independent of the estimators' sort-based
+    count_row_collisions.  A carry may wrap in the table's dtype, but sums
+    keep it modulo 2^bits, and the one read, C(t, k-1) <= C(length, k), fits.
     """
     dtype = np.min_scalar_type(math.comb(length, k))
-    steps = np.array([math.comb(t, k - 1) for t in range(length)], dtype=dtype)
     table = np.zeros(1, dtype=dtype)
-    seen = np.zeros((1, n), dtype=np.min_scalar_type(length))  # each prefix's symbol counts
+    carries = [np.zeros((1, n), dtype=dtype) for _ in range(k - 1)]  # C(t, 1), ..., C(t, k-1)
     for position in range(length):
-        # indexing casts the indices in buffered blocks, where steps.take
-        # would copy all of them to intp first (2 MB at n = 8, l = 6)
-        table = (table[:, None] + steps[seen]).reshape(-1)
-        if position + 1 < length:  # the full sequences' counts would be n bytes each
-            seen = (seen[:, None] + np.eye(n, dtype=seen.dtype)).reshape(-1, n)
+        table = (table[:, None] + (carries[-1] if carries else np.ones(n, dtype))).reshape(-1)
+        if position + 1 < length:  # the full sequences' carries would be n bytes each
+            for j in reversed(range(k - 1)):  # each C(t, j) before the C(t, j-1) it reads
+                carries[j] = carries[j].repeat(n, axis=0)  # row p * n + x extends prefix p by x
+                carries[j].reshape(-1, n * n)[:, ::n + 1] += carries[j - 1] if j else 1
     return table
 
 
@@ -280,20 +283,32 @@ def _fold_counts(table: np.ndarray, counts: np.ndarray, length: int) -> int:
 
 
 def _categorical_draws(probs: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """The draws of rng.choice(probs.size, size=shape, p=probs), as int8.
+    """The draws of rng.choice(probs.size, size=shape, p=probs), in the
+    narrowest unsigned dtype that holds probs.size - 1.
 
     choice takes one uniform per draw and returns how many entries of its
     normalised cdf lie at or below it (the last entry is 1 and never does).
-    Comparing against each entry of a short cdf gives the same symbols, from
-    the same uniforms, without a binary search per draw.
+    Comparing with each entry of a short cdf, into one bool buffer, gives the
+    same symbols from the same uniforms without a binary search per draw.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     uniform = rng.random(shape)
-    draws = np.zeros(shape, dtype=np.int8)
+    draws = np.zeros(shape, dtype=np.min_scalar_type(probs.size - 1))
+    above = np.empty(shape, dtype=bool)
     for edge in cdf[:-1]:
-        draws += uniform >= edge
+        draws += np.greater_equal(uniform, edge, out=above)
     return draws
+
+
+def _product_codes(draws: np.ndarray, n: int) -> np.ndarray:
+    """Each row's index in itertools.product order, its base-n code with the
+    first symbol most significant, by Horner's rule one column at a time."""
+    codes = draws[:, 0].astype(np.intp)
+    for column in draws.T[1:]:
+        codes *= n
+        codes += column
+    return codes
 
 
 def collision_suite() -> list[CheckResult]:
@@ -306,13 +321,13 @@ def collision_suite() -> list[CheckResult]:
     which must equal C(l,k) * (sum_i c_i^k) * S^(l-k).  The folds add int64s,
     so the bound C(l,k) * S^l on every partial sum is checked first.
     Monte-Carlo: the mean count of _COLLISION_MC_ROWS drawn sequences, each
-    read from the table at its base-n code, must sit within 5 standard
-    errors of the exact expectation.
+    read from the table at its _product_codes code, must sit within 5
+    standard errors of the exact expectation.
     The table's memory grows with n^l: one byte per sequence, 262,144 at
-    n = 8, l = 6.  The other large temporaries of a cell are the float64
-    sample of all _COLLISION_MC_ROWS counts (800 KB), the copy sample.std
-    makes of it, and _categorical_draws' block of one chunk's uniforms
-    (_ROW_CHUNK x l float64s, 786 KB at l = 6).
+    n = 8, l = 6, and as much per carry of its build.  The other large
+    temporaries of a cell are the float64 sample of all _COLLISION_MC_ROWS
+    counts (800 KB), the copy sample.std makes of it, and a chunk's uniforms
+    (_ROW_CHUNK x l float64s, 786 KB at l = 6), bools and intp codes.
     """
     mc_rows = _COLLISION_MC_ROWS
     rng = np.random.default_rng(_SUITE_SEED)
@@ -342,13 +357,13 @@ def collision_suite() -> list[CheckResult]:
         for lo in range(0, mc_rows, _ROW_CHUNK):
             rows = min(_ROW_CHUNK, mc_rows - lo)
             draws = _categorical_draws(probs, (rows, length), rng)
-            sample[lo:lo + rows] = table.take(np.ravel_multi_index(tuple(draws.T), (n,) * length))
-        se = sample.std(ddof=1) / math.sqrt(mc_rows)
-        gap = abs(sample.mean() - expectation)
+            sample[lo:lo + rows] = table.take(_product_codes(draws, n))
+        mean, se = sample.mean(), sample.std(ddof=1) / math.sqrt(mc_rows)
+        gap = abs(mean - expectation)
         checks.append(CheckResult(
             "collision", "monte carlo n=%d l=%d k=%d" % (n, length, k),
             gap <= 5.0 * se, 5.0 * se - gap,
-            "mean %.6f vs %.6f (se %.6f)" % (sample.mean(), expectation, se)))
+            "mean %.6f vs %.6f (se %.6f)" % (mean, expectation, se)))
     return checks
 
 

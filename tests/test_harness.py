@@ -618,6 +618,8 @@ def test_enumerated_sequences_match_itertools_product(n, length, k):
     per_row += comb.take(run)
     table = _sequence_counts(n, length, k)
     assert table.tolist() == per_row.tolist()
+    narrow = sequences.astype(np.min_scalar_type(n - 1))  # the dtype of the suite's draws
+    assert verify._product_codes(narrow, n).tolist() == list(range(len(sequences)))
     for counts in (zipf(1.5, n).counts, np.arange(2, n + 2)):
         weights = np.prod(counts.take(sequences), axis=1)
         assert verify._fold_counts(table, counts, length) == int((weights * per_row).sum())
@@ -723,16 +725,19 @@ def test_sandwich_suite_memory_is_bounded():
     assert peak < 1_500_000, peak
 
 
-@pytest.mark.parametrize("n, length, k", verify._COLLISION_GRID)
-def test_categorical_draws_are_the_draws_of_choice(n, length, k):
+@pytest.mark.parametrize("dist, length", [
+    *(pytest.param(zipf(1.5, n), length, id="%d-%d-%d" % (n, length, k))
+      for n, length, k in verify._COLLISION_GRID),
+    pytest.param(from_counts([1] * 200), 3, id="uniform-200"),  # symbols past int8's 127
+])
+def test_categorical_draws_are_the_draws_of_choice(dist, length):
     # The collision suite's Monte-Carlo draws against rng.choice on the same
     # seed: the same symbols, and the generator left in the same state.
-    dist = zipf(1.5, n)
     probs = dist.counts / dist.denominator
     for seed in (0, 20260815):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = verify._categorical_draws(probs, (20_000, length), ours)
-        assert np.array_equal(draws, theirs.choice(n, size=(20_000, length), p=probs))
+        assert np.array_equal(draws, theirs.choice(probs.size, size=(20_000, length), p=probs))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qentropy import mean_estimation
 from qentropy.mean_estimation import (
     FiniteLaw,
+    additive_group_size,
     additive_runs,
     median_amplify,
     median_repetitions,
@@ -295,17 +296,48 @@ def _ratio_law():
 def test_additive_runs_are_sequential_one_run_calls(law, sigma, eps, repetitions):
     # One batch of k runs against k one-run calls one after another:
     # the same values to the last bit, the same counts and flag, and the
-    # generator left in the same state.
+    # generator left in the same state.  A ratio law's groups depend on how
+    # many one call draws, so its k > 1 runs are checked against the
+    # contract itself: the medians of consecutive triples of one
+    # sample_sums(size, 3k) call.
     sub = {"two-point": lambda: two_point(1.3, 0.25), "zipf": _zipf_law,
            "ratio": _ratio_law}[law]()
     ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
     runs = additive_runs(sub, sigma, eps, repetitions, ours)
-    calls = [additive_runs(sub, sigma, eps, 1, theirs) for _ in range(repetitions)]
-    assert runs.value.tobytes() == np.concatenate([c.value for c in calls]).tobytes()
+    if law == "ratio" and repetitions > 1:
+        size = additive_group_size(sigma, eps)
+        means = sub.sample_sums(size, 3 * repetitions, theirs) / size
+        expected = np.array([sorted(row)[1] for row in means.reshape(-1, 3).tolist()])
+        calls = [additive_runs(sub, sigma, eps, 1, np.random.default_rng(0))]
+    else:
+        calls = [additive_runs(sub, sigma, eps, 1, theirs) for _ in range(repetitions)]
+        expected = np.concatenate([c.value for c in calls])
+    assert runs.value.tobytes() == expected.tobytes()
     for c in calls:
         assert (c.charged_executions, c.classical_executions, c.out_of_contract) \
             == (runs.charged_executions, runs.classical_executions, runs.out_of_contract)
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _CountingLaw:
+    """A law that records the (count, groups) of each sample_sums call."""
+
+    def __init__(self, law):
+        self.law, self.calls = law, []
+
+    def sample_sums(self, count, groups, rng):
+        self.calls.append((count, groups))
+        return self.law.sample_sums(count, groups, rng)
+
+
+@pytest.mark.parametrize("law", [lambda: two_point(1.3, 0.25), _ratio_law],
+                         ids=["two-point", "ratio"])
+def test_additive_runs_draw_all_groups_in_one_sample_sums_call(law):
+    # A call per run made verify's meanest suite about ten times slower.
+    sub = _CountingLaw(law())
+    runs = additive_runs(sub, 1.0, 0.25, 9, np.random.default_rng(5))
+    assert sub.calls == [(additive_group_size(1.0, 0.25), 27)]
+    assert runs.value.shape == (9,)
 
 
 class _FixedSums:
