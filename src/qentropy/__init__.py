@@ -25,13 +25,13 @@ from .estimators import (
     EstimateReport,
     EstimatorConfig,
     annealing_schedule,
-    prepare_kl,
-    prepare_min_entropy,
-    prepare_plugin,
-    prepare_renyi,
-    prepare_shannon,
-    prepare_support_coverage,
-    prepare_support_size,
+    coverage_plan,
+    kl_plan,
+    min_entropy_plan,
+    plugin_plan,
+    renyi_plan,
+    shannon_plan,
+    support_plan,
 )
 
 __version__ = "0.1.0"
@@ -44,23 +44,23 @@ __all__ = [
     "RationalDistribution",
     "annealing_schedule",
     "build_oracle",
+    "coverage_plan",
     "estamp_prime_floor",
     "from_counts",
     "from_json_dict",
     "grid_value",
     "kl_divergence",
+    "kl_plan",
     "load_distribution",
     "min_entropy",
+    "min_entropy_plan",
+    "plugin_plan",
     "power_sum",
-    "prepare_kl",
-    "prepare_min_entropy",
-    "prepare_plugin",
-    "prepare_renyi",
-    "prepare_shannon",
-    "prepare_support_coverage",
-    "prepare_support_size",
     "renyi_entropy",
+    "renyi_plan",
     "shannon_entropy",
+    "shannon_plan",
     "support_coverage",
+    "support_plan",
     "__version__",
 ]

@@ -82,6 +82,8 @@ def _estimate_cell(args) -> dict:
 
 
 def _cmd_estimate(args) -> int:
+    if args.seed is not None and args.seed < 0:  # refused before any spec is read
+        raise ValueError("--seed must be a non-negative integer, got %d" % args.seed)
     seed = args.seed if args.seed is not None else seed_from_env()
     report = run_cell_trial(_estimate_cell(args), seed, record_timing=args.timing)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
@@ -125,11 +127,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if parse_measure(args.measure)[0] == "kl" and not args.dist_q:  # refused before any build
+    kl = parse_measure(args.measure)[0] == "kl"  # each refused before any build
+    if kl and not args.dist_q:
         raise ValueError("measure 'kl' needs a second distribution")
+    if not kl and args.dist_q is not None:
+        raise ValueError("measure %r does not read --dist-q" % args.measure)
     dist = resolve_distribution(args.dist)
     dist_q = None
-    if args.dist_q:  # one spec named twice is one distribution, as in prepare_cell
+    if args.dist_q:  # one spec named twice is one distribution, as in plan_cell
         dist_q = dist if args.dist_q == args.dist else resolve_distribution(args.dist_q)
     value = evaluate_measure(dist, args.measure, dist_q)
     print(json.dumps({"measure": args.measure, "value": value,

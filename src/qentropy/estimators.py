@@ -23,7 +23,7 @@ estimator draws symbols itself (integer orders, min-entropy, the plug-in),
 its oracle layout.  That returns trial(seed), which draws from
 np.random.default_rng(seed), books ledgers of its own, one per
 distribution it reads, and returns a fresh report, as often as called.
-prepare_X(dist, ..., cfg) is X_plan(dist.n, ..., cfg)(dist), and cfg is an
+The planner is each estimator's one entry point, and cfg is an
 EstimatorConfig for every estimator, whose fields hold each default.
 
 Charging policy: only the estimators book a ledger; payoff laws, contracts
@@ -337,19 +337,14 @@ def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str,
     return run
 
 
-def prepare_shannon(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
-    """Additive-error Shannon entropy estimate (nats), success >= 2/3.
+def shannon_plan(n: int, cfg: EstimatorConfig) -> Callable:
+    """Additive-error Shannon entropy estimate (nats) on n symbols, success >= 2/3.
 
     Budget M ~ sqrt(n)/eps per execution; the zero-adjusted amplitude
     estimate keeps ln(1/p~) below ln(4n/eps^2), which bounds the payoff
-    variance for the additive mean contract at target eps/2 (the other eps/2
-    is the bias budget of the payoff's expectation).
+    variance sigma^2 for the additive mean contract at target eps/2 (the
+    other eps/2 is the bias budget of the payoff's expectation).
     """
-    return shannon_plan(dist.n, cfg)(dist)
-
-
-def shannon_plan(n: int, cfg: EstimatorConfig) -> Callable:
-    """prepare_shannon's planner: the budget M and sigma of n symbols."""
     eps = cfg.epsilon
     M = shannon_budget(n, eps)
     sigma = max(math.log(4.0 * n / eps ** 2), 1e-9)
@@ -372,7 +367,7 @@ def shannon_plan(n: int, cfg: EstimatorConfig) -> Callable:
 
 def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                         ratio_bound: float | Fraction, pairs: tuple) -> None:
-    """prepare_kl's promise, p_i <= ratio_bound * q_i exactly, read from
+    """kl_plan's promise, p_i <= ratio_bound * q_i exactly, read from
     pairs, which is count_pairs(p, q).
 
     With ratio_bound = num / den, p_i = cp / S_p and q_i = cq / S_q, a pair
@@ -388,25 +383,19 @@ def check_ratio_promise(p: RationalDistribution, q: RationalDistribution,
                          % (min(broken) + 1, float(ratio_bound)))
 
 
-def prepare_kl(p: RationalDistribution, q: RationalDistribution,
-               ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
-    """Additive-error KL divergence estimate under the bounded-ratio promise.
+def kl_plan(n: int, ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
+    """Additive-error KL divergence estimate of p and q on n symbols each,
+    under the bounded-ratio promise; prepare(p, q).
 
     Requires p_i <= ratio_bound * q_i for every bin, checked exactly against
     ratio_bound as given (a float can round below the exact bound); None
     stands for the pair's exact bound, which keeps the promise by
-    construction, so it is not checked.  Budgets use its float.  q's budget
-    carries the extra ratio_bound factor, so the q-ledger charge exceeds the
-    p-ledger charge by roughly that ratio.
-    """
-    return kl_plan(p.n, ratio_bound, cfg)(p, q)
-
-
-def kl_plan(n: int, ratio_bound: float | Fraction | None, cfg: EstimatorConfig) -> Callable:
-    """prepare_kl's planner on p and q of n symbols each: M_p, M_q for a
-    given ratio bound (else prepare's, from the pair's exact bound).  A
+    construction, so it is not checked, and M_q waits for prepare.  Budgets
+    use its float.  q's budget carries the extra ratio_bound factor, so the
+    q-ledger charge exceeds the p-ledger charge by roughly that ratio.  A
     given bound below 1 (or NaN) is refused first: summing p_i <= f q_i over
-    i gives 1 <= f."""
+    i gives 1 <= f.
+    """
     if ratio_bound is not None and not ratio_bound >= 1:
         raise ValueError("ratio bound f must be at least 1, got %r: p_i <= f * q_i for "
                          "every i sums to 1 <= f" % float(ratio_bound))
@@ -728,26 +717,19 @@ def _min_entropy_search(oracle: DistributionOracle, batch: int, k: int,
                                lambda i: np.cumsum(counts).searchsorted(i, side="right"))
 
 
-def prepare_min_entropy(dist: RationalDistribution, cfg: EstimatorConfig) -> Callable:
-    """Multiplicative estimate of max_i p_i; success probability is a
-    constant, not 2/3 (reported, not promised).
+def min_entropy_plan(n: int, cfg: EstimatorConfig) -> Callable:
+    """Multiplicative estimate of max_i p_i on n symbols; success
+    probability is a constant, not 2/3 (reported, not promised).
 
     Escalating rounds draw Poisson-sized sample batches; once some symbol
     appears ceil(16 ln(n)/eps^2) times, its probability is amplitude-estimated
-    to relative error eps with the 1/n floor budget.  If no round fires
-    before the intensity passes n, the estimate falls back to 1/n.
-
-    The final estimate's sine table is built here, so a fired trial builds
-    only its symbol's row.
+    to relative error eps with the 1/n floor budget M.  If no round fires
+    before the intensity passes n, the estimate falls back to 1/n.  The mode,
+    n < 2 and rounds that could draw past _MAX_INTENSITY are refused first;
+    at the least epsilon that last admits, no n under 2^31 needs M above
+    2^19, so check_budget is a guard.  The final estimate's sine table is
+    built in prepare, so a fired trial builds only its symbol's row.
     """
-    return min_entropy_plan(dist.n, cfg)(dist)
-
-
-def min_entropy_plan(n: int, cfg: EstimatorConfig) -> Callable:
-    """prepare_min_entropy's planner: the budget M of the final estimate
-    (relative eps, floor 1/n), once the mode, n < 2 and rounds that could
-    draw past _MAX_INTENSITY are refused.  At the least epsilon that last
-    admits, no n under 2^31 needs M above 2^19: check_budget is a guard."""
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the min-entropy estimator")
     eps = cfg.epsilon
@@ -845,15 +827,10 @@ def _coverage_plan(t: int, eps: float, mode: str) -> Callable:
     return build
 
 
-def prepare_support_coverage(dist: RationalDistribution, n_samples: int,
-                             cfg: EstimatorConfig) -> Callable:
-    """Estimate E[#distinct symbols in n_samples draws] / n_samples to
-    additive error eps, success >= 2/3."""
-    return coverage_plan(dist.n, n_samples, cfg)(dist)
-
-
 def coverage_plan(n: int, n_samples, cfg: EstimatorConfig) -> Callable:
-    """prepare_support_coverage's planner: the sample count and its coverage plan."""
+    """Estimate E[#distinct symbols in n_samples draws] / n_samples on n
+    symbols to additive error eps, success >= 2/3: the sample count and its
+    _coverage_plan."""
     t = sample_count(n_samples)
     coverage = _coverage_plan(t, cfg.epsilon, cfg.mode)
 
@@ -878,29 +855,23 @@ _SUPPORT_MIN_EPSILON = 6.791202259091746e-148
 
 
 def check_support_promise(src: RationalDistribution, m: int) -> None:
-    """prepare_support_size's promise for m >= 1: every nonzero p_i >= 1/m."""
+    """support_plan's promise for m >= 1: every nonzero p_i >= 1/m."""
     # c * m < S exactly when c <= (S - 1) // m
     short = (src.counts > 0) & (src.counts <= (src.denominator - 1) // m)
     if short.any():
         raise ValueError("promise violated at symbol %d: 0 < p_i < 1/m" % (short.argmax() + 1))
 
 
-def prepare_support_size(dist: RationalDistribution, m: int, cfg: EstimatorConfig) -> Callable:
-    """Estimate |support(p)| / m to additive eps, for p promising that every
-    nonzero probability is at least 1/m; success >= 2/3.
+def support_plan(n: int, m: int, cfg: EstimatorConfig) -> Callable:
+    """Estimate |support(p)| / m on n symbols to additive eps, for p
+    promising that every nonzero probability is at least 1/m; success >= 2/3.
 
     Reduces to coverage at t = ceil(m * ln(2/eps)) draws with a shrunken
     error budget eps/(2 ln(2/eps)): after t draws every promised symbol has
     been seen but an eps/2 sliver, so the rounded coverage tracks the
-    support size.
+    support size.  m and eps are refused first; eps >= _SUPPORT_MIN_EPSILON
+    keeps the coverage epsilon >= MIN_EPSILON.
     """
-    return support_plan(dist.n, m, cfg)(dist)
-
-
-def support_plan(n: int, m: int, cfg: EstimatorConfig) -> Callable:
-    """prepare_support_size's planner: coverage draws ceil(m ln(2/eps)),
-    epsilon eps/(2 ln(2/eps)) and budget, once m and eps pass; eps >=
-    _SUPPORT_MIN_EPSILON keeps the epsilon >= MIN_EPSILON."""
     eps = cfg.epsilon
     if m < 1:
         raise ValueError("m must be positive")
@@ -941,27 +912,20 @@ def support_plan(n: int, m: int, cfg: EstimatorConfig) -> Callable:
 _MAX_PLUGIN_SAMPLES = 1 << 40
 
 
-def prepare_plugin(dist: RationalDistribution, measure: str, n_samples: int,
-                   cfg: EstimatorConfig, dist_q: Optional[RationalDistribution] = None
-                   ) -> Callable:
-    """Plug-in estimator: evaluate the measure on empirical frequencies.
-
-    Prepared like the quantum estimators: the sample count, the measure and
-    the truth are settled before any draw, and a KL pair with no finite
-    divergence is refused as prepare_kl refuses it.  Each side draws
-    n_samples positions, p's first, booked as classical work on its own
-    ledger, and drawn and counted _COUNT_CHUNK at a time, so memory is O(n)
-    whatever n_samples is.  A KL plug-in whose empirical q lands zero mass
-    where empirical p has support is reported as undefined (NaN estimate,
-    success False) rather than raising.
-    """
-    return plugin_plan(dist.n, measure, n_samples, cfg)(dist, dist_q)
-
-
 def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig) -> Callable:
-    """prepare_plugin's planner on n symbols (for kl, p's and q's): the
-    sample count, below 2^40, and whether the measure is kl, once the mode
-    and the measure pass."""
+    """Plug-in estimator on n symbols (for kl, p's and q's): evaluate the
+    measure on empirical frequencies; prepare(dist, dist_q=None).
+
+    Planned like the quantum estimators: the mode, the measure and the
+    sample count, below 2^40, are refused first, and the truth is settled
+    before any draw; a KL pair with no finite divergence is refused as
+    kl_plan refuses it.  Each side draws n_samples positions, p's first,
+    booked as classical work on its own ledger, and drawn and counted
+    _COUNT_CHUNK at a time, so memory is O(n) whatever n_samples is.  A KL
+    plug-in whose empirical q lands zero mass where empirical p has support
+    is reported as undefined (NaN estimate, success False) rather than
+    raising.
+    """
     if cfg.mode == "exact-expectation":
         raise ValueError(_NO_PAYOFF_LAW % "the plug-in estimator")
     n_samples = sample_count(n_samples)
@@ -1003,11 +967,6 @@ def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig) -> Callab
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-
-def prepare_renyi(dist: RationalDistribution, alpha: float, cfg: EstimatorConfig) -> Callable:
-    """Prepare an order-alpha entropy request's estimator (renyi_plan)."""
-    return renyi_plan(dist.n, alpha, cfg)(dist)
 
 
 def renyi_plan(n: int, alpha: float, cfg: EstimatorConfig) -> Callable:

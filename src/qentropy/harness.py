@@ -16,7 +16,7 @@ build where it can be.  The prepared cell is the estimator's trial(seed),
 which books ledgers of its own.  ExperimentConfig checks its own fields,
 plans every cell, then builds each, when it loads, and run_experiment runs
 each cell's trials on it; run_cell_trial, the one-trial form behind
-`estimate`, prepares a cell (prepare_cell) afresh for each call.
+`estimate`, calls plan_cell(cell)() afresh for each trial.
 
 The invariant suites live in `verify`; SUITES, run_suite and suite_passed,
 which the benchmark reads through this module, are re-exported here as the
@@ -75,12 +75,15 @@ def resolve_distribution(spec: str) -> RationalDistribution:
 
 
 def seed_from_env() -> Optional[int]:
-    """The integer in QENTROPY_SEED, or None when it is unset or empty."""
+    """The non-negative integer in QENTROPY_SEED, or None when it is unset or empty."""
     raw = os.environ.get(SEED_ENV_VAR, "")
     try:
-        return int(raw) if raw else None
+        seed = int(raw) if raw else None
     except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (SEED_ENV_VAR, raw)) from None
+        seed = -1  # refused with the negative ones
+    if seed is not None and seed < 0:
+        raise ValueError("%s must be a non-negative integer, got %r" % (SEED_ENV_VAR, raw))
+    return seed
 
 
 def derive_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
@@ -181,8 +184,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_trials(self.trials, "config")
-        if self.master_seed is not None and not _is_int(self.master_seed):
-            raise ValueError("'master_seed' must be an integer or null, got %r"
+        if self.master_seed is not None and not (_is_int(self.master_seed)
+                                                 and self.master_seed >= 0):
+            raise ValueError("'master_seed' must be a non-negative integer or null, got %r"
                              % (self.master_seed,))
         if not isinstance(self.record_timing, bool):
             raise ValueError("'record_timing' must be true or false, got %r"
@@ -273,19 +277,14 @@ def plan_cell(cell: dict) -> Callable[[], Callable[[Optional[int]], EstimateRepo
     return build
 
 
-def prepare_cell(cell: dict) -> Callable[[Optional[int]], EstimateReport]:
-    """A cell checked, planned and built, plan_cell(cell)(): its estimator's trial(seed)."""
-    return plan_cell(cell)()
-
-
 def run_cell_trial(cell: dict, seed: Optional[int],
                    record_timing: bool = False) -> EstimateReport:
-    """One trial of a freshly prepared cell: prepare_cell(cell)(seed).
+    """One trial of a freshly planned and built cell: plan_cell(cell)()(seed).
 
     With record_timing, wall_ms covers the preparation and the trial.
     """
     started = time.perf_counter()
-    report = prepare_cell(cell)(seed)
+    report = plan_cell(cell)()(seed)
     if record_timing:
         report.wall_ms = int((time.perf_counter() - started) * 1000)
     return report

@@ -23,11 +23,11 @@ from scipy.stats import poisson
 from qentropy.distributions import from_counts, power_sum
 from qentropy.estimators import (
     EstimatorConfig,
-    prepare_kl,
-    prepare_renyi,
-    prepare_shannon,
-    prepare_support_coverage,
-    prepare_support_size,
+    coverage_plan,
+    kl_plan,
+    renyi_plan,
+    shannon_plan,
+    support_plan,
 )
 from qentropy.cli import main
 from qentropy.harness import CSV_COLUMNS, ExperimentConfig, run_cell_trial, run_experiment
@@ -73,7 +73,7 @@ def test_criterion_02_shannon_exact_bias():
         dists += [pair.p_uniform, pair.p_bumped]
         for dist in dists:
             start = time.monotonic()
-            rep = prepare_shannon(dist, _cfg(eps, mode="exact-expectation"))(0)
+            rep = shannon_plan(dist.n, _cfg(eps, mode="exact-expectation"))(dist)(0)
             bias = abs(rep.estimate - rep.truth)
             assert bias <= eps / 2, (dist.n, eps, bias)
             assert time.monotonic() - start < 60.0
@@ -86,14 +86,14 @@ def test_criterion_02_shannon_exact_bias():
 def test_criterion_03_end_to_end_success_rates():
     start = time.monotonic()
     grid = {
-        "shannon": (BASE_RATE, prepare_shannon(uniform(64), _cfg(0.25))),
-        "kl": (BASE_RATE, prepare_kl(from_counts([1, 1]), from_counts([1, 3]), 2.0,
-                                     _cfg(0.25))),
-        "renyi-high": (AMPLIFIED_RATE, prepare_renyi(uniform(16), 2.5, _cfg(0.25))),
-        "renyi-low": (AMPLIFIED_RATE, prepare_renyi(uniform(16), 0.75, _cfg(0.5))),
-        "renyi-integer": (BASE_RATE, prepare_renyi(uniform(16), 2.0, _cfg(0.25))),
-        "coverage": (BASE_RATE, prepare_support_coverage(uniform(32), 32, _cfg(0.2))),
-        "support": (BASE_RATE, prepare_support_size(uniform(16), 16, _cfg(0.25))),
+        "shannon": (BASE_RATE, shannon_plan(64, _cfg(0.25))(uniform(64))),
+        "kl": (BASE_RATE,
+               kl_plan(2, 2.0, _cfg(0.25))(from_counts([1, 1]), from_counts([1, 3]))),
+        "renyi-high": (AMPLIFIED_RATE, renyi_plan(16, 2.5, _cfg(0.25))(uniform(16))),
+        "renyi-low": (AMPLIFIED_RATE, renyi_plan(16, 0.75, _cfg(0.5))(uniform(16))),
+        "renyi-integer": (BASE_RATE, renyi_plan(16, 2.0, _cfg(0.25))(uniform(16))),
+        "coverage": (BASE_RATE, coverage_plan(32, 32, _cfg(0.2))(uniform(32))),
+        "support": (BASE_RATE, support_plan(16, 16, _cfg(0.25))(uniform(16))),
     }
     rates = {}
     for name, (threshold, run) in grid.items():
@@ -240,7 +240,7 @@ def test_criterion_08_hard_pair_separation():
 def test_criterion_09_query_scaling_slopes():
     ns = [64, 256, 1024, 4096]
     shannon_q = [
-        prepare_shannon(uniform(n), _cfg(0.25))(0).ledger["quantum_total"]
+        shannon_plan(n, _cfg(0.25))(uniform(n))(0).ledger["quantum_total"]
         for n in ns
     ]
     slope_s = float(np.polyfit(np.log(ns), np.log(shannon_q), 1)[0])
@@ -249,7 +249,7 @@ def test_criterion_09_query_scaling_slopes():
     integer_q = []
     for n in ns:
         totals = [
-            prepare_renyi(uniform(n), 2.0, _cfg(0.25))(seed).ledger["quantum_total"]
+            renyi_plan(n, 2.0, _cfg(0.25))(uniform(n))(seed).ledger["quantum_total"]
             for seed in range(10)
         ]
         integer_q.append(float(np.mean(totals)))

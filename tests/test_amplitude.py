@@ -24,7 +24,7 @@ from qentropy.estimators import (
     _class_mixture,
     _payoff_law,
     _payoff_table,
-    prepare_min_entropy,
+    min_entropy_plan,
 )
 from qentropy.instances import point_mass
 from qentropy.verify import _window_masses
@@ -308,7 +308,7 @@ def test_sampling_is_seeded_and_charged():
     grid = {grid_value(l, M) for l in range(M // 2 + 1)}
     assert set(xs) <= grid
     # the sampler books nothing: the min-entropy estimator charges the M it fixed
-    rep = prepare_min_entropy(point_mass(4), EstimatorConfig(epsilon=0.5))(12)
+    rep = min_entropy_plan(4, EstimatorConfig(epsilon=0.5))(point_mass(4))(12)
     assert not rep.extras["fallback"]
     assert rep.extras["M"] == multiplicative_budget(0.5, 0.25)
     assert rep.ledger["phases"]["estamp"] == rep.extras["M"]

@@ -43,13 +43,7 @@ from qentropy.estimators import (
     min_entropy_plan,
     plugin_plan,
     power_sum_integer_plan,
-    prepare_kl,
-    prepare_min_entropy,
-    prepare_plugin,
-    prepare_renyi,
-    prepare_shannon,
-    prepare_support_coverage,
-    prepare_support_size,
+    renyi_plan,
     shannon_budget,
     shannon_plan,
     support_plan,
@@ -94,11 +88,11 @@ def test_every_estimator_stays_finite_at_the_largest_epsilon():
     c = cfg(eps=estimators.MAX_EPSILON)
     dist = zipf(1.5, 16)
     reports = [
-        prepare_shannon(dist, c)(1),
-        prepare_kl(dist, uniform(16), ratio_bound(dist, uniform(16)), c)(1),
-        prepare_support_coverage(dist, 10, c)(1),
-        prepare_min_entropy(dist, c)(1),
-    ] + [prepare_renyi(dist, alpha, c)(1) for alpha in (0.5, 2.5, 3)]
+        shannon_plan(dist.n, c)(dist)(1),
+        kl_plan(dist.n, ratio_bound(dist, uniform(16)), c)(dist, uniform(16))(1),
+        coverage_plan(dist.n, 10, c)(dist)(1),
+        min_entropy_plan(dist.n, c)(dist)(1),
+    ] + [renyi_plan(dist.n, alpha, c)(dist)(1) for alpha in (0.5, 2.5, 3)]
     for rep in reports:
         assert math.isfinite(rep.estimate), rep.algo
     with pytest.raises(ValueError, match="epsilon must be positive and at most 1e\\+150"):
@@ -111,11 +105,11 @@ def test_every_estimator_refuses_the_smallest_epsilon_with_an_error():
     c = cfg(eps=estimators.MIN_EPSILON)
     dist = zipf(1.5, 16)
     runs = [
-        lambda: prepare_shannon(dist, c)(1),
-        lambda: prepare_kl(dist, uniform(16), ratio_bound(dist, uniform(16)), c)(1),
-        lambda: prepare_support_coverage(dist, 10, c)(1),
-        lambda: prepare_min_entropy(dist, c)(1),
-    ] + [lambda alpha=alpha: prepare_renyi(dist, alpha, c)(1) for alpha in (0.5, 2.5, 3)]
+        lambda: shannon_plan(dist.n, c)(dist)(1),
+        lambda: kl_plan(dist.n, ratio_bound(dist, uniform(16)), c)(dist, uniform(16))(1),
+        lambda: coverage_plan(dist.n, 10, c)(dist)(1),
+        lambda: min_entropy_plan(dist.n, c)(dist)(1),
+    ] + [lambda alpha=alpha: renyi_plan(dist.n, alpha, c)(dist)(1) for alpha in (0.5, 2.5, 3)]
     for run in runs:
         with pytest.raises(ValueError, match="^(budget M=|epsilon 1e-150 is too small)"):
             run()
@@ -234,7 +228,7 @@ def test_payoff_law_builds_one_row_at_a_time_on_one_sine_table():
     counts = count_classes(dist)[0].tolist()
     with mock.patch.object(estimators, "sine_table", wraps=sine_table) as tables, \
             mock.patch.object(estimators, "outcome_laws", wraps=outcome_laws) as rows:
-        prepare_shannon(dist, cfg(eps=0.1))
+        shannon_plan(dist.n, cfg(eps=0.1))(dist)
     assert tables.call_args_list == [mock.call(256)]
     assert [call.args[0] for call in rows.call_args_list] \
         == [[c / dist.denominator] for c in counts]
@@ -356,14 +350,14 @@ def test_kl_law_moments_are_the_q_group_laws_moments():
 _P, _Q = zipf(1.5, 8), uniform(8)
 # name -> (the distributions a prepare reads, the prepare)
 _ONE_GROUPING = {
-    "shannon": ((_P,), lambda d: prepare_shannon(d, cfg())),
-    "coverage": ((_P,), lambda d: prepare_support_coverage(d, 16, cfg())),
-    "support": ((_P,), lambda d: prepare_support_size(d, 16, cfg())),
-    "annealed": ((_P,), lambda d: prepare_renyi(d, 2.5, cfg())),
-    "annealed-exact": ((_P,), lambda d: prepare_renyi(d, 0.75, cfg(mode="exact-expectation"))),
-    "kl": ((_P, _Q), lambda p, q: prepare_kl(p, q, None, cfg())),
-    "kl-f": ((_P, _Q), lambda p, q: prepare_kl(p, q, 4.0, cfg())),
-    "plugin-kl": ((_P, _Q), lambda p, q: prepare_plugin(p, "kl", 64, cfg(), q)),
+    "shannon": ((_P,), lambda d: shannon_plan(d.n, cfg())(d)),
+    "coverage": ((_P,), lambda d: coverage_plan(d.n, 16, cfg())(d)),
+    "support": ((_P,), lambda d: support_plan(d.n, 16, cfg())(d)),
+    "annealed": ((_P,), lambda d: renyi_plan(d.n, 2.5, cfg())(d)),
+    "annealed-exact": ((_P,), lambda d: renyi_plan(d.n, 0.75, cfg(mode="exact-expectation"))(d)),
+    "kl": ((_P, _Q), lambda p, q: kl_plan(p.n, None, cfg())(p, q)),
+    "kl-f": ((_P, _Q), lambda p, q: kl_plan(p.n, 4.0, cfg())(p, q)),
+    "plugin-kl": ((_P, _Q), lambda p, q: plugin_plan(p.n, "kl", 64, cfg())(p, q)),
 }
 
 
@@ -407,11 +401,11 @@ def _budgets(report):
 @pytest.mark.parametrize("dist, prepare, builds", [
     # the six levels share one budget: one table and 19 rows, where laws
     # built on their own build 6 and 114
-    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg()), (1, 19)),
-    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg(eps=0.1)), None),
-    (zipf(1.5, 256), lambda d: prepare_renyi(d, 0.5, cfg()), None),
-    (zipf(1.5, 256), lambda d: prepare_renyi(d, 2.5, cfg(mode="exact-expectation")), None),
-    (zipf(1.5, 64), lambda d: prepare_support_coverage(d, 64, cfg()), None),
+    (zipf(1.5, 256), lambda d: renyi_plan(d.n, 2.5, cfg())(d), (1, 19)),
+    (zipf(1.5, 256), lambda d: renyi_plan(d.n, 2.5, cfg(eps=0.1))(d), None),
+    (zipf(1.5, 256), lambda d: renyi_plan(d.n, 0.5, cfg())(d), None),
+    (zipf(1.5, 256), lambda d: renyi_plan(d.n, 2.5, cfg(mode="exact-expectation"))(d), None),
+    (zipf(1.5, 64), lambda d: coverage_plan(d.n, 64, cfg())(d), None),
 ], ids=["renyi-2.5", "renyi-2.5-eps-0.1", "renyi-0.5", "renyi-2.5-exact", "coverage"])
 def test_a_prepare_builds_one_table_per_budget_and_one_row_per_class_per_budget(
         dist, prepare, builds):
@@ -438,7 +432,7 @@ def test_kl_builds_one_table_per_distinct_budget(p, q, distinct):
     # the prepare and once in a trial: counts:1,1 against counts:1,3 builds
     # 3 rows where two laws per q group built 4; p against itself has
     # M_p = M_q and one row per count; 1/2 against 2/4 shares its one row.
-    trial, tables, rows = _prepare_builds(lambda: prepare_kl(p, q, None, cfg()))
+    trial, tables, rows = _prepare_builds(lambda: kl_plan(p.n, None, cfg())(p, q))
     report, trial_tables, trial_rows = _prepare_builds(lambda: trial(1))
     M_p, M_q = report.extras["M_p"], report.extras["M_q"]
     assert tables == list(dict.fromkeys((M_p, M_q)))
@@ -461,11 +455,11 @@ def test_kl_memory_is_bounded_by_the_budgets_and_the_pairs():
     # integers.  32 floats per budget step and per pair bound the traced
     # peak of the prepare and one trial (~0.43 MB), past the one-time
     # costs of a first trial, paid here on a small pair.
-    prepare_kl(from_counts([1, 1]), from_counts([1, 3]), None, cfg())(1)
+    kl_plan(2, None, cfg())(from_counts([1, 1]), from_counts([1, 3]))(1)
     p, q = zipf(1.1, 16384), zipf(1.1, 16384)
     tracemalloc.start()
     try:
-        report = prepare_kl(p, q, None, cfg(eps=0.1))(1)
+        report = kl_plan(p.n, None, cfg(eps=0.1))(p, q)(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,8 +470,8 @@ def test_kl_memory_is_bounded_by_the_budgets_and_the_pairs():
 
 @pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
 @pytest.mark.parametrize("prepare", [
-    lambda t: prepare_plugin(uniform(16), "shannon", t, cfg()),
-    lambda t: prepare_support_coverage(uniform(16), t, cfg()),
+    lambda t: plugin_plan(16, "shannon", t, cfg())(uniform(16)),
+    lambda t: coverage_plan(16, t, cfg())(uniform(16)),
 ], ids=["plugin", "coverage"])
 def test_sample_counts_are_refused_at_prepare_before_any_build(prepare, value):
     # 2.5 and True used to prepare a plug-in whose trial then raised a
@@ -497,15 +491,15 @@ _READS_AND_BUILDS = ("count_classes", "count_pairs", "power_sum", "shannon_entro
 
 
 @pytest.mark.parametrize("prepare", [
-    lambda: prepare_shannon(uniform(64), cfg(eps=1e-7)),
-    lambda: prepare_support_coverage(uniform(16), 1 << 40, cfg()),
+    lambda: shannon_plan(64, cfg(eps=1e-7))(uniform(64)),
+    lambda: coverage_plan(16, 1 << 40, cfg())(uniform(16)),
     # uniform:16 also breaks the promise at m = 4: the budget is refused first
-    lambda: prepare_support_size(uniform(16), 4, cfg(eps=1e-12)),
+    lambda: support_plan(16, 4, cfg(eps=1e-12))(uniform(16)),
     # p = 3/4 > 2 * 1/4 breaks the promise too; M_p, then M_q alone
-    lambda: prepare_kl(from_counts([3, 1]), from_counts([1, 3]), 2.0, cfg(eps=1e-7)),
-    lambda: prepare_kl(zipf(1.5, 64), uniform(64), 1e6, cfg(eps=0.01)),
-] + [lambda alpha=alpha, mode=mode: prepare_renyi(
-        zipf(1.5, 64), alpha, cfg(eps=1e-4, mode=mode))
+    lambda: kl_plan(2, 2.0, cfg(eps=1e-7))(from_counts([3, 1]), from_counts([1, 3])),
+    lambda: kl_plan(64, 1e6, cfg(eps=0.01))(zipf(1.5, 64), uniform(64)),
+] + [lambda alpha=alpha, mode=mode: renyi_plan(
+         64, alpha, cfg(eps=1e-4, mode=mode))(zipf(1.5, 64))
      for alpha in (1.5, 0.75) for mode in ("contract", "exact-expectation")],
     ids=["shannon", "coverage", "support", "kl-f-M_p", "kl-f-M_q", "annealed-1.5",
          "annealed-1.5-exact", "annealed-0.75", "annealed-0.75-exact"])
@@ -567,14 +561,14 @@ _LARGE = "zipf:1.5:16777216"  # 2^24 symbols: building it takes ~1 s and ~400 MB
         "kl-f-M_p", "kl-f-M_q", "coverage", "coverage-n-samples", "support", "kl-f-0.5",
         "kl-f-0", "kl-f-minus-3", "coverage-group-size", "support-group-size"])
 def test_a_cell_is_refused_from_its_spec_sizes_before_any_build(cell, message):
-    # prepare_cell plans on each instance spec's size: parse_instance and
+    # plan_cell plans on each instance spec's size: parse_instance and
     # every read or build a prepare makes are patched to fail
     built = AssertionError("an instance was built or read before the refusal")
     with mock.patch.object(harness, "parse_instance", side_effect=built), \
             mock.patch.multiple(estimators, **{name: mock.Mock(side_effect=built)
                                                for name in _READS_AND_BUILDS}), \
             pytest.raises(ValueError, match=message):
-        harness.prepare_cell(cell)
+        harness.plan_cell(cell)()
 
 
 # name -> (a plan for 64 symbols, the distributions handed to its prepare)
@@ -619,10 +613,10 @@ def test_kl_refuses_a_nan_ratio_bound_at_plan():
 def test_numpy_integer_sample_counts_are_the_python_ints():
     dist = zipf(1.5, 16)
     for t in (np.int64(16), np.uint8(16), np.int32(16)):
-        assert prepare_plugin(dist, "shannon", t, cfg())(3).to_dict() \
-            == prepare_plugin(dist, "shannon", 16, cfg())(3).to_dict()
-        assert prepare_support_coverage(dist, t, cfg())(3).to_dict() \
-            == prepare_support_coverage(dist, 16, cfg())(3).to_dict()
+        assert plugin_plan(dist.n, "shannon", t, cfg())(dist)(3).to_dict() \
+            == plugin_plan(dist.n, "shannon", 16, cfg())(dist)(3).to_dict()
+        assert coverage_plan(dist.n, t, cfg())(dist)(3).to_dict() \
+            == coverage_plan(dist.n, 16, cfg())(dist)(3).to_dict()
 
 
 def _per_symbol_moments(dist, M, payoff, variant):
@@ -671,7 +665,7 @@ def test_kl_grouped_law_matches_per_symbol_enumeration(pairs):
     p = from_counts([cp for cp, _ in pairs])
     q = from_counts([cq for _, cq in pairs])
     f = float(ratio_bound(p, q)) * (1 + 1e-12)  # rounded up, so the promise holds
-    rep = prepare_kl(p, q, f, cfg(eps=0.5, mode="exact-expectation"))(0)
+    rep = kl_plan(p.n, f, cfg(eps=0.5, mode="exact-expectation"))(p, q)(0)
     M_p, M_q = rep.extras["M_p"], rep.extras["M_q"]
 
     def log_estimates(count, dist, M):
@@ -753,10 +747,10 @@ FROZEN_ZIPF256_PHASES = {
 def test_contract_ledgers_are_frozen():
     c = cfg()
     runs = {
-        "renyi 0.5": lambda d: prepare_renyi(d, 0.5, c),
-        "renyi 2.5": lambda d: prepare_renyi(d, 2.5, c),
-        "shannon": lambda d: prepare_shannon(d, c),
-        "coverage": lambda d: prepare_support_coverage(d, 256, c),
+        "renyi 0.5": lambda d: renyi_plan(d.n, 0.5, c)(d),
+        "renyi 2.5": lambda d: renyi_plan(d.n, 2.5, c)(d),
+        "shannon": lambda d: shannon_plan(d.n, c)(d),
+        "coverage": lambda d: coverage_plan(d.n, 256, c)(d),
     }
     for name, run in runs.items():
         rep = run(zipf(1.5, 256))(7)
@@ -769,7 +763,7 @@ def test_kl_contract_ledgers_are_frozen():
     # Budgets and theorem counts fix both ledgers and the classical draws;
     # how the payoff law is sampled may not move them.
     p, q = zipf(1.5, 256), uniform(256)
-    rep = prepare_kl(p, q, ratio_bound(p, q), cfg())(7)
+    rep = kl_plan(p.n, ratio_bound(p, q), cfg())(p, q)(7)
     assert rep.ledger["phases"] == {"estamp": 154752}
     assert rep.ledger_q["phases"] == {"estamp": 19808256}
     assert rep.classical_executions == 111024
@@ -781,7 +775,7 @@ def test_kl_books_the_contract_counts_on_both_ledgers():
     # its own budget times the contract's execution count, and the
     # contract's classical draws on both, since every draw reads p and q once.
     p, q = zipf(1.5, 64), uniform(64)
-    rep = prepare_kl(p, q, ratio_bound(p, q), cfg())(3)
+    rep = kl_plan(p.n, ratio_bound(p, q), cfg())(p, q)(3)
     executions = rep.extras["charged_executions"]
     draws = 3 * math.ceil(5 * (rep.extras["sigma"] / (rep.epsilon / 2)) ** 2)
     assert rep.ledger["phases"] == {"estamp": rep.extras["M_p"] * executions}
@@ -795,7 +789,7 @@ def test_single_class_stream_is_frozen():
     # seeded sample path (estimate and classical draws) is pinned as drawn
     # with each annealing level's repetitions batched, index-draw pilots and
     # main samples over each part's side.
-    rep = prepare_renyi(uniform(16), 2.5, cfg())(7)
+    rep = renyi_plan(16, 2.5, cfg())(uniform(16))(7)
     assert rep.estimate == pytest.approx(0.018721832354423942, rel=1e-12)
     assert rep.ledger["phases"] == {"estamp": 59589120}
     assert rep.classical_executions == 181054609
@@ -803,7 +797,7 @@ def test_single_class_stream_is_frozen():
 
 @pytest.mark.pin
 def test_shannon_exact_expectation_frozen_value():
-    rep = prepare_shannon(uniform(16), cfg(mode="exact-expectation"))(0)
+    rep = shannon_plan(16, cfg(mode="exact-expectation"))(uniform(16))(0)
     assert rep.estimate == pytest.approx(SHANNON_EXACT_MEAN_U16_M32, abs=1e-12)
     assert rep.truth == pytest.approx(math.log(16), rel=1e-15)
     assert rep.extras["M"] == 32
@@ -814,12 +808,12 @@ def test_shannon_exact_expectation_frozen_value():
 
 def test_shannon_exact_bias_within_half_eps():
     for spec, eps in ((uniform(64), 0.25), (zipf(1.5, 64), 0.25), (uniform(16), 0.5)):
-        rep = prepare_shannon(spec, cfg(eps=eps, mode="exact-expectation"))(0)
+        rep = shannon_plan(spec.n, cfg(eps=eps, mode="exact-expectation"))(spec)(0)
         assert abs(rep.estimate - rep.truth) <= eps / 2
 
 
 def test_shannon_contract_run_and_ledger_invariant():
-    rep = prepare_shannon(uniform(64), cfg())(0)
+    rep = shannon_plan(64, cfg())(uniform(64))(0)
     assert rep.algo == "shannon"
     assert rep.success
     # charged quantum = M per execution, exactly
@@ -829,26 +823,26 @@ def test_shannon_contract_run_and_ledger_invariant():
 
 
 def test_shannon_point_mass_is_exact_zero():
-    rep = prepare_shannon(point_mass(8), cfg())(1)
+    rep = shannon_plan(8, cfg())(point_mass(8))(1)
     assert rep.estimate == 0.0
     assert rep.truth == 0.0
     assert rep.success
 
 
 def test_reports_are_deterministic_given_seed():
-    a = prepare_shannon(uniform(64), cfg())(7)
-    b = prepare_shannon(uniform(64), cfg())(7)
-    c = prepare_shannon(uniform(64), cfg())(8)
+    a = shannon_plan(64, cfg())(uniform(64))(7)
+    b = shannon_plan(64, cfg())(uniform(64))(7)
+    c = shannon_plan(64, cfg())(uniform(64))(8)
     assert a.estimate == b.estimate
     assert a.estimate != c.estimate
 
 
 _LEDGER_RUNS = {
-    "shannon": lambda d, c: prepare_shannon(d, c),
-    "renyi-low": lambda d, c: prepare_renyi(d, 0.5, c),
-    "renyi-high": lambda d, c: prepare_renyi(d, 2.5, c),
-    "renyi-integer": lambda d, c: prepare_renyi(d, 2, c),
-    "coverage": lambda d, c: prepare_support_coverage(d, 8, c),
+    "shannon": lambda d, c: shannon_plan(d.n, c)(d),
+    "renyi-low": lambda d, c: renyi_plan(d.n, 0.5, c)(d),
+    "renyi-high": lambda d, c: renyi_plan(d.n, 2.5, c)(d),
+    "renyi-integer": lambda d, c: renyi_plan(d.n, 2, c)(d),
+    "coverage": lambda d, c: coverage_plan(d.n, 8, c)(d),
 }
 
 
@@ -869,7 +863,7 @@ def test_ledger_properties_over_successive_estimates(counts, seed):
 
 
 def test_report_dict_uses_schema_names():
-    rep = prepare_shannon(uniform(4), cfg())(2)
+    rep = shannon_plan(4, cfg())(uniform(4))(2)
     d = rep.to_dict()
     assert d["S"] == 4
     assert d["eps"] == 0.25
@@ -880,7 +874,7 @@ def test_report_dict_uses_schema_names():
 @pytest.mark.pin
 def test_kl_frozen_small_case():
     p, q = from_counts([1, 1]), from_counts([1, 3])
-    rep = prepare_kl(p, q, 2.0, cfg())(3)
+    rep = kl_plan(p.n, 2.0, cfg())(p, q)(3)
     assert rep.extras["M_p"] == 16
     assert rep.extras["M_q"] == 32
     assert rep.truth == pytest.approx(kl_divergence(p, q))
@@ -893,40 +887,40 @@ def test_kl_frozen_small_case():
 def test_kl_promise_violation_raises():
     p, q = from_counts([3, 1]), from_counts([1, 3])
     with pytest.raises(ValueError, match="ratio promise violated at symbol 1"):
-        prepare_kl(p, q, 2.0, cfg())
+        kl_plan(p.n, 2.0, cfg())(p, q)
 
 
 def test_kl_alphabet_mismatch():
     p, q = from_counts([1, 1]), from_counts([1, 1, 2])
     with pytest.raises(ValueError, match="share an alphabet"):
-        prepare_kl(p, q, 2.0, cfg())
+        kl_plan(p.n, 2.0, cfg())(p, q)
     with pytest.raises(ValueError, match="share an alphabet"):
-        prepare_kl(p, q, None, cfg())
+        kl_plan(p.n, None, cfg())(p, q)
 
 
 def test_kl_without_a_bound_uses_the_exact_one():
     # None stands for the pair's exact bound: the same report, and
     # the same refusal when no bound exists
     p, q = zipf(1.5, 64), uniform(64)
-    exact = prepare_kl(p, q, ratio_bound(p, q), cfg())(3)
-    found = prepare_kl(p, q, None, cfg())(3)
+    exact = kl_plan(p.n, ratio_bound(p, q), cfg())(p, q)(3)
+    found = kl_plan(p.n, None, cfg())(p, q)(3)
     assert found.to_dict() == exact.to_dict()
     with pytest.raises(ValueError, match="ratio unbounded"):
-        prepare_kl(from_counts([1, 1]), from_counts([0, 1]), None, cfg())
+        kl_plan(2, None, cfg())(from_counts([1, 1]), from_counts([0, 1]))
 
 
 def test_renyi_dispatch_routes_by_order():
     dist = uniform(16)
-    assert prepare_renyi(dist, 1.0, cfg())(1).algo == "shannon"
-    assert prepare_renyi(dist, 2.0, cfg())(1).algo == "renyi-integer"
-    assert prepare_renyi(dist, 3.0, cfg())(1).algo == "renyi-integer"
-    assert prepare_renyi(dist, 2.5, cfg())(1).algo == "renyi-high"
-    assert prepare_renyi(dist, 0.75, cfg(eps=0.5))(1).algo == "renyi-low"
-    assert prepare_renyi(dist, math.inf, cfg())(1).algo == "minentropy"
+    assert renyi_plan(dist.n, 1.0, cfg())(dist)(1).algo == "shannon"
+    assert renyi_plan(dist.n, 2.0, cfg())(dist)(1).algo == "renyi-integer"
+    assert renyi_plan(dist.n, 3.0, cfg())(dist)(1).algo == "renyi-integer"
+    assert renyi_plan(dist.n, 2.5, cfg())(dist)(1).algo == "renyi-high"
+    assert renyi_plan(dist.n, 0.75, cfg(eps=0.5))(dist)(1).algo == "renyi-low"
+    assert renyi_plan(dist.n, math.inf, cfg())(dist)(1).algo == "minentropy"
     with pytest.raises(ValueError, match="support promise"):
-        prepare_renyi(dist, 0.0, cfg())
+        renyi_plan(dist.n, 0.0, cfg())(dist)
     with pytest.raises(ValueError, match="non-negative"):
-        prepare_renyi(dist, -1.0, cfg())
+        renyi_plan(dist.n, -1.0, cfg())(dist)
 
 
 def test_power_sum_high_rejects_bad_orders():
@@ -936,7 +930,7 @@ def test_power_sum_high_rejects_bad_orders():
 
 
 def test_power_sum_high_trace_shape():
-    rep = prepare_renyi(uniform(16), 2.5, cfg())(3)
+    rep = renyi_plan(16, 2.5, cfg())(uniform(16))(3)
     assert rep.algo == "renyi-high"
     sched = rep.extras["schedule"]
     assert [lvl["alpha"] for lvl in sched] == pytest.approx(
@@ -955,9 +949,9 @@ def test_power_sum_high_trace_shape():
 
 
 def test_power_sum_exact_expectation_mode():
-    rep = prepare_renyi(uniform(16), 2.5, cfg(mode="exact-expectation"))(0)
+    rep = renyi_plan(16, 2.5, cfg(mode="exact-expectation"))(uniform(16))(0)
     # deterministic: the exact subroutine mean at the target order, no sampling
-    again = prepare_renyi(uniform(16), 2.5, cfg(mode="exact-expectation"))(99)
+    again = renyi_plan(16, 2.5, cfg(mode="exact-expectation"))(uniform(16))(99)
     assert rep.estimate == again.estimate
     assert rep.extras["M"] & (rep.extras["M"] - 1) == 0
     assert rep.extras["exact_subroutine_variance"] >= 0.0
@@ -966,7 +960,7 @@ def test_power_sum_exact_expectation_mode():
 
 
 def test_power_sum_low_contract():
-    rep = prepare_renyi(uniform(16), 0.75, cfg(eps=0.5))(5)
+    rep = renyi_plan(16, 0.75, cfg(eps=0.5))(uniform(16))(5)
     assert rep.algo == "renyi-low"
     assert rep.error_mode == "multiplicative"
     assert rep.truth == pytest.approx(16 ** (1 - 0.75), rel=1e-12)
@@ -975,7 +969,7 @@ def test_power_sum_low_contract():
 
 
 def test_power_sum_integer_point_mass_is_exact():
-    rep = prepare_renyi(point_mass(8), 2, cfg())(2)
+    rep = renyi_plan(8, 2, cfg())(point_mass(8))(2)
     assert rep.estimate == 1.0
     assert rep.truth == 1.0
     assert rep.success
@@ -989,9 +983,9 @@ def test_power_sum_integer_requires_alpha_at_least_two():
 
 @pytest.mark.parametrize("prepare", [
     lambda d, c: power_sum_integer_plan(d.n, 2, c),
-    lambda d, c: prepare_min_entropy(d, c),
-    lambda d, c: prepare_renyi(d, 3.0, c),
-    lambda d, c: prepare_renyi(d, math.inf, c),
+    lambda d, c: min_entropy_plan(d.n, c)(d),
+    lambda d, c: renyi_plan(d.n, 3.0, c)(d),
+    lambda d, c: renyi_plan(d.n, math.inf, c)(d),
 ], ids=["integer", "minentropy", "renyi-3", "renyi-inf"])
 def test_collision_estimators_refuse_exact_expectation_before_any_draw(prepare):
     # They have no payoff law to integrate; they used to run the sampled
@@ -1007,11 +1001,11 @@ def test_power_sum_integer_rejects_charges_too_long_to_print(int_max_str_digits)
     int_max_str_digits(4300)
     with no_layout(), pytest.raises(ValueError, match=r"alpha=120.*4300 decimal digits"):
         power_sum_integer_plan(4, 120, cfg())
-    rep = prepare_renyi(uniform(4), 119, cfg())(0)
+    rep = renyi_plan(4, 119, cfg())(uniform(4))(0)
     assert rep.extras["cost_model"] == "belovs"
     assert 4000 < len(str(rep.ledger["quantum_total"])) <= 4300
     int_max_str_digits(0)  # no limit
-    rep = prepare_renyi(uniform(4), 120, cfg())(0)
+    rep = renyi_plan(4, 120, cfg())(uniform(4))(0)
     assert len(str(rep.ledger["quantum_total"])) > 4300
 
 
@@ -1051,7 +1045,7 @@ FROZEN_COLLISION_TRIALS = {
 def test_integer_power_sum_trials_are_frozen(name):
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
     for seed, estimate, total, length, phases, classical in frozen:
-        rep = prepare_renyi(dist, alpha, cfg())(seed)
+        rep = renyi_plan(dist.n, alpha, cfg())(dist)(seed)
         assert rep.estimate == estimate
         assert rep.extras["collision_total"] == total
         assert rep.extras["fixed_length"] == length
@@ -1065,7 +1059,7 @@ def test_integer_power_sum_trials_are_frozen(name):
 def test_count_chunks_leave_the_report_unchanged(name, rows, monkeypatch):
     # Three rows make 42 full chunks of the 128 rounds and a last one of two.
     dist, alpha, frozen = FROZEN_COLLISION_TRIALS[name]
-    trial = prepare_renyi(dist, alpha, cfg())
+    trial = renyi_plan(dist.n, alpha, cfg())(dist)
     for seed, _, _, length, _, _ in frozen:
         rep = trial(seed)
         with monkeypatch.context() as patch:
@@ -1103,7 +1097,7 @@ def test_min_entropy_trials_are_frozen():
               3: {"distinctness": 4686, "estamp": 2048}}
     classical = {1: 36645, 2: 37061, 3: 36837}
     for seed in (1, 2, 3):
-        rep = prepare_min_entropy(zipf(1.5, 4096), cfg())(seed)
+        rep = min_entropy_plan(4096, cfg())(zipf(1.5, 4096))(seed)
         assert rep.estimate == 0.38745804432010356
         assert [r["batch"] for r in rep.extras["rounds"]] == batches[seed]
         assert rep.extras["captured_symbol"] == 1
@@ -1122,7 +1116,7 @@ def test_count_phase_holds_at_most_one_chunk_of_positions(monkeypatch):
         return symbols(self, positions)
 
     monkeypatch.setattr(DistributionOracle, "symbols", recording)
-    rep = prepare_renyi(TWO_VALUED, 2, cfg(eps=0.05))(1)
+    rep = renyi_plan(TWO_VALUED.n, 2, cfg(eps=0.05))(TWO_VALUED)(1)
     length = rep.extras["fixed_length"]
     assert rep.extras["rounds"] == 3200 and length == 128
     assert max(sizes) <= estimators._COUNT_CHUNK
@@ -1201,7 +1195,7 @@ def test_streamed_min_entropy_holds_one_chunk_and_keeps_the_report(seed):
         sizes.append(positions.size)
         return symbols(self, positions)
 
-    trial = prepare_min_entropy(zipf(1.5, 64), cfg(eps=0.5))
+    trial = min_entropy_plan(64, cfg(eps=0.5))(zipf(1.5, 64))
     rep = trial(seed)
     with mock.patch.object(estimators, "_COUNT_CHUNK", 64), \
             mock.patch.object(DistributionOracle, "symbols", recording):
@@ -1211,7 +1205,7 @@ def test_streamed_min_entropy_holds_one_chunk_and_keeps_the_report(seed):
 
 
 def test_min_entropy_point_mass():
-    rep = prepare_min_entropy(point_mass(8), cfg())(3)
+    rep = min_entropy_plan(8, cfg())(point_mass(8))(3)
     assert rep.algo == "minentropy"
     assert rep.alpha == math.inf
     assert rep.estimate == 1.0  # exactly captures p_max = 1 on the grid
@@ -1225,7 +1219,7 @@ def test_min_entropy_truth_is_the_exact_largest_count_over_s():
     base = zipf(1.5, 4096)
     order = np.random.default_rng(5).permutation(base.n)
     dist = RationalDistribution(base.denominator, base.counts[order])
-    rep = prepare_min_entropy(dist, cfg())(1)
+    rep = min_entropy_plan(dist.n, cfg())(dist)(1)
     assert rep.truth == max(dist.counts.tolist()) / dist.denominator
     assert type(rep.truth) is float
     assert type(rep.extras["min_entropy_truth_nats"]) is float
@@ -1233,7 +1227,7 @@ def test_min_entropy_truth_is_the_exact_largest_count_over_s():
 
 def test_min_entropy_fallback_reports_floor():
     # tiny alphabet, huge eps: the scan can exhaust lambda without a capture
-    trial = prepare_min_entropy(uniform(2), cfg(eps=1.5, delta=0.3))
+    trial = min_entropy_plan(2, cfg(eps=1.5, delta=0.3))(uniform(2))
     reports = [trial(s) for s in range(6)]
     assert any(r.extras["fallback"] for r in reports) or all(r.success for r in reports)
     for r in reports:
@@ -1260,7 +1254,7 @@ def test_min_entropy_refuses_rounds_that_could_sum_past_the_ceiling(n, eps):
     total = math.fsum(_unfired_min_entropy_intensities(n, eps))
     r = math.sqrt(1.0 + eps)
     try:
-        prepare_min_entropy(uniform(n), cfg(eps=eps))
+        min_entropy_plan(n, cfg(eps=eps))(uniform(n))
     except ValueError as exc:
         assert str(exc).startswith("epsilon %r is too small for min-entropy" % eps)
         assert total * (r * n - 1.0) / (n - 1.0) > 2.0 ** 40
@@ -1269,7 +1263,7 @@ def test_min_entropy_refuses_rounds_that_could_sum_past_the_ceiling(n, eps):
 
 
 def test_support_coverage_normalized():
-    rep = prepare_support_coverage(uniform(32), 32, cfg(eps=0.2))(5)
+    rep = coverage_plan(32, 32, cfg(eps=0.2))(uniform(32))(5)
     assert rep.algo == "coverage"
     assert rep.error_mode == "additive"
     assert 0.0 <= rep.estimate <= 1.0
@@ -1279,18 +1273,18 @@ def test_support_coverage_normalized():
 
 
 def test_support_size_promise_and_output():
-    rep = prepare_support_size(uniform(16), 16, cfg())(3)
+    rep = support_plan(16, 16, cfg())(uniform(16))(3)
     assert rep.algo == "support"
     assert rep.alpha == 0.0
     assert rep.extras["size_estimate"] == rep.estimate * 16
     assert float(rep.extras["size_estimate"]).is_integer()
     assert rep.success
     with pytest.raises(ValueError, match="promise violated"):
-        prepare_support_size(from_counts([15, 1]), 4, cfg())
+        support_plan(2, 4, cfg())(from_counts([15, 1]))
 
 
 def test_variance_bound_flag_is_quiet_on_standard_cells():
-    rep = prepare_shannon(zipf(1.5, 64), cfg())(11)
+    rep = shannon_plan(64, cfg())(zipf(1.5, 64))(11)
     assert not rep.extras["variance_bound_exceeded"]
-    repk = prepare_kl(from_counts([1, 1]), from_counts([1, 3]), 2.0, cfg())(11)
+    repk = kl_plan(2, 2.0, cfg())(from_counts([1, 1]), from_counts([1, 3]))(11)
     assert not repk.extras["variance_bound_exceeded"]

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qentropy
 from qentropy import cli, estimators, harness, instances, verify
 from qentropy.cli import main
 from qentropy.distinctness import count_row_collisions
@@ -39,9 +40,9 @@ from qentropy.distributions import (
 from qentropy.estimators import (
     MODES,
     EstimatorConfig,
-    prepare_min_entropy,
-    prepare_plugin,
-    prepare_renyi,
+    min_entropy_plan,
+    plugin_plan,
+    renyi_plan,
 )
 from qentropy.harness import (
     CSV_COLUMNS,
@@ -118,7 +119,7 @@ def test_measure_orders_must_be_numbers(measure, what, capsys):
 
 
 def test_plugin_baseline_converges():
-    rep = prepare_plugin(uniform(16), "shannon", 100_000, EstimatorConfig(epsilon=0.05))(0)
+    rep = plugin_plan(16, "shannon", 100_000, EstimatorConfig(epsilon=0.05))(uniform(16))(0)
     assert rep.algo == "plugin:shannon"
     assert abs(rep.estimate - math.log(16)) < 0.02
     assert rep.ledger["quantum_total"] == 0
@@ -143,7 +144,7 @@ def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
 
     q = uniform(len(counts))
     for measure in ("shannon", "renyi:2", "kl"):
-        trial = prepare_plugin(dist, measure, n_samples, EstimatorConfig(), q)
+        trial = plugin_plan(dist.n, measure, n_samples, EstimatorConfig())(dist, q)
         rep = trial(seed)
         with mock.patch.object(estimators, "_COUNT_CHUNK", chunk):
             again = trial(seed)
@@ -152,8 +153,8 @@ def test_chunked_plugin_counts_match_the_whole_draw(counts, chunk, data, seed):
 
 def test_plugin_baseline_kl_undefined_is_flagged():
     # true KL is finite (q dominates p) but the empirical q misses tail bins
-    trial = prepare_plugin(uniform(16), "kl", 50, EstimatorConfig(),
-                           resolve_distribution("counts:17," + ",".join(["1"] * 15)))
+    trial = plugin_plan(16, "kl", 50, EstimatorConfig())(
+        uniform(16), resolve_distribution("counts:17," + ",".join(["1"] * 15)))
     flagged = 0
     for seed in range(10):
         rep = trial(seed)
@@ -175,9 +176,9 @@ def test_a_spec_named_twice_is_resolved_and_built_once():
     with mock.patch.object(harness, "resolve_distribution",
                            wraps=harness.resolve_distribution) as resolve, \
             mock.patch.object(estimators, "build_oracle", wraps=estimators.build_oracle) as build:
-        shared = harness.prepare_cell(cell)
+        shared = harness.plan_cell(cell)()
     assert (resolve.call_count, build.call_count) == (1, 1)
-    separate = harness.prepare_cell(dict(cell, dist_q="zipf:1.10:64"))
+    separate = harness.plan_cell(dict(cell, dist_q="zipf:1.10:64"))()
     for seed in range(3):
         assert repr(shared(seed).to_dict()) == repr(separate(seed).to_dict())
 
@@ -332,7 +333,7 @@ def test_a_cell_key_its_algo_does_not_read_is_refused(algo, key, capsys):
     cell.update((k, _READ_BY[k][2]) for k in _REQUIRED[algo])
     message = "%s cells do not read '%s'" % (algo, key)
     with pytest.raises(ValueError, match="^%s$" % message):  # before any distribution resolves
-        harness.prepare_cell(cell)
+        harness.plan_cell(cell)()
     assert main(_estimate_argv(algo, _REQUIRED[algo] + (key,))) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % message and captured.out == ""
@@ -343,7 +344,7 @@ def test_a_plugin_cell_reads_dist_q_only_with_measure_kl(capsys):
     cell = {"algo": "plugin", "dist": "uniform:4", "dist_q": "uniform:4",
             "measure": "shannon", "n_samples": 16}
     with pytest.raises(ValueError, match="^%s$" % message):
-        harness.prepare_cell(cell)
+        harness.plan_cell(cell)()
     assert main(_estimate_argv("plugin", ("measure", "n_samples", "dist_q"))) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     # every key an algo reads still runs
@@ -365,9 +366,10 @@ SHANNON_CELL = {"algo": "shannon", "dist": "uniform:16"}
 
 @pytest.mark.parametrize("key, value, message", [
     ("trials", 0, "config 'trials' must be a positive integer, got 0"),
-    ("master_seed", "1", "'master_seed' must be an integer or null, got '1'"),
+    ("master_seed", "1", "'master_seed' must be a non-negative integer or null, got '1'"),
+    ("master_seed", -1, "'master_seed' must be a non-negative integer or null, got -1"),
     ("record_timing", 1, "'record_timing' must be true or false, got 1"),
-], ids=["trials", "master-seed", "record-timing"])
+], ids=["trials", "master-seed", "negative-master-seed", "record-timing"])
 def test_a_config_field_is_refused_before_any_cell_is_planned(key, value, message):
     # trials 0 used to be refused only once this 2^24-symbol cell was
     # planned and built (~1.4 s, ~400 MB)
@@ -386,13 +388,17 @@ def test_record_timing_must_be_a_json_bool():
 
 
 def test_master_seed_must_be_an_integer_or_null(tmp_path, capsys):
-    for seed in ("x", True, 1.5):
+    for seed in ("x", True, 1.5, -1):
         with pytest.raises(ValueError, match="master_seed"):
             ExperimentConfig.from_dict({"cells": [SHANNON_CELL], "master_seed": seed})
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"cells": [SHANNON_CELL], "master_seed": "x"}))
-    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+    for seed in ("x", -1):
+        # a negative seed used to open the CSV, write its header and fail in numpy
+        config.write_text(json.dumps({"cells": [SHANNON_CELL], "master_seed": seed}))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: 'master_seed' must be" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_config_trials_must_be_a_positive_integer():
@@ -1003,10 +1009,15 @@ def test_budgets_are_checked_where_computed_and_reports_built_in_one_place():
     # of EstimateReport keeps every report's fields and judgement the same.
     path = Path(harness.__file__).parent / "estimators.py"
     tree = ast.parse(path.read_text(), str(path))
-    offenders = ["%s:%d calls check_budget" % (node.name, call.lineno)
-                 for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name.startswith("prepare_")
-                 for call in ast.walk(node)
+    prepares = {plan.name: node for plan in tree.body
+                if isinstance(plan, ast.FunctionDef) and plan.name.endswith("_plan")
+                for node in plan.body
+                if isinstance(node, ast.FunctionDef) and node.name == "prepare"}
+    assert sorted(prepares) == ["annealed_plan", "coverage_plan", "kl_plan", "min_entropy_plan",
+                                "plugin_plan", "power_sum_integer_plan", "shannon_plan",
+                                "support_plan"]
+    offenders = ["%s's prepare:%d calls check_budget" % (name, call.lineno)
+                 for name, node in prepares.items() for call in ast.walk(node)
                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                  and call.func.id == "check_budget"]
     assert offenders == []
@@ -1017,20 +1028,17 @@ def test_budgets_are_checked_where_computed_and_reports_built_in_one_place():
 
 
 def test_each_prepare_is_its_plan_and_each_algo_has_one_callable():
-    # Plan, then build, then draw, each stage a closure of the one before: a
-    # prepare that called its planner beside its own steps, or an algo with a
-    # planner and a prepare side by side, would run the planner twice.
+    # Plan, then build, then draw, each stage a closure of the one before,
+    # and the planner is the one way in: a top-level prepare beside it, or
+    # an algo with a planner and a prepare side by side, would be a second.
     package = Path(harness.__file__).parent
     tree = ast.parse((package / "estimators.py").read_text())
-    prepares = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name.startswith("prepare_")]
-    assert len(prepares) == 7
-    for node in prepares:
-        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
-        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
-        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Call) \
-            and isinstance(call.func.func, ast.Name) and call.func.func.id.endswith("_plan"), \
-            "%s is not one return <name>_plan(...)(...)" % node.name
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("prepare_")] == []
+    assert [name for name in vars(harness) if name.startswith("prepare_")] == []
+    for _, _, planner in harness.TRIALS.values():
+        assert planner.__name__ in qentropy.__all__
+        assert getattr(qentropy, planner.__name__) is planner
     assert all(isinstance(entry, tuple) and len(entry) == 3 for entry in harness.TRIALS.values())
     defined = {(path.name, node.name) for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -1177,7 +1185,7 @@ def test_integer_orders_refuse_more_count_rounds_than_the_ceiling_before_any_dra
     with mock.patch.object(estimators, "build_oracle", side_effect=AssertionError("built")), \
             pytest.raises(ValueError, match=r"^epsilon %r is too small for integer order "
                           r"alpha=%d: .* past the ceiling of 2\^40$" % (eps, alpha)):
-        prepare_renyi(uniform(16), alpha, EstimatorConfig(epsilon=eps))
+        renyi_plan(16, alpha, EstimatorConfig(epsilon=eps))(uniform(16))
     assert main(["estimate", "--algo", "renyi", "--alpha", str(alpha), "--dist", "uniform:16",
                  "--eps", repr(eps), "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: epsilon %r is too small" % eps)
@@ -1195,7 +1203,7 @@ def test_cli_error_line_of_a_huge_integer_order_is_short(capsys, int_max_str_dig
 
 
 def test_cli_refusal_of_order_zero_points_to_the_support_estimator(capsys):
-    # it used to tell a command-line user to "use prepare_support_size"
+    # it used to name a library function to a command-line user
     assert main(["estimate", "--algo", "renyi", "--alpha", "0", "--dist", "uniform:16",
                  "--seed", "1"]) == 2
     captured = capsys.readouterr()
@@ -1272,9 +1280,9 @@ def test_cli_refuses_a_plugin_sample_count_past_the_ceiling(capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: n_samples 1000000000000000000 is too large")
     # the ceiling itself is prepared, not drawn
-    assert prepare_plugin(uniform(16), "shannon", 1 << 40, EstimatorConfig()) is not None
+    assert plugin_plan(16, "shannon", 1 << 40, EstimatorConfig())(uniform(16)) is not None
     with pytest.raises(ValueError, match="^n_samples %d .* 2\\^40$" % ((1 << 40) + 1)):
-        prepare_plugin(uniform(16), "shannon", (1 << 40) + 1, EstimatorConfig())
+        plugin_plan(16, "shannon", (1 << 40) + 1, EstimatorConfig())(uniform(16))
 
 
 # (cell, the `estimate` options of the same cell, the group size and the
@@ -1349,7 +1357,7 @@ def test_exact_expectation_runs_past_the_additive_group_bound():
 def test_min_entropy_refuses_a_tiny_epsilon_before_any_draw():
     with mock.patch.object(estimators, "build_oracle", side_effect=AssertionError("built")), \
             pytest.raises(ValueError, match="^epsilon 1e-07 is too small"):
-        prepare_min_entropy(uniform(16), EstimatorConfig(epsilon=1e-7))
+        min_entropy_plan(16, EstimatorConfig(epsilon=1e-7))(uniform(16))
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1492,7 +1500,7 @@ def test_a_prepared_cell_runs_its_planner_once(cell, computed):
     with mock.patch.multiple(estimators, **{name: counting(name) for name in calls}), \
             mock.patch.object(EstimatorConfig, "__post_init__", autospec=True,
                               side_effect=EstimatorConfig.__post_init__) as configured:
-        harness.prepare_cell(cell)
+        harness.plan_cell(cell)()
     assert {name: count for name, count in calls.items() if count} == computed
     assert configured.call_count == 1  # one EstimatorConfig per cell
 
@@ -1881,7 +1889,7 @@ def test_a_prepared_cell_draws_nothing_and_runs_independent_trials(case, mode, m
         patched.setattr(np.random, "default_rng", no_generator)
         patched.setattr(np.random, "Generator", no_generator)
         patched.setattr(estimators, "build_oracle", recording_build)
-        trial = harness.prepare_cell(cell)
+        trial = harness.plan_cell(cell)()
     held = [_fields(layout) for layout in layouts]
     reports = [trial(7).to_dict(), trial(8).to_dict()]
     # the trials leave every layout the cell holds as it was, byte for byte
@@ -1907,7 +1915,7 @@ def test_cells_that_draw_no_symbol_build_no_oracle_layout(case, mode, monkeypatc
         raise AssertionError("an oracle layout was built")
 
     monkeypatch.setattr(DistributionOracle, "build", no_layout)
-    report = harness.prepare_cell(cli._estimate_cell(args))(7)
+    report = harness.plan_cell(cli._estimate_cell(args))()(7)
     assert report.mode == mode
 
 
@@ -1973,7 +1981,7 @@ def test_estimate_with_a_lone_final_repetition_is_frozen(capsys):
                                 "quantum_total": 77590272}
 
 
-@pytest.mark.parametrize("raw", ["abc", " ", "1.5"])
+@pytest.mark.parametrize("raw", ["abc", " ", "1.5", "-5"])
 def test_a_malformed_seed_variable_fails_only_where_it_is_read(
         raw, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QENTROPY_SEED", raw)
@@ -1990,7 +1998,21 @@ def test_a_malformed_seed_variable_fails_only_where_it_is_read(
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: QENTROPY_SEED must be an integer, got %r\n" % raw
+        assert captured.err == "error: QENTROPY_SEED must be a non-negative integer, got %r\n" \
+            % raw
+        assert not (tmp_path / "o.csv").exists()
+
+
+def test_estimate_refuses_a_negative_seed_before_it_reads_a_spec(capsys):
+    # it used to build the cell and then fail in numpy with an unnamed message
+    read = AssertionError("a spec was read before the seed was checked")
+    with mock.patch.object(cli, "resolve_distribution", side_effect=read), \
+            mock.patch.object(harness, "plan_cell", side_effect=read):
+        assert main(["estimate", "--algo", "shannon", "--dist", "zipf:1.5:16777216",
+                     "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
 
 def test_an_empty_seed_variable_is_unset_everywhere(tmp_path, capsys, monkeypatch):
@@ -2074,6 +2096,16 @@ def test_exact_refuses_kl_without_a_second_distribution_before_it_resolves_one(c
     assert capsys.readouterr().err == "error: measure 'kl' needs a second distribution\n"
 
 
+def test_exact_refuses_a_second_distribution_its_measure_does_not_read(capsys):
+    # as a cell does; it used to build both distributions and exit 0
+    with mock.patch.object(cli, "resolve_distribution",
+                           wraps=cli.resolve_distribution) as resolve:
+        assert main(["exact", "--dist", "zipf:1.5:16777216", "--measure", "shannon",
+                     "--dist-q", "uniform:8"]) == 2
+    assert resolve.call_count == 0
+    assert capsys.readouterr().err == "error: measure 'shannon' does not read --dist-q\n"
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "estamp"]) == 0
     out = capsys.readouterr().out
@@ -2110,6 +2142,13 @@ def _resolves(dotted: str) -> bool:
             obj = getattr(obj, attr)
         return True
     return False
+
+
+def test_readme_library_use_runs(capsys):
+    # the one documented way in stays runnable as written
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", _README.read_text(), re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_readme_names_only_what_imports():

@@ -667,7 +667,7 @@ def test_batched_runs_charge_every_repetition(monkeypatch):
         return batch
 
     monkeypatch.setattr(estimators, "multiplicative_runs", recording)
-    rep = estimators.prepare_renyi(zipf(1.5, 64), 2.5, estimators.EstimatorConfig())(3)
+    rep = estimators.renyi_plan(64, 2.5, estimators.EstimatorConfig())(zipf(1.5, 64))(3)
     levels = rep.extras["schedule"]
     assert len(batches) == len(levels)
     assert [batch.value.size for batch in batches] == [level["repetitions"] for level in levels]
