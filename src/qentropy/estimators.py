@@ -20,9 +20,10 @@ distribution and returns prepare(dist, ...), which touches no rng: it
 refuses a distribution on other than n symbols, reads it (its grouping, a
 promise, the truth), then builds tables, payoff laws and, where the
 estimator draws symbols itself (integer orders, min-entropy, the plug-in),
-its oracle layout.  That returns trial(seed), which draws from
-np.random.default_rng(seed), books ledgers of its own, one per
-distribution it reads, and returns a fresh report, as often as called.
+its oracle layout.  That returns trial(seed), which refuses a seed that is
+not None or a non-negative integer, draws from np.random.default_rng(seed),
+books ledgers of its own, one per distribution it reads, and returns a
+fresh report, as often as called.
 The planner is each estimator's one entry point, and cfg is an
 EstimatorConfig for every estimator, whose fields hold each default.
 
@@ -182,6 +183,16 @@ def _check_size(dist: RationalDistribution, n: int) -> None:
                          % (n, dist.n))
 
 
+def _generator(seed: Optional[int]) -> np.random.Generator:
+    """A trial's np.random.default_rng(seed), made in every mode before
+    anything is drawn: None is fresh entropy, and a seed that is not a
+    non-negative integer (a bool, a float, -1) is refused, as --seed is."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                             or seed < 0):
+        raise ValueError("seed must be a non-negative integer, got %r" % (seed,))
+    return np.random.default_rng(seed)
+
+
 # ---------------------------------------------------------------------------
 # payoff subroutines over the amplitude-estimation outcome law
 
@@ -325,10 +336,11 @@ def _additive_run(sub, sigma: float, target: float, extras: dict, mode: str,
                   variance_bound_exceeded=bool(exact_var > sigma ** 2))
 
     def run(seed: Optional[int]) -> tuple[float, dict, tuple[QueryLedger, ...]]:
+        rng = _generator(seed)
         ledgers = tuple(QueryLedger() for _ in budgets)
         if mode == "exact-expectation":
             return exact_mean, dict(extras), ledgers
-        runs = additive_runs(sub, sigma, target, 1, np.random.default_rng(seed))
+        runs = additive_runs(sub, sigma, target, 1, rng)
         for ledger, M in zip(ledgers, budgets):
             ledger.charge("estamp", M * runs.charged_executions)
             ledger.charge_classical(runs.classical_executions)
@@ -538,12 +550,17 @@ def annealed_plan(n: int, alpha: float, cfg: EstimatorConfig) -> Callable:
                 variance_bound_exceeded=bool(exact_var > (level["sigma"] * exact_mean) ** 2))))
         if exact:
             [(_, _, fixed)] = levels
-            return lambda seed: _power_sum_report(
-                algo, dist, alpha, cfg, seed, QueryLedger(), truth, fixed["exact_subroutine_mean"],
-                {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
+
+            def exact_trial(seed: Optional[int]) -> EstimateReport:
+                _generator(seed)  # nothing is drawn, but the seed is checked in every mode
+                return _power_sum_report(
+                    algo, dist, alpha, cfg, seed, QueryLedger(), truth,
+                    fixed["exact_subroutine_mean"],
+                    {"M": fixed["M"], "exact_subroutine_variance": fixed["exact_subroutine_variance"]})
+            return exact_trial
 
         def trial(seed: Optional[int]) -> EstimateReport:
-            rng = np.random.default_rng(seed)
+            rng = _generator(seed)
             ledger = QueryLedger()
             estimate = None
             trace = []
@@ -652,7 +669,7 @@ def power_sum_integer_plan(n: int, alpha: int, cfg: EstimatorConfig) -> Callable
         oracle = build_oracle(dist)
 
         def trial(seed: Optional[int]) -> EstimateReport:
-            rng = np.random.default_rng(seed)
+            rng = _generator(seed)
             ledger = QueryLedger()
             length = 1 << i_max
             for i in range(i_max + 1):
@@ -758,7 +775,7 @@ def min_entropy_plan(n: int, cfg: EstimatorConfig) -> Callable:
         oracle = build_oracle(dist)
 
         def trial(seed: Optional[int]) -> EstimateReport:
-            rng = np.random.default_rng(seed)
+            rng = _generator(seed)
             ledger = QueryLedger()
             lam = 1.0
             rounds = []
@@ -949,7 +966,7 @@ def plugin_plan(n: int, measure: str, n_samples, cfg: EstimatorConfig) -> Callab
             oracles.append(oracles[0] if dist_q is dist else build_oracle(dist_q))
 
         def trial(seed: Optional[int]) -> EstimateReport:
-            rng = np.random.default_rng(seed)
+            rng = _generator(seed)
             counts = [oracle.sample_counts(rng, n_samples, _COUNT_CHUNK)[1:] for oracle in oracles]
             ledgers = [QueryLedger() for _ in oracles]
             for ledger in ledgers:

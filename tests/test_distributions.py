@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import qentropy
 from qentropy import distributions
-from qentropy.cli import main
 from qentropy.distributions import (
     RationalDistribution,
     count_classes,
@@ -37,34 +36,12 @@ from qentropy.estimators import check_ratio_promise, check_support_promise
 from qentropy.instances import point_mass, uniform, zipf
 
 
-def test_counts_must_sum_to_denominator():
-    with pytest.raises(ValueError, match=r"sum\(counts\) != S"):
-        RationalDistribution(4, (1, 1, 1))
-
-
-def test_counts_must_be_non_negative_integers():
-    with pytest.raises(ValueError):
-        RationalDistribution(4, (5, -1))
-    with pytest.raises(ValueError):
-        RationalDistribution(0, ())
-
-
 def test_from_counts_rejects_counts_that_are_not_integers():
     # int() would round these down to (1, 2) over S = 3
     with pytest.raises(ValueError, match="must be Python or numpy integers"):
         from_counts([1.9, 2.1])
     with pytest.raises(ValueError, match="must be an integer"):
         RationalDistribution(2.0, (1, 1))
-
-
-def test_constructor_rejects_bool_counts():
-    with pytest.raises(ValueError, match="must be non-negative integers"):
-        RationalDistribution(2, (True, True))
-
-
-def test_constructor_rejects_a_bool_denominator():
-    with pytest.raises(ValueError, match="must be an integer"):
-        RationalDistribution(True, (1,))
 
 
 def test_numpy_integers_are_accepted_as_python_ints():
@@ -420,14 +397,6 @@ def test_a_denominator_of_2_63_or_more_is_refused_where_it_enters(build):
     assert top.denominator == (1 << 63) - 1
 
 
-def test_exact_refuses_a_count_of_2_63(capsys):
-    assert main(["exact", "--dist", "counts:9223372036854775808,1", "--measure",
-                 "shannon"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "below 2**63" in captured.err
-
-
 def test_fraction_is_exact():
     dist = from_counts([1, 3])
     assert dist.fraction(1) == Fraction(1, 4)
@@ -442,32 +411,6 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(blob)
     assert load_distribution(str(path)) == dist
-
-
-def test_from_json_dict_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        from_json_dict({"S": 4})
-    with pytest.raises(ValueError):
-        from_json_dict({"S": 4, "counts": [1, 1], "extra": 0})
-
-
-@pytest.mark.parametrize("payload", [
-    {"S": 2.9, "counts": [1.5, 1.5]},
-    {"S": 2.0, "counts": [1, 1]},
-    {"S": 2, "counts": [1.0, 1.0]},
-    {"S": 2, "counts": [True, True]},
-    {"S": True, "counts": [1]},
-    {"S": "3", "counts": ["1", "2"]},
-    {"S": 3, "counts": [1, "2"]},
-], ids=["floats", "float-S", "float-counts", "bool-counts", "bool-S", "strings",
-        "string-count"])
-def test_from_json_dict_rejects_values_that_are_not_integers(payload, tmp_path, capsys):
-    with pytest.raises(ValueError, match="must be"):
-        from_json_dict(payload)
-    path = tmp_path / "d.json"
-    path.write_text(json.dumps(payload))
-    assert main(["exact", "--dist", str(path), "--measure", "shannon"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def _ulps(value, expected):
@@ -539,13 +482,6 @@ def test_kl_known_value():
     # (1/2)ln 2 + (1/2)ln(2/3) = ln 2 - (1/2)ln 3
     assert kl_divergence(p, q) == pytest.approx(math.log(2) - 0.5 * math.log(3), rel=1e-14)
     assert kl_divergence(p, p) == 0.0
-
-
-def test_kl_undefined_raises():
-    p = from_counts([1, 1])
-    q = from_counts([2, 0])
-    with pytest.raises(ValueError, match="undefined"):
-        kl_divergence(p, q)
 
 
 def test_support_coverage_small_cases():

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qentropy
-from qentropy.cli import main
 from qentropy.distributions import RationalDistribution, shannon_entropy, support_coverage
 from qentropy.instances import (
     INSTANCE_FAMILIES,
@@ -143,12 +141,6 @@ def test_two_valued_exact():
     # heavy bins at base + (n-c)d/c = 3, light at base - d = 1
     assert d.counts.tolist() == [3, 3, 1, 1]
     assert d.denominator == 8
-    with pytest.raises(ValueError, match="divisible"):
-        two_valued(3, 1, 2, 8)
-    with pytest.raises(ValueError, match="divide"):
-        two_valued(4, 3, 1, 8)
-    with pytest.raises(ValueError, match="too large"):
-        two_valued(4, 2, 5, 8)
 
 
 def test_bumped_structure():
@@ -183,8 +175,6 @@ def test_hard_pair_coverage_separates():
     cov_b = support_coverage(pair.p_bumped, t) / 256
     assert cov_u - cov_b > 0.5 * pair.coverage_gap_fraction
     assert pair.p_uniform.denominator == pair.p_bumped.denominator
-    with pytest.raises(ValueError, match="too large"):
-        hard_pair_coverage(256, 0.1)
 
 
 N = 4096
@@ -219,40 +209,9 @@ def test_parse_instance_families():
 
 
 def test_parse_instance_errors():
+    # a cell or `exact` reads a spec of no family as a file that does not exist
     with pytest.raises(ValueError, match="unknown instance family"):
         parse_instance("gauss:3")
-    with pytest.raises(ValueError, match="arguments"):
-        parse_instance("uniform:8:9")
-    with pytest.raises(ValueError, match="pair member"):
-        parse_instance("hard-shannon:16:0.25:3")
-    # S is the counts' sum: a second argument could only repeat it
-    for spec in ("counts:1,2,3:6", "counts:1,2,3:7"):
-        with pytest.raises(ValueError, match="^instance spec %r has 2 arguments; "
-                           "counts:C1,C2,... takes 1$" % spec):
-            parse_instance(spec)
-
-
-@pytest.mark.parametrize("spec, form, cause", [
-    ("uniform:1e3", "uniform:N", "'1e3' is not an integer"),
-    ("zipf:abc:16", "zipf:S:N", "'abc' is not a finite number"),
-    ("zipf:nan:16", "zipf:S:N", "'nan' is not a finite number"),
-    ("two-valued:4:5:1:8", "two-valued:N:C:D:S", "need 1 <= c <= n"),
-    ("two-valued:4:2:1:%d" % (1 << 64), "two-valued:N:C:D:S", "below 2\\*\\*63"),
-    ("hard-shannon:16:inf:1", "hard-shannon:N:EPS:{1|2}", "'inf' is not a finite number"),
-    ("counts:1,x", "counts:C1,C2,...", "'1,x' is not a comma-separated list"),
-    ("uniform:0", "uniform:N", "need n >= 1"),
-    ("point:-3", "point:N", "need n >= 1"),
-])
-def test_spec_errors_quote_the_spec_and_the_format(spec, form, cause, capsys):
-    with pytest.raises(ValueError) as err:
-        parse_instance(spec)
-    message = str(err.value)
-    assert message.startswith("instance spec %r (format %s): " % (spec, form))
-    assert re.search(cause, message)
-    assert main(["exact", "--dist", spec, "--measure", "shannon"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: %s\n" % message
 
 
 # family -> its number of arguments
